@@ -24,10 +24,14 @@ from .config import (
 )
 from .deploy import drop_ues, fold_to_nearest_image, hex_layout, legacy_2d_drop, wrap_basis
 from .geom import SPEED_OF_LIGHT, AngleVector, rotation_z, wrap_azimuth
-from .lsp import LinkGeometry, LspSampler, pathloss_db
+from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
 from .synth import LinkContext, LinkEnd, synthesize
+
+
+# UEs per block of the array kernels: bounds the (UE, site/cell) temporaries.
+UE_BLOCK = 32
 
 
 @dataclass
@@ -40,13 +44,10 @@ class _SweepContext:
     cell_site: np.ndarray
     cell_bearing_rad: np.ndarray
     ues: list
-    sampler: LspSampler
-    pathloss: object
+    slow: SlowFading
     pattern: object
     geometry: object
     wavelength: float
-    d_v: float
-    tilt_deg: float
     ssp_cfg: object
     times: np.ndarray
     wrap: np.ndarray | None = None
@@ -63,36 +64,32 @@ def _effective_deltas(ctx: _SweepContext, ue_xy: np.ndarray) -> np.ndarray:
     return fold_to_nearest_image(delta, ctx.wrap)
 
 
-def _site_slow_fading(ctx: _SweepContext, ue_index: int, ue):
-    """Per-site LOS state, pathloss, LSPs and departure angles for one UE."""
-    cfg = ctx.cfg
-    ue_xy = np.array([ue.position.x, ue.position.y])
-    delta = _effective_deltas(ctx, ue_xy)
-    d2d = np.hypot(delta[:, 0], delta[:, 1])
-    dz = ue.position.z - ctx.site_z
-    d3d = np.hypot(d2d, dz)
-    az_dep = np.arctan2(delta[:, 1], delta[:, 0])
-    zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
-
-    n_sites = ctx.site_xy.shape[0]
-    los = np.empty(n_sites, dtype=bool)
-    pl = np.empty(n_sites)
-    lsps = []
-    for s in range(n_sites):
-        los[s] = ctx.sampler.los_state(ue_index, s, float(d2d[s]))
-        link = LinkGeometry(
-            float(d2d[s]), float(d3d[s]), ctx.site_z, ue.position.z, ue.indoor, bool(los[s])
+def _slow_fading(cfg: RunConfig, sampler: LspSampler, ues: list, site_xy, wrap) -> SlowFading:
+    """Tilt-independent slow fading of every UE toward every site, in UE blocks."""
+    ue_xyz = np.array([[u.position.x, u.position.y, u.position.z] for u in ues])
+    indoor = np.array([u.indoor for u in ues], dtype=bool)
+    pathloss = build_pathloss(cfg.pathloss)
+    blocks = (
+        sampler.slow_fading(
+            range(start, min(start + UE_BLOCK, len(ues))),
+            ue_xyz[start:start + UE_BLOCK],
+            indoor[start:start + UE_BLOCK],
+            site_xy,
+            cfg.layout.bs_height_m,
+            pathloss,
+            cfg.run.carrier_hz,
+            wrap=wrap,
+            all_lsps=cfg.run.phase == 2,
         )
-        pl[s] = pathloss_db(ctx.pathloss, link, cfg.run.carrier_hz)
-        lsps.append(ctx.sampler.link_lsps(ue_index, s, link, ue_xy))
-    sf = np.array([p.sf_db for p in lsps])
-    return d2d, d3d, az_dep, zen_dep, los, pl, sf, lsps
+        for start in range(0, len(ues), UE_BLOCK)
+    )
+    return SlowFading.concatenate(blocks, len(ues))
 
 
 def _tx_gains_db(ctx: _SweepContext, az_dep: np.ndarray, zen_dep: np.ndarray) -> np.ndarray:
-    """Composite TX gain toward the LOS direction of every cell."""
-    local_az = wrap_azimuth(az_dep[ctx.cell_site] - ctx.cell_bearing_rad)
-    zen = zen_dep[ctx.cell_site]
+    """Composite TX gain toward the LOS direction of every cell; (UE, site) in, (UE, cell) out."""
+    local_az = wrap_azimuth(az_dep[..., ctx.cell_site] - ctx.cell_bearing_rad)
+    zen = zen_dep[..., ctx.cell_site]
     if ctx.cfg.antenna.pattern == "itu_port":
         return np.asarray(port_gain_itu_db(ctx.pattern, local_az, zen))
     return np.asarray(
@@ -100,25 +97,31 @@ def _tx_gains_db(ctx: _SweepContext, az_dep: np.ndarray, zen_dep: np.ndarray) ->
     )
 
 
-def _phase1_record(ctx: _SweepContext, ue_index: int) -> calib.DropReport:
-    ue = ctx.ues[ue_index]
-    _, _, az_dep, zen_dep, _, pl, sf, _ = _site_slow_fading(ctx, ue_index, ue)
-    g_t = _tx_gains_db(ctx, az_dep, zen_dep)
-    rsrp = calib.rsrp_db(
-        ctx.cfg.layout.p_tx_dbm,
-        g_t,
-        ctx.cfg.antenna.ue_gain_dbi,
-        pl[ctx.cell_site],
-        sf[ctx.cell_site],
-    )
-    serving = calib.attach(rsrp)
-    return calib.DropReport(
-        ue_id=ue_index,
-        site=int(ctx.cell_site[serving]),
-        cell=serving,
-        cl_db=calib.coupling_gain_db(float(rsrp[serving]), ctx.cfg.layout.p_tx_dbm),
-        gf_db=calib.geometry_factor_db(rsrp, serving),
-    )
+def _phase1_reports(ctx: _SweepContext) -> list:
+    """Attach every UE and compute its coupling gain and geometry factor, in UE blocks."""
+    p_tx = ctx.cfg.layout.p_tx_dbm
+    slow = ctx.slow
+    reports = []
+    for start in range(0, slow.pl.shape[0], UE_BLOCK):
+        rows = slice(start, start + UE_BLOCK)
+        rsrp = calib.rsrp_db(
+            p_tx,
+            _tx_gains_db(ctx, slow.az_dep[rows], slow.zen_dep[rows]),
+            ctx.cfg.antenna.ue_gain_dbi,
+            slow.pl[rows][:, ctx.cell_site],
+            slow.sf[rows][:, ctx.cell_site],
+        )
+        for offset, row in enumerate(rsrp):
+            serving = calib.attach(row)
+            reports.append(calib.DropReport(
+                ue_id=start + offset,
+                site=int(ctx.cell_site[serving]),
+                cell=serving,
+                cl_db=calib.coupling_gain_db(float(row[serving]), p_tx),
+                # Per UE row: one sum over the whole block rounds differently.
+                gf_db=calib.geometry_factor_db(row, serving),
+            ))
+    return reports
 
 
 def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: bool, pl_sf_db: float):
@@ -169,17 +172,21 @@ def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: b
     return link, output
 
 
-def _phase2_record(ctx: _SweepContext, ue_index: int) -> calib.DropReport:
+def _phase2_record(ue_index: int) -> calib.DropReport:
+    ctx = _ACTIVE
     cfg = ctx.cfg
     ue = ctx.ues[ue_index]
-    _, _, _, _, los, pl, sf, lsps = _site_slow_fading(ctx, ue_index, ue)
+    slow = ctx.slow
+    los, pl, sf = slow.los[ue_index], slow.pl[ue_index], slow.sf[ue_index]
 
     n_cells = ctx.cell_site.size
     rsrp = np.empty(n_cells)
     kept = []
     for c in range(n_cells):
         s = int(ctx.cell_site[c])
-        link, output = _link_context(ctx, ue, ue_index, c, lsps[s], bool(los[s]), float(pl[s] + sf[s]))
+        link, output = _link_context(
+            ctx, ue, ue_index, c, slow.link_lsps(ue_index, s), bool(los[s]), float(pl[s] + sf[s])
+        )
         realization = synthesize(link, ctx.times, output=output)
         rsrp[c] = calib.rsrp_fast_fading_db(cfg.layout.p_tx_dbm, realization) + cfg.antenna.ue_gain_dbi
         kept.append((link.clusters, realization))
@@ -202,26 +209,27 @@ def _phase2_record(ctx: _SweepContext, ue_index: int) -> calib.DropReport:
     )
 
 
-def _record(ue_index: int) -> calib.DropReport:
-    ctx = _ACTIVE
-    if ctx.cfg.run.phase == 1:
-        return _phase1_record(ctx, ue_index)
-    return _phase2_record(ctx, ue_index)
+def _map_records(ctx: _SweepContext, n_ues: int, workers: int, log=None):
+    """Phase-2 records of every UE, over a forked process pool when workers > 1.
 
-
-def _map_records(ctx: _SweepContext, n_ues: int, workers: int):
+    Forked workers inherit the context, slow fading included.
+    """
     global _ACTIVE
     _ACTIVE = ctx
     try:
-        if workers <= 1:
-            return [_record(i) for i in range(n_ues)]
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return [_record(i) for i in range(n_ues)]
-        chunk = max(1, n_ues // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-            return list(pool.map(_record, range(n_ues), chunksize=chunk))
+        if workers > 1:
+            try:
+                mp_ctx = multiprocessing.get_context("fork")
+            except ValueError:
+                if log:
+                    log(f"fork start method unavailable: running {n_ues} UEs in one process")
+            else:
+                if log:
+                    log(f"{n_ues} UEs over {workers} forked worker processes")
+                chunk = max(1, n_ues // (workers * 4))
+                with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
+                    return list(pool.map(_phase2_record, range(n_ues), chunksize=chunk))
+        return [_phase2_record(i) for i in range(n_ues)]
     finally:
         _ACTIVE = None
 
@@ -249,10 +257,12 @@ PHASE2_METRICS = (
 def run_campaign(cfg: RunConfig, log=None) -> list:
     """Execute the configured campaign and return the written file paths.
 
-    For each (d_v, downtilt) sweep point: drop UEs (once, shared across sweep
-    points for paired comparisons), compute slow fading, attach, and emit one
-    CDF file per metric plus a per-UE report. Deterministic for a fixed
-    (config, seed) at any worker count.
+    Drops UEs and computes their slow fading once (both are shared across
+    sweep points for paired comparisons). Then, for each (d_v, downtilt)
+    sweep point: compute the TX gains, attach, and emit one CDF file per
+    metric plus a per-UE report. Phase 1 runs vectorized in this process;
+    phase 2 spreads UEs over `workers` forked processes. Deterministic for a
+    fixed (config, seed) at any worker count.
     """
     out_dir = cfg.run.output_dir
     try:
@@ -277,6 +287,12 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
     )
 
+    if cfg.run.phase == 1 and cfg.run.workers > 1 and log:
+        log(
+            f"phase 1 runs vectorized in one process; "
+            f"workers={cfg.run.workers} applies to phase 2 only"
+        )
+
     sampler = LspSampler(
         build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
         build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
@@ -285,16 +301,12 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         spatial=cfg.spatial_enabled,
         n_field_terms=cfg.spatial_terms,
     )
-    if cfg.spatial_enabled:
-        # Build the per-site fields up front so forked workers inherit them.
-        sampler.prebuild_fields(range(len(sites)))
-
-    pathloss = build_pathloss(cfg.pathloss)
     wrap = (
         wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m)
         if cfg.layout.wrap_around
         else None
     )
+    slow = _slow_fading(cfg, sampler, ues, site_xy, wrap)
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
     times = np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s
     digest = config_hash(cfg)
@@ -318,20 +330,20 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
                 cell_site=cell_site,
                 cell_bearing_rad=cell_bearing,
                 ues=ues,
-                sampler=sampler,
-                pathloss=pathloss,
+                slow=slow,
                 pattern=pattern,
                 geometry=geometry,
                 wavelength=wavelength,
-                d_v=d_v,
-                tilt_deg=tilt,
                 ssp_cfg=ssp_cfg,
                 times=times,
                 wrap=wrap,
             )
             if log:
                 log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(ues)} UEs")
-            reports = _map_records(ctx, len(ues), cfg.run.workers)
+            if cfg.run.phase == 1:
+                reports = _phase1_reports(ctx)
+            else:
+                reports = _map_records(ctx, len(ues), cfg.run.workers, log)
 
             suffix = f"dv{d_v:g}_tilt{tilt:g}"
             written.append(_write_cdf(

@@ -20,7 +20,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override run.master_seed")
     run_p.add_argument("--phase", type=int, choices=(1, 2), default=None, help="override run.phase")
     run_p.add_argument("--output", default=None, help="override run.output_dir")
-    run_p.add_argument("--workers", type=int, default=None, help="override run.workers")
+    run_p.add_argument(
+        "--workers", type=int, default=None,
+        help="override run.workers (phase-2 worker processes; phase 1 runs in one process)",
+    )
     run_p.add_argument(
         "--downtilts", default=None,
         help="comma-separated downtilt sweep in degrees (overrides the config)",

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .deploy import fold_to_nearest_image
 from .geom import GeometryError
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, substream
 
@@ -87,9 +88,10 @@ class DistanceTable:
         if list(self.distances_m) != sorted(self.distances_m):
             raise ValueError("distance breakpoints must be ascending")
 
-    def at(self, d_2d: float, h_ue: float = 1.5) -> Marginal:
-        mu = float(np.interp(d_2d, self.distances_m, self.mu))
-        sigma = float(np.interp(d_2d, self.distances_m, self.sigma))
+    def at(self, d_2d, h_ue=1.5) -> Marginal:
+        """Marginal at the given distance and UE height (scalars or broadcastable arrays)."""
+        mu = np.interp(d_2d, self.distances_m, self.mu)
+        sigma = np.interp(d_2d, self.distances_m, self.sigma)
         return Marginal(mu + self.mu_height_slope_per_m * (h_ue - 1.5), sigma)
 
 
@@ -144,22 +146,37 @@ class LspDistributionSpec:
         return factor
 
 
+def _pow10(x):
+    """10**x per element through the scalar libm pow.
+
+    numpy's array power rounds differently from the scalar power in a few
+    percent of elements; the per-element form keeps the LSPs bit-identical
+    between the per-link and the array paths.
+    """
+    if np.ndim(x) == 0:
+        return math.pow(10.0, x)
+    return np.array([math.pow(10.0, v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _lsp_values(spec: LspDistributionSpec, z, d_2d, h_ue, count: int = 7) -> list:
+    """The first `count` LSPs, in LSP_NAMES order, from mixed normals z (shape (..., 7))."""
+    marginals = [spec.sf, spec.k_factor, spec.ds_log10, spec.asd_log10, spec.asa_log10]
+    if count > 5:
+        marginals += [spec.esd_log10.at(d_2d, h_ue), spec.esa_log10.at(d_2d, h_ue)]
+    z = z.transpose(z.ndim - 1, *range(z.ndim - 1))  # LSP axis first
+    values = []
+    for i, m in enumerate(marginals[:count]):
+        value = m.mu + m.sigma * z[i]
+        values.append(value if i < 2 else _pow10(value))
+    return values
+
+
 def lsps_from_normals(
     spec: LspDistributionSpec, link: LinkGeometry, normals: np.ndarray
 ) -> LargeScaleParams:
     """Map 7 standard normals through the correlation factor and marginals."""
     z = spec.mixing_factor() @ np.asarray(normals, dtype=float)
-    esd = spec.esd_log10.at(link.d_2d, link.h_ue)
-    esa = spec.esa_log10.at(link.d_2d, link.h_ue)
-    return LargeScaleParams(
-        sf_db=spec.sf.mu + spec.sf.sigma * z[0],
-        k_factor_db=spec.k_factor.mu + spec.k_factor.sigma * z[1],
-        ds_s=10.0 ** (spec.ds_log10.mu + spec.ds_log10.sigma * z[2]),
-        asd_deg=10.0 ** (spec.asd_log10.mu + spec.asd_log10.sigma * z[3]),
-        asa_deg=10.0 ** (spec.asa_log10.mu + spec.asa_log10.sigma * z[4]),
-        esd_deg=10.0 ** (esd.mu + esd.sigma * z[5]),
-        esa_deg=10.0 ** (esa.mu + esa.sigma * z[6]),
-    )
+    return LargeScaleParams(*map(np.float64, _lsp_values(spec, z, link.d_2d, link.h_ue)))
 
 
 def draw_lsps(
@@ -209,21 +226,31 @@ def pathloss_db(model: PathlossModel, link: LinkGeometry, frequency_hz: float) -
     NLOS links get a UE-height gain term relative to the 1.5 m reference;
     indoor links add the configured penetration constant.
     """
-    if link.d_3d <= 0:
+    return float(_pathloss_db(
+        model, np.asarray(link.d_3d, dtype=float), link.h_ue, link.indoor, link.los, frequency_hz
+    ))
+
+
+def _pathloss_db(model: PathlossModel, d_3d: np.ndarray, h_ue, indoor, los, frequency_hz: float):
+    """pathloss_db over broadcastable arrays of links."""
+    if np.any(d_3d <= 0):
         raise GeometryError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    coeffs = model.los if link.los else model.nlos
+    # Per-element math.log10: numpy's array log10 rounds differently in a few
+    # percent of elements.
+    log_d = np.array([math.log10(v) for v in d_3d.ravel().tolist()]).reshape(d_3d.shape)
+
+    def coeff(name):
+        return np.where(los, getattr(model.los, name), getattr(model.nlos, name))
+
     pl = (
-        coeffs.intercept_db
-        + 10.0 * coeffs.exponent * math.log10(link.d_3d)
-        + coeffs.freq_coeff_db * math.log10(frequency_hz / 1e9)
+        coeff("intercept_db")
+        + 10.0 * coeff("exponent") * log_d
+        + coeff("freq_coeff_db") * math.log10(frequency_hz / 1e9)
     )
-    if not link.los:
-        pl -= model.ue_height_gain_db_per_m * (link.h_ue - 1.5)
-    if link.indoor:
-        pl += model.indoor_penetration_db
-    return pl
+    pl = np.where(los, pl, pl - model.ue_height_gain_db_per_m * (h_ue - 1.5))
+    return np.where(indoor, pl + model.indoor_penetration_db, pl)
 
 
 @dataclass
@@ -257,10 +284,50 @@ class SpatialGaussianField:
         self._phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
         self._scale = math.sqrt(2.0 / n_terms)
 
-    def sample(self, x: float, y: float) -> float:
-        return self._scale * float(
-            np.cos(self._kx * x + self._ky * y + self._phase).sum()
-        )
+    def sample(self, x, y):
+        """Field value at (x, y); x and y may be arrays of one shape."""
+        x = np.asarray(x, dtype=float)[..., None]
+        y = np.asarray(y, dtype=float)[..., None]
+        return self._scale * np.cos(self._kx * x + self._ky * y + self._phase).sum(axis=-1)
+
+
+@dataclass
+class SlowFading:
+    """Tilt-independent slow fading of UEs toward every site.
+
+    Arrays are indexed (UE, site): 2D distance, departure azimuth and zenith
+    at the site, LOS state, pathloss and shadow fading in dB. lsps holds all
+    seven LSPs on a trailing axis in LSP_NAMES order, or None when only SF
+    was computed.
+    """
+
+    d2d: np.ndarray
+    az_dep: np.ndarray
+    zen_dep: np.ndarray
+    los: np.ndarray
+    pl: np.ndarray
+    sf: np.ndarray
+    lsps: np.ndarray | None = None
+
+    def link_lsps(self, ue: int, site: int) -> LargeScaleParams:
+        return LargeScaleParams(*self.lsps[ue, site])
+
+    @classmethod
+    def concatenate(cls, blocks, n_ue: int) -> "SlowFading":
+        """Stack consecutive UE blocks, taken one at a time from an iterable,
+        into preallocated arrays of n_ue rows."""
+        out = {}
+        start = 0
+        for block in blocks:
+            stop = start + block.pl.shape[0]
+            for f in fields(cls):
+                value = getattr(block, f.name)
+                if value is not None:
+                    if f.name not in out:
+                        out[f.name] = np.empty((n_ue,) + value.shape[1:], value.dtype)
+                    out[f.name][start:stop] = value
+            start = stop
+        return cls(**out)
 
 
 class LspSampler:
@@ -294,25 +361,17 @@ class LspSampler:
         rng = substream(self.master_seed, STREAM_LOS_STATE, ue_id, site_id)
         return bool(rng.random() < self.los_model.at(d_2d))
 
-    def prebuild_fields(self, site_ids):
-        """Materialize the spatial fields of the given sites (e.g. before
-        forking workers, so children inherit them instead of rebuilding)."""
-        for site_id in site_ids:
-            self._field_normals(int(site_id), 0.0, 0.0)
+    def _field(self, site_id: int, lsp: int) -> SpatialGaussianField:
+        key = (site_id, lsp)
+        if key not in self._fields:
+            decorr = self.spec_nlos.decorrelation_m.get(LSP_NAMES[lsp], 50.0)
+            self._fields[key] = SpatialGaussianField(
+                float(decorr), (self.master_seed, STREAM_FIELD, site_id, lsp), self.n_field_terms
+            )
+        return self._fields[key]
 
     def _field_normals(self, site_id: int, x: float, y: float) -> np.ndarray:
-        decorr = self.spec_nlos.decorrelation_m
-        out = np.empty(7)
-        for i, name in enumerate(LSP_NAMES):
-            key = (site_id, i)
-            if key not in self._fields:
-                self._fields[key] = SpatialGaussianField(
-                    float(decorr.get(name, 50.0)),
-                    (self.master_seed, STREAM_FIELD, site_id, i),
-                    self.n_field_terms,
-                )
-            out[i] = self._fields[key].sample(x, y)
-        return out
+        return np.array([self._field(site_id, i).sample(x, y) for i in range(len(LSP_NAMES))])
 
     def link_lsps(
         self, ue_id: int, site_id: int, link: LinkGeometry, ue_xy=None
@@ -325,3 +384,70 @@ class LspSampler:
             rng = substream(self.master_seed, STREAM_LSP, ue_id, site_id)
             normals = rng.standard_normal(7)
         return lsps_from_normals(spec, link, normals)
+
+    def slow_fading(
+        self,
+        ue_ids,
+        ue_xyz: np.ndarray,
+        indoor: np.ndarray,
+        site_xy: np.ndarray,
+        h_bs: float,
+        pathloss: PathlossModel,
+        carrier_hz: float,
+        wrap: np.ndarray | None = None,
+        all_lsps: bool = False,
+    ) -> SlowFading:
+        """LOS state, pathloss and SF of a block of UEs toward every site.
+
+        Rows follow ue_ids, which key the LOS (and non-spatial LSP)
+        substreams; ue_xyz is (n, 3) and indoor (n,). wrap is the
+        wrap-around lattice basis, or None. With all_lsps the seven LSPs are
+        returned too. Without it, only the spatial fields that the SF rows of
+        the mixing factors read are evaluated: the others would enter SF
+        multiplied by exact zeros. Bit-identical to the per-link los_state,
+        pathloss_db and link_lsps.
+        """
+        ue_xyz = np.asarray(ue_xyz, dtype=float)
+        n_ue, n_site = len(ue_ids), site_xy.shape[0]
+        delta = ue_xyz[:, None, :2] - site_xy
+        if wrap is not None:
+            delta = fold_to_nearest_image(delta, wrap).reshape(n_ue, n_site, 2)
+        d2d = np.hypot(delta[..., 0], delta[..., 1])
+        h_ue = ue_xyz[:, 2:]
+        dz = h_ue - h_bs
+        d3d = np.hypot(d2d, dz)
+        az_dep = np.arctan2(delta[..., 1], delta[..., 0])
+        zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
+        los = np.array(
+            [
+                [self.los_state(int(ue), site, d) for site, d in enumerate(row)]
+                for ue, row in zip(ue_ids, d2d.tolist())
+            ],
+            dtype=bool,
+        ).reshape(n_ue, n_site)
+        pl = _pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
+
+        specs = (self.spec_los, self.spec_nlos)
+        normals = np.zeros((n_ue, n_site, len(LSP_NAMES)))
+        if self.spatial:
+            used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(
+                np.any([spec.mixing_factor()[0] != 0.0 for spec in specs], axis=0)
+            )
+            for site in range(n_site):
+                for i in used:
+                    field_i = self._field(site, int(i))
+                    normals[:, site, i] = field_i.sample(ue_xyz[:, 0], ue_xyz[:, 1])
+        else:
+            for row, ue in enumerate(ue_ids):
+                for site in range(n_site):
+                    rng = substream(self.master_seed, STREAM_LSP, int(ue), site)
+                    normals[row, site] = rng.standard_normal(len(LSP_NAMES))
+        count = len(LSP_NAMES) if all_lsps else 1
+        per_spec = []
+        for spec in specs:
+            # Batched matmul equals the per-link F @ n bit for bit (einsum does not).
+            z = np.matmul(spec.mixing_factor(), normals[..., None])[..., 0]
+            per_spec.append(_lsp_values(spec, z, d2d, h_ue, count))
+        values = [np.where(los, a, b) for a, b in zip(*per_spec)]
+        lsps = np.stack(values, axis=-1) if all_lsps else None
+        return SlowFading(d2d, az_dep, zen_dep, los, pl, values[0], lsps)

@@ -147,6 +147,49 @@ def test_campaign_phase2_report_populated(tmp_path):
         assert any(name.startswith(f"{metric}_cdf") for name in cdfs)
 
 
+def _tiny_phase2(tmp_path, sub, workers):
+    cfg = _tiny_cfg(tmp_path, sub=sub)
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 2
+    cfg.ssp.n_clusters = 5
+    cfg.run.workers = workers
+    return cfg
+
+
+def _run_logged(cfg):
+    lines = []
+    paths = run_campaign(cfg, log=lines.append)
+    return {os.path.basename(p): open(p, "rb").read() for p in paths}, lines
+
+
+def test_campaign_phase2_pool_matches_serial(tmp_path):
+    serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
+    pooled, lines = _run_logged(_tiny_phase2(tmp_path, "w2", 2))
+    assert any("over 2 forked worker processes" in line for line in lines)
+    assert serial == pooled
+
+
+def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
+    import chan3d.campaign as campaign
+
+    serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
+
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(campaign.multiprocessing, "get_context", no_fork)
+    fallback, lines = _run_logged(_tiny_phase2(tmp_path, "nofork", 2))
+    assert any("fork start method unavailable" in line for line in lines)
+    assert fallback == serial
+
+
+def test_campaign_phase1_workers_logged_in_process(tmp_path):
+    cfg = _tiny_cfg(tmp_path)
+    cfg.run.workers = 2
+    _, lines = _run_logged(cfg)
+    assert sum("phase 1 runs vectorized in one process" in line for line in lines) == 1
+
+
 def test_campaign_2d_vs_3d_same_xy(tmp_path):
     cfg3 = _tiny_cfg(tmp_path, sub="d3")
     cfg2 = _tiny_cfg(tmp_path, sub="d2")

@@ -1,0 +1,159 @@
+"""The slow-fading array kernel against the per-link form it replaced.
+
+`_per_link` is the scalar path the campaign took before the kernel: for one
+UE, one LOS draw, one pathloss and one LSP draw per site, with the pathloss
+and LSP marginals written out in scalar form. The kernel must reproduce it
+bit for bit, including in blocks and with only SF requested.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from chan3d.config import build_los_model, build_lsp_spec, build_pathloss, default_config
+from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
+from chan3d.lsp import LSP_NAMES, LinkGeometry, LspSampler, SlowFading
+from chan3d.rng import STREAM_DROP, STREAM_LSP, substream
+
+H_BS = 25.0
+CARRIER_HZ = 2e9
+
+
+def _pathloss(model, link, frequency_hz):
+    coeffs = model.los if link.los else model.nlos
+    pl = (
+        coeffs.intercept_db
+        + 10.0 * coeffs.exponent * math.log10(link.d_3d)
+        + coeffs.freq_coeff_db * math.log10(frequency_hz / 1e9)
+    )
+    if not link.los:
+        pl -= model.ue_height_gain_db_per_m * (link.h_ue - 1.5)
+    if link.indoor:
+        pl += model.indoor_penetration_db
+    return pl
+
+
+def _lsps(sampler, ue_index, site, link, ue_xy):
+    spec = sampler.spec_los if link.los else sampler.spec_nlos
+    if sampler.spatial:
+        normals = sampler._field_normals(site, float(ue_xy[0]), float(ue_xy[1]))
+    else:
+        normals = substream(sampler.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
+    z = spec.mixing_factor() @ normals
+    esd = spec.esd_log10.at(link.d_2d, link.h_ue)
+    esa = spec.esa_log10.at(link.d_2d, link.h_ue)
+    return (
+        spec.sf.mu + spec.sf.sigma * z[0],
+        spec.k_factor.mu + spec.k_factor.sigma * z[1],
+        10.0 ** (spec.ds_log10.mu + spec.ds_log10.sigma * z[2]),
+        10.0 ** (spec.asd_log10.mu + spec.asd_log10.sigma * z[3]),
+        10.0 ** (spec.asa_log10.mu + spec.asa_log10.sigma * z[4]),
+        10.0 ** (esd.mu + esd.sigma * z[5]),
+        10.0 ** (esa.mu + esa.sigma * z[6]),
+    )
+
+
+def _per_link(sampler, pathloss, site_xy, wrap, ue_index, ue):
+    """Per-site 2D distance, departure angles, LOS state, pathloss and LSPs of one UE."""
+    ue_xy = np.array([ue.position.x, ue.position.y])
+    delta = ue_xy - site_xy
+    if wrap is not None:
+        delta = fold_to_nearest_image(delta, wrap)
+    d2d = np.hypot(delta[:, 0], delta[:, 1])
+    dz = ue.position.z - H_BS
+    d3d = np.hypot(d2d, dz)
+    az_dep = np.arctan2(delta[:, 1], delta[:, 0])
+    zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
+    los = np.empty(site_xy.shape[0], dtype=bool)
+    pl = np.empty(site_xy.shape[0])
+    lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
+    for s in range(site_xy.shape[0]):
+        los[s] = sampler.los_state(ue_index, s, float(d2d[s]))
+        link = LinkGeometry(
+            float(d2d[s]), float(d3d[s]), H_BS, ue.position.z, ue.indoor, bool(los[s])
+        )
+        pl[s] = _pathloss(pathloss, link, CARRIER_HZ)
+        lsps[s] = _lsps(sampler, ue_index, s, link, ue_xy)
+    return d2d, az_dep, zen_dep, los, pl, lsps
+
+
+# Three LSPs whose correlations are those of three unit vectors in a plane:
+# positive semi-definite of rank 2, so Cholesky fails and the eigenvalue
+# factor, which is not triangular, mixes several fields into SF.
+def _semidefinite_correlation():
+    corr = np.eye(7)
+    angles = {0: 0.0, 2: 37.0, 3: 101.0}
+    for a, angle_a in angles.items():
+        for b, angle_b in angles.items():
+            corr[a, b] = math.cos(math.radians(angle_a - angle_b))
+    return corr
+
+
+def _setup(spatial, wrap_around, correlation):
+    cfg = default_config("UMa", master_seed=17)
+    sites = hex_layout(1, cfg.layout.isd_m, H_BS)
+    ues = drop_ues(3, sites, substream(17, STREAM_DROP), cfg.layout.isd_m)
+    specs = [
+        build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
+        build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
+    ]
+    if correlation is not None:
+        specs = [dataclasses.replace(spec, correlation=correlation) for spec in specs]
+    sampler = LspSampler(
+        *specs, 17, los_model=build_los_model(cfg.pathloss), spatial=spatial
+    )
+    site_xy = np.array([[s.position.x, s.position.y] for s in sites])
+    wrap = wrap_basis(1, cfg.layout.isd_m) if wrap_around else None
+    return sampler, build_pathloss(cfg.pathloss), site_xy, wrap, ues
+
+
+def _kernel(sampler, pathloss, site_xy, wrap, ues, start, stop, all_lsps):
+    block = ues[start:stop]
+    return sampler.slow_fading(
+        range(start, stop),
+        np.array([[u.position.x, u.position.y, u.position.z] for u in block]),
+        np.array([u.indoor for u in block]),
+        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps,
+    )
+
+
+@pytest.mark.parametrize(
+    "spatial, wrap_around, correlation",
+    [
+        (True, True, None),
+        (False, True, None),
+        (True, False, None),
+        (True, True, _semidefinite_correlation()),
+    ],
+    ids=["spatial-wrap", "keyed-wrap", "spatial-nowrap", "spatial-wrap-semidefinite"],
+)
+def test_kernel_equals_per_link_form(spatial, wrap_around, correlation):
+    sampler, pathloss, site_xy, wrap, ues = _setup(spatial, wrap_around, correlation)
+    if correlation is not None:
+        factor = sampler.spec_nlos.mixing_factor()
+        assert np.any(np.triu(factor, 1) != 0.0)
+        assert np.count_nonzero(factor[0]) > 1
+
+    rows = [_per_link(sampler, pathloss, site_xy, wrap, i, ue) for i, ue in enumerate(ues)]
+    expected = [np.array(column) for column in zip(*rows)]
+    d2d, az_dep, zen_dep, los, pl, lsps = expected
+    assert 0 < np.count_nonzero(los) < los.size
+
+    split = 40  # two blocks of unequal size
+    full = SlowFading.concatenate([
+        _kernel(sampler, pathloss, site_xy, wrap, ues, 0, split, True),
+        _kernel(sampler, pathloss, site_xy, wrap, ues, split, len(ues), True),
+    ], len(ues))
+    sf_only = _kernel(sampler, pathloss, site_xy, wrap, ues, 0, len(ues), False)
+    for got in (full, sf_only):
+        assert np.array_equal(got.d2d, d2d)
+        assert np.array_equal(got.az_dep, az_dep)
+        assert np.array_equal(got.zen_dep, zen_dep)
+        assert np.array_equal(got.los, los)
+        assert np.array_equal(got.pl, pl)
+        assert np.array_equal(got.sf, lsps[..., 0])
+    assert sf_only.lsps is None
+    assert np.array_equal(full.lsps, lsps)
+    params = full.link_lsps(5, 2)
+    assert (params.sf_db, params.esa_deg) == (lsps[5, 2, 0], lsps[5, 2, 6])
