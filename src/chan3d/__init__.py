@@ -8,16 +8,13 @@ geometry factor, spread and eigenvalue CDFs).
 from .antenna import (
     ArrayGeometry,
     PatternSpec,
-    array_response,
     composite_port_gain_db,
     downtilt_weights,
     element_gain_db,
     element_pattern_3gpp,
     itu_port_pattern,
     port_gain_itu_db,
-    slant_fields_36814,
     uniform_planar_array,
-    virtualize_port,
 )
 from .calib import (
     DropReport,
@@ -33,28 +30,14 @@ from .calib import (
 )
 from .campaign import run_campaign
 from .config import ConfigError, RunConfig, default_config, emit_config, parse_config
-from .deploy import UE, Cell, Site, drop_ues, hex_layout, legacy_2d_drop
-from .geom import (
-    SPEED_OF_LIGHT,
-    AngleVector,
-    GeometryError,
-    Vec3,
-    WaveVector,
-    doppler_phase,
-    field_lcs_to_gcs,
-    los_angles,
-    unit_vector,
-    wave_vector,
-)
+from .deploy import Drop, drop_ues, hex_layout, legacy_2d_drop
+from .geom import SPEED_OF_LIGHT, AngleVector, GeometryError
 from .lsp import (
     LargeScaleParams,
-    LinkGeometry,
     LosProbability,
     LspDistributionSpec,
     LspSampler,
-    draw_lsps,
     pathloss_db,
-    pathloss_model_for,
 )
 from .ssp import (
     ClusterSet,
@@ -71,8 +54,6 @@ from .synth import (
     ChannelRealization,
     LinkContext,
     LinkEnd,
-    cluster_matrix_nlos,
-    cluster_matrix_with_los,
     dump_realization,
     synthesize,
 )

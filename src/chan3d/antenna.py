@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import WaveVector, unit_vectors, wrap_azimuth
+from .geom import unit_vectors, wrap_azimuth
 
 
 @dataclass
@@ -67,19 +67,6 @@ def port_gain_itu_db(spec: PatternSpec, azimuth, zenith):
     return _clipped_pattern_db(spec, azimuth, zenith, spec.a_m_db)
 
 
-def slant_fields_36814(gain_linear, alpha):
-    """Split a linear power gain into (vertical, horizontal) field amplitudes.
-
-    Angle-independent slant approximation: (sqrt(A) cos a, sqrt(A) sin a),
-    so the squared amplitudes always sum back to the gain.
-    """
-    gain = np.asarray(gain_linear, dtype=float)
-    if np.any(gain < 0):
-        raise ValueError("linear gain must be non-negative")
-    amp = np.sqrt(gain)
-    return amp * np.cos(alpha), amp * np.sin(alpha)
-
-
 @dataclass
 class ArrayGeometry:
     """Physical element layout plus the port virtualization map.
@@ -127,6 +114,13 @@ class ArrayGeometry:
     @property
     def n_ports(self) -> int:
         return len(self.ports)
+
+    def weight_matrix(self) -> np.ndarray:
+        """(n_ports, n_elements) complex matrix taking element signals to ports."""
+        matrix = np.zeros((self.n_ports, self.n_elements), dtype=complex)
+        for p, (idx, w) in enumerate(self.ports):
+            matrix[p, idx] = w
+        return matrix
 
     def with_port_weights(self, weights) -> "ArrayGeometry":
         """Copy of the geometry with every port using the given weight vector."""
@@ -186,31 +180,9 @@ def uniform_planar_array(
     return ArrayGeometry(positions, m_rows, n_cols, d_v, d_h, slant, ports)
 
 
-def array_response(geometry: ArrayGeometry, k: WaveVector) -> np.ndarray:
-    """Per-element response exp(j k . x_i); all entries have unit modulus."""
-    return np.exp(1j * (geometry.element_positions @ k.as_array()))
-
-
 def response_phases(positions: np.ndarray, k_vectors: np.ndarray) -> np.ndarray:
     """exp(j k . x) for a batch of wave vectors; shape (..., n_elements)."""
     return np.exp(1j * (np.asarray(k_vectors) @ np.asarray(positions).T))
-
-
-def virtualize_port(
-    per_element_rows: np.ndarray, geometry: ArrayGeometry, port: int
-) -> np.ndarray:
-    """Weighted sum of element channel rows for one port.
-
-    per_element_rows is indexed (element, rx antenna); the result is one row
-    per rx antenna. Linear in both the weights and the element channels.
-    """
-    if not 0 <= port < geometry.n_ports:
-        raise ValueError(f"unknown port index {port}")
-    idx, w = geometry.ports[port]
-    rows = np.asarray(per_element_rows)
-    if rows.shape[0] <= int(idx.max()):
-        raise ValueError("element rows do not cover all port members")
-    return w @ rows[idx]
 
 
 def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:

@@ -22,7 +22,15 @@ from .config import (
     config_hash,
     tilt_weights_for,
 )
-from .deploy import drop_ues, fold_to_nearest_image, hex_layout, legacy_2d_drop, wrap_basis
+from .deploy import (
+    CELL_BEARINGS_DEG,
+    Drop,
+    drop_ues,
+    fold_to_nearest_image,
+    hex_layout,
+    legacy_2d_drop,
+    wrap_basis,
+)
 from .geom import SPEED_OF_LIGHT, AngleVector, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
@@ -43,10 +51,11 @@ class _SweepContext:
     site_z: float
     cell_site: np.ndarray
     cell_bearing_rad: np.ndarray
-    ues: list
+    drop: Drop
     slow: SlowFading
     pattern: object
     geometry: object
+    port_weights: np.ndarray | None
     wavelength: float
     ssp_cfg: object
     times: np.ndarray
@@ -64,16 +73,14 @@ def _effective_deltas(ctx: _SweepContext, ue_xy: np.ndarray) -> np.ndarray:
     return fold_to_nearest_image(delta, ctx.wrap)
 
 
-def _slow_fading(cfg: RunConfig, sampler: LspSampler, ues: list, site_xy, wrap) -> SlowFading:
+def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap) -> SlowFading:
     """Tilt-independent slow fading of every UE toward every site, in UE blocks."""
-    ue_xyz = np.array([[u.position.x, u.position.y, u.position.z] for u in ues])
-    indoor = np.array([u.indoor for u in ues], dtype=bool)
     pathloss = build_pathloss(cfg.pathloss)
     blocks = (
         sampler.slow_fading(
-            range(start, min(start + UE_BLOCK, len(ues))),
-            ue_xyz[start:start + UE_BLOCK],
-            indoor[start:start + UE_BLOCK],
+            range(start, min(start + UE_BLOCK, len(drop))),
+            drop.xyz[start:start + UE_BLOCK],
+            drop.indoor[start:start + UE_BLOCK],
             site_xy,
             cfg.layout.bs_height_m,
             pathloss,
@@ -81,9 +88,9 @@ def _slow_fading(cfg: RunConfig, sampler: LspSampler, ues: list, site_xy, wrap) 
             wrap=wrap,
             all_lsps=cfg.run.phase == 2,
         )
-        for start in range(0, len(ues), UE_BLOCK)
+        for start in range(0, len(drop), UE_BLOCK)
     )
-    return SlowFading.concatenate(blocks, len(ues))
+    return SlowFading.concatenate(blocks, len(drop))
 
 
 def _tx_gains_db(ctx: _SweepContext, az_dep: np.ndarray, zen_dep: np.ndarray) -> np.ndarray:
@@ -124,13 +131,16 @@ def _phase1_reports(ctx: _SweepContext) -> list:
     return reports
 
 
-def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: bool, pl_sf_db: float):
+def _link_context(ctx: _SweepContext, ue_index: int, cell: int, lsps, los: bool, pl_sf_db: float):
     """Assemble the synthesis context of one (UE, cell) link."""
     cfg = ctx.cfg
     site = int(ctx.cell_site[cell])
     bearing = float(ctx.cell_bearing_rad[cell])
-    delta2d = _effective_deltas(ctx, np.array([ue.position.x, ue.position.y]))[site]
-    offset = np.array([delta2d[0], delta2d[1], ue.position.z - ctx.site_z])
+    ue_xyz = ctx.drop.xyz[ue_index]
+    delta2d = _effective_deltas(ctx, ue_xyz[:2])[site]
+    offset = np.array([delta2d[0], delta2d[1], ue_xyz[2] - ctx.site_z])
+    # Per-link math.atan2/acos, not SlowFading's np.arctan2/arccos angles,
+    # which differ in the last bit on some links and would change the bytes.
     dep = AngleVector(
         math.atan2(offset[1], offset[0]),
         math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))),
@@ -147,7 +157,7 @@ def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: b
             ctx.geometry.slant_rad,
             ctx.pattern,
             bearing,
-            ports=ctx.geometry.ports,
+            port_weights=ctx.port_weights,
         )
         output = "ports"
     rx = LinkEnd(np.zeros((1, 3)), np.zeros(1))
@@ -162,7 +172,7 @@ def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: b
         clusters=clusters,
         slow_fading_db=pl_sf_db,
         carrier_hz=cfg.run.carrier_hz,
-        velocity_mps=ue.velocity.as_array(),
+        velocity_mps=ctx.drop.velocity[ue_index],
         rice_k_linear=k_rice,
         los_departure=dep,
         los_arrival=arr,
@@ -175,7 +185,6 @@ def _link_context(ctx: _SweepContext, ue, ue_index: int, cell: int, lsps, los: b
 def _phase2_record(ue_index: int) -> calib.DropReport:
     ctx = _ACTIVE
     cfg = ctx.cfg
-    ue = ctx.ues[ue_index]
     slow = ctx.slow
     los, pl, sf = slow.los[ue_index], slow.pl[ue_index], slow.sf[ue_index]
 
@@ -185,7 +194,7 @@ def _phase2_record(ue_index: int) -> calib.DropReport:
     for c in range(n_cells):
         s = int(ctx.cell_site[c])
         link, output = _link_context(
-            ctx, ue, ue_index, c, slow.link_lsps(ue_index, s), bool(los[s]), float(pl[s] + sf[s])
+            ctx, ue_index, c, slow.link_lsps(ue_index, s), bool(los[s]), float(pl[s] + sf[s])
         )
         realization = synthesize(link, ctx.times, output=output)
         rsrp[c] = calib.rsrp_fast_fading_db(cfg.layout.p_tx_dbm, realization) + cfg.antenna.ue_gain_dbi
@@ -274,16 +283,15 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     except OSError as exc:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
-    sites = hex_layout(cfg.layout.n_rings, cfg.layout.isd_m, cfg.layout.bs_height_m, cfg.layout.p_tx_dbm)
-    site_xy = np.array([[s.position.x, s.position.y] for s in sites])
-    cells = [cell for site in sites for cell in site.cells]
-    cell_site = np.array([c.site_index for c in cells])
-    cell_bearing = np.radians(np.array([c.bearing_deg for c in cells]))
+    site_xy = hex_layout(cfg.layout.n_rings, cfg.layout.isd_m)
+    n_bearings = len(CELL_BEARINGS_DEG)
+    cell_site = np.repeat(np.arange(site_xy.shape[0]), n_bearings)
+    cell_bearing = np.radians(np.tile(CELL_BEARINGS_DEG, site_xy.shape[0]))
 
     drop_rng = substream(cfg.run.master_seed, STREAM_DROP)
     dropper = drop_ues if cfg.run.drop_mode == "3d" else legacy_2d_drop
-    ues = dropper(
-        cfg.run.n_ue_per_cell, sites, drop_rng, cfg.layout.isd_m,
+    drop = dropper(
+        cfg.run.n_ue_per_cell, site_xy, drop_rng, cfg.layout.isd_m,
         cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
     )
 
@@ -306,7 +314,7 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         if cfg.layout.wrap_around
         else None
     )
-    slow = _slow_fading(cfg, sampler, ues, site_xy, wrap)
+    slow = _slow_fading(cfg, sampler, drop, site_xy, wrap)
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
     times = np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s
     digest = config_hash(cfg)
@@ -316,34 +324,36 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     for d_v in cfg.d_v_sweep():
         for tilt in cfg.downtilt_sweep():
             pattern = build_tx_pattern(cfg.antenna, tilt)
-            geometry = None
+            geometry = port_weights = None
             if cfg.antenna.pattern == "element":
                 geometry = build_array(cfg.antenna, d_v, wavelength)
                 if cfg.antenna.k_per_port == cfg.antenna.m_rows:
                     geometry = geometry.with_port_weights(
                         tilt_weights_for(cfg.antenna, d_v, tilt)
                     )
+                port_weights = geometry.weight_matrix()
             ctx = _SweepContext(
                 cfg=cfg,
                 site_xy=site_xy,
                 site_z=cfg.layout.bs_height_m,
                 cell_site=cell_site,
                 cell_bearing_rad=cell_bearing,
-                ues=ues,
+                drop=drop,
                 slow=slow,
                 pattern=pattern,
                 geometry=geometry,
+                port_weights=port_weights,
                 wavelength=wavelength,
                 ssp_cfg=ssp_cfg,
                 times=times,
                 wrap=wrap,
             )
             if log:
-                log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(ues)} UEs")
+                log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
             if cfg.run.phase == 1:
                 reports = _phase1_reports(ctx)
             else:
-                reports = _map_records(ctx, len(ues), cfg.run.workers, log)
+                reports = _map_records(ctx, len(drop), cfg.run.workers, log)
 
             suffix = f"dv{d_v:g}_tilt{tilt:g}"
             written.append(_write_cdf(

@@ -2,47 +2,36 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geom import Vec3
 
 CELL_BEARINGS_DEG = (0.0, 120.0, 240.0)
 
 
 @dataclass
-class Cell:
-    site_index: int
-    cell_index: int
-    bearing_deg: float
-    position: Vec3
-    p_tx_dbm: float = 46.0
-    downtilt_deg: float = 0.0
-    antenna: object = None
+class Drop:
+    """UEs of one drop as arrays, in (site, cell, UE) order.
+
+    xyz is (n, 3) in meters, indoor (n,) bool, floor (n,) the floor number
+    of indoor UEs (0 outdoors) and velocity (n, 3) in m/s.
+    """
+
+    xyz: np.ndarray
+    indoor: np.ndarray
+    floor: np.ndarray
+    velocity: np.ndarray
+
+    def __len__(self) -> int:
+        return self.xyz.shape[0]
 
 
-@dataclass
-class Site:
-    index: int
-    position: Vec3
-    cells: list = field(default_factory=list)
+def hex_layout(n_rings: int, isd: float) -> np.ndarray:
+    """(n_site, 2) positions of a hexagonal grid of sites, nearest exactly `isd` apart.
 
-
-@dataclass
-class UE:
-    position: Vec3
-    indoor: bool
-    floor: int = 0
-    building_floors: int = 0
-    velocity: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 0.0))
-
-
-def hex_layout(n_rings: int, isd: float, bs_height: float = 25.0, p_tx_dbm: float = 46.0):
-    """Hexagonal grid of tri-sector sites; nearest sites are exactly `isd` apart.
-
-    n_rings=2 gives the standard 19-site (57-cell) deployment. The layout is
-    deterministic: sites are ordered ring by ring, counter-clockwise.
+    n_rings=2 gives the standard 19-site deployment. The layout is
+    deterministic: sites are ordered ring by ring, counter-clockwise. Each
+    site carries one cell per CELL_BEARINGS_DEG entry, numbered site-major.
     """
     if isd <= 0:
         raise ValueError("inter-site distance must be positive")
@@ -59,17 +48,7 @@ def hex_layout(n_rings: int, isd: float, bs_height: float = 25.0, p_tx_dbm: floa
                     ring_coords.append((i, j))
         ring_coords.sort(key=lambda c: math.atan2((c[0] * u + c[1] * v)[1], (c[0] * u + c[1] * v)[0]) % (2 * math.pi))
         coords.extend(ring_coords)
-    sites = []
-    cell_index = 0
-    for s, (i, j) in enumerate(coords):
-        xy = isd * (i * u + j * v)
-        pos = Vec3(float(xy[0]), float(xy[1]), bs_height)
-        site = Site(s, pos)
-        for bearing in CELL_BEARINGS_DEG:
-            site.cells.append(Cell(s, cell_index, bearing, pos, p_tx_dbm))
-            cell_index += 1
-        sites.append(site)
-    return sites
+    return np.array([isd * (i * u + j * v) for i, j in coords])
 
 
 def wrap_basis(n_rings: int, isd: float) -> np.ndarray:
@@ -156,68 +135,58 @@ def sample_cell_positions(
 
 def _drop(
     n_per_cell: int,
-    layout,
+    layout: np.ndarray,
     rng: np.random.Generator,
     isd: float,
     min_dist_2d: float,
     speed_kmh: float,
     three_d: bool,
-):
+) -> Drop:
     # The attribute stream is consumed identically in both drop modes so that
     # matched seeds give matched x/y positions.
     if n_per_cell < 1:
         raise ValueError("need at least one UE per cell")
-    ues = []
+    xy, indoor, floor, heading = [], [], [], []
+    for site_xy in layout:
+        for bearing in CELL_BEARINGS_DEG:
+            xy.append(sample_cell_positions(n_per_cell, site_xy, bearing, isd, min_dist_2d, rng))
+            indoor.append(rng.random(n_per_cell) < 0.8)
+            # Floor uniform in a building of 4-8 stories; the story count is not kept.
+            floor.append(rng.integers(1, rng.integers(4, 9, n_per_cell) + 1))
+            heading.append(rng.uniform(0.0, 2.0 * math.pi, n_per_cell))
+    xy, heading = np.concatenate(xy), np.concatenate(heading)
+    indoor = np.concatenate(indoor) & three_d  # legacy drops are all outdoors
+    floor = np.where(indoor, np.concatenate(floor), 0)
+    z = np.where(indoor, 3.0 * (floor - 1) + 1.5, 1.5)
     speed = speed_kmh / 3.6
-    for site in layout:
-        site_xy = np.array([site.position.x, site.position.y])
-        for cell in site.cells:
-            xy = sample_cell_positions(
-                n_per_cell, site_xy, cell.bearing_deg, isd, min_dist_2d, rng
-            )
-            indoor = rng.random(n_per_cell) < 0.8
-            floors_total = rng.integers(4, 9, n_per_cell)
-            floor = rng.integers(1, floors_total + 1)
-            heading = rng.uniform(0.0, 2.0 * math.pi, n_per_cell)
-            for i in range(n_per_cell):
-                if three_d and indoor[i]:
-                    height = 3.0 * (int(floor[i]) - 1) + 1.5
-                    ue = UE(
-                        Vec3(float(xy[i, 0]), float(xy[i, 1]), height),
-                        True,
-                        int(floor[i]),
-                        int(floors_total[i]),
-                    )
-                else:
-                    ue = UE(Vec3(float(xy[i, 0]), float(xy[i, 1]), 1.5), False)
-                ue.velocity = Vec3(
-                    speed * math.cos(heading[i]), speed * math.sin(heading[i]), 0.0
-                )
-                ues.append(ue)
-    return ues
+    velocity = np.column_stack(
+        [speed * np.cos(heading), speed * np.sin(heading), np.zeros_like(heading)]
+    )
+    return Drop(np.column_stack([xy, z]), indoor, floor, velocity)
 
 
 def drop_ues(
     n_per_cell: int,
-    layout,
+    layout: np.ndarray,
     rng: np.random.Generator,
     isd: float,
     min_dist_2d: float = 35.0,
     speed_kmh: float = 3.0,
-):
-    """3D drop: 80% of UEs indoors on a uniform floor of a 4-8 story building
-    (height 3(floor-1)+1.5 m), the rest outdoors at 1.5 m. Equal count per cell."""
+) -> Drop:
+    """3D drop over the hex_layout site positions: 80% of UEs indoors on a
+    uniform floor of a 4-8 story building (height 3(floor-1)+1.5 m), the rest
+    outdoors at 1.5 m. Equal count per cell."""
     return _drop(n_per_cell, layout, rng, isd, min_dist_2d, speed_kmh, three_d=True)
 
 
 def legacy_2d_drop(
     n_per_cell: int,
-    layout,
+    layout: np.ndarray,
     rng: np.random.Generator,
     isd: float,
     min_dist_2d: float = 35.0,
     speed_kmh: float = 3.0,
-):
+) -> Drop:
     """Legacy drop: identical positions to drop_ues under the same seed, but
     every UE outdoors at 1.5 m."""
     return _drop(n_per_cell, layout, rng, isd, min_dist_2d, speed_kmh, three_d=False)

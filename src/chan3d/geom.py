@@ -1,4 +1,4 @@
-"""Coordinate conventions, wave vectors, LOS geometry, and field-pattern rotation.
+"""Coordinate conventions, direction vectors, spherical bases and rotations.
 
 Conventions used throughout the package:
 
@@ -27,34 +27,6 @@ def wrap_azimuth(angle):
 
 
 @dataclass
-class Vec3:
-    """Cartesian 3-vector in meters (or dimensionless for unit vectors)."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-
-@dataclass
 class AngleVector:
     """Spatial angle pair (azimuth, zenith) in radians.
 
@@ -77,17 +49,6 @@ class AngleVector:
         self.zenith = zen
 
 
-@dataclass
-class WaveVector:
-    """Propagation direction and wavenumber magnitude (rad/m)."""
-
-    direction: Vec3
-    magnitude: float
-
-    def as_array(self) -> np.ndarray:
-        return self.magnitude * self.direction.as_array()
-
-
 def unit_vectors(azimuth, zenith) -> np.ndarray:
     """Cartesian unit vectors for broadcastable azimuth/zenith arrays.
 
@@ -99,46 +60,6 @@ def unit_vectors(azimuth, zenith) -> np.ndarray:
     return np.stack(
         np.broadcast_arrays(st * np.cos(az), st * np.sin(az), np.cos(zen)), axis=-1
     )
-
-
-def unit_vector(angles: AngleVector) -> Vec3:
-    """Unit vector (sin(zen)cos(az), sin(zen)sin(az), cos(zen))."""
-    return Vec3.from_array(unit_vectors(angles.azimuth, angles.zenith))
-
-
-def wave_vector(frequency_hz: float, angles: AngleVector) -> WaveVector:
-    """Wave vector along the given direction with magnitude 2*pi*f/c."""
-    if frequency_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return WaveVector(unit_vector(angles), 2.0 * math.pi * frequency_hz / SPEED_OF_LIGHT)
-
-
-def doppler_phase(k: WaveVector, velocity: Vec3, t: float) -> float:
-    """Phase (k . v) * t of the mobility exponential, in radians."""
-    return float(np.dot(k.as_array(), velocity.as_array())) * t
-
-
-def angles_of(vector: np.ndarray) -> AngleVector:
-    """Azimuth/zenith of a (non-zero) Cartesian vector."""
-    v = np.asarray(vector, dtype=float)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise GeometryError("cannot take angles of the zero vector")
-    return AngleVector(math.atan2(v[1], v[0]), math.acos(max(-1.0, min(1.0, v[2] / r))))
-
-
-def los_angles(tx_pos: Vec3, rx_pos: Vec3) -> tuple[AngleVector, AngleVector]:
-    """Departure and arrival angles of the direct TX -> RX ray.
-
-    Arrival is the departure direction reversed: azimuth shifted by pi and
-    zenith mirrored about the horizon.
-    """
-    offset = (rx_pos - tx_pos).as_array()
-    if not np.any(offset):
-        raise GeometryError("TX and RX positions coincide")
-    departure = angles_of(offset)
-    arrival = AngleVector(departure.azimuth + math.pi, math.pi - departure.zenith)
-    return departure, arrival
 
 
 def spherical_basis(azimuth, zenith) -> tuple[np.ndarray, np.ndarray]:
@@ -161,58 +82,6 @@ def rotation_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rotation_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_zyx(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Composite rotation Rz(alpha) @ Ry(beta) @ Rx(gamma).
-
-    alpha is a bearing about z, beta a downtilt about the rotated y axis and
-    gamma a slant (roll) about the boresight x axis.
-    """
-    return rotation_z(alpha) @ rotation_y(beta) @ rotation_x(gamma)
-
-
-def _check_rotation(rotation: np.ndarray):
-    r = np.asarray(rotation, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError("rotation must be a 3x3 matrix")
-    if not np.allclose(r @ r.T, np.eye(3), atol=1e-9) or not math.isclose(
-        float(np.linalg.det(r)), 1.0, abs_tol=1e-9
-    ):
-        raise ValueError("rotation must be orthonormal with determinant +1")
-    return r
-
-
-def local_angles(rotation: np.ndarray, direction: AngleVector) -> AngleVector:
-    """Direction expressed in the frame reached by `rotation` (local = R^T global)."""
-    r = _check_rotation(rotation)
-    return angles_of(r.T @ unit_vector(direction).as_array())
-
-
-def field_lcs_to_gcs(
-    pattern_vertical,
-    pattern_horizontal,
-    element_orientation: np.ndarray,
-    direction: AngleVector,
-) -> tuple[complex, complex]:
-    """Rotate local (e_theta, e_phi) field components into the global basis.
-
-    `element_orientation` is the proper rotation taking the element's local
-    frame into the global frame; `direction` is the global propagation
-    direction. The field components may be complex. The polarization-vector
-    norm is preserved.
-    """
-    rot = _check_rotation(element_orientation)
-    local = local_angles(rot, direction)
-    et_local, ep_local = spherical_basis(local.azimuth, local.zenith)
-    field_global = rot @ (pattern_vertical * et_local + pattern_horizontal * ep_local)
-    et, ep = spherical_basis(direction.azimuth, direction.zenith)
-    return et @ field_global, ep @ field_global

@@ -35,31 +35,6 @@ class LargeScaleParams:
 
 
 @dataclass
-class LinkGeometry:
-    """Distances, heights and state flags of one UE-site link."""
-
-    d_2d: float
-    d_3d: float
-    h_bs: float
-    h_ue: float
-    indoor: bool = False
-    los: bool = False
-
-    def __post_init__(self):
-        expected = math.hypot(self.d_2d, self.h_bs - self.h_ue)
-        if abs(self.d_3d - expected) > 1e-6 * max(1.0, expected):
-            raise ValueError("d_3d inconsistent with d_2d and the height difference")
-
-    @staticmethod
-    def from_positions(bs_xyz, ue_xyz, indoor: bool = False, los: bool = False) -> "LinkGeometry":
-        bs = np.asarray(bs_xyz, dtype=float)
-        ue = np.asarray(ue_xyz, dtype=float)
-        d_2d = float(np.hypot(ue[0] - bs[0], ue[1] - bs[1]))
-        d_3d = float(np.linalg.norm(ue - bs))
-        return LinkGeometry(d_2d, d_3d, float(bs[2]), float(ue[2]), indoor, los)
-
-
-@dataclass
 class Marginal:
     """Mean and standard deviation of one LSP in its generation domain
     (dB for SF/K, log10 of the natural unit for the spreads)."""
@@ -151,39 +126,31 @@ def _pow10(x):
 
     numpy's array power rounds differently from the scalar power in a few
     percent of elements; the per-element form keeps the LSPs bit-identical
-    between the per-link and the array paths.
+    to the scalar per-link form, 10.0 ** x on floats.
     """
-    if np.ndim(x) == 0:
-        return math.pow(10.0, x)
     return np.array([math.pow(10.0, v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _lsp_values(spec: LspDistributionSpec, z, d_2d, h_ue, count: int = 7) -> list:
-    """The first `count` LSPs, in LSP_NAMES order, from mixed normals z (shape (..., 7))."""
+def lsps_from_normals(
+    spec: LspDistributionSpec, normals, d_2d, h_ue, count: int = len(LSP_NAMES)
+) -> np.ndarray:
+    """The first `count` LSPs, in LSP_NAMES order, from standard normals of shape (..., 7).
+
+    The normals are mixed through the correlation factor, then mapped
+    through the marginals: dB for SF and K, natural units for the spreads.
+    d_2d and h_ue broadcast against the leading axes; they set the ESD/ESA
+    marginals. Returns shape (..., count).
+    """
+    # Batched matmul equals the per-link F @ n bit for bit (einsum does not).
+    z = np.matmul(spec.mixing_factor(), np.asarray(normals, dtype=float)[..., None])[..., 0]
     marginals = [spec.sf, spec.k_factor, spec.ds_log10, spec.asd_log10, spec.asa_log10]
     if count > 5:
         marginals += [spec.esd_log10.at(d_2d, h_ue), spec.esa_log10.at(d_2d, h_ue)]
-    z = z.transpose(z.ndim - 1, *range(z.ndim - 1))  # LSP axis first
     values = []
     for i, m in enumerate(marginals[:count]):
-        value = m.mu + m.sigma * z[i]
+        value = m.mu + m.sigma * z[..., i]
         values.append(value if i < 2 else _pow10(value))
-    return values
-
-
-def lsps_from_normals(
-    spec: LspDistributionSpec, link: LinkGeometry, normals: np.ndarray
-) -> LargeScaleParams:
-    """Map 7 standard normals through the correlation factor and marginals."""
-    z = spec.mixing_factor() @ np.asarray(normals, dtype=float)
-    return LargeScaleParams(*map(np.float64, _lsp_values(spec, z, link.d_2d, link.h_ue)))
-
-
-def draw_lsps(
-    spec: LspDistributionSpec, link: LinkGeometry, rng: np.random.Generator
-) -> LargeScaleParams:
-    """Draw one correlated LSP vector for a link from the given stream."""
-    return lsps_from_normals(spec, link, rng.standard_normal(7))
+    return np.stack(values, axis=-1)
 
 
 @dataclass
@@ -203,36 +170,13 @@ class PathlossModel:
     indoor_penetration_db: float = 20.0
 
 
-def pathloss_model_for(scenario: str) -> PathlossModel:
-    """Documented default coefficients per scenario (36.873-flavored shapes)."""
-    if scenario == "UMa":
-        return PathlossModel(
-            los=PathlossCoeffs(28.0, 2.2, 20.0),
-            nlos=PathlossCoeffs(13.54, 3.908, 20.0),
-            ue_height_gain_db_per_m=0.6,
-        )
-    if scenario == "UMi":
-        return PathlossModel(
-            los=PathlossCoeffs(32.4, 2.1, 20.0),
-            nlos=PathlossCoeffs(22.4, 3.53, 21.3),
-            ue_height_gain_db_per_m=0.3,
-        )
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def pathloss_db(model: PathlossModel, link: LinkGeometry, frequency_hz: float) -> float:
-    """Deterministic pathloss in dB over the 3D distance.
+def pathloss_db(model: PathlossModel, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
+    """Deterministic pathloss in dB over the 3D distance, for broadcastable arrays of links.
 
     NLOS links get a UE-height gain term relative to the 1.5 m reference;
     indoor links add the configured penetration constant.
     """
-    return float(_pathloss_db(
-        model, np.asarray(link.d_3d, dtype=float), link.h_ue, link.indoor, link.los, frequency_hz
-    ))
-
-
-def _pathloss_db(model: PathlossModel, d_3d: np.ndarray, h_ue, indoor, los, frequency_hz: float):
-    """pathloss_db over broadcastable arrays of links."""
+    d_3d = np.asarray(d_3d, dtype=float)
     if np.any(d_3d <= 0):
         raise GeometryError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
@@ -370,21 +314,6 @@ class LspSampler:
             )
         return self._fields[key]
 
-    def _field_normals(self, site_id: int, x: float, y: float) -> np.ndarray:
-        return np.array([self._field(site_id, i).sample(x, y) for i in range(len(LSP_NAMES))])
-
-    def link_lsps(
-        self, ue_id: int, site_id: int, link: LinkGeometry, ue_xy=None
-    ) -> LargeScaleParams:
-        """One LSP draw per (UE, site), reused by all cells of the site."""
-        spec = self.spec_los if link.los else self.spec_nlos
-        if self.spatial and ue_xy is not None:
-            normals = self._field_normals(site_id, float(ue_xy[0]), float(ue_xy[1]))
-        else:
-            rng = substream(self.master_seed, STREAM_LSP, ue_id, site_id)
-            normals = rng.standard_normal(7)
-        return lsps_from_normals(spec, link, normals)
-
     def slow_fading(
         self,
         ue_ids,
@@ -404,8 +333,8 @@ class LspSampler:
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
         returned too. Without it, only the spatial fields that the SF rows of
         the mixing factors read are evaluated: the others would enter SF
-        multiplied by exact zeros. Bit-identical to the per-link los_state,
-        pathloss_db and link_lsps.
+        multiplied by exact zeros. One LSP draw per (UE, site) is shared by
+        all cells of the site.
         """
         ue_xyz = np.asarray(ue_xyz, dtype=float)
         n_ue, n_site = len(ue_ids), site_xy.shape[0]
@@ -425,7 +354,7 @@ class LspSampler:
             ],
             dtype=bool,
         ).reshape(n_ue, n_site)
-        pl = _pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
+        pl = pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
 
         specs = (self.spec_los, self.spec_nlos)
         normals = np.zeros((n_ue, n_site, len(LSP_NAMES)))
@@ -443,11 +372,8 @@ class LspSampler:
                     rng = substream(self.master_seed, STREAM_LSP, int(ue), site)
                     normals[row, site] = rng.standard_normal(len(LSP_NAMES))
         count = len(LSP_NAMES) if all_lsps else 1
-        per_spec = []
-        for spec in specs:
-            # Batched matmul equals the per-link F @ n bit for bit (einsum does not).
-            z = np.matmul(spec.mixing_factor(), normals[..., None])[..., 0]
-            per_spec.append(_lsp_values(spec, z, d2d, h_ue, count))
-        values = [np.where(los, a, b) for a, b in zip(*per_spec)]
-        lsps = np.stack(values, axis=-1) if all_lsps else None
-        return SlowFading(d2d, az_dep, zen_dep, los, pl, values[0], lsps)
+        lsp_los, lsp_nlos = (lsps_from_normals(spec, normals, d2d, h_ue, count) for spec in specs)
+        values = np.where(los[..., None], lsp_los, lsp_nlos)
+        return SlowFading(
+            d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None
+        )

@@ -22,13 +22,14 @@ from .ssp import ClusterSet, polarization_matrix
 @dataclass
 class LinkEnd:
     """One side of a link: element positions (frame-aligned offsets in meters),
-    slants, the element pattern (None = isotropic 0 dBi) and its bearing."""
+    slants, the element pattern (None = isotropic 0 dBi), its bearing, and
+    the (n_ports, n_elements) port weight matrix, if the end has ports."""
 
     positions_m: np.ndarray
     slant_rad: np.ndarray
     pattern: PatternSpec | None = None
     bearing_rad: float = 0.0
-    ports: list | None = None
+    port_weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions_m = np.asarray(self.positions_m, dtype=float).reshape(-1, 3)
@@ -63,6 +64,10 @@ class LinkContext:
 
     def __post_init__(self):
         self.velocity_mps = np.asarray(self.velocity_mps, dtype=float).reshape(3)
+        if self.carrier_hz <= 0:
+            raise ValueError("carrier frequency must be positive")
+        if self.rice_k_linear < 0:
+            raise ValueError("Rice factor must be non-negative")
         if self.polarization_model not in ("slant", "rotated"):
             raise ValueError("polarization model must be 'slant' or 'rotated'")
 
@@ -152,38 +157,6 @@ def _los_term(ctx: LinkContext):
     return term, float(k_arr @ ctx.velocity_mps)
 
 
-def _slow_fading_amplitude(ctx: LinkContext) -> float:
-    return 10.0 ** (-ctx.slow_fading_db / 20.0)
-
-
-def cluster_matrix_nlos(ctx: LinkContext, cluster: int, t: float) -> np.ndarray:
-    """Channel matrix (n_tx, n_rx) of one cluster from its diffuse rays only."""
-    terms, omega = _ray_terms(ctx, cluster)
-    return _slow_fading_amplitude(ctx) * np.einsum(
-        "msu,m->su", terms, np.exp(1j * omega * t)
-    )
-
-
-def cluster_matrix_with_los(
-    ctx: LinkContext, cluster: int, t: float, k_rice: float
-) -> np.ndarray:
-    """Rice-weighted cluster matrix: diffuse rays scaled by 1/(K+1) in power,
-    plus the deterministic LOS ray on the first cluster only. K=0 reproduces
-    the NLOS matrix exactly."""
-    if k_rice < 0:
-        raise ValueError("Rice factor must be non-negative")
-    h = math.sqrt(1.0 / (k_rice + 1.0)) * cluster_matrix_nlos(ctx, cluster, t)
-    if cluster == 0 and k_rice > 0:
-        term, omega = _los_term(ctx)
-        h = h + (
-            _slow_fading_amplitude(ctx)
-            * math.sqrt(k_rice / (k_rice + 1.0))
-            * term
-            * np.exp(1j * omega * t)
-        )
-    return h
-
-
 @dataclass
 class ChannelRealization:
     """Taps of one link: delays plus per-time channel matrices.
@@ -210,8 +183,10 @@ class ChannelRealization:
 def synthesize(ctx: LinkContext, times, output: str = "elements") -> ChannelRealization:
     """Evaluate every cluster tap at the requested times.
 
-    output='ports' applies the TX port weights to every tap, using the port
-    map carried by the TX end.
+    Tap 0 carries the Rice LOS ray when rice_k_linear > 0: the diffuse rays
+    of every cluster are scaled by 1/(K+1) in power and the LOS ray by
+    K/(K+1). output='ports' applies the TX end's port weight matrix to every
+    tap.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
@@ -220,7 +195,7 @@ def synthesize(ctx: LinkContext, times, output: str = "elements") -> ChannelReal
         raise ValueError("output must be 'elements' or 'ports'")
 
     cs = ctx.clusters
-    scale = _slow_fading_amplitude(ctx)
+    scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
     per_cluster = [_ray_terms(ctx, n) for n in range(cs.n_clusters)]
     n_rx = ctx.rx.n_elements
@@ -235,12 +210,9 @@ def synthesize(ctx: LinkContext, times, output: str = "elements") -> ChannelReal
             taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
 
     if output == "ports":
-        if not ctx.tx.ports:
-            raise ValueError("TX end carries no port map")
-        weight_matrix = np.zeros((len(ctx.tx.ports), ctx.tx.n_elements), dtype=complex)
-        for p, (idx, w) in enumerate(ctx.tx.ports):
-            weight_matrix[p, np.asarray(idx, dtype=int)] = np.asarray(w, dtype=complex)
-        taps = np.einsum("pk,tnku->tnpu", weight_matrix, taps)
+        if ctx.tx.port_weights is None:
+            raise ValueError("TX end carries no port weights")
+        taps = np.einsum("pk,tnku->tnpu", ctx.tx.port_weights, taps)
     return ChannelRealization(cs.delays_s.copy(), taps, times, ctx.carrier_hz)
 
 

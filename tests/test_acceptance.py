@@ -18,9 +18,9 @@ from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
 from chan3d.rng import substream
 from chan3d.ssp import draw_polarization, generate_cluster_powers, generate_delays, polarization_matrix
-from chan3d.synth import ChannelRealization, cluster_matrix_nlos, cluster_matrix_with_los
+from chan3d.synth import ChannelRealization, synthesize
 
-from test_synth import _ctx, _random_clusters  # noqa: E402
+from test_synth import _ctx, _random_clusters, _without_los_angles  # noqa: E402
 
 D2R = math.pi / 180.0
 SEED = 1
@@ -107,20 +107,17 @@ def test_criterion_4_dropping_statistics():
     sites = hex_layout(0, 500.0)
     rng = substream(777, 1)
     n_per_cell = 33_400  # 100200 drops over 3 cells
-    ues = drop_ues(n_per_cell, sites, rng, 500.0)
-    n = len(ues)
-    outdoor_frac = sum(1 for u in ues if not u.indoor) / n
+    drop = drop_ues(n_per_cell, sites, rng, 500.0)
+    n = len(drop)
+    outdoor_frac = np.count_nonzero(~drop.indoor) / n
     frac_ok = abs(outdoor_frac - 0.20) <= 0.004
 
     allowed = {1.5 + 3.0 * k for k in range(8)}
-    heights_ok = {u.position.z for u in ues} <= allowed
+    heights_ok = set(drop.xyz[:, 2].tolist()) <= allowed
 
-    indoor = [u for u in ues if u.indoor]
-    counts = np.zeros(9)
-    for u in indoor:
-        counts[u.floor] += 1
+    counts = np.bincount(drop.floor[drop.indoor], minlength=9)
     floors_ok = True
-    n_in = len(indoor)
+    n_in = int(np.count_nonzero(drop.indoor))
     for f in range(1, 9):
         p = sum(1.0 / x for x in range(max(f, 4), 9)) / 5.0
         sigma = math.sqrt(n_in * p * (1.0 - p))
@@ -152,17 +149,19 @@ def test_criterion_6_los_structural_suite():
     clusters = _random_clusters(rng, n_clusters=3, n_rays=3)
     ctx = _ctx(clusters)
 
+    # K = 0 on a LOS link equals the same link with no LOS ray at all.
     k0_equal = np.allclose(
-        cluster_matrix_with_los(ctx, 0, 0.4, 0.0), cluster_matrix_nlos(ctx, 0, 0.4), atol=1e-15
+        synthesize(ctx, [0.4]).taps[0, 0],
+        synthesize(_without_los_angles(ctx), [0.4]).taps[0, 0],
+        atol=1e-15,
     )
     gate_ok = np.allclose(
-        cluster_matrix_with_los(ctx, 1, 0.0, 7.0),
-        math.sqrt(1.0 / 8.0) * cluster_matrix_nlos(ctx, 1, 0.0),
+        synthesize(_ctx(clusters, k_rice=7.0), [0.0]).taps[0, 1],
+        math.sqrt(1.0 / 8.0) * synthesize(ctx, [0.0]).taps[0, 1],
         atol=1e-14,
     )
-    static_ok = np.allclose(
-        cluster_matrix_nlos(ctx, 0, 0.0), cluster_matrix_nlos(ctx, 0, 2.5), atol=1e-15
-    )
+    static_taps = synthesize(ctx, [0.0, 2.5]).taps
+    static_ok = np.allclose(static_taps[0, 0], static_taps[1, 0], atol=1e-15)
 
     # Brute-force oracle at 1e-10 (re-summation with scalar loops).
     from test_synth import test_cluster_matrix_matches_bruteforce_oracle

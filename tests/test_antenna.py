@@ -7,18 +7,18 @@ from numpy.testing import assert_allclose
 from chan3d.antenna import (
     ArrayGeometry,
     PatternSpec,
-    array_response,
     composite_port_gain_db,
     downtilt_weights,
     element_gain_db,
     element_pattern_3gpp,
     itu_port_pattern,
     port_gain_itu_db,
-    slant_fields_36814,
+    response_phases,
     uniform_planar_array,
-    virtualize_port,
 )
-from chan3d.geom import AngleVector, wave_vector
+from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
+from chan3d.ssp import ClusterSet
+from chan3d.synth import LinkContext, LinkEnd, _end_fields, isotropic_end, synthesize
 
 D2R = math.pi / 180.0
 
@@ -91,52 +91,58 @@ def test_pattern_spec_validation():
         PatternSpec(8.0, -1.0, 30.0, 65.0, 65.0)
 
 
+# The slant split of a field pattern is the "slant" polarization model of
+# synth._end_fields: (sqrt(A) cos a, sqrt(A) sin a) for element gain A.
+
+def _slant_fields(slants, azimuth=0.0, zenith=math.pi / 2, pattern=None):
+    slants = np.atleast_1d(np.asarray(slants, dtype=float))
+    end = LinkEnd(np.zeros((slants.size, 3)), slants, pattern)
+    fields = _end_fields(end, azimuth, zenith, "slant")
+    return fields[..., 0, :], fields[..., 1, :]
+
+
 def test_slant_fields_limits():
-    g_v, g_h = slant_fields_36814(4.0, 0.0)
-    assert_allclose([g_v, g_h], [2.0, 0.0], atol=1e-15)
-    g_v, g_h = slant_fields_36814(4.0, math.pi / 2)
-    assert_allclose([g_v, g_h], [0.0, 2.0], atol=1e-15)
-    g_v, g_h = slant_fields_36814(4.0, math.pi / 4)
-    assert_allclose(g_v, g_h)
-    assert_allclose(g_v, math.sqrt(2.0))
+    # An element pattern at boresight has gain 8 dBi.
+    amp = math.sqrt(10.0 ** 0.8)
+    g_v, g_h = _slant_fields([0.0, math.pi / 2, math.pi / 4], pattern=element_pattern_3gpp())
+    assert_allclose(g_v[0], [amp, 0.0, amp / math.sqrt(2.0)], atol=1e-15)
+    assert_allclose(g_h[0], [0.0, amp, amp / math.sqrt(2.0)], atol=1e-15)
 
 
 def test_slant_fields_power_conservation():
     rng = np.random.default_rng(9)
-    gains = rng.uniform(0.0, 50.0, 500)
-    alphas = rng.uniform(-math.pi, math.pi, 500)
-    g_v, g_h = slant_fields_36814(gains, alphas)
-    assert_allclose(g_v**2 + g_h**2, gains, rtol=1e-12)
-
-
-def test_slant_fields_rejects_negative_gain():
-    with pytest.raises(ValueError):
-        slant_fields_36814(-1.0, 0.0)
+    pattern = element_pattern_3gpp()
+    az, zen = rng.uniform(-math.pi, math.pi, 500), rng.uniform(0.0, math.pi, 500)
+    alphas = rng.uniform(-math.pi, math.pi, 7)
+    g_v, g_h = _slant_fields(alphas, az, zen, pattern)
+    gains = 10.0 ** (element_gain_db(pattern, az, zen) / 10.0)
+    assert_allclose(np.abs(g_v) ** 2 + np.abs(g_h) ** 2, np.tile(gains[:, None], 7), rtol=1e-12)
 
 
 def _column(m, d_v, wavelength=0.15):
     return uniform_planar_array(m, 1, d_v, 0.5, wavelength)
 
 
+def _k(wavelength, azimuth, zenith):
+    return (2.0 * math.pi / wavelength) * unit_vectors(azimuth, zenith)
+
+
 def test_array_response_single_element():
     geom = _column(1, 0.5)
-    k = wave_vector(2e9, AngleVector(0.3, 1.0))
-    assert_allclose(array_response(geom, k), [1.0 + 0j])
+    assert_allclose(response_phases(geom.element_positions, _k(0.15, 0.3, 1.0)), [1.0 + 0j])
 
 
 def test_array_response_horizon_wave_orthogonal():
     wavelength = 0.15
     geom = _column(2, 0.5, wavelength)
-    k = wave_vector(299792458.0 / wavelength, AngleVector(0.0, math.pi / 2))
-    resp = array_response(geom, k)
+    resp = response_phases(geom.element_positions, _k(wavelength, 0.0, math.pi / 2))
     assert_allclose(resp[0], resp[1], atol=1e-12)
 
 
 def test_array_response_zenith_wave_pi_shift():
     wavelength = 0.15
     geom = _column(2, 0.5, wavelength)
-    k = wave_vector(299792458.0 / wavelength, AngleVector(0.0, 0.0))
-    resp = array_response(geom, k)
+    resp = response_phases(geom.element_positions, _k(wavelength, 0.0, 0.0))
     # k . dx = (2 pi / lambda)(lambda / 2) = pi between the two elements.
     assert_allclose(np.angle(resp[1] / resp[0]), math.pi, atol=1e-12)
 
@@ -144,23 +150,52 @@ def test_array_response_zenith_wave_pi_shift():
 def test_array_response_unit_modulus():
     geom = uniform_planar_array(4, 2, 0.7, 0.5, 0.15)
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        k = wave_vector(2e9, AngleVector(rng.uniform(-3, 3), rng.uniform(0, math.pi)))
-        assert_allclose(np.abs(array_response(geom, k)), 1.0, atol=1e-12)
+    k = _k(SPEED_OF_LIGHT / 2e9, rng.uniform(-3, 3, 50), rng.uniform(0, math.pi, 50))
+    resp = response_phases(geom.element_positions, k)
+    assert resp.shape == (50, 8)
+    assert_allclose(np.abs(resp), 1.0, atol=1e-12)
+
+
+# Port virtualization is the port output of synthesize: the TX end's weight
+# matrix applied to the element taps.
+
+def _port_taps(port_weights, n_elements, rng, positions=None):
+    """Element and port taps at t=0 of a random 3-cluster link: (n, S, 1) and (n, P, 1)."""
+    n_clusters, n_rays = 3, 4
+    powers = rng.dirichlet(np.ones(n_clusters))
+    clusters = ClusterSet(
+        delays_s=np.arange(n_clusters) * 1e-7,
+        cluster_powers=powers,
+        ray_powers=np.repeat(powers[:, None] / n_rays, n_rays, axis=1),
+        aod=rng.uniform(-math.pi, math.pi, (n_clusters, n_rays)),
+        zod=rng.uniform(0.2, math.pi - 0.2, (n_clusters, n_rays)),
+        aoa=rng.uniform(-math.pi, math.pi, (n_clusters, n_rays)),
+        zoa=rng.uniform(0.2, math.pi - 0.2, (n_clusters, n_rays)),
+        phases=rng.uniform(0.0, 2.0 * math.pi, (n_clusters, n_rays, 4)),
+        xpr=np.full((n_clusters, n_rays), 0.1),
+    )
+    if positions is None:
+        positions = rng.uniform(-0.2, 0.2, (n_elements, 3))
+    tx = LinkEnd(positions, np.zeros(n_elements), port_weights=port_weights)
+    ctx = LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9)
+    return synthesize(ctx, [0.0]).taps[0], synthesize(ctx, [0.0], output="ports").taps[0]
 
 
 def test_virtualize_single_element_port():
     geom = uniform_planar_array(4, 1, 0.5, 0.5, 0.15, k_per_port=1)
-    rows = np.arange(8, dtype=complex).reshape(4, 2)
-    assert_allclose(virtualize_port(rows, geom, 2), rows[2])
+    elements, ports = _port_taps(geom.weight_matrix(), 4, np.random.default_rng(1))
+    assert ports.shape == elements.shape
+    assert_allclose(ports[:, 2], elements[:, 2], rtol=1e-15)
 
 
 def test_virtualize_coherent_sum():
+    # Co-located elements see one channel; a uniform-weight column port
+    # adds it coherently, sqrt(m) in amplitude.
     m = 4
     geom = _column(m, 0.5)
-    h = np.array([0.3 - 0.2j, 1.1 + 0.4j])
-    rows = np.tile(h, (m, 1))
-    assert_allclose(virtualize_port(rows, geom, 0), math.sqrt(m) * h, rtol=1e-12)
+    rng = np.random.default_rng(2)
+    elements, ports = _port_taps(geom.weight_matrix(), m, rng, np.zeros((m, 3)))
+    assert_allclose(ports[:, 0], math.sqrt(m) * elements[:, 0], rtol=1e-12)
 
 
 def test_virtualize_matches_bruteforce():
@@ -169,33 +204,39 @@ def test_virtualize_matches_bruteforce():
     weights = rng.normal(size=m) + 1j * rng.normal(size=m)
     weights /= np.linalg.norm(weights)
     geom = _column(m, 0.5).with_port_weights(weights)
-    rows = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
-    expected = np.zeros(3, dtype=complex)
+    elements, ports = _port_taps(geom.weight_matrix(), m, rng)
+    expected = np.zeros(elements.shape[0], dtype=complex)
     for k in range(m):
-        expected += weights[k] * rows[k]
-    assert_allclose(virtualize_port(rows, geom, 0), expected, atol=1e-12)
+        expected += weights[k] * elements[:, k, 0]
+    assert_allclose(ports[:, 0, 0], expected, atol=1e-12)
 
 
 def test_virtualize_is_linear():
     m = 3
     rng = np.random.default_rng(21)
-    weights = rng.normal(size=m) + 1j * rng.normal(size=m)
-    weights /= np.linalg.norm(weights)
-    geom = _column(m, 0.5).with_port_weights(weights)
-    h1 = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
-    h2 = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    w1 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+    w2 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
     a, b = 1.7 - 0.3j, -0.6 + 2.2j
-    assert_allclose(
-        virtualize_port(a * h1 + b * h2, geom, 0),
-        a * virtualize_port(h1, geom, 0) + b * virtualize_port(h2, geom, 0),
-        rtol=1e-12,
-    )
+    positions = rng.uniform(-0.2, 0.2, (m, 3))
+    ports = [
+        _port_taps(w, m, np.random.default_rng(5), positions)[1] for w in (a * w1 + b * w2, w1, w2)
+    ]
+    assert_allclose(ports[0], a * ports[1] + b * ports[2], rtol=1e-12)
 
 
 def test_virtualize_unknown_port():
-    geom = _column(2, 0.5)
+    # An end without a weight matrix has no ports to virtualize.
     with pytest.raises(ValueError):
-        virtualize_port(np.zeros((2, 1), dtype=complex), geom, 5)
+        _port_taps(None, 2, np.random.default_rng(3))
+
+
+def test_weight_matrix_places_port_weights():
+    geom = uniform_planar_array(3, 2, 0.5, 0.5, 0.15, cross_polarized=True)
+    matrix = geom.weight_matrix()
+    assert matrix.shape == (geom.n_ports, geom.n_elements)
+    for p, (idx, w) in enumerate(geom.ports):
+        assert_allclose(matrix[p, idx], w)
+        assert np.count_nonzero(matrix[p]) == idx.size
 
 
 def test_downtilt_weights_single_element():

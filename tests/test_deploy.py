@@ -4,31 +4,34 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chan3d.deploy import drop_ues, hex_layout, legacy_2d_drop, sample_cell_positions
+from chan3d.deploy import (
+    CELL_BEARINGS_DEG,
+    drop_ues,
+    hex_layout,
+    legacy_2d_drop,
+    sample_cell_positions,
+)
 from chan3d.rng import substream
 
 
 def test_hex_layout_19_sites_57_cells():
     sites = hex_layout(2, 500.0)
-    assert len(sites) == 19
-    cells = [c for s in sites for c in s.cells]
-    assert len(cells) == 57
-    for site in sites:
-        assert sorted(c.bearing_deg for c in site.cells) == [0.0, 120.0, 240.0]
+    assert sites.shape == (19, 2)
+    assert sites.shape[0] * len(CELL_BEARINGS_DEG) == 57
+    assert sorted(CELL_BEARINGS_DEG) == [0.0, 120.0, 240.0]
 
 
 def test_hex_layout_single_site():
     sites = hex_layout(0, 500.0)
-    assert len(sites) == 1
-    assert_allclose([sites[0].position.x, sites[0].position.y], [0.0, 0.0])
+    assert sites.shape == (1, 2)
+    assert_allclose(sites[0], [0.0, 0.0])
 
 
 def test_hex_layout_nearest_neighbor_distance():
     isd = 500.0
-    sites = hex_layout(2, isd)
-    xy = np.array([[s.position.x, s.position.y] for s in sites])
+    xy = hex_layout(2, isd)
     # Brute-force pairwise distances: every site's nearest neighbor is at isd.
-    for i in range(len(sites)):
+    for i in range(len(xy)):
         d = np.linalg.norm(xy - xy[i], axis=1)
         d[i] = np.inf
         assert abs(d.min() - isd) < 1e-9
@@ -37,10 +40,7 @@ def test_hex_layout_nearest_neighbor_distance():
 
 
 def test_hex_layout_deterministic():
-    a = hex_layout(2, 500.0)
-    b = hex_layout(2, 500.0)
-    for sa, sb in zip(a, b):
-        assert sa.position == sb.position
+    assert np.array_equal(hex_layout(2, 500.0), hex_layout(2, 500.0))
 
 
 def test_hex_layout_validation():
@@ -54,13 +54,12 @@ def test_drop_statistics():
     sites = hex_layout(0, 500.0)
     rng = substream(1234, 1)
     n_per_cell = 34_000  # 102k UEs over 3 cells
-    ues = drop_ues(n_per_cell, sites, rng, 500.0)
-    n = len(ues)
+    drop = drop_ues(n_per_cell, sites, rng, 500.0)
+    n = len(drop)
     assert n == 3 * n_per_cell
-    outdoor = sum(1 for u in ues if not u.indoor)
-    frac = outdoor / n
+    frac = np.count_nonzero(~drop.indoor) / n
     assert abs(frac - 0.2) < 0.004
-    heights = {u.position.z for u in ues}
+    heights = set(drop.xyz[:, 2].tolist())
     allowed = {1.5 + 3.0 * k for k in range(8)}
     assert heights <= allowed
     assert max(heights) <= 22.5
@@ -71,12 +70,11 @@ def test_drop_floor_distribution():
     # {4..8}; P(floor=f) = mean over x>=max(f,4) of 1/x / 5.
     sites = hex_layout(0, 500.0)
     rng = substream(99, 1)
-    ues = drop_ues(30_000, sites, rng, 500.0)
-    indoor = [u for u in ues if u.indoor]
-    n = len(indoor)
-    counts = np.zeros(9)
-    for u in indoor:
-        counts[u.floor] += 1
+    drop = drop_ues(30_000, sites, rng, 500.0)
+    floors = drop.floor[drop.indoor]
+    n = floors.size
+    assert np.all(drop.floor[~drop.indoor] == 0)
+    counts = np.bincount(floors, minlength=9)
     probs = np.zeros(9)
     for f in range(1, 9):
         probs[f] = sum(1.0 / x for x in range(max(f, 4), 9)) / 5.0
@@ -90,49 +88,50 @@ def test_drop_positions_inside_cell_wedge():
     sites = hex_layout(1, isd)
     rng = substream(5, 1)
     n_per_cell = 50
-    ues = drop_ues(n_per_cell, sites, rng, isd, min_dist_2d=35.0)
+    drop = drop_ues(n_per_cell, sites, rng, isd, min_dist_2d=35.0)
+    # UEs come in (site, cell, UE) order.
     i = 0
-    for site in sites:
-        sxy = np.array([site.position.x, site.position.y])
-        for cell in site.cells:
+    for sxy in sites:
+        for bearing in CELL_BEARINGS_DEG:
             for _ in range(n_per_cell):
-                u = ues[i]
+                rel = drop.xyz[i, :2] - sxy
                 i += 1
-                rel = np.array([u.position.x, u.position.y]) - sxy
                 d = np.linalg.norm(rel)
                 assert d >= 35.0 - 1e-9
                 assert d <= isd / math.sqrt(3.0) + 1e-9
                 az = math.degrees(math.atan2(rel[1], rel[0]))
-                span = (az - cell.bearing_deg + 180.0) % 360.0 - 180.0
+                span = (az - bearing + 180.0) % 360.0 - 180.0
                 assert abs(span) <= 60.0 + 1e-9
+    assert i == len(drop)
 
 
 def test_legacy_drop_heights_and_matched_positions():
     sites = hex_layout(0, 500.0)
-    ues_3d = drop_ues(200, sites, substream(7, 1), 500.0)
-    ues_2d = legacy_2d_drop(200, sites, substream(7, 1), 500.0)
-    assert all(u.position.z == 1.5 for u in ues_2d)
-    assert not any(u.indoor for u in ues_2d)
-    for a, b in zip(ues_3d, ues_2d):
-        assert a.position.x == b.position.x
-        assert a.position.y == b.position.y
+    drop_3d = drop_ues(200, sites, substream(7, 1), 500.0)
+    drop_2d = legacy_2d_drop(200, sites, substream(7, 1), 500.0)
+    assert np.all(drop_2d.xyz[:, 2] == 1.5)
+    assert not np.any(drop_2d.indoor)
+    assert np.all(drop_2d.floor == 0)
+    assert np.any(drop_3d.indoor)
+    assert np.array_equal(drop_3d.xyz[:, :2], drop_2d.xyz[:, :2])
+    assert np.array_equal(drop_3d.velocity, drop_2d.velocity)
 
 
 def test_drop_deterministic_under_seed():
     sites = hex_layout(0, 500.0)
     a = drop_ues(50, sites, substream(3, 1), 500.0)
     b = drop_ues(50, sites, substream(3, 1), 500.0)
-    for ua, ub in zip(a, b):
-        assert ua == ub
+    for name in ("xyz", "indoor", "floor", "velocity"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_drop_velocity_horizontal_3kmh():
     sites = hex_layout(0, 500.0)
-    ues = drop_ues(100, sites, substream(2, 1), 500.0, speed_kmh=3.0)
-    for u in ues:
-        v = u.velocity
-        assert v.z == 0.0
-        assert_allclose(math.hypot(v.x, v.y), 3.0 / 3.6, rtol=1e-12)
+    drop = drop_ues(100, sites, substream(2, 1), 500.0, speed_kmh=3.0)
+    v = drop.velocity
+    assert v.shape == (300, 3)
+    assert np.all(v[:, 2] == 0.0)
+    assert_allclose(np.hypot(v[:, 0], v[:, 1]), 3.0 / 3.6, rtol=1e-12)
 
 
 def test_sample_cell_positions_respects_min_distance():
@@ -149,8 +148,7 @@ def test_wrap_folding_tiles_the_layout():
 
     isd = 500.0
     for n_rings in (0, 1, 2):
-        sites = hex_layout(n_rings, isd)
-        xy = np.array([[s.position.x, s.position.y] for s in sites])
+        xy = hex_layout(n_rings, isd)
         basis = wrap_basis(n_rings, isd)
         n_sites = 3 * n_rings**2 + 3 * n_rings + 1
         assert_allclose(np.linalg.norm(basis[0]), isd * math.sqrt(n_sites), rtol=1e-12)

@@ -30,7 +30,8 @@ def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):
         los_phase_hh=2.1,
     )
     tx = LinkEnd(
-        geometry.element_positions, geometry.slant_rad, pattern, 0.0, ports=geometry.ports
+        geometry.element_positions, geometry.slant_rad, pattern, 0.0,
+        port_weights=geometry.weight_matrix(),
     )
     return LinkContext(
         tx=tx,

@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chan3d.antenna import element_gain_db, element_pattern_3gpp
+from chan3d.config import build_lsp_spec, build_pathloss, default_config
 from chan3d.geom import (
-    SPEED_OF_LIGHT,
     AngleVector,
     GeometryError,
-    Vec3,
-    doppler_phase,
-    field_lcs_to_gcs,
-    local_angles,
-    los_angles,
     rotation_x,
-    rotation_y,
     rotation_z,
-    rotation_zyx,
-    unit_vector,
-    wave_vector,
+    unit_vectors,
     wrap_azimuth,
 )
-
+from chan3d.lsp import LspSampler
+from chan3d.ssp import ClusterSet
+from chan3d.synth import LinkContext, LinkEnd, _end_fields, isotropic_end, synthesize
 
 def test_angle_vector_wraps_azimuth():
     a = AngleVector(3.0 * math.pi, math.pi / 2)
@@ -37,135 +32,193 @@ def test_angle_vector_rejects_bad_zenith():
 
 
 def test_unit_vector_horizon_along_x():
-    v = unit_vector(AngleVector(0.0, math.pi / 2))
-    assert_allclose([v.x, v.y, v.z], [1.0, 0.0, 0.0], atol=1e-15)
+    assert_allclose(unit_vectors(0.0, math.pi / 2), [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_unit_vector_zenith():
-    for az in (0.0, 1.0, -2.5):
-        v = unit_vector(AngleVector(az, 0.0))
-        assert_allclose([v.x, v.y, v.z], [0.0, 0.0, 1.0], atol=1e-15)
+    v = unit_vectors(np.array([0.0, 1.0, -2.5]), 0.0)
+    assert v.shape == (3, 3)
+    assert_allclose(v, np.tile([0.0, 0.0, 1.0], (3, 1)), atol=1e-15)
 
 
 def test_unit_vector_oblique():
     # Direct evaluation of (sin t cos p, sin t sin p, cos t) at p=pi/2, t=pi/4.
-    v = unit_vector(AngleVector(math.pi / 2, math.pi / 4))
-    assert_allclose([v.x, v.y, v.z], [0.0, 0.7071067811865476, 0.7071067811865476], atol=1e-15)
+    v = unit_vectors(math.pi / 2, math.pi / 4)
+    assert_allclose(v, [0.0, 0.7071067811865476, 0.7071067811865476], atol=1e-15)
 
 
 def test_unit_vector_norm_is_one():
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        a = AngleVector(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, math.pi))
-        assert abs(unit_vector(a).norm() - 1.0) < 1e-12
+    v = unit_vectors(rng.uniform(-math.pi, math.pi, 1000), rng.uniform(0.0, math.pi, 1000))
+    assert np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0)) < 1e-12
+
+
+# The wave vector and its Doppler phase live in synthesize: a single ray
+# arriving from `arrival` rotates its tap by exp(j k . v t), k = 2 pi f / c
+# along the arrival direction.
+
+def _doppler_phase(arrival, velocity, t, carrier_hz=2e9):
+    """Phase the mobility exponential adds to a single-ray tap between 0 and t."""
+    clusters = ClusterSet(
+        delays_s=np.array([0.0]),
+        cluster_powers=np.array([1.0]),
+        ray_powers=np.array([[1.0]]),
+        aod=np.array([[0.0]]),
+        zod=np.array([[math.pi / 2]]),
+        aoa=np.array([[arrival.azimuth]]),
+        zoa=np.array([[arrival.zenith]]),
+        phases=np.zeros((1, 1, 4)),
+        xpr=np.array([[1e-12]]),
+    )
+    ctx = LinkContext(
+        isotropic_end(), isotropic_end(), clusters, 0.0, carrier_hz, velocity_mps=velocity
+    )
+    taps = synthesize(ctx, [0.0, t]).taps[:, 0, 0, 0]
+    return float(np.angle(taps[1] / taps[0]))
 
 
 def test_wave_vector_magnitude_2ghz():
-    k = wave_vector(2e9, AngleVector(0.0, math.pi / 2))
-    # 2*pi*f/c with c = 299792458 m/s exactly.
-    assert_allclose(k.magnitude, 41.91690043903363, rtol=1e-15)
+    # Unit speed along the arrival direction turns the tap at |k| rad/s;
+    # |k| = 2*pi*f/c with c = 299792458 m/s exactly.
+    t = 0.01
+    phase = _doppler_phase(AngleVector(0.0, math.pi / 2), (1.0, 0.0, 0.0), t)
+    assert_allclose(phase / t, 41.91690043903363, rtol=1e-12)
 
 
 def test_wave_vector_linear_in_frequency():
-    a = AngleVector(0.3, 1.1)
-    assert_allclose(wave_vector(4e9, a).magnitude, 2.0 * wave_vector(2e9, a).magnitude)
+    a, v = AngleVector(0.3, 1.1), (1.0, 0.5, -0.2)
+    assert_allclose(
+        _doppler_phase(a, v, 1e-3, carrier_hz=4e9), 2.0 * _doppler_phase(a, v, 1e-3, carrier_hz=2e9)
+    )
 
 
 def test_wave_vector_direction_delegates():
-    k = wave_vector(1e9, AngleVector(0.0, math.pi / 2))
-    assert_allclose([k.direction.x, k.direction.y, k.direction.z], [1.0, 0.0, 0.0], atol=1e-15)
+    # The wave vector points along unit_vectors(arrival).
+    rng = np.random.default_rng(13)
+    k0, t = 41.91690043903363, 1e-3
+    for _ in range(20):
+        a = AngleVector(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, math.pi))
+        v = rng.uniform(-2.0, 2.0, 3)
+        expected = k0 * float(unit_vectors(a.azimuth, a.zenith) @ v) * t
+        assert_allclose(_doppler_phase(a, v, t), expected, rtol=1e-9, atol=1e-15)
 
 
 def test_wave_vector_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        wave_vector(0.0, AngleVector(0.0, 1.0))
-    with pytest.raises(ValueError):
-        wave_vector(-1e9, AngleVector(0.0, 1.0))
+    clusters = ClusterSet(
+        np.array([0.0]), np.array([1.0]), np.array([[1.0]]), np.zeros((1, 1)), np.ones((1, 1)),
+        np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1, 4)), np.ones((1, 1)),
+    )
+    for carrier_hz in (0.0, -1e9):
+        with pytest.raises(ValueError):
+            LinkContext(isotropic_end(), isotropic_end(), clusters, 0.0, carrier_hz)
 
 
 def test_doppler_phase_static_ue():
-    k = wave_vector(2e9, AngleVector(0.4, 1.2))
     for t in (0.0, 1.0, 5.0):
-        assert doppler_phase(k, Vec3(0.0, 0.0, 0.0), t) == 0.0
+        assert _doppler_phase(AngleVector(0.4, 1.2), (0.0, 0.0, 0.0), t) == 0.0
 
 
 def test_doppler_phase_orthogonal_velocity():
-    k = wave_vector(2e9, AngleVector(0.0, math.pi / 2))  # along +x
-    assert_allclose(doppler_phase(k, Vec3(0.0, 3.0, 0.0), 2.0), 0.0, atol=1e-12)
+    # Arrival along +x, motion along +y.
+    assert_allclose(
+        _doppler_phase(AngleVector(0.0, math.pi / 2), (0.0, 3.0, 0.0), 2.0), 0.0, atol=1e-12
+    )
 
 
 def test_doppler_frequency_3kmh():
     # Classic oracle: f_D = |v| f / c for motion parallel to the wave vector.
     speed = 3.0 / 3.6
-    k = wave_vector(2e9, AngleVector(0.0, math.pi / 2))
-    phase = doppler_phase(k, Vec3(speed, 0.0, 0.0), 1.0)
-    f_doppler = phase / (2.0 * math.pi)
-    assert_allclose(f_doppler, speed * 2e9 / SPEED_OF_LIGHT, rtol=1e-12)
+    t = 0.01
+    phase = _doppler_phase(AngleVector(0.0, math.pi / 2), (speed, 0.0, 0.0), t)
+    f_doppler = phase / (2.0 * math.pi * t)
+    assert_allclose(f_doppler, speed * 2e9 / 299_792_458.0, rtol=1e-12)
     assert_allclose(f_doppler, 5.559401586635867, rtol=1e-12)
 
 
 def test_doppler_phase_linear_in_time_and_velocity():
-    k = wave_vector(2e9, AngleVector(0.7, 0.9))
-    v = Vec3(1.0, -2.0, 0.5)
-    assert_allclose(doppler_phase(k, v, 3.0), 3.0 * doppler_phase(k, v, 1.0))
-    v2 = Vec3(2.0, -4.0, 1.0)
-    assert_allclose(doppler_phase(k, v2, 1.0), 2.0 * doppler_phase(k, v, 1.0))
+    a = AngleVector(0.7, 0.9)
+    v = np.array([1.0, -2.0, 0.5])
+    assert_allclose(_doppler_phase(a, v, 3e-3), 3.0 * _doppler_phase(a, v, 1e-3))
+    assert_allclose(_doppler_phase(a, 2.0 * v, 1e-3), 2.0 * _doppler_phase(a, v, 1e-3))
+
+
+# LOS departure angles come from the slow-fading kernel; the campaign takes
+# the arrival angles as the reversed departure, (az + pi, pi - zen).
+
+def _departure(site_xyz, ue_xyz):
+    """Departure (azimuth, zenith) at a site toward one UE, from LspSampler.slow_fading."""
+    cfg = default_config("UMa", master_seed=1)
+    spec = build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation)
+    slow = LspSampler(spec, spec, 1).slow_fading(
+        [0], np.array([ue_xyz], dtype=float), np.array([False]),
+        np.array([site_xyz[:2]], dtype=float), float(site_xyz[2]),
+        build_pathloss(cfg.pathloss), 2e9,
+    )
+    return float(slow.az_dep[0, 0]), float(slow.zen_dep[0, 0])
 
 
 def test_los_angles_co_altitude():
-    dep, arr = los_angles(Vec3(0, 0, 25), Vec3(100, 0, 25))
-    assert_allclose([dep.azimuth, dep.zenith], [0.0, math.pi / 2])
-    assert_allclose([arr.azimuth, arr.zenith], [-math.pi, math.pi / 2])
+    assert_allclose(_departure((0, 0, 25), (100, 0, 25)), [0.0, math.pi / 2])
+    az, zen = _departure((100, 0, 25), (0, 0, 25))
+    assert_allclose([wrap_azimuth(az), zen], [-math.pi, math.pi / 2])
 
 
 def test_los_angles_straight_down():
-    dep, _ = los_angles(Vec3(0, 0, 25), Vec3(0, 0, 1.5))
-    assert_allclose(dep.zenith, math.pi)
+    _, zen = _departure((0, 0, 25), (0, 0, 1.5))
+    assert_allclose(zen, math.pi)
 
 
 def test_los_angles_oblique():
-    dep, _ = los_angles(Vec3(0, 0, 25), Vec3(10, 0, 15))
-    assert_allclose(dep.zenith, 3.0 * math.pi / 4)
+    _, zen = _departure((0, 0, 25), (10, 0, 15))
+    assert_allclose(zen, 3.0 * math.pi / 4)
 
 
 def test_los_angles_reciprocity():
+    # The arrival direction (az + pi, pi - zen) of a link is the departure
+    # direction of the reversed link.
     rng = np.random.default_rng(11)
     for _ in range(200):
-        a = Vec3(*rng.uniform(-100, 100, 3))
-        b = Vec3(*rng.uniform(-100, 100, 3))
-        dep, arr = los_angles(a, b)
-        dep_r, arr_r = los_angles(b, a)
-        assert_allclose([dep.azimuth, dep.zenith], [arr_r.azimuth, arr_r.zenith], atol=1e-12)
-        assert_allclose([arr.azimuth, arr.zenith], [dep_r.azimuth, dep_r.zenith], atol=1e-12)
+        a, b = rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3)
+        az_ab, zen_ab = _departure(a, b)
+        az_ba, zen_ba = _departure(b, a)
+        assert_allclose(
+            unit_vectors(az_ab + math.pi, math.pi - zen_ab), unit_vectors(az_ba, zen_ba), atol=1e-12
+        )
 
 
 def test_los_angles_coincident_raises():
-    with pytest.raises(GeometryError):
-        los_angles(Vec3(1, 2, 3), Vec3(1, 2, 3))
+    with np.errstate(invalid="ignore"), pytest.raises(GeometryError):
+        _departure((1, 2, 3), (1, 2, 3))
 
 
-def _random_rotation(rng):
-    return rotation_zyx(
-        rng.uniform(-math.pi, math.pi),
-        rng.uniform(-math.pi / 2, math.pi / 2),
-        rng.uniform(-math.pi, math.pi),
-    )
+# Local-to-global field rotation is the "rotated" polarization model of
+# synth._end_fields: an element field rotated by the bearing (about z) and
+# the slant (a roll about the boresight x axis).
+
+def _rotated_fields(slant, bearing, azimuth, zenith, pattern=None):
+    end = LinkEnd(np.zeros((1, 3)), np.array([slant]), pattern, bearing)
+    return _end_fields(end, azimuth, zenith, "rotated")[..., 0]
 
 
 def test_field_transform_identity():
-    direction = AngleVector(0.3, 1.0)
-    g_v, g_h = field_lcs_to_gcs(1.2, -0.7, np.eye(3), direction)
-    assert_allclose([g_v, g_h], [1.2, -0.7], atol=1e-12)
+    # Unrotated element: the global field is the local vertical field.
+    rng = np.random.default_rng(3)
+    az, zen = rng.uniform(-math.pi, math.pi, 100), rng.uniform(0.05, math.pi - 0.05, 100)
+    pattern = element_pattern_3gpp()
+    g = _rotated_fields(0.0, 0.0, az, zen, pattern)
+    amp = np.sqrt(10.0 ** (element_gain_db(pattern, az, zen) / 10.0))
+    assert_allclose(g[:, 0], amp, rtol=1e-12)
+    assert_allclose(g[:, 1], 0.0, atol=1e-12)
 
 
 def test_field_transform_preserves_norm():
     rng = np.random.default_rng(23)
     for _ in range(1000):
-        rot = _random_rotation(rng)
-        direction = AngleVector(rng.uniform(-math.pi, math.pi), rng.uniform(0.01, math.pi - 0.01))
-        a, b = rng.normal(size=2)
-        g_v, g_h = field_lcs_to_gcs(a, b, rot, direction)
-        assert abs((g_v**2 + g_h**2) - (a**2 + b**2)) < 1e-12
+        slant, bearing = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+        g = _rotated_fields(
+            slant, bearing, rng.uniform(-math.pi, math.pi), rng.uniform(0.01, math.pi - 0.01)
+        )[0]
+        assert abs(float(np.sum(np.abs(g) ** 2)) - 1.0) < 1e-12
 
 
 def test_field_transform_quarter_roll_swaps_polarizations():
@@ -173,30 +226,24 @@ def test_field_transform_quarter_roll_swaps_polarizations():
     # boresight must come out purely horizontal. Oracle: at direction
     # (az=0, zen=pi/2), e_theta=(0,0,-1) and e_phi=(0,1,0); rolling the frame
     # maps the local e_theta onto -e_phi.
-    direction = AngleVector(0.0, math.pi / 2)
-    rot = rotation_x(math.pi / 2)
-    g_v, g_h = field_lcs_to_gcs(1.0, 0.0, rot, direction)
+    g_v, g_h = _rotated_fields(math.pi / 2, 0.0, 0.0, math.pi / 2)[0]
     assert abs(g_v) < 1e-12
     assert_allclose(abs(g_h), 1.0, atol=1e-12)
 
 
-def test_field_transform_rejects_improper_rotation():
-    reflection = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        field_lcs_to_gcs(1.0, 0.0, reflection, AngleVector(0.0, 1.0))
-    with pytest.raises(ValueError):
-        field_lcs_to_gcs(1.0, 0.0, 2.0 * np.eye(3), AngleVector(0.0, 1.0))
-
-
 def test_local_angles_pure_bearing():
-    rot = rotation_z(math.radians(120.0))
-    local = local_angles(rot, AngleVector(math.radians(120.0), 1.0))
-    assert_allclose([local.azimuth, local.zenith], [0.0, 1.0], atol=1e-12)
+    # An element at bearing 120 deg sees the global direction (120 deg, zen)
+    # at local azimuth 0 and the same zenith.
+    pattern = element_pattern_3gpp()
+    g_v, g_h = _rotated_fields(0.0, math.radians(120.0), math.radians(120.0), 1.0, pattern)[0]
+    boresight = math.sqrt(10.0 ** (float(element_gain_db(pattern, 0.0, 1.0)) / 10.0))
+    assert_allclose(g_v, boresight, rtol=1e-12)
+    assert abs(g_h) < 1e-12
 
 
 def test_rotation_helpers_are_proper():
     rng = np.random.default_rng(5)
-    for builder in (rotation_x, rotation_y, rotation_z):
+    for builder in (rotation_x, rotation_z):
         r = builder(rng.uniform(-3, 3))
         assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert_allclose(np.linalg.det(r), 1.0, atol=1e-12)

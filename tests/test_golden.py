@@ -36,11 +36,22 @@ def _p2_reduced(cfg):
     cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
 
 
+def _p2_doppler_wrap(cfg):
+    # Times other than 0 carry the UE velocity into the taps; wrap-around
+    # folds the phase-2 link geometry.
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.run.n_time_samples = 3
+    cfg.layout.wrap_around = True
+    cfg.antenna.downtilt_sweep_deg = (12.0,)
+
+
 CASES = {
     "p1_3d_element": (21, _p1_3d_element),
     "p1_legacy2d_wrap_itu": (22, _p1_legacy2d_wrap_itu),
     "p1_no_spatial": (23, _p1_no_spatial),
     "p2_reduced": (24, _p2_reduced),
+    "p2_doppler_wrap": (25, _p2_doppler_wrap),
 }
 
 
@@ -151,6 +162,28 @@ GOLDEN = {
             "83ddc3609deef98eaff3d28e1e088ab112734d1151953c52b971d5362481af13",
         "report_dv0.5_tilt9.txt":
             "33aa65b1c372dfe8ca8cd9cfa3eb2cf2ec042553758b2609d669138a15aa25ba",
+    },
+    "p2_doppler_wrap": {
+        "asa_cdf_dv0.5_tilt12.txt":
+            "d7020c444e606c5935ceab6334bc8490180aee8a2f93edd96f8918a6ac77c422",
+        "asd_cdf_dv0.5_tilt12.txt":
+            "9983d9cdd533e87d9803ce5a717e61ffe1cb0af402191b0fc4a50ac9a7a26861",
+        "cl_cdf_dv0.5_tilt12.txt":
+            "b8be8e34736c0f8605a934f751f99c8f7f3ab223bc8711c85c322709e341de0e",
+        "ds_cdf_dv0.5_tilt12.txt":
+            "fa8b1db2d10fa984d2ae1b6b19ae8af52f4d3a471ae0b6c71aac0ec31292f164",
+        "esa_cdf_dv0.5_tilt12.txt":
+            "59e4fc72d3539d862844973e1fda655bfdcf3f9f34428aa815368b60bf6416ad",
+        "esd_cdf_dv0.5_tilt12.txt":
+            "dc95cd8e57db1a6b9d7314b1f9501c1a03ffbae9b98998bdf6cf7f2b0946ed79",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "eb0b77213d9667d85fbe9db020364ec4dfef214e857726c869fda045415ed922",
+        "l1_cdf_dv0.5_tilt12.txt":
+            "52ccb22e9a76afdce3b0db779b26f03f6a5045e2d9f2a57b16d7a9e7be3f1c22",
+        "l2_cdf_dv0.5_tilt12.txt":
+            "ea6b2a83f7d99ee404d56664e37fa7fc32429ee6dbbfc47289e57bacc156ccd3",
+        "report_dv0.5_tilt12.txt":
+            "6f587b92da17b529e5a9a81295afb011d862d1980d8532e00bb717d23d4476d6",
     },
 }
 

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chan3d.config import build_pathloss, default_config
 from chan3d.geom import GeometryError
 from chan3d.lsp import (
     LSP_NAMES,
     DistanceTable,
-    LinkGeometry,
     LosProbability,
     LspDistributionSpec,
     LspSampler,
     Marginal,
     SpatialGaussianField,
-    draw_lsps,
+    lsps_from_normals,
     pathloss_db,
-    pathloss_model_for,
 )
 
 
@@ -35,9 +34,13 @@ def _simple_spec(corr=None, sigma=1.0):
     )
 
 
-def _link(d2d=200.0, h_ue=1.5, los=False, indoor=False, h_bs=25.0):
-    d3d = math.hypot(d2d, h_bs - h_ue)
-    return LinkGeometry(d2d, d3d, h_bs, h_ue, indoor, los)
+def _uma_pathloss():
+    return build_pathloss(default_config("UMa", master_seed=1).pathloss)
+
+
+def _pl(model, d2d=200.0, h_ue=1.5, los=False, indoor=False, h_bs=25.0):
+    """Pathloss of one link at 2 GHz."""
+    return float(pathloss_db(model, math.hypot(d2d, h_bs - h_ue), h_ue, indoor, los, 2e9))
 
 
 # ---------------------------------------------------------------- pathloss
@@ -45,83 +48,75 @@ def _link(d2d=200.0, h_ue=1.5, los=False, indoor=False, h_bs=25.0):
 def test_pathloss_nlos_hand_oracle():
     # Spreadsheet-style evaluation of the documented default formula:
     # 13.54 + 39.08*log10(200) + 20*log10(2.0) - 0.6*(1.5 - 1.5)
-    model = pathloss_model_for("UMa")
-    link = _link(d2d=200.0)
-    pl = pathloss_db(model, link, 2e9)
-    expected = 13.54 + 39.08 * math.log10(link.d_3d) + 20.0 * math.log10(2.0)
-    assert_allclose(pl, expected, atol=1e-12)
-    flat = LinkGeometry(200.0, 200.0, 1.5, 1.5, False, False)
-    assert_allclose(pathloss_db(model, flat, 2e9), 109.48485214382802, atol=1e-10)
+    model = _uma_pathloss()
+    expected = 13.54 + 39.08 * math.log10(math.hypot(200.0, 23.5)) + 20.0 * math.log10(2.0)
+    assert_allclose(_pl(model, d2d=200.0), expected, atol=1e-12)
+    assert_allclose(_pl(model, d2d=200.0, h_bs=1.5), 109.48485214382802, atol=1e-10)
 
 
 def test_pathloss_los_hand_oracle():
-    model = pathloss_model_for("UMa")
-    flat = LinkGeometry(200.0, 200.0, 1.5, 1.5, False, True)
-    assert_allclose(pathloss_db(model, flat, 2e9), 84.64325981788721, atol=1e-10)
+    model = _uma_pathloss()
+    assert_allclose(_pl(model, d2d=200.0, h_bs=1.5, los=True), 84.64325981788721, atol=1e-10)
 
 
 def test_pathloss_doubling_distance():
-    model = pathloss_model_for("UMa")
-    a = LinkGeometry(100.0, 100.0, 1.5, 1.5, False, False)
-    b = LinkGeometry(200.0, 200.0, 1.5, 1.5, False, False)
-    delta = pathloss_db(model, b, 2e9) - pathloss_db(model, a, 2e9)
+    model = _uma_pathloss()
+    delta = _pl(model, d2d=200.0, h_bs=1.5) - _pl(model, d2d=100.0, h_bs=1.5)
     assert_allclose(delta, 10.0 * 3.908 * math.log10(2.0), atol=1e-12)
 
 
 def test_pathloss_height_reference():
-    model = pathloss_model_for("UMa")
-    assert_allclose(
-        pathloss_db(model, _link(h_ue=1.5), 2e9),
-        pathloss_db(model, _link(h_ue=1.5), 2e9),
-    )
-    lower = pathloss_db(model, _link(h_ue=10.5), 2e9)
-    base = pathloss_db(model, _link(h_ue=1.5), 2e9)
+    model = _uma_pathloss()
+    assert_allclose(_pl(model, h_ue=1.5), _pl(model, h_ue=1.5))
     # Raising the UE reduces NLOS loss by ~0.6 dB/m (plus a small d_3d change).
-    assert lower < base
+    assert _pl(model, h_ue=10.5) < _pl(model, h_ue=1.5)
 
 
 def test_pathloss_indoor_penetration():
-    model = pathloss_model_for("UMa")
-    assert_allclose(
-        pathloss_db(model, _link(indoor=True), 2e9) - pathloss_db(model, _link(), 2e9),
-        20.0,
-    )
+    model = _uma_pathloss()
+    assert_allclose(_pl(model, indoor=True) - _pl(model), 20.0)
 
 
 def test_pathloss_monotone_and_continuous():
-    model = pathloss_model_for("UMa")
+    model = _uma_pathloss()
     distances = np.linspace(10.0, 5000.0, 4000)
-    values = [pathloss_db(model, _link(d2d=d), 2e9) for d in distances]
+    values = pathloss_db(model, np.hypot(distances, 23.5), 1.5, False, False, 2e9)
+    assert values.shape == distances.shape
     diffs = np.diff(values)
     assert np.all(diffs > 0)
     assert np.max(np.abs(diffs)) < 1.0  # no jumps on a fine grid
     heights = np.linspace(1.5, 22.5, 500)
-    hv = [pathloss_db(model, _link(h_ue=h), 2e9) for h in heights]
+    hv = pathloss_db(model, np.hypot(200.0, 25.0 - heights), heights, False, False, 2e9)
     assert np.max(np.abs(np.diff(hv))) < 0.1
 
 
 def test_pathloss_zero_distance_rejected():
-    model = pathloss_model_for("UMa")
     with pytest.raises(GeometryError):
-        pathloss_db(model, LinkGeometry(0.0, 0.0, 1.5, 1.5), 2e9)
+        pathloss_db(_uma_pathloss(), 0.0, 1.5, False, False, 2e9)
 
 
-def test_link_geometry_consistency_check():
-    with pytest.raises(ValueError):
-        LinkGeometry(100.0, 100.0, 25.0, 1.5)
+# ------------------------------------------------------- lsps_from_normals
+
+def _draw(spec, rng, n=None):
+    """LSPs from n rows of standard normals (one row when n is None), at 200 m."""
+    return lsps_from_normals(spec, rng.standard_normal(7 if n is None else (n, 7)), 200.0, 1.5)
 
 
-# ---------------------------------------------------------------- draw_lsps
+def _generation_domain(lsps):
+    """dB for SF and K, log10 of the natural unit for the spreads."""
+    return np.concatenate([lsps[..., :2], np.log10(lsps[..., 2:])], axis=-1)
+
 
 def test_draw_lsps_degenerate_sigma_returns_mu():
     spec = _simple_spec(sigma=0.0)
     spec.sf = Marginal(1.25, 0.0)
-    out = draw_lsps(spec, _link(), np.random.default_rng(0))
-    assert_allclose(out.sf_db, 1.25)
-    assert_allclose(out.k_factor_db, 9.0)
-    assert_allclose(out.ds_s, 10.0**-6.5)
-    assert_allclose(out.asd_deg, 10.0**1.4)
-    assert_allclose(out.esd_deg, 10.0)
+    out = _draw(spec, np.random.default_rng(0))
+    assert out.shape == (7,)
+    assert_allclose(out[LSP_NAMES.index("sf")], 1.25)
+    assert_allclose(out[LSP_NAMES.index("k")], 9.0)
+    assert_allclose(out[LSP_NAMES.index("ds")], 10.0**-6.5)
+    assert_allclose(out[LSP_NAMES.index("asd")], 10.0**1.4)
+    assert_allclose(out[LSP_NAMES.index("esd")], 10.0)
 
 
 def test_draw_lsps_perfect_correlation():
@@ -131,10 +126,8 @@ def test_draw_lsps_perfect_correlation():
     spec = _simple_spec(corr=corr)
     spec.ds_log10 = Marginal(0.0, 1.0)
     spec.asd_log10 = Marginal(0.0, 1.0)
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        out = draw_lsps(spec, _link(), rng)
-        assert_allclose(math.log10(out.ds_s), math.log10(out.asd_deg), atol=1e-12)
+    out = _draw(spec, np.random.default_rng(42), 50)
+    assert_allclose(np.log10(out[:, i]), np.log10(out[:, j]), atol=1e-12)
 
 
 def test_draw_lsps_cross_correlation_monte_carlo():
@@ -144,25 +137,14 @@ def test_draw_lsps_cross_correlation_monte_carlo():
         i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
         corr[i, j] = corr[j, i] = v
     spec = _simple_spec(corr=corr)
-    rng = np.random.default_rng(123)
-    n = 100_000
-    link = _link()
-    samples = np.empty((n, 7))
-    for row in range(n):
-        out = draw_lsps(spec, link, rng)
-        samples[row] = (
-            out.sf_db, out.k_factor_db, math.log10(out.ds_s), math.log10(out.asd_deg),
-            math.log10(out.asa_deg), math.log10(out.esd_deg), math.log10(out.esa_deg),
-        )
+    samples = _generation_domain(_draw(spec, np.random.default_rng(123), 100_000))
     empirical = np.corrcoef(samples.T)
     assert np.max(np.abs(empirical - corr)) < 0.03
 
 
 def test_sf_moments():
     spec = _simple_spec()
-    rng = np.random.default_rng(7)
-    link = _link()
-    values = np.array([draw_lsps(spec, link, rng).sf_db for _ in range(100_000)])
+    values = _draw(spec, np.random.default_rng(7), 100_000)[:, 0]
     assert abs(values.mean()) < 0.1
     assert abs(values.std() / 6.0 - 1.0) < 0.02
 
@@ -184,14 +166,9 @@ def test_marginals_survive_correlation_mixing():
         i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
         corr[i, j] = corr[j, i] = v
     spec = _simple_spec(corr=corr)
-    rng = np.random.default_rng(314)
     n = 10_000
-    link = _link()
-    data = np.empty((n, 3))
-    for row in range(n):
-        out = draw_lsps(spec, link, rng)
-        data[row] = (out.sf_db, math.log10(out.ds_s), math.log10(out.asa_deg))
-    for col, (mu, sigma) in enumerate(((0.0, 6.0), (-6.5, 0.4), (1.8, 0.1))):
+    data = _generation_domain(_draw(spec, np.random.default_rng(314), n))
+    for col, mu, sigma in ((0, 0.0, 6.0), (2, -6.5, 0.4), (4, 1.8, 0.1)):
         d = _ks_statistic_vs_normal(data[:, col], mu, sigma)
         assert d * math.sqrt(n) < 1.628
 
@@ -216,30 +193,45 @@ def test_distance_table_interpolation():
 
 # ------------------------------------------------------------- site sharing
 
+def _slow_fading(sampler, ue_ids, ue_xy, site_xy, all_lsps=True):
+    """The slow-fading kernel for outdoor UEs at 1.5 m and 25 m sites."""
+    ue_xy = np.asarray(ue_xy, dtype=float)
+    return sampler.slow_fading(
+        ue_ids, np.column_stack([ue_xy, np.full(len(ue_xy), 1.5)]), np.zeros(len(ue_xy), bool),
+        np.asarray(site_xy, dtype=float), 25.0, _uma_pathloss(), 2e9, all_lsps=all_lsps,
+    )
+
+
+SITES = [(0.0, 0.0), (500.0, 0.0), (250.0, 433.0), (-250.0, 433.0)]
+
+
 def test_shared_site_lsps_identical_across_cells():
+    # One draw per (UE, site), whatever the block it is computed in; all
+    # cells of the site read it.
     spec = _simple_spec()
     sampler = LspSampler(spec, spec, master_seed=5)
-    link = _link()
-    draws = [sampler.link_lsps(3, 7, link) for _ in range(3)]
-    assert draws[0] == draws[1] == draws[2]
+    xy = [(40.0, 30.0), (-90.0, 120.0), (200.0, -60.0)]
+    alone = _slow_fading(sampler, [3], xy[2:], SITES)
+    block = _slow_fading(sampler, [1, 2, 3], xy, SITES)
+    again = _slow_fading(sampler, [3], xy[2:], SITES[:3])
+    assert alone.link_lsps(0, 2) == block.link_lsps(2, 2) == again.link_lsps(0, 2)
 
 
 def test_shared_site_lsps_independent_across_sites():
     spec = _simple_spec()
     sampler = LspSampler(spec, spec, master_seed=5)
-    link = _link()
-    a = np.array([sampler.link_lsps(u, 0, link).sf_db for u in range(10_000)])
-    b = np.array([sampler.link_lsps(u, 1, link).sf_db for u in range(10_000)])
-    rho = np.corrcoef(a, b)[0, 1]
+    n = 10_000
+    slow = _slow_fading(sampler, range(n), np.full((n, 2), 150.0), SITES[:2], all_lsps=False)
+    rho = np.corrcoef(slow.sf[:, 0], slow.sf[:, 1])[0, 1]
     assert abs(rho) < 0.05
 
 
 def test_shared_site_lsps_deterministic():
     spec = _simple_spec()
-    link = _link()
-    one = LspSampler(spec, spec, master_seed=11).link_lsps(2, 4, link)
-    two = LspSampler(spec, spec, master_seed=11).link_lsps(2, 4, link)
-    assert one == two
+    one = _slow_fading(LspSampler(spec, spec, master_seed=11), [2], [(70.0, 80.0)], SITES)
+    two = _slow_fading(LspSampler(spec, spec, master_seed=11), [2], [(70.0, 80.0)], SITES)
+    assert np.array_equal(one.lsps, two.lsps)
+    assert np.array_equal(one.los, two.los)
 
 
 def test_los_probability_shape():
@@ -283,21 +275,13 @@ def test_spatial_field_variance_and_correlation():
 def test_spatial_sampler_position_keyed_and_correlated():
     spec = _simple_spec()
     sampler = LspSampler(spec, spec, master_seed=13, spatial=True)
-    link = _link()
     # Position drives the draw: the UE id is irrelevant in spatial mode.
-    a = sampler.link_lsps(0, 2, link, ue_xy=(12.0, -7.0))
-    b = sampler.link_lsps(99, 2, link, ue_xy=(12.0, -7.0))
-    assert a == b
+    slow = _slow_fading(sampler, [0, 99], [(12.0, -7.0), (12.0, -7.0)], SITES)
+    assert np.array_equal(slow.lsps[0], slow.lsps[1])
     # Ensemble correlation of SF at 1 m separation across many sites is high.
-    pairs = np.array(
-        [
-            (
-                sampler.link_lsps(0, site, link, ue_xy=(x, 0.0)).sf_db,
-                sampler.link_lsps(0, site, link, ue_xy=(x + 1.0, 0.0)).sf_db,
-            )
-            for site in range(100)
-            for x in (-200.0, 0.0, 200.0)
-        ]
-    )
-    rho = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
+    xs = (-200.0, 0.0, 200.0)
+    xy = [(x + dx, 0.0) for x in xs for dx in (0.0, 1.0)]
+    sites = np.column_stack([np.arange(100) * 37.0, np.full(100, 900.0)])
+    sf = _slow_fading(sampler, range(len(xy)), xy, sites, all_lsps=False).sf
+    rho = np.corrcoef(sf[0::2].ravel(), sf[1::2].ravel())[0, 1]
     assert rho > 0.9

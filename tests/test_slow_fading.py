@@ -13,36 +13,37 @@ import pytest
 
 from chan3d.config import build_los_model, build_lsp_spec, build_pathloss, default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
-from chan3d.lsp import LSP_NAMES, LinkGeometry, LspSampler, SlowFading
+from chan3d.lsp import LSP_NAMES, LspSampler, SlowFading
 from chan3d.rng import STREAM_DROP, STREAM_LSP, substream
 
 H_BS = 25.0
 CARRIER_HZ = 2e9
 
 
-def _pathloss(model, link, frequency_hz):
-    coeffs = model.los if link.los else model.nlos
+def _pathloss(model, d_3d, h_ue, indoor, los, frequency_hz):
+    coeffs = model.los if los else model.nlos
     pl = (
         coeffs.intercept_db
-        + 10.0 * coeffs.exponent * math.log10(link.d_3d)
+        + 10.0 * coeffs.exponent * math.log10(d_3d)
         + coeffs.freq_coeff_db * math.log10(frequency_hz / 1e9)
     )
-    if not link.los:
-        pl -= model.ue_height_gain_db_per_m * (link.h_ue - 1.5)
-    if link.indoor:
+    if not los:
+        pl -= model.ue_height_gain_db_per_m * (h_ue - 1.5)
+    if indoor:
         pl += model.indoor_penetration_db
     return pl
 
 
-def _lsps(sampler, ue_index, site, link, ue_xy):
-    spec = sampler.spec_los if link.los else sampler.spec_nlos
+def _lsps(sampler, ue_index, site, d_2d, h_ue, los, ue_xy):
+    spec = sampler.spec_los if los else sampler.spec_nlos
     if sampler.spatial:
-        normals = sampler._field_normals(site, float(ue_xy[0]), float(ue_xy[1]))
+        x, y = float(ue_xy[0]), float(ue_xy[1])
+        normals = np.array([sampler._field(site, i).sample(x, y) for i in range(len(LSP_NAMES))])
     else:
         normals = substream(sampler.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
     z = spec.mixing_factor() @ normals
-    esd = spec.esd_log10.at(link.d_2d, link.h_ue)
-    esa = spec.esa_log10.at(link.d_2d, link.h_ue)
+    esd = spec.esd_log10.at(d_2d, h_ue)
+    esa = spec.esa_log10.at(d_2d, h_ue)
     return (
         spec.sf.mu + spec.sf.sigma * z[0],
         spec.k_factor.mu + spec.k_factor.sigma * z[1],
@@ -54,14 +55,15 @@ def _lsps(sampler, ue_index, site, link, ue_xy):
     )
 
 
-def _per_link(sampler, pathloss, site_xy, wrap, ue_index, ue):
+def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
     """Per-site 2D distance, departure angles, LOS state, pathloss and LSPs of one UE."""
-    ue_xy = np.array([ue.position.x, ue.position.y])
+    ue_xy = np.array([float(v) for v in drop.xyz[ue_index, :2]])
+    h_ue, indoor = float(drop.xyz[ue_index, 2]), bool(drop.indoor[ue_index])
     delta = ue_xy - site_xy
     if wrap is not None:
         delta = fold_to_nearest_image(delta, wrap)
     d2d = np.hypot(delta[:, 0], delta[:, 1])
-    dz = ue.position.z - H_BS
+    dz = h_ue - H_BS
     d3d = np.hypot(d2d, dz)
     az_dep = np.arctan2(delta[:, 1], delta[:, 0])
     zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
@@ -70,11 +72,8 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, ue):
     lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
     for s in range(site_xy.shape[0]):
         los[s] = sampler.los_state(ue_index, s, float(d2d[s]))
-        link = LinkGeometry(
-            float(d2d[s]), float(d3d[s]), H_BS, ue.position.z, ue.indoor, bool(los[s])
-        )
-        pl[s] = _pathloss(pathloss, link, CARRIER_HZ)
-        lsps[s] = _lsps(sampler, ue_index, s, link, ue_xy)
+        pl[s] = _pathloss(pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), CARRIER_HZ)
+        lsps[s] = _lsps(sampler, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
     return d2d, az_dep, zen_dep, los, pl, lsps
 
 
@@ -92,8 +91,8 @@ def _semidefinite_correlation():
 
 def _setup(spatial, wrap_around, correlation):
     cfg = default_config("UMa", master_seed=17)
-    sites = hex_layout(1, cfg.layout.isd_m, H_BS)
-    ues = drop_ues(3, sites, substream(17, STREAM_DROP), cfg.layout.isd_m)
+    site_xy = hex_layout(1, cfg.layout.isd_m)
+    drop = drop_ues(3, site_xy, substream(17, STREAM_DROP), cfg.layout.isd_m)
     specs = [
         build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
         build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
@@ -103,17 +102,13 @@ def _setup(spatial, wrap_around, correlation):
     sampler = LspSampler(
         *specs, 17, los_model=build_los_model(cfg.pathloss), spatial=spatial
     )
-    site_xy = np.array([[s.position.x, s.position.y] for s in sites])
     wrap = wrap_basis(1, cfg.layout.isd_m) if wrap_around else None
-    return sampler, build_pathloss(cfg.pathloss), site_xy, wrap, ues
+    return sampler, build_pathloss(cfg.pathloss), site_xy, wrap, drop
 
 
-def _kernel(sampler, pathloss, site_xy, wrap, ues, start, stop, all_lsps):
-    block = ues[start:stop]
+def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps):
     return sampler.slow_fading(
-        range(start, stop),
-        np.array([[u.position.x, u.position.y, u.position.z] for u in block]),
-        np.array([u.indoor for u in block]),
+        range(start, stop), drop.xyz[start:stop], drop.indoor[start:stop],
         site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps,
     )
 
@@ -129,23 +124,23 @@ def _kernel(sampler, pathloss, site_xy, wrap, ues, start, stop, all_lsps):
     ids=["spatial-wrap", "keyed-wrap", "spatial-nowrap", "spatial-wrap-semidefinite"],
 )
 def test_kernel_equals_per_link_form(spatial, wrap_around, correlation):
-    sampler, pathloss, site_xy, wrap, ues = _setup(spatial, wrap_around, correlation)
+    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, wrap_around, correlation)
     if correlation is not None:
         factor = sampler.spec_nlos.mixing_factor()
         assert np.any(np.triu(factor, 1) != 0.0)
         assert np.count_nonzero(factor[0]) > 1
 
-    rows = [_per_link(sampler, pathloss, site_xy, wrap, i, ue) for i, ue in enumerate(ues)]
+    rows = [_per_link(sampler, pathloss, site_xy, wrap, i, drop) for i in range(len(drop))]
     expected = [np.array(column) for column in zip(*rows)]
     d2d, az_dep, zen_dep, los, pl, lsps = expected
     assert 0 < np.count_nonzero(los) < los.size
 
     split = 40  # two blocks of unequal size
     full = SlowFading.concatenate([
-        _kernel(sampler, pathloss, site_xy, wrap, ues, 0, split, True),
-        _kernel(sampler, pathloss, site_xy, wrap, ues, split, len(ues), True),
-    ], len(ues))
-    sf_only = _kernel(sampler, pathloss, site_xy, wrap, ues, 0, len(ues), False)
+        _kernel(sampler, pathloss, site_xy, wrap, drop, 0, split, True),
+        _kernel(sampler, pathloss, site_xy, wrap, drop, split, len(drop), True),
+    ], len(drop))
+    sf_only = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), False)
     for got in (full, sf_only):
         assert np.array_equal(got.d2d, d2d)
         assert np.array_equal(got.az_dep, az_dep)

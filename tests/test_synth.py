@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -8,15 +9,7 @@ from numpy.testing import assert_allclose
 from chan3d.antenna import element_pattern_3gpp, uniform_planar_array
 from chan3d.geom import SPEED_OF_LIGHT, AngleVector
 from chan3d.ssp import ClusterSet
-from chan3d.synth import (
-    LinkContext,
-    LinkEnd,
-    cluster_matrix_nlos,
-    cluster_matrix_with_los,
-    dump_realization,
-    isotropic_end,
-    synthesize,
-)
+from chan3d.synth import LinkContext, LinkEnd, dump_realization, isotropic_end, synthesize
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -69,36 +62,13 @@ def _ctx(clusters, tx=None, rx=None, slow_db=0.0, k_rice=0.0, velocity=(0.0, 0.0
     )
 
 
-def test_single_ray_isotropic_collapses_to_phase():
-    phase = 0.7
-    ctx = _ctx(_single_ray_clusters(phase))
-    h = cluster_matrix_nlos(ctx, 0, 0.0)
-    assert h.shape == (1, 1)
-    assert_allclose(h[0, 0], np.exp(1j * phase), atol=1e-12)
-
-
-def test_static_ue_time_invariant():
-    rng = np.random.default_rng(1)
-    ctx = _ctx(_random_clusters(rng))
-    a = cluster_matrix_nlos(ctx, 1, 0.0)
-    b = cluster_matrix_nlos(ctx, 1, 3.7)
-    assert_allclose(a, b, atol=1e-15)
-
-
-def test_cluster_matrix_matches_bruteforce_oracle():
-    # Independent term-by-term re-summation with explicit scalar loops.
-    rng = np.random.default_rng(2)
-    clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
-    tx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([0.0, math.radians(45.0)]))
-    rx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([math.radians(90.0), math.radians(30.0)]))
-    velocity = np.array([0.5, -0.3, 0.0])
-    ctx = _ctx(clusters, tx=tx, rx=rx, slow_db=7.0, velocity=velocity)
-    t = 0.37
-    k0 = 2.0 * math.pi * 2e9 / SPEED_OF_LIGHT
-
-    n = 1
-    expected = np.zeros((2, 2), dtype=complex)
-    for m in range(3):
+def _bruteforce_cluster(ctx, n, t):
+    """Diffuse (n_tx, n_rx) matrix of cluster n at time t, re-summed term by
+    term with explicit scalar loops; for isotropic slant-model ends and K = 0."""
+    clusters, tx, rx = ctx.clusters, ctx.tx, ctx.rx
+    k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
+    h = np.zeros((tx.n_elements, rx.n_elements), dtype=complex)
+    for m in range(clusters.n_rays):
         aod, zod = clusters.aod[n, m], clusters.zod[n, m]
         aoa, zoa = clusters.aoa[n, m], clusters.zoa[n, m]
         kd = k0 * np.array([math.sin(zod) * math.cos(aod), math.sin(zod) * math.sin(aod), math.cos(zod)])
@@ -111,53 +81,83 @@ def test_cluster_matrix_matches_bruteforce_oracle():
                 [root_k * np.exp(1j * phv), np.exp(1j * phh)],
             ]
         )
-        for s in range(2):
+        for s in range(tx.n_elements):
             g_t = np.array([math.cos(tx.slant_rad[s]), math.sin(tx.slant_rad[s])])
             a_t = np.exp(1j * float(kd @ tx.positions_m[s]))
-            for u in range(2):
+            for u in range(rx.n_elements):
                 g_r = np.array([math.cos(rx.slant_rad[u]), math.sin(rx.slant_rad[u])])
                 a_r = np.exp(1j * float(ka @ rx.positions_m[u]))
-                doppler = np.exp(1j * float(ka @ velocity) * t)
-                expected[s, u] += (
+                doppler = np.exp(1j * float(ka @ ctx.velocity_mps) * t)
+                h[s, u] += (
                     math.sqrt(clusters.ray_powers[n, m])
                     * (g_r @ alpha @ g_t)
                     * a_t
                     * a_r
                     * doppler
                 )
-    expected *= 10.0 ** (-7.0 / 20.0)
-    assert_allclose(cluster_matrix_nlos(ctx, n, t), expected, atol=1e-10)
+    return h * 10.0 ** (-ctx.slow_fading_db / 20.0)
+
+
+def test_single_ray_isotropic_collapses_to_phase():
+    phase = 0.7
+    ctx = _ctx(_single_ray_clusters(phase))
+    h = synthesize(ctx, [0.0]).taps[0, 0]
+    assert h.shape == (1, 1)
+    assert_allclose(h[0, 0], np.exp(1j * phase), atol=1e-12)
+
+
+def test_static_ue_time_invariant():
+    rng = np.random.default_rng(1)
+    taps = synthesize(_ctx(_random_clusters(rng)), [0.0, 3.7]).taps
+    assert_allclose(taps[0], taps[1], atol=1e-15)
+
+
+def test_cluster_matrix_matches_bruteforce_oracle():
+    # Independent term-by-term re-summation with explicit scalar loops.
+    rng = np.random.default_rng(2)
+    clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
+    tx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([0.0, math.radians(45.0)]))
+    rx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([math.radians(90.0), math.radians(30.0)]))
+    velocity = np.array([0.5, -0.3, 0.0])
+    ctx = _ctx(clusters, tx=tx, rx=rx, slow_db=7.0, velocity=velocity)
+    t = 0.37
+    assert_allclose(synthesize(ctx, [t]).taps[0, 1], _bruteforce_cluster(ctx, 1, t), atol=1e-10)
+
+
+def _without_los_angles(ctx):
+    return dataclasses.replace(ctx, los_departure=None, los_arrival=None)
 
 
 def test_rice_zero_equals_nlos():
+    # K = 0 never touches the LOS ray: the taps equal those of a link that
+    # carries no LOS angles at all.
     rng = np.random.default_rng(3)
     ctx = _ctx(_random_clusters(rng))
     assert_allclose(
-        cluster_matrix_with_los(ctx, 0, 0.5, 0.0),
-        cluster_matrix_nlos(ctx, 0, 0.5),
-        atol=1e-15,
+        synthesize(ctx, [0.5]).taps, synthesize(_without_los_angles(ctx), [0.5]).taps, atol=1e-15
     )
 
 
 def test_los_gate_only_first_cluster():
     rng = np.random.default_rng(4)
-    ctx = _ctx(_random_clusters(rng))
+    clusters = _random_clusters(rng)
     k = 5.0
-    later = cluster_matrix_with_los(ctx, 1, 0.0, k)
-    assert_allclose(later, math.sqrt(1.0 / (k + 1.0)) * cluster_matrix_nlos(ctx, 1, 0.0), atol=1e-14)
+    with_los = synthesize(_ctx(clusters, k_rice=k), [0.0]).taps
+    nlos = synthesize(_ctx(clusters), [0.0]).taps
+    assert_allclose(with_los[:, 1:], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 1:], atol=1e-14)
+    assert not np.allclose(with_los[:, 0], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 0], atol=1e-3)
 
 
 def test_large_rice_factor_limit():
     slow_db = 9.0
-    ctx = _ctx(_single_ray_clusters(), slow_db=slow_db)
-    h = cluster_matrix_with_los(ctx, 0, 0.0, 1e9)
+    ctx = _ctx(_single_ray_clusters(), slow_db=slow_db, k_rice=1e9)
+    h = synthesize(ctx, [0.0]).taps[0, 0]
     assert_allclose(abs(h[0, 0]), 10.0 ** (-slow_db / 20.0), rtol=1e-4)
 
 
 def test_negative_rice_factor_rejected():
-    ctx = _ctx(_single_ray_clusters())
     with pytest.raises(ValueError):
-        cluster_matrix_with_los(ctx, 0, 0.0, -0.5)
+        _ctx(_single_ray_clusters(), k_rice=-0.5)
 
 
 def test_link_end_dimension_mismatch_rejected():
@@ -175,7 +175,7 @@ def test_synthesize_orders_taps_and_matches_cluster_ops():
     assert real.taps.shape == (2, 4, 1, 1)
     for ti, t in enumerate(times):
         for n in range(4):
-            assert_allclose(real.taps[ti, n], cluster_matrix_with_los(ctx, n, t, 0.0), atol=1e-12)
+            assert_allclose(real.taps[ti, n], _bruteforce_cluster(ctx, n, t), atol=1e-12)
 
 
 def test_synthesize_rejects_empty_times():
@@ -189,7 +189,8 @@ def test_port_output_equals_manual_weight_sum():
     clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
     geom = uniform_planar_array(4, 1, 0.5, 0.5, SPEED_OF_LIGHT / 2e9)
     tx = LinkEnd(
-        geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0, ports=geom.ports
+        geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0,
+        port_weights=geom.weight_matrix(),
     )
     ctx = _ctx(clusters, tx=tx)
     elements = synthesize(ctx, [0.0], output="elements")
@@ -226,10 +227,10 @@ def test_amplitude_scaling_linearity():
     # sum-to-one constructor check by assigning the field after validation.
     rng = np.random.default_rng(8)
     base = _random_clusters(rng, n_clusters=2, n_rays=3)
-    h_base = cluster_matrix_nlos(_ctx(base), 0, 0.0)
+    h_base = synthesize(_ctx(base), [0.0]).taps[0, 0]
     scaled = _random_clusters(np.random.default_rng(8), n_clusters=2, n_rays=3)
     scaled.ray_powers = base.ray_powers * 4.0
-    h_scaled = cluster_matrix_nlos(_ctx(scaled), 0, 0.0)
+    h_scaled = synthesize(_ctx(scaled), [0.0]).taps[0, 0]
     assert_allclose(h_scaled, 2.0 * h_base, rtol=1e-12)
 
 
@@ -243,10 +244,10 @@ def test_doppler_trajectory_single_ray():
         math.sin(zoa) * math.cos(aoa), math.sin(zoa) * math.sin(aoa), math.cos(zoa),
     ])
     omega = float(k_arr @ velocity)
-    h0 = cluster_matrix_nlos(ctx, 0, 0.0)[0, 0]
-    for t in (1e-3, 5e-3, 0.02):
-        ht = cluster_matrix_nlos(ctx, 0, t)[0, 0]
-        assert_allclose(ht / h0, np.exp(1j * omega * t), atol=1e-12)
+    times = (0.0, 1e-3, 5e-3, 0.02)
+    h = synthesize(ctx, times).taps[:, 0, 0, 0]
+    for ti, t in enumerate(times):
+        assert_allclose(h[ti] / h[0], np.exp(1j * omega * t), atol=1e-12)
 
 
 def test_dump_realization_format():
