@@ -56,6 +56,7 @@ from .synth import (
     LinkEnd,
     dump_realization,
     synthesize,
+    to_ports,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .geom import SPEED_OF_LIGHT, AngleVector, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
-from .synth import LinkContext, LinkEnd, synthesize
+from .synth import LinkContext, LinkEnd, synthesize, to_ports
 
 
 # UEs per block of the array kernels: bounds the (UE, site/cell) temporaries.
@@ -43,8 +43,31 @@ UE_BLOCK = 32
 
 
 @dataclass
-class _SweepContext:
-    """Per-sweep-point state shared by the per-UE workers."""
+class _SweepPoint:
+    """One (d_v, tilt) point of the sweep: its TX pattern, array and port weights."""
+
+    d_v: float
+    tilt: float
+    pattern: object
+    geometry: object
+    port_weights: np.ndarray | None
+
+
+@dataclass
+class _TxSetup:
+    """Per-cell TX ends whose element taps serve a group of sweep points.
+
+    points lists (sweep index, port weight matrix); None means the end's
+    single element is the port.
+    """
+
+    ends: list
+    points: list
+
+
+@dataclass
+class _CampaignContext:
+    """Sweep-independent campaign state shared by the per-UE workers."""
 
     cfg: RunConfig
     site_xy: np.ndarray
@@ -53,24 +76,67 @@ class _SweepContext:
     cell_bearing_rad: np.ndarray
     drop: Drop
     slow: SlowFading
-    pattern: object
-    geometry: object
-    port_weights: np.ndarray | None
+    points: list
     wavelength: float
     ssp_cfg: object
     times: np.ndarray
     wrap: np.ndarray | None = None
+    tx_setups: list | None = None
 
 
-_ACTIVE: _SweepContext | None = None
+_ACTIVE: _CampaignContext | None = None
 
 
-def _effective_deltas(ctx: _SweepContext, ue_xy: np.ndarray) -> np.ndarray:
+def _effective_deltas(ctx: _CampaignContext, ue_xy: np.ndarray) -> np.ndarray:
     """UE minus site 2D offsets, folded to the closest wrap-around image if enabled."""
     delta = ue_xy - ctx.site_xy
     if ctx.wrap is None:
         return delta
     return fold_to_nearest_image(delta, ctx.wrap)
+
+
+def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
+    """Every (d_v, tilt) point in output order."""
+    points = []
+    for d_v in cfg.d_v_sweep():
+        for tilt in cfg.downtilt_sweep():
+            pattern = build_tx_pattern(cfg.antenna, tilt)
+            geometry = port_weights = None
+            if cfg.antenna.pattern == "element":
+                geometry = build_array(cfg.antenna, d_v, wavelength)
+                if cfg.antenna.k_per_port == cfg.antenna.m_rows:
+                    geometry = geometry.with_port_weights(
+                        tilt_weights_for(cfg.antenna, d_v, tilt)
+                    )
+                port_weights = geometry.weight_matrix()
+            points.append(_SweepPoint(d_v, tilt, pattern, geometry, port_weights))
+    return points
+
+
+def _tx_setups(ctx: _CampaignContext) -> list:
+    """Group the sweep points by the TX ends their element taps come from.
+
+    The element pattern does not move with the tilt, so the points of one d_v
+    share one rotated array per cell and differ only in port weights. An
+    itu_port pattern is tilted itself: each of its points has its own ends.
+    """
+    bearings = [float(b) for b in ctx.cell_bearing_rad]
+    if ctx.cfg.antenna.pattern == "itu_port":
+        return [
+            _TxSetup(
+                [LinkEnd(np.zeros((1, 3)), np.zeros(1), p.pattern, b) for b in bearings],
+                [(k, None)],
+            )
+            for k, p in enumerate(ctx.points)
+        ]
+    setups = {}
+    for k, p in enumerate(ctx.points):
+        if p.d_v not in setups:
+            positions, slants = p.geometry.element_positions, p.geometry.slant_rad
+            ends = [LinkEnd(positions @ rotation_z(b).T, slants, p.pattern, b) for b in bearings]
+            setups[p.d_v] = _TxSetup(ends, [])
+        setups[p.d_v].points.append((k, p.port_weights))
+    return list(setups.values())
 
 
 def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap) -> SlowFading:
@@ -93,18 +159,18 @@ def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap)
     return SlowFading.concatenate(blocks, len(drop))
 
 
-def _tx_gains_db(ctx: _SweepContext, az_dep: np.ndarray, zen_dep: np.ndarray) -> np.ndarray:
+def _tx_gains_db(ctx: _CampaignContext, point: _SweepPoint, az_dep, zen_dep) -> np.ndarray:
     """Composite TX gain toward the LOS direction of every cell; (UE, site) in, (UE, cell) out."""
     local_az = wrap_azimuth(az_dep[..., ctx.cell_site] - ctx.cell_bearing_rad)
     zen = zen_dep[..., ctx.cell_site]
     if ctx.cfg.antenna.pattern == "itu_port":
-        return np.asarray(port_gain_itu_db(ctx.pattern, local_az, zen))
+        return np.asarray(port_gain_itu_db(point.pattern, local_az, zen))
     return np.asarray(
-        composite_port_gain_db(ctx.pattern, ctx.geometry, 0, ctx.wavelength, local_az, zen)
+        composite_port_gain_db(point.pattern, point.geometry, 0, ctx.wavelength, local_az, zen)
     )
 
 
-def _phase1_reports(ctx: _SweepContext) -> list:
+def _phase1_reports(ctx: _CampaignContext, point: _SweepPoint) -> list:
     """Attach every UE and compute its coupling gain and geometry factor, in UE blocks."""
     p_tx = ctx.cfg.layout.p_tx_dbm
     slow = ctx.slow
@@ -113,7 +179,7 @@ def _phase1_reports(ctx: _SweepContext) -> list:
         rows = slice(start, start + UE_BLOCK)
         rsrp = calib.rsrp_db(
             p_tx,
-            _tx_gains_db(ctx, slow.az_dep[rows], slow.zen_dep[rows]),
+            _tx_gains_db(ctx, point, slow.az_dep[rows], slow.zen_dep[rows]),
             ctx.cfg.antenna.ue_gain_dbi,
             slow.pl[rows][:, ctx.cell_site],
             slow.sf[rows][:, ctx.cell_site],
@@ -131,14 +197,12 @@ def _phase1_reports(ctx: _SweepContext) -> list:
     return reports
 
 
-def _link_context(ctx: _SweepContext, ue_index: int, cell: int, lsps, los: bool, pl_sf_db: float):
-    """Assemble the synthesis context of one (UE, cell) link."""
+def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d: np.ndarray) -> dict:
+    """LinkContext fields of one (UE, cell) link, all but the TX end; draws its clusters."""
     cfg = ctx.cfg
+    slow = ctx.slow
     site = int(ctx.cell_site[cell])
-    bearing = float(ctx.cell_bearing_rad[cell])
-    ue_xyz = ctx.drop.xyz[ue_index]
-    delta2d = _effective_deltas(ctx, ue_xyz[:2])[site]
-    offset = np.array([delta2d[0], delta2d[1], ue_xyz[2] - ctx.site_z])
+    offset = np.array([delta2d[0], delta2d[1], ctx.drop.xyz[ue_index, 2] - ctx.site_z])
     # Per-link math.atan2/acos, not SlowFading's np.arctan2/arccos angles,
     # which differ in the last bit on some links and would change the bytes.
     dep = AngleVector(
@@ -146,82 +210,73 @@ def _link_context(ctx: _SweepContext, ue_index: int, cell: int, lsps, los: bool,
         math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))),
     )
     arr = AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith)
-
-    if cfg.antenna.pattern == "itu_port":
-        tx = LinkEnd(np.zeros((1, 3)), np.zeros(1), ctx.pattern, bearing)
-        output = "elements"
-    else:
-        rot = rotation_z(bearing)
-        tx = LinkEnd(
-            ctx.geometry.element_positions @ rot.T,
-            ctx.geometry.slant_rad,
-            ctx.pattern,
-            bearing,
-            port_weights=ctx.port_weights,
-        )
-        output = "ports"
-    rx = LinkEnd(np.zeros((1, 3)), np.zeros(1))
-
-    cell_local = cell - 3 * site
-    rng = substream(cfg.run.master_seed, STREAM_SSP, ue_index, site, cell_local)
-    clusters = generate_cluster_set(lsps, dep, arr, ctx.ssp_cfg, rng)
-    k_rice = 10.0 ** (lsps.k_factor_db / 10.0) if los else 0.0
-    link = LinkContext(
-        tx=tx,
-        rx=rx,
-        clusters=clusters,
-        slow_fading_db=pl_sf_db,
+    lsps = slow.link_lsps(ue_index, site)
+    rng = substream(cfg.run.master_seed, STREAM_SSP, ue_index, site, cell - 3 * site)
+    return dict(
+        rx=LinkEnd(np.zeros((1, 3)), np.zeros(1)),
+        clusters=generate_cluster_set(lsps, dep, arr, ctx.ssp_cfg, rng),
+        slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
         carrier_hz=cfg.run.carrier_hz,
         velocity_mps=ctx.drop.velocity[ue_index],
-        rice_k_linear=k_rice,
+        rice_k_linear=10.0 ** (lsps.k_factor_db / 10.0) if slow.los[ue_index, site] else 0.0,
         los_departure=dep,
         los_arrival=arr,
         xpr_offdiag_inverse=ctx.ssp_cfg.xpr_offdiag_inverse,
         polarization_model=cfg.antenna.polarization_model,
     )
-    return link, output
 
 
-def _phase2_record(ue_index: int) -> calib.DropReport:
+def _phase2_records(ue_index: int) -> list:
+    """One UE's reports at every sweep point, in sweep order.
+
+    Each link's clusters are drawn once, its element taps synthesized once
+    per TX setup, and each sweep point of the setup applies its port weights.
+    """
     ctx = _ACTIVE
-    cfg = ctx.cfg
-    slow = ctx.slow
-    los, pl, sf = slow.los[ue_index], slow.pl[ue_index], slow.sf[ue_index]
-
+    p_tx = ctx.cfg.layout.p_tx_dbm
+    ue_gain = ctx.cfg.antenna.ue_gain_dbi
     n_cells = ctx.cell_site.size
-    rsrp = np.empty(n_cells)
-    kept = []
-    for c in range(n_cells):
-        s = int(ctx.cell_site[c])
-        link, output = _link_context(
-            ctx, ue_index, c, slow.link_lsps(ue_index, s), bool(los[s]), float(pl[s] + sf[s])
-        )
-        realization = synthesize(link, ctx.times, output=output)
-        rsrp[c] = calib.rsrp_fast_fading_db(cfg.layout.p_tx_dbm, realization) + cfg.antenna.ue_gain_dbi
-        kept.append((link.clusters, realization))
-    serving = calib.attach(rsrp)
-    clusters, realization = kept[serving]
-    l1, l2 = calib.top_eigenvalues(realization)
-    return calib.DropReport(
-        ue_id=ue_index,
-        site=int(ctx.cell_site[serving]),
-        cell=serving,
-        cl_db=calib.coupling_gain_db(float(rsrp[serving]), cfg.layout.p_tx_dbm),
-        gf_db=calib.geometry_factor_db(rsrp, serving),
-        asd_deg=calib.angular_spread_deg(clusters.aod, clusters.ray_powers),
-        asa_deg=calib.angular_spread_deg(clusters.aoa, clusters.ray_powers),
-        esd_deg=calib.angular_spread_deg(clusters.zod, clusters.ray_powers),
-        esa_deg=calib.angular_spread_deg(clusters.zoa, clusters.ray_powers),
-        ds_s=calib.delay_spread_s(clusters.delays_s, clusters.cluster_powers),
-        lambda1=l1,
-        lambda2=l2,
-    )
+    rsrp = np.empty((len(ctx.points), n_cells))
+    realizations = [[None] * n_cells for _ in ctx.points]
+    clusters = []
+    deltas = _effective_deltas(ctx, ctx.drop.xyz[ue_index, :2])
+    for cell in range(n_cells):
+        fields = _link_fields(ctx, ue_index, cell, deltas[ctx.cell_site[cell]])
+        clusters.append(fields["clusters"])
+        for setup in ctx.tx_setups:
+            elements = synthesize(LinkContext(tx=setup.ends[cell], **fields), ctx.times)
+            for k, weights in setup.points:
+                realization = elements if weights is None else to_ports(elements, weights)
+                rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, realization) + ue_gain
+                realizations[k][cell] = realization
+
+    reports = []
+    for k in range(len(ctx.points)):
+        serving = calib.attach(rsrp[k])
+        cs = clusters[serving]
+        l1, l2 = calib.top_eigenvalues(realizations[k][serving])
+        reports.append(calib.DropReport(
+            ue_id=ue_index,
+            site=int(ctx.cell_site[serving]),
+            cell=serving,
+            cl_db=calib.coupling_gain_db(float(rsrp[k, serving]), p_tx),
+            gf_db=calib.geometry_factor_db(rsrp[k], serving),
+            asd_deg=calib.angular_spread_deg(cs.aod, cs.ray_powers),
+            asa_deg=calib.angular_spread_deg(cs.aoa, cs.ray_powers),
+            esd_deg=calib.angular_spread_deg(cs.zod, cs.ray_powers),
+            esa_deg=calib.angular_spread_deg(cs.zoa, cs.ray_powers),
+            ds_s=calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
+            lambda1=l1,
+            lambda2=l2,
+        ))
+    return reports
 
 
-def _map_records(ctx: _SweepContext, n_ues: int, workers: int, log=None):
-    """Phase-2 records of every UE, over a forked process pool when workers > 1.
+def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> list:
+    """Every UE's list of phase-2 reports (one per sweep point), over a forked
+    process pool when workers > 1.
 
-    Forked workers inherit the context, slow fading included.
+    Forked workers inherit the context, slow fading and TX setups included.
     """
     global _ACTIVE
     _ACTIVE = ctx
@@ -237,8 +292,8 @@ def _map_records(ctx: _SweepContext, n_ues: int, workers: int, log=None):
                     log(f"{n_ues} UEs over {workers} forked worker processes")
                 chunk = max(1, n_ues // (workers * 4))
                 with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-                    return list(pool.map(_phase2_record, range(n_ues), chunksize=chunk))
-        return [_phase2_record(i) for i in range(n_ues)]
+                    return list(pool.map(_phase2_records, range(n_ues), chunksize=chunk))
+        return [_phase2_records(i) for i in range(n_ues)]
     finally:
         _ACTIVE = None
 
@@ -267,11 +322,14 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     """Execute the configured campaign and return the written file paths.
 
     Drops UEs and computes their slow fading once (both are shared across
-    sweep points for paired comparisons). Then, for each (d_v, downtilt)
-    sweep point: compute the TX gains, attach, and emit one CDF file per
-    metric plus a per-UE report. Phase 1 runs vectorized in this process;
-    phase 2 spreads UEs over `workers` forked processes. Deterministic for a
-    fixed (config, seed) at any worker count.
+    sweep points for paired comparisons). Each (d_v, downtilt) sweep point
+    then gets one CDF file per metric plus a per-UE report. Phase 1 computes
+    a sweep point's TX gains, attachment, coupling gain and geometry factor
+    vectorized in this process. Phase 2 computes all sweep points of one UE
+    at a time, spread over `workers` forked processes: each link's clusters
+    are drawn once, its element taps synthesized once per d_v (once per tilt
+    for the tilted itu_port pattern), and each tilt applies its port
+    weights. Deterministic for a fixed (config, seed) at any worker count.
     """
     out_dir = cfg.run.output_dir
     try:
@@ -316,62 +374,48 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     )
     slow = _slow_fading(cfg, sampler, drop, site_xy, wrap)
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
-    times = np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s
     digest = config_hash(cfg)
-    ssp_cfg = build_ssp(cfg.ssp)
+    ctx = _CampaignContext(
+        cfg=cfg,
+        site_xy=site_xy,
+        site_z=cfg.layout.bs_height_m,
+        cell_site=cell_site,
+        cell_bearing_rad=cell_bearing,
+        drop=drop,
+        slow=slow,
+        points=_sweep_points(cfg, wavelength),
+        wavelength=wavelength,
+        ssp_cfg=build_ssp(cfg.ssp),
+        times=np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s,
+        wrap=wrap,
+    )
+    if cfg.run.phase == 2:
+        ctx.tx_setups = _tx_setups(ctx)
+        per_point = list(zip(*_map_records(ctx, len(drop), cfg.run.workers, log)))
 
     written = []
-    for d_v in cfg.d_v_sweep():
-        for tilt in cfg.downtilt_sweep():
-            pattern = build_tx_pattern(cfg.antenna, tilt)
-            geometry = port_weights = None
-            if cfg.antenna.pattern == "element":
-                geometry = build_array(cfg.antenna, d_v, wavelength)
-                if cfg.antenna.k_per_port == cfg.antenna.m_rows:
-                    geometry = geometry.with_port_weights(
-                        tilt_weights_for(cfg.antenna, d_v, tilt)
-                    )
-                port_weights = geometry.weight_matrix()
-            ctx = _SweepContext(
-                cfg=cfg,
-                site_xy=site_xy,
-                site_z=cfg.layout.bs_height_m,
-                cell_site=cell_site,
-                cell_bearing_rad=cell_bearing,
-                drop=drop,
-                slow=slow,
-                pattern=pattern,
-                geometry=geometry,
-                port_weights=port_weights,
-                wavelength=wavelength,
-                ssp_cfg=ssp_cfg,
-                times=times,
-                wrap=wrap,
-            )
-            if log:
-                log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
-            if cfg.run.phase == 1:
-                reports = _phase1_reports(ctx)
-            else:
-                reports = _map_records(ctx, len(drop), cfg.run.workers, log)
-
-            suffix = f"dv{d_v:g}_tilt{tilt:g}"
-            written.append(_write_cdf(
-                os.path.join(out_dir, f"cl_cdf_{suffix}.txt"),
-                [r.cl_db for r in reports], "cl_db", cfg, d_v, tilt, digest,
-            ))
-            written.append(_write_cdf(
-                os.path.join(out_dir, f"gf_cdf_{suffix}.txt"),
-                [r.gf_db for r in reports], "gf_db", cfg, d_v, tilt, digest,
-            ))
-            if cfg.run.phase == 2:
-                for short, attr in PHASE2_METRICS:
-                    written.append(_write_cdf(
-                        os.path.join(out_dir, f"{short}_cdf_{suffix}.txt"),
-                        [getattr(r, attr) for r in reports], short, cfg, d_v, tilt, digest,
-                    ))
-            report_path = os.path.join(out_dir, f"report_{suffix}.txt")
-            with open(report_path, "w") as fh:
-                calib.write_report(reports, fh)
-            written.append(report_path)
+    for k, point in enumerate(ctx.points):
+        d_v, tilt = point.d_v, point.tilt
+        if log:
+            log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
+        reports = _phase1_reports(ctx, point) if cfg.run.phase == 1 else per_point[k]
+        suffix = f"dv{d_v:g}_tilt{tilt:g}"
+        written.append(_write_cdf(
+            os.path.join(out_dir, f"cl_cdf_{suffix}.txt"),
+            [r.cl_db for r in reports], "cl_db", cfg, d_v, tilt, digest,
+        ))
+        written.append(_write_cdf(
+            os.path.join(out_dir, f"gf_cdf_{suffix}.txt"),
+            [r.gf_db for r in reports], "gf_db", cfg, d_v, tilt, digest,
+        ))
+        if cfg.run.phase == 2:
+            for short, attr in PHASE2_METRICS:
+                written.append(_write_cdf(
+                    os.path.join(out_dir, f"{short}_cdf_{suffix}.txt"),
+                    [getattr(r, attr) for r in reports], short, cfg, d_v, tilt, digest,
+                ))
+        report_path = os.path.join(out_dir, f"report_{suffix}.txt")
+        with open(report_path, "w") as fh:
+            calib.write_report(reports, fh)
+        written.append(report_path)
     return written

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,14 +22,12 @@ from .ssp import ClusterSet, polarization_matrix
 @dataclass
 class LinkEnd:
     """One side of a link: element positions (frame-aligned offsets in meters),
-    slants, the element pattern (None = isotropic 0 dBi), its bearing, and
-    the (n_ports, n_elements) port weight matrix, if the end has ports."""
+    slants, the element pattern (None = isotropic 0 dBi) and its bearing."""
 
     positions_m: np.ndarray
     slant_rad: np.ndarray
     pattern: PatternSpec | None = None
     bearing_rad: float = 0.0
-    port_weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions_m = np.asarray(self.positions_m, dtype=float).reshape(-1, 3)
@@ -111,30 +109,28 @@ def _end_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
     return out
 
 
-def _ray_terms(ctx: LinkContext, cluster: int):
-    """Static per-ray tap contributions and Doppler rates for one cluster.
+def _ray_terms(ctx: LinkContext):
+    """Static tap contributions and Doppler rates of every (cluster, ray).
 
-    Returns (terms, omega): terms is (n_rays, n_tx, n_rx) holding
+    Returns (terms, omega): terms is (n_clusters, n_rays, n_tx, n_rx) holding
     sqrt(P) * (gR^T a gT) * aT * aR, omega the per-ray k_arr . v in rad/s.
     """
     cs = ctx.clusters
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
-    aod, zod = cs.aod[cluster], cs.zod[cluster]
-    aoa, zoa = cs.aoa[cluster], cs.zoa[cluster]
-    g_t = _end_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, S)
-    g_r = _end_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
-    alpha = polarization_matrix(cs.xpr[cluster], cs.phases[cluster], ctx.xpr_offdiag_inverse)
-    bilinear = np.einsum("mpu,mpq,mqs->msu", g_r, alpha, g_t)
-    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(aod, zod))  # (M, S)
-    a_r = response_phases(ctx.rx.positions_m, k0 * unit_vectors(aoa, zoa))  # (M, U)
+    g_t = _end_fields(ctx.tx, cs.aod, cs.zod, ctx.polarization_model)  # (N, M, 2, S)
+    g_r = _end_fields(ctx.rx, cs.aoa, cs.zoa, ctx.polarization_model)  # (N, M, 2, U)
+    alpha = polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse)
+    bilinear = np.einsum("nmpu,nmpq,nmqs->nmsu", g_r, alpha, g_t)
+    k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
+    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(cs.aod, cs.zod))  # (N, M, S)
+    a_r = response_phases(ctx.rx.positions_m, k_arr)  # (N, M, U)
     terms = (
-        np.sqrt(cs.ray_powers[cluster])[:, None, None]
+        np.sqrt(cs.ray_powers)[..., None, None]
         * bilinear
-        * a_t[:, :, None]
-        * a_r[:, None, :]
+        * a_t[..., :, None]
+        * a_r[..., None, :]
     )
-    omega = (k0 * unit_vectors(aoa, zoa)) @ ctx.velocity_mps
-    return terms, omega
+    return terms, k_arr @ ctx.velocity_mps
 
 
 def _los_term(ctx: LinkContext):
@@ -161,8 +157,8 @@ def _los_term(ctx: LinkContext):
 class ChannelRealization:
     """Taps of one link: delays plus per-time channel matrices.
 
-    taps is (n_times, n_taps, n_tx, n_rx); the tx axis is elements or ports
-    depending on how the realization was synthesized.
+    taps is (n_times, n_taps, n_tx, n_rx); the tx axis is elements, or
+    ports after to_ports.
     """
 
     delays_s: np.ndarray
@@ -180,40 +176,40 @@ class ChannelRealization:
             raise ValueError("tap matrices must be finite")
 
 
-def synthesize(ctx: LinkContext, times, output: str = "elements") -> ChannelRealization:
-    """Evaluate every cluster tap at the requested times.
+def synthesize(ctx: LinkContext, times) -> ChannelRealization:
+    """Evaluate every cluster tap at the requested times, per TX element.
 
     Tap 0 carries the Rice LOS ray when rice_k_linear > 0: the diffuse rays
     of every cluster are scaled by 1/(K+1) in power and the LOS ray by
-    K/(K+1). output='ports' applies the TX end's port weight matrix to every
-    tap.
+    K/(K+1). to_ports maps the element taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
-    if output not in ("elements", "ports"):
-        raise ValueError("output must be 'elements' or 'ports'")
 
     cs = ctx.clusters
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
-    per_cluster = [_ray_terms(ctx, n) for n in range(cs.n_clusters)]
-    n_rx = ctx.rx.n_elements
-    taps = np.zeros((times.size, cs.n_clusters, ctx.tx.n_elements, n_rx), dtype=complex)
+    terms, omega = _ray_terms(ctx)
+    n_clusters, _, n_tx, n_rx = terms.shape
+    taps = np.empty((times.size, n_clusters, n_tx, n_rx), dtype=complex)
     for ti, t in enumerate(times):
-        for n, (terms, omega) in enumerate(per_cluster):
-            taps[ti, n] = diffuse_scale * np.einsum("msu,m->su", terms, np.exp(1j * omega * t))
+        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, np.exp(1j * omega * t))
     if ctx.rice_k_linear > 0:
         los_term, los_omega = _los_term(ctx)
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
 
-    if output == "ports":
-        if ctx.tx.port_weights is None:
-            raise ValueError("TX end carries no port weights")
-        taps = np.einsum("pk,tnku->tnpu", ctx.tx.port_weights, taps)
     return ChannelRealization(cs.delays_s.copy(), taps, times, ctx.carrier_hz)
+
+
+def to_ports(realization: ChannelRealization, port_weights: np.ndarray) -> ChannelRealization:
+    """An element-level realization seen through the TX (n_ports, n_elements)
+    port weight matrix. Element taps are linear in the weights, so one
+    synthesis serves every weight matrix of the same array."""
+    taps = np.einsum("pk,tnku->tnpu", port_weights, realization.taps)
+    return replace(realization, taps=taps)
 
 
 def dump_realization(realization: ChannelRealization, fh):

@@ -18,7 +18,14 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, _end_fields, isotropic_end, synthesize
+from chan3d.synth import (
+    LinkContext,
+    LinkEnd,
+    _end_fields,
+    isotropic_end,
+    synthesize,
+    to_ports,
+)
 
 D2R = math.pi / 180.0
 
@@ -156,8 +163,8 @@ def test_array_response_unit_modulus():
     assert_allclose(np.abs(resp), 1.0, atol=1e-12)
 
 
-# Port virtualization is the port output of synthesize: the TX end's weight
-# matrix applied to the element taps.
+# Port virtualization is to_ports: the TX weight matrix applied to the
+# element taps of synthesize.
 
 def _port_taps(port_weights, n_elements, rng, positions=None):
     """Element and port taps at t=0 of a random 3-cluster link: (n, S, 1) and (n, P, 1)."""
@@ -176,9 +183,9 @@ def _port_taps(port_weights, n_elements, rng, positions=None):
     )
     if positions is None:
         positions = rng.uniform(-0.2, 0.2, (n_elements, 3))
-    tx = LinkEnd(positions, np.zeros(n_elements), port_weights=port_weights)
-    ctx = LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9)
-    return synthesize(ctx, [0.0]).taps[0], synthesize(ctx, [0.0], output="ports").taps[0]
+    tx = LinkEnd(positions, np.zeros(n_elements))
+    elements = synthesize(LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9), [0.0])
+    return elements.taps[0], to_ports(elements, port_weights).taps[0]
 
 
 def test_virtualize_single_element_port():
@@ -225,9 +232,10 @@ def test_virtualize_is_linear():
 
 
 def test_virtualize_unknown_port():
-    # An end without a weight matrix has no ports to virtualize.
+    # A weight matrix over another element count names elements the array
+    # does not have.
     with pytest.raises(ValueError):
-        _port_taps(None, 2, np.random.default_rng(3))
+        _port_taps(np.ones((1, 3)), 2, np.random.default_rng(3))
 
 
 def test_weight_matrix_places_port_weights():

@@ -148,10 +148,13 @@ def test_campaign_phase2_report_populated(tmp_path):
 
 
 def _tiny_phase2(tmp_path, sub, workers):
+    # 2 d_v x 2 tilts: each UE's pool result is its list of four sweep-point reports.
     cfg = _tiny_cfg(tmp_path, sub=sub)
     cfg.run.phase = 2
     cfg.run.n_ue_per_cell = 2
     cfg.ssp.n_clusters = 5
+    cfg.antenna.d_v_sweep = (0.5, 0.8)
+    cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
     cfg.run.workers = workers
     return cfg
 
@@ -165,7 +168,8 @@ def _run_logged(cfg):
 def test_campaign_phase2_pool_matches_serial(tmp_path):
     serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
     pooled, lines = _run_logged(_tiny_phase2(tmp_path, "w2", 2))
-    assert any("over 2 forked worker processes" in line for line in lines)
+    assert sum("over 2 forked worker processes" in line for line in lines) == 1
+    assert len(pooled) == 4 * 10  # 9 CDFs and a report per sweep point
     assert serial == pooled
 
 
@@ -179,7 +183,7 @@ def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaign.multiprocessing, "get_context", no_fork)
     fallback, lines = _run_logged(_tiny_phase2(tmp_path, "nofork", 2))
-    assert any("fork start method unavailable" in line for line in lines)
+    assert sum("fork start method unavailable" in line for line in lines) == 1
     assert fallback == serial
 
 

@@ -12,7 +12,7 @@ from chan3d.antenna import (
 from chan3d.calib import rsrp_db, rsrp_fast_fading_db, top_eigenvalues
 from chan3d.geom import SPEED_OF_LIGHT, AngleVector
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, isotropic_end, synthesize
+from chan3d.synth import LinkContext, LinkEnd, isotropic_end, synthesize, to_ports
 
 
 def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):
@@ -29,10 +29,7 @@ def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):
         los_phase_vv=0.7,
         los_phase_hh=2.1,
     )
-    tx = LinkEnd(
-        geometry.element_positions, geometry.slant_rad, pattern, 0.0,
-        port_weights=geometry.weight_matrix(),
-    )
+    tx = LinkEnd(geometry.element_positions, geometry.slant_rad, pattern, 0.0)
     return LinkContext(
         tx=tx,
         rx=isotropic_end(),
@@ -60,7 +57,7 @@ def test_fast_fading_rsrp_collapses_to_slow_fading_plus_gain():
     pl_sf, p_tx = 101.3, 46.0
 
     ctx = _los_only_context(pl_sf, dep, arr, geometry, pattern)
-    realization = synthesize(ctx, [0.0], output="ports")
+    realization = to_ports(synthesize(ctx, [0.0]), geometry.weight_matrix())
     ff = rsrp_fast_fading_db(p_tx, realization)
 
     g_t = float(composite_port_gain_db(pattern, geometry, 0, wavelength, dep.azimuth, dep.zenith))
@@ -74,7 +71,7 @@ def test_fast_fading_rsrp_tracks_taps_not_inputs():
     geometry = uniform_planar_array(4, 1, 0.5, 0.5, wavelength)
     ctx = _los_only_context(90.0, AngleVector(0.0, 1.6), AngleVector(math.pi, math.pi - 1.6),
                             geometry, element_pattern_3gpp())
-    real = synthesize(ctx, [0.0], output="ports")
+    real = to_ports(synthesize(ctx, [0.0]), geometry.weight_matrix())
     base = rsrp_fast_fading_db(0.0, real)
     real.taps = real.taps * 2.0
     assert_allclose(rsrp_fast_fading_db(0.0, real) - base, 20.0 * math.log10(2.0), rtol=1e-12)

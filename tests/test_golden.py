@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+import chan3d.campaign as campaign
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 
@@ -46,12 +47,42 @@ def _p2_doppler_wrap(cfg):
     cfg.antenna.downtilt_sweep_deg = (12.0,)
 
 
+def _p2_dv_tilt_sweep(cfg):
+    # Two spacings times two tilts: the element taps of a spacing serve both
+    # tilts; sub-cluster splitting reorders the clusters of every link.
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.antenna.d_v_sweep = (0.5, 0.8)
+    cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
+    cfg.ssp.split_strongest = True
+
+
+def _p2_itu_port(cfg):
+    # The port pattern itself moves with the tilt, so each tilt resynthesizes.
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.antenna.pattern = "itu_port"
+    cfg.antenna.downtilt_sweep_deg = (6.0, 12.0)
+
+
+def _p2_xpol_rotated(cfg):
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.run.n_time_samples = 2
+    cfg.antenna.cross_polarized = True
+    cfg.antenna.polarization_model = "rotated"
+    cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
+
+
 CASES = {
     "p1_3d_element": (21, _p1_3d_element),
     "p1_legacy2d_wrap_itu": (22, _p1_legacy2d_wrap_itu),
     "p1_no_spatial": (23, _p1_no_spatial),
     "p2_reduced": (24, _p2_reduced),
     "p2_doppler_wrap": (25, _p2_doppler_wrap),
+    "p2_dv_tilt_sweep": (26, _p2_dv_tilt_sweep),
+    "p2_itu_port": (27, _p2_itu_port),
+    "p2_xpol_rotated": (28, _p2_xpol_rotated),
 }
 
 
@@ -185,6 +216,172 @@ GOLDEN = {
         "report_dv0.5_tilt12.txt":
             "6f587b92da17b529e5a9a81295afb011d862d1980d8532e00bb717d23d4476d6",
     },
+    "p2_dv_tilt_sweep": {
+        "asa_cdf_dv0.5_tilt12.txt":
+            "fa6ab60bf2b91f23c1b21d1f882b4b83a543a8cc321d5c6196d629e3c1c9532e",
+        "asa_cdf_dv0.5_tilt9.txt":
+            "285951c0186054c7c1564643c3078580000faf9400cc1ead7bc6ae16b2430651",
+        "asa_cdf_dv0.8_tilt12.txt":
+            "0033785ede1b80ddaafe07af3b2657d131a396398b1bce1433664d78b2145da1",
+        "asa_cdf_dv0.8_tilt9.txt":
+            "8abc949094c7adbdebda363a2bdb66213807cc92dab31be7770a5f27307d8514",
+        "asd_cdf_dv0.5_tilt12.txt":
+            "6810ce8bc6b3844424d1f05a07946aecde3434c214ec091c9fac49396967aa5d",
+        "asd_cdf_dv0.5_tilt9.txt":
+            "aeaa2a349d1793ef7288a2e819a5e8b253051a346e6bd1da5c5bccd59865f898",
+        "asd_cdf_dv0.8_tilt12.txt":
+            "df02c90875866c3d0d39ff3e0dd75058d75a6e3468dd021330e3761243bb3aed",
+        "asd_cdf_dv0.8_tilt9.txt":
+            "bffc38c18acdda9cd743dbd6c42ff12f050890e9171ec725c358f9477f0bdc4d",
+        "cl_cdf_dv0.5_tilt12.txt":
+            "29c014347c7cdeb7c2c3282fcbc93e52e9cffe84b488f017f15bd975e58449b0",
+        "cl_cdf_dv0.5_tilt9.txt":
+            "c2d310301fc1dba38d2a5da1080be3086eb8dd89033aeb4410f64c42dd19a6da",
+        "cl_cdf_dv0.8_tilt12.txt":
+            "16accd7a1a8f01fc09ceabcd630acde2b637cf8ca2cd4c13398e9c288b2d4180",
+        "cl_cdf_dv0.8_tilt9.txt":
+            "f2caddd916e2e87b71938e8e67b298587480cdff7344e18afe07daab2321c8f5",
+        "ds_cdf_dv0.5_tilt12.txt":
+            "e45e1f7cfb7824981575c9ae5e3d52df1edf2390c33d4800553ed687bd33f355",
+        "ds_cdf_dv0.5_tilt9.txt":
+            "aa634b980500024e376de0e2575945ac03ac3859e715139610cb18756215f332",
+        "ds_cdf_dv0.8_tilt12.txt":
+            "e3d4cce727eba36eb09908f335e725c3d73fc9668b3fc49c30a4127103444ac7",
+        "ds_cdf_dv0.8_tilt9.txt":
+            "edcd718b93c730c62db8d7e308b181dd95d1bb483bd28fafcde78ab96e8a73ce",
+        "esa_cdf_dv0.5_tilt12.txt":
+            "3ad54714ce75f689c371511cb68fe6369491b2290711512bfc781a2f64bcb09c",
+        "esa_cdf_dv0.5_tilt9.txt":
+            "0e7f05464c75edf3c3dda2d35279870b91a14cd01e0888b96a0eceb3432f5695",
+        "esa_cdf_dv0.8_tilt12.txt":
+            "c1c42025aaeb682d02023f2f5bdfb50eace8f77084c7884a5e252be9e8d60333",
+        "esa_cdf_dv0.8_tilt9.txt":
+            "35561f43ff53d55cd8b7264c8135c2b4662860d57602ac76d0cd50f6ffd3a29a",
+        "esd_cdf_dv0.5_tilt12.txt":
+            "43a5dc5f44abe2dc6ff803fb7c6c92fc0edee8ee942b06ec669b51d42ec80efc",
+        "esd_cdf_dv0.5_tilt9.txt":
+            "286dc472e09cc84ca8894e27ac9c3c267bfdb77f7f64bdafd78a6b9a50098275",
+        "esd_cdf_dv0.8_tilt12.txt":
+            "72d0eb04b736f0e9356cfe7cc4266635bf236584781cdd04c3bd9a09b0d98546",
+        "esd_cdf_dv0.8_tilt9.txt":
+            "78ced4172cdad7af81621590d1583073d26a05e23d27bb5da038a557f0f891dc",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "e45dd8827f8b63fa3feb94ad2446b41dff29b572b4dda9fff190c6fb582001f4",
+        "gf_cdf_dv0.5_tilt9.txt":
+            "9532b409003e1e883d7465063b723c1737949c4c8238c70c3c3f1c340c05572e",
+        "gf_cdf_dv0.8_tilt12.txt":
+            "c14675d1f1fddd367bd954fb90d4308c7d0a54916fa79ea0a0d7eea359dccd12",
+        "gf_cdf_dv0.8_tilt9.txt":
+            "85dabb5649e8fbc306f691852734abb5a67c55cad0b5ed0e7a163f0b0509fe37",
+        "l1_cdf_dv0.5_tilt12.txt":
+            "1551ec48fbbb031cf7f0adec15f76a2db8fabb5b60105d158afbdfdcfe35dd76",
+        "l1_cdf_dv0.5_tilt9.txt":
+            "cc85d3c0d7526e4afa8b5f4dc023ea96fb3c06f4cc7e6e4ec77fcbe0c65c0897",
+        "l1_cdf_dv0.8_tilt12.txt":
+            "70136a20954af00b12010714365b4b6ba8da1b33b5c7ad777d6a3649dea924fa",
+        "l1_cdf_dv0.8_tilt9.txt":
+            "ba4854b09c7af9ce1d3ecf3928598c25bb8ceb29872810038fcda99dce36040b",
+        "l2_cdf_dv0.5_tilt12.txt":
+            "d77453af085968b151958cc13cef23c681b4f385bdf77536003b86f3b9503148",
+        "l2_cdf_dv0.5_tilt9.txt":
+            "ad5179577aabe2f775f08d3889dedc3f29c881c5ce1fb6876fa5118cead30a58",
+        "l2_cdf_dv0.8_tilt12.txt":
+            "001b8e43cdb3a65fd42dfabb34bd9d00b4cffc9d925e288772ea6a634150e5a4",
+        "l2_cdf_dv0.8_tilt9.txt":
+            "f6332be47a7f4b471d14bd6b3750d624e78abb0080f1abf0ae04168b05392049",
+        "report_dv0.5_tilt12.txt":
+            "3c0ecb489e8ec2fb577c84cc7547b922f3778114c346785ae05e389b171baa42",
+        "report_dv0.5_tilt9.txt":
+            "ce49591937dacdc8782107e3bf5fa8de5f9f91743e2e3b4d21ee2cb9fb3f2a42",
+        "report_dv0.8_tilt12.txt":
+            "21a3fd15b279ebc615dc86bb8e47cdf0e990559ce12da639c95d5e959dbc66e1",
+        "report_dv0.8_tilt9.txt":
+            "de95eabd0a6036a543d1d08ef44914f970af76df86fa87ff800a97dfb99e9a0d",
+    },
+    "p2_itu_port": {
+        "asa_cdf_dv0.5_tilt12.txt":
+            "5fcffa4fa8e01e9ad6650dc27eee1e03210a3600818ae6245db0924a5c05b59b",
+        "asa_cdf_dv0.5_tilt6.txt":
+            "c10e7f7f2c9ad081e92c38e0e4574e5270cc3ee9b5f2ab2bc08df52de7a19d45",
+        "asd_cdf_dv0.5_tilt12.txt":
+            "156c257e418a13d518514b9bedb6ae3f97f5911acfa9729bea6aa5f42ab9fbca",
+        "asd_cdf_dv0.5_tilt6.txt":
+            "b571907d9fd24e69c917fffd6328cc044fdce3346be6708d983fd169f4d8b981",
+        "cl_cdf_dv0.5_tilt12.txt":
+            "940793814f13bdd635b02f11465e3d631f4cfe3a1bc43aefb09f0b2fbbc4d8af",
+        "cl_cdf_dv0.5_tilt6.txt":
+            "f87c1734944c177082a40b54e29b49d5af990da3be8ba758584fb6ed38691028",
+        "ds_cdf_dv0.5_tilt12.txt":
+            "7cd551b762654628321965f2e17e7b2c2993c8c777b0168f61096ce56c9d6ec5",
+        "ds_cdf_dv0.5_tilt6.txt":
+            "75fa0aff99f049da72f4064d5ab9d03f4431bd12416cc57b8505ac5c3ed808cc",
+        "esa_cdf_dv0.5_tilt12.txt":
+            "2300a2462832b709f9be135d7810d1a2636ce6ed7471e2e86fd5754438112209",
+        "esa_cdf_dv0.5_tilt6.txt":
+            "775674324972e5a1e0dbe678620ef8c48ac58218df36480852976f5aeda33e69",
+        "esd_cdf_dv0.5_tilt12.txt":
+            "fab10415db17a9c4c3605b2c3e4e4a1650c202fd5e252653519419404c5112c1",
+        "esd_cdf_dv0.5_tilt6.txt":
+            "d60dd68df6116c3af69a7eadd06825d7a0548635586ae3c965062abd7df69a8e",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "064ac1e6ff9928a4f372a9d9cdedfb632c70fa28773ae50270872e20fb79b337",
+        "gf_cdf_dv0.5_tilt6.txt":
+            "6e1bad16335967c67699789576ed4078f95b5e681bb6dbf7b89911fdacd34b39",
+        "l1_cdf_dv0.5_tilt12.txt":
+            "0458fbebd01f341d0250309616fcee2c46985a69a3369716c154aa93b51845ef",
+        "l1_cdf_dv0.5_tilt6.txt":
+            "c7cdc3859e0ca69eff86a5d5e83f97d0e0f17bba6aff979cab7c52d800fd7348",
+        "l2_cdf_dv0.5_tilt12.txt":
+            "c6a23f2882e34e1c192885f6c627360d668617baafd4925187d66398f94d4384",
+        "l2_cdf_dv0.5_tilt6.txt":
+            "a6151f325f2f487f00f00a90a189d0c1a8eee9c2d7e529c51fcd141a07994eb4",
+        "report_dv0.5_tilt12.txt":
+            "23a3b1bd36ce8c43aadea8b9d710553d95970888bf074f8de193273101a90442",
+        "report_dv0.5_tilt6.txt":
+            "08b708e2613750e040b69d78ff1ae92e7fd16b5093c04f3068a059e8adb6b8c0",
+    },
+    "p2_xpol_rotated": {
+        "asa_cdf_dv0.5_tilt12.txt":
+            "f1110a7016b8eec99215b487e6c594537e9fd0ee1846591e91cfa68aa29e9f1f",
+        "asa_cdf_dv0.5_tilt9.txt":
+            "52533fca441074c2d27b45140593349affa29c190e0b3dd5e5f69a0d692bff43",
+        "asd_cdf_dv0.5_tilt12.txt":
+            "c0c0f1d26583f339fe30e5c1307062677789028c713eced4fbff8b52a9e5f7a0",
+        "asd_cdf_dv0.5_tilt9.txt":
+            "8df8f9ffae682af2ebbe1da66c7bbe60aa10caa3820ad676b91fcfe93270383e",
+        "cl_cdf_dv0.5_tilt12.txt":
+            "dff570b1224f7db383958caf1429f351ddacba10182a71514ed70ce03fef54e7",
+        "cl_cdf_dv0.5_tilt9.txt":
+            "e716872e27b95ac17ed63f90cd426972f72a5a3fc313945e18b6e0ac74d6e464",
+        "ds_cdf_dv0.5_tilt12.txt":
+            "2d37a17e6435538fcac178b4fae2fae6daea0e99ff06d9b21bd142a175280b8e",
+        "ds_cdf_dv0.5_tilt9.txt":
+            "c11d55ad9fd468429f590c30fd4522c19b01893661df531c9471522e7b8ffb3a",
+        "esa_cdf_dv0.5_tilt12.txt":
+            "95408afaa1669bd776451088c1c94afade42bf0a2175be968e5e756a1dc69da1",
+        "esa_cdf_dv0.5_tilt9.txt":
+            "2e42ff5d6f2ff9a260b18c45b06af0ba689f10d3dedee18379a06f8926196376",
+        "esd_cdf_dv0.5_tilt12.txt":
+            "6470e327b4e42a01aa6f0d1bc50176d9db454d370c719542779231d7c111d635",
+        "esd_cdf_dv0.5_tilt9.txt":
+            "f20dc324aeb7cad0394d37b4f5c3f4eb388480d7df0c34ad46051f7ee7bdde42",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "23d1a3bbdf8e23a9b98810560d1d71a27d70e99028766dec7fac46af8b55ee82",
+        "gf_cdf_dv0.5_tilt9.txt":
+            "81fc0116a73ae30baef3075348915d67da7db4cb68382b8d2b89330676b01e16",
+        "l1_cdf_dv0.5_tilt12.txt":
+            "5201af84e3f3125f538fa9f2221e0168dc6daed5f6f3fa66ceabfe8b488e8eab",
+        "l1_cdf_dv0.5_tilt9.txt":
+            "93f13d1de33f1e1a5d33121317faa461eb589eb83d67dd17064968d652f3aac1",
+        "l2_cdf_dv0.5_tilt12.txt":
+            "b7895e834951615513aa4e77ad27933a44242d08ad15c6523fe6e3c4a53bd022",
+        "l2_cdf_dv0.5_tilt9.txt":
+            "4221e0e3aed585236dc4d4e434f35f33b515b7264e23048990235e3bee186ba9",
+        "report_dv0.5_tilt12.txt":
+            "d9a44fec2720ca766f623ba1c10ce3667204e3c2f1a84555ff31ddf15baaa2ac",
+        "report_dv0.5_tilt9.txt":
+            "379a43cc69236dcf6daf167203eb0f25dacbfd7916e55ff3379f5d98649c2c4e",
+    },
 }
 
 
@@ -192,3 +389,19 @@ GOLDEN = {
 def test_golden_output_hashes(name, tmp_path):
     paths = run_campaign(golden_config(name, tmp_path))
     assert output_hashes(paths) == GOLDEN[name]
+
+
+def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
+    # The wrap-around fold of a UE's offsets to every site serves all of its
+    # links: 21 UEs, one fold each, not one per (UE, cell) link.
+    calls = []
+
+    def counting_fold(delta, basis):
+        calls.append(delta.shape)
+        return fold(delta, basis)
+
+    fold = campaign.fold_to_nearest_image
+    monkeypatch.setattr(campaign, "fold_to_nearest_image", counting_fold)
+    paths = run_campaign(golden_config("p2_doppler_wrap", tmp_path))
+    assert calls == [(7, 2)] * 21
+    assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]

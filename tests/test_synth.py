@@ -1,15 +1,31 @@
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chan3d.antenna import element_pattern_3gpp, uniform_planar_array
-from chan3d.geom import SPEED_OF_LIGHT, AngleVector
-from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, dump_realization, isotropic_end, synthesize
+from chan3d.antenna import (
+    downtilt_weights,
+    element_pattern_3gpp,
+    response_phases,
+    uniform_planar_array,
+)
+from chan3d.geom import SPEED_OF_LIGHT, AngleVector, rotation_z, unit_vectors
+from chan3d.lsp import LargeScaleParams
+from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
+from chan3d.synth import (
+    LinkContext,
+    LinkEnd,
+    _end_fields,
+    _los_term,
+    dump_realization,
+    isotropic_end,
+    synthesize,
+    to_ports,
+)
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -190,11 +206,9 @@ def test_port_output_equals_manual_weight_sum():
     geom = uniform_planar_array(4, 1, 0.5, 0.5, SPEED_OF_LIGHT / 2e9)
     tx = LinkEnd(
         geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0,
-        port_weights=geom.weight_matrix(),
     )
-    ctx = _ctx(clusters, tx=tx)
-    elements = synthesize(ctx, [0.0], output="elements")
-    ports = synthesize(ctx, [0.0], output="ports")
+    elements = synthesize(_ctx(clusters, tx=tx), [0.0])
+    ports = to_ports(elements, geom.weight_matrix())
     assert ports.taps.shape == (1, 2, 1, 1)
     idx, w = geom.ports[0]
     manual = np.einsum("k,nku->nu", w, elements.taps[0][:, idx, :])
@@ -264,3 +278,104 @@ def test_dump_realization_format():
     assert len(fields) == 3 + 2 * 1 * 1
     parsed = complex(float(fields[3]), float(fields[4]))
     assert_allclose(parsed, real.taps[0, 0, 0, 0], rtol=1e-15)
+
+
+def _per_cluster_ray_terms(ctx, cluster):
+    """Static per-ray tap contributions and Doppler rates of one cluster: the
+    per-cluster form that synthesize batches over every (cluster, ray)."""
+    cs = ctx.clusters
+    k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
+    aod, zod = cs.aod[cluster], cs.zod[cluster]
+    aoa, zoa = cs.aoa[cluster], cs.zoa[cluster]
+    g_t = _end_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, S)
+    g_r = _end_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
+    alpha = polarization_matrix(cs.xpr[cluster], cs.phases[cluster], ctx.xpr_offdiag_inverse)
+    bilinear = np.einsum("mpu,mpq,mqs->msu", g_r, alpha, g_t)
+    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(aod, zod))  # (M, S)
+    a_r = response_phases(ctx.rx.positions_m, k0 * unit_vectors(aoa, zoa))  # (M, U)
+    terms = (
+        np.sqrt(cs.ray_powers[cluster])[:, None, None]
+        * bilinear
+        * a_t[:, :, None]
+        * a_r[:, None, :]
+    )
+    omega = (k0 * unit_vectors(aoa, zoa)) @ ctx.velocity_mps
+    return terms, omega
+
+
+def _per_cluster_taps(ctx, times, port_weights=None):
+    """Taps summed cluster by cluster and time by time, as a loop over
+    _per_cluster_ray_terms, with the LOS ray of synthesize and, given port
+    weights, the port step of to_ports."""
+    cs = ctx.clusters
+    times = np.asarray(times, dtype=float)
+    scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
+    diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
+    per_cluster = [_per_cluster_ray_terms(ctx, n) for n in range(cs.n_clusters)]
+    n_tx, n_rx = ctx.tx.n_elements, ctx.rx.n_elements
+    taps = np.zeros((times.size, cs.n_clusters, n_tx, n_rx), dtype=complex)
+    for ti, t in enumerate(times):
+        for n, (terms, omega) in enumerate(per_cluster):
+            taps[ti, n] = diffuse_scale * np.einsum("msu,m->su", terms, np.exp(1j * omega * t))
+    if ctx.rice_k_linear > 0:
+        los_term, los_omega = _los_term(ctx)
+        los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
+        for ti, t in enumerate(times):
+            taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
+    if port_weights is not None:
+        taps = np.einsum("pk,tnku->tnpu", port_weights, taps)
+    return taps
+
+
+def _campaign_like_link(model, los, split):
+    """A cross-polarized, tilted, rotated 4-row column toward a two-element
+    receiver, with clusters drawn as a campaign draws them."""
+    wavelength = SPEED_OF_LIGHT / 2e9
+    geom = uniform_planar_array(4, 1, 0.5, 0.5, wavelength, cross_polarized=True)
+    geom = geom.with_port_weights(downtilt_weights(4, 0.5, math.radians(102.0)))
+    bearing = math.radians(150.0)
+    tx = LinkEnd(
+        geom.element_positions @ rotation_z(bearing).T, geom.slant_rad, element_pattern_3gpp(),
+        bearing,
+    )
+    rx = LinkEnd(
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.07, 0.0]]), np.array([0.0, math.pi / 2]),
+    )
+    dep = AngleVector(2.3, 1.62)
+    arr = AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith)
+    lsps = LargeScaleParams(0.0, 9.0, 3.6e-7, 11.0, 45.0, 2.5, 9.0)
+    clusters = generate_cluster_set(
+        lsps, dep, arr, SspConfig(split_strongest=split), np.random.default_rng(41)
+    )
+    link = LinkContext(
+        tx=tx,
+        rx=rx,
+        clusters=clusters,
+        slow_fading_db=117.0,
+        carrier_hz=2e9,
+        velocity_mps=np.array([0.6, -0.55, 0.0]),
+        rice_k_linear=10.0 ** 0.9 if los else 0.0,
+        los_departure=dep,
+        los_arrival=arr,
+        polarization_model=model,
+    )
+    return link, geom.weight_matrix()
+
+
+@pytest.mark.parametrize(
+    "model, los, n_times, output, split",
+    list(itertools.product(
+        ("slant", "rotated"), (False, True), (1, 3), ("elements", "ports"), (False, True)
+    )),
+)
+def test_batched_rays_equal_per_cluster_loop(model, los, n_times, output, split):
+    # One array pass over every (cluster, ray) must round exactly like the
+    # per-cluster loop, so that campaign output bytes do not move.
+    ctx, weights = _campaign_like_link(model, los, split)
+    if output == "elements":
+        weights = None
+    times = np.arange(n_times) * 1e-3
+    realization = synthesize(ctx, times)
+    if weights is not None:
+        realization = to_ports(realization, weights)
+    assert np.array_equal(realization.taps, _per_cluster_taps(ctx, times, weights))
