@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,9 +299,25 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> l
         _ACTIVE = None
 
 
+@contextmanager
+def _open_atomic(path):
+    """Open a temporary file next to path for writing; it replaces path only
+    when the block completes, and is removed if the block raises."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_cdf(path, values, metric: str, cfg: RunConfig, d_v: float, tilt: float, digest: str):
     v, p = calib.empirical_cdf(values)
-    with open(path, "w") as fh:
+    with _open_atomic(path) as fh:
         fh.write(
             f"# chan3d cdf metric={metric} scenario={cfg.run.scenario} phase={cfg.run.phase}"
             f" seed={cfg.run.master_seed} drop={cfg.run.drop_mode}"
@@ -330,6 +347,8 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     are drawn once, its element taps synthesized once per d_v (once per tilt
     for the tilted itu_port pattern), and each tilt applies its port
     weights. Deterministic for a fixed (config, seed) at any worker count.
+    Each file is written under a temporary name and renamed into place once
+    complete, so an interrupted campaign leaves no half-written output.
     """
     out_dir = cfg.run.output_dir
     try:
@@ -373,6 +392,9 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         else None
     )
     slow = _slow_fading(cfg, sampler, drop, site_xy, wrap)
+    if log:
+        n_links, n_los = slow.los.size, int(np.count_nonzero(slow.los))
+        log(f"slow fading: {n_links} (UE, site) links, {n_los} LOS ({n_los / n_links:.4f})")
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
     digest = config_hash(cfg)
     ctx = _CampaignContext(
@@ -415,7 +437,7 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
                     [getattr(r, attr) for r in reports], short, cfg, d_v, tilt, digest,
                 ))
         report_path = os.path.join(out_dir, f"report_{suffix}.txt")
-        with open(report_path, "w") as fh:
+        with _open_atomic(report_path) as fh:
             calib.write_report(reports, fh)
         written.append(report_path)
     return written

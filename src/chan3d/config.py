@@ -392,6 +392,8 @@ def validate(cfg: RunConfig):
         raise ConfigError("layout.n_rings: must be non-negative")
     if layout.min_dist_2d_m < 0 or layout.min_dist_2d_m >= layout.isd_m / 2:
         raise ConfigError("layout.min_dist_2d_m: must be in [0, isd/2)")
+    if not cfg.pathloss.los_prob_decay_m > 0:
+        raise ConfigError("pathloss.los_prob_decay_m: must be positive")
     ant = cfg.antenna
     if ant.pattern not in ("element", "itu_port"):
         raise ConfigError("antenna.pattern: must be 'element' or 'itu_port'")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .deploy import fold_to_nearest_image
 from .geom import GeometryError
-from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, substream
+from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_uniforms, substream
 
 # Canonical ordering of the seven large-scale parameters.
 LSP_NAMES = ("sf", "k", "ds", "asd", "asa", "esd", "esa")
@@ -204,8 +204,17 @@ class LosProbability:
     d0_m: float = 18.0
     decay_m: float = 63.0
 
-    def at(self, d_2d: float) -> float:
-        return min(1.0, math.exp(-(d_2d - self.d0_m) / self.decay_m))
+    def __post_init__(self):
+        if not self.decay_m > 0:
+            raise ValueError("LOS probability decay distance must be positive")
+
+    def at(self, d_2d):
+        """P(LOS) at 2D distances (a scalar or an array), through the scalar
+        libm exp per element: numpy's array exp differs in the last bit on
+        some distances."""
+        x = -(np.asarray(d_2d, dtype=float) - self.d0_m) / self.decay_m
+        p = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.minimum(1.0, p)
 
 
 class SpatialGaussianField:
@@ -301,10 +310,6 @@ class LspSampler:
         self.n_field_terms = n_field_terms
         self._fields: dict = {}
 
-    def los_state(self, ue_id: int, site_id: int, d_2d: float) -> bool:
-        rng = substream(self.master_seed, STREAM_LOS_STATE, ue_id, site_id)
-        return bool(rng.random() < self.los_model.at(d_2d))
-
     def _field(self, site_id: int, lsp: int) -> SpatialGaussianField:
         key = (site_id, lsp)
         if key not in self._fields:
@@ -347,13 +352,11 @@ class LspSampler:
         d3d = np.hypot(d2d, dz)
         az_dep = np.arctan2(delta[..., 1], delta[..., 0])
         zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
-        los = np.array(
-            [
-                [self.los_state(int(ue), site, d) for site, d in enumerate(row)]
-                for ue, row in zip(ue_ids, d2d.tolist())
-            ],
-            dtype=bool,
-        ).reshape(n_ue, n_site)
+        # The first uniform of substream(seed, STREAM_LOS_STATE, ue, site) per link.
+        u = keyed_uniforms(
+            self.master_seed, STREAM_LOS_STATE, np.asarray(ue_ids)[:, None], np.arange(n_site)
+        )
+        los = u < self.los_model.at(d2d)
         pl = pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
 
         specs = (self.spec_los, self.spec_nlos)

@@ -10,6 +10,15 @@ STREAM_LOS_STATE = 3
 STREAM_SSP = 4
 STREAM_FIELD = 5
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves.
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Derive an independent generator from the master seed and an integer key path.
@@ -23,3 +32,110 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
     )
+
+
+def _seed_words(master_seed: int) -> list:
+    """The seed's 32-bit words, least significant first, as SeedSequence splits it."""
+    words = [master_seed & _MASK32]
+    master_seed >>= 32
+    while master_seed:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's 32-bit word hash; its multiplier advances at every call,
+    the same for every element."""
+    const = init
+
+    def hash_word(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    return hash_word
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products of uint64 arrays, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + increment mod 2**128."""
+    m_hi, m_lo = np.uint64(_PCG_MULT[0]), np.uint64(_PCG_MULT[1])
+    return _add128(_mulhi(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+
+
+def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
+    """substream(master_seed, *k).random() for every key k of broadcast integer arrays.
+
+    The key components broadcast against each other; element i of the result
+    is the first uniform of the generator keyed by the i-th components, bit
+    for bit. Instead of one SeedSequence and PCG64 per key it runs their
+    arithmetic over the whole array: the entropy pool mix and the state
+    generation in 32-bit words, then PCG64's seeding, one step and its
+    XSL-RR output in 128-bit halves. Each component must lie in
+    [0, 2**32), so that it is one entropy word, as the seed's words are
+    for every element.
+    """
+    if master_seed < 0:
+        raise ValueError("master seed must be non-negative")
+    comps = np.broadcast_arrays(*(np.asarray(k) for k in key))
+    shape = comps[0].shape if comps else ()
+    entropy = []
+    for comp in comps:
+        if comp.dtype.kind not in "iu":
+            raise ValueError("key components must be integers")
+        if comp.size and (comp.min() < 0 or comp.max() > _MASK32):
+            raise ValueError("key components must lie in [0, 2**32)")
+        entropy.append(comp.ravel().astype(np.uint64))
+    n = int(np.prod(shape))
+    entropy = [np.full(n, w, np.uint64) for w in _seed_words(int(master_seed))] + entropy
+
+    # SeedSequence's mix_entropy into a pool of four words.
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n, np.uint64)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, uint64): eight 32-bit words cycled from the pool,
+    # paired little-endian into (seed high, seed low, seq high, seq low).
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    words = [hash_state(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2]))
+
+    # PCG64 seeding: state 0, increment 2*seq + 1, step (which leaves the
+    # increment), add the seed, step; random() steps once more and outputs
+    # the new state.
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> 58
+    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    return ((out >> 11).astype(float) * 2.0**-53).reshape(shape)

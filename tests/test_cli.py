@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,43 @@ def test_campaign_phase1_workers_logged_in_process(tmp_path):
     cfg.run.workers = 2
     _, lines = _run_logged(cfg)
     assert sum("phase 1 runs vectorized in one process" in line for line in lines) == 1
+
+
+def test_campaign_logs_los_links_once(tmp_path):
+    # 4 UEs per cell, 3 cells, one site: 12 (UE, site) links.
+    _, lines = _run_logged(_tiny_cfg(tmp_path))
+    found = [re.fullmatch(r"slow fading: 12 \(UE, site\) links, (\d+) LOS \((\S+)\)", line)
+             for line in lines]
+    found = [m for m in found if m]
+    assert len(found) == 1
+    n_los, frac = int(found[0].group(1)), float(found[0].group(2))
+    assert 0 <= n_los <= 12 and frac == round(n_los / 12, 4)
+
+
+def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    import chan3d.campaign as campaign
+
+    def broken(reports, fh):
+        fh.write("ue_id site")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(campaign.calib, "write_report", broken)
+    cfg = _tiny_cfg(tmp_path)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_campaign(cfg)
+    names = os.listdir(cfg.run.output_dir)
+    assert names  # the CDFs written before the report are complete
+    assert not [n for n in names if n.startswith("report") or n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("decay", ["0", "-63"])
+def test_nonpositive_los_decay_rejected(tmp_path, decay):
+    text = f"[run]\nmaster_seed = 1\n\n[pathloss]\nlos_prob_decay_m = {decay}\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match="pathloss.los_prob_decay_m"):
+        parse_config(path)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_campaign_2d_vs_3d_same_xy(tmp_path):

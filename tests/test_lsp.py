@@ -241,15 +241,34 @@ def test_los_probability_shape():
     assert 0.0 < model.at(200.0) < model.at(100.0) < 1.0
 
 
+def test_los_probability_broadcasts_like_scalar_exp():
+    model = LosProbability()
+    d = np.random.default_rng(3).uniform(0.0, 1500.0, (40, 19))
+    expected = [[min(1.0, math.exp(-(v - 18.0) / 63.0)) for v in row] for row in d.tolist()]
+    assert np.array_equal(model.at(d), expected)
+
+
+@pytest.mark.parametrize("decay", [0.0, -63.0])
+def test_los_probability_rejects_nonpositive_decay(decay):
+    with pytest.raises(ValueError, match="decay"):
+        LosProbability(decay_m=decay)
+
+
 def test_los_state_deterministic_and_distance_dependent():
     spec = _simple_spec()
-    sampler = LspSampler(spec, spec, master_seed=9)
-    assert sampler.los_state(1, 2, 10.0) is True  # inside the certain-LOS radius
-    states = [sampler.los_state(u, 0, 150.0) for u in range(2000)]
-    frac = np.mean(states)
+    # UE 0 sits inside the certain-LOS radius of the one site; 2000 UEs at 150 m.
+    ue_xy = [(10.0, 0.0)] + [(150.0, 0.0)] * 2000
+
+    def los():
+        sampler = LspSampler(spec, spec, master_seed=9)
+        return _slow_fading(sampler, range(len(ue_xy)), ue_xy, [(0.0, 0.0)], all_lsps=False).los
+
+    states = los()
+    assert states[0, 0]
+    frac = np.mean(states[1:, 0])
     expected = math.exp(-(150.0 - 18.0) / 63.0)
     assert abs(frac - expected) < 0.04
-    assert sampler.los_state(5, 3, 150.0) == sampler.los_state(5, 3, 150.0)
+    assert np.array_equal(states, los())
 
 
 # ------------------------------------------------------------ spatial field

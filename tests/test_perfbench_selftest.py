@@ -1,8 +1,10 @@
 """The benchmark harness's self-test, run with the test suite.
 
 It fails when a change to chan3d breaks the harness: the tracer's walk of
-the layer modules, or its observers of ``LspSampler.los_state``,
-``generate_cluster_set`` and ``synthesize``.
+the layer modules, or its observers of ``generate_cluster_set`` and
+``synthesize``. The harness's ``LspSampler.los_state`` observer has nothing
+left to observe: ``LspSampler.slow_fading`` draws every LOS state of a
+block in one array pass, so the benchmark's ``lsp.los_*`` counters read 0.
 """
 import subprocess
 import sys

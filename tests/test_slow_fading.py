@@ -14,7 +14,7 @@ import pytest
 from chan3d.config import build_los_model, build_lsp_spec, build_pathloss, default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
 from chan3d.lsp import LSP_NAMES, LspSampler, SlowFading
-from chan3d.rng import STREAM_DROP, STREAM_LSP, substream
+from chan3d.rng import STREAM_DROP, STREAM_LOS_STATE, STREAM_LSP, substream
 
 H_BS = 25.0
 CARRIER_HZ = 2e9
@@ -70,8 +70,10 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
     los = np.empty(site_xy.shape[0], dtype=bool)
     pl = np.empty(site_xy.shape[0])
     lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
+    model = sampler.los_model
     for s in range(site_xy.shape[0]):
-        los[s] = sampler.los_state(ue_index, s, float(d2d[s]))
+        p_los = min(1.0, math.exp(-(float(d2d[s]) - model.d0_m) / model.decay_m))
+        los[s] = substream(sampler.master_seed, STREAM_LOS_STATE, ue_index, s).random() < p_los
         pl[s] = _pathloss(pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), CARRIER_HZ)
         lsps[s] = _lsps(sampler, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
     return d2d, az_dep, zen_dep, los, pl, lsps
