@@ -74,6 +74,19 @@ def _p2_xpol_rotated(cfg):
     cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
 
 
+def _p2_ssp_options(cfg):
+    # Small-scale options no other case sets: elevation mean offsets at both
+    # ends, the inverse XPR off-diagonal and a custom symmetric ray basis.
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.antenna.downtilt_sweep_deg = (9.0,)
+    cfg.ssp.elevation_offset_dep_deg = 2.5
+    cfg.ssp.elevation_offset_arr_deg = -4.0
+    cfg.ssp.xpr_offdiag = "sqrt_inv_kappa"
+    cfg.ssp.n_rays = 6
+    cfg.ssp.ray_offsets = (0.3, -0.3, 0.9, -0.9, 1.7, -1.7)
+
+
 CASES = {
     "p1_3d_element": (21, _p1_3d_element),
     "p1_legacy2d_wrap_itu": (22, _p1_legacy2d_wrap_itu),
@@ -83,6 +96,7 @@ CASES = {
     "p2_dv_tilt_sweep": (26, _p2_dv_tilt_sweep),
     "p2_itu_port": (27, _p2_itu_port),
     "p2_xpol_rotated": (28, _p2_xpol_rotated),
+    "p2_ssp_options": (29, _p2_ssp_options),
 }
 
 
@@ -381,6 +395,28 @@ GOLDEN = {
             "d9a44fec2720ca766f623ba1c10ce3667204e3c2f1a84555ff31ddf15baaa2ac",
         "report_dv0.5_tilt9.txt":
             "379a43cc69236dcf6daf167203eb0f25dacbfd7916e55ff3379f5d98649c2c4e",
+    },
+    "p2_ssp_options": {
+        "asa_cdf_dv0.5_tilt9.txt":
+            "063892b1608590725e928573fc7153b67c364a4ef8f0365a66c07479cc7cca8f",
+        "asd_cdf_dv0.5_tilt9.txt":
+            "c660b9e889e4330fbe20f1691a718962801666d3094f96e2c8322b9b2c18be0c",
+        "cl_cdf_dv0.5_tilt9.txt":
+            "8ad0178a573532035ecc582a74bc49871a42c9292b66f938545f697f5c5b0c85",
+        "ds_cdf_dv0.5_tilt9.txt":
+            "3554244aa672d87d0d761b9193a0a8e3fc64746740fdd9b996a8960ae14bda2e",
+        "esa_cdf_dv0.5_tilt9.txt":
+            "cc4ca2b8726f1690ffd00a10d561ee11bbacde1850ed58c70058e2e2c8c4ebff",
+        "esd_cdf_dv0.5_tilt9.txt":
+            "8e6f88eccc2cc41cb4da543c713dc457c15c9c64ee2ca8428d976ac7f6a6b172",
+        "gf_cdf_dv0.5_tilt9.txt":
+            "bb94bedbc98475e13d8e3e05003d5f690c1dc0bc446900f5ec15174c31edbb84",
+        "l1_cdf_dv0.5_tilt9.txt":
+            "83238ba205b46a6a6a744bb9e02abd699eea80c43e494960cafc2d0b0daba137",
+        "l2_cdf_dv0.5_tilt9.txt":
+            "94ed771fa9ee90818f9b27c3c3969a6d9fea3d37a5988d31f08b32906c96bdab",
+        "report_dv0.5_tilt9.txt":
+            "acbc30d53c8cdcc467a3827d60ef9b16fdf59a6d7bf8ba3a9dee3f00caecd93c",
     },
 }
 
