@@ -43,12 +43,11 @@ from .ssp import (
     ClusterSet,
     SspConfig,
     SubpathOffsets,
-    draw_polarization,
+    cluster_angles,
+    cluster_delays,
+    cluster_powers,
     expand_subpaths,
-    generate_cluster_angles,
-    generate_cluster_powers,
     generate_cluster_set,
-    generate_delays,
 )
 from .synth import (
     ChannelRealization,

@@ -85,9 +85,6 @@ class _CampaignContext:
     tx_setups: list | None = None
 
 
-_ACTIVE: _CampaignContext | None = None
-
-
 def _effective_deltas(ctx: _CampaignContext, ue_xy: np.ndarray) -> np.ndarray:
     """UE minus site 2D offsets, folded to the closest wrap-around image if enabled."""
     delta = ue_xy - ctx.site_xy
@@ -198,54 +195,55 @@ def _phase1_reports(ctx: _CampaignContext, point: _SweepPoint) -> list:
     return reports
 
 
-def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d: np.ndarray) -> dict:
-    """LinkContext fields of one (UE, cell) link, all but the TX end; draws its clusters."""
-    cfg = ctx.cfg
+def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, lsps) -> dict:
+    """LinkContext fields of one (UE, cell) link, all but its TX end and clusters."""
     slow = ctx.slow
     site = int(ctx.cell_site[cell])
     offset = np.array([delta2d[0], delta2d[1], ctx.drop.xyz[ue_index, 2] - ctx.site_z])
-    # Per-link math.atan2/acos, not SlowFading's np.arctan2/arccos angles,
-    # which differ in the last bit on some links and would change the bytes.
+    # Per-link Python scalars (math.atan2/acos here, the Rice factor below):
+    # their array forms round some links differently in the last bit.
     dep = AngleVector(
         math.atan2(offset[1], offset[0]),
         math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))),
     )
-    arr = AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith)
-    lsps = slow.link_lsps(ue_index, site)
-    rng = substream(cfg.run.master_seed, STREAM_SSP, ue_index, site, cell - 3 * site)
     return dict(
         rx=LinkEnd(np.zeros((1, 3)), np.zeros(1)),
-        clusters=generate_cluster_set(lsps, dep, arr, ctx.ssp_cfg, rng),
         slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
-        carrier_hz=cfg.run.carrier_hz,
+        carrier_hz=ctx.cfg.run.carrier_hz,
         velocity_mps=ctx.drop.velocity[ue_index],
         rice_k_linear=10.0 ** (lsps.k_factor_db / 10.0) if slow.los[ue_index, site] else 0.0,
         los_departure=dep,
-        los_arrival=arr,
+        los_arrival=AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith),
         xpr_offdiag_inverse=ctx.ssp_cfg.xpr_offdiag_inverse,
-        polarization_model=cfg.antenna.polarization_model,
+        polarization_model=ctx.cfg.antenna.polarization_model,
     )
 
 
-def _phase2_records(ue_index: int) -> list:
+def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     """One UE's reports at every sweep point, in sweep order.
 
-    Each link's clusters are drawn once, its element taps synthesized once
-    per TX setup, and each sweep point of the setup applies its port weights.
+    The clusters of all the UE's links are drawn in one batch, each from its
+    own (UE, site, cell) stream. Each link's element taps are then
+    synthesized once per TX setup, and each sweep point of the setup applies
+    its port weights.
     """
-    ctx = _ACTIVE
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
-    n_cells = ctx.cell_site.size
-    rsrp = np.empty((len(ctx.points), n_cells))
-    realizations = [[None] * n_cells for _ in ctx.points]
-    clusters = []
+    sites = ctx.cell_site.tolist()
+    rsrp = np.empty((len(ctx.points), len(sites)))
+    realizations = [[None] * len(sites) for _ in ctx.points]
     deltas = _effective_deltas(ctx, ctx.drop.xyz[ue_index, :2])
-    for cell in range(n_cells):
-        fields = _link_fields(ctx, ue_index, cell, deltas[ctx.cell_site[cell]])
-        clusters.append(fields["clusters"])
+    seed = ctx.cfg.run.master_seed
+    lsps = [ctx.slow.link_lsps(ue_index, s) for s in sites]
+    links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c]) for c, s in enumerate(sites)]
+    rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
+    departures, arrivals = ([f[k] for f in links] for k in ("los_departure", "los_arrival"))
+    batch = generate_cluster_set(lsps, departures, arrivals, ctx.ssp_cfg, rngs)
+    for cell, fields in enumerate(links):
+        clusters = batch.link(cell)
         for setup in ctx.tx_setups:
-            elements = synthesize(LinkContext(tx=setup.ends[cell], **fields), ctx.times)
+            link = LinkContext(tx=setup.ends[cell], clusters=clusters, **fields)
+            elements = synthesize(link, ctx.times)
             for k, weights in setup.points:
                 realization = elements if weights is None else to_ports(elements, weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, realization) + ue_gain
@@ -254,11 +252,11 @@ def _phase2_records(ue_index: int) -> list:
     reports = []
     for k in range(len(ctx.points)):
         serving = calib.attach(rsrp[k])
-        cs = clusters[serving]
+        cs = batch.link(serving)
         l1, l2 = calib.top_eigenvalues(realizations[k][serving])
         reports.append(calib.DropReport(
             ue_id=ue_index,
-            site=int(ctx.cell_site[serving]),
+            site=sites[serving],
             cell=serving,
             cl_db=calib.coupling_gain_db(float(rsrp[k, serving]), p_tx),
             gf_db=calib.geometry_factor_db(rsrp[k], serving),
@@ -273,30 +271,41 @@ def _phase2_records(ue_index: int) -> list:
     return reports
 
 
+# The campaign context of a pool worker process, set once by _init_worker.
+_WORKER_CTX: _CampaignContext | None = None
+
+
+def _init_worker(ctx: _CampaignContext):
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
+
+
+def _worker_records(ue_index: int) -> list:
+    return _phase2_records(_WORKER_CTX, ue_index)
+
+
 def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> list:
-    """Every UE's list of phase-2 reports (one per sweep point), over a forked
+    """Every UE's list of phase-2 reports (one per sweep point), over a
     process pool when workers > 1.
 
-    Forked workers inherit the context, slow fading and TX setups included.
+    The pool's initializer hands each worker the context. Workers are forked
+    where the platform allows it, else spawned, which pickles the context
+    once per worker.
     """
-    global _ACTIVE
-    _ACTIVE = ctx
+    if workers <= 1:
+        return [_phase2_records(ctx, i) for i in range(n_ues)]
     try:
-        if workers > 1:
-            try:
-                mp_ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                if log:
-                    log(f"fork start method unavailable: running {n_ues} UEs in one process")
-            else:
-                if log:
-                    log(f"{n_ues} UEs over {workers} forked worker processes")
-                chunk = max(1, n_ues // (workers * 4))
-                with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-                    return list(pool.map(_phase2_records, range(n_ues), chunksize=chunk))
-        return [_phase2_records(i) for i in range(n_ues)]
-    finally:
-        _ACTIVE = None
+        mp_ctx, started = multiprocessing.get_context("fork"), "forked"
+    except ValueError:
+        mp_ctx, started = multiprocessing.get_context("spawn"), "spawned"
+    if log:
+        note = "fork start method unavailable: " if started == "spawned" else ""
+        log(f"{note}{n_ues} UEs over {workers} {started} worker processes")
+    chunk = max(1, n_ues // (workers * 4))
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=mp_ctx, initializer=_init_worker, initargs=(ctx,)
+    ) as pool:
+        return list(pool.map(_worker_records, range(n_ues), chunksize=chunk))
 
 
 @contextmanager
@@ -343,10 +352,13 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     then gets one CDF file per metric plus a per-UE report. Phase 1 computes
     a sweep point's TX gains, attachment, coupling gain and geometry factor
     vectorized in this process. Phase 2 computes all sweep points of one UE
-    at a time, spread over `workers` forked processes: each link's clusters
-    are drawn once, its element taps synthesized once per d_v (once per tilt
-    for the tilted itu_port pattern), and each tilt applies its port
-    weights. Deterministic for a fixed (config, seed) at any worker count.
+    at a time, spread over `workers` pool processes (forked, else spawned).
+    A per-link loop makes the draws of the UE's links from their own
+    streams, then one array pass computes all their clusters. Synthesis
+    stays per link, which keeps peak memory to one link's ray terms: each
+    link's element taps are synthesized once per d_v (once per tilt for the
+    tilted itu_port pattern), and each tilt applies its port weights.
+    Deterministic for a fixed (config, seed) at any worker count.
     Each file is written under a temporary name and renamed into place once
     complete, so an interrupted campaign leaves no half-written output.
     """

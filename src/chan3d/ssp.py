@@ -1,8 +1,9 @@
 """Small-scale parameters: cluster delays, powers, angles, ray offsets, phases, XPR."""
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,97 +46,76 @@ class SubpathOffsets:
             raise ValueError("ray offsets must be symmetric about zero")
 
 
-def generate_delays(
-    ds: float, n_clusters: int, r_tau: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Exponential cluster delays, sorted and shifted so the first is zero."""
-    if ds <= 0:
+def cluster_delays(uniforms, ds, r_tau: float) -> np.ndarray:
+    """Exponential cluster delays from (link, cluster) uniforms and each link's
+    delay spread, sorted per link and shifted so each first delay is zero."""
+    ds = np.asarray(ds, dtype=float)
+    if np.any(ds <= 0):
         raise ValueError("delay spread must be positive")
-    if n_clusters < 1:
-        raise ValueError("need at least one cluster")
-    raw = -r_tau * ds * np.log(rng.random(n_clusters))
-    raw.sort()
-    return raw - raw[0]
+    raw = np.sort((-r_tau * ds)[..., None] * np.log(uniforms), axis=-1)
+    return raw - raw[..., :1]
 
 
-def generate_cluster_powers(
-    delays: np.ndarray,
-    ds: float,
-    r_tau: float,
-    shadow_sigma_db: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-cluster powers, exponential in delay with log-normal shadowing, sum 1."""
-    delays = np.asarray(delays, dtype=float)
-    shadow = rng.normal(0.0, shadow_sigma_db, delays.shape)
-    powers = np.exp(-delays * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-shadow / 10.0)
-    return powers / powers.sum()
+def cluster_powers(delays, shadow_db, ds, r_tau: float) -> np.ndarray:
+    """Per-cluster powers, exponential in delay with log-normal shadowing
+    (shadow_db per cluster); each link's powers sum to 1."""
+    scale = (r_tau * np.asarray(ds, dtype=float))[..., None]
+    powers = np.exp(-delays * (r_tau - 1.0) / scale) * 10.0 ** (-shadow_db / 10.0)
+    return powers / powers.sum(axis=-1, keepdims=True)
 
 
-def circular_mean(angles: np.ndarray, powers: np.ndarray) -> float:
-    """Power-weighted circular mean angle in radians."""
+def circular_mean(angles, powers):
+    """Power-weighted circular mean angle in radians over the last axis; a
+    float for 1-D input, one mean per row otherwise."""
     p = np.asarray(powers, dtype=float)
-    return float(np.arctan2((p * np.sin(angles)).sum(), (p * np.cos(angles)).sum()))
+    mean = np.arctan2((p * np.sin(angles)).sum(axis=-1), (p * np.cos(angles)).sum(axis=-1))
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
-def _rescale_to_spread(
-    angles: np.ndarray, powers: np.ndarray, target_rad: float, passes: int = 6
-) -> np.ndarray:
-    """Scale deviations about the circular mean so the RMS spread hits the target.
+def _rescale_to_spread(angles, powers, target_rad, passes: int = 6) -> np.ndarray:
+    """Scale each row's deviations about its circular mean so its RMS spread
+    hits the row's target.
 
     The fixed-point iteration converges to float precision for targets up to
     ~75 degrees; beyond the circular-spread ceiling no exact match exists.
-    Degenerate inputs (zero current spread) are returned unchanged; a zero
-    target collapses every angle onto the mean.
+    Rows run as masked passes: a row whose current spread is zero stops
+    there, unchanged, or collapsed onto its mean when its target is zero.
     """
-    p = np.asarray(powers, dtype=float) / np.asarray(powers, dtype=float).sum()
-    out = np.asarray(angles, dtype=float).copy()
+    p = powers / powers.sum(axis=-1, keepdims=True)
+    out = np.array(angles, dtype=float)
+    target = np.asarray(target_rad, dtype=float)
+    live = np.ones(out.shape[:-1], dtype=bool)
     for _ in range(passes):
         mean = circular_mean(out, p)
-        dev = np.asarray(wrap_azimuth(out - mean))
-        current = math.sqrt(float((p * dev**2).sum()))
-        if current < 1e-15:
-            return np.full_like(out, mean) if target_rad < 1e-15 else out
-        out = mean + dev * (target_rad / current)
+        dev = wrap_azimuth(out - mean[..., None])
+        current = np.sqrt((p * dev**2).sum(axis=-1))
+        flat = live & (current < 1e-15)
+        collapse = flat & (target < 1e-15)
+        out[collapse] = mean[collapse, None]
+        live &= ~flat
+        gain = np.divide(target, current, out=np.zeros_like(current), where=live)
+        out = np.where(live[..., None], mean[..., None] + dev * gain[..., None], out)
     return out
 
 
-def generate_cluster_angles(
-    azimuth_spread_deg: float,
-    zenith_spread_deg: float,
-    powers: np.ndarray,
-    los_angle: AngleVector,
-    rng: np.random.Generator,
-    elevation_mean_offset_deg: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster azimuth and zenith angles around the LOS direction.
+def cluster_angles(powers, spread_rad, signs, perturb, mean_rad, zenith: bool = False):
+    """Per-cluster azimuths (or zeniths) of each link around its mean direction.
 
     Stronger clusters land closer to the mean (deviations shaped by the
-    cluster powers), each with a random sign and a small perturbation; the
-    deviations are then rescaled so the power-weighted circular RMS spread
-    matches the requested value. Zenith means are shifted by the constant
-    elevation offset and results reflected into [0, pi].
+    cluster powers), each with a random sign (+-1) and a perturbation; the
+    deviations are then rescaled so each link's power-weighted circular RMS
+    spread matches spread_rad. Azimuths are wrapped, zeniths reflected into
+    [0, pi]. powers, signs and perturb are (link, cluster); spread_rad and
+    mean_rad are per link.
     """
-    if azimuth_spread_deg <= 0 or zenith_spread_deg <= 0:
+    spread_rad = np.asarray(spread_rad, dtype=float)
+    if np.any(spread_rad <= 0):
         raise ValueError("angular spreads must be positive")
-    p = np.asarray(powers, dtype=float)
-    rel = np.clip(p / p.max(), 1e-30, 1.0)
-    az_spread = math.radians(azimuth_spread_deg)
-    zen_spread = math.radians(zenith_spread_deg)
-
-    az_shape = np.sqrt(-np.log(rel)) * az_spread
-    sign = rng.integers(0, 2, p.size) * 2 - 1
-    perturb = rng.normal(0.0, az_spread / 7.0, p.size)
-    azimuth = los_angle.azimuth + sign * az_shape + perturb
-    azimuth = np.asarray(wrap_azimuth(_rescale_to_spread(azimuth, p, az_spread)))
-
-    zen_shape = -np.log(rel) * zen_spread
-    sign = rng.integers(0, 2, p.size) * 2 - 1
-    perturb = rng.normal(0.0, zen_spread / 7.0, p.size)
-    mean_zen = los_angle.zenith + math.radians(elevation_mean_offset_deg)
-    zenith = mean_zen + sign * zen_shape + perturb
-    zenith = reflect_zenith(_rescale_to_spread(zenith, p, zen_spread))
-    return azimuth, zenith
+    depth = -np.log(np.clip(powers / powers.max(axis=-1, keepdims=True), 1e-30, 1.0))
+    shape = (depth if zenith else np.sqrt(depth)) * spread_rad[..., None]
+    angles = np.asarray(mean_rad, dtype=float)[..., None] + signs * shape + perturb
+    angles = _rescale_to_spread(angles, powers, spread_rad)
+    return reflect_zenith(angles) if zenith else wrap_azimuth(angles)
 
 
 def reflect_zenith(zenith):
@@ -144,28 +124,18 @@ def reflect_zenith(zenith):
     return np.where(z > math.pi, 2.0 * math.pi - z, z)
 
 
-@dataclass
-class ClusterAngles:
-    """Per-cluster departure/arrival angle sets (radians)."""
-
-    aod: np.ndarray
-    zod: np.ndarray
-    aoa: np.ndarray
-    zoa: np.ndarray
-
-
-def expand_subpaths(cluster_angles: ClusterAngles, offsets: SubpathOffsets):
+def expand_subpaths(angles, offsets: SubpathOffsets):
     """Per-ray angles: each kind offset by its own scaled copy of the ray basis.
 
-    Returns four (n_clusters, n_rays) arrays (aod, zod, aoa, zoa); azimuths
-    wrapped, zeniths reflected into [0, pi].
+    Takes the (aod, zod, aoa, zoa) cluster angles, arrays (..., n_clusters),
+    and returns them as (..., n_clusters, n_rays); azimuths wrapped, zeniths
+    reflected into [0, pi].
     """
-    a = offsets.alpha[np.newaxis, :]
-    aod = np.asarray(wrap_azimuth(cluster_angles.aod[:, None] + math.radians(offsets.c_aod_deg) * a))
-    aoa = np.asarray(wrap_azimuth(cluster_angles.aoa[:, None] + math.radians(offsets.c_aoa_deg) * a))
-    zod = reflect_zenith(cluster_angles.zod[:, None] + math.radians(offsets.c_zod_deg) * a)
-    zoa = reflect_zenith(cluster_angles.zoa[:, None] + math.radians(offsets.c_zoa_deg) * a)
-    return aod, zod, aoa, zoa
+    scalers = (offsets.c_aod_deg, offsets.c_zod_deg, offsets.c_aoa_deg, offsets.c_zoa_deg)
+    aod, zod, aoa, zoa = (
+        a[..., None] + math.radians(c) * offsets.alpha for a, c in zip(angles, scalers)
+    )
+    return wrap_azimuth(aod), reflect_zenith(zod), wrap_azimuth(aoa), reflect_zenith(zoa)
 
 
 def polarization_matrix(kappa, phases, offdiag_inverse: bool = False) -> np.ndarray:
@@ -187,25 +157,14 @@ def polarization_matrix(kappa, phases, offdiag_inverse: bool = False) -> np.ndar
     return mat
 
 
-def draw_polarization(
-    rng: np.random.Generator,
-    xpr_mu_db: float,
-    xpr_sigma_db: float,
-    shape=(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-normal XPR (linear) and four i.i.d. uniform phases per ray."""
-    kappa = 10.0 ** (rng.normal(xpr_mu_db, xpr_sigma_db, shape) / 10.0)
-    phases = rng.uniform(0.0, 2.0 * math.pi, tuple(np.atleast_1d(shape)) + (4,))
-    return kappa, phases
-
-
 @dataclass
 class ClusterSet:
-    """Realized small-scale parameters of one link.
+    """Realized small-scale parameters of one link, or of a batch of links.
 
-    Arrays are (n_clusters,) or (n_clusters, n_rays); phases carry a trailing
-    (VV, VH, HV, HH) axis. LOS co-polar phases are kept for the deterministic
-    ray of Rice-weighted synthesis.
+    Arrays are (n_clusters,) or (n_clusters, n_rays), behind a leading link
+    axis for a batch; phases carry a trailing (VV, VH, HV, HH) axis. LOS
+    co-polar phases (one per link) are kept for the deterministic ray of
+    Rice-weighted synthesis.
     """
 
     delays_s: np.ndarray
@@ -217,27 +176,34 @@ class ClusterSet:
     zoa: np.ndarray
     phases: np.ndarray
     xpr: np.ndarray
-    los_phase_vv: float = 0.0
-    los_phase_hh: float = 0.0
+    los_phase_vv: float | np.ndarray = 0.0
+    los_phase_hh: float | np.ndarray = 0.0
 
     def __post_init__(self):
         self.delays_s = np.asarray(self.delays_s, dtype=float)
-        if self.delays_s[0] != 0.0 or np.any(np.diff(self.delays_s) < 0):
+        if np.any(self.delays_s[..., 0] != 0.0) or np.any(np.diff(self.delays_s) < 0):
             raise ValueError("delays must be non-decreasing with first delay 0")
-        if abs(float(np.sum(self.ray_powers)) - 1.0) > 1e-9:
+        if np.any(np.abs(np.sum(self.ray_powers, axis=(-2, -1)) - 1.0) > 1e-9):
             raise ValueError("ray powers must sum to 1")
         if np.any(self.xpr <= 0):
             raise ValueError("XPR must be positive")
         if np.any(self.phases < 0) or np.any(self.phases >= 2.0 * math.pi):
             raise ValueError("phases must lie in [0, 2pi)")
 
+    def link(self, i: int) -> "ClusterSet":
+        """Link i of a batch, as views; the checks the batch passed are not rerun."""
+        one = copy.copy(self)
+        for f in fields(self):
+            setattr(one, f.name, getattr(self, f.name)[i])
+        return one
+
     @property
     def n_clusters(self) -> int:
-        return self.delays_s.size
+        return self.delays_s.shape[-1]
 
     @property
     def n_rays(self) -> int:
-        return self.ray_powers.shape[1]
+        return self.ray_powers.shape[-1]
 
 
 @dataclass
@@ -257,96 +223,109 @@ class SspConfig:
     split_strongest: bool = False
 
     def __post_init__(self):
+        if self.n_clusters < 1:
+            raise ValueError("need at least one cluster")
         if self.n_rays != self.offsets.alpha.size:
             raise ValueError("ray count must match the offset table length")
 
 
-def generate_cluster_set(
-    lsps,
-    los_departure: AngleVector,
-    los_arrival: AngleVector,
-    cfg: SspConfig,
-    rng: np.random.Generator,
-) -> ClusterSet:
-    """Full small-scale draw for one link, following the generation pipeline:
-    delays, powers, cluster angles, ray expansion, polarization."""
-    delays = generate_delays(lsps.ds_s, cfg.n_clusters, cfg.r_tau, rng)
-    powers = generate_cluster_powers(delays, lsps.ds_s, cfg.r_tau, cfg.cluster_shadow_db, rng)
-    aod, zod = generate_cluster_angles(
-        lsps.asd_deg, lsps.esd_deg, powers, los_departure, rng, cfg.elevation_offset_dep_deg
-    )
-    aoa, zoa = generate_cluster_angles(
-        lsps.asa_deg, lsps.esa_deg, powers, los_arrival, rng, cfg.elevation_offset_arr_deg
-    )
-    ray_aod, ray_zod, ray_aoa, ray_zoa = expand_subpaths(
-        ClusterAngles(aod, zod, aoa, zoa), cfg.offsets
-    )
-    kappa, phases = draw_polarization(
-        rng, cfg.xpr_mu_db, cfg.xpr_sigma_db, (cfg.n_clusters, cfg.n_rays)
-    )
-    los_phases = rng.uniform(0.0, 2.0 * math.pi, 2)
+def _link_draws(rngs, spreads, cfg: SspConfig) -> list:
+    """Each link's draws from its own generator, in the one-link order,
+    stacked over links: delay uniforms, cluster shadowing, a (sign,
+    perturbation) pair per angle kind, XPR in dB, ray phases, LOS phases."""
+    n, m, two_pi = cfg.n_clusters, cfg.n_rays, 2.0 * math.pi
+    draws = []
+    for g, link_spreads in zip(rngs, spreads.tolist()):
+        link = [g.random(n), g.normal(0.0, cfg.cluster_shadow_db, n)]
+        for s in link_spreads:
+            link += [g.integers(0, 2, n) * 2 - 1, g.normal(0.0, s / 7.0, n)]
+        link += [g.normal(cfg.xpr_mu_db, cfg.xpr_sigma_db, (n, m))]
+        draws.append(link + [g.uniform(0.0, two_pi, (n, m, 4)), g.uniform(0.0, two_pi, 2)])
+    return [np.array(column) for column in zip(*draws)]
+
+
+def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) -> ClusterSet:
+    """Full small-scale draw, following the generation pipeline: delays,
+    powers, cluster angles, ray expansion, polarization.
+
+    One link takes its LargeScaleParams, LOS AngleVectors and Generator. A
+    batch takes a sequence of each, one per link, and returns a ClusterSet
+    whose arrays have a leading link axis. A short loop first makes each
+    link's draws from its own generator, in the one-link order; one array
+    pass over (link, cluster[, ray]) then does the math, rounding as the
+    one-link pass does.
+    """
+    if isinstance(rng, np.random.Generator):
+        return generate_cluster_set([lsps], [los_departure], [los_arrival], cfg, [rng]).link(0)
+    ds = np.array([p.ds_s for p in lsps], dtype=float)
+    # Departure azimuth/zenith, then arrival: the order of the angle draws.
+    spreads = np.radians([[p.asd_deg, p.esd_deg, p.asa_deg, p.esa_deg] for p in lsps])
+    u, shadow, *signed, xpr_db, phases, los_phases = _link_draws(rng, spreads, cfg)
+
+    delays = cluster_delays(u, ds, cfg.r_tau)
+    powers = cluster_powers(delays, shadow, ds, cfg.r_tau)
+    dep = np.array([(a.azimuth, a.zenith) for a in los_departure])
+    arr = np.array([(a.azimuth, a.zenith) for a in los_arrival])
+    dep[:, 1] += math.radians(cfg.elevation_offset_dep_deg)
+    arr[:, 1] += math.radians(cfg.elevation_offset_arr_deg)
+    means = (dep[:, 0], dep[:, 1], arr[:, 0], arr[:, 1])
+    angles = [
+        cluster_angles(powers, spreads[:, k], *signed[2 * k:2 * k + 2], means[k], k % 2 == 1)
+        for k in range(4)
+    ]
+    aod, zod, aoa, zoa = expand_subpaths(angles, cfg.offsets)
     clusters = ClusterSet(
         delays_s=delays,
         cluster_powers=powers,
-        ray_powers=np.repeat(powers[:, None] / cfg.n_rays, cfg.n_rays, axis=1),
-        aod=ray_aod,
-        zod=ray_zod,
-        aoa=ray_aoa,
-        zoa=ray_zoa,
+        ray_powers=np.repeat(powers[..., None] / cfg.n_rays, cfg.n_rays, axis=-1),
+        aod=aod, zod=zod, aoa=aoa, zoa=zoa,
         phases=phases,
-        xpr=kappa,
-        los_phase_vv=float(los_phases[0]),
-        los_phase_hh=float(los_phases[1]),
+        xpr=10.0 ** (xpr_db / 10.0),
+        los_phase_vv=los_phases[:, 0],
+        los_phase_hh=los_phases[:, 1],
     )
-    if cfg.split_strongest:
-        clusters = split_strongest_clusters(clusters)
-    return clusters
+    return split_strongest_clusters(clusters) if cfg.split_strongest else clusters
 
 
 def split_strongest_clusters(clusters: ClusterSet, n_split: int = 2) -> ClusterSet:
-    """Subdivide the strongest clusters into three delay-offset sub-clusters.
+    """Subdivide each link's strongest clusters into three delay-offset sub-clusters.
 
-    Rays are partitioned per the fixed 10/6/4 mapping; rays outside a
-    sub-cluster get zero power there, so downstream synthesis is unchanged.
-    Requires the 20-ray layout.
+    Takes a batch (leading link axis). Rays are partitioned per the fixed
+    10/6/4 mapping; rays outside a sub-cluster get zero power there, so
+    downstream synthesis is unchanged. The kept clusters come first, then
+    the sub-clusters; a stable sort by delay orders them. Requires the
+    20-ray layout.
     """
     if clusters.n_rays != 20:
         raise ValueError("sub-cluster splitting is defined for 20-ray clusters")
-    strongest = np.argsort(clusters.cluster_powers)[-n_split:]
-    keep = [i for i in range(clusters.n_clusters) if i not in strongest]
-
-    rows = {
-        "delays": [clusters.delays_s[keep]],
-        "cpow": [clusters.cluster_powers[keep]],
-        "rpow": [clusters.ray_powers[keep]],
-    }
+    by_power = np.argsort(clusters.cluster_powers, axis=-1)
+    strongest, keep = by_power[:, -n_split:], np.sort(by_power[:, :-n_split], axis=-1)
+    links = np.arange(by_power.shape[0])[:, None]
+    source = np.concatenate([keep, np.repeat(strongest, len(SUBCLUSTER_RAYS), axis=-1)], axis=-1)
+    n_keep = keep.shape[1]
+    extra = np.concatenate([np.zeros(n_keep), np.tile(SUBCLUSTER_DELAYS_S, n_split)])
+    masks = np.ones((source.shape[1], clusters.n_rays))
+    for k, rays in enumerate(SUBCLUSTER_RAYS):
+        masks[n_keep + k::len(SUBCLUSTER_RAYS)] = np.isin(np.arange(clusters.n_rays), rays)
+    strong_rays = clusters.ray_powers[links, strongest]
+    # Each sum runs over a contiguous copy of its rays, as the one-link sum does.
+    split_powers = np.stack(
+        [np.ascontiguousarray(strong_rays[..., rays]).sum(axis=-1) for rays in SUBCLUSTER_RAYS], -1
+    )
+    cluster_powers = np.concatenate(
+        [clusters.cluster_powers[links, keep], split_powers.reshape(len(links), -1)], axis=-1
+    )
+    delays = clusters.delays_s[links, source] + extra
+    order = links, np.argsort(delays, axis=-1, kind="stable")
     ray_fields = {
-        name: [getattr(clusters, name)[keep]] for name in ("aod", "zod", "aoa", "zoa", "xpr")
+        name: getattr(clusters, name)[links, source][order]
+        for name in ("aod", "zod", "aoa", "zoa", "xpr", "phases")
     }
-    phase_rows = [clusters.phases[keep]]
-    for i in strongest:
-        for rays, extra in zip(SUBCLUSTER_RAYS, SUBCLUSTER_DELAYS_S):
-            mask = np.zeros(clusters.n_rays)
-            mask[rays] = 1.0
-            rows["delays"].append(np.array([clusters.delays_s[i] + extra]))
-            rows["rpow"].append((clusters.ray_powers[i] * mask)[None, :])
-            rows["cpow"].append(np.array([clusters.ray_powers[i][rays].sum()]))
-            for name in ray_fields:
-                ray_fields[name].append(getattr(clusters, name)[i][None, :])
-            phase_rows.append(clusters.phases[i][None, :])
-
-    delays = np.concatenate(rows["delays"])
-    order = np.argsort(delays, kind="stable")
     return ClusterSet(
         delays_s=delays[order],
-        cluster_powers=np.concatenate(rows["cpow"])[order],
-        ray_powers=np.concatenate(rows["rpow"])[order],
-        aod=np.concatenate(ray_fields["aod"])[order],
-        zod=np.concatenate(ray_fields["zod"])[order],
-        aoa=np.concatenate(ray_fields["aoa"])[order],
-        zoa=np.concatenate(ray_fields["zoa"])[order],
-        phases=np.concatenate(phase_rows)[order],
-        xpr=np.concatenate(ray_fields["xpr"])[order],
+        cluster_powers=cluster_powers[order],
+        ray_powers=(clusters.ray_powers[links, source] * masks)[order],
         los_phase_vv=clusters.los_phase_vv,
         los_phase_hh=clusters.los_phase_hh,
+        **ray_fields,
     )

@@ -188,6 +188,7 @@ def synthesize(ctx: LinkContext, times) -> ChannelRealization:
         raise ValueError("at least one time sample is required")
 
     cs = ctx.clusters
+    # Python-scalar power per link: the array form rounds some links' taps differently.
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
     terms, omega = _ray_terms(ctx)

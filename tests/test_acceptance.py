@@ -17,7 +17,7 @@ from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
 from chan3d.rng import substream
-from chan3d.ssp import draw_polarization, generate_cluster_powers, generate_delays, polarization_matrix
+from chan3d.ssp import cluster_delays, cluster_powers, polarization_matrix
 from chan3d.synth import ChannelRealization, synthesize
 
 from test_synth import _ctx, _random_clusters, _without_los_angles  # noqa: E402
@@ -168,15 +168,17 @@ def test_criterion_6_los_structural_suite():
 
     test_cluster_matrix_matches_bruteforce_oracle()
 
+    # 1000 links of 12 clusters in one batch.
     power_rng = np.random.default_rng(61)
-    power_ok = True
-    for _ in range(1000):
-        delays = generate_delays(1e-7, 12, 2.5, power_rng)
-        powers = generate_cluster_powers(delays, 1e-7, 2.5, 3.0, power_rng)
-        ray = np.repeat(powers[:, None] / 20.0, 20, axis=1)
-        power_ok &= abs(ray.sum() - 1.0) <= 1e-12
+    ds = np.full(1000, 1e-7)
+    delays = cluster_delays(power_rng.random((1000, 12)), ds, 2.5)
+    powers = cluster_powers(delays, power_rng.normal(0.0, 3.0, (1000, 12)), ds, 2.5)
+    ray = np.repeat(powers[..., None] / 20.0, 20, axis=-1)
+    power_ok = bool(np.all(np.abs(ray.sum(axis=(1, 2)) - 1.0) <= 1e-12))
 
-    kappa, phases = draw_polarization(np.random.default_rng(62), -8.0, 3.0, (200,))
+    pol_rng = np.random.default_rng(62)
+    kappa = 10.0 ** (pol_rng.normal(-8.0, 3.0, 200) / 10.0)
+    phases = pol_rng.uniform(0.0, 2.0 * math.pi, (200, 4))
     mat = polarization_matrix(kappa, phases)
     moduli_ok = (
         np.allclose(np.abs(mat[:, 0, 0]), 1.0, atol=1e-12)

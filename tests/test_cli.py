@@ -175,17 +175,25 @@ def test_campaign_phase2_pool_matches_serial(tmp_path):
 
 
 def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
+    # Without fork the pool spawns its workers, which get the campaign
+    # context from the pool initializer; the bytes equal the one-worker run.
     import chan3d.campaign as campaign
 
     serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
+    get_context = campaign.multiprocessing.get_context
 
     def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
+        if method == "fork":
+            raise ValueError(f"cannot find context for {method!r}")
+        return get_context(method)
 
     monkeypatch.setattr(campaign.multiprocessing, "get_context", no_fork)
-    fallback, lines = _run_logged(_tiny_phase2(tmp_path, "nofork", 2))
-    assert sum("fork start method unavailable" in line for line in lines) == 1
-    assert fallback == serial
+    spawned, lines = _run_logged(_tiny_phase2(tmp_path, "spawn", 2))
+    assert sum(
+        "fork start method unavailable: 6 UEs over 2 spawned worker processes" in line
+        for line in lines
+    ) == 1
+    assert spawned == serial
 
 
 def test_campaign_phase1_workers_logged_in_process(tmp_path):

@@ -1,47 +1,69 @@
+import copy
 import math
+import re
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chan3d.campaign as campaign
+import ssp_oracle as oracle
+from chan3d.calib import angular_spread_deg
+from chan3d.config import default_config
 from chan3d.geom import AngleVector
 from chan3d.lsp import LargeScaleParams
 from chan3d.ssp import (
     RAY_OFFSETS_20,
-    ClusterAngles,
+    ClusterSet,
     SspConfig,
     SubpathOffsets,
-    draw_polarization,
+    _rescale_to_spread,
+    circular_mean,
+    cluster_angles,
+    cluster_delays,
+    cluster_powers,
     expand_subpaths,
-    generate_cluster_angles,
-    generate_cluster_powers,
     generate_cluster_set,
-    generate_delays,
     polarization_matrix,
     reflect_zenith,
     split_strongest_clusters,
 )
 
 D2R = math.pi / 180.0
+FIELDS = (
+    "delays_s", "cluster_powers", "ray_powers", "aod", "zod", "aoa", "zoa", "phases", "xpr",
+    "los_phase_vv", "los_phase_hh",
+)
 
 
 def _lsps(ds=2e-7, asd=20.0, asa=40.0, esd=5.0, esa=8.0, k=9.0):
     return LargeScaleParams(0.0, k, ds, asd, asa, esd, esa)
 
 
+def _batch(n_links, seed, cfg=None, lsps=None):
+    """n_links links with the same LSPs and LOS angles, each on its own generator."""
+    return generate_cluster_set(
+        [lsps or _lsps()] * n_links,
+        [AngleVector(0.1, 1.5)] * n_links,
+        [AngleVector(2.0, 1.6)] * n_links,
+        cfg or SspConfig(),
+        [np.random.default_rng([seed, i]) for i in range(n_links)],
+    )
+
+
 # ------------------------------------------------------------------- delays
 
 def test_single_cluster_delay_is_zero():
-    delays = generate_delays(1e-7, 1, 3.0, np.random.default_rng(0))
-    assert_allclose(delays, [0.0])
+    delays = cluster_delays(np.random.default_rng(0).random((1, 1)), [1e-7], 3.0)
+    assert_allclose(delays, [[0.0]])
 
 
 def test_delays_sorted_and_zero_based():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        delays = generate_delays(3e-7, 20, 2.5, rng)
-        assert delays[0] == 0.0
-        assert np.all(np.diff(delays) >= 0.0)
+    delays = cluster_delays(rng.random((100, 20)), np.full(100, 3e-7), 2.5)
+    assert np.all(delays[:, 0] == 0.0)
+    assert np.all(np.diff(delays, axis=-1) >= 0.0)
 
 
 def test_delay_profile_rms_matches_closed_form():
@@ -50,35 +72,38 @@ def test_delay_profile_rms_matches_closed_form():
     # scale DS, whose RMS spread is exactly DS. One large draw estimates it.
     ds, r = 2e-7, 3.0
     rng = np.random.default_rng(42)
-    delays = generate_delays(ds, 100_000, r, rng)
-    powers = generate_cluster_powers(delays, ds, r, 0.0, rng)
+    delays = cluster_delays(rng.random((1, 100_000)), [ds], r)
+    powers = cluster_powers(delays, np.zeros_like(delays), [ds], r)
     mean = float((powers * delays).sum())
     rms = math.sqrt(float((powers * delays**2).sum()) - mean**2)
     assert abs(rms - ds) / ds < 0.05
 
 
+def test_nonpositive_delay_spread_rejected():
+    with pytest.raises(ValueError, match="delay spread must be positive"):
+        cluster_delays(np.full((2, 3), 0.5), [1e-7, 0.0], 2.5)
+
+
 # ------------------------------------------------------------------- powers
 
 def test_single_cluster_power():
-    rng = np.random.default_rng(3)
-    powers = generate_cluster_powers(np.array([0.0]), 1e-7, 3.0, 3.0, rng)
-    assert_allclose(powers, [1.0])
+    shadow = np.random.default_rng(3).normal(0.0, 3.0, (1, 1))
+    assert_allclose(cluster_powers(np.zeros((1, 1)), shadow, [1e-7], 3.0), [[1.0]])
 
 
 def test_equal_delays_equal_powers_without_shadowing():
-    rng = np.random.default_rng(4)
-    powers = generate_cluster_powers(np.zeros(8), 1e-7, 3.0, 0.0, rng)
-    assert_allclose(powers, np.full(8, 1.0 / 8.0), atol=1e-15)
+    powers = cluster_powers(np.zeros((1, 8)), np.zeros((1, 8)), [1e-7], 3.0)
+    assert_allclose(powers, np.full((1, 8), 1.0 / 8.0), atol=1e-15)
 
 
 def test_power_normalization_many_draws():
     rng = np.random.default_rng(5)
-    for _ in range(1000):
-        delays = generate_delays(1e-7, 12, 2.5, rng)
-        powers = generate_cluster_powers(delays, 1e-7, 2.5, 3.0, rng)
-        assert abs(powers.sum() - 1.0) < 1e-12
-        ray = np.repeat(powers[:, None] / 20.0, 20, axis=1)
-        assert abs(ray.sum() - 1.0) < 1e-12
+    ds = np.full(1000, 1e-7)
+    delays = cluster_delays(rng.random((1000, 12)), ds, 2.5)
+    powers = cluster_powers(delays, rng.normal(0.0, 3.0, (1000, 12)), ds, 2.5)
+    assert np.all(np.abs(powers.sum(axis=-1) - 1.0) < 1e-12)
+    ray = np.repeat(powers[..., None] / 20.0, 20, axis=-1)
+    assert np.all(np.abs(ray.sum(axis=(1, 2)) - 1.0) < 1e-12)
 
 
 # ------------------------------------------------------------------- angles
@@ -90,79 +115,96 @@ def _spread_deg(angles, powers):
     return math.degrees(math.sqrt(float((p * dev**2).sum())))
 
 
+def _angles(rng, powers, spread_deg, mean, zenith=False):
+    """One cluster angle set per row of powers, with fresh signs and perturbations."""
+    spread = np.full(powers.shape[0], math.radians(spread_deg))
+    signs = rng.integers(0, 2, powers.shape) * 2 - 1
+    perturb = rng.normal(0.0, 1.0, powers.shape) * spread[:, None] / 7.0
+    return cluster_angles(powers, spread, signs, perturb, np.full(powers.shape[0], mean), zenith)
+
+
 def test_tiny_spread_collapses_to_mean():
     rng = np.random.default_rng(6)
-    powers = np.array([0.5, 0.3, 0.2])
+    powers = np.array([[0.5, 0.3, 0.2]])
     los = AngleVector(0.4, 1.3)
-    az, zen = generate_cluster_angles(1e-9, 1e-9, powers, los, rng)
+    az = _angles(rng, powers, 1e-9, los.azimuth)
+    zen = _angles(rng, powers, 1e-9, los.zenith, zenith=True)
     assert np.max(np.abs(np.degrees(az - los.azimuth))) < 1e-6
     assert np.max(np.abs(np.degrees(zen - los.zenith))) < 1e-6
 
 
 def test_mean_zenith_unbiased():
     rng = np.random.default_rng(7)
-    los = AngleVector(0.0, 1.4)
-    acc = 0.0
-    n = 10_000
-    for _ in range(n):
-        powers = np.array([0.4, 0.3, 0.2, 0.1])
-        _, zen = generate_cluster_angles(10.0, 6.0, powers, los, rng, elevation_mean_offset_deg=0.0)
-        acc += float((powers * zen).sum() / powers.sum())
-    mean_deg = math.degrees(acc / n)
-    assert abs(mean_deg - math.degrees(los.zenith)) < 0.5
+    powers = np.tile([0.4, 0.3, 0.2, 0.1], (10_000, 1))
+    zen = _angles(rng, powers, 6.0, 1.4, zenith=True)
+    mean_deg = math.degrees(float(np.mean((powers * zen).sum(axis=-1))))
+    assert abs(mean_deg - math.degrees(1.4)) < 0.5
 
 
 def test_elevation_mean_offset_applied():
-    rng = np.random.default_rng(8)
-    los = AngleVector(0.0, math.pi / 2)
-    acc = 0.0
-    n = 2000
-    for _ in range(n):
-        powers = np.array([0.4, 0.3, 0.2, 0.1])
-        _, zen = generate_cluster_angles(10.0, 6.0, powers, los, rng, elevation_mean_offset_deg=5.0)
-        acc += float((powers * zen).sum() / powers.sum())
-    assert abs(math.degrees(acc / n) - 95.0) < 1.0
+    # The departure zenith mean moves by the offset: LOS at 90 deg, offset 5 deg.
+    cfg = SspConfig(n_clusters=4, elevation_offset_dep_deg=5.0)
+    lsps = _lsps(asd=10.0, esd=6.0)
+    batch = generate_cluster_set(
+        [lsps] * 2000, [AngleVector(0.0, math.pi / 2)] * 2000, [AngleVector(math.pi, math.pi / 2)] * 2000,
+        cfg, [np.random.default_rng([8, i]) for i in range(2000)],
+    )
+    mean_zod = (batch.ray_powers * batch.zod).sum(axis=(1, 2))
+    assert abs(math.degrees(float(mean_zod.mean())) - 95.0) < 1.0
+    mean_zoa = (batch.ray_powers * batch.zoa).sum(axis=(1, 2))
+    assert abs(math.degrees(float(mean_zoa.mean())) - 90.0) < 1.0
 
 
 def test_realized_azimuth_spread_matches_target():
     rng = np.random.default_rng(9)
     target = 25.0
-    worst = 0.0
-    for _ in range(10_000):
-        powers = rng.dirichlet(np.ones(10))
-        az, _ = generate_cluster_angles(target, 8.0, powers, AngleVector(0.7, 1.5), rng)
-        worst = max(worst, abs(_spread_deg(az, powers) - target) / target)
+    powers = rng.dirichlet(np.ones(10), 10_000)
+    az = _angles(rng, powers, target, 0.7)
+    worst = max(abs(_spread_deg(a, p) - target) / target for a, p in zip(az, powers))
     assert worst < 0.10
 
 
 def test_stronger_clusters_sit_closer_to_the_mean():
     rng = np.random.default_rng(10)
-    corr = []
-    for _ in range(300):
-        powers = rng.dirichlet(np.ones(12))
-        az, _ = generate_cluster_angles(30.0, 8.0, powers, AngleVector(0.0, 1.5), rng)
-        dev = np.abs((az - 0.0 + math.pi) % (2 * math.pi) - math.pi)
-        corr.append(np.corrcoef(powers, dev)[0, 1])
+    powers = rng.dirichlet(np.ones(12), 300)
+    az = _angles(rng, powers, 30.0, 0.0)
+    dev = np.abs((az + math.pi) % (2 * math.pi) - math.pi)
+    corr = [np.corrcoef(p, d)[0, 1] for p, d in zip(powers, dev)]
     assert np.mean(corr) < -0.2
+
+
+def test_nonpositive_angular_spread_rejected():
+    powers = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="angular spreads must be positive"):
+        cluster_angles(powers, [0.1, 0.0], np.ones((2, 3)), np.zeros((2, 3)), [0.0, 0.0])
+    zero_esd = types.SimpleNamespace(ds_s=1e-7, asd_deg=10.0, esd_deg=0.0, asa_deg=10.0, esa_deg=5.0)
+    with pytest.raises(ValueError, match="angular spreads must be positive"):
+        generate_cluster_set(zero_esd, AngleVector(0.0, 1.5), AngleVector(1.0, 1.5), SspConfig(),
+                             np.random.default_rng(0))
+
+
+def test_circular_mean_is_a_float_on_one_link():
+    angles, powers = np.array([0.1, 0.3, -0.2]), np.array([0.5, 0.3, 0.2])
+    assert isinstance(circular_mean(angles, powers), float)
+    assert isinstance(angular_spread_deg(angles, powers), float)
+    rows = circular_mean(np.stack([angles, -angles]), np.stack([powers, powers]))
+    assert rows.shape == (2,) and rows[0] == circular_mean(angles, powers)
 
 
 # ----------------------------------------------------------------- subpaths
 
 def test_zero_scalers_keep_cluster_angles():
     offsets = SubpathOffsets(RAY_OFFSETS_20, 0.0, 0.0, 0.0, 0.0)
-    cluster = ClusterAngles(
+    cluster = (
         np.array([0.3, -1.0]), np.array([1.2, 1.4]), np.array([2.0, -2.0]), np.array([0.5, 0.9])
     )
-    aod, zod, aoa, zoa = expand_subpaths(cluster, offsets)
-    for arr, base in ((aod, cluster.aod), (zod, cluster.zod), (aoa, cluster.aoa), (zoa, cluster.zoa)):
+    for arr, base in zip(expand_subpaths(cluster, offsets), cluster):
         assert_allclose(arr, np.repeat(base[:, None], 20, axis=1), atol=1e-15)
 
 
 def test_subpath_mean_equals_cluster_angle():
     offsets = SubpathOffsets()
-    cluster = ClusterAngles(
-        np.array([0.2]), np.array([1.3]), np.array([-0.4]), np.array([1.0])
-    )
+    cluster = (np.array([0.2]), np.array([1.3]), np.array([-0.4]), np.array([1.0]))
     aod, zod, aoa, zoa = expand_subpaths(cluster, offsets)
     assert_allclose(aod.mean(), 0.2, atol=1e-12)
     assert_allclose(zod.mean(), 1.3, atol=1e-12)
@@ -173,7 +215,7 @@ def test_subpath_mean_equals_cluster_angle():
 def test_two_ray_offsets_direct_substitution():
     offsets = SubpathOffsets(np.array([0.5, -0.5]), c_aod_deg=0.0, c_zod_deg=2.0,
                              c_aoa_deg=0.0, c_zoa_deg=0.0)
-    cluster = ClusterAngles(np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    cluster = (np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
     _, zod, _, _ = expand_subpaths(cluster, offsets)
     assert_allclose(np.sort(zod[0]), [1.0 - 2.0 * 0.5 * D2R, 1.0 + 2.0 * 0.5 * D2R])
 
@@ -200,13 +242,13 @@ def test_polarization_matrix_kappa_zero_is_diagonal():
 
 
 def test_polarization_matrix_moduli():
-    rng = np.random.default_rng(11)
-    kappa, phases = draw_polarization(rng, -8.0, 3.0, (50,))
-    mat = polarization_matrix(kappa, phases)
-    assert_allclose(np.abs(mat[:, 0, 0]), 1.0, atol=1e-12)
-    assert_allclose(np.abs(mat[:, 1, 1]), 1.0, atol=1e-12)
-    assert_allclose(np.abs(mat[:, 0, 1]), np.sqrt(kappa), rtol=1e-12)
-    assert_allclose(np.abs(mat[:, 1, 0]), np.sqrt(kappa), rtol=1e-12)
+    batch = _batch(3, 11)
+    kappa = batch.xpr
+    mat = polarization_matrix(kappa, batch.phases)
+    assert_allclose(np.abs(mat[..., 0, 0]), 1.0, atol=1e-12)
+    assert_allclose(np.abs(mat[..., 1, 1]), 1.0, atol=1e-12)
+    assert_allclose(np.abs(mat[..., 0, 1]), np.sqrt(kappa), rtol=1e-12)
+    assert_allclose(np.abs(mat[..., 1, 0]), np.sqrt(kappa), rtol=1e-12)
 
 
 def test_polarization_inverse_convention():
@@ -217,10 +259,10 @@ def test_polarization_inverse_convention():
 
 
 def test_xpr_mean_db():
-    rng = np.random.default_rng(12)
-    kappa, phases = draw_polarization(rng, -8.0, 3.0, (100_000,))
-    assert abs(np.mean(10.0 * np.log10(kappa)) + 8.0) < 0.1
-    assert np.all((phases >= 0.0) & (phases < 2.0 * math.pi))
+    # 250 links of 20 x 20 rays: 100,000 XPR draws.
+    batch = _batch(250, 12)
+    assert abs(np.mean(10.0 * np.log10(batch.xpr)) + 8.0) < 0.1
+    assert np.all((batch.phases >= 0.0) & (batch.phases < 2.0 * math.pi))
 
 
 # -------------------------------------------------------------- cluster set
@@ -230,17 +272,15 @@ def _cfg(**kw):
 
 
 def test_cluster_set_invariants():
-    cfg = _cfg()
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        cs = generate_cluster_set(_lsps(), AngleVector(0.1, 1.5), AngleVector(2.0, 1.6), cfg, rng)
-        assert cs.delays_s[0] == 0.0
-        assert np.all(np.diff(cs.delays_s) >= 0.0)
-        assert abs(cs.ray_powers.sum() - 1.0) < 1e-9
-        assert np.all(cs.xpr > 0.0)
-        assert np.all((cs.phases >= 0.0) & (cs.phases < 2.0 * math.pi))
-        assert np.all((cs.zod >= 0.0) & (cs.zod <= math.pi))
-        assert np.all((cs.zoa >= 0.0) & (cs.zoa <= math.pi))
+    cs = _batch(20, 13)
+    assert cs.delays_s.shape == (20, 20) and cs.aod.shape == (20, 20, 20)
+    assert np.all(cs.delays_s[:, 0] == 0.0)
+    assert np.all(np.diff(cs.delays_s, axis=-1) >= 0.0)
+    assert np.all(np.abs(cs.ray_powers.sum(axis=(1, 2)) - 1.0) < 1e-9)
+    assert np.all(cs.xpr > 0.0)
+    assert np.all((cs.phases >= 0.0) & (cs.phases < 2.0 * math.pi))
+    assert np.all((cs.zod >= 0.0) & (cs.zod <= math.pi))
+    assert np.all((cs.zoa >= 0.0) & (cs.zoa <= math.pi))
 
 
 def test_cluster_set_regeneration_is_bitwise_identical():
@@ -271,3 +311,95 @@ def test_split_requires_twenty_rays():
     cs = generate_cluster_set(_lsps(), AngleVector(0.1, 1.5), AngleVector(2.0, 1.6), cfg, rng)
     with pytest.raises(ValueError):
         split_strongest_clusters(cs)
+
+
+def test_batch_checks_name_the_failing_field():
+    batch = _batch(3, 16)
+    fields = {name: getattr(batch, name).copy() for name in FIELDS}
+    fields["delays_s"][1, 0] = 1e-9
+    with pytest.raises(ValueError, match="delays must be non-decreasing with first delay 0"):
+        ClusterSet(**fields)
+    fields["delays_s"][1, 0] = 0.0
+    fields["ray_powers"][2] *= 1.5
+    with pytest.raises(ValueError, match="ray powers must sum to 1"):
+        ClusterSet(**fields)
+
+
+# ------------------------------------------------ batch against the oracle
+
+def _assert_links_match_oracle(lsps, deps, arrs, cfg, rngs, batch):
+    for i, link in enumerate(zip(lsps, deps, arrs, rngs)):
+        expected = oracle.generate_cluster_set(*link[:3], cfg, link[3])
+        got = batch.link(i)
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), (i, name)
+
+
+def _ssp_options(cfg):
+    cfg.ssp.elevation_offset_dep_deg = 2.5
+    cfg.ssp.elevation_offset_arr_deg = -4.0
+    cfg.ssp.xpr_offdiag = "sqrt_inv_kappa"
+    cfg.ssp.n_rays = 6
+    cfg.ssp.ray_offsets = (0.3, -0.3, 0.9, -0.9, 1.7, -1.7)
+
+
+@pytest.mark.parametrize("options", ["default", "split_strongest", "ssp_options"])
+def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch):
+    # Every link of every UE of a one-ring campaign (21 UEs x 21 cells, LOS
+    # and NLOS links): each batch row equals the one-link draw, bit for bit.
+    calls = []
+    batched = campaign.generate_cluster_set
+
+    def recording(lsps, deps, arrs, cfg, rngs):
+        fresh = copy.deepcopy(rngs)
+        batch = batched(lsps, deps, arrs, cfg, rngs)
+        calls.append((lsps, deps, arrs, cfg, fresh, batch))
+        return batch
+
+    monkeypatch.setattr(campaign, "generate_cluster_set", recording)
+    cfg = default_config("UMa", master_seed=31)
+    cfg.layout.n_rings = 1
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.run.output_dir = str(tmp_path)
+    cfg.antenna.downtilt_sweep_deg = (12.0,)
+    cfg.ssp.split_strongest = options == "split_strongest"
+    if options == "ssp_options":
+        _ssp_options(cfg)
+    lines = []
+    campaign.run_campaign(cfg, log=lines.append)
+    n_links, n_los = map(int, re.search(r"(\d+) \(UE, site\) links, (\d+) LOS", lines[0]).groups())
+    assert 0 < n_los < n_links
+    assert len(calls) == 21 and all(len(call[0]) == 21 for call in calls)
+    for call in calls:
+        _assert_links_match_oracle(*call)
+
+
+def test_single_cluster_links_match_per_link_oracle():
+    # One cluster per link: every spread is zero, so every row of the
+    # rescale is degenerate from its first pass.
+    cfg = _cfg(n_clusters=1)
+    lsps = [_lsps(asd=5.0 + i) for i in range(4)]
+    deps = [AngleVector(0.3 * i, 1.2) for i in range(4)]
+    arrs = [AngleVector(-0.3 * i, 1.9) for i in range(4)]
+    rngs = [np.random.default_rng([17, i]) for i in range(4)]
+    batch = generate_cluster_set(lsps, deps, arrs, cfg, copy.deepcopy(rngs))
+    _assert_links_match_oracle(lsps, deps, arrs, cfg, rngs, batch)
+
+
+def test_rescale_mixes_degenerate_and_normal_rows():
+    # One batch: normal rows, a row with all its power on one cluster (zero
+    # spread, returned unchanged), the same with a zero target (collapsed
+    # onto the mean), equal angles (zero spread) and a zero target on a row
+    # that has spread. Each row equals the one-row rescale.
+    rng = np.random.default_rng(18)
+    angles = rng.uniform(-math.pi, math.pi, (7, 20))
+    powers = rng.dirichlet(np.ones(20), 7)
+    target = np.radians([20.0, 45.0, 10.0, 0.0, 30.0, 0.0, 60.0])
+    powers[2:4] = np.eye(20)[5]
+    angles[4] = 0.7
+    out = _rescale_to_spread(angles, powers, target)
+    for row in range(7):
+        expected = oracle.rescale_to_spread(angles[row], powers[row], float(target[row]))
+        assert np.array_equal(out[row], expected), row
+    assert np.array_equal(out[2], angles[2]) and np.all(out[3] == out[3, 0])
