@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geom import AngleVector, wrap_azimuth
+from .geom import wrap_azimuth
 
 # Symmetric 20-ray offset basis of the SCM/WINNER family (dimensionless,
 # scaled by the per-kind intra-cluster spread factors).

@@ -388,10 +388,10 @@ def test_single_cluster_links_match_per_link_oracle():
 
 
 def test_rescale_mixes_degenerate_and_normal_rows():
-    # One batch: normal rows, a row with all its power on one cluster (zero
-    # spread, returned unchanged), the same with a zero target (collapsed
-    # onto the mean), equal angles (zero spread) and a zero target on a row
-    # that has spread. Each row equals the one-row rescale.
+    # One batch: normal rows; a one-cluster link, padded with zero-power
+    # clusters (zero spread: returned unchanged); the same with a zero target
+    # (collapsed onto the mean); equal angles (zero spread); and a zero
+    # target on a row that has spread. Each row equals the one-row rescale.
     rng = np.random.default_rng(18)
     angles = rng.uniform(-math.pi, math.pi, (7, 20))
     powers = rng.dirichlet(np.ones(20), 7)
