@@ -34,9 +34,9 @@ from .deploy import Drop, drop_ues, hex_layout, legacy_2d_drop
 from .geom import SPEED_OF_LIGHT, AngleVector, GeometryError
 from .lsp import (
     LargeScaleParams,
-    LosProbability,
     LspDistributionSpec,
     LspSampler,
+    Pathloss,
     pathloss_db,
 )
 from .ssp import (

@@ -11,18 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib
-from .antenna import composite_port_gain_db, port_gain_itu_db
-from .config import (
-    RunConfig,
-    build_array,
-    build_los_model,
-    build_lsp_spec,
-    build_pathloss,
-    build_ssp,
-    build_tx_pattern,
-    config_hash,
-    tilt_weights_for,
-)
+from .antenna import composite_port_gain_db, downtilt_weights, port_gain_itu_db
+from .config import RunConfig, build_array, build_lsp_spec, build_tx_pattern, config_hash
 from .deploy import (
     CELL_BEARINGS_DEG,
     Drop,
@@ -79,7 +69,6 @@ class _CampaignContext:
     slow: SlowFading
     points: list
     wavelength: float
-    ssp_cfg: object
     times: np.ndarray
     wrap: np.ndarray | None = None
     tx_setups: list | None = None
@@ -104,7 +93,7 @@ def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
                 geometry = build_array(cfg.antenna, d_v, wavelength)
                 if cfg.antenna.k_per_port == cfg.antenna.m_rows:
                     geometry = geometry.with_port_weights(
-                        tilt_weights_for(cfg.antenna, d_v, tilt)
+                        downtilt_weights(cfg.antenna.m_rows, d_v, math.radians(90.0 + tilt))
                     )
                 port_weights = geometry.weight_matrix()
             points.append(_SweepPoint(d_v, tilt, pattern, geometry, port_weights))
@@ -139,7 +128,6 @@ def _tx_setups(ctx: _CampaignContext) -> list:
 
 def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap) -> SlowFading:
     """Tilt-independent slow fading of every UE toward every site, in UE blocks."""
-    pathloss = build_pathloss(cfg.pathloss)
     blocks = (
         sampler.slow_fading(
             range(start, min(start + UE_BLOCK, len(drop))),
@@ -147,7 +135,7 @@ def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap)
             drop.indoor[start:start + UE_BLOCK],
             site_xy,
             cfg.layout.bs_height_m,
-            pathloss,
+            cfg.pathloss,
             cfg.run.carrier_hz,
             wrap=wrap,
             all_lsps=cfg.run.phase == 2,
@@ -214,7 +202,7 @@ def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, lsps)
         rice_k_linear=10.0 ** (lsps.k_factor_db / 10.0) if slow.los[ue_index, site] else 0.0,
         los_departure=dep,
         los_arrival=AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith),
-        xpr_offdiag_inverse=ctx.ssp_cfg.xpr_offdiag_inverse,
+        xpr_offdiag_inverse=ctx.cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
         polarization_model=ctx.cfg.antenna.polarization_model,
     )
 
@@ -238,7 +226,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c]) for c, s in enumerate(sites)]
     rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
     departures, arrivals = ([f[k] for f in links] for k in ("los_departure", "los_arrival"))
-    batch = generate_cluster_set(lsps, departures, arrivals, ctx.ssp_cfg, rngs)
+    batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
     for cell, fields in enumerate(links):
         clusters = batch.link(cell)
         for setup in ctx.tx_setups:
@@ -394,9 +382,8 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
         build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
         cfg.run.master_seed,
-        los_model=build_los_model(cfg.pathloss),
-        spatial=cfg.spatial_enabled,
-        n_field_terms=cfg.spatial_terms,
+        spatial=cfg.spatial.enabled,
+        n_field_terms=cfg.spatial.n_terms,
     )
     wrap = (
         wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m)
@@ -419,7 +406,6 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         slow=slow,
         points=_sweep_points(cfg, wavelength),
         wavelength=wavelength,
-        ssp_cfg=build_ssp(cfg.ssp),
         times=np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s,
         wrap=wrap,
     )

@@ -44,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -60,24 +56,18 @@ def main(argv=None) -> int:
                     fh.write(text)
             return 0
 
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.run.master_seed = args.seed
-        if args.phase is not None:
-            cfg.run.phase = args.phase
-        if args.output is not None:
-            cfg.run.output_dir = args.output
-        if args.workers is not None:
-            cfg.run.workers = args.workers
-        if args.drop_mode is not None:
-            cfg.run.drop_mode = args.drop_mode
-        if args.downtilts is not None:
-            cfg.antenna.downtilt_sweep_deg = _parse_float_list(args.downtilts)
-        if args.dv_list is not None:
-            cfg.antenna.d_v_sweep = _parse_float_list(args.dv_list)
-        from .config import validate
-
-        validate(cfg)
+        overrides = {
+            "run.master_seed": args.seed,
+            "run.phase": args.phase,
+            "run.output_dir": args.output,
+            "run.workers": args.workers,
+            "run.drop_mode": args.drop_mode,
+            "antenna.downtilt_sweep_deg": args.downtilts,
+            "antenna.d_v_sweep": args.dv_list,
+        }
+        cfg = parse_config(
+            args.config, {k: str(v) for k, v in overrides.items() if v is not None}
+        )
         log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
         written = run_campaign(cfg, log=log)
         if not args.quiet:

@@ -1,4 +1,9 @@
-"""Run configuration: INI-style parsing, canonical emission, and domain builders.
+"""Run configuration: one dataclass per INI section, and the generic parse,
+validate and emit walks over them.
+
+The dataclasses hold each key's name, type and default. [pathloss] and
+[ssp] are the model objects themselves (lsp.Pathloss, ssp.SspConfig);
+per-key rules live in _CHECKS.
 
 Every key has a documented default except run.master_seed, which must be
 given explicitly so runs are reproducible on purpose. `chan3d default-config`
@@ -8,29 +13,14 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .antenna import (
-    ArrayGeometry,
-    PatternSpec,
-    downtilt_weights,
-    itu_port_pattern,
-    uniform_planar_array,
-)
-from .lsp import (
-    LSP_NAMES,
-    DistanceTable,
-    LosProbability,
-    LspDistributionSpec,
-    Marginal,
-    PathlossCoeffs,
-    PathlossModel,
-)
-from .ssp import RAY_OFFSETS_20, SspConfig, SubpathOffsets
+from .antenna import ArrayGeometry, PatternSpec, itu_port_pattern, uniform_planar_array
+from .lsp import LSP_NAMES, DistanceTable, LspDistributionSpec, Marginal, Pathloss
+from .ssp import RAY_OFFSETS_20, SspConfig
 
 
 class ConfigError(Exception):
@@ -85,37 +75,8 @@ class AntennaSection:
     theta_3db_deg: float = 65.0
 
 
-@dataclass
-class PathlossSection:
-    los_intercept_db: float = 28.0
-    los_exponent: float = 2.2
-    los_freq_db: float = 20.0
-    nlos_intercept_db: float = 13.54
-    nlos_exponent: float = 3.908
-    nlos_freq_db: float = 20.0
-    ue_height_gain_db_per_m: float = 0.6
-    indoor_penetration_db: float = 20.0
-    los_prob_d0_m: float = 18.0
-    los_prob_decay_m: float = 63.0
-
-
-@dataclass
-class SspSection:
-    n_clusters: int = 20
-    n_rays: int = 20
-    r_tau: float = 2.5
-    cluster_shadow_db: float = 3.0
-    xpr_mu_db: float = -8.0
-    xpr_sigma_db: float = 3.0
-    xpr_offdiag: str = "sqrt_kappa"  # sqrt_kappa | sqrt_inv_kappa
-    c_aod_deg: float = 5.0
-    c_zod_deg: float = 3.0
-    c_aoa_deg: float = 11.0
-    c_zoa_deg: float = 7.0
-    elevation_offset_dep_deg: float = 0.0
-    elevation_offset_arr_deg: float = 0.0
-    split_strongest: bool = False
-    ray_offsets: tuple = ()  # custom symmetric basis; empty = shipped 20-ray set
+# A distance table: rows (d_2d, mu, sigma), written "d:mu:sigma, ...".
+Table = tuple
 
 
 @dataclass
@@ -130,10 +91,29 @@ class LspSection:
     asd_log10_sigma: float = 0.28
     asa_log10_mu: float = 1.87
     asa_log10_sigma: float = 0.11
-    esd_table: tuple = ((0.0, 0.9, 0.49), (700.0, -0.5, 0.49), (10000.0, -0.5, 0.49))
+    esd_table: Table = ((0.0, 0.9, 0.49), (700.0, -0.5, 0.49), (10000.0, -0.5, 0.49))
     esd_height_slope_per_m: float = -0.01
-    esa_table: tuple = ((0.0, 1.26, 0.16),)
+    esa_table: Table = ((0.0, 1.26, 0.16),)
     esa_height_slope_per_m: float = 0.0
+
+
+@dataclass
+class DecorrelationSection:
+    """Decorrelation distance (m) of each LSP's spatial field, in LSP_NAMES order."""
+
+    sf: float = 50.0
+    k: float = 50.0
+    ds: float = 40.0
+    asd: float = 50.0
+    asa: float = 50.0
+    esd: float = 50.0
+    esa: float = 50.0
+
+
+@dataclass
+class SpatialSection:
+    enabled: bool = True
+    n_terms: int = 128
 
 
 # Documented-default cross-correlations (canonical lower-index-first pair keys).
@@ -147,26 +127,35 @@ DEFAULT_CORR_LOS = {
     "k_ds": -0.4, "k_asa": -0.2, "ds_asd": 0.4, "ds_asa": 0.8,
     "ds_esd": -0.2, "asd_esd": 0.5, "asa_esd": -0.3, "asa_esa": 0.4,
 }
-DEFAULT_DECORRELATION = {
-    "sf": 50.0, "k": 50.0, "ds": 40.0, "asd": 50.0, "asa": 50.0,
-    "esd": 50.0, "esa": 50.0,
-}
 
 
 @dataclass
 class RunConfig:
+    """One field per INI section, in canonical order; the section is named
+    after the field unless its metadata gives the INI name."""
+
     run: RunSection = field(default_factory=RunSection)
     layout: LayoutSection = field(default_factory=LayoutSection)
     antenna: AntennaSection = field(default_factory=AntennaSection)
-    pathloss: PathlossSection = field(default_factory=PathlossSection)
-    ssp: SspSection = field(default_factory=SspSection)
+    pathloss: Pathloss = field(default_factory=Pathloss)
+    ssp: SspConfig = field(default_factory=SspConfig)
     lsp_los: LspSection = field(default_factory=LspSection)
     lsp_nlos: LspSection = field(default_factory=LspSection)
-    corr_los: dict = field(default_factory=lambda: dict(DEFAULT_CORR_LOS))
-    corr_nlos: dict = field(default_factory=lambda: dict(DEFAULT_CORR_NLOS))
-    decorrelation: dict = field(default_factory=lambda: dict(DEFAULT_DECORRELATION))
-    spatial_enabled: bool = True
-    spatial_terms: int = 128
+    # Correlation sections list only the nonzero pairs, so they are dicts.
+    corr_los: dict = field(
+        default_factory=lambda: dict(DEFAULT_CORR_LOS), metadata={"ini": "lsp_correlation_los"}
+    )
+    corr_nlos: dict = field(
+        default_factory=lambda: dict(DEFAULT_CORR_NLOS), metadata={"ini": "lsp_correlation_nlos"}
+    )
+    decorrelation: DecorrelationSection = field(
+        default_factory=DecorrelationSection, metadata={"ini": "lsp_decorrelation"}
+    )
+    spatial: SpatialSection = field(default_factory=SpatialSection)
+
+    def sections(self) -> dict:
+        """INI section name -> the object holding its keys, in canonical order."""
+        return {f.metadata.get("ini", f.name): getattr(self, f.name) for f in fields(self)}
 
     def downtilt_sweep(self) -> tuple:
         return self.antenna.downtilt_sweep_deg or (self.antenna.downtilt_deg,)
@@ -222,72 +211,43 @@ def default_config(scenario: str = "UMa", master_seed: int = 1) -> RunConfig:
     return cfg
 
 
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _parse_float_list(raw: str, where: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated numbers, got {raw!r}") from None
+def _table_row(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(text)
+    return tuple(_number(p) for p in parts)
 
 
-def _parse_table(raw: str, where: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError(f"{where}: distance table cannot be empty")
-    rows = []
-    for chunk in raw.split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{where}: table rows are 'distance:mu:sigma', got {chunk!r}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ConfigError(f"{where}: non-numeric table entry in {chunk!r}") from None
-    return tuple(rows)
-
-
-def _coerce(value_raw: str, default, where: str):
-    if isinstance(default, bool):
-        return _parse_bool(value_raw, where)
-    if isinstance(default, int):
-        try:
-            return int(value_raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {value_raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(value_raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {value_raw!r}") from None
-    if isinstance(default, tuple):
-        return _parse_float_list(value_raw, where)
-    return value_raw.strip()
-
-
-_SECTION_MAP = {
-    "run": "run",
-    "layout": "layout",
-    "antenna": "antenna",
-    "pathloss": "pathloss",
-    "ssp": "ssp",
-    "lsp_los": "lsp_los",
-    "lsp_nlos": "lsp_nlos",
-    "lsp_correlation_los": "corr_los",
-    "lsp_correlation_nlos": "corr_nlos",
-    "lsp_decorrelation": "decorrelation",
-    "spatial": None,
+# Values parse by their field's declared type (the annotation text).
+_PARSE = {
+    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+    "int": int,
+    "float": _number,
+    "str": str,
+    "tuple": lambda raw: tuple(_number(p) for p in raw.split(",")) if raw else (),
+    "Table": lambda raw: tuple(_table_row(row) for row in raw.split(",")),
 }
+_EXPECTED = {
+    "bool": "a boolean",
+    "int": "an integer",
+    "float": "a finite number",
+    "tuple": "comma-separated finite numbers",
+    "Table": "comma-separated 'distance:mu:sigma' rows of finite numbers",
+}
+
+
+def _parse_value(kind: str, raw: str, where: str):
+    try:
+        return _PARSE[kind](raw.strip())
+    except (ValueError, KeyError):
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def _canonical_pair(key: str, where: str) -> str:
@@ -298,11 +258,13 @@ def _canonical_pair(key: str, where: str) -> str:
     return f"{parts[0]}_{parts[1]}" if i < j else f"{parts[1]}_{parts[0]}"
 
 
-def parse_config(path: str) -> RunConfig:
+def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Load and validate a run configuration.
 
     Unknown sections or keys are rejected; every error message names the
     offending section.key. run.master_seed is the only required key.
+    overrides maps "section.key" to text that replaces the file's value,
+    parsed as the file's values are.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -312,144 +274,131 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
-
-    scenario = parser.get("run", "scenario", fallback="UMa").strip()
-    cfg = default_config(scenario, master_seed=1)
-    seed_given = False
-
-    for section in parser.sections():
-        if section not in _SECTION_MAP:
-            raise ConfigError(f"unknown config section [{section}]")
-        if section in ("lsp_correlation_los", "lsp_correlation_nlos"):
-            target = getattr(cfg, _SECTION_MAP[section])
-            target.clear()
-            for key, raw in parser.items(section):
-                pair = _canonical_pair(key, f"{section}.{key}")
-                value = _coerce(raw, 0.0, f"{section}.{key}")
-                if not -1.0 <= value <= 1.0:
-                    raise ConfigError(f"{section}.{key}: correlation must lie in [-1, 1]")
-                target[pair] = value
-            continue
-        if section == "lsp_decorrelation":
-            for key, raw in parser.items(section):
-                if key not in LSP_NAMES:
-                    raise ConfigError(f"{section}.{key}: unknown LSP name")
-                cfg.decorrelation[key] = _coerce(raw, 0.0, f"{section}.{key}")
-            continue
-        if section == "spatial":
-            for key, raw in parser.items(section):
-                if key == "enabled":
-                    cfg.spatial_enabled = _parse_bool(raw, "spatial.enabled")
-                elif key == "n_terms":
-                    cfg.spatial_terms = _coerce(raw, 0, "spatial.n_terms")
-                else:
-                    raise ConfigError(f"spatial.{key}: unknown key")
-            continue
-
-        target = getattr(cfg, _SECTION_MAP[section])
-        known = {f.name: getattr(target, f.name) for f in fields(target)}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            where = f"{section}.{key}"
-            if key in ("esd_table", "esa_table"):
-                value = _parse_table(raw, where)
-            else:
-                value = _coerce(raw, known[key], where)
-            setattr(target, key, value)
-            if where == "run.master_seed":
-                seed_given = True
-
-    if not seed_given:
+    if not parser.has_option("run", "master_seed"):
         raise ConfigError("run.master_seed: required key is missing")
+    for where, raw in (overrides or {}).items():
+        name, key = where.split(".")
+        parser.read_dict({name: {key: raw}})
+
+    cfg = default_config(parser.get("run", "scenario", fallback="UMa").strip())
+    sections = cfg.sections()
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown config section [{name}]")
+        target = sections[name]
+        if isinstance(target, dict):
+            target.clear()
+            for key, raw in parser.items(name):
+                where = f"{name}.{key}"
+                target[_canonical_pair(key, where)] = _parse_value("float", raw, where)
+            continue
+        kinds = {f.name: f.type for f in fields(target)}
+        for key, raw in parser.items(name):
+            if key not in kinds:
+                raise ConfigError(f"{name}.{key}: unknown key")
+            setattr(target, key, _parse_value(kinds[key], raw, f"{name}.{key}"))
     validate(cfg)
     return cfg
 
 
+def _distinct_suffixes(sweep) -> bool:
+    """Whether each sweep point has its own output file suffix f"{v:g}";
+    raises ValueError naming the first repeated one."""
+    seen = set()
+    for v in sweep:
+        if f"{v:g}" in seen:
+            raise ValueError(f"points share the output file suffix {v:g}; give distinct values")
+        seen.add(f"{v:g}")
+    return True
+
+
+def _one_of(*allowed):
+    return (lambda v, s: v in allowed), "must be " + " or ".join(map(repr, allowed))
+
+
+_POSITIVE = (lambda v, s: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v, s: v >= 0, "must be non-negative")
+_AT_LEAST_1 = (lambda v, s: v >= 1, "must be >= 1")
+_SIGMA = (lambda v, s: v >= 0, "a standard deviation must be non-negative")
+_PATTERN = (lambda v, s: v > 0, "pattern constants must be positive")
+_TABLE = (
+    lambda v, s: min(_distance_table(v).sigma) >= 0,
+    "the sigma column (a standard deviation) must be non-negative",
+)
+_LSP_SIGMAS = ("sf_sigma_db", "k_sigma_db", "ds_log10_sigma", "asd_log10_sigma", "asa_log10_sigma")
+
+# Per-key rules: "section.key" -> (test(value, section), message). A test
+# that raises ValueError fails with the exception's text as the message.
+_CHECKS = {
+    "run.scenario": _one_of("UMa", "UMi"),
+    "run.phase": _one_of(1, 2),
+    "run.drop_mode": _one_of("3d", "legacy2d"),
+    "run.n_ue_per_cell": _AT_LEAST_1,
+    "run.master_seed": _NON_NEGATIVE,
+    "run.carrier_hz": _POSITIVE,
+    "run.workers": _AT_LEAST_1,
+    "run.n_time_samples": _AT_LEAST_1,
+    "layout.n_rings": _NON_NEGATIVE,
+    "layout.isd_m": _POSITIVE,
+    "layout.min_dist_2d_m": (lambda v, s: 0 <= v < s.isd_m / 2, "must be in [0, isd/2)"),
+    "antenna.pattern": _one_of("element", "itu_port"),
+    "antenna.polarization_model": _one_of("slant", "rotated"),
+    "antenna.m_rows": _AT_LEAST_1,
+    "antenna.n_cols": _AT_LEAST_1,
+    "antenna.k_per_port": (lambda v, s: v in (1, s.m_rows), "must be 1 or m_rows"),
+    "antenna.d_v": _POSITIVE,
+    "antenna.d_h": _POSITIVE,
+    "antenna.d_v_sweep": (
+        lambda v, s: _distinct_suffixes(v) and all(d > 0 for d in v), "spacings must be positive"
+    ),
+    "antenna.downtilt_sweep_deg": (lambda v, s: _distinct_suffixes(v), "points must differ"),
+    "antenna.a_m_db": _PATTERN,
+    "antenna.sla_v_db": _PATTERN,
+    "antenna.phi_3db_deg": _PATTERN,
+    "antenna.theta_3db_deg": _PATTERN,
+    "pathloss.los_prob_decay_m": _POSITIVE,
+    "ssp.n_clusters": _AT_LEAST_1,
+    # The shipped offset basis pairs +/- values, so any even prefix is symmetric.
+    "ssp.n_rays": (
+        lambda v, s: bool(s.ray_offsets) or v in range(2, RAY_OFFSETS_20.size + 1, 2),
+        "must be an even count up to 20 (or give ray_offsets)",
+    ),
+    "ssp.ray_offsets": (
+        lambda v, s: not v or (len(v) == s.n_rays and s.subpath_offsets() is not None),
+        "length must equal n_rays",
+    ),
+    "ssp.split_strongest": (lambda v, s: not v or s.n_rays == 20, "requires the 20-ray layout"),
+    "ssp.xpr_offdiag": _one_of("sqrt_kappa", "sqrt_inv_kappa"),
+    "ssp.r_tau": (lambda v, s: v > 1.0, "must exceed 1"),
+    "ssp.cluster_shadow_db": _SIGMA,
+    "ssp.xpr_sigma_db": _SIGMA,
+    **{f"{name}.{key}": _SIGMA for name in ("lsp_los", "lsp_nlos") for key in _LSP_SIGMAS},
+    **{f"{name}.{key}": _TABLE for name in ("lsp_los", "lsp_nlos") for key in ("esd_table", "esa_table")},
+    **{f"lsp_decorrelation.{name}": _POSITIVE for name in LSP_NAMES},
+    "spatial.n_terms": (lambda v, s: v >= 8, "must be >= 8"),
+}
+
+
 def validate(cfg: RunConfig):
-    """Cross-field validation; raises ConfigError naming the field."""
-    run = cfg.run
-    if run.scenario not in ("UMa", "UMi"):
-        raise ConfigError(f"run.scenario: must be UMa or UMi, got {run.scenario!r}")
-    if run.phase not in (1, 2):
-        raise ConfigError("run.phase: must be 1 or 2")
-    if run.drop_mode not in ("3d", "legacy2d"):
-        raise ConfigError("run.drop_mode: must be '3d' or 'legacy2d'")
-    if run.n_ue_per_cell < 1:
-        raise ConfigError("run.n_ue_per_cell: must be >= 1")
-    if run.master_seed < 0:
-        raise ConfigError("run.master_seed: must be non-negative")
-    if run.carrier_hz <= 0:
-        raise ConfigError("run.carrier_hz: must be positive")
-    if run.workers < 1:
-        raise ConfigError("run.workers: must be >= 1")
-    if run.n_time_samples < 1:
-        raise ConfigError("run.n_time_samples: must be >= 1")
-    layout = cfg.layout
-    if layout.isd_m <= 0:
-        raise ConfigError("layout.isd_m: must be positive")
-    if layout.n_rings < 0:
-        raise ConfigError("layout.n_rings: must be non-negative")
-    if layout.min_dist_2d_m < 0 or layout.min_dist_2d_m >= layout.isd_m / 2:
-        raise ConfigError("layout.min_dist_2d_m: must be in [0, isd/2)")
-    if not cfg.pathloss.los_prob_decay_m > 0:
-        raise ConfigError("pathloss.los_prob_decay_m: must be positive")
-    ant = cfg.antenna
-    if ant.pattern not in ("element", "itu_port"):
-        raise ConfigError("antenna.pattern: must be 'element' or 'itu_port'")
-    if ant.polarization_model not in ("slant", "rotated"):
-        raise ConfigError("antenna.polarization_model: must be 'slant' or 'rotated'")
-    if ant.m_rows < 1 or ant.n_cols < 1:
-        raise ConfigError("antenna.m_rows/n_cols: must be >= 1")
-    if ant.k_per_port not in (1, ant.m_rows):
-        raise ConfigError("antenna.k_per_port: must be 1 or m_rows")
-    if ant.d_v <= 0 or ant.d_h <= 0 or any(d <= 0 for d in ant.d_v_sweep):
-        raise ConfigError("antenna.d_v/d_h: spacings must be positive")
-    try:
-        build_tx_pattern(ant, ant.downtilt_deg)
-    except ValueError as exc:
-        raise ConfigError(f"antenna pattern constants: {exc}") from None
-    ssp = cfg.ssp
-    if ssp.n_clusters < 1 or ssp.n_rays < 1:
-        raise ConfigError("ssp.n_clusters/n_rays: must be >= 1")
-    if ssp.ray_offsets:
-        if len(ssp.ray_offsets) != ssp.n_rays:
-            raise ConfigError("ssp.ray_offsets: length must equal n_rays")
+    """Check every key against its rule, then the correlation matrices;
+    raises ConfigError naming the field."""
+    sections = cfg.sections()
+    for where, (test, message) in _CHECKS.items():
+        name, key = where.split(".")
         try:
-            SubpathOffsets(np.array(ssp.ray_offsets))
-        except ValueError as exc:
-            raise ConfigError(f"ssp.ray_offsets: {exc}") from None
-    elif ssp.n_rays not in range(2, RAY_OFFSETS_20.size + 1, 2):
-        # The shipped offset basis pairs +/- values, so any even prefix is symmetric.
-        raise ConfigError("ssp.n_rays: must be an even count up to 20 (or give ray_offsets)")
-    if ssp.split_strongest and ssp.n_rays != 20:
-        raise ConfigError("ssp.split_strongest: requires the 20-ray layout")
-    if ssp.xpr_offdiag not in ("sqrt_kappa", "sqrt_inv_kappa"):
-        raise ConfigError("ssp.xpr_offdiag: must be sqrt_kappa or sqrt_inv_kappa")
-    if ssp.r_tau <= 1.0:
-        raise ConfigError("ssp.r_tau: must exceed 1")
-    for name, table in (("lsp_los", cfg.lsp_los), ("lsp_nlos", cfg.lsp_nlos)):
-        for key in ("esd_table", "esa_table"):
-            try:
-                rows = getattr(table, key)
-                DistanceTable(
-                    tuple(r[0] for r in rows),
-                    tuple(r[1] for r in rows),
-                    tuple(r[2] for r in rows),
-                )
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{name}.{key}: {exc}") from None
-    for name, pairs in (("lsp_correlation_los", cfg.corr_los), ("lsp_correlation_nlos", cfg.corr_nlos)):
+            ok = test(getattr(sections[name], key), sections[name])
+        except (ValueError, IndexError) as exc:
+            ok, message = False, str(exc)
+        if not ok:
+            raise ConfigError(f"{where}: {message}")
+    for name in ("lsp_correlation_los", "lsp_correlation_nlos"):
+        for key, value in sections[name].items():
+            if not -1.0 <= value <= 1.0:
+                raise ConfigError(f"{name}.{key}: correlation must lie in [-1, 1]")
         try:
-            spec = build_lsp_spec(cfg.lsp_los, pairs, cfg.decorrelation)
-            spec.mixing_factor()
+            build_lsp_spec(cfg.lsp_los, sections[name], cfg.decorrelation).mixing_factor()
         except ValueError as exc:
             raise ConfigError(f"[{name}]: {exc}") from None
-    for key, value in cfg.decorrelation.items():
-        if value <= 0:
-            raise ConfigError(f"lsp_decorrelation.{key}: must be positive")
-    if cfg.spatial_terms < 8:
-        raise ConfigError("spatial.n_terms: must be >= 8")
 
 
 def correlation_matrix(pairs: dict) -> np.ndarray:
@@ -461,64 +410,25 @@ def correlation_matrix(pairs: dict) -> np.ndarray:
     return mat
 
 
-def build_lsp_spec(section: LspSection, corr_pairs: dict, decorrelation: dict) -> LspDistributionSpec:
-    def table(rows, slope):
-        return DistanceTable(
-            tuple(r[0] for r in rows),
-            tuple(r[1] for r in rows),
-            tuple(r[2] for r in rows),
-            slope,
-        )
+def _distance_table(rows, slope: float = 0.0) -> DistanceTable:
+    return DistanceTable(
+        tuple(r[0] for r in rows), tuple(r[1] for r in rows), tuple(r[2] for r in rows), slope
+    )
 
+
+def build_lsp_spec(
+    section: LspSection, corr_pairs: dict, decorrelation: DecorrelationSection
+) -> LspDistributionSpec:
     return LspDistributionSpec(
         sf=Marginal(section.sf_mu_db, section.sf_sigma_db),
         k_factor=Marginal(section.k_mu_db, section.k_sigma_db),
         ds_log10=Marginal(section.ds_log10_mu, section.ds_log10_sigma),
         asd_log10=Marginal(section.asd_log10_mu, section.asd_log10_sigma),
         asa_log10=Marginal(section.asa_log10_mu, section.asa_log10_sigma),
-        esd_log10=table(section.esd_table, section.esd_height_slope_per_m),
-        esa_log10=table(section.esa_table, section.esa_height_slope_per_m),
+        esd_log10=_distance_table(section.esd_table, section.esd_height_slope_per_m),
+        esa_log10=_distance_table(section.esa_table, section.esa_height_slope_per_m),
         correlation=correlation_matrix(corr_pairs),
-        decorrelation_m=dict(decorrelation),
-    )
-
-
-def build_pathloss(section: PathlossSection) -> PathlossModel:
-    return PathlossModel(
-        los=PathlossCoeffs(section.los_intercept_db, section.los_exponent, section.los_freq_db),
-        nlos=PathlossCoeffs(section.nlos_intercept_db, section.nlos_exponent, section.nlos_freq_db),
-        ue_height_gain_db_per_m=section.ue_height_gain_db_per_m,
-        indoor_penetration_db=section.indoor_penetration_db,
-    )
-
-
-def build_los_model(section: PathlossSection) -> LosProbability:
-    return LosProbability(section.los_prob_d0_m, section.los_prob_decay_m)
-
-
-def build_ssp(section: SspSection) -> SspConfig:
-    if section.ray_offsets:
-        alpha = np.array(section.ray_offsets)
-    else:
-        alpha = RAY_OFFSETS_20[: section.n_rays]
-    return SspConfig(
-        n_clusters=section.n_clusters,
-        n_rays=section.n_rays,
-        r_tau=section.r_tau,
-        cluster_shadow_db=section.cluster_shadow_db,
-        xpr_mu_db=section.xpr_mu_db,
-        xpr_sigma_db=section.xpr_sigma_db,
-        xpr_offdiag_inverse=section.xpr_offdiag == "sqrt_inv_kappa",
-        offsets=SubpathOffsets(
-            alpha,
-            section.c_aod_deg,
-            section.c_zod_deg,
-            section.c_aoa_deg,
-            section.c_zoa_deg,
-        ),
-        elevation_offset_dep_deg=section.elevation_offset_dep_deg,
-        elevation_offset_arr_deg=section.elevation_offset_arr_deg,
-        split_strongest=section.split_strongest,
+        decorrelation_m=asdict(decorrelation),
     )
 
 
@@ -548,8 +458,14 @@ def build_tx_pattern(section: AntennaSection, downtilt_deg: float) -> PatternSpe
     )
 
 
-def tilt_weights_for(section: AntennaSection, d_v: float, downtilt_deg: float) -> np.ndarray:
-    return downtilt_weights(section.m_rows, d_v, math.radians(90.0 + downtilt_deg))
+def _format(value, kind: str) -> str:
+    if kind == "Table":
+        return ", ".join(":".join(map(repr, row)) for row in value)
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(v)) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(cfg: RunConfig, normalize_execution: bool = False) -> str:
@@ -558,52 +474,17 @@ def emit_config(cfg: RunConfig, normalize_execution: bool = False) -> str:
     normalize_execution pins workers/output_dir so the emitted text (and the
     hash derived from it) is invariant to execution-only settings.
     """
-    out = io.StringIO()
-
-    def fmt(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        if isinstance(value, tuple):
-            return ", ".join(repr(float(v)) for v in value)
-        return str(value)
-
-    def section(name: str, obj, overrides=None):
-        out.write(f"[{name}]\n")
-        for f in fields(obj):
-            if f.name.startswith("_"):
-                continue
-            value = getattr(obj, f.name)
-            if overrides and f.name in overrides:
-                value = overrides[f.name]
-            if f.name in ("esd_table", "esa_table"):
-                text = ", ".join(f"{r[0]!r}:{r[1]!r}:{r[2]!r}" for r in value)
-            else:
-                text = fmt(value)
-            out.write(f"{f.name} = {text}\n")
-        out.write("\n")
-
-    run_overrides = {"workers": 1, "output_dir": "out"} if normalize_execution else None
-    section("run", cfg.run, run_overrides)
-    section("layout", cfg.layout)
-    section("antenna", cfg.antenna)
-    section("pathloss", cfg.pathloss)
-    section("ssp", cfg.ssp)
-    section("lsp_los", cfg.lsp_los)
-    section("lsp_nlos", cfg.lsp_nlos)
-    for name, pairs in (("lsp_correlation_los", cfg.corr_los), ("lsp_correlation_nlos", cfg.corr_nlos)):
-        out.write(f"[{name}]\n")
-        for key in sorted(pairs, key=lambda k: (LSP_NAMES.index(k.split("_")[0]), LSP_NAMES.index(k.split("_")[1]))):
-            out.write(f"{key} = {pairs[key]!r}\n")
-        out.write("\n")
-    out.write("[lsp_decorrelation]\n")
-    for name in LSP_NAMES:
-        out.write(f"{name} = {float(cfg.decorrelation.get(name, 50.0))!r}\n")
-    out.write("\n[spatial]\n")
-    out.write(f"enabled = {'true' if cfg.spatial_enabled else 'false'}\n")
-    out.write(f"n_terms = {cfg.spatial_terms}\n")
-    return out.getvalue()
+    if normalize_execution:
+        cfg = replace(cfg, run=replace(cfg.run, workers=1, output_dir="out"))
+    blocks = []
+    for name, section in cfg.sections().items():
+        if isinstance(section, dict):
+            order = sorted(section, key=lambda k: [LSP_NAMES.index(n) for n in k.split("_")])
+            items = [(key, section[key], "float") for key in order]
+        else:
+            items = [(f.name, getattr(section, f.name), f.type) for f in fields(section)]
+        blocks.append(f"[{name}]\n" + "".join(f"{k} = {_format(v, kind)}\n" for k, v, kind in items))
+    return "\n".join(blocks)
 
 
 def config_hash(cfg: RunConfig) -> str:

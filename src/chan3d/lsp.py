@@ -154,23 +154,32 @@ def lsps_from_normals(
 
 
 @dataclass
-class PathlossCoeffs:
-    """PL = intercept + 10*exponent*log10(d_3d) + freq_coeff*log10(f_GHz)."""
+class Pathloss:
+    """The [pathloss] section: per-state PL = intercept + 10*exponent*log10(d_3d)
+    + freq*log10(f_GHz), NLOS UE-height gain, indoor penetration, and
+    P(LOS) = min(1, exp(-(d_2d - d0) / decay))."""
 
-    intercept_db: float
-    exponent: float
-    freq_coeff_db: float
-
-
-@dataclass
-class PathlossModel:
-    los: PathlossCoeffs
-    nlos: PathlossCoeffs
+    los_intercept_db: float = 28.0
+    los_exponent: float = 2.2
+    los_freq_db: float = 20.0
+    nlos_intercept_db: float = 13.54
+    nlos_exponent: float = 3.908
+    nlos_freq_db: float = 20.0
     ue_height_gain_db_per_m: float = 0.6
     indoor_penetration_db: float = 20.0
+    los_prob_d0_m: float = 18.0
+    los_prob_decay_m: float = 63.0
+
+    def los_probability(self, d_2d):
+        """P(LOS) at 2D distances (a scalar or an array), through the scalar
+        libm exp per element: numpy's array exp differs in the last bit on
+        some distances."""
+        x = -(np.asarray(d_2d, dtype=float) - self.los_prob_d0_m) / self.los_prob_decay_m
+        p = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.minimum(1.0, p)
 
 
-def pathloss_db(model: PathlossModel, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
+def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
     """Deterministic pathloss in dB over the 3D distance, for broadcastable arrays of links.
 
     NLOS links get a UE-height gain term relative to the 1.5 m reference;
@@ -184,37 +193,13 @@ def pathloss_db(model: PathlossModel, d_3d, h_ue, indoor, los, frequency_hz: flo
     # Per-element math.log10: numpy's array log10 rounds differently in a few
     # percent of elements.
     log_d = np.array([math.log10(v) for v in d_3d.ravel().tolist()]).reshape(d_3d.shape)
-
-    def coeff(name):
-        return np.where(los, getattr(model.los, name), getattr(model.nlos, name))
-
     pl = (
-        coeff("intercept_db")
-        + 10.0 * coeff("exponent") * log_d
-        + coeff("freq_coeff_db") * math.log10(frequency_hz / 1e9)
+        np.where(los, model.los_intercept_db, model.nlos_intercept_db)
+        + 10.0 * np.where(los, model.los_exponent, model.nlos_exponent) * log_d
+        + np.where(los, model.los_freq_db, model.nlos_freq_db) * math.log10(frequency_hz / 1e9)
     )
     pl = np.where(los, pl, pl - model.ue_height_gain_db_per_m * (h_ue - 1.5))
     return np.where(indoor, pl + model.indoor_penetration_db, pl)
-
-
-@dataclass
-class LosProbability:
-    """P(LOS) = min(1, exp(-(d_2d - d0) / decay)); a documented default shape."""
-
-    d0_m: float = 18.0
-    decay_m: float = 63.0
-
-    def __post_init__(self):
-        if not self.decay_m > 0:
-            raise ValueError("LOS probability decay distance must be positive")
-
-    def at(self, d_2d):
-        """P(LOS) at 2D distances (a scalar or an array), through the scalar
-        libm exp per element: numpy's array exp differs in the last bit on
-        some distances."""
-        x = -(np.asarray(d_2d, dtype=float) - self.d0_m) / self.decay_m
-        p = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-        return np.minimum(1.0, p)
 
 
 class SpatialGaussianField:
@@ -298,14 +283,12 @@ class LspSampler:
         spec_los: LspDistributionSpec,
         spec_nlos: LspDistributionSpec,
         master_seed: int,
-        los_model: LosProbability | None = None,
         spatial: bool = False,
         n_field_terms: int = 128,
     ):
         self.spec_los = spec_los
         self.spec_nlos = spec_nlos
         self.master_seed = master_seed
-        self.los_model = los_model or LosProbability()
         self.spatial = spatial
         self.n_field_terms = n_field_terms
         self._fields: dict = {}
@@ -326,13 +309,14 @@ class LspSampler:
         indoor: np.ndarray,
         site_xy: np.ndarray,
         h_bs: float,
-        pathloss: PathlossModel,
+        pathloss: Pathloss,
         carrier_hz: float,
         wrap: np.ndarray | None = None,
         all_lsps: bool = False,
     ) -> SlowFading:
         """LOS state, pathloss and SF of a block of UEs toward every site.
 
+        pathloss, the [pathloss] section, gives the LOS probability too.
         Rows follow ue_ids, which key the LOS (and non-spatial LSP)
         substreams; ue_xyz is (n, 3) and indoor (n,). wrap is the
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
@@ -356,7 +340,7 @@ class LspSampler:
         u = keyed_uniforms(
             self.master_seed, STREAM_LOS_STATE, np.asarray(ue_ids)[:, None], np.arange(n_site)
         )
-        los = u < self.los_model.at(d2d)
+        los = u < pathloss.los_probability(d2d)
         pl = pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
 
         specs = (self.spec_los, self.spec_nlos)

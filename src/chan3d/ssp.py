@@ -208,7 +208,9 @@ class ClusterSet:
 
 @dataclass
 class SspConfig:
-    """Scenario block controlling small-scale generation."""
+    """The [ssp] section: cluster and ray counts, delay and power shaping,
+    XPR, intra-cluster spread scalers and the optional custom ray basis
+    (empty: the first n_rays of RAY_OFFSETS_20)."""
 
     n_clusters: int = 20
     n_rays: int = 20
@@ -216,17 +218,19 @@ class SspConfig:
     cluster_shadow_db: float = 3.0
     xpr_mu_db: float = -8.0
     xpr_sigma_db: float = 3.0
-    xpr_offdiag_inverse: bool = False
-    offsets: SubpathOffsets = field(default_factory=SubpathOffsets)
+    xpr_offdiag: str = "sqrt_kappa"  # sqrt_kappa | sqrt_inv_kappa
+    c_aod_deg: float = 5.0
+    c_zod_deg: float = 3.0
+    c_aoa_deg: float = 11.0
+    c_zoa_deg: float = 7.0
     elevation_offset_dep_deg: float = 0.0
     elevation_offset_arr_deg: float = 0.0
     split_strongest: bool = False
+    ray_offsets: tuple = ()
 
-    def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError("need at least one cluster")
-        if self.n_rays != self.offsets.alpha.size:
-            raise ValueError("ray count must match the offset table length")
+    def subpath_offsets(self) -> SubpathOffsets:
+        alpha = np.array(self.ray_offsets) if self.ray_offsets else RAY_OFFSETS_20[: self.n_rays]
+        return SubpathOffsets(alpha, self.c_aod_deg, self.c_zod_deg, self.c_aoa_deg, self.c_zoa_deg)
 
 
 def _link_draws(rngs, spreads, cfg: SspConfig) -> list:
@@ -273,7 +277,7 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) 
         cluster_angles(powers, spreads[:, k], *signed[2 * k:2 * k + 2], means[k], k % 2 == 1)
         for k in range(4)
     ]
-    aod, zod, aoa, zoa = expand_subpaths(angles, cfg.offsets)
+    aod, zod, aoa, zoa = expand_subpaths(angles, cfg.subpath_offsets())
     clusters = ClusterSet(
         delays_s=delays,
         cluster_powers=powers,

@@ -156,7 +156,7 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) 
     aoa, zoa = generate_cluster_angles(
         lsps.asa_deg, lsps.esa_deg, powers, los_arrival, rng, cfg.elevation_offset_arr_deg
     )
-    ray_aod, ray_zod, ray_aoa, ray_zoa = expand_subpaths(aod, zod, aoa, zoa, cfg.offsets)
+    ray_aod, ray_zod, ray_aoa, ray_zoa = expand_subpaths(aod, zod, aoa, zoa, cfg.subpath_offsets())
     kappa, phases = draw_polarization(
         rng, cfg.xpr_mu_db, cfg.xpr_sigma_db, (cfg.n_clusters, cfg.n_rays)
     )

@@ -262,13 +262,24 @@ def test_campaign_rejects_unwritable_output(tmp_path):
         run_campaign(cfg)
 
 
-def test_cli_default_config_roundtrips(tmp_path, capsys):
-    assert main(["default-config", "--scenario", "UMa"]) == 0
+@pytest.mark.parametrize("scenario", ["UMa", "UMi"])
+def test_cli_default_config_roundtrips(tmp_path, capsys, scenario):
+    # Both the stdout and the --output FILE forms parse back to the preset,
+    # and the written file runs a (reduced) campaign through `chan3d run`.
+    assert main(["default-config", "--scenario", scenario]) == 0
     text = capsys.readouterr().out
     path = tmp_path / "ref.ini"
     path.write_text(text)
-    cfg = parse_config(str(path))
-    assert cfg == default_config("UMa", master_seed=1)
+    assert parse_config(str(path)) == default_config(scenario, master_seed=1)
+    written = tmp_path / "written.ini"
+    assert main(["default-config", "--scenario", scenario, "--output", str(written)]) == 0
+    assert written.read_text() == text
+    tiny = text.replace("n_ue_per_cell = 30", "n_ue_per_cell = 1").replace("n_rings = 2", "n_rings = 0")
+    written.write_text(tiny)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(written), "--output", str(out), "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == ["cl_cdf_dv0.5_tilt12.txt", "gf_cdf_dv0.5_tilt12.txt",
+                                       "report_dv0.5_tilt12.txt"]
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -298,9 +309,7 @@ def test_custom_ray_offsets(tmp_path):
     )
     cfg = parse_config(_write(tmp_path, text))
     assert cfg.ssp.ray_offsets == (0.5, -0.5, 1.25, -1.25)
-    from chan3d.config import build_ssp
-
-    assert list(build_ssp(cfg.ssp).offsets.alpha) == [0.5, -0.5, 1.25, -1.25]
+    assert list(cfg.ssp.subpath_offsets().alpha) == [0.5, -0.5, 1.25, -1.25]
     bad = "[run]\nmaster_seed = 1\n\n[ssp]\nn_rays = 2\nray_offsets = 0.5, 0.7\n"
     with pytest.raises(ConfigError, match="ray_offsets"):
         parse_config(_write(tmp_path, bad, name="bad.ini"))
@@ -339,3 +348,59 @@ def test_campaign_wrap_around_smoke(tmp_path):
     cfg.layout.wrap_around = True
     paths = run_campaign(cfg)
     assert any(os.path.basename(p).startswith("gf_cdf") for p in paths)
+
+
+# Values the model cannot use: non-finite numbers, negative standard deviations.
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "carrier_hz", "nan"),
+    ("layout", "isd_m", "inf"),
+    ("layout", "p_tx_dbm", "-inf"),
+    ("ssp", "r_tau", "nan"),
+    ("antenna", "d_v", "nan"),
+    ("antenna", "downtilt_sweep_deg", "9, nan"),
+    ("lsp_decorrelation", "ds", "inf"),
+    ("lsp_correlation_nlos", "sf_ds", "nan"),
+    ("lsp_los", "esd_table", "0:0.75:0.4, inf:-0.5:0.4"),
+    ("ssp", "cluster_shadow_db", "-3"),
+    ("ssp", "xpr_sigma_db", "-3"),
+    ("lsp_los", "sf_sigma_db", "-4"),
+    ("lsp_nlos", "k_sigma_db", "-0.5"),
+    ("lsp_los", "ds_log10_sigma", "-0.66"),
+    ("lsp_nlos", "asd_log10_sigma", "-0.1"),
+    ("lsp_los", "asa_log10_sigma", "-0.2"),
+    ("lsp_nlos", "esd_table", "0:0.9:0.49, 700:-0.5:-0.49"),
+    ("lsp_los", "esa_table", "0:0.95:-0.16"),
+])
+def test_unusable_value_rejected_naming_key(tmp_path, section, key, value):
+    text = "[run]\nmaster_seed = 1\n"
+    text += f"{key} = {value}\n" if section == "run" else f"\n[{section}]\n{key} = {value}\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}:")):
+        parse_config(path)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("downtilt_sweep_deg", "9, 9"),
+    ("downtilt_sweep_deg", "6, 9, 9.0000001"),
+    ("d_v_sweep", "0.5, 0.5000001"),
+])
+def test_colliding_sweep_suffixes_rejected(tmp_path, key, value):
+    # Output files are named by f"{v:g}": two such points would write one file.
+    path = _write(tmp_path, f"[run]\nmaster_seed = 1\n\n[antenna]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"antenna.{key}: .*suffix"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--downtilts", "downtilt_sweep_deg"), ("--dv-list", "d_v_sweep"),
+])
+def test_cli_override_errors_name_the_key(tmp_path, capsys, flag, key):
+    path = _write(tmp_path, "[run]\nmaster_seed = 1\n")
+    out = str(tmp_path / "out")
+    for bad in ("abc", "0.5, 0.5"):
+        assert main(["run", "--config", path, "--output", out, "--quiet", flag, bad]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: antenna.{key}: ")
+    assert main(["run", "--config", path, "--output", out, "--quiet", "--downtilts", "9,9"]) == 2
+    assert not (tmp_path / "out").exists()

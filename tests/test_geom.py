@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.antenna import element_gain_db, element_pattern_3gpp
-from chan3d.config import build_lsp_spec, build_pathloss, default_config
+from chan3d.config import build_lsp_spec, default_config
 from chan3d.geom import (
     AngleVector,
     GeometryError,
@@ -152,7 +152,7 @@ def _departure(site_xyz, ue_xyz):
     slow = LspSampler(spec, spec, 1).slow_fading(
         [0], np.array([ue_xyz], dtype=float), np.array([False]),
         np.array([site_xyz[:2]], dtype=float), float(site_xyz[2]),
-        build_pathloss(cfg.pathloss), 2e9,
+        cfg.pathloss, 2e9,
     )
     return float(slow.az_dep[0, 0]), float(slow.zen_dep[0, 0])
 

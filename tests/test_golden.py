@@ -27,7 +27,7 @@ def _p1_legacy2d_wrap_itu(cfg):
 
 
 def _p1_no_spatial(cfg):
-    cfg.spatial_enabled = False
+    cfg.spatial.enabled = False
     cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
 
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chan3d.config import build_pathloss, default_config
+from chan3d.config import default_config
 from chan3d.geom import GeometryError
 from chan3d.lsp import (
     LSP_NAMES,
     DistanceTable,
-    LosProbability,
     LspDistributionSpec,
     LspSampler,
     Marginal,
+    Pathloss,
     SpatialGaussianField,
     lsps_from_normals,
     pathloss_db,
@@ -35,7 +35,7 @@ def _simple_spec(corr=None, sigma=1.0):
 
 
 def _uma_pathloss():
-    return build_pathloss(default_config("UMa", master_seed=1).pathloss)
+    return default_config("UMa", master_seed=1).pathloss
 
 
 def _pl(model, d2d=200.0, h_ue=1.5, los=False, indoor=False, h_bs=25.0):
@@ -235,23 +235,16 @@ def test_shared_site_lsps_deterministic():
 
 
 def test_los_probability_shape():
-    model = LosProbability()
-    assert model.at(5.0) == 1.0
-    assert model.at(18.0) == 1.0
-    assert 0.0 < model.at(200.0) < model.at(100.0) < 1.0
+    p_los = Pathloss().los_probability
+    assert p_los(5.0) == 1.0
+    assert p_los(18.0) == 1.0
+    assert 0.0 < p_los(200.0) < p_los(100.0) < 1.0
 
 
 def test_los_probability_broadcasts_like_scalar_exp():
-    model = LosProbability()
     d = np.random.default_rng(3).uniform(0.0, 1500.0, (40, 19))
     expected = [[min(1.0, math.exp(-(v - 18.0) / 63.0)) for v in row] for row in d.tolist()]
-    assert np.array_equal(model.at(d), expected)
-
-
-@pytest.mark.parametrize("decay", [0.0, -63.0])
-def test_los_probability_rejects_nonpositive_decay(decay):
-    with pytest.raises(ValueError, match="decay"):
-        LosProbability(decay_m=decay)
+    assert np.array_equal(Pathloss().los_probability(d), expected)
 
 
 def test_los_state_deterministic_and_distance_dependent():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from chan3d.config import build_los_model, build_lsp_spec, build_pathloss, default_config
+from chan3d.config import build_lsp_spec, default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
 from chan3d.lsp import LSP_NAMES, LspSampler, SlowFading
 from chan3d.rng import STREAM_DROP, STREAM_LOS_STATE, STREAM_LSP, substream
@@ -21,11 +21,11 @@ CARRIER_HZ = 2e9
 
 
 def _pathloss(model, d_3d, h_ue, indoor, los, frequency_hz):
-    coeffs = model.los if los else model.nlos
+    state = "los" if los else "nlos"
     pl = (
-        coeffs.intercept_db
-        + 10.0 * coeffs.exponent * math.log10(d_3d)
-        + coeffs.freq_coeff_db * math.log10(frequency_hz / 1e9)
+        getattr(model, f"{state}_intercept_db")
+        + 10.0 * getattr(model, f"{state}_exponent") * math.log10(d_3d)
+        + getattr(model, f"{state}_freq_db") * math.log10(frequency_hz / 1e9)
     )
     if not los:
         pl -= model.ue_height_gain_db_per_m * (h_ue - 1.5)
@@ -70,9 +70,9 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
     los = np.empty(site_xy.shape[0], dtype=bool)
     pl = np.empty(site_xy.shape[0])
     lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
-    model = sampler.los_model
     for s in range(site_xy.shape[0]):
-        p_los = min(1.0, math.exp(-(float(d2d[s]) - model.d0_m) / model.decay_m))
+        d0, decay = pathloss.los_prob_d0_m, pathloss.los_prob_decay_m
+        p_los = min(1.0, math.exp(-(float(d2d[s]) - d0) / decay))
         los[s] = substream(sampler.master_seed, STREAM_LOS_STATE, ue_index, s).random() < p_los
         pl[s] = _pathloss(pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), CARRIER_HZ)
         lsps[s] = _lsps(sampler, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
@@ -101,11 +101,9 @@ def _setup(spatial, wrap_around, correlation):
     ]
     if correlation is not None:
         specs = [dataclasses.replace(spec, correlation=correlation) for spec in specs]
-    sampler = LspSampler(
-        *specs, 17, los_model=build_los_model(cfg.pathloss), spatial=spatial
-    )
+    sampler = LspSampler(*specs, 17, spatial=spatial)
     wrap = wrap_basis(1, cfg.layout.isd_m) if wrap_around else None
-    return sampler, build_pathloss(cfg.pathloss), site_xy, wrap, drop
+    return sampler, cfg.pathloss, site_xy, wrap, drop
 
 
 def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps):

@@ -306,7 +306,7 @@ def test_subcluster_split_adds_four_taps():
 
 
 def test_split_requires_twenty_rays():
-    cfg = _cfg(n_rays=2, offsets=SubpathOffsets(RAY_OFFSETS_20[:2]))
+    cfg = _cfg(n_rays=2)
     rng = np.random.default_rng(15)
     cs = generate_cluster_set(_lsps(), AngleVector(0.1, 1.5), AngleVector(2.0, 1.6), cfg, rng)
     with pytest.raises(ValueError):
