@@ -41,8 +41,12 @@ class SubpathOffsets:
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
-        mirrored = np.sort(-self.alpha)
-        if not np.allclose(np.sort(self.alpha), mirrored, atol=1e-12):
+        # np.allclose(sorted alpha, sorted -alpha, atol=1e-12), written out:
+        # the kernel derives offsets once per batch, and allclose's Python
+        # overhead is most of that cost.
+        ordered = np.sort(self.alpha)
+        mirrored = -ordered[::-1]
+        if not np.all(np.abs(ordered - mirrored) <= 1e-12 + 1e-5 * np.abs(mirrored)):
             raise ValueError("ray offsets must be symmetric about zero")
 
 

@@ -262,24 +262,27 @@ def test_campaign_rejects_unwritable_output(tmp_path):
         run_campaign(cfg)
 
 
-@pytest.mark.parametrize("scenario", ["UMa", "UMi"])
-def test_cli_default_config_roundtrips(tmp_path, capsys, scenario):
-    # Both the stdout and the --output FILE forms parse back to the preset,
-    # and the written file runs a (reduced) campaign through `chan3d run`.
-    assert main(["default-config", "--scenario", scenario]) == 0
-    text = capsys.readouterr().out
-    path = tmp_path / "ref.ini"
-    path.write_text(text)
-    assert parse_config(str(path)) == default_config(scenario, master_seed=1)
-    written = tmp_path / "written.ini"
-    assert main(["default-config", "--scenario", scenario, "--output", str(written)]) == 0
-    assert written.read_text() == text
-    tiny = text.replace("n_ue_per_cell = 30", "n_ue_per_cell = 1").replace("n_rings = 2", "n_rings = 0")
-    written.write_text(tiny)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(written), "--output", str(out), "--quiet"]) == 0
-    assert sorted(os.listdir(out)) == ["cl_cdf_dv0.5_tilt12.txt", "gf_cdf_dv0.5_tilt12.txt",
-                                       "report_dv0.5_tilt12.txt"]
+def test_cli_default_config_roundtrips(tmp_path, capsys):
+    # For both presets, the stdout and the --output FILE forms parse back to
+    # the preset, and the written file runs a (reduced) campaign through
+    # `chan3d run`.
+    for scenario in ("UMa", "UMi"):
+        assert main(["default-config", "--scenario", scenario]) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / f"{scenario}_stdout.ini"
+        path.write_text(text)
+        assert parse_config(str(path)) == default_config(scenario, master_seed=1)
+        written = tmp_path / f"{scenario}.ini"
+        assert main(["default-config", "--scenario", scenario, "--output", str(written)]) == 0
+        assert written.read_text() == text
+        written.write_text(
+            text.replace("n_ue_per_cell = 30", "n_ue_per_cell = 1").replace("n_rings = 2", "n_rings = 0")
+        )
+        out = tmp_path / f"{scenario}_out"
+        assert main(["run", "--config", str(written), "--output", str(out), "--quiet"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "cl_cdf_dv0.5_tilt12.txt", "gf_cdf_dv0.5_tilt12.txt", "report_dv0.5_tilt12.txt",
+        ]
 
 
 def test_cli_run_and_exit_codes(tmp_path):
