@@ -112,6 +112,8 @@ class DecorrelationSection:
 
 @dataclass
 class SpatialSection:
+    """Spatially correlated LSP fields, and their sum-of-sinusoids term count."""
+
     enabled: bool = True
     n_terms: int = 128
 
