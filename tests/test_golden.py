@@ -31,6 +31,20 @@ def _p1_no_spatial(cfg):
     cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
 
 
+def _p1_dv_tilt_sweep(cfg):
+    # Two spacings times two tilts: the array response of a spacing serves
+    # both of its tilts, so a cache keyed on the wrong spacing shows here.
+    cfg.antenna.d_v_sweep = (0.5, 0.8)
+    cfg.antenna.downtilt_sweep_deg = (6.0, 12.0)
+
+
+def _p1_dv_xpol_per_element(cfg):
+    # One element per port, cross-polarized: port 0 is a single -45 deg element.
+    _p1_dv_tilt_sweep(cfg)
+    cfg.antenna.k_per_port = 1
+    cfg.antenna.cross_polarized = True
+
+
 def _p2_reduced(cfg):
     cfg.run.phase = 2
     cfg.run.n_ue_per_cell = 1
@@ -91,6 +105,8 @@ CASES = {
     "p1_3d_element": (21, _p1_3d_element),
     "p1_legacy2d_wrap_itu": (22, _p1_legacy2d_wrap_itu),
     "p1_no_spatial": (23, _p1_no_spatial),
+    "p1_dv_tilt_sweep": (30, _p1_dv_tilt_sweep),
+    "p1_dv_xpol_per_element": (31, _p1_dv_xpol_per_element),
     "p2_reduced": (24, _p2_reduced),
     "p2_doppler_wrap": (25, _p2_doppler_wrap),
     "p2_dv_tilt_sweep": (26, _p2_dv_tilt_sweep),
@@ -165,6 +181,58 @@ GOLDEN = {
             "0a6defdc997e9b46fc195403029a6125c2ee34392cb76e941edbbf500e2aaa80",
         "report_dv0.5_tilt9.txt":
             "dacc34ad642d0d4ccc1c0d13ca598f018ec14a91fd61d32aab6a330f4e14e156",
+    },
+    "p1_dv_tilt_sweep": {
+        "cl_cdf_dv0.5_tilt12.txt":
+            "369b72682b088158bac9740a7c8634172f3e5452cb3df20c20604af30fe9a1c2",
+        "cl_cdf_dv0.5_tilt6.txt":
+            "d347c61ab7123bdd3bd53a8acf51fe324545571902862abbb27b2222c43fc77b",
+        "cl_cdf_dv0.8_tilt12.txt":
+            "63c61e40d8be94dc7e3c1dc5c9476ea6f03be47cfbb78aaa42e0b771af365cdf",
+        "cl_cdf_dv0.8_tilt6.txt":
+            "026c8120a0ba5016d06111b42ce954c019409ed7f3101b79ebfd60ca4e0802c0",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "5be8fe4e04e4814ecb3fa92e8c89924cd0aba9eb03f4f2e24f386b9e3fb94b41",
+        "gf_cdf_dv0.5_tilt6.txt":
+            "b779d9702b8da425e6c8919823b2575aafb9a601dad7ec7ddcc416c9cfb5fc40",
+        "gf_cdf_dv0.8_tilt12.txt":
+            "b85b3d85df33849cfa2bf34787f5813c76c48dea06e43de34318fb780e1a6c1f",
+        "gf_cdf_dv0.8_tilt6.txt":
+            "0cba15cec8830087239462a966f8710a5e89fd4e3794a2cc3dac5dee935b1ffd",
+        "report_dv0.5_tilt12.txt":
+            "d5edc24aa5ba5f4d130fedfff687e89a1d312116057dd8f2825abeee7445b36b",
+        "report_dv0.5_tilt6.txt":
+            "dfbfd0c938b88a8cde496ec9d7b03053178228014e8969aaf3b0135d99a497a4",
+        "report_dv0.8_tilt12.txt":
+            "502b2447a3ec0379cfa64aafe09600f29f90a5c913f31bcf4bccbc900b545050",
+        "report_dv0.8_tilt6.txt":
+            "0b9a0615fae155c3ad9a61793cc0bf3f7487cde9c93e59242c9be9cad0074887",
+    },
+    "p1_dv_xpol_per_element": {
+        "cl_cdf_dv0.5_tilt12.txt":
+            "4387a5fc839a5b418dc57f8cf3053beb05bbe1f17b1f86dc3ca01085b37a17b4",
+        "cl_cdf_dv0.5_tilt6.txt":
+            "e744681c8f152e3bdfe647eec610128ecc6afa2d6df9e677111fc446d8ed7f42",
+        "cl_cdf_dv0.8_tilt12.txt":
+            "13ec498c22ea1b13c8ca02c38292dbc66c093c83581d84b32fc63457838e0049",
+        "cl_cdf_dv0.8_tilt6.txt":
+            "82db7093c0f59d238084cc819bf2d859f84fd3dcc01b5973fc31c26aa7edff8e",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "95c8b11f5f2acd160577ab6bfd64de6a196414cd215738ce8976b3c388240551",
+        "gf_cdf_dv0.5_tilt6.txt":
+            "f5705fdc2729f14a09aad2e4013f4bf9f652b3f5dcf5ac408849bd03d1a9a8f8",
+        "gf_cdf_dv0.8_tilt12.txt":
+            "938ff66d89fa4e9750cf352c7321a4534165761f1f56b6fe3e0d5f4b3955381d",
+        "gf_cdf_dv0.8_tilt6.txt":
+            "02e04164a8a957009ffdd4453d3546148fe130c7ab8f0b59dafdd7d930f7819f",
+        "report_dv0.5_tilt12.txt":
+            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
+        "report_dv0.5_tilt6.txt":
+            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
+        "report_dv0.8_tilt12.txt":
+            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
+        "report_dv0.8_tilt6.txt":
+            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
     },
     "p2_reduced": {
         "asa_cdf_dv0.5_tilt12.txt":
