@@ -17,7 +17,6 @@ from .antenna import (
     uniform_planar_array,
 )
 from .calib import (
-    DropReport,
     angular_spread_deg,
     attach,
     coupling_gain_db,

@@ -198,14 +198,37 @@ def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:
     return np.exp(-2j * math.pi * d_v * idx * math.cos(theta_tilt)) / math.sqrt(m)
 
 
+def element_terms(
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith, bearing_rad: float = 0.0,
+):
+    """The weight-independent half of port_fields: element amplitudes and the
+    response phases of the port's elements, shapes (...) and (..., n_idx).
+
+    Ports that differ only in weights (one array at several downtilts) share
+    these terms.
+    """
+    if not 0 <= port < geometry.n_ports:
+        raise ValueError(f"unknown port index {port}")
+    idx = geometry.ports[port][0]
+    local_az = wrap_azimuth(np.asarray(azimuth, dtype=float) - bearing_rad)
+    zen = np.asarray(zenith, dtype=float)
+    amp = np.sqrt(10.0 ** (element_gain_db(spec, local_az, zen) / 10.0))
+    k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
+    return amp, response_phases(geometry.element_positions[idx], k_vecs)
+
+
+def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
+    """The weights half of port_fields: (vertical, horizontal) fields of the
+    port from its element_terms, its weights and its elements' slants."""
+    idx, w = geometry.ports[port]
+    slant = geometry.slant_rad[idx]
+    return amp * (phases @ (w * np.cos(slant))), amp * (phases @ (w * np.sin(slant)))
+
+
 def port_fields(
-    spec: PatternSpec,
-    geometry: ArrayGeometry,
-    port: int,
-    wavelength: float,
-    azimuth,
-    zenith,
-    bearing_rad: float = 0.0,
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith, bearing_rad: float = 0.0,
 ):
     """Composite (vertical, horizontal) field amplitudes of one virtualized port.
 
@@ -214,31 +237,21 @@ def port_fields(
     at the given wavelength, and sums with the port weights. azimuth/zenith
     broadcast together; outputs are complex with a matching shape.
     """
-    if not 0 <= port < geometry.n_ports:
-        raise ValueError(f"unknown port index {port}")
-    idx, w = geometry.ports[port]
-    local_az = wrap_azimuth(np.asarray(azimuth, dtype=float) - bearing_rad)
-    zen = np.asarray(zenith, dtype=float)
-    amp = np.sqrt(10.0 ** (element_gain_db(spec, local_az, zen) / 10.0))
-    k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
-    phases = response_phases(geometry.element_positions[idx], k_vecs)
-    steer = phases @ (w * np.cos(geometry.slant_rad[idx])), phases @ (
-        w * np.sin(geometry.slant_rad[idx])
-    )
-    return amp * steer[0], amp * steer[1]
+    amp, phases = element_terms(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+    return weight_fields(amp, phases, geometry, port)
 
 
-def composite_port_gain_db(
-    spec: PatternSpec,
-    geometry: ArrayGeometry,
-    port: int,
-    wavelength: float,
-    azimuth,
-    zenith,
-    bearing_rad: float = 0.0,
-):
-    """Power gain in dB of the virtualized port (element pattern + weights)."""
-    g_v, g_h = port_fields(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+def fields_gain_db(g_v, g_h):
+    """Power gain in dB of (vertical, horizontal) field amplitudes."""
     power = np.abs(g_v) ** 2 + np.abs(g_h) ** 2
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(power)
+
+
+def composite_port_gain_db(
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith, bearing_rad: float = 0.0,
+):
+    """Power gain in dB of the virtualized port (element pattern + weights)."""
+    g_v, g_h = port_fields(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+    return fields_gain_db(g_v, g_h)

@@ -3,7 +3,6 @@ spread estimators, channel eigenvalues, and empirical CDFs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +32,14 @@ def rsrp_fast_fading_db(p_tx_dbm: float, realization: ChannelRealization) -> flo
     return p_tx_dbm + 10.0 * math.log10(energy)
 
 
-def attach(rsrp_values) -> int:
-    """Index of the serving cell: argmax RSRP, ties to the lowest index."""
+def attach(rsrp_values):
+    """Index of the serving cell: argmax RSRP over the last (cell) axis, ties
+    to the lowest index. An int for one UE's row, an array for a block."""
     values = np.asarray(rsrp_values, dtype=float)
     if values.size == 0:
         raise ValueError("at least one cell required")
-    return int(np.argmax(values))
+    serving = np.argmax(values, axis=-1)
+    return int(serving) if values.ndim == 1 else serving
 
 
 def coupling_gain_db(serving_rsrp_db: float, p_tx_dbm: float) -> float:
@@ -46,19 +47,24 @@ def coupling_gain_db(serving_rsrp_db: float, p_tx_dbm: float) -> float:
     return serving_rsrp_db - p_tx_dbm
 
 
-def geometry_factor_db(rsrp_values, serving: int) -> float:
+def geometry_factor_db(rsrp_values, serving):
     """Serving power over the linear sum of all other cells' powers, in dB.
 
-    Interference is accumulated in the linear power domain. With no
-    interferer the UE is isolated and +inf is returned (callers exclude it
-    from CDFs).
+    One UE's row and serving index give a float; a (UE, cell) block and one
+    index per row give an array. Interference is accumulated in the linear
+    power domain, each row summed contiguously as a one-row call sums it (a
+    strided sum rounds differently), and the logarithm is math.log10 (numpy's
+    rounds differently). With no interferer the UE is isolated and +inf is
+    returned (callers exclude it from CDFs).
     """
-    values = np.asarray(rsrp_values, dtype=float)
-    linear = 10.0 ** (values / 10.0)
-    interference = float(linear.sum() - linear[serving])
-    if interference <= 0.0:
-        return math.inf
-    return 10.0 * math.log10(float(linear[serving]) / interference)
+    linear = 10.0 ** (np.ascontiguousarray(rsrp_values, dtype=float) / 10.0)
+    own = np.take_along_axis(linear, np.asarray(serving)[..., None], axis=-1)[..., 0]
+    interference = linear.sum(axis=-1) - own
+    gf = [
+        10.0 * math.log10(s / i) if i > 0.0 else math.inf
+        for s, i in zip(np.ravel(own).tolist(), np.ravel(interference).tolist())
+    ]
+    return gf[0] if linear.ndim == 1 else np.array(gf)
 
 
 def angular_spread_deg(angles_rad, powers) -> float:
@@ -122,35 +128,21 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass
-class DropReport:
-    """Per-UE calibration record; spread/eigenvalue fields stay NaN in phase 1."""
+def write_report(columns, fh):
+    """Delimited-text export of per-UE report columns with a single header line.
 
-    ue_id: int
-    site: int
-    cell: int
-    cl_db: float
-    gf_db: float
-    asd_deg: float = math.nan
-    asa_deg: float = math.nan
-    esd_deg: float = math.nan
-    esa_deg: float = math.nan
-    ds_s: float = math.nan
-    lambda1: float = math.nan
-    lambda2: float = math.nan
-
-    def row(self) -> str:
-        fields = [str(self.ue_id), str(self.site), str(self.cell)]
-        for v in (
-            self.cl_db, self.gf_db, self.asd_deg, self.asa_deg,
-            self.esd_deg, self.esa_deg, self.ds_s, self.lambda1, self.lambda2,
-        ):
-            fields.append(repr(float(v)))
-        return " ".join(fields)
-
-
-def write_report(reports, fh):
-    """Delimited-text export of DropReport rows with a single header line."""
+    columns maps REPORT_COLUMNS names to equal-length sequences. Integers are
+    written by str, floats by repr; a float column left out (the spreads and
+    eigenvalues in phase 1) is written as nan.
+    """
+    n = len(columns["ue_id"])
+    text = []
+    for name in REPORT_COLUMNS:
+        if name not in columns:
+            text.append(["nan"] * n)
+        elif name in REPORT_COLUMNS[:3]:
+            text.append(map(str, np.asarray(columns[name], dtype=int).tolist()))
+        else:
+            text.append(map(repr, np.asarray(columns[name], dtype=float).tolist()))
     fh.write(" ".join(REPORT_COLUMNS) + "\n")
-    for report in reports:
-        fh.write(report.row() + "\n")
+    fh.writelines(" ".join(row) + "\n" for row in zip(*text))

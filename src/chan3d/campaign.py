@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib
-from .antenna import composite_port_gain_db, downtilt_weights, port_gain_itu_db
+from .antenna import (
+    downtilt_weights, element_terms, fields_gain_db, port_gain_itu_db, weight_fields,
+)
 from .config import RunConfig, build_array, build_lsp_spec, build_tx_pattern, config_hash
 from .deploy import (
     CELL_BEARINGS_DEG,
@@ -46,14 +48,17 @@ class _SweepPoint:
 
 @dataclass
 class _TxSetup:
-    """Per-cell TX ends whose element taps serve a group of sweep points.
+    """Sweep points whose TX gains come from one pattern and element array.
 
-    points lists (sweep index, port weight matrix); None means the end's
-    single element is the port.
+    points lists their sweep indices; geometry is None for an itu_port
+    pattern, whose single element is the port. ends holds the per-cell TX
+    link ends that phase 2 synthesizes element taps for.
     """
 
-    ends: list
+    pattern: object
+    geometry: object
     points: list
+    ends: list | None = None
 
 
 @dataclass
@@ -101,28 +106,27 @@ def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
 
 
 def _tx_setups(ctx: _CampaignContext) -> list:
-    """Group the sweep points by the TX ends their element taps come from.
+    """Group the sweep points by the pattern and array their TX gains come from.
 
     The element pattern does not move with the tilt, so the points of one d_v
-    share one rotated array per cell and differ only in port weights. An
-    itu_port pattern is tilted itself: each of its points has its own ends.
+    share one array and differ only in port weights. An itu_port pattern is
+    tilted itself: each of its points is its own setup.
     """
-    bearings = [float(b) for b in ctx.cell_bearing_rad]
-    if ctx.cfg.antenna.pattern == "itu_port":
-        return [
-            _TxSetup(
-                [LinkEnd(np.zeros((1, 3)), np.zeros(1), p.pattern, b) for b in bearings],
-                [(k, None)],
-            )
-            for k, p in enumerate(ctx.points)
-        ]
     setups = {}
     for k, p in enumerate(ctx.points):
-        if p.d_v not in setups:
-            positions, slants = p.geometry.element_positions, p.geometry.slant_rad
-            ends = [LinkEnd(positions @ rotation_z(b).T, slants, p.pattern, b) for b in bearings]
-            setups[p.d_v] = _TxSetup(ends, [])
-        setups[p.d_v].points.append((k, p.port_weights))
+        key = k if ctx.cfg.antenna.pattern == "itu_port" else p.d_v
+        setups.setdefault(key, _TxSetup(p.pattern, p.geometry, [])).points.append(k)
+    if ctx.cfg.run.phase == 2:
+        for setup in setups.values():
+            setup.ends = [
+                LinkEnd(np.zeros((1, 3)), np.zeros(1), setup.pattern, float(b))
+                if setup.geometry is None
+                else LinkEnd(
+                    setup.geometry.element_positions @ rotation_z(float(b)).T,
+                    setup.geometry.slant_rad, setup.pattern, float(b),
+                )
+                for b in ctx.cell_bearing_rad
+            ]
     return list(setups.values())
 
 
@@ -145,41 +149,51 @@ def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap)
     return SlowFading.concatenate(blocks, len(drop))
 
 
-def _tx_gains_db(ctx: _CampaignContext, point: _SweepPoint, az_dep, zen_dep) -> np.ndarray:
-    """Composite TX gain toward the LOS direction of every cell; (UE, site) in, (UE, cell) out."""
-    local_az = wrap_azimuth(az_dep[..., ctx.cell_site] - ctx.cell_bearing_rad)
-    zen = zen_dep[..., ctx.cell_site]
-    if ctx.cfg.antenna.pattern == "itu_port":
-        return np.asarray(port_gain_itu_db(point.pattern, local_az, zen))
-    return np.asarray(
-        composite_port_gain_db(point.pattern, point.geometry, 0, ctx.wavelength, local_az, zen)
-    )
+def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
+    """TX gain over (UE, cell) toward each cell's LOS direction, for each point
+    of the setup: its element terms once, then each point's port weights."""
+    if setup.geometry is None:
+        return [np.asarray(port_gain_itu_db(setup.pattern, local_az, zen))]
+    amp, phases = element_terms(setup.pattern, setup.geometry, 0, ctx.wavelength, local_az, zen)
+    return [
+        fields_gain_db(*weight_fields(amp, phases, ctx.points[k].geometry, 0))
+        for k in setup.points
+    ]
 
 
-def _phase1_reports(ctx: _CampaignContext, point: _SweepPoint) -> list:
-    """Attach every UE and compute its coupling gain and geometry factor, in UE blocks."""
+def _serving_columns(rsrp, p_tx: float) -> tuple:
+    """Serving cell, coupling gain and geometry factor of each row of (row, cell) RSRP."""
+    serving = calib.attach(rsrp)
+    own = np.take_along_axis(rsrp, serving[:, None], axis=1)[:, 0]
+    return serving, calib.coupling_gain_db(own, p_tx), calib.geometry_factor_db(rsrp, serving)
+
+
+def _phase1_reports(ctx: _CampaignContext) -> list:
+    """Every sweep point's report columns, in one pass over UE blocks.
+
+    Per block, the angles toward every cell are computed once and the element
+    terms once per TX setup; each sweep point applies only its port weights.
+    """
     p_tx = ctx.cfg.layout.p_tx_dbm
-    slow = ctx.slow
-    reports = []
-    for start in range(0, slow.pl.shape[0], UE_BLOCK):
+    slow, cells = ctx.slow, ctx.cell_site
+    n = slow.pl.shape[0]
+    reports = [
+        dict(ue_id=np.arange(n), site=np.empty(n, dtype=int), cell=np.empty(n, dtype=int),
+             cl_db=np.empty(n), gf_db=np.empty(n))
+        for _ in ctx.points
+    ]
+    for start in range(0, n, UE_BLOCK):
         rows = slice(start, start + UE_BLOCK)
-        rsrp = calib.rsrp_db(
-            p_tx,
-            _tx_gains_db(ctx, point, slow.az_dep[rows], slow.zen_dep[rows]),
-            ctx.cfg.antenna.ue_gain_dbi,
-            slow.pl[rows][:, ctx.cell_site],
-            slow.sf[rows][:, ctx.cell_site],
-        )
-        for offset, row in enumerate(rsrp):
-            serving = calib.attach(row)
-            reports.append(calib.DropReport(
-                ue_id=start + offset,
-                site=int(ctx.cell_site[serving]),
-                cell=serving,
-                cl_db=calib.coupling_gain_db(float(row[serving]), p_tx),
-                # Per UE row: one sum over the whole block rounds differently.
-                gf_db=calib.geometry_factor_db(row, serving),
-            ))
+        local_az = wrap_azimuth(slow.az_dep[rows][:, cells] - ctx.cell_bearing_rad)
+        zen = slow.zen_dep[rows][:, cells]
+        pl, sf = slow.pl[rows][:, cells], slow.sf[rows][:, cells]
+        for setup in ctx.tx_setups:
+            for k, gain in zip(setup.points, _tx_gains_db(ctx, setup, local_az, zen)):
+                rsrp = calib.rsrp_db(p_tx, gain, ctx.cfg.antenna.ue_gain_dbi, pl, sf)
+                serving, cl, gf = _serving_columns(rsrp, p_tx)
+                report = reports[k]
+                report["site"][rows], report["cell"][rows] = cells[serving], serving
+                report["cl_db"][rows], report["gf_db"][rows] = cl, gf
     return reports
 
 
@@ -208,12 +222,14 @@ def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, lsps)
 
 
 def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
-    """One UE's reports at every sweep point, in sweep order.
+    """One UE's report rows (tuples in REPORT_COLUMNS order) at every sweep
+    point, in sweep order.
 
     The clusters of all the UE's links are drawn in one batch, each from its
     own (UE, site, cell) stream. Each link's element taps are then
     synthesized once per TX setup, and each sweep point of the setup applies
-    its port weights.
+    its port weights. Synthesis stays per link, which keeps peak memory to
+    one link's ray terms.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
@@ -232,31 +248,26 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
         for setup in ctx.tx_setups:
             link = LinkContext(tx=setup.ends[cell], clusters=clusters, **fields)
             elements = synthesize(link, ctx.times)
-            for k, weights in setup.points:
+            for k in setup.points:
+                weights = ctx.points[k].port_weights
                 realization = elements if weights is None else to_ports(elements, weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, realization) + ue_gain
                 realizations[k][cell] = realization
 
-    reports = []
-    for k in range(len(ctx.points)):
-        serving = calib.attach(rsrp[k])
-        cs = batch.link(serving)
-        l1, l2 = calib.top_eigenvalues(realizations[k][serving])
-        reports.append(calib.DropReport(
-            ue_id=ue_index,
-            site=sites[serving],
-            cell=serving,
-            cl_db=calib.coupling_gain_db(float(rsrp[k, serving]), p_tx),
-            gf_db=calib.geometry_factor_db(rsrp[k], serving),
-            asd_deg=calib.angular_spread_deg(cs.aod, cs.ray_powers),
-            asa_deg=calib.angular_spread_deg(cs.aoa, cs.ray_powers),
-            esd_deg=calib.angular_spread_deg(cs.zod, cs.ray_powers),
-            esa_deg=calib.angular_spread_deg(cs.zoa, cs.ray_powers),
-            ds_s=calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
-            lambda1=l1,
-            lambda2=l2,
+    serving, cl, gf = _serving_columns(rsrp, p_tx)
+    records = []
+    for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist())):
+        cs = batch.link(cell)
+        records.append((
+            ue_index, sites[cell], cell, cl_db, gf_db,
+            calib.angular_spread_deg(cs.aod, cs.ray_powers),
+            calib.angular_spread_deg(cs.aoa, cs.ray_powers),
+            calib.angular_spread_deg(cs.zod, cs.ray_powers),
+            calib.angular_spread_deg(cs.zoa, cs.ray_powers),
+            calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
+            *calib.top_eigenvalues(realizations[k][cell]),
         ))
-    return reports
+    return records
 
 
 # The campaign context of a pool worker process, set once by _init_worker.
@@ -273,7 +284,7 @@ def _worker_records(ue_index: int) -> list:
 
 
 def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> list:
-    """Every UE's list of phase-2 reports (one per sweep point), over a
+    """Every UE's list of phase-2 report rows (one per sweep point), over a
     process pool when workers > 1.
 
     The pool's initializer hands each worker the context. Workers are forked
@@ -321,15 +332,11 @@ def _write_cdf(path, values, metric: str, cfg: RunConfig, d_v: float, tilt: floa
             f" dv={d_v!r} tilt_deg={tilt!r} config={digest}\n"
         )
         fh.write("# columns: value probability\n")
-        for val, prob in zip(v, p):
-            fh.write(f"{float(val)!r} {float(prob)!r}\n")
+        fh.writelines(f"{val!r} {prob!r}\n" for val, prob in zip(v.tolist(), p.tolist()))
     return path
 
 
-PHASE2_METRICS = (
-    ("asd", "asd_deg"), ("asa", "asa_deg"), ("esd", "esd_deg"), ("esa", "esa_deg"),
-    ("ds", "ds_s"), ("l1", "lambda1"), ("l2", "lambda2"),
-)
+PHASE2_COLUMNS = calib.REPORT_COLUMNS[5:]
 
 
 def run_campaign(cfg: RunConfig, log=None) -> list:
@@ -337,15 +344,10 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
 
     Drops UEs and computes their slow fading once (both are shared across
     sweep points for paired comparisons). Each (d_v, downtilt) sweep point
-    then gets one CDF file per metric plus a per-UE report. Phase 1 computes
-    a sweep point's TX gains, attachment, coupling gain and geometry factor
-    vectorized in this process. Phase 2 computes all sweep points of one UE
-    at a time, spread over `workers` pool processes (forked, else spawned).
-    A per-link loop makes the draws of the UE's links from their own
-    streams, then one array pass computes all their clusters. Synthesis
-    stays per link, which keeps peak memory to one link's ray terms: each
-    link's element taps are synthesized once per d_v (once per tilt for the
-    tilted itu_port pattern), and each tilt applies its port weights.
+    then gets one CDF file per metric plus a per-UE report, both written from
+    the point's report columns. Phase 1 runs in this process, in one pass
+    over UE blocks. Phase 2 computes all sweep points of one UE at a time,
+    spread over `workers` pool processes (forked, else spawned).
     Deterministic for a fixed (config, seed) at any worker count.
     Each file is written under a temporary name and renamed into place once
     complete, so an interrupted campaign leaves no half-written output.
@@ -409,33 +411,26 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         times=np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s,
         wrap=wrap,
     )
-    if cfg.run.phase == 2:
-        ctx.tx_setups = _tx_setups(ctx)
-        per_point = list(zip(*_map_records(ctx, len(drop), cfg.run.workers, log)))
+    ctx.tx_setups = _tx_setups(ctx)
+    if cfg.run.phase == 1:
+        reports = _phase1_reports(ctx)
+    else:
+        per_ue = _map_records(ctx, len(drop), cfg.run.workers, log)
+        reports = [dict(zip(calib.REPORT_COLUMNS, zip(*rows))) for rows in zip(*per_ue)]
 
     written = []
     for k, point in enumerate(ctx.points):
         d_v, tilt = point.d_v, point.tilt
         if log:
             log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
-        reports = _phase1_reports(ctx, point) if cfg.run.phase == 1 else per_point[k]
         suffix = f"dv{d_v:g}_tilt{tilt:g}"
-        written.append(_write_cdf(
-            os.path.join(out_dir, f"cl_cdf_{suffix}.txt"),
-            [r.cl_db for r in reports], "cl_db", cfg, d_v, tilt, digest,
-        ))
-        written.append(_write_cdf(
-            os.path.join(out_dir, f"gf_cdf_{suffix}.txt"),
-            [r.gf_db for r in reports], "gf_db", cfg, d_v, tilt, digest,
-        ))
-        if cfg.run.phase == 2:
-            for short, attr in PHASE2_METRICS:
-                written.append(_write_cdf(
-                    os.path.join(out_dir, f"{short}_cdf_{suffix}.txt"),
-                    [getattr(r, attr) for r in reports], short, cfg, d_v, tilt, digest,
-                ))
+        for name in ("cl_db", "gf_db") + (PHASE2_COLUMNS if cfg.run.phase == 2 else ()):
+            written.append(_write_cdf(
+                os.path.join(out_dir, f"{name.removesuffix('_db')}_cdf_{suffix}.txt"),
+                reports[k][name], name, cfg, d_v, tilt, digest,
+            ))
         report_path = os.path.join(out_dir, f"report_{suffix}.txt")
         with _open_atomic(report_path) as fh:
-            calib.write_report(reports, fh)
+            calib.write_report(reports[k], fh)
         written.append(report_path)
     return written

@@ -11,10 +11,13 @@ from chan3d.antenna import (
     downtilt_weights,
     element_gain_db,
     element_pattern_3gpp,
+    element_terms,
+    fields_gain_db,
     itu_port_pattern,
     port_gain_itu_db,
     response_phases,
     uniform_planar_array,
+    weight_fields,
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
@@ -317,3 +320,34 @@ def test_composite_port_gain_peaks_near_tilt():
     # less the element roll-off at 12 deg off broadside.
     expected = 8.0 + 10.0 * math.log10(10.0) - 12.0 * (12.0 / 65.0) ** 2
     assert abs(gains.max() - expected) < 0.05
+
+
+@pytest.mark.parametrize("k_per_port", [1, 10])
+@pytest.mark.parametrize("cross_polarized", [False, True])
+def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
+    # Element terms once per spacing, then each tilt's weights: the two halves
+    # give composite_port_gain_db's bits over (UE, cell) angle arrays.
+    rng = np.random.default_rng(11)
+    azimuth = rng.uniform(-math.pi, math.pi, (32, 57))
+    zenith = rng.uniform(0.0, math.pi, (32, 57))
+    spec = element_pattern_3gpp()
+    wavelength = SPEED_OF_LIGHT / 2.0e9
+    for d_v in (0.5, 0.8):
+        geometries = []
+        for tilt in (6.0, 9.0, 12.0):
+            geom = uniform_planar_array(
+                10, 1, d_v, 0.5, wavelength, k_per_port=k_per_port,
+                cross_polarized=cross_polarized,
+            )
+            if k_per_port == 10:
+                geom = geom.with_port_weights(downtilt_weights(10, d_v, math.radians(90.0 + tilt)))
+            geometries.append(geom)
+        amp, phases = element_terms(spec, geometries[0], 0, wavelength, azimuth, zenith)
+        for geom in geometries:
+            split = fields_gain_db(*weight_fields(amp, phases, geom, 0))
+            whole = composite_port_gain_db(spec, geom, 0, wavelength, azimuth, zenith)
+            assert np.array_equal(split, whole)
+        if k_per_port == 10:
+            assert not np.array_equal(
+                fields_gain_db(*weight_fields(amp, phases, geometries[0], 0)), split
+            )

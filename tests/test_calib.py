@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.calib import (
-    DropReport,
+    REPORT_COLUMNS,
     angular_spread_deg,
     attach,
     coupling_gain_db,
@@ -20,6 +20,7 @@ from chan3d.calib import (
 )
 from chan3d.antenna import itu_port_pattern, port_gain_itu_db
 from chan3d.synth import ChannelRealization
+from report_oracle import DropReport, geometry_factor_row_db
 
 
 def test_rsrp_direct_sum():
@@ -88,6 +89,26 @@ def test_geometry_factor_common_offset_invariant():
 
 def test_geometry_factor_isolated_ue():
     assert geometry_factor_db([-80.0], 0) == math.inf
+
+
+def test_block_attach_and_geometry_factor_match_row_oracle():
+    # A block of rows, C- and F-ordered (fancy indexing over cells gives the
+    # latter), with ties, an isolated row and a row of equal powers: the block
+    # forms equal the one-row forms bit for bit.
+    rng = np.random.default_rng(3)
+    block = rng.normal(-95.0, 12.0, (40, 57))
+    block[1, 7] = block[1, 3] = block.max() + 1.0
+    block[2] = -80.0
+    for rsrp in (block, np.asfortranarray(block), block[:, np.arange(57)]):
+        serving = attach(rsrp)
+        assert serving.tolist() == [attach(row) for row in rsrp]
+        gf = geometry_factor_db(rsrp, serving)
+        assert np.array_equal(gf, [geometry_factor_row_db(r, s) for r, s in zip(rsrp, serving)])
+    isolated = np.array([[-80.0], [-90.0]])
+    assert geometry_factor_db(isolated, attach(isolated)).tolist() == [math.inf, math.inf]
+    assert geometry_factor_db(block[0], attach(block[0])) == geometry_factor_row_db(
+        block[0], attach(block[0])
+    )
 
 
 def test_angular_spread_degenerate():
@@ -220,20 +241,57 @@ def test_empirical_cdf_drops_nonfinite():
         empirical_cdf([math.inf])
 
 
-def test_write_report_layout():
-    reports = [
-        DropReport(0, 3, 10, -83.2, 4.5),
-        DropReport(1, 0, 1, -90.0, -2.25, asd_deg=12.0, lambda1=0.5, lambda2=0.1),
-    ]
+def _report_text(columns) -> str:
     buf = io.StringIO()
-    write_report(reports, buf)
-    lines = buf.getvalue().splitlines()
+    write_report(columns, buf)
+    return buf.getvalue()
+
+
+def test_write_report_layout():
+    text = _report_text(dict(
+        ue_id=[0, 1], site=[3, 0], cell=[10, 1], cl_db=[-83.2, -90.0], gf_db=[4.5, -2.25],
+        asd=[math.nan, 12.0], l1=[math.nan, 0.5], l2=[math.nan, 0.1],
+    ))
+    lines = text.splitlines()
     assert lines[0].split() == [
         "ue_id", "site", "cell", "cl_db", "gf_db",
         "asd", "asa", "esd", "esa", "ds", "l1", "l2",
     ]
-    assert len(lines) == 3
+    assert len(lines) == 3 and text.endswith("\n")
     first = lines[1].split()
     assert first[0] == "0" and first[1] == "3" and first[2] == "10"
     assert float(first[3]) == -83.2
-    assert math.isnan(float(lines[1].split()[5]))
+    assert all(math.isnan(float(v)) for v in first[5:])
+    second = lines[2].split()
+    assert float(second[5]) == 12.0 and math.isnan(float(second[6]))
+    assert float(second[10]) == 0.5 and float(second[11]) == 0.1
+
+
+def test_write_report_matches_row_oracle():
+    # Phase 1 leaves the spread and eigenvalue columns out (written as nan),
+    # a UE without interferers has a +inf geometry factor, and phase-2 rows
+    # carry every column; numpy and Python scalars format alike.
+    rng = np.random.default_rng(4)
+    n = 25
+    phase1 = dict(
+        ue_id=np.arange(n), site=rng.integers(0, 19, n), cell=rng.integers(0, 57, n),
+        cl_db=rng.normal(-100.0, 15.0, n), gf_db=rng.normal(3.0, 8.0, n),
+    )
+    phase1["gf_db"][[4, 11]] = math.inf
+    phase1["cl_db"][5] = -0.0
+    reports = [
+        DropReport(int(i), int(s), int(c), float(cl), float(gf))
+        for i, s, c, cl, gf in zip(*(phase1[k] for k in REPORT_COLUMNS[:5]))
+    ]
+    expected = " ".join(REPORT_COLUMNS) + "\n" + "".join(r.row() + "\n" for r in reports)
+    assert _report_text(phase1) == expected
+
+    rows = [
+        (i, i // 3, i + 1, -90.0 - i / 7, math.inf if i == 2 else i / 3, 12.0 + i, 40.0 / 3,
+         1e-7 * i, 0.1, 3.5e-7 / (i + 1), 1.0 / (i + 3), 0.0 if i % 2 else 1e-20)
+        for i in range(6)
+    ]
+    phase2 = dict(zip(REPORT_COLUMNS, zip(*rows)))
+    reports = [DropReport(*row) for row in rows]
+    expected = " ".join(REPORT_COLUMNS) + "\n" + "".join(r.row() + "\n" for r in reports)
+    assert _report_text(phase2) == expected

@@ -509,3 +509,19 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     paths = run_campaign(golden_config("p2_doppler_wrap", tmp_path))
     assert calls == [(7, 2)] * 21
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
+
+
+def test_phase1_element_terms_once_per_block_and_spacing(tmp_path, monkeypatch):
+    # 63 UEs are two blocks of at most 32; each block computes the element
+    # terms once per d_v, and both tilts of that d_v apply their weights.
+    calls = []
+
+    def counting_terms(spec, geometry, *args):
+        calls.append(geometry.d_v)
+        return terms(spec, geometry, *args)
+
+    terms = campaign.element_terms
+    monkeypatch.setattr(campaign, "element_terms", counting_terms)
+    paths = run_campaign(golden_config("p1_dv_tilt_sweep", tmp_path))
+    assert calls == [0.5, 0.8] * 2
+    assert output_hashes(paths) == GOLDEN["p1_dv_tilt_sweep"]
