@@ -34,12 +34,11 @@ def rsrp_fast_fading_db(p_tx_dbm: float, realization: ChannelRealization) -> flo
 
 def attach(rsrp_values):
     """Index of the serving cell: argmax RSRP over the last (cell) axis, ties
-    to the lowest index. An int for one UE's row, an array for a block."""
+    to the lowest index. One index for one UE's row, an array for a block."""
     values = np.asarray(rsrp_values, dtype=float)
     if values.size == 0:
         raise ValueError("at least one cell required")
-    serving = np.argmax(values, axis=-1)
-    return int(serving) if values.ndim == 1 else serving
+    return np.argmax(values, axis=-1)
 
 
 def coupling_gain_db(serving_rsrp_db: float, p_tx_dbm: float) -> float:

@@ -117,16 +117,13 @@ def _tx_setups(ctx: _CampaignContext) -> list:
         key = k if ctx.cfg.antenna.pattern == "itu_port" else p.d_v
         setups.setdefault(key, _TxSetup(p.pattern, p.geometry, [])).points.append(k)
     if ctx.cfg.run.phase == 2:
-        for setup in setups.values():
-            setup.ends = [
-                LinkEnd(np.zeros((1, 3)), np.zeros(1), setup.pattern, float(b))
-                if setup.geometry is None
-                else LinkEnd(
-                    setup.geometry.element_positions @ rotation_z(float(b)).T,
-                    setup.geometry.slant_rad, setup.pattern, float(b),
-                )
-                for b in ctx.cell_bearing_rad
-            ]
+        bearings = [float(b) for b in ctx.cell_bearing_rad]
+        for s in setups.values():
+            if s.geometry is None:
+                s.ends = [LinkEnd(np.zeros((1, 3)), np.zeros(1), s.pattern, b) for b in bearings]
+            else:
+                xyz, slants = s.geometry.element_positions, s.geometry.slant_rad
+                s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b) for b in bearings]
     return list(setups.values())
 
 
@@ -336,9 +333,6 @@ def _write_cdf(path, values, metric: str, cfg: RunConfig, d_v: float, tilt: floa
     return path
 
 
-PHASE2_COLUMNS = calib.REPORT_COLUMNS[5:]
-
-
 def run_campaign(cfg: RunConfig, log=None) -> list:
     """Execute the configured campaign and return the written file paths.
 
@@ -424,7 +418,7 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         if log:
             log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
         suffix = f"dv{d_v:g}_tilt{tilt:g}"
-        for name in ("cl_db", "gf_db") + (PHASE2_COLUMNS if cfg.run.phase == 2 else ()):
+        for name in calib.REPORT_COLUMNS[3:] if cfg.run.phase == 2 else ("cl_db", "gf_db"):
             written.append(_write_cdf(
                 os.path.join(out_dir, f"{name.removesuffix('_db')}_cdf_{suffix}.txt"),
                 reports[k][name], name, cfg, d_v, tilt, digest,
