@@ -1,9 +1,9 @@
 """Row-by-row reference forms of the campaign's per-UE report.
 
-``DropReport`` is the per-UE record the campaign used to build before its
-reports became columns; its ``row()`` is the reference text of one report
-line. ``geometry_factor_row_db`` is the one-row geometry factor the block
-form in ``chan3d.calib`` must match bit for bit. ``tests/test_calib.py``
+``DropReport`` is one UE's record; its ``row()`` is the reference text of
+one report line, which ``calib.write_report`` must produce from columns.
+``geometry_factor_row_db`` is the one-row geometry factor the block form in
+``chan3d.calib`` must match bit for bit. ``tests/test_calib.py``
 checks ``calib.write_report`` and ``calib.geometry_factor_db`` against them.
 """
 import math
