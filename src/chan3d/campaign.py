@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -31,7 +29,7 @@ from .ssp import generate_cluster_set
 from .synth import LinkContext, LinkEnd, synthesize, to_ports
 
 
-# UEs per block of the array kernels: bounds the (UE, site/cell) temporaries.
+# UEs per block of the phase-1 report pass: bounds its (UE, cell, element) temporaries.
 UE_BLOCK = 32
 
 
@@ -79,14 +77,6 @@ class _CampaignContext:
     tx_setups: list | None = None
 
 
-def _effective_deltas(ctx: _CampaignContext, ue_xy: np.ndarray) -> np.ndarray:
-    """UE minus site 2D offsets, folded to the closest wrap-around image if enabled."""
-    delta = ue_xy - ctx.site_xy
-    if ctx.wrap is None:
-        return delta
-    return fold_to_nearest_image(delta, ctx.wrap)
-
-
 def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
     """Every (d_v, tilt) point in output order."""
     points = []
@@ -125,25 +115,6 @@ def _tx_setups(ctx: _CampaignContext) -> list:
                 xyz, slants = s.geometry.element_positions, s.geometry.slant_rad
                 s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b) for b in bearings]
     return list(setups.values())
-
-
-def _slow_fading(cfg: RunConfig, sampler: LspSampler, drop: Drop, site_xy, wrap) -> SlowFading:
-    """Tilt-independent slow fading of every UE toward every site, in UE blocks."""
-    blocks = (
-        sampler.slow_fading(
-            range(start, min(start + UE_BLOCK, len(drop))),
-            drop.xyz[start:start + UE_BLOCK],
-            drop.indoor[start:start + UE_BLOCK],
-            site_xy,
-            cfg.layout.bs_height_m,
-            cfg.pathloss,
-            cfg.run.carrier_hz,
-            wrap=wrap,
-            all_lsps=cfg.run.phase == 2,
-        )
-        for start in range(0, len(drop), UE_BLOCK)
-    )
-    return SlowFading.concatenate(blocks, len(drop))
 
 
 def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
@@ -233,7 +204,9 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     sites = ctx.cell_site.tolist()
     rsrp = np.empty((len(ctx.points), len(sites)))
     realizations = [[None] * len(sites) for _ in ctx.points]
-    deltas = _effective_deltas(ctx, ctx.drop.xyz[ue_index, :2])
+    deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
+    if ctx.wrap is not None:
+        deltas = fold_to_nearest_image(deltas, ctx.wrap)
     seed = ctx.cfg.run.master_seed
     lsps = [ctx.slow.link_lsps(ue_index, s) for s in sites]
     links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c]) for c, s in enumerate(sites)]
@@ -290,6 +263,9 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> l
     """
     if workers <= 1:
         return [_phase2_records(ctx, i) for i in range(n_ues)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         mp_ctx, started = multiprocessing.get_context("fork"), "forked"
     except ValueError:
@@ -339,9 +315,11 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     Drops UEs and computes their slow fading once (both are shared across
     sweep points for paired comparisons). Each (d_v, downtilt) sweep point
     then gets one CDF file per metric plus a per-UE report, both written from
-    the point's report columns. Phase 1 runs in this process, in one pass
-    over UE blocks. Phase 2 computes all sweep points of one UE at a time,
-    spread over `workers` pool processes (forked, else spawned).
+    the point's report columns. The slow fading is one kernel call over the
+    drop, its spatial fields spread over up to `workers` threads. Phase 1
+    then runs in this process, in one pass over UE blocks. Phase 2 computes
+    all sweep points of one UE at a time, spread over `workers` pool
+    processes (forked, else spawned).
     Deterministic for a fixed (config, seed) at any worker count.
     Each file is written under a temporary name and renamed into place once
     complete, so an interrupted campaign leaves no half-written output.
@@ -368,12 +346,6 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
     )
 
-    if cfg.run.phase == 1 and cfg.run.workers > 1 and log:
-        log(
-            f"phase 1 runs vectorized in one process; "
-            f"workers={cfg.run.workers} applies to phase 2 only"
-        )
-
     sampler = LspSampler(
         build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
         build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
@@ -386,10 +358,17 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         if cfg.layout.wrap_around
         else None
     )
-    slow = _slow_fading(cfg, sampler, drop, site_xy, wrap)
+    all_lsps = cfg.run.phase == 2
+    n_fields = len(sampler.field_jobs(site_xy.shape[0], all_lsps))
+    threads = max(1, min(cfg.run.workers, n_fields))
+    slow = sampler.slow_fading(
+        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m,
+        cfg.pathloss, cfg.run.carrier_hz, wrap=wrap, all_lsps=all_lsps, threads=threads,
+    )
     if log:
         n_links, n_los = slow.los.size, int(np.count_nonzero(slow.los))
         log(f"slow fading: {n_links} (UE, site) links, {n_los} LOS ({n_los / n_links:.4f})")
+        log(f"slow fading: {n_fields} spatial fields over {threads} thread{'s' * (threads > 1)}")
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
     digest = config_hash(cfg)
     ctx = _CampaignContext(
@@ -406,6 +385,13 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         wrap=wrap,
     )
     ctx.tx_setups = _tx_setups(ctx)
+    single_element_sweep = (
+        cfg.run.phase == 1 and cfg.antenna.pattern == "element"
+        and cfg.antenna.k_per_port == 1 and len(ctx.points) > 1
+    )
+    if log and single_element_sweep:
+        log("warning: at k_per_port = 1 phase 1 measures port 0, a single element at the "
+            "array origin, so every sweep point writes the same report")
     if cfg.run.phase == 1:
         reports = _phase1_reports(ctx)
     else:

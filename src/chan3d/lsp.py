@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,6 +13,11 @@ from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_uniforms, sub
 
 # Canonical ordering of the seven large-scale parameters.
 LSP_NAMES = ("sf", "k", "ds", "asd", "asa", "esd", "esa")
+
+# (UE, site) links per chunk of slow_fading's per-link stages, and UEs per
+# chunk of a spatial field: they bound the kernel's temporaries.
+LINK_CHUNK = 2048
+FIELD_CHUNK = 64
 
 
 @dataclass
@@ -250,23 +256,6 @@ class SlowFading:
     def link_lsps(self, ue: int, site: int) -> LargeScaleParams:
         return LargeScaleParams(*self.lsps[ue, site])
 
-    @classmethod
-    def concatenate(cls, blocks, n_ue: int) -> "SlowFading":
-        """Stack consecutive UE blocks, taken one at a time from an iterable,
-        into preallocated arrays of n_ue rows."""
-        out = {}
-        start = 0
-        for block in blocks:
-            stop = start + block.pl.shape[0]
-            for f in fields(cls):
-                value = getattr(block, f.name)
-                if value is not None:
-                    if f.name not in out:
-                        out[f.name] = np.empty((n_ue,) + value.shape[1:], value.dtype)
-                    out[f.name][start:stop] = value
-            start = stop
-        return cls(**out)
-
 
 class LspSampler:
     """Per-link LSP source with site-shared draws.
@@ -302,6 +291,21 @@ class LspSampler:
             )
         return self._fields[key]
 
+    def field_jobs(self, n_site: int, all_lsps: bool) -> list:
+        """The (site, LSP) pairs whose spatial fields slow_fading evaluates.
+
+        Empty without spatial correlation. Without all_lsps, only the fields
+        that the SF rows of the mixing factors read: the others would enter
+        SF multiplied by exact zeros.
+        """
+        if not self.spatial:
+            return []
+        specs = (self.spec_los, self.spec_nlos)
+        used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(
+            np.any([spec.mixing_factor()[0] != 0.0 for spec in specs], axis=0)
+        )
+        return [(site, int(i)) for site in range(n_site) for i in used]
+
     def slow_fading(
         self,
         ue_ids,
@@ -313,54 +317,73 @@ class LspSampler:
         carrier_hz: float,
         wrap: np.ndarray | None = None,
         all_lsps: bool = False,
+        threads: int = 1,
     ) -> SlowFading:
-        """LOS state, pathloss and SF of a block of UEs toward every site.
+        """LOS state, pathloss and SF of UEs toward every site.
 
         pathloss, the [pathloss] section, gives the LOS probability too.
         Rows follow ue_ids, which key the LOS (and non-spatial LSP)
         substreams; ue_xyz is (n, 3) and indoor (n,). wrap is the
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
-        returned too. Without it, only the spatial fields that the SF rows of
-        the mixing factors read are evaluated: the others would enter SF
-        multiplied by exact zeros. One LSP draw per (UE, site) is shared by
-        all cells of the site.
+        returned too. One LSP draw per (UE, site) is shared by all cells of
+        the site. Each field of field_jobs is evaluated over all UEs in
+        chunks of FIELD_CHUNK UEs; with threads > 1, on that many threads
+        (the cosine sums release the GIL) while this thread computes the
+        geometry, LOS states and pathloss. The per-link stages run in chunks
+        of about LINK_CHUNK links. Each value is computed per element or per
+        link, so the result is the same at any chunking and thread count.
         """
-        ue_xyz = np.asarray(ue_xyz, dtype=float)
+        ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
         n_ue, n_site = len(ue_ids), site_xy.shape[0]
-        delta = ue_xyz[:, None, :2] - site_xy
-        if wrap is not None:
-            delta = fold_to_nearest_image(delta, wrap).reshape(n_ue, n_site, 2)
-        d2d = np.hypot(delta[..., 0], delta[..., 1])
-        h_ue = ue_xyz[:, 2:]
-        dz = h_ue - h_bs
-        d3d = np.hypot(d2d, dz)
-        az_dep = np.arctan2(delta[..., 1], delta[..., 0])
-        zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
-        # The first uniform of substream(seed, STREAM_LOS_STATE, ue, site) per link.
-        u = keyed_uniforms(
-            self.master_seed, STREAM_LOS_STATE, np.asarray(ue_ids)[:, None], np.arange(n_site)
-        )
-        los = u < pathloss.los_probability(d2d)
-        pl = pathloss_db(pathloss, d3d, h_ue, np.asarray(indoor)[:, None], los, carrier_hz)
+        h_ue, dz, indoor = ue_xyz[:, 2:], ue_xyz[:, 2:] - h_bs, np.asarray(indoor)[:, None]
+        jobs = self.field_jobs(n_site, all_lsps)
+        # Built before any thread starts: the _fields cache is not thread-safe.
+        samplers = [self._field(site, i).sample for site, i in jobs]
+        at_ue = np.empty((len(jobs), n_ue))
 
-        specs = (self.spec_los, self.spec_nlos)
-        normals = np.zeros((n_ue, n_site, len(LSP_NAMES)))
-        if self.spatial:
-            used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(
-                np.any([spec.mixing_factor()[0] != 0.0 for spec in specs], axis=0)
-            )
-            for site in range(n_site):
-                for i in used:
-                    field_i = self._field(site, int(i))
-                    normals[:, site, i] = field_i.sample(ue_xyz[:, 0], ue_xyz[:, 1])
-        else:
-            for row, ue in enumerate(ue_ids):
-                for site in range(n_site):
-                    rng = substream(self.master_seed, STREAM_LSP, int(ue), site)
-                    normals[row, site] = rng.standard_normal(len(LSP_NAMES))
+        def evaluate(k):
+            for start in range(0, n_ue, FIELD_CHUNK):
+                rows = slice(start, start + FIELD_CHUNK)
+                at_ue[k, rows] = samplers[k](ue_xyz[rows, 0], ue_xyz[rows, 1])
+
+        d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
+        los = np.empty((n_ue, n_site), dtype=bool)
+        step = max(1, LINK_CHUNK // n_site)
+        chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+            evaluated = (pool.map if pool else map)(evaluate, range(len(jobs)))
+            for rows in chunks:
+                delta = ue_xyz[rows, None, :2] - site_xy
+                if wrap is not None:
+                    delta = fold_to_nearest_image(delta, wrap).reshape(delta.shape)
+                d2d[rows] = np.hypot(delta[..., 0], delta[..., 1])
+                d3d = np.hypot(d2d[rows], dz[rows])
+                az_dep[rows] = np.arctan2(delta[..., 1], delta[..., 0])
+                zen_dep[rows] = np.arccos(np.clip(dz[rows] / d3d, -1.0, 1.0))
+                # The first uniform of substream(seed, STREAM_LOS_STATE, ue, site) per link.
+                u = keyed_uniforms(
+                    self.master_seed, STREAM_LOS_STATE, ue_ids[rows, None], np.arange(n_site)
+                )
+                los[rows] = u < pathloss.los_probability(d2d[rows])
+                pl[rows] = pathloss_db(pathloss, d3d, h_ue[rows], indoor[rows], los[rows], carrier_hz)
+            list(evaluated)
+
         count = len(LSP_NAMES) if all_lsps else 1
-        lsp_los, lsp_nlos = (lsps_from_normals(spec, normals, d2d, h_ue, count) for spec in specs)
-        values = np.where(los[..., None], lsp_los, lsp_nlos)
+        values = np.empty((n_ue, n_site, count))
+        job_site, job_lsp = np.array(jobs, dtype=int).reshape(-1, 2).T
+        for rows in chunks:
+            if self.spatial:
+                normals = np.zeros(d2d[rows].shape + (len(LSP_NAMES),))
+                normals[:, job_site, job_lsp] = at_ue[:, rows].T
+            else:
+                normals = np.array([[
+                    substream(self.master_seed, STREAM_LSP, int(ue), site).standard_normal(7)
+                    for site in range(n_site)] for ue in ue_ids[rows]])
+            lsp_los, lsp_nlos = (lsps_from_normals(spec, normals, d2d[rows], h_ue[rows], count)
+                                 for spec in (self.spec_los, self.spec_nlos))
+            values[rows] = np.where(los[rows, :, None], lsp_los, lsp_nlos)
         return SlowFading(
             d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None
         )

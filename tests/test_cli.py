@@ -170,6 +170,8 @@ def test_campaign_phase2_pool_matches_serial(tmp_path):
     serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
     pooled, lines = _run_logged(_tiny_phase2(tmp_path, "w2", 2))
     assert sum("over 2 forked worker processes" in line for line in lines) == 1
+    # Phase 2 evaluates all seven LSP fields of its one site.
+    assert lines.count("slow fading: 7 spatial fields over 2 threads") == 1
     assert len(pooled) == 4 * 10  # 9 CDFs and a report per sweep point
     assert serial == pooled
 
@@ -177,17 +179,17 @@ def test_campaign_phase2_pool_matches_serial(tmp_path):
 def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
     # Without fork the pool spawns its workers, which get the campaign
     # context from the pool initializer; the bytes equal the one-worker run.
-    import chan3d.campaign as campaign
+    import multiprocessing
 
     serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
-    get_context = campaign.multiprocessing.get_context
+    get_context = multiprocessing.get_context
 
     def no_fork(method):
         if method == "fork":
             raise ValueError(f"cannot find context for {method!r}")
         return get_context(method)
 
-    monkeypatch.setattr(campaign.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     spawned, lines = _run_logged(_tiny_phase2(tmp_path, "spawn", 2))
     assert sum(
         "fork start method unavailable: 6 UEs over 2 spawned worker processes" in line
@@ -197,10 +199,43 @@ def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
 
 
 def test_campaign_phase1_workers_logged_in_process(tmp_path):
-    cfg = _tiny_cfg(tmp_path)
+    # One ring: 7 sites, and phase 1 evaluates the SF field of each (UMa's
+    # SF row of the Cholesky factor is (1, 0, ...)).
+    cfg = _tiny_cfg(tmp_path, layout__n_rings=1, run__n_ue_per_cell=1)
     cfg.run.workers = 2
     _, lines = _run_logged(cfg)
-    assert sum("phase 1 runs vectorized in one process" in line for line in lines) == 1
+    assert lines.count("slow fading: 7 spatial fields over 2 threads") == 1
+    cfg.run.workers = 1
+    _, lines = _run_logged(cfg)
+    assert lines.count("slow fading: 7 spatial fields over 1 thread") == 1
+
+
+def test_campaign_threads_only_above_one_worker(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_threads(*args, **kwargs):
+        raise RuntimeError("thread pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    cfg = _tiny_cfg(tmp_path, layout__n_rings=1)
+    single, _ = _run_logged(cfg)
+    cfg.run.workers = 2
+    with pytest.raises(RuntimeError, match="thread pool started"):
+        run_campaign(cfg)
+    monkeypatch.undo()
+    assert _run_logged(cfg)[0] == single
+
+
+def test_campaign_warns_single_element_port_sweep(tmp_path):
+    # At k_per_port = 1 port 0 is one element at the array origin: the
+    # sweep points write the same report, and the campaign says so once.
+    cfg = _tiny_cfg(tmp_path, antenna__k_per_port=1, antenna__d_v_sweep=(0.5, 0.8))
+    files, lines = _run_logged(cfg)
+    warnings = [line for line in lines if line.startswith("warning:")]
+    assert len(warnings) == 1 and "k_per_port = 1" in warnings[0]
+    assert files["report_dv0.5_tilt12.txt"] == files["report_dv0.8_tilt12.txt"]
+    _, lines = _run_logged(_tiny_cfg(tmp_path, sub="one", antenna__k_per_port=1))
+    assert not [line for line in lines if line.startswith("warning:")]
 
 
 def test_campaign_logs_los_links_once(tmp_path):

@@ -495,6 +495,17 @@ def test_golden_output_hashes(name, tmp_path):
     assert output_hashes(paths) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name, workers", [
+    ("p1_3d_element", 2), ("p1_legacy2d_wrap_itu", 3), ("p2_doppler_wrap", 3),
+])
+def test_golden_output_hashes_at_more_workers(name, workers, tmp_path):
+    # The spatial fields spread over `workers` threads (and phase 2 over as
+    # many processes) leave every byte as it is at one worker.
+    cfg = golden_config(name, tmp_path)
+    cfg.run.workers = workers
+    assert output_hashes(run_campaign(cfg)) == GOLDEN[name]
+
+
 def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     # The wrap-around fold of a UE's offsets to every site serves all of its
     # links: 21 UEs, one fold each, not one per (UE, cell) link.

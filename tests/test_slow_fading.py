@@ -3,17 +3,20 @@
 `_per_link` is the scalar path the campaign took before the kernel: for one
 UE, one LOS draw, one pathloss and one LSP draw per site, with the pathloss
 and LSP marginals written out in scalar form. The kernel must reproduce it
-bit for bit, including in blocks and with only SF requested.
+bit for bit: over the whole drop or a sub-range of it, at any chunk size and
+thread count, and with only SF requested.
 """
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from chan3d.config import build_lsp_spec, default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
-from chan3d.lsp import LSP_NAMES, LspSampler, SlowFading
+import chan3d.lsp
+from chan3d.lsp import LSP_NAMES, LspSampler
 from chan3d.rng import STREAM_DROP, STREAM_LOS_STATE, STREAM_LSP, substream
 
 H_BS = 25.0
@@ -106,11 +109,31 @@ def _setup(spatial, wrap_around, correlation):
     return sampler, cfg.pathloss, site_xy, wrap, drop
 
 
-def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps):
+def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps, threads=1):
     return sampler.slow_fading(
         range(start, stop), drop.xyz[start:stop], drop.indoor[start:stop],
-        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps,
+        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps, threads=threads,
     )
+
+
+FIELDS = ("d2d", "az_dep", "zen_dep", "los", "pl", "sf", "lsps")
+
+
+def _assert_rows_equal(got, whole, rows):
+    for name in FIELDS:
+        value = getattr(whole, name)
+        if value is None:
+            assert getattr(got, name) is None
+        else:
+            assert np.array_equal(getattr(got, name), value[rows]), name
+
+
+def _small_chunks(monkeypatch):
+    # 3 UEs per link chunk at 7 sites and 5 UEs per field chunk: the 63-UE
+    # drop and its sub-ranges span several chunks of each kind, and chunk
+    # edges fall inside them.
+    monkeypatch.setattr(chan3d.lsp, "LINK_CHUNK", 3 * 7)
+    monkeypatch.setattr(chan3d.lsp, "FIELD_CHUNK", 5)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +146,7 @@ def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps):
     ],
     ids=["spatial-wrap", "keyed-wrap", "spatial-nowrap", "spatial-wrap-semidefinite"],
 )
-def test_kernel_equals_per_link_form(spatial, wrap_around, correlation):
+def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypatch):
     sampler, pathloss, site_xy, wrap, drop = _setup(spatial, wrap_around, correlation)
     if correlation is not None:
         factor = sampler.spec_nlos.mixing_factor()
@@ -135,20 +158,47 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation):
     d2d, az_dep, zen_dep, los, pl, lsps = expected
     assert 0 < np.count_nonzero(los) < los.size
 
-    split = 40  # two blocks of unequal size
-    full = SlowFading.concatenate([
-        _kernel(sampler, pathloss, site_xy, wrap, drop, 0, split, True),
-        _kernel(sampler, pathloss, site_xy, wrap, drop, split, len(drop), True),
-    ], len(drop))
+    full = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True)
     sf_only = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), False)
-    for got in (full, sf_only):
+    _small_chunks(monkeypatch)
+    chunked = [_kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+               for all_lsps in (True, False)]
+    for got in (full, sf_only, *chunked):
         assert np.array_equal(got.d2d, d2d)
         assert np.array_equal(got.az_dep, az_dep)
         assert np.array_equal(got.zen_dep, zen_dep)
         assert np.array_equal(got.los, los)
         assert np.array_equal(got.pl, pl)
         assert np.array_equal(got.sf, lsps[..., 0])
-    assert sf_only.lsps is None
-    assert np.array_equal(full.lsps, lsps)
+    assert sf_only.lsps is None and chunked[1].lsps is None
+    assert np.array_equal(full.lsps, lsps) and np.array_equal(chunked[0].lsps, lsps)
     params = full.link_lsps(5, 2)
     assert (params.sf_db, params.esa_deg) == (lsps[5, 2, 0], lsps[5, 2, 6])
+
+    split = 40  # two sub-ranges of unequal size
+    for whole in (full, sf_only):
+        all_lsps = whole.lsps is not None
+        for start, stop in ((0, split), (split, len(drop))):
+            part = _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps)
+            _assert_rows_equal(part, whole, slice(start, stop))
+
+
+@pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])
+@pytest.mark.parametrize("all_lsps", [True, False], ids=["all-lsps", "sf-only"])
+def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch):
+    _small_chunks(monkeypatch)
+    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
+    jobs = sampler.field_jobs(site_xy.shape[0], all_lsps)
+    n_lsps = len(LSP_NAMES) if all_lsps else 1  # UMa's SF row of the Cholesky factor is (1, 0, ...)
+    assert jobs == ([(s, i) for s in range(site_xy.shape[0]) for i in range(n_lsps)] if spatial else [])
+    one = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the field chunks too
+    try:
+        for threads in (2, 3):
+            # A fresh sampler each time: no field is cached before the threaded call.
+            fresh = _setup(spatial, True, None)[0]
+            got = _kernel(fresh, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, threads)
+            _assert_rows_equal(got, one, slice(None))
+    finally:
+        sys.setswitchinterval(interval)
