@@ -13,7 +13,6 @@ from .antenna import (
     element_gain_db,
     element_pattern_3gpp,
     itu_port_pattern,
-    port_gain_itu_db,
     uniform_planar_array,
 )
 from .calib import (
@@ -32,16 +31,14 @@ from .config import ConfigError, RunConfig, default_config, emit_config, parse_c
 from .deploy import Drop, drop_ues, hex_layout, legacy_2d_drop
 from .geom import SPEED_OF_LIGHT, AngleVector, GeometryError
 from .lsp import (
-    LargeScaleParams,
-    LspDistributionSpec,
     LspSampler,
+    LspSection,
     Pathloss,
     pathloss_db,
 )
 from .ssp import (
     ClusterSet,
     SspConfig,
-    SubpathOffsets,
     cluster_angles,
     cluster_delays,
     cluster_powers,

@@ -42,29 +42,20 @@ def itu_port_pattern(downtilt_deg: float = 0.0) -> PatternSpec:
     return PatternSpec(17.0, 20.0, 20.0, 70.0, 15.0, 90.0 + downtilt_deg)
 
 
-def _clipped_pattern_db(spec: PatternSpec, azimuth, zenith, vertical_floor_db: float):
-    az_deg = np.degrees(wrap_azimuth(azimuth))
-    zen_deg = np.degrees(np.asarray(zenith, dtype=float))
-    a_h = -np.minimum(12.0 * (az_deg / spec.phi_3db_deg) ** 2, spec.a_m_db)
-    a_v = -np.minimum(
-        12.0 * ((zen_deg - spec.theta_tilt_deg) / spec.theta_3db_deg) ** 2,
-        vertical_floor_db,
-    )
-    return spec.g_max_dbi - np.minimum(-(a_h + a_v), spec.a_m_db)
-
-
 def element_gain_db(spec: PatternSpec, azimuth, zenith):
     """Element power gain in dB at the given angles (radians, broadcastable).
 
     Horizontal cut clipped at the front-back ratio, vertical cut at the
-    sidelobe floor, combined with the overall front-back clip.
+    sidelobe floor, combined with the overall front-back clip. With
+    itu_port_pattern (both floors 20 dB) this is the ITU port pattern.
     """
-    return _clipped_pattern_db(spec, azimuth, zenith, spec.sla_v_db)
-
-
-def port_gain_itu_db(spec: PatternSpec, azimuth, zenith):
-    """Port power gain in dB; the front-back ratio also floors the vertical cut."""
-    return _clipped_pattern_db(spec, azimuth, zenith, spec.a_m_db)
+    az_deg = np.degrees(wrap_azimuth(azimuth))
+    zen_deg = np.degrees(np.asarray(zenith, dtype=float))
+    a_h = -np.minimum(12.0 * (az_deg / spec.phi_3db_deg) ** 2, spec.a_m_db)
+    a_v = -np.minimum(
+        12.0 * ((zen_deg - spec.theta_tilt_deg) / spec.theta_3db_deg) ** 2, spec.sla_v_db
+    )
+    return spec.g_max_dbi - np.minimum(-(a_h + a_v), spec.a_m_db)
 
 
 @dataclass

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import calib
 from .antenna import (
-    downtilt_weights, element_terms, fields_gain_db, port_gain_itu_db, weight_fields,
+    downtilt_weights, element_gain_db, element_terms, fields_gain_db, weight_fields,
 )
-from .config import RunConfig, build_array, build_lsp_spec, build_tx_pattern, config_hash
+from .config import RunConfig, build_array, build_tx_pattern, config_hash
 from .deploy import (
     CELL_BEARINGS_DEG,
     Drop,
@@ -121,7 +121,7 @@ def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
     """TX gain over (UE, cell) toward each cell's LOS direction, for each point
     of the setup: its element terms once, then each point's port weights."""
     if setup.geometry is None:
-        return [np.asarray(port_gain_itu_db(setup.pattern, local_az, zen))]
+        return [np.asarray(element_gain_db(setup.pattern, local_az, zen))]
     amp, phases = element_terms(setup.pattern, setup.geometry, 0, ctx.wavelength, local_az, zen)
     return [
         fields_gain_db(*weight_fields(amp, phases, ctx.points[k].geometry, 0))
@@ -165,8 +165,9 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     return reports
 
 
-def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, lsps) -> dict:
-    """LinkContext fields of one (UE, cell) link, all but its TX end and clusters."""
+def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, k_db) -> dict:
+    """LinkContext fields of one (UE, cell) link, all but its TX end and
+    clusters; k_db is the link's Rice factor in dB."""
     slow = ctx.slow
     site = int(ctx.cell_site[cell])
     offset = np.array([delta2d[0], delta2d[1], ctx.drop.xyz[ue_index, 2] - ctx.site_z])
@@ -181,7 +182,7 @@ def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, lsps)
         slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
         carrier_hz=ctx.cfg.run.carrier_hz,
         velocity_mps=ctx.drop.velocity[ue_index],
-        rice_k_linear=10.0 ** (lsps.k_factor_db / 10.0) if slow.los[ue_index, site] else 0.0,
+        rice_k_linear=10.0 ** (k_db / 10.0) if slow.los[ue_index, site] else 0.0,
         los_departure=dep,
         los_arrival=AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith),
         xpr_offdiag_inverse=ctx.cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
@@ -208,8 +209,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     if ctx.wrap is not None:
         deltas = fold_to_nearest_image(deltas, ctx.wrap)
     seed = ctx.cfg.run.master_seed
-    lsps = [ctx.slow.link_lsps(ue_index, s) for s in sites]
-    links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c]) for c, s in enumerate(sites)]
+    lsps = ctx.slow.lsps[ue_index, ctx.cell_site]
+    links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c, 1]) for c, s in enumerate(sites)]
     rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
     departures, arrivals = ([f[k] for f in links] for k in ("los_departure", "los_arrival"))
     batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
@@ -347,8 +348,9 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     )
 
     sampler = LspSampler(
-        build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
-        build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
+        (cfg.lsp_los, cfg.corr_los),
+        (cfg.lsp_nlos, cfg.corr_nlos),
+        cfg.decorrelation,
         cfg.run.master_seed,
         spatial=cfg.spatial.enabled,
         n_field_terms=cfg.spatial.n_terms,

@@ -1,9 +1,10 @@
 """Run configuration: one dataclass per INI section, and the generic parse,
 validate and emit walks over them.
 
-The dataclasses hold each key's name, type and default. [pathloss] and
-[ssp] are the model objects themselves (lsp.Pathloss, ssp.SspConfig);
-per-key rules live in _CHECKS.
+The dataclasses hold each key's name, type and default. [pathloss],
+[ssp], [lsp_los]/[lsp_nlos] and [lsp_decorrelation] are the model objects
+themselves (lsp.Pathloss, ssp.SspConfig, lsp.LspSection,
+lsp.DecorrelationSection); per-key rules live in _CHECKS.
 
 Every key has a documented default except run.master_seed, which must be
 given explicitly so runs are reproducible on purpose. `chan3d default-config`
@@ -14,12 +15,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .antenna import ArrayGeometry, PatternSpec, itu_port_pattern, uniform_planar_array
-from .lsp import LSP_NAMES, DistanceTable, LspDistributionSpec, Marginal, Pathloss
+from .lsp import LSP_NAMES, DecorrelationSection, LspSection, Pathloss, mixing_factor
 from .ssp import RAY_OFFSETS_20, SspConfig
 
 
@@ -73,41 +74,6 @@ class AntennaSection:
     sla_v_db: float = 30.0
     phi_3db_deg: float = 65.0
     theta_3db_deg: float = 65.0
-
-
-# A distance table: rows (d_2d, mu, sigma), written "d:mu:sigma, ...".
-Table = tuple
-
-
-@dataclass
-class LspSection:
-    sf_mu_db: float = 0.0
-    sf_sigma_db: float = 6.0
-    k_mu_db: float = 9.0
-    k_sigma_db: float = 3.5
-    ds_log10_mu: float = -6.44
-    ds_log10_sigma: float = 0.39
-    asd_log10_mu: float = 1.41
-    asd_log10_sigma: float = 0.28
-    asa_log10_mu: float = 1.87
-    asa_log10_sigma: float = 0.11
-    esd_table: Table = ((0.0, 0.9, 0.49), (700.0, -0.5, 0.49), (10000.0, -0.5, 0.49))
-    esd_height_slope_per_m: float = -0.01
-    esa_table: Table = ((0.0, 1.26, 0.16),)
-    esa_height_slope_per_m: float = 0.0
-
-
-@dataclass
-class DecorrelationSection:
-    """Decorrelation distance (m) of each LSP's spatial field, in LSP_NAMES order."""
-
-    sf: float = 50.0
-    k: float = 50.0
-    ds: float = 40.0
-    asd: float = 50.0
-    asa: float = 50.0
-    esd: float = 50.0
-    esa: float = 50.0
 
 
 @dataclass
@@ -323,10 +289,28 @@ _NON_NEGATIVE = (lambda v, s: v >= 0, "must be non-negative")
 _AT_LEAST_1 = (lambda v, s: v >= 1, "must be >= 1")
 _SIGMA = (lambda v, s: v >= 0, "a standard deviation must be non-negative")
 _PATTERN = (lambda v, s: v > 0, "pattern constants must be positive")
-_TABLE = (
-    lambda v, s: min(_distance_table(v).sigma) >= 0,
-    "the sigma column (a standard deviation) must be non-negative",
-)
+
+
+def _table_rows(rows, s) -> bool:
+    """Whether a distance table's sigma column is non-negative; raises
+    ValueError when its breakpoints do not ascend."""
+    if [r[0] for r in rows] != sorted(r[0] for r in rows):
+        raise ValueError("distance breakpoints must be ascending")
+    return min(r[2] for r in rows) >= 0
+
+
+def _ray_offsets(offsets, s) -> bool:
+    """Whether custom ray offsets (if any) number n_rays; raises ValueError
+    unless they are symmetric about zero."""
+    if not offsets:
+        return True
+    ordered = np.sort(offsets)
+    if not np.allclose(ordered, -ordered[::-1], atol=1e-12):
+        raise ValueError("ray offsets must be symmetric about zero")
+    return len(offsets) == s.n_rays
+
+
+_TABLE = (_table_rows, "the sigma column (a standard deviation) must be non-negative")
 _LSP_SIGMAS = ("sf_sigma_db", "k_sigma_db", "ds_log10_sigma", "asd_log10_sigma", "asa_log10_sigma")
 
 # Per-key rules: "section.key" -> (test(value, section), message). A test
@@ -365,10 +349,7 @@ _CHECKS = {
         lambda v, s: bool(s.ray_offsets) or v in range(2, RAY_OFFSETS_20.size + 1, 2),
         "must be an even count up to 20 (or give ray_offsets)",
     ),
-    "ssp.ray_offsets": (
-        lambda v, s: not v or (len(v) == s.n_rays and s.subpath_offsets() is not None),
-        "length must equal n_rays",
-    ),
+    "ssp.ray_offsets": (_ray_offsets, "length must equal n_rays"),
     "ssp.split_strongest": (lambda v, s: not v or s.n_rays == 20, "requires the 20-ray layout"),
     "ssp.xpr_offdiag": _one_of("sqrt_kappa", "sqrt_inv_kappa"),
     "ssp.r_tau": (lambda v, s: v > 1.0, "must exceed 1"),
@@ -398,40 +379,9 @@ def validate(cfg: RunConfig):
             if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"{name}.{key}: correlation must lie in [-1, 1]")
         try:
-            build_lsp_spec(cfg.lsp_los, sections[name], cfg.decorrelation).mixing_factor()
+            mixing_factor(sections[name])
         except ValueError as exc:
             raise ConfigError(f"[{name}]: {exc}") from None
-
-
-def correlation_matrix(pairs: dict) -> np.ndarray:
-    mat = np.eye(7)
-    for key, value in pairs.items():
-        a, b = key.split("_")
-        i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
-        mat[i, j] = mat[j, i] = value
-    return mat
-
-
-def _distance_table(rows, slope: float = 0.0) -> DistanceTable:
-    return DistanceTable(
-        tuple(r[0] for r in rows), tuple(r[1] for r in rows), tuple(r[2] for r in rows), slope
-    )
-
-
-def build_lsp_spec(
-    section: LspSection, corr_pairs: dict, decorrelation: DecorrelationSection
-) -> LspDistributionSpec:
-    return LspDistributionSpec(
-        sf=Marginal(section.sf_mu_db, section.sf_sigma_db),
-        k_factor=Marginal(section.k_mu_db, section.k_sigma_db),
-        ds_log10=Marginal(section.ds_log10_mu, section.ds_log10_sigma),
-        asd_log10=Marginal(section.asd_log10_mu, section.asd_log10_sigma),
-        asa_log10=Marginal(section.asa_log10_mu, section.asa_log10_sigma),
-        esd_log10=_distance_table(section.esd_table, section.esd_height_slope_per_m),
-        esa_log10=_distance_table(section.esa_table, section.esa_height_slope_per_m),
-        correlation=correlation_matrix(corr_pairs),
-        decorrelation_m=asdict(decorrelation),
-    )
 
 
 def build_array(section: AntennaSection, d_v: float, wavelength: float) -> ArrayGeometry:

@@ -1,9 +1,10 @@
-"""Slow fading and correlated large-scale parameter generation per UE-site link."""
+"""The LSP model ([lsp_*] sections), slow fading, and correlated large-scale
+parameter generation per UE-site link."""
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,111 +21,70 @@ LINK_CHUNK = 2048
 FIELD_CHUNK = 64
 
 
-@dataclass
-class LargeScaleParams:
-    """The seven per-link LSPs: shadow fading, Rice factor, and RMS spreads."""
-
-    sf_db: float
-    k_factor_db: float
-    ds_s: float
-    asd_deg: float
-    asa_deg: float
-    esd_deg: float
-    esa_deg: float
-
-    def __post_init__(self):
-        spreads = (self.ds_s, self.asd_deg, self.asa_deg, self.esd_deg, self.esa_deg)
-        if not all(math.isfinite(v) and v > 0 for v in spreads):
-            raise ValueError("delay and angular spreads must be positive and finite")
-        if not (math.isfinite(self.sf_db) and math.isfinite(self.k_factor_db)):
-            raise ValueError("SF and K factor must be finite")
+# A distance table: rows (d_2d, mu, sigma), written "d:mu:sigma, ...".
+Table = tuple
 
 
 @dataclass
-class Marginal:
-    """Mean and standard deviation of one LSP in its generation domain
-    (dB for SF/K, log10 of the natural unit for the spreads)."""
+class LspSection:
+    """An [lsp_los] or [lsp_nlos] section: the LSP marginals of one LOS state.
 
-    mu: float
-    sigma: float
-
-
-@dataclass
-class DistanceTable:
-    """(mu, sigma) as piecewise-linear functions of 2D distance.
-
-    An optional slope adds mu_height_slope_per_m * (h_ue - 1.5) to mu, for
-    elevation spreads that depend on the UE height. Values are clamped at
-    the table ends.
+    Each LSP is normal with (mu, sigma) in its generation domain: dB for SF
+    and K, log10 of s or deg for the spreads. ESD and ESA take theirs from
+    distance tables, piecewise linear in the 2D distance and clamped at the
+    table ends; mu then moves by slope * (h_ue - 1.5) with the UE height.
     """
 
-    distances_m: tuple
-    mu: tuple
-    sigma: tuple
-    mu_height_slope_per_m: float = 0.0
-
-    def __post_init__(self):
-        if not (len(self.distances_m) == len(self.mu) == len(self.sigma)) or not self.distances_m:
-            raise ValueError("distance table needs equal-length, non-empty columns")
-        if list(self.distances_m) != sorted(self.distances_m):
-            raise ValueError("distance breakpoints must be ascending")
-
-    def at(self, d_2d, h_ue=1.5) -> Marginal:
-        """Marginal at the given distance and UE height (scalars or broadcastable arrays)."""
-        mu = np.interp(d_2d, self.distances_m, self.mu)
-        sigma = np.interp(d_2d, self.distances_m, self.sigma)
-        return Marginal(mu + self.mu_height_slope_per_m * (h_ue - 1.5), sigma)
+    sf_mu_db: float = 0.0
+    sf_sigma_db: float = 6.0
+    k_mu_db: float = 9.0
+    k_sigma_db: float = 3.5
+    ds_log10_mu: float = -6.44
+    ds_log10_sigma: float = 0.39
+    asd_log10_mu: float = 1.41
+    asd_log10_sigma: float = 0.28
+    asa_log10_mu: float = 1.87
+    asa_log10_sigma: float = 0.11
+    esd_table: Table = ((0.0, 0.9, 0.49), (700.0, -0.5, 0.49), (10000.0, -0.5, 0.49))
+    esd_height_slope_per_m: float = -0.01
+    esa_table: Table = ((0.0, 1.26, 0.16),)
+    esa_height_slope_per_m: float = 0.0
 
 
 @dataclass
-class LspDistributionSpec:
-    """Marginals, 7x7 cross-correlation, and decorrelation distances.
+class DecorrelationSection:
+    """Decorrelation distance (m) of each LSP's spatial field, in LSP_NAMES order."""
 
-    ESD/ESA marginals are distance tables so they can depend on the link
-    geometry; the others are plain (mu, sigma) pairs.
+    sf: float = 50.0
+    k: float = 50.0
+    ds: float = 40.0
+    asd: float = 50.0
+    asa: float = 50.0
+    esd: float = 50.0
+    esa: float = 50.0
+
+
+def mixing_factor(pairs: dict) -> np.ndarray:
+    """Factor F with F F^T equal to the 7x7 LSP correlation matrix.
+
+    pairs maps "a_b" LSP-name pairs to their correlation; the other
+    off-diagonal entries are 0. Uses Cholesky when positive definite, an
+    eigenvalue factor for the semi-definite case, and raises ValueError
+    otherwise.
     """
-
-    sf: Marginal
-    k_factor: Marginal
-    ds_log10: Marginal
-    asd_log10: Marginal
-    asa_log10: Marginal
-    esd_log10: DistanceTable
-    esa_log10: DistanceTable
-    correlation: np.ndarray
-    decorrelation_m: dict = field(default_factory=dict)
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.correlation = np.asarray(self.correlation, dtype=float)
-        if self.correlation.shape != (7, 7):
-            raise ValueError("correlation matrix must be 7x7")
-
-    def mixing_factor(self) -> np.ndarray:
-        """Factor F with F F^T equal to the correlation matrix.
-
-        Uses Cholesky when positive definite, an eigenvalue factor for the
-        semi-definite case, and raises ValueError otherwise.
-        """
-        if self._factor is not None:
-            return self._factor
-        corr = self.correlation
-        if not np.allclose(corr, corr.T, atol=1e-12) or not np.allclose(
-            np.diag(corr), 1.0, atol=1e-12
-        ):
-            raise ValueError("correlation matrix must be symmetric with unit diagonal")
-        try:
-            factor = np.linalg.cholesky(corr)
-        except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(corr)
-            if w.min() < -1e-8:
-                raise ValueError(
-                    f"correlation matrix is not positive semi-definite "
-                    f"(min eigenvalue {w.min():.3g})"
-                ) from None
-            factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        self._factor = factor
-        return factor
+    corr = np.eye(len(LSP_NAMES))
+    for key, value in pairs.items():
+        i, j = (LSP_NAMES.index(name) for name in key.split("_"))
+        corr[i, j] = corr[j, i] = value
+    try:
+        return np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(corr)
+        if w.min() < -1e-8:
+            raise ValueError(
+                f"correlation matrix is not positive semi-definite (min eigenvalue {w.min():.3g})"
+            ) from None
+        return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
 def _pow10(x):
@@ -132,29 +92,45 @@ def _pow10(x):
 
     numpy's array power rounds differently from the scalar power in a few
     percent of elements; the per-element form keeps the LSPs bit-identical
-    to the scalar per-link form, 10.0 ** x on floats.
+    to the scalar per-link form, 10.0 ** x on floats. Raises ValueError
+    when a value overflows.
     """
-    return np.array([math.pow(10.0, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    try:
+        return np.array([math.pow(10.0, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    except OverflowError:
+        raise ValueError(
+            "the LSP draw overflowed: a spread of 10**x exceeds the float range; "
+            "lower the [lsp_los]/[lsp_nlos] log10 mu or sigma"
+        ) from None
 
 
 def lsps_from_normals(
-    spec: LspDistributionSpec, normals, d_2d, h_ue, count: int = len(LSP_NAMES)
+    section: LspSection, factor, normals, d_2d, h_ue, count: int = len(LSP_NAMES)
 ) -> np.ndarray:
     """The first `count` LSPs, in LSP_NAMES order, from standard normals of shape (..., 7).
 
-    The normals are mixed through the correlation factor, then mapped
-    through the marginals: dB for SF and K, natural units for the spreads.
-    d_2d and h_ue broadcast against the leading axes; they set the ESD/ESA
-    marginals. Returns shape (..., count).
+    The normals are mixed through the correlation factor (mixing_factor),
+    then mapped through the section's marginals: dB for SF and K, natural
+    units for the spreads. d_2d and h_ue broadcast against the leading axes;
+    they set the ESD/ESA marginals. Returns shape (..., count).
     """
+    s = section
     # Batched matmul equals the per-link F @ n bit for bit (einsum does not).
-    z = np.matmul(spec.mixing_factor(), np.asarray(normals, dtype=float)[..., None])[..., 0]
-    marginals = [spec.sf, spec.k_factor, spec.ds_log10, spec.asd_log10, spec.asa_log10]
+    z = np.matmul(factor, np.asarray(normals, dtype=float)[..., None])[..., 0]
+    marginals = [
+        (s.sf_mu_db, s.sf_sigma_db), (s.k_mu_db, s.k_sigma_db),
+        (s.ds_log10_mu, s.ds_log10_sigma), (s.asd_log10_mu, s.asd_log10_sigma),
+        (s.asa_log10_mu, s.asa_log10_sigma),
+    ]
     if count > 5:
-        marginals += [spec.esd_log10.at(d_2d, h_ue), spec.esa_log10.at(d_2d, h_ue)]
+        for table, slope in ((s.esd_table, s.esd_height_slope_per_m),
+                             (s.esa_table, s.esa_height_slope_per_m)):
+            d, mu, sigma = zip(*table)
+            mu_at = np.interp(d_2d, d, mu) + slope * (h_ue - 1.5)
+            marginals.append((mu_at, np.interp(d_2d, d, sigma)))
     values = []
-    for i, m in enumerate(marginals[:count]):
-        value = m.mu + m.sigma * z[..., i]
+    for i, (mu, sigma) in enumerate(marginals[:count]):
+        value = mu + sigma * z[..., i]
         values.append(value if i < 2 else _pow10(value))
     return np.stack(values, axis=-1)
 
@@ -253,14 +229,13 @@ class SlowFading:
     sf: np.ndarray
     lsps: np.ndarray | None = None
 
-    def link_lsps(self, ue: int, site: int) -> LargeScaleParams:
-        return LargeScaleParams(*self.lsps[ue, site])
-
 
 class LspSampler:
     """Per-link LSP source with site-shared draws.
 
-    All three cells of a site see the same draw for a given UE. With spatial
+    los and nlos are each a ([lsp_*] section, correlation pairs) tuple;
+    decorrelation sets the spatial fields' decorrelation distances. All
+    three cells of a site see the same draw for a given UE. With spatial
     correlation enabled the underlying normals come from per-(site, LSP)
     Gaussian fields evaluated at the UE position, so nearby UEs receive
     correlated parameters; otherwise each (UE, site) pair owns a keyed
@@ -269,14 +244,16 @@ class LspSampler:
 
     def __init__(
         self,
-        spec_los: LspDistributionSpec,
-        spec_nlos: LspDistributionSpec,
+        los: tuple,
+        nlos: tuple,
+        decorrelation: DecorrelationSection,
         master_seed: int,
         spatial: bool = False,
         n_field_terms: int = 128,
     ):
-        self.spec_los = spec_los
-        self.spec_nlos = spec_nlos
+        # (section, mixing factor) per LOS state, LOS first.
+        self.states = [(section, mixing_factor(pairs)) for section, pairs in (los, nlos)]
+        self.decorrelation = decorrelation
         self.master_seed = master_seed
         self.spatial = spatial
         self.n_field_terms = n_field_terms
@@ -285,9 +262,10 @@ class LspSampler:
     def _field(self, site_id: int, lsp: int) -> SpatialGaussianField:
         key = (site_id, lsp)
         if key not in self._fields:
-            decorr = self.spec_nlos.decorrelation_m.get(LSP_NAMES[lsp], 50.0)
             self._fields[key] = SpatialGaussianField(
-                float(decorr), (self.master_seed, STREAM_FIELD, site_id, lsp), self.n_field_terms
+                getattr(self.decorrelation, LSP_NAMES[lsp]),
+                (self.master_seed, STREAM_FIELD, site_id, lsp),
+                self.n_field_terms,
             )
         return self._fields[key]
 
@@ -300,9 +278,8 @@ class LspSampler:
         """
         if not self.spatial:
             return []
-        specs = (self.spec_los, self.spec_nlos)
         used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(
-            np.any([spec.mixing_factor()[0] != 0.0 for spec in specs], axis=0)
+            np.any([factor[0] != 0.0 for _, factor in self.states], axis=0)
         )
         return [(site, int(i)) for site in range(n_site) for i in used]
 
@@ -381,8 +358,10 @@ class LspSampler:
                 normals = np.array([[
                     substream(self.master_seed, STREAM_LSP, int(ue), site).standard_normal(7)
                     for site in range(n_site)] for ue in ue_ids[rows]])
-            lsp_los, lsp_nlos = (lsps_from_normals(spec, normals, d2d[rows], h_ue[rows], count)
-                                 for spec in (self.spec_los, self.spec_nlos))
+            lsp_los, lsp_nlos = (
+                lsps_from_normals(section, factor, normals, d2d[rows], h_ue[rows], count)
+                for section, factor in self.states
+            )
             values[rows] = np.where(los[rows, :, None], lsp_los, lsp_nlos)
         return SlowFading(
             d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,27 +27,6 @@ SUBCLUSTER_RAYS = (
     np.array([12, 13, 14, 15]),
 )
 SUBCLUSTER_DELAYS_S = (0.0, 5e-9, 10e-9)
-
-
-@dataclass
-class SubpathOffsets:
-    """Fixed symmetric ray offsets and the four intra-cluster spread scalers (deg)."""
-
-    alpha: np.ndarray = field(default_factory=lambda: RAY_OFFSETS_20.copy())
-    c_aod_deg: float = 5.0
-    c_zod_deg: float = 3.0
-    c_aoa_deg: float = 11.0
-    c_zoa_deg: float = 7.0
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        # np.allclose(sorted alpha, sorted -alpha, atol=1e-12), written out:
-        # the kernel derives offsets once per batch, and allclose's Python
-        # overhead is most of that cost.
-        ordered = np.sort(self.alpha)
-        mirrored = -ordered[::-1]
-        if not np.all(np.abs(ordered - mirrored) <= 1e-12 + 1e-5 * np.abs(mirrored)):
-            raise ValueError("ray offsets must be symmetric about zero")
 
 
 def cluster_delays(uniforms, ds, r_tau: float) -> np.ndarray:
@@ -128,17 +107,17 @@ def reflect_zenith(zenith):
     return np.where(z > math.pi, 2.0 * math.pi - z, z)
 
 
-def expand_subpaths(angles, offsets: SubpathOffsets):
+def expand_subpaths(angles, cfg: SspConfig):
     """Per-ray angles: each kind offset by its own scaled copy of the ray basis.
 
     Takes the (aod, zod, aoa, zoa) cluster angles, arrays (..., n_clusters),
     and returns them as (..., n_clusters, n_rays); azimuths wrapped, zeniths
-    reflected into [0, pi].
+    reflected into [0, pi]. The basis and the per-kind scalers c_*_deg come
+    from cfg.
     """
-    scalers = (offsets.c_aod_deg, offsets.c_zod_deg, offsets.c_aoa_deg, offsets.c_zoa_deg)
-    aod, zod, aoa, zoa = (
-        a[..., None] + math.radians(c) * offsets.alpha for a, c in zip(angles, scalers)
-    )
+    basis = cfg.ray_basis()
+    scalers = (cfg.c_aod_deg, cfg.c_zod_deg, cfg.c_aoa_deg, cfg.c_zoa_deg)
+    aod, zod, aoa, zoa = (a[..., None] + math.radians(c) * basis for a, c in zip(angles, scalers))
     return wrap_azimuth(aod), reflect_zenith(zod), wrap_azimuth(aoa), reflect_zenith(zoa)
 
 
@@ -232,9 +211,11 @@ class SspConfig:
     split_strongest: bool = False
     ray_offsets: tuple = ()
 
-    def subpath_offsets(self) -> SubpathOffsets:
-        alpha = np.array(self.ray_offsets) if self.ray_offsets else RAY_OFFSETS_20[: self.n_rays]
-        return SubpathOffsets(alpha, self.c_aod_deg, self.c_zod_deg, self.c_aoa_deg, self.c_zoa_deg)
+    def ray_basis(self) -> np.ndarray:
+        """The ray offsets, before the per-kind scalers (symmetric about zero)."""
+        if self.ray_offsets:
+            return np.array(self.ray_offsets, dtype=float)
+        return RAY_OFFSETS_20[: self.n_rays]
 
 
 def _link_draws(rngs, spreads, cfg: SspConfig) -> list:
@@ -252,23 +233,22 @@ def _link_draws(rngs, spreads, cfg: SspConfig) -> list:
     return [np.array(column) for column in zip(*draws)]
 
 
-def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) -> ClusterSet:
-    """Full small-scale draw, following the generation pipeline: delays,
-    powers, cluster angles, ray expansion, polarization.
+def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs) -> ClusterSet:
+    """Full small-scale draw for a batch of links, following the generation
+    pipeline: delays, powers, cluster angles, ray expansion, polarization.
 
-    One link takes its LargeScaleParams, LOS AngleVectors and Generator. A
-    batch takes a sequence of each, one per link, and returns a ClusterSet
+    lsps is (link, 7) in LSP_NAMES order; los_departure and los_arrival are
+    AngleVectors and rngs Generators, one per link. Returns a ClusterSet
     whose arrays have a leading link axis. A short loop first makes each
     link's draws from its own generator, in the one-link order; one array
     pass over (link, cluster[, ray]) then does the math, rounding as the
     one-link pass does.
     """
-    if isinstance(rng, np.random.Generator):
-        return generate_cluster_set([lsps], [los_departure], [los_arrival], cfg, [rng]).link(0)
-    ds = np.array([p.ds_s for p in lsps], dtype=float)
-    # Departure azimuth/zenith, then arrival: the order of the angle draws.
-    spreads = np.radians([[p.asd_deg, p.esd_deg, p.asa_deg, p.esa_deg] for p in lsps])
-    u, shadow, *signed, xpr_db, phases, los_phases = _link_draws(rng, spreads, cfg)
+    lsps = np.asarray(lsps, dtype=float)
+    ds = lsps[:, 2]
+    # ASD, ESD, ASA, ESA: departure azimuth/zenith, then arrival, the order of the angle draws.
+    spreads = np.radians(lsps[:, [3, 5, 4, 6]])
+    u, shadow, *signed, xpr_db, phases, los_phases = _link_draws(rngs, spreads, cfg)
 
     delays = cluster_delays(u, ds, cfg.r_tau)
     powers = cluster_powers(delays, shadow, ds, cfg.r_tau)
@@ -281,7 +261,7 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) 
         cluster_angles(powers, spreads[:, k], *signed[2 * k:2 * k + 2], means[k], k % 2 == 1)
         for k in range(4)
     ]
-    aod, zod, aoa, zoa = expand_subpaths(angles, cfg.subpath_offsets())
+    aod, zod, aoa, zoa = expand_subpaths(angles, cfg)
     clusters = ClusterSet(
         delays_s=delays,
         cluster_powers=powers,

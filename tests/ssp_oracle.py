@@ -83,14 +83,14 @@ def generate_cluster_angles(
     return azimuth, zenith
 
 
-def expand_subpaths(aod, zod, aoa, zoa, offsets):
+def expand_subpaths(aod, zod, aoa, zoa, cfg: SspConfig):
     """Per-ray angles of one link: each kind offset by its scaled ray basis."""
-    a = offsets.alpha[np.newaxis, :]
+    a = cfg.ray_basis()[np.newaxis, :]
     return (
-        np.asarray(wrap_azimuth(aod[:, None] + math.radians(offsets.c_aod_deg) * a)),
-        reflect_zenith(zod[:, None] + math.radians(offsets.c_zod_deg) * a),
-        np.asarray(wrap_azimuth(aoa[:, None] + math.radians(offsets.c_aoa_deg) * a)),
-        reflect_zenith(zoa[:, None] + math.radians(offsets.c_zoa_deg) * a),
+        np.asarray(wrap_azimuth(aod[:, None] + math.radians(cfg.c_aod_deg) * a)),
+        reflect_zenith(zod[:, None] + math.radians(cfg.c_zod_deg) * a),
+        np.asarray(wrap_azimuth(aoa[:, None] + math.radians(cfg.c_aoa_deg) * a)),
+        reflect_zenith(zoa[:, None] + math.radians(cfg.c_zoa_deg) * a),
     )
 
 
@@ -147,16 +147,14 @@ def split_strongest_clusters(clusters: ClusterSet, n_split: int = 2) -> ClusterS
 
 def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rng) -> ClusterSet:
     """Full small-scale draw for one link: delays, powers, cluster angles,
-    ray expansion, polarization."""
-    delays = generate_delays(lsps.ds_s, cfg.n_clusters, cfg.r_tau, rng)
-    powers = generate_cluster_powers(delays, lsps.ds_s, cfg.r_tau, cfg.cluster_shadow_db, rng)
-    aod, zod = generate_cluster_angles(
-        lsps.asd_deg, lsps.esd_deg, powers, los_departure, rng, cfg.elevation_offset_dep_deg
-    )
-    aoa, zoa = generate_cluster_angles(
-        lsps.asa_deg, lsps.esa_deg, powers, los_arrival, rng, cfg.elevation_offset_arr_deg
-    )
-    ray_aod, ray_zod, ray_aoa, ray_zoa = expand_subpaths(aod, zod, aoa, zoa, cfg.subpath_offsets())
+    ray expansion, polarization. lsps are the link's seven LSPs in
+    LSP_NAMES order (sf, k, ds, asd, asa, esd, esa)."""
+    _, _, ds, asd, asa, esd, esa = lsps
+    delays = generate_delays(ds, cfg.n_clusters, cfg.r_tau, rng)
+    powers = generate_cluster_powers(delays, ds, cfg.r_tau, cfg.cluster_shadow_db, rng)
+    aod, zod = generate_cluster_angles(asd, esd, powers, los_departure, rng, cfg.elevation_offset_dep_deg)
+    aoa, zoa = generate_cluster_angles(asa, esa, powers, los_arrival, rng, cfg.elevation_offset_arr_deg)
+    ray_aod, ray_zod, ray_aoa, ray_zoa = expand_subpaths(aod, zod, aoa, zoa, cfg)
     kappa, phases = draw_polarization(
         rng, cfg.xpr_mu_db, cfg.xpr_sigma_db, (cfg.n_clusters, cfg.n_rays)
     )

@@ -18,7 +18,7 @@ from chan3d.calib import (
     top_eigenvalues,
     write_report,
 )
-from chan3d.antenna import itu_port_pattern, port_gain_itu_db
+from chan3d.antenna import element_gain_db, itu_port_pattern
 from chan3d.synth import ChannelRealization
 from report_oracle import DropReport, geometry_factor_row_db
 
@@ -35,8 +35,8 @@ def test_rsrp_shifts_with_shadow_fading():
 def test_rsrp_half_power_port_offset():
     spec = itu_port_pattern()
     tilt = math.radians(spec.theta_tilt_deg)
-    bore = rsrp_db(46.0, port_gain_itu_db(spec, 0.0, tilt), 0.0, 100.0, 0.0)
-    off = rsrp_db(46.0, port_gain_itu_db(spec, 0.0, tilt + math.radians(7.5)), 0.0, 100.0, 0.0)
+    bore = rsrp_db(46.0, element_gain_db(spec, 0.0, tilt), 0.0, 100.0, 0.0)
+    off = rsrp_db(46.0, element_gain_db(spec, 0.0, tilt + math.radians(7.5)), 0.0, 100.0, 0.0)
     assert_allclose(bore - off, 3.0, atol=1e-9)
 
 

@@ -340,6 +340,19 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(missing), "--quiet"]) == 2
 
 
+def test_cli_lsp_overflow_is_one_error_line(tmp_path, capsys):
+    # A valid config whose 400-decade DS sigma overflows 10**x in the LSP draw.
+    path = _write(tmp_path, (
+        "[run]\nmaster_seed = 3\nphase = 2\nn_ue_per_cell = 10\n\n[layout]\nn_rings = 0\n\n"
+        "[lsp_nlos]\nds_log10_sigma = 400\n"
+    ))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the LSP draw overflowed")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_custom_ray_offsets(tmp_path):
     text = (
         "[run]\nmaster_seed = 1\n\n[ssp]\nn_rays = 4\n"
@@ -347,7 +360,7 @@ def test_custom_ray_offsets(tmp_path):
     )
     cfg = parse_config(_write(tmp_path, text))
     assert cfg.ssp.ray_offsets == (0.5, -0.5, 1.25, -1.25)
-    assert list(cfg.ssp.subpath_offsets().alpha) == [0.5, -0.5, 1.25, -1.25]
+    assert list(cfg.ssp.ray_basis()) == [0.5, -0.5, 1.25, -1.25]
     bad = "[run]\nmaster_seed = 1\n\n[ssp]\nn_rays = 2\nray_offsets = 0.5, 0.7\n"
     with pytest.raises(ConfigError, match="ray_offsets"):
         parse_config(_write(tmp_path, bad, name="bad.ini"))
@@ -388,7 +401,8 @@ def test_campaign_wrap_around_smoke(tmp_path):
     assert any(os.path.basename(p).startswith("gf_cdf") for p in paths)
 
 
-# Values the model cannot use: non-finite numbers, negative standard deviations.
+# Values the model cannot use: non-finite numbers, negative standard deviations,
+# distance tables whose breakpoints do not ascend.
 @pytest.mark.parametrize("section, key, value", [
     ("run", "carrier_hz", "nan"),
     ("layout", "isd_m", "inf"),
@@ -407,6 +421,7 @@ def test_campaign_wrap_around_smoke(tmp_path):
     ("lsp_nlos", "asd_log10_sigma", "-0.1"),
     ("lsp_los", "asa_log10_sigma", "-0.2"),
     ("lsp_nlos", "esd_table", "0:0.9:0.49, 700:-0.5:-0.49"),
+    ("lsp_nlos", "esd_table", "700:0.9:0.49, 0:-0.5:0.49"),
     ("lsp_los", "esa_table", "0:0.95:-0.16"),
 ])
 def test_unusable_value_rejected_naming_key(tmp_path, section, key, value):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.antenna import element_gain_db, element_pattern_3gpp
-from chan3d.config import build_lsp_spec, default_config
+from chan3d.config import default_config
 from chan3d.geom import (
     AngleVector,
     GeometryError,
@@ -148,8 +148,8 @@ def test_doppler_phase_linear_in_time_and_velocity():
 def _departure(site_xyz, ue_xyz):
     """Departure (azimuth, zenith) at a site toward one UE, from LspSampler.slow_fading."""
     cfg = default_config("UMa", master_seed=1)
-    spec = build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation)
-    slow = LspSampler(spec, spec, 1).slow_fading(
+    nlos = (cfg.lsp_nlos, cfg.corr_nlos)
+    slow = LspSampler(nlos, nlos, cfg.decorrelation, 1).slow_fading(
         [0], np.array([ue_xyz], dtype=float), np.array([False]),
         np.array([site_xyz[:2]], dtype=float), float(site_xyz[2]),
         cfg.pathloss, 2e9,

@@ -8,30 +8,46 @@ from chan3d.config import default_config
 from chan3d.geom import GeometryError
 from chan3d.lsp import (
     LSP_NAMES,
-    DistanceTable,
-    LspDistributionSpec,
+    DecorrelationSection,
     LspSampler,
-    Marginal,
+    LspSection,
     Pathloss,
     SpatialGaussianField,
     lsps_from_normals,
+    mixing_factor,
     pathloss_db,
 )
 
 
-def _simple_spec(corr=None, sigma=1.0):
-    table = DistanceTable((0.0,), (1.0,), (sigma,))
-    return LspDistributionSpec(
-        sf=Marginal(0.0, 6.0 if sigma else 0.0),
-        k_factor=Marginal(9.0, 3.5 * sigma),
-        ds_log10=Marginal(-6.5, 0.4 * sigma),
-        asd_log10=Marginal(1.4, 0.3 * sigma),
-        asa_log10=Marginal(1.8, 0.1 * sigma),
-        esd_log10=table,
-        esa_log10=table,
-        correlation=np.eye(7) if corr is None else corr,
-        decorrelation_m={name: 50.0 for name in LSP_NAMES},
+def _simple_section(sigma=1.0):
+    """An [lsp_*] section with flat ESD/ESA tables and no height slope."""
+    table = ((0.0, 1.0, sigma),)
+    return LspSection(
+        sf_mu_db=0.0, sf_sigma_db=6.0 if sigma else 0.0,
+        k_mu_db=9.0, k_sigma_db=3.5 * sigma,
+        ds_log10_mu=-6.5, ds_log10_sigma=0.4 * sigma,
+        asd_log10_mu=1.4, asd_log10_sigma=0.3 * sigma,
+        asa_log10_mu=1.8, asa_log10_sigma=0.1 * sigma,
+        esd_table=table, esd_height_slope_per_m=0.0,
+        esa_table=table, esa_height_slope_per_m=0.0,
     )
+
+
+def _simple_sampler(master_seed, spatial=False):
+    """Uncorrelated LSPs of one section for both LOS states, 50 m decorrelation."""
+    state = (_simple_section(), {})
+    decorrelation = DecorrelationSection(*[50.0] * len(LSP_NAMES))
+    return LspSampler(state, state, decorrelation, master_seed, spatial=spatial)
+
+
+def _correlation(pairs):
+    """The 7x7 correlation matrix of {(a, b): value} pairs, and the pairs as
+    a correlation section's "a_b" keys."""
+    corr = np.eye(7)
+    for (a, b), v in pairs.items():
+        i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
+        corr[i, j] = corr[j, i] = v
+    return corr, {f"{a}_{b}": v for (a, b), v in pairs.items()}
 
 
 def _uma_pathloss():
@@ -97,9 +113,10 @@ def test_pathloss_zero_distance_rejected():
 
 # ------------------------------------------------------- lsps_from_normals
 
-def _draw(spec, rng, n=None):
+def _draw(section, rng, n=None, pairs=None):
     """LSPs from n rows of standard normals (one row when n is None), at 200 m."""
-    return lsps_from_normals(spec, rng.standard_normal(7 if n is None else (n, 7)), 200.0, 1.5)
+    normals = rng.standard_normal(7 if n is None else (n, 7))
+    return lsps_from_normals(section, mixing_factor(pairs or {}), normals, 200.0, 1.5)
 
 
 def _generation_domain(lsps):
@@ -108,9 +125,9 @@ def _generation_domain(lsps):
 
 
 def test_draw_lsps_degenerate_sigma_returns_mu():
-    spec = _simple_spec(sigma=0.0)
-    spec.sf = Marginal(1.25, 0.0)
-    out = _draw(spec, np.random.default_rng(0))
+    section = _simple_section(sigma=0.0)
+    section.sf_mu_db = 1.25
+    out = _draw(section, np.random.default_rng(0))
     assert out.shape == (7,)
     assert_allclose(out[LSP_NAMES.index("sf")], 1.25)
     assert_allclose(out[LSP_NAMES.index("k")], 9.0)
@@ -120,31 +137,25 @@ def test_draw_lsps_degenerate_sigma_returns_mu():
 
 
 def test_draw_lsps_perfect_correlation():
-    corr = np.eye(7)
     i, j = LSP_NAMES.index("ds"), LSP_NAMES.index("asd")
-    corr[i, j] = corr[j, i] = 1.0
-    spec = _simple_spec(corr=corr)
-    spec.ds_log10 = Marginal(0.0, 1.0)
-    spec.asd_log10 = Marginal(0.0, 1.0)
-    out = _draw(spec, np.random.default_rng(42), 50)
+    section = _simple_section()
+    section.ds_log10_mu, section.ds_log10_sigma = 0.0, 1.0
+    section.asd_log10_mu, section.asd_log10_sigma = 0.0, 1.0
+    out = _draw(section, np.random.default_rng(42), 50, {"ds_asd": 1.0})
     assert_allclose(np.log10(out[:, i]), np.log10(out[:, j]), atol=1e-12)
 
 
 def test_draw_lsps_cross_correlation_monte_carlo():
-    corr = np.eye(7)
-    pairs = {("ds", "asd"): 0.4, ("ds", "asa"): 0.6, ("sf", "asd"): -0.6, ("asa", "esa"): 0.2}
-    for (a, b), v in pairs.items():
-        i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
-        corr[i, j] = corr[j, i] = v
-    spec = _simple_spec(corr=corr)
-    samples = _generation_domain(_draw(spec, np.random.default_rng(123), 100_000))
+    corr, pairs = _correlation(
+        {("ds", "asd"): 0.4, ("ds", "asa"): 0.6, ("sf", "asd"): -0.6, ("asa", "esa"): 0.2}
+    )
+    samples = _generation_domain(_draw(_simple_section(), np.random.default_rng(123), 100_000, pairs))
     empirical = np.corrcoef(samples.T)
     assert np.max(np.abs(empirical - corr)) < 0.03
 
 
 def test_sf_moments():
-    spec = _simple_spec()
-    values = _draw(spec, np.random.default_rng(7), 100_000)[:, 0]
+    values = _draw(_simple_section(), np.random.default_rng(7), 100_000)[:, 0]
     assert abs(values.mean()) < 0.1
     assert abs(values.std() / 6.0 - 1.0) < 0.02
 
@@ -161,34 +172,35 @@ def _ks_statistic_vs_normal(samples, mu, sigma):
 def test_marginals_survive_correlation_mixing():
     # KS test against each configured marginal at n=1e4; the p>0.01 criterion
     # is D * sqrt(n) < 1.628 for the Kolmogorov distribution.
-    corr = np.eye(7)
-    for (a, b), v in (("ds", "asd"), 0.4), (("sf", "esa"), -0.4), (("asd", "asa"), 0.4):
-        i, j = LSP_NAMES.index(a), LSP_NAMES.index(b)
-        corr[i, j] = corr[j, i] = v
-    spec = _simple_spec(corr=corr)
+    _, pairs = _correlation({("ds", "asd"): 0.4, ("sf", "esa"): -0.4, ("asd", "asa"): 0.4})
     n = 10_000
-    data = _generation_domain(_draw(spec, np.random.default_rng(314), n))
+    data = _generation_domain(_draw(_simple_section(), np.random.default_rng(314), n, pairs))
     for col, mu, sigma in ((0, 0.0, 6.0), (2, -6.5, 0.4), (4, 1.8, 0.1)):
         d = _ks_statistic_vs_normal(data[:, col], mu, sigma)
         assert d * math.sqrt(n) < 1.628
 
 
 def test_non_psd_correlation_rejected():
-    corr = np.eye(7)
-    corr[0, 1] = corr[1, 0] = 0.9
-    corr[1, 2] = corr[2, 1] = 0.9
-    corr[0, 2] = corr[2, 0] = -0.9
-    spec = _simple_spec(corr=corr)
-    with pytest.raises(ValueError):
-        spec.mixing_factor()
+    with pytest.raises(ValueError, match="not positive semi-definite"):
+        mixing_factor({"sf_k": 0.9, "k_ds": 0.9, "sf_ds": -0.9})
 
 
 def test_distance_table_interpolation():
-    table = DistanceTable((0.0, 100.0), (1.0, 0.0), (0.5, 0.3), mu_height_slope_per_m=-0.01)
-    mid = table.at(50.0)
-    assert_allclose([mid.mu, mid.sigma], [0.5, 0.4])
-    assert_allclose(table.at(1000.0).mu, 0.0)  # clamped
-    assert_allclose(table.at(50.0, h_ue=11.5).mu, 0.5 - 0.1)
+    section = _simple_section()
+    section.esd_table = ((0.0, 1.0, 0.5), (100.0, 0.0, 0.3))
+    section.esd_height_slope_per_m = -0.01
+
+    def log10_esd(d_2d, h_ue=1.5, normal=0.0):
+        """log10 ESD at an ESD normal (mu, or mu + sigma at normal 1)."""
+        normals = np.zeros(7)
+        normals[LSP_NAMES.index("esd")] = normal
+        lsps = lsps_from_normals(section, mixing_factor({}), normals, d_2d, h_ue)
+        return math.log10(lsps[LSP_NAMES.index("esd")])
+
+    mu = log10_esd(50.0)
+    assert_allclose([mu, log10_esd(50.0, normal=1.0) - mu], [0.5, 0.4])
+    assert_allclose(log10_esd(1000.0), 0.0)  # clamped
+    assert_allclose(log10_esd(50.0, h_ue=11.5), 0.5 - 0.1)
 
 
 # ------------------------------------------------------------- site sharing
@@ -208,18 +220,17 @@ SITES = [(0.0, 0.0), (500.0, 0.0), (250.0, 433.0), (-250.0, 433.0)]
 def test_shared_site_lsps_identical_across_cells():
     # One draw per (UE, site), whatever the block it is computed in; all
     # cells of the site read it.
-    spec = _simple_spec()
-    sampler = LspSampler(spec, spec, master_seed=5)
+    sampler = _simple_sampler(5)
     xy = [(40.0, 30.0), (-90.0, 120.0), (200.0, -60.0)]
     alone = _slow_fading(sampler, [3], xy[2:], SITES)
     block = _slow_fading(sampler, [1, 2, 3], xy, SITES)
     again = _slow_fading(sampler, [3], xy[2:], SITES[:3])
-    assert alone.link_lsps(0, 2) == block.link_lsps(2, 2) == again.link_lsps(0, 2)
+    assert np.array_equal(alone.lsps[0, 2], block.lsps[2, 2])
+    assert np.array_equal(alone.lsps[0, 2], again.lsps[0, 2])
 
 
 def test_shared_site_lsps_independent_across_sites():
-    spec = _simple_spec()
-    sampler = LspSampler(spec, spec, master_seed=5)
+    sampler = _simple_sampler(5)
     n = 10_000
     slow = _slow_fading(sampler, range(n), np.full((n, 2), 150.0), SITES[:2], all_lsps=False)
     rho = np.corrcoef(slow.sf[:, 0], slow.sf[:, 1])[0, 1]
@@ -227,9 +238,8 @@ def test_shared_site_lsps_independent_across_sites():
 
 
 def test_shared_site_lsps_deterministic():
-    spec = _simple_spec()
-    one = _slow_fading(LspSampler(spec, spec, master_seed=11), [2], [(70.0, 80.0)], SITES)
-    two = _slow_fading(LspSampler(spec, spec, master_seed=11), [2], [(70.0, 80.0)], SITES)
+    one = _slow_fading(_simple_sampler(11), [2], [(70.0, 80.0)], SITES)
+    two = _slow_fading(_simple_sampler(11), [2], [(70.0, 80.0)], SITES)
     assert np.array_equal(one.lsps, two.lsps)
     assert np.array_equal(one.los, two.los)
 
@@ -248,12 +258,11 @@ def test_los_probability_broadcasts_like_scalar_exp():
 
 
 def test_los_state_deterministic_and_distance_dependent():
-    spec = _simple_spec()
     # UE 0 sits inside the certain-LOS radius of the one site; 2000 UEs at 150 m.
     ue_xy = [(10.0, 0.0)] + [(150.0, 0.0)] * 2000
 
     def los():
-        sampler = LspSampler(spec, spec, master_seed=9)
+        sampler = _simple_sampler(9)
         return _slow_fading(sampler, range(len(ue_xy)), ue_xy, [(0.0, 0.0)], all_lsps=False).los
 
     states = los()
@@ -285,8 +294,7 @@ def test_spatial_field_variance_and_correlation():
 
 
 def test_spatial_sampler_position_keyed_and_correlated():
-    spec = _simple_spec()
-    sampler = LspSampler(spec, spec, master_seed=13, spatial=True)
+    sampler = _simple_sampler(13, spatial=True)
     # Position drives the draw: the UE id is irrelevant in spatial mode.
     slow = _slow_fading(sampler, [0, 99], [(12.0, -7.0), (12.0, -7.0)], SITES)
     assert np.array_equal(slow.lsps[0], slow.lsps[1])

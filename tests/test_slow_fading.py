@@ -6,14 +6,13 @@ and LSP marginals written out in scalar form. The kernel must reproduce it
 bit for bit: over the whole drop or a sub-range of it, at any chunk size and
 thread count, and with only SF requested.
 """
-import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from chan3d.config import build_lsp_spec, default_config
+from chan3d.config import default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
 import chan3d.lsp
 from chan3d.lsp import LSP_NAMES, LspSampler
@@ -37,24 +36,30 @@ def _pathloss(model, d_3d, h_ue, indoor, los, frequency_hz):
     return pl
 
 
+def _table(rows, slope, d_2d, h_ue):
+    """(mu, sigma) of a distance table at one link."""
+    d, mu, sigma = zip(*rows)
+    return np.interp(d_2d, d, mu) + slope * (h_ue - 1.5), np.interp(d_2d, d, sigma)
+
+
 def _lsps(sampler, ue_index, site, d_2d, h_ue, los, ue_xy):
-    spec = sampler.spec_los if los else sampler.spec_nlos
+    s, factor = sampler.states[0 if los else 1]
     if sampler.spatial:
         x, y = float(ue_xy[0]), float(ue_xy[1])
         normals = np.array([sampler._field(site, i).sample(x, y) for i in range(len(LSP_NAMES))])
     else:
         normals = substream(sampler.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
-    z = spec.mixing_factor() @ normals
-    esd = spec.esd_log10.at(d_2d, h_ue)
-    esa = spec.esa_log10.at(d_2d, h_ue)
+    z = factor @ normals
+    esd_mu, esd_sigma = _table(s.esd_table, s.esd_height_slope_per_m, d_2d, h_ue)
+    esa_mu, esa_sigma = _table(s.esa_table, s.esa_height_slope_per_m, d_2d, h_ue)
     return (
-        spec.sf.mu + spec.sf.sigma * z[0],
-        spec.k_factor.mu + spec.k_factor.sigma * z[1],
-        10.0 ** (spec.ds_log10.mu + spec.ds_log10.sigma * z[2]),
-        10.0 ** (spec.asd_log10.mu + spec.asd_log10.sigma * z[3]),
-        10.0 ** (spec.asa_log10.mu + spec.asa_log10.sigma * z[4]),
-        10.0 ** (esd.mu + esd.sigma * z[5]),
-        10.0 ** (esa.mu + esa.sigma * z[6]),
+        s.sf_mu_db + s.sf_sigma_db * z[0],
+        s.k_mu_db + s.k_sigma_db * z[1],
+        10.0 ** (s.ds_log10_mu + s.ds_log10_sigma * z[2]),
+        10.0 ** (s.asd_log10_mu + s.asd_log10_sigma * z[3]),
+        10.0 ** (s.asa_log10_mu + s.asa_log10_sigma * z[4]),
+        10.0 ** (esd_mu + esd_sigma * z[5]),
+        10.0 ** (esa_mu + esa_sigma * z[6]),
     )
 
 
@@ -86,25 +91,21 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
 # positive semi-definite of rank 2, so Cholesky fails and the eigenvalue
 # factor, which is not triangular, mixes several fields into SF.
 def _semidefinite_correlation():
-    corr = np.eye(7)
-    angles = {0: 0.0, 2: 37.0, 3: 101.0}
-    for a, angle_a in angles.items():
-        for b, angle_b in angles.items():
-            corr[a, b] = math.cos(math.radians(angle_a - angle_b))
-    return corr
+    angles = {"sf": 0.0, "ds": 37.0, "asd": 101.0}
+    return {
+        f"{a}_{b}": math.cos(math.radians(angles[a] - angles[b]))
+        for a, b in (("sf", "ds"), ("sf", "asd"), ("ds", "asd"))
+    }
 
 
 def _setup(spatial, wrap_around, correlation):
     cfg = default_config("UMa", master_seed=17)
     site_xy = hex_layout(1, cfg.layout.isd_m)
     drop = drop_ues(3, site_xy, substream(17, STREAM_DROP), cfg.layout.isd_m)
-    specs = [
-        build_lsp_spec(cfg.lsp_los, cfg.corr_los, cfg.decorrelation),
-        build_lsp_spec(cfg.lsp_nlos, cfg.corr_nlos, cfg.decorrelation),
-    ]
+    los, nlos = (cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos)
     if correlation is not None:
-        specs = [dataclasses.replace(spec, correlation=correlation) for spec in specs]
-    sampler = LspSampler(*specs, 17, spatial=spatial)
+        los, nlos = (cfg.lsp_los, correlation), (cfg.lsp_nlos, correlation)
+    sampler = LspSampler(los, nlos, cfg.decorrelation, 17, spatial=spatial)
     wrap = wrap_basis(1, cfg.layout.isd_m) if wrap_around else None
     return sampler, cfg.pathloss, site_xy, wrap, drop
 
@@ -149,7 +150,7 @@ def _small_chunks(monkeypatch):
 def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypatch):
     sampler, pathloss, site_xy, wrap, drop = _setup(spatial, wrap_around, correlation)
     if correlation is not None:
-        factor = sampler.spec_nlos.mixing_factor()
+        factor = sampler.states[1][1]
         assert np.any(np.triu(factor, 1) != 0.0)
         assert np.count_nonzero(factor[0]) > 1
 
@@ -172,8 +173,6 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
         assert np.array_equal(got.sf, lsps[..., 0])
     assert sf_only.lsps is None and chunked[1].lsps is None
     assert np.array_equal(full.lsps, lsps) and np.array_equal(chunked[0].lsps, lsps)
-    params = full.link_lsps(5, 2)
-    assert (params.sf_db, params.esa_deg) == (lsps[5, 2, 0], lsps[5, 2, 6])
 
     split = 40  # two sub-ranges of unequal size
     for whole in (full, sf_only):

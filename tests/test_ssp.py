@@ -1,7 +1,6 @@
 import copy
 import math
 import re
-import types
 
 import numpy as np
 import pytest
@@ -10,14 +9,12 @@ from numpy.testing import assert_allclose
 import chan3d.campaign as campaign
 import ssp_oracle as oracle
 from chan3d.calib import angular_spread_deg
-from chan3d.config import default_config
+from chan3d.config import ConfigError, default_config, validate
 from chan3d.geom import AngleVector
-from chan3d.lsp import LargeScaleParams
 from chan3d.ssp import (
     RAY_OFFSETS_20,
     ClusterSet,
     SspConfig,
-    SubpathOffsets,
     _rescale_to_spread,
     circular_mean,
     cluster_angles,
@@ -38,13 +35,14 @@ FIELDS = (
 
 
 def _lsps(ds=2e-7, asd=20.0, asa=40.0, esd=5.0, esa=8.0, k=9.0):
-    return LargeScaleParams(0.0, k, ds, asd, asa, esd, esa)
+    """One link's LSPs in LSP_NAMES order (SF 0 dB)."""
+    return np.array([0.0, k, ds, asd, asa, esd, esa])
 
 
-def _batch(n_links, seed, cfg=None, lsps=None):
+def _batch(n_links, seed, cfg=None):
     """n_links links with the same LSPs and LOS angles, each on its own generator."""
     return generate_cluster_set(
-        [lsps or _lsps()] * n_links,
+        [_lsps()] * n_links,
         [AngleVector(0.1, 1.5)] * n_links,
         [AngleVector(2.0, 1.6)] * n_links,
         cfg or SspConfig(),
@@ -177,10 +175,10 @@ def test_nonpositive_angular_spread_rejected():
     powers = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="angular spreads must be positive"):
         cluster_angles(powers, [0.1, 0.0], np.ones((2, 3)), np.zeros((2, 3)), [0.0, 0.0])
-    zero_esd = types.SimpleNamespace(ds_s=1e-7, asd_deg=10.0, esd_deg=0.0, asa_deg=10.0, esa_deg=5.0)
+    zero_esd = _lsps(ds=1e-7, asd=10.0, esd=0.0, asa=10.0, esa=5.0)
     with pytest.raises(ValueError, match="angular spreads must be positive"):
-        generate_cluster_set(zero_esd, AngleVector(0.0, 1.5), AngleVector(1.0, 1.5), SspConfig(),
-                             np.random.default_rng(0))
+        generate_cluster_set([zero_esd], [AngleVector(0.0, 1.5)], [AngleVector(1.0, 1.5)],
+                             SspConfig(), [np.random.default_rng(0)])
 
 
 def test_circular_mean_is_a_float_on_one_link():
@@ -194,7 +192,8 @@ def test_circular_mean_is_a_float_on_one_link():
 # ----------------------------------------------------------------- subpaths
 
 def test_zero_scalers_keep_cluster_angles():
-    offsets = SubpathOffsets(RAY_OFFSETS_20, 0.0, 0.0, 0.0, 0.0)
+    offsets = SspConfig(c_aod_deg=0.0, c_zod_deg=0.0, c_aoa_deg=0.0, c_zoa_deg=0.0)
+    assert np.array_equal(offsets.ray_basis(), RAY_OFFSETS_20)
     cluster = (
         np.array([0.3, -1.0]), np.array([1.2, 1.4]), np.array([2.0, -2.0]), np.array([0.5, 0.9])
     )
@@ -203,7 +202,7 @@ def test_zero_scalers_keep_cluster_angles():
 
 
 def test_subpath_mean_equals_cluster_angle():
-    offsets = SubpathOffsets()
+    offsets = SspConfig()
     cluster = (np.array([0.2]), np.array([1.3]), np.array([-0.4]), np.array([1.0]))
     aod, zod, aoa, zoa = expand_subpaths(cluster, offsets)
     assert_allclose(aod.mean(), 0.2, atol=1e-12)
@@ -213,8 +212,8 @@ def test_subpath_mean_equals_cluster_angle():
 
 
 def test_two_ray_offsets_direct_substitution():
-    offsets = SubpathOffsets(np.array([0.5, -0.5]), c_aod_deg=0.0, c_zod_deg=2.0,
-                             c_aoa_deg=0.0, c_zoa_deg=0.0)
+    offsets = SspConfig(n_rays=2, ray_offsets=(0.5, -0.5), c_aod_deg=0.0, c_zod_deg=2.0,
+                        c_aoa_deg=0.0, c_zoa_deg=0.0)
     cluster = (np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
     _, zod, _, _ = expand_subpaths(cluster, offsets)
     assert_allclose(np.sort(zod[0]), [1.0 - 2.0 * 0.5 * D2R, 1.0 + 2.0 * 0.5 * D2R])
@@ -229,8 +228,10 @@ def test_zenith_reflection_at_poles():
 
 
 def test_asymmetric_offsets_rejected():
-    with pytest.raises(ValueError):
-        SubpathOffsets(np.array([0.1, 0.2]))
+    cfg = default_config("UMa", master_seed=1)
+    cfg.ssp.n_rays, cfg.ssp.ray_offsets = 2, (0.1, 0.2)
+    with pytest.raises(ConfigError, match=re.escape("ssp.ray_offsets: ray offsets must be symmetric")):
+        validate(cfg)
 
 
 # ------------------------------------------------------------- polarization
@@ -271,6 +272,13 @@ def _cfg(**kw):
     return SspConfig(**kw)
 
 
+def _one_link(cfg, rng):
+    """A batch of one link with the default LSPs."""
+    return generate_cluster_set(
+        [_lsps()], [AngleVector(0.1, 1.5)], [AngleVector(2.0, 1.6)], cfg, [rng]
+    )
+
+
 def test_cluster_set_invariants():
     cs = _batch(20, 13)
     assert cs.delays_s.shape == (20, 20) and cs.aod.shape == (20, 20, 20)
@@ -285,20 +293,18 @@ def test_cluster_set_invariants():
 
 def test_cluster_set_regeneration_is_bitwise_identical():
     cfg = _cfg()
-    dep, arr = AngleVector(0.1, 1.5), AngleVector(2.0, 1.6)
-    a = generate_cluster_set(_lsps(), dep, arr, cfg, np.random.default_rng(77))
-    b = generate_cluster_set(_lsps(), dep, arr, cfg, np.random.default_rng(77))
+    a = _one_link(cfg, np.random.default_rng(77))
+    b = _one_link(cfg, np.random.default_rng(77))
     assert np.array_equal(a.delays_s, b.delays_s)
     assert np.array_equal(a.ray_powers, b.ray_powers)
     assert np.array_equal(a.aod, b.aod)
     assert np.array_equal(a.phases, b.phases)
-    assert a.los_phase_vv == b.los_phase_vv
+    assert np.array_equal(a.los_phase_vv, b.los_phase_vv)
 
 
 def test_subcluster_split_adds_four_taps():
     cfg = _cfg(split_strongest=True)
-    rng = np.random.default_rng(14)
-    cs = generate_cluster_set(_lsps(), AngleVector(0.1, 1.5), AngleVector(2.0, 1.6), cfg, rng)
+    cs = _one_link(cfg, np.random.default_rng(14)).link(0)
     assert cs.n_clusters == cfg.n_clusters + 4
     assert abs(cs.ray_powers.sum() - 1.0) < 1e-9
     assert cs.delays_s[0] == 0.0
@@ -307,8 +313,7 @@ def test_subcluster_split_adds_four_taps():
 
 def test_split_requires_twenty_rays():
     cfg = _cfg(n_rays=2)
-    rng = np.random.default_rng(15)
-    cs = generate_cluster_set(_lsps(), AngleVector(0.1, 1.5), AngleVector(2.0, 1.6), cfg, rng)
+    cs = _one_link(cfg, np.random.default_rng(15))
     with pytest.raises(ValueError):
         split_strongest_clusters(cs)
 

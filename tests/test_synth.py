@@ -14,7 +14,6 @@ from chan3d.antenna import (
     uniform_planar_array,
 )
 from chan3d.geom import SPEED_OF_LIGHT, AngleVector, rotation_z, unit_vectors
-from chan3d.lsp import LargeScaleParams
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
 from chan3d.synth import (
     LinkContext,
@@ -343,10 +342,10 @@ def _campaign_like_link(model, los, split):
     )
     dep = AngleVector(2.3, 1.62)
     arr = AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith)
-    lsps = LargeScaleParams(0.0, 9.0, 3.6e-7, 11.0, 45.0, 2.5, 9.0)
+    lsps = [0.0, 9.0, 3.6e-7, 11.0, 45.0, 2.5, 9.0]  # in LSP_NAMES order
     clusters = generate_cluster_set(
-        lsps, dep, arr, SspConfig(split_strongest=split), np.random.default_rng(41)
-    )
+        [lsps], [dep], [arr], SspConfig(split_strongest=split), [np.random.default_rng(41)]
+    ).link(0)
     link = LinkContext(
         tx=tx,
         rx=rx,
