@@ -8,7 +8,6 @@ geometry factor, spread and eigenvalue CDFs).
 from .antenna import (
     ArrayGeometry,
     PatternSpec,
-    composite_port_gain_db,
     downtilt_weights,
     element_gain_db,
     element_pattern_3gpp,
@@ -29,7 +28,7 @@ from .calib import (
 from .campaign import run_campaign
 from .config import ConfigError, RunConfig, default_config, emit_config, parse_config
 from .deploy import Drop, drop_ues, hex_layout, legacy_2d_drop
-from .geom import SPEED_OF_LIGHT, AngleVector, GeometryError
+from .geom import SPEED_OF_LIGHT, GeometryError
 from .lsp import (
     LspSampler,
     LspSection,
@@ -45,13 +44,6 @@ from .ssp import (
     expand_subpaths,
     generate_cluster_set,
 )
-from .synth import (
-    ChannelRealization,
-    LinkContext,
-    LinkEnd,
-    dump_realization,
-    synthesize,
-    to_ports,
-)
+from .synth import LinkContext, LinkEnd, synthesize, to_ports
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,40 +63,32 @@ class ArrayGeometry:
     """Physical element layout plus the port virtualization map.
 
     element_positions are meters in the array frame (boresight +x, columns
-    along y, rows along z). Each port is a pair (element indices, complex
-    weights) with unit total weight power; within one polarization (slant)
-    group the ports partition the elements.
+    along y, rows along z); d_v is the vertical spacing in wavelengths.
+    weights is the (n_ports, n_elements) complex matrix taking element
+    signals to ports: each row has unit power, each element feeds exactly
+    one port, and the elements of one port share one slant.
     """
 
     element_positions: np.ndarray
-    m_rows: int
-    n_cols: int
-    d_v: float
-    d_h: float
     slant_rad: np.ndarray
-    ports: list = field(default_factory=list)
+    d_v: float
+    weights: np.ndarray
 
     def __post_init__(self):
         self.element_positions = np.asarray(self.element_positions, dtype=float).reshape(-1, 3)
         self.slant_rad = np.asarray(self.slant_rad, dtype=float).reshape(-1)
+        self.weights = np.asarray(self.weights, dtype=complex)
         if len(self.slant_rad) != self.n_elements:
             raise ValueError("one slant angle required per element")
-        self.ports = [
-            (np.asarray(idx, dtype=int), np.asarray(w, dtype=complex)) for idx, w in self.ports
-        ]
-        for idx, w in self.ports:
-            if idx.shape != w.shape:
-                raise ValueError("port indices and weights must have equal length")
-            if abs(float(np.sum(np.abs(w) ** 2)) - 1.0) > 1e-9:
-                raise ValueError("port weights must have unit total power")
-        for slant in np.unique(self.slant_rad):
-            members = np.flatnonzero(self.slant_rad == slant)
-            claimed = np.concatenate(
-                [idx for idx, _ in self.ports if np.all(self.slant_rad[idx] == slant)]
-                or [np.array([], dtype=int)]
-            )
-            if sorted(claimed.tolist()) != members.tolist():
-                raise ValueError("ports must partition the elements of each polarization")
+        if self.weights.shape[1] != self.n_elements:
+            raise ValueError("the weight matrix needs one column per element")
+        if np.any(np.abs(np.sum(np.abs(self.weights) ** 2, axis=1) - 1.0) > 1e-9):
+            raise ValueError("port weights must have unit total power")
+        feeds = self.weights != 0
+        if np.any(feeds.sum(axis=0) != 1):
+            raise ValueError("each element must feed exactly one port")
+        if any(np.unique(self.slant_rad[row]).size > 1 for row in feeds):
+            raise ValueError("the elements of a port must share one slant")
 
     @property
     def n_elements(self) -> int:
@@ -104,27 +96,7 @@ class ArrayGeometry:
 
     @property
     def n_ports(self) -> int:
-        return len(self.ports)
-
-    def weight_matrix(self) -> np.ndarray:
-        """(n_ports, n_elements) complex matrix taking element signals to ports."""
-        matrix = np.zeros((self.n_ports, self.n_elements), dtype=complex)
-        for p, (idx, w) in enumerate(self.ports):
-            matrix[p, idx] = w
-        return matrix
-
-    def with_port_weights(self, weights) -> "ArrayGeometry":
-        """Copy of the geometry with every port using the given weight vector."""
-        w = np.asarray(weights, dtype=complex)
-        ports = []
-        for idx, old in self.ports:
-            if len(idx) != len(w):
-                raise ValueError("weight vector length does not match port size")
-            ports.append((idx.copy(), w.copy()))
-        return ArrayGeometry(
-            self.element_positions.copy(), self.m_rows, self.n_cols,
-            self.d_v, self.d_h, self.slant_rad.copy(), ports,
-        )
+        return self.weights.shape[0]
 
 
 def uniform_planar_array(
@@ -136,39 +108,35 @@ def uniform_planar_array(
     k_per_port: int | None = None,
     slant_deg: float = 0.0,
     cross_polarized: bool = False,
+    column_weights=None,
 ) -> ArrayGeometry:
     """Uniform M x N array with one port per column (K=M) or per element (K=1).
 
     d_v/d_h are in wavelengths. With cross_polarized=True each position holds
     a +/-45 deg pair and every column maps to two ports, one per slant.
+    column_weights are the K weights of every port (default uniform, unit
+    power), e.g. downtilt_weights for a column port.
     """
     if m_rows < 1 or n_cols < 1:
         raise ValueError("array must have at least one row and one column")
     k = m_rows if k_per_port is None else k_per_port
     if k not in (1, m_rows):
         raise ValueError("elements per port must be 1 or the full column")
-    base = np.array(
-        [
-            [0.0, c * d_h * wavelength, r * d_v * wavelength]
-            for c in range(n_cols)
-            for r in range(m_rows)
-        ]
-    )
-    slants = [math.radians(-45.0), math.radians(45.0)] if cross_polarized else [
-        math.radians(slant_deg)
-    ]
-    positions = np.repeat(base, len(slants), axis=0)
-    slant = np.tile(np.array(slants), len(base))
-    ports = []
+    if column_weights is None:
+        column_weights = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
+    w = np.asarray(column_weights, dtype=complex)
+    if w.shape != (k,):
+        raise ValueError("weight vector length does not match port size")
+    slants = np.radians([-45.0, 45.0] if cross_polarized else [slant_deg])
     n_pol = len(slants)
-    for c in range(n_cols):
-        for p in range(n_pol):
-            column = np.array([(c * m_rows + r) * n_pol + p for r in range(m_rows)])
-            if k == 1:
-                ports.extend((np.array([e]), np.array([1.0 + 0j])) for e in column)
-            else:
-                ports.append((column, np.full(m_rows, 1.0 / math.sqrt(m_rows), dtype=complex)))
-    return ArrayGeometry(positions, m_rows, n_cols, d_v, d_h, slant, ports)
+    # Element (column c, row r, slant p) is number (c * M + r) * n_pol + p. It
+    # feeds the port of its column and slant (K = M) or its own port (K = 1).
+    grid = np.meshgrid(range(n_cols), range(m_rows), range(n_pol), indexing="ij")
+    c, r, p = (g.ravel() for g in grid)
+    positions = np.stack([np.zeros(c.size), c * d_h * wavelength, r * d_v * wavelength], axis=-1)
+    weights = np.zeros((n_cols * n_pol * (m_rows // k), c.size), dtype=complex)
+    weights[(c * n_pol + p) * (m_rows // k) + r // k, np.arange(c.size)] = w[r % k]
+    return ArrayGeometry(positions, slants[p], d_v, weights)
 
 
 def response_phases(positions: np.ndarray, k_vectors: np.ndarray) -> np.ndarray:
@@ -193,7 +161,8 @@ def element_terms(
     spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
     azimuth, zenith, bearing_rad: float = 0.0,
 ):
-    """The weight-independent half of port_fields: element amplitudes and the
+    """The weight-independent half of a port's fields: element amplitudes
+    toward each direction (azimuth measured from `bearing_rad`) and the
     response phases of the port's elements, shapes (...) and (..., n_idx).
 
     Ports that differ only in weights (one array at several downtilts) share
@@ -201,7 +170,7 @@ def element_terms(
     """
     if not 0 <= port < geometry.n_ports:
         raise ValueError(f"unknown port index {port}")
-    idx = geometry.ports[port][0]
+    idx = np.flatnonzero(geometry.weights[port])
     local_az = wrap_azimuth(np.asarray(azimuth, dtype=float) - bearing_rad)
     zen = np.asarray(zenith, dtype=float)
     amp = np.sqrt(10.0 ** (element_gain_db(spec, local_az, zen) / 10.0))
@@ -210,26 +179,12 @@ def element_terms(
 
 
 def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
-    """The weights half of port_fields: (vertical, horizontal) fields of the
-    port from its element_terms, its weights and its elements' slants."""
-    idx, w = geometry.ports[port]
+    """The weights half of a port's fields: (vertical, horizontal) fields of
+    the port from its element_terms, its weights and its elements' slants."""
+    idx = np.flatnonzero(geometry.weights[port])
+    w = geometry.weights[port, idx]
     slant = geometry.slant_rad[idx]
     return amp * (phases @ (w * np.cos(slant))), amp * (phases @ (w * np.sin(slant)))
-
-
-def port_fields(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
-    azimuth, zenith, bearing_rad: float = 0.0,
-):
-    """Composite (vertical, horizontal) field amplitudes of one virtualized port.
-
-    Evaluates the element pattern in the port's local frame (azimuth measured
-    from `bearing_rad`), applies per-element slant fields and steering phases
-    at the given wavelength, and sums with the port weights. azimuth/zenith
-    broadcast together; outputs are complex with a matching shape.
-    """
-    amp, phases = element_terms(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
-    return weight_fields(amp, phases, geometry, port)
 
 
 def fields_gain_db(g_v, g_h):
@@ -238,11 +193,3 @@ def fields_gain_db(g_v, g_h):
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(power)
 
-
-def composite_port_gain_db(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
-    azimuth, zenith, bearing_rad: float = 0.0,
-):
-    """Power gain in dB of the virtualized port (element pattern + weights)."""
-    g_v, g_h = port_fields(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
-    return fields_gain_db(g_v, g_h)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .geom import wrap_azimuth
 from .ssp import circular_mean
-from .synth import ChannelRealization
 
 
 def rsrp_db(p_tx_dbm, g_tx_db, g_rx_db, pathloss_db, sf_db):
@@ -22,11 +21,10 @@ def rsrp_db(p_tx_dbm, g_tx_db, g_rx_db, pathloss_db, sf_db):
     )
 
 
-def rsrp_fast_fading_db(p_tx_dbm: float, realization: ChannelRealization) -> float:
+def rsrp_fast_fading_db(p_tx_dbm: float, taps) -> float:
     """RSRP including fast fading: transmit power plus the time-averaged total
-    tap energy, normalized per TX-RX pair. Slow fading is already embedded in
-    the realization's taps."""
-    taps = realization.taps
+    energy of the (time, tap, TX, RX) taps, normalized per TX-RX pair. Slow
+    fading is already embedded in the taps."""
     n_pairs = taps.shape[2] * taps.shape[3]
     energy = float(np.mean(np.sum(np.abs(taps) ** 2, axis=(1, 2, 3)))) / n_pairs
     return p_tx_dbm + 10.0 * math.log10(energy)
@@ -93,10 +91,10 @@ def delay_spread_s(delays_s, powers) -> float:
     return math.sqrt(max(0.0, second - mean * mean))
 
 
-def top_eigenvalues(realization: ChannelRealization, count: int = 2):
+def top_eigenvalues(taps, count: int = 2):
     """Largest eigenvalues of the time-averaged wideband covariance
-    sum_n H_n H_n^H, via singular values of the stacked tap matrices."""
-    taps = realization.taps
+    sum_n H_n H_n^H of (time, tap, TX, RX) taps, via singular values of the
+    stacked tap matrices."""
     n_times, n_taps, n_tx, n_rx = taps.shape
     stacked = taps.transpose(2, 0, 1, 3).reshape(n_tx, n_times * n_taps * n_rx)
     singular = np.linalg.svd(stacked, compute_uv=False)

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib
-from .antenna import (
-    downtilt_weights, element_gain_db, element_terms, fields_gain_db, weight_fields,
-)
+from .antenna import element_gain_db, element_terms, fields_gain_db, weight_fields
 from .config import RunConfig, build_array, build_tx_pattern, config_hash
 from .deploy import (
     CELL_BEARINGS_DEG,
@@ -22,7 +20,7 @@ from .deploy import (
     legacy_2d_drop,
     wrap_basis,
 )
-from .geom import SPEED_OF_LIGHT, AngleVector, rotation_z, wrap_azimuth
+from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
@@ -35,13 +33,13 @@ UE_BLOCK = 32
 
 @dataclass
 class _SweepPoint:
-    """One (d_v, tilt) point of the sweep: its TX pattern, array and port weights."""
+    """One (d_v, tilt) point of the sweep: its TX pattern and, for the element
+    pattern, its array with the point's port weights (None for itu_port)."""
 
     d_v: float
     tilt: float
     pattern: object
     geometry: object
-    port_weights: np.ndarray | None
 
 
 @dataclass
@@ -82,16 +80,10 @@ def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
     points = []
     for d_v in cfg.d_v_sweep():
         for tilt in cfg.downtilt_sweep():
-            pattern = build_tx_pattern(cfg.antenna, tilt)
-            geometry = port_weights = None
+            geometry = None
             if cfg.antenna.pattern == "element":
-                geometry = build_array(cfg.antenna, d_v, wavelength)
-                if cfg.antenna.k_per_port == cfg.antenna.m_rows:
-                    geometry = geometry.with_port_weights(
-                        downtilt_weights(cfg.antenna.m_rows, d_v, math.radians(90.0 + tilt))
-                    )
-                port_weights = geometry.weight_matrix()
-            points.append(_SweepPoint(d_v, tilt, pattern, geometry, port_weights))
+                geometry = build_array(cfg.antenna, d_v, wavelength, tilt)
+            points.append(_SweepPoint(d_v, tilt, build_tx_pattern(cfg.antenna, tilt), geometry))
     return points
 
 
@@ -167,24 +159,30 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
 
 def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, k_db) -> dict:
     """LinkContext fields of one (UE, cell) link, all but its TX end and
-    clusters; k_db is the link's Rice factor in dB."""
+    clusters; k_db is the link's Rice factor in dB. The LOS directions are
+    (azimuth, zenith) pairs, the arrival the reversed departure."""
     slow = ctx.slow
     site = int(ctx.cell_site[cell])
     offset = np.array([delta2d[0], delta2d[1], ctx.drop.xyz[ue_index, 2] - ctx.site_z])
-    # Per-link Python scalars (math.atan2/acos here, the Rice factor below):
-    # their array forms round some links differently in the last bit.
-    dep = AngleVector(
-        math.atan2(offset[1], offset[0]),
-        math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))),
-    )
+    # Per-link Python scalars (math.atan2/acos/pow): their array forms round
+    # some links differently in the last bit.
+    az = float(wrap_azimuth(math.atan2(offset[1], offset[0])))
+    zen = math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset)))))
+    try:
+        rice_k = math.pow(10.0, k_db / 10.0) if slow.los[ue_index, site] else 0.0
+    except OverflowError:
+        raise ValueError(
+            "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds the float range; "
+            "lower the [lsp_los] k_mu_db or k_sigma_db"
+        ) from None
     return dict(
         rx=LinkEnd(np.zeros((1, 3)), np.zeros(1)),
         slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
         carrier_hz=ctx.cfg.run.carrier_hz,
         velocity_mps=ctx.drop.velocity[ue_index],
-        rice_k_linear=10.0 ** (k_db / 10.0) if slow.los[ue_index, site] else 0.0,
-        los_departure=dep,
-        los_arrival=AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith),
+        rice_k_linear=rice_k,
+        los_departure=(az, zen),
+        los_arrival=(float(wrap_azimuth(az + math.pi)), math.pi - zen),
         xpr_offdiag_inverse=ctx.cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
         polarization_model=ctx.cfg.antenna.polarization_model,
     )
@@ -204,7 +202,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
     sites = ctx.cell_site.tolist()
     rsrp = np.empty((len(ctx.points), len(sites)))
-    realizations = [[None] * len(sites) for _ in ctx.points]
+    port_taps = [[None] * len(sites) for _ in ctx.points]
     deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
     if ctx.wrap is not None:
         deltas = fold_to_nearest_image(deltas, ctx.wrap)
@@ -212,7 +210,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     lsps = ctx.slow.lsps[ue_index, ctx.cell_site]
     links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c, 1]) for c, s in enumerate(sites)]
     rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
-    departures, arrivals = ([f[k] for f in links] for k in ("los_departure", "los_arrival"))
+    departures = np.array([f["los_departure"] for f in links])
+    arrivals = np.array([f["los_arrival"] for f in links])
     batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
     for cell, fields in enumerate(links):
         clusters = batch.link(cell)
@@ -220,10 +219,10 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
             link = LinkContext(tx=setup.ends[cell], clusters=clusters, **fields)
             elements = synthesize(link, ctx.times)
             for k in setup.points:
-                weights = ctx.points[k].port_weights
-                realization = elements if weights is None else to_ports(elements, weights)
-                rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, realization) + ue_gain
-                realizations[k][cell] = realization
+                geometry = ctx.points[k].geometry
+                taps = elements if geometry is None else to_ports(elements, geometry.weights)
+                rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain
+                port_taps[k][cell] = taps
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)
     records = []
@@ -236,7 +235,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
             calib.angular_spread_deg(cs.zod, cs.ray_powers),
             calib.angular_spread_deg(cs.zoa, cs.ray_powers),
             calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
-            *calib.top_eigenvalues(realizations[k][cell]),
+            *calib.top_eigenvalues(port_taps[k][cell]),
         ))
     return records
 

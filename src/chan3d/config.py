@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .antenna import ArrayGeometry, PatternSpec, itu_port_pattern, uniform_planar_array
+from .antenna import (
+    ArrayGeometry, PatternSpec, downtilt_weights, itu_port_pattern, uniform_planar_array,
+)
 from .lsp import LSP_NAMES, DecorrelationSection, LspSection, Pathloss, mixing_factor
 from .ssp import RAY_OFFSETS_20, SspConfig
 
@@ -384,7 +386,13 @@ def validate(cfg: RunConfig):
             raise ConfigError(f"[{name}]: {exc}") from None
 
 
-def build_array(section: AntennaSection, d_v: float, wavelength: float) -> ArrayGeometry:
+def build_array(
+    section: AntennaSection, d_v: float, wavelength: float, tilt: float
+) -> ArrayGeometry:
+    """The array at spacing d_v; K = M column ports are steered to the tilt."""
+    weights = None
+    if section.k_per_port == section.m_rows:
+        weights = downtilt_weights(section.m_rows, d_v, math.radians(90.0 + tilt))
     return uniform_planar_array(
         section.m_rows,
         section.n_cols,
@@ -394,6 +402,7 @@ def build_array(section: AntennaSection, d_v: float, wavelength: float) -> Array
         k_per_port=section.k_per_port,
         slant_deg=section.slant_deg,
         cross_polarized=section.cross_polarized,
+        column_weights=weights,
     )
 
 

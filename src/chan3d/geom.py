@@ -10,7 +10,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +23,6 @@ class GeometryError(ValueError):
 def wrap_azimuth(angle):
     """Wrap an azimuth angle (radians, scalar or array) into [-pi, pi)."""
     return (np.asarray(angle) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-@dataclass
-class AngleVector:
-    """Spatial angle pair (azimuth, zenith) in radians.
-
-    The constructor canonicalizes azimuth into [-pi, pi); zenith must already
-    lie in [0, pi] (values within 1e-9 of the poles are clamped).
-    """
-
-    azimuth: float
-    zenith: float
-
-    def __post_init__(self):
-        self.azimuth = float(wrap_azimuth(float(self.azimuth)))
-        zen = float(self.zenith)
-        if -1e-9 <= zen < 0.0:
-            zen = 0.0
-        elif math.pi < zen <= math.pi + 1e-9:
-            zen = math.pi
-        if not 0.0 <= zen <= math.pi:
-            raise ValueError(f"zenith angle {zen} outside [0, pi]")
-        self.zenith = zen
 
 
 def unit_vectors(azimuth, zenith) -> np.ndarray:

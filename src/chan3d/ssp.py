@@ -238,11 +238,11 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
     pipeline: delays, powers, cluster angles, ray expansion, polarization.
 
     lsps is (link, 7) in LSP_NAMES order; los_departure and los_arrival are
-    AngleVectors and rngs Generators, one per link. Returns a ClusterSet
-    whose arrays have a leading link axis. A short loop first makes each
-    link's draws from its own generator, in the one-link order; one array
-    pass over (link, cluster[, ray]) then does the math, rounding as the
-    one-link pass does.
+    (link, 2) arrays of (azimuth, zenith) in radians; rngs holds one
+    Generator per link. Returns a ClusterSet whose arrays have a leading
+    link axis. A short loop first makes each link's draws from its own
+    generator, in the one-link order; one array pass over (link,
+    cluster[, ray]) then does the math, rounding as the one-link pass does.
     """
     lsps = np.asarray(lsps, dtype=float)
     ds = lsps[:, 2]
@@ -252,8 +252,8 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
 
     delays = cluster_delays(u, ds, cfg.r_tau)
     powers = cluster_powers(delays, shadow, ds, cfg.r_tau)
-    dep = np.array([(a.azimuth, a.zenith) for a in los_departure])
-    arr = np.array([(a.azimuth, a.zenith) for a in los_arrival])
+    dep = np.array(los_departure, dtype=float)
+    arr = np.array(los_arrival, dtype=float)
     dep[:, 1] += math.radians(cfg.elevation_offset_dep_deg)
     arr[:, 1] += math.radians(cfg.elevation_offset_arr_deg)
     means = (dep[:, 0], dep[:, 1], arr[:, 0], arr[:, 1])

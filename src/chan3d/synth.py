@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .antenna import PatternSpec, element_gain_db, response_phases
 from .geom import (
     SPEED_OF_LIGHT,
-    AngleVector,
     rotation_x,
     rotation_z,
     spherical_basis,
@@ -40,13 +39,10 @@ class LinkEnd:
         return self.positions_m.shape[0]
 
 
-def isotropic_end(n_elements: int = 1) -> LinkEnd:
-    return LinkEnd(np.zeros((n_elements, 3)), np.zeros(n_elements))
-
-
 @dataclass
 class LinkContext:
-    """Everything needed to evaluate the cluster channel of one link."""
+    """Everything needed to evaluate the cluster channel of one link. The LOS
+    departure and arrival directions are (azimuth, zenith) pairs in radians."""
 
     tx: LinkEnd
     rx: LinkEnd
@@ -55,8 +51,8 @@ class LinkContext:
     carrier_hz: float
     velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rice_k_linear: float = 0.0
-    los_departure: AngleVector | None = None
-    los_arrival: AngleVector | None = None
+    los_departure: tuple | None = None
+    los_arrival: tuple | None = None
     xpr_offdiag_inverse: bool = False
     polarization_model: str = "slant"  # slant | rotated
 
@@ -139,55 +135,33 @@ def _los_term(ctx: LinkContext):
         raise ValueError("LOS angles required when the Rice factor is positive")
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     dep, arr = ctx.los_departure, ctx.los_arrival
-    g_t = _end_fields(ctx.tx, dep.azimuth, dep.zenith, ctx.polarization_model)[0]
-    g_r = _end_fields(ctx.rx, arr.azimuth, arr.zenith, ctx.polarization_model)[0]
+    g_t = _end_fields(ctx.tx, *dep, ctx.polarization_model)[0]
+    g_r = _end_fields(ctx.rx, *arr, ctx.polarization_model)[0]
     alpha = np.diag(
         [np.exp(1j * ctx.clusters.los_phase_vv), np.exp(1j * ctx.clusters.los_phase_hh)]
     )
     bilinear = np.einsum("pu,pq,qs->su", g_r, alpha, g_t)
-    k_dep = k0 * unit_vectors(dep.azimuth, dep.zenith)
-    k_arr = k0 * unit_vectors(arr.azimuth, arr.zenith)
+    k_dep = k0 * unit_vectors(*dep)
+    k_arr = k0 * unit_vectors(*arr)
     a_t = response_phases(ctx.tx.positions_m, k_dep)
     a_r = response_phases(ctx.rx.positions_m, k_arr)
     term = bilinear * a_t[:, None] * a_r[None, :]
     return term, float(k_arr @ ctx.velocity_mps)
 
 
-@dataclass
-class ChannelRealization:
-    """Taps of one link: delays plus per-time channel matrices.
-
-    taps is (n_times, n_taps, n_tx, n_rx); the tx axis is elements, or
-    ports after to_ports.
-    """
-
-    delays_s: np.ndarray
-    taps: np.ndarray
-    times_s: np.ndarray
-    carrier_hz: float
-
-    def __post_init__(self):
-        self.delays_s = np.asarray(self.delays_s, dtype=float)
-        self.taps = np.asarray(self.taps, dtype=complex)
-        self.times_s = np.asarray(self.times_s, dtype=float)
-        if self.taps.ndim != 4 or self.taps.shape[:2] != (self.times_s.size, self.delays_s.size):
-            raise ValueError("taps must be (n_times, n_taps, n_tx, n_rx)")
-        if not np.all(np.isfinite(self.taps.view(float))):
-            raise ValueError("tap matrices must be finite")
-
-
-def synthesize(ctx: LinkContext, times) -> ChannelRealization:
+def synthesize(ctx: LinkContext, times) -> np.ndarray:
     """Evaluate every cluster tap at the requested times, per TX element.
 
-    Tap 0 carries the Rice LOS ray when rice_k_linear > 0: the diffuse rays
-    of every cluster are scaled by 1/(K+1) in power and the LOS ray by
-    K/(K+1). to_ports maps the element taps to the TX ports.
+    Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
+    ctx.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when
+    rice_k_linear > 0: the diffuse rays of every cluster are scaled by
+    1/(K+1) in power and the LOS ray by K/(K+1). to_ports maps the element
+    taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
 
-    cs = ctx.clusters
     # Python-scalar power per link: the array form rounds some links' taps differently.
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
@@ -201,28 +175,14 @@ def synthesize(ctx: LinkContext, times) -> ChannelRealization:
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
-
-    return ChannelRealization(cs.delays_s.copy(), taps, times, ctx.carrier_hz)
-
-
-def to_ports(realization: ChannelRealization, port_weights: np.ndarray) -> ChannelRealization:
-    """An element-level realization seen through the TX (n_ports, n_elements)
-    port weight matrix. Element taps are linear in the weights, so one
-    synthesis serves every weight matrix of the same array."""
-    taps = np.einsum("pk,tnku->tnpu", port_weights, realization.taps)
-    return replace(realization, taps=taps)
+    if not np.all(np.isfinite(taps.view(float))):
+        raise ValueError("tap matrices must be finite")
+    return taps
 
 
-def dump_realization(realization: ChannelRealization, fh):
-    """Write a realization as plain text: a dimension header, then one record
-    per (time, tap) with the delay and the row-major complex entries."""
-    t, n, s, u = realization.taps.shape
-    fh.write(f"# times={t} taps={n} n_tx={s} n_rx={u}\n")
-    for ti in range(t):
-        for tap in range(n):
-            entries = realization.taps[ti, tap].reshape(-1)
-            parts = [repr(float(realization.times_s[ti])), str(tap), repr(float(realization.delays_s[tap]))]
-            for e in entries:
-                parts.append(repr(float(e.real)))
-                parts.append(repr(float(e.imag)))
-            fh.write(" ".join(parts) + "\n")
+def to_ports(taps: np.ndarray, port_weights: np.ndarray) -> np.ndarray:
+    """Element taps seen through the TX (n_ports, n_elements) port weight
+    matrix. Element taps are linear in the weights, so one synthesis serves
+    every weight matrix of the same array."""
+    return np.einsum("pk,tnku->tnpu", port_weights, taps)
+

@@ -1,0 +1,40 @@
+"""Reference antenna forms for the tests.
+
+``port_fields`` and ``composite_port_gain_db`` evaluate one virtualized port
+in a single call: the element terms and the port weights together, as the
+campaign splits them into ``antenna.element_terms`` and
+``antenna.weight_fields``. ``isotropic_end`` is a link end of isotropic,
+vertically polarized elements at the origin.
+"""
+import numpy as np
+
+from chan3d.antenna import ArrayGeometry, PatternSpec, element_terms, fields_gain_db, weight_fields
+from chan3d.synth import LinkEnd
+
+
+def port_fields(
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith, bearing_rad: float = 0.0,
+):
+    """Composite (vertical, horizontal) field amplitudes of one virtualized port.
+
+    Evaluates the element pattern in the port's local frame (azimuth measured
+    from `bearing_rad`), applies per-element slant fields and steering phases
+    at the given wavelength, and sums with the port weights. azimuth/zenith
+    broadcast together; outputs are complex with a matching shape.
+    """
+    amp, phases = element_terms(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+    return weight_fields(amp, phases, geometry, port)
+
+
+def composite_port_gain_db(
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith, bearing_rad: float = 0.0,
+):
+    """Power gain in dB of the virtualized port (element pattern + weights)."""
+    g_v, g_h = port_fields(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+    return fields_gain_db(g_v, g_h)
+
+
+def isotropic_end(n_elements: int = 1) -> LinkEnd:
+    return LinkEnd(np.zeros((n_elements, 3)), np.zeros(n_elements))

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from chan3d.geom import AngleVector, wrap_azimuth
+from chan3d.geom import wrap_azimuth
 from chan3d.ssp import SUBCLUSTER_DELAYS_S, SUBCLUSTER_RAYS, ClusterSet, SspConfig, reflect_zenith
 
 
@@ -57,10 +57,12 @@ def rescale_to_spread(angles, powers, target_rad: float, passes: int = 6) -> np.
 
 
 def generate_cluster_angles(
-    azimuth_spread_deg, zenith_spread_deg, powers, los_angle: AngleVector, rng,
+    azimuth_spread_deg, zenith_spread_deg, powers, los_angle, rng,
     elevation_mean_offset_deg: float = 0.0,
 ):
-    """Per-cluster azimuth and zenith angles around the LOS direction."""
+    """Per-cluster azimuth and zenith angles around the LOS direction, an
+    (azimuth, zenith) pair."""
+    los_azimuth, los_zenith = los_angle
     if azimuth_spread_deg <= 0 or zenith_spread_deg <= 0:
         raise ValueError("angular spreads must be positive")
     p = np.asarray(powers, dtype=float)
@@ -71,13 +73,13 @@ def generate_cluster_angles(
     az_shape = np.sqrt(-np.log(rel)) * az_spread
     sign = rng.integers(0, 2, p.size) * 2 - 1
     perturb = rng.normal(0.0, az_spread / 7.0, p.size)
-    azimuth = los_angle.azimuth + sign * az_shape + perturb
+    azimuth = los_azimuth + sign * az_shape + perturb
     azimuth = np.asarray(wrap_azimuth(rescale_to_spread(azimuth, p, az_spread)))
 
     zen_shape = -np.log(rel) * zen_spread
     sign = rng.integers(0, 2, p.size) * 2 - 1
     perturb = rng.normal(0.0, zen_spread / 7.0, p.size)
-    mean_zen = los_angle.zenith + math.radians(elevation_mean_offset_deg)
+    mean_zen = los_zenith + math.radians(elevation_mean_offset_deg)
     zenith = mean_zen + sign * zen_shape + perturb
     zenith = reflect_zenith(rescale_to_spread(zenith, p, zen_spread))
     return azimuth, zenith

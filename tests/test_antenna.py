@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from chan3d.antenna import (
     ArrayGeometry,
     PatternSpec,
-    composite_port_gain_db,
     downtilt_weights,
     element_gain_db,
     element_pattern_3gpp,
@@ -20,14 +19,9 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
-from chan3d.synth import (
-    LinkContext,
-    LinkEnd,
-    _end_fields,
-    isotropic_end,
-    synthesize,
-    to_ports,
-)
+from chan3d.synth import LinkContext, LinkEnd, _end_fields, synthesize, to_ports
+
+from antenna_oracle import composite_port_gain_db, isotropic_end
 
 D2R = math.pi / 180.0
 
@@ -187,12 +181,12 @@ def _port_taps(port_weights, n_elements, rng, positions=None):
         positions = rng.uniform(-0.2, 0.2, (n_elements, 3))
     tx = LinkEnd(positions, np.zeros(n_elements))
     elements = synthesize(LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9), [0.0])
-    return elements.taps[0], to_ports(elements, port_weights).taps[0]
+    return elements[0], to_ports(elements, port_weights)[0]
 
 
 def test_virtualize_single_element_port():
     geom = uniform_planar_array(4, 1, 0.5, 0.5, 0.15, k_per_port=1)
-    elements, ports = _port_taps(geom.weight_matrix(), 4, np.random.default_rng(1))
+    elements, ports = _port_taps(geom.weights, 4, np.random.default_rng(1))
     assert ports.shape == elements.shape
     assert_allclose(ports[:, 2], elements[:, 2], rtol=1e-15)
 
@@ -203,7 +197,7 @@ def test_virtualize_coherent_sum():
     m = 4
     geom = _column(m, 0.5)
     rng = np.random.default_rng(2)
-    elements, ports = _port_taps(geom.weight_matrix(), m, rng, np.zeros((m, 3)))
+    elements, ports = _port_taps(geom.weights, m, rng, np.zeros((m, 3)))
     assert_allclose(ports[:, 0], math.sqrt(m) * elements[:, 0], rtol=1e-12)
 
 
@@ -212,8 +206,8 @@ def test_virtualize_matches_bruteforce():
     rng = np.random.default_rng(17)
     weights = rng.normal(size=m) + 1j * rng.normal(size=m)
     weights /= np.linalg.norm(weights)
-    geom = _column(m, 0.5).with_port_weights(weights)
-    elements, ports = _port_taps(geom.weight_matrix(), m, rng)
+    geom = uniform_planar_array(m, 1, 0.5, 0.5, 0.15, column_weights=weights)
+    elements, ports = _port_taps(geom.weights, m, rng)
     expected = np.zeros(elements.shape[0], dtype=complex)
     for k in range(m):
         expected += weights[k] * elements[:, k, 0]
@@ -241,12 +235,22 @@ def test_virtualize_unknown_port():
 
 
 def test_weight_matrix_places_port_weights():
-    geom = uniform_planar_array(3, 2, 0.5, 0.5, 0.15, cross_polarized=True)
-    matrix = geom.weight_matrix()
-    assert matrix.shape == (geom.n_ports, geom.n_elements)
-    for p, (idx, w) in enumerate(geom.ports):
-        assert_allclose(matrix[p, idx], w)
-        assert np.count_nonzero(matrix[p]) == idx.size
+    # Column c, slant p is port 2c + p: the column weights on its elements
+    # (c * M + r) * 2 + p, in row order, and zero elsewhere; element
+    # (c, r, p) sits at (0, c d_h, r d_v) wavelengths with slant -45/+45 deg.
+    w = downtilt_weights(3, 0.7, math.radians(100.0))
+    geom = uniform_planar_array(3, 2, 0.7, 0.6, 0.15, cross_polarized=True, column_weights=w)
+    assert geom.weights.shape == (geom.n_ports, geom.n_elements) == (4, 12)
+    for c in range(2):
+        for p in range(2):
+            column = [(c * 3 + r) * 2 + p for r in range(3)]
+            assert np.array_equal(geom.weights[2 * c + p, column], w)
+            assert np.count_nonzero(geom.weights[2 * c + p]) == 3
+            expected = [[0.0, c * 0.6 * 0.15, r * 0.7 * 0.15] for r in range(3)]
+            assert np.array_equal(geom.element_positions[column], expected)
+            assert np.all(geom.slant_rad[column] == math.radians(90.0 * p - 45.0))
+    per_element = uniform_planar_array(3, 2, 0.5, 0.5, 0.15, k_per_port=1)
+    assert np.array_equal(per_element.weights, np.eye(6))
 
 
 def test_downtilt_weights_single_element():
@@ -290,26 +294,28 @@ def test_uniform_planar_array_counts():
 
 
 def test_array_geometry_validates_port_power():
-    with pytest.raises(ValueError):
-        ArrayGeometry(
-            np.zeros((2, 3)), 2, 1, 0.5, 0.5, np.zeros(2),
-            ports=[(np.array([0, 1]), np.array([1.0, 1.0]))],
-        )
+    with pytest.raises(ValueError, match="unit total power"):
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="does not match port size"):
+        uniform_planar_array(4, 1, 0.5, 0.5, 0.15, column_weights=[0.5, 0.5, 0.5])
 
 
 def test_array_geometry_requires_partition():
-    with pytest.raises(ValueError):
-        ArrayGeometry(
-            np.zeros((2, 3)), 2, 1, 0.5, 0.5, np.zeros(2),
-            ports=[(np.array([0]), np.array([1.0]))],
-        )
+    # Every element feeds exactly one port, and a port's elements share one slant.
+    with pytest.raises(ValueError, match="exactly one port"):
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[1.0, 0.0]])
+    half = math.sqrt(0.5)
+    with pytest.raises(ValueError, match="exactly one port"):
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[half, half], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="share one slant"):
+        ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], 0.5, [[half, half]])
+    ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], 0.5, np.eye(2))
 
 
 def test_composite_port_gain_peaks_near_tilt():
     wavelength = 0.15
-    geom = uniform_planar_array(10, 1, 0.5, 0.5, wavelength)
     w = downtilt_weights(10, 0.5, math.radians(102.0))
-    geom = geom.with_port_weights(w)
+    geom = uniform_planar_array(10, 1, 0.5, 0.5, wavelength, column_weights=w)
     spec = element_pattern_3gpp()
     zen = np.radians(np.arange(60.0, 150.0, 0.1))
     gains = composite_port_gain_db(spec, geom, 0, wavelength, 0.0, zen)
@@ -334,13 +340,13 @@ def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
     for d_v in (0.5, 0.8):
         geometries = []
         for tilt in (6.0, 9.0, 12.0):
-            geom = uniform_planar_array(
-                10, 1, d_v, 0.5, wavelength, k_per_port=k_per_port,
-                cross_polarized=cross_polarized,
-            )
+            weights = None
             if k_per_port == 10:
-                geom = geom.with_port_weights(downtilt_weights(10, d_v, math.radians(90.0 + tilt)))
-            geometries.append(geom)
+                weights = downtilt_weights(10, d_v, math.radians(90.0 + tilt))
+            geometries.append(uniform_planar_array(
+                10, 1, d_v, 0.5, wavelength, k_per_port=k_per_port,
+                cross_polarized=cross_polarized, column_weights=weights,
+            ))
         amp, phases = element_terms(spec, geometries[0], 0, wavelength, azimuth, zenith)
         for geom in geometries:
             split = fields_gain_db(*weight_fields(amp, phases, geom, 0))

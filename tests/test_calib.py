@@ -19,7 +19,6 @@ from chan3d.calib import (
     write_report,
 )
 from chan3d.antenna import element_gain_db, itu_port_pattern
-from chan3d.synth import ChannelRealization
 from report_oracle import DropReport, geometry_factor_row_db
 
 
@@ -150,20 +149,10 @@ def test_delay_spread_cases():
     assert_allclose(delay_spread_s(tau, p), expected, rtol=1e-12)
 
 
-def _realization(taps):
-    taps = np.asarray(taps, dtype=complex)
-    return ChannelRealization(
-        delays_s=np.arange(taps.shape[1], dtype=float) * 1e-7,
-        taps=taps,
-        times_s=np.arange(taps.shape[0], dtype=float),
-        carrier_hz=2e9,
-    )
-
-
 def test_top_eigenvalues_scalar_channel():
     taps = np.zeros((1, 3, 1, 1), dtype=complex)
     taps[0, :, 0, 0] = [1.0, 2.0j, -1.0]
-    l1, l2 = top_eigenvalues(_realization(taps))
+    l1, l2 = top_eigenvalues(taps)
     assert_allclose(l1, 1.0 + 4.0 + 1.0, rtol=1e-12)
     assert l2 == 0.0
 
@@ -173,7 +162,7 @@ def test_top_eigenvalues_rank_one():
     b = np.array([2.0, 1.0j])
     taps = np.zeros((1, 1, 3, 2), dtype=complex)
     taps[0, 0] = np.outer(a, b)
-    l1, l2 = top_eigenvalues(_realization(taps))
+    l1, l2 = top_eigenvalues(taps)
     assert l2 < 1e-10 * l1
 
 
@@ -181,7 +170,6 @@ def test_top_eigenvalues_match_dense_eigendecomposition():
     rng = np.random.default_rng(4)
     for _ in range(25):
         taps = rng.normal(size=(2, 5, 4, 2)) + 1j * rng.normal(size=(2, 5, 4, 2))
-        real = _realization(taps)
         # Oracle: build the covariance explicitly and eigendecompose.
         cov = np.zeros((4, 4), dtype=complex)
         for ti in range(2):
@@ -190,20 +178,20 @@ def test_top_eigenvalues_match_dense_eigendecomposition():
                 cov += h @ h.conj().T
         cov /= 2.0
         expected = np.sort(np.linalg.eigvalsh(cov))[::-1][:2]
-        l1, l2 = top_eigenvalues(real)
+        l1, l2 = top_eigenvalues(taps)
         assert_allclose([l1, l2], expected, rtol=1e-9)
 
 
 def test_rsrp_fast_fading_unit_tap():
     taps = np.ones((1, 1, 1, 1), dtype=complex)
-    assert_allclose(rsrp_fast_fading_db(0.0, _realization(taps)), 0.0, atol=1e-12)
+    assert_allclose(rsrp_fast_fading_db(0.0, taps), 0.0, atol=1e-12)
 
 
 def test_rsrp_fast_fading_scales_quadratically():
     rng = np.random.default_rng(5)
     taps = rng.normal(size=(2, 3, 2, 1)) + 1j * rng.normal(size=(2, 3, 2, 1))
-    base = rsrp_fast_fading_db(0.0, _realization(taps))
-    scaled = rsrp_fast_fading_db(0.0, _realization(3.0 * taps))
+    base = rsrp_fast_fading_db(0.0, taps)
+    scaled = rsrp_fast_fading_db(0.0, 3.0 * taps)
     assert_allclose(scaled - base, 20.0 * math.log10(3.0), rtol=1e-12)
 
 

@@ -353,6 +353,23 @@ def test_cli_lsp_overflow_is_one_error_line(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cli_rice_factor_overflow_is_one_error_line(tmp_path, capsys, recwarn):
+    # A valid config whose 5000 dB K sigma overflows the LOS Rice factor
+    # 10**(k/10): the run names that draw and its keys, warns nothing and
+    # writes nothing.
+    path = _write(tmp_path, (
+        "[run]\nmaster_seed = 3\nphase = 2\nn_ue_per_cell = 10\n\n[layout]\nn_rings = 0\n\n"
+        "[lsp_los]\nk_sigma_db = 5000\n"
+    ))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the LOS Rice-factor draw overflowed")
+    assert "[lsp_los] k_mu_db or k_sigma_db" in err[0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_custom_ray_offsets(tmp_path):
     text = (
         "[run]\nmaster_seed = 1\n\n[ssp]\nn_rays = 4\n"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chan3d.campaign as campaign
 from chan3d.antenna import element_gain_db, element_pattern_3gpp
 from chan3d.config import default_config
 from chan3d.geom import (
-    AngleVector,
     GeometryError,
     rotation_x,
     rotation_z,
@@ -16,19 +16,9 @@ from chan3d.geom import (
 )
 from chan3d.lsp import LspSampler
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, _end_fields, isotropic_end, synthesize
+from chan3d.synth import LinkContext, LinkEnd, _end_fields, synthesize
 
-def test_angle_vector_wraps_azimuth():
-    a = AngleVector(3.0 * math.pi, math.pi / 2)
-    assert -math.pi <= a.azimuth < math.pi
-    assert_allclose(a.azimuth, -math.pi)
-
-
-def test_angle_vector_rejects_bad_zenith():
-    with pytest.raises(ValueError):
-        AngleVector(0.0, -0.5)
-    with pytest.raises(ValueError):
-        AngleVector(0.0, math.pi + 0.1)
+from antenna_oracle import isotropic_end
 
 
 def test_unit_vector_horizon_along_x():
@@ -58,22 +48,23 @@ def test_unit_vector_norm_is_one():
 # along the arrival direction.
 
 def _doppler_phase(arrival, velocity, t, carrier_hz=2e9):
-    """Phase the mobility exponential adds to a single-ray tap between 0 and t."""
+    """Phase the mobility exponential adds to a single-ray tap between 0 and
+    t; arrival is an (azimuth, zenith) pair."""
     clusters = ClusterSet(
         delays_s=np.array([0.0]),
         cluster_powers=np.array([1.0]),
         ray_powers=np.array([[1.0]]),
         aod=np.array([[0.0]]),
         zod=np.array([[math.pi / 2]]),
-        aoa=np.array([[arrival.azimuth]]),
-        zoa=np.array([[arrival.zenith]]),
+        aoa=np.array([[arrival[0]]]),
+        zoa=np.array([[arrival[1]]]),
         phases=np.zeros((1, 1, 4)),
         xpr=np.array([[1e-12]]),
     )
     ctx = LinkContext(
         isotropic_end(), isotropic_end(), clusters, 0.0, carrier_hz, velocity_mps=velocity
     )
-    taps = synthesize(ctx, [0.0, t]).taps[:, 0, 0, 0]
+    taps = synthesize(ctx, [0.0, t])[:, 0, 0, 0]
     return float(np.angle(taps[1] / taps[0]))
 
 
@@ -81,12 +72,12 @@ def test_wave_vector_magnitude_2ghz():
     # Unit speed along the arrival direction turns the tap at |k| rad/s;
     # |k| = 2*pi*f/c with c = 299792458 m/s exactly.
     t = 0.01
-    phase = _doppler_phase(AngleVector(0.0, math.pi / 2), (1.0, 0.0, 0.0), t)
+    phase = _doppler_phase((0.0, math.pi / 2), (1.0, 0.0, 0.0), t)
     assert_allclose(phase / t, 41.91690043903363, rtol=1e-12)
 
 
 def test_wave_vector_linear_in_frequency():
-    a, v = AngleVector(0.3, 1.1), (1.0, 0.5, -0.2)
+    a, v = (0.3, 1.1), (1.0, 0.5, -0.2)
     assert_allclose(
         _doppler_phase(a, v, 1e-3, carrier_hz=4e9), 2.0 * _doppler_phase(a, v, 1e-3, carrier_hz=2e9)
     )
@@ -97,9 +88,9 @@ def test_wave_vector_direction_delegates():
     rng = np.random.default_rng(13)
     k0, t = 41.91690043903363, 1e-3
     for _ in range(20):
-        a = AngleVector(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, math.pi))
+        a = (rng.uniform(-math.pi, math.pi), rng.uniform(0.0, math.pi))
         v = rng.uniform(-2.0, 2.0, 3)
-        expected = k0 * float(unit_vectors(a.azimuth, a.zenith) @ v) * t
+        expected = k0 * float(unit_vectors(*a) @ v) * t
         assert_allclose(_doppler_phase(a, v, t), expected, rtol=1e-9, atol=1e-15)
 
 
@@ -115,13 +106,13 @@ def test_wave_vector_rejects_nonpositive_frequency():
 
 def test_doppler_phase_static_ue():
     for t in (0.0, 1.0, 5.0):
-        assert _doppler_phase(AngleVector(0.4, 1.2), (0.0, 0.0, 0.0), t) == 0.0
+        assert _doppler_phase((0.4, 1.2), (0.0, 0.0, 0.0), t) == 0.0
 
 
 def test_doppler_phase_orthogonal_velocity():
     # Arrival along +x, motion along +y.
     assert_allclose(
-        _doppler_phase(AngleVector(0.0, math.pi / 2), (0.0, 3.0, 0.0), 2.0), 0.0, atol=1e-12
+        _doppler_phase((0.0, math.pi / 2), (0.0, 3.0, 0.0), 2.0), 0.0, atol=1e-12
     )
 
 
@@ -129,14 +120,14 @@ def test_doppler_frequency_3kmh():
     # Classic oracle: f_D = |v| f / c for motion parallel to the wave vector.
     speed = 3.0 / 3.6
     t = 0.01
-    phase = _doppler_phase(AngleVector(0.0, math.pi / 2), (speed, 0.0, 0.0), t)
+    phase = _doppler_phase((0.0, math.pi / 2), (speed, 0.0, 0.0), t)
     f_doppler = phase / (2.0 * math.pi * t)
     assert_allclose(f_doppler, speed * 2e9 / 299_792_458.0, rtol=1e-12)
     assert_allclose(f_doppler, 5.559401586635867, rtol=1e-12)
 
 
 def test_doppler_phase_linear_in_time_and_velocity():
-    a = AngleVector(0.7, 0.9)
+    a = (0.7, 0.9)
     v = np.array([1.0, -2.0, 0.5])
     assert_allclose(_doppler_phase(a, v, 3e-3), 3.0 * _doppler_phase(a, v, 1e-3))
     assert_allclose(_doppler_phase(a, 2.0 * v, 1e-3), 2.0 * _doppler_phase(a, v, 1e-3))
@@ -184,6 +175,34 @@ def test_los_angles_reciprocity():
         assert_allclose(
             unit_vectors(az_ab + math.pi, math.pi - zen_ab), unit_vectors(az_ba, zen_ba), atol=1e-12
         )
+
+
+def test_los_pairs_wrap_azimuth(tmp_path, monkeypatch):
+    # The (link, 2) LOS pairs a phase-2 campaign hands to the cluster draw:
+    # azimuths wrapped into [-pi, pi), zeniths in [0, pi], and the arrival
+    # the wrapped reversed departure, bit for bit.
+    pairs = []
+    batched = campaign.generate_cluster_set
+
+    def recording(lsps, deps, arrs, cfg, rngs):
+        pairs.append((deps, arrs))
+        return batched(lsps, deps, arrs, cfg, rngs)
+
+    monkeypatch.setattr(campaign, "generate_cluster_set", recording)
+    cfg = default_config("UMa", master_seed=5)
+    cfg.layout.n_rings = 0
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 2
+    cfg.run.output_dir = str(tmp_path)
+    campaign.run_campaign(cfg)
+    assert len(pairs) == 6
+    for deps, arrs in pairs:
+        assert deps.shape == arrs.shape == (3, 2)
+        for angles in (deps, arrs):
+            assert np.all((-math.pi <= angles[:, 0]) & (angles[:, 0] < math.pi))
+            assert np.all((0.0 <= angles[:, 1]) & (angles[:, 1] <= math.pi))
+        for (az, zen), arrival in zip(deps.tolist(), arrs.tolist()):
+            assert arrival == [float(wrap_azimuth(az + math.pi)), math.pi - zen]
 
 
 def test_los_angles_coincident_raises():

@@ -10,7 +10,6 @@ import chan3d.campaign as campaign
 import ssp_oracle as oracle
 from chan3d.calib import angular_spread_deg
 from chan3d.config import ConfigError, default_config, validate
-from chan3d.geom import AngleVector
 from chan3d.ssp import (
     RAY_OFFSETS_20,
     ClusterSet,
@@ -43,8 +42,8 @@ def _batch(n_links, seed, cfg=None):
     """n_links links with the same LSPs and LOS angles, each on its own generator."""
     return generate_cluster_set(
         [_lsps()] * n_links,
-        [AngleVector(0.1, 1.5)] * n_links,
-        [AngleVector(2.0, 1.6)] * n_links,
+        np.tile([0.1, 1.5], (n_links, 1)),
+        np.tile([2.0, 1.6], (n_links, 1)),
         cfg or SspConfig(),
         [np.random.default_rng([seed, i]) for i in range(n_links)],
     )
@@ -124,11 +123,11 @@ def _angles(rng, powers, spread_deg, mean, zenith=False):
 def test_tiny_spread_collapses_to_mean():
     rng = np.random.default_rng(6)
     powers = np.array([[0.5, 0.3, 0.2]])
-    los = AngleVector(0.4, 1.3)
-    az = _angles(rng, powers, 1e-9, los.azimuth)
-    zen = _angles(rng, powers, 1e-9, los.zenith, zenith=True)
-    assert np.max(np.abs(np.degrees(az - los.azimuth))) < 1e-6
-    assert np.max(np.abs(np.degrees(zen - los.zenith))) < 1e-6
+    los_az, los_zen = 0.4, 1.3
+    az = _angles(rng, powers, 1e-9, los_az)
+    zen = _angles(rng, powers, 1e-9, los_zen, zenith=True)
+    assert np.max(np.abs(np.degrees(az - los_az))) < 1e-6
+    assert np.max(np.abs(np.degrees(zen - los_zen))) < 1e-6
 
 
 def test_mean_zenith_unbiased():
@@ -144,8 +143,8 @@ def test_elevation_mean_offset_applied():
     cfg = SspConfig(n_clusters=4, elevation_offset_dep_deg=5.0)
     lsps = _lsps(asd=10.0, esd=6.0)
     batch = generate_cluster_set(
-        [lsps] * 2000, [AngleVector(0.0, math.pi / 2)] * 2000, [AngleVector(math.pi, math.pi / 2)] * 2000,
-        cfg, [np.random.default_rng([8, i]) for i in range(2000)],
+        [lsps] * 2000, np.tile([0.0, math.pi / 2], (2000, 1)),
+        np.tile([-math.pi, math.pi / 2], (2000, 1)), cfg, [np.random.default_rng([8, i]) for i in range(2000)],
     )
     mean_zod = (batch.ray_powers * batch.zod).sum(axis=(1, 2))
     assert abs(math.degrees(float(mean_zod.mean())) - 95.0) < 1.0
@@ -177,7 +176,7 @@ def test_nonpositive_angular_spread_rejected():
         cluster_angles(powers, [0.1, 0.0], np.ones((2, 3)), np.zeros((2, 3)), [0.0, 0.0])
     zero_esd = _lsps(ds=1e-7, asd=10.0, esd=0.0, asa=10.0, esa=5.0)
     with pytest.raises(ValueError, match="angular spreads must be positive"):
-        generate_cluster_set([zero_esd], [AngleVector(0.0, 1.5)], [AngleVector(1.0, 1.5)],
+        generate_cluster_set([zero_esd], [[0.0, 1.5]], [[1.0, 1.5]],
                              SspConfig(), [np.random.default_rng(0)])
 
 
@@ -275,7 +274,7 @@ def _cfg(**kw):
 def _one_link(cfg, rng):
     """A batch of one link with the default LSPs."""
     return generate_cluster_set(
-        [_lsps()], [AngleVector(0.1, 1.5)], [AngleVector(2.0, 1.6)], cfg, [rng]
+        [_lsps()], [[0.1, 1.5]], [[2.0, 1.6]], cfg, [rng]
     )
 
 
@@ -385,8 +384,8 @@ def test_single_cluster_links_match_per_link_oracle():
     # rescale is degenerate from its first pass.
     cfg = _cfg(n_clusters=1)
     lsps = [_lsps(asd=5.0 + i) for i in range(4)]
-    deps = [AngleVector(0.3 * i, 1.2) for i in range(4)]
-    arrs = [AngleVector(-0.3 * i, 1.9) for i in range(4)]
+    deps = np.array([[0.3 * i, 1.2] for i in range(4)])
+    arrs = np.array([[-0.3 * i, 1.9] for i in range(4)])
     rngs = [np.random.default_rng([17, i]) for i in range(4)]
     batch = generate_cluster_set(lsps, deps, arrs, cfg, copy.deepcopy(rngs))
     _assert_links_match_oracle(lsps, deps, arrs, cfg, rngs, batch)

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import itertools
 import math
 
@@ -13,18 +12,11 @@ from chan3d.antenna import (
     response_phases,
     uniform_planar_array,
 )
-from chan3d.geom import SPEED_OF_LIGHT, AngleVector, rotation_z, unit_vectors
+from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import (
-    LinkContext,
-    LinkEnd,
-    _end_fields,
-    _los_term,
-    dump_realization,
-    isotropic_end,
-    synthesize,
-    to_ports,
-)
+from chan3d.synth import LinkContext, LinkEnd, _end_fields, _los_term, synthesize, to_ports
+
+from antenna_oracle import isotropic_end
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -72,8 +64,8 @@ def _ctx(clusters, tx=None, rx=None, slow_db=0.0, k_rice=0.0, velocity=(0.0, 0.0
         carrier_hz=2e9,
         velocity_mps=np.array(velocity),
         rice_k_linear=k_rice,
-        los_departure=AngleVector(0.2, 1.5),
-        los_arrival=AngleVector(0.2 + math.pi, math.pi - 1.5),
+        los_departure=(0.2, 1.5),
+        los_arrival=(0.2 - math.pi, math.pi - 1.5),
     )
 
 
@@ -116,14 +108,14 @@ def _bruteforce_cluster(ctx, n, t):
 def test_single_ray_isotropic_collapses_to_phase():
     phase = 0.7
     ctx = _ctx(_single_ray_clusters(phase))
-    h = synthesize(ctx, [0.0]).taps[0, 0]
+    h = synthesize(ctx, [0.0])[0, 0]
     assert h.shape == (1, 1)
     assert_allclose(h[0, 0], np.exp(1j * phase), atol=1e-12)
 
 
 def test_static_ue_time_invariant():
     rng = np.random.default_rng(1)
-    taps = synthesize(_ctx(_random_clusters(rng)), [0.0, 3.7]).taps
+    taps = synthesize(_ctx(_random_clusters(rng)), [0.0, 3.7])
     assert_allclose(taps[0], taps[1], atol=1e-15)
 
 
@@ -136,7 +128,7 @@ def test_cluster_matrix_matches_bruteforce_oracle():
     velocity = np.array([0.5, -0.3, 0.0])
     ctx = _ctx(clusters, tx=tx, rx=rx, slow_db=7.0, velocity=velocity)
     t = 0.37
-    assert_allclose(synthesize(ctx, [t]).taps[0, 1], _bruteforce_cluster(ctx, 1, t), atol=1e-10)
+    assert_allclose(synthesize(ctx, [t])[0, 1], _bruteforce_cluster(ctx, 1, t), atol=1e-10)
 
 
 def _without_los_angles(ctx):
@@ -149,7 +141,7 @@ def test_rice_zero_equals_nlos():
     rng = np.random.default_rng(3)
     ctx = _ctx(_random_clusters(rng))
     assert_allclose(
-        synthesize(ctx, [0.5]).taps, synthesize(_without_los_angles(ctx), [0.5]).taps, atol=1e-15
+        synthesize(ctx, [0.5]), synthesize(_without_los_angles(ctx), [0.5]), atol=1e-15
     )
 
 
@@ -157,8 +149,8 @@ def test_los_gate_only_first_cluster():
     rng = np.random.default_rng(4)
     clusters = _random_clusters(rng)
     k = 5.0
-    with_los = synthesize(_ctx(clusters, k_rice=k), [0.0]).taps
-    nlos = synthesize(_ctx(clusters), [0.0]).taps
+    with_los = synthesize(_ctx(clusters, k_rice=k), [0.0])
+    nlos = synthesize(_ctx(clusters), [0.0])
     assert_allclose(with_los[:, 1:], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 1:], atol=1e-14)
     assert not np.allclose(with_los[:, 0], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 0], atol=1e-3)
 
@@ -166,7 +158,7 @@ def test_los_gate_only_first_cluster():
 def test_large_rice_factor_limit():
     slow_db = 9.0
     ctx = _ctx(_single_ray_clusters(), slow_db=slow_db, k_rice=1e9)
-    h = synthesize(ctx, [0.0]).taps[0, 0]
+    h = synthesize(ctx, [0.0])[0, 0]
     assert_allclose(abs(h[0, 0]), 10.0 ** (-slow_db / 20.0), rtol=1e-4)
 
 
@@ -185,18 +177,26 @@ def test_synthesize_orders_taps_and_matches_cluster_ops():
     clusters = _random_clusters(rng, n_clusters=4, n_rays=3)
     ctx = _ctx(clusters, velocity=(0.8, 0.0, 0.0))
     times = [0.0, 1e-3]
-    real = synthesize(ctx, times)
-    assert np.all(np.diff(real.delays_s) >= 0.0)
-    assert real.taps.shape == (2, 4, 1, 1)
+    taps = synthesize(ctx, times)
+    assert np.all(np.diff(clusters.delays_s) >= 0.0)
+    assert taps.shape == (2, 4, 1, 1)
     for ti, t in enumerate(times):
         for n in range(4):
-            assert_allclose(real.taps[ti, n], _bruteforce_cluster(ctx, n, t), atol=1e-12)
+            assert_allclose(taps[ti, n], _bruteforce_cluster(ctx, n, t), atol=1e-12)
 
 
 def test_synthesize_rejects_empty_times():
     ctx = _ctx(_single_ray_clusters())
     with pytest.raises(ValueError):
         synthesize(ctx, [])
+
+
+@pytest.mark.parametrize("slow_db", [math.nan, -math.inf])
+def test_synthesize_rejects_non_finite_taps(slow_db):
+    # A NaN or infinite power scale reaches every tap; synthesize refuses it.
+    ctx = _ctx(_random_clusters(np.random.default_rng(10)), slow_db=slow_db)
+    with pytest.raises(ValueError, match="tap matrices must be finite"):
+        synthesize(ctx, [0.0])
 
 
 def test_port_output_equals_manual_weight_sum():
@@ -207,11 +207,11 @@ def test_port_output_equals_manual_weight_sum():
         geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0,
     )
     elements = synthesize(_ctx(clusters, tx=tx), [0.0])
-    ports = to_ports(elements, geom.weight_matrix())
-    assert ports.taps.shape == (1, 2, 1, 1)
-    idx, w = geom.ports[0]
-    manual = np.einsum("k,nku->nu", w, elements.taps[0][:, idx, :])
-    assert_allclose(ports.taps[0][:, 0, :], manual, atol=1e-12)
+    ports = to_ports(elements, geom.weights)
+    assert ports.shape == (1, 2, 1, 1)
+    w = np.full(4, 0.5)
+    manual = np.einsum("k,nku->nu", w, elements[0])
+    assert_allclose(ports[0][:, 0, :], manual, atol=1e-12)
 
 
 def test_total_mean_tap_power_is_one():
@@ -230,8 +230,8 @@ def test_total_mean_tap_power_is_one():
             xpr=np.full_like(base.xpr, 1e-12),
             los_phase_vv=0.0, los_phase_hh=0.0,
         )
-        real = synthesize(_ctx(clusters), [0.0])
-        total += float(np.sum(np.abs(real.taps) ** 2))
+        taps = synthesize(_ctx(clusters), [0.0])
+        total += float(np.sum(np.abs(taps) ** 2))
     assert abs(total / n_draws - 1.0) < 0.02
 
 
@@ -240,10 +240,10 @@ def test_amplitude_scaling_linearity():
     # sum-to-one constructor check by assigning the field after validation.
     rng = np.random.default_rng(8)
     base = _random_clusters(rng, n_clusters=2, n_rays=3)
-    h_base = synthesize(_ctx(base), [0.0]).taps[0, 0]
+    h_base = synthesize(_ctx(base), [0.0])[0, 0]
     scaled = _random_clusters(np.random.default_rng(8), n_clusters=2, n_rays=3)
     scaled.ray_powers = base.ray_powers * 4.0
-    h_scaled = synthesize(_ctx(scaled), [0.0]).taps[0, 0]
+    h_scaled = synthesize(_ctx(scaled), [0.0])[0, 0]
     assert_allclose(h_scaled, 2.0 * h_base, rtol=1e-12)
 
 
@@ -258,25 +258,9 @@ def test_doppler_trajectory_single_ray():
     ])
     omega = float(k_arr @ velocity)
     times = (0.0, 1e-3, 5e-3, 0.02)
-    h = synthesize(ctx, times).taps[:, 0, 0, 0]
+    h = synthesize(ctx, times)[:, 0, 0, 0]
     for ti, t in enumerate(times):
         assert_allclose(h[ti] / h[0], np.exp(1j * omega * t), atol=1e-12)
-
-
-def test_dump_realization_format():
-    rng = np.random.default_rng(9)
-    clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
-    real = synthesize(_ctx(clusters), [0.0, 1e-3])
-    buf = io.StringIO()
-    dump_realization(real, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# times=2 taps=2 n_tx=1 n_rx=1"
-    assert len(lines) == 1 + 2 * 2
-    fields = lines[1].split()
-    # time, tap index, delay, then re/im per entry
-    assert len(fields) == 3 + 2 * 1 * 1
-    parsed = complex(float(fields[3]), float(fields[4]))
-    assert_allclose(parsed, real.taps[0, 0, 0, 0], rtol=1e-15)
 
 
 def _per_cluster_ray_terms(ctx, cluster):
@@ -330,8 +314,10 @@ def _campaign_like_link(model, los, split):
     """A cross-polarized, tilted, rotated 4-row column toward a two-element
     receiver, with clusters drawn as a campaign draws them."""
     wavelength = SPEED_OF_LIGHT / 2e9
-    geom = uniform_planar_array(4, 1, 0.5, 0.5, wavelength, cross_polarized=True)
-    geom = geom.with_port_weights(downtilt_weights(4, 0.5, math.radians(102.0)))
+    geom = uniform_planar_array(
+        4, 1, 0.5, 0.5, wavelength, cross_polarized=True,
+        column_weights=downtilt_weights(4, 0.5, math.radians(102.0)),
+    )
     bearing = math.radians(150.0)
     tx = LinkEnd(
         geom.element_positions @ rotation_z(bearing).T, geom.slant_rad, element_pattern_3gpp(),
@@ -340,8 +326,8 @@ def _campaign_like_link(model, los, split):
     rx = LinkEnd(
         np.array([[0.0, 0.0, 0.0], [0.0, 0.07, 0.0]]), np.array([0.0, math.pi / 2]),
     )
-    dep = AngleVector(2.3, 1.62)
-    arr = AngleVector(dep.azimuth + math.pi, math.pi - dep.zenith)
+    dep = (2.3, 1.62)
+    arr = (2.3 - math.pi, math.pi - 1.62)
     lsps = [0.0, 9.0, 3.6e-7, 11.0, 45.0, 2.5, 9.0]  # in LSP_NAMES order
     clusters = generate_cluster_set(
         [lsps], [dep], [arr], SspConfig(split_strongest=split), [np.random.default_rng(41)]
@@ -358,7 +344,7 @@ def _campaign_like_link(model, los, split):
         los_arrival=arr,
         polarization_model=model,
     )
-    return link, geom.weight_matrix()
+    return link, geom.weights
 
 
 @pytest.mark.parametrize(
@@ -374,7 +360,7 @@ def test_batched_rays_equal_per_cluster_loop(model, los, n_times, output, split)
     if output == "elements":
         weights = None
     times = np.arange(n_times) * 1e-3
-    realization = synthesize(ctx, times)
+    taps = synthesize(ctx, times)
     if weights is not None:
-        realization = to_ports(realization, weights)
-    assert np.array_equal(realization.taps, _per_cluster_taps(ctx, times, weights))
+        taps = to_ports(taps, weights)
+    assert np.array_equal(taps, _per_cluster_taps(ctx, times, weights))
