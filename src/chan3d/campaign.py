@@ -1,6 +1,7 @@
 """Batch campaign driver: drops, sweeps, metric computation, and file emission."""
 from __future__ import annotations
 
+import logging
 import math
 import os
 from contextlib import contextmanager, suppress
@@ -17,7 +18,6 @@ from .deploy import (
     drop_ues,
     fold_to_nearest_image,
     hex_layout,
-    legacy_2d_drop,
     wrap_basis,
 )
 from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
@@ -27,33 +27,25 @@ from .ssp import generate_cluster_set
 from .synth import LinkContext, LinkEnd, synthesize, to_ports
 
 
+log = logging.getLogger("chan3d")
+
 # UEs per block of the phase-1 report pass: bounds its (UE, cell, element) temporaries.
 UE_BLOCK = 32
-
-
-@dataclass
-class _SweepPoint:
-    """One (d_v, tilt) point of the sweep: its TX pattern and, for the element
-    pattern, its array with the point's port weights (None for itu_port)."""
-
-    d_v: float
-    tilt: float
-    pattern: object
-    geometry: object
 
 
 @dataclass
 class _TxSetup:
     """Sweep points whose TX gains come from one pattern and element array.
 
-    points lists their sweep indices; geometry is None for an itu_port
-    pattern, whose single element is the port. ends holds the per-cell TX
-    link ends that phase 2 synthesizes element taps for.
+    points lists their sweep indices and arrays the array of each, with the
+    point's port weights; an array is None for an itu_port pattern, whose
+    single element is the port. ends holds the per-cell TX link ends that
+    phase 2 synthesizes element taps for.
     """
 
     pattern: object
-    geometry: object
     points: list
+    arrays: list
     ends: list | None = None
 
 
@@ -68,23 +60,11 @@ class _CampaignContext:
     cell_bearing_rad: np.ndarray
     drop: Drop
     slow: SlowFading
-    points: list
+    sweep: list
     wavelength: float
     times: np.ndarray
     wrap: np.ndarray | None = None
     tx_setups: list | None = None
-
-
-def _sweep_points(cfg: RunConfig, wavelength: float) -> list:
-    """Every (d_v, tilt) point in output order."""
-    points = []
-    for d_v in cfg.d_v_sweep():
-        for tilt in cfg.downtilt_sweep():
-            geometry = None
-            if cfg.antenna.pattern == "element":
-                geometry = build_array(cfg.antenna, d_v, wavelength, tilt)
-            points.append(_SweepPoint(d_v, tilt, build_tx_pattern(cfg.antenna, tilt), geometry))
-    return points
 
 
 def _tx_setups(ctx: _CampaignContext) -> list:
@@ -94,17 +74,19 @@ def _tx_setups(ctx: _CampaignContext) -> list:
     share one array and differ only in port weights. An itu_port pattern is
     tilted itself: each of its points is its own setup.
     """
+    antenna, itu = ctx.cfg.antenna, ctx.cfg.antenna.pattern == "itu_port"
     setups = {}
-    for k, p in enumerate(ctx.points):
-        key = k if ctx.cfg.antenna.pattern == "itu_port" else p.d_v
-        setups.setdefault(key, _TxSetup(p.pattern, p.geometry, [])).points.append(k)
+    for k, (d_v, tilt) in enumerate(ctx.sweep):
+        s = setups.setdefault(k if itu else d_v, _TxSetup(build_tx_pattern(antenna, tilt), [], []))
+        s.points.append(k)
+        s.arrays.append(None if itu else build_array(antenna, d_v, ctx.wavelength, tilt))
     if ctx.cfg.run.phase == 2:
         bearings = [float(b) for b in ctx.cell_bearing_rad]
         for s in setups.values():
-            if s.geometry is None:
+            if itu:
                 s.ends = [LinkEnd(np.zeros((1, 3)), np.zeros(1), s.pattern, b) for b in bearings]
             else:
-                xyz, slants = s.geometry.element_positions, s.geometry.slant_rad
+                xyz, slants = s.arrays[0].element_positions, s.arrays[0].slant_rad
                 s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b) for b in bearings]
     return list(setups.values())
 
@@ -112,13 +94,10 @@ def _tx_setups(ctx: _CampaignContext) -> list:
 def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
     """TX gain over (UE, cell) toward each cell's LOS direction, for each point
     of the setup: its element terms once, then each point's port weights."""
-    if setup.geometry is None:
+    if setup.arrays[0] is None:
         return [np.asarray(element_gain_db(setup.pattern, local_az, zen))]
-    amp, phases = element_terms(setup.pattern, setup.geometry, 0, ctx.wavelength, local_az, zen)
-    return [
-        fields_gain_db(*weight_fields(amp, phases, ctx.points[k].geometry, 0))
-        for k in setup.points
-    ]
+    amp, phases = element_terms(setup.pattern, setup.arrays[0], 0, ctx.wavelength, local_az, zen)
+    return [fields_gain_db(*weight_fields(amp, phases, array, 0)) for array in setup.arrays]
 
 
 def _serving_columns(rsrp, p_tx: float) -> tuple:
@@ -140,7 +119,7 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     reports = [
         dict(ue_id=np.arange(n), site=np.empty(n, dtype=int), cell=np.empty(n, dtype=int),
              cl_db=np.empty(n), gf_db=np.empty(n))
-        for _ in ctx.points
+        for _ in ctx.sweep
     ]
     for start in range(0, n, UE_BLOCK):
         rows = slice(start, start + UE_BLOCK)
@@ -201,8 +180,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
     sites = ctx.cell_site.tolist()
-    rsrp = np.empty((len(ctx.points), len(sites)))
-    port_taps = [[None] * len(sites) for _ in ctx.points]
+    rsrp = np.empty((len(ctx.sweep), len(sites)))
+    port_taps = [[None] * len(sites) for _ in ctx.sweep]
     deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
     if ctx.wrap is not None:
         deltas = fold_to_nearest_image(deltas, ctx.wrap)
@@ -218,9 +197,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
         for setup in ctx.tx_setups:
             link = LinkContext(tx=setup.ends[cell], clusters=clusters, **fields)
             elements = synthesize(link, ctx.times)
-            for k in setup.points:
-                geometry = ctx.points[k].geometry
-                taps = elements if geometry is None else to_ports(elements, geometry.weights)
+            for k, array in zip(setup.points, setup.arrays):
+                taps = elements if array is None else to_ports(elements, array.weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain
                 port_taps[k][cell] = taps
 
@@ -253,14 +231,15 @@ def _worker_records(ue_index: int) -> list:
     return _phase2_records(_WORKER_CTX, ue_index)
 
 
-def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> list:
+def _map_records(ctx: _CampaignContext, n_ues: int, workers: int) -> list:
     """Every UE's list of phase-2 report rows (one per sweep point), over a
-    process pool when workers > 1.
+    pool of min(workers, n_ues) processes when that is more than one.
 
     The pool's initializer hands each worker the context. Workers are forked
     where the platform allows it, else spawned, which pickles the context
     once per worker.
     """
+    workers = min(workers, n_ues)
     if workers <= 1:
         return [_phase2_records(ctx, i) for i in range(n_ues)]
     import multiprocessing
@@ -270,9 +249,8 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int, log=None) -> l
         mp_ctx, started = multiprocessing.get_context("fork"), "forked"
     except ValueError:
         mp_ctx, started = multiprocessing.get_context("spawn"), "spawned"
-    if log:
-        note = "fork start method unavailable: " if started == "spawned" else ""
-        log(f"{note}{n_ues} UEs over {workers} {started} worker processes")
+    note = "fork start method unavailable: " if started == "spawned" else ""
+    log.info(f"{note}{n_ues} UEs over {workers} {started} worker processes")
     chunk = max(1, n_ues // (workers * 4))
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=mp_ctx, initializer=_init_worker, initargs=(ctx,)
@@ -309,7 +287,7 @@ def _write_cdf(path, values, metric: str, cfg: RunConfig, d_v: float, tilt: floa
     return path
 
 
-def run_campaign(cfg: RunConfig, log=None) -> list:
+def run_campaign(cfg: RunConfig) -> list:
     """Execute the configured campaign and return the written file paths.
 
     Drops UEs and computes their slow fading once (both are shared across
@@ -318,8 +296,9 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     the point's report columns. The slow fading is one kernel call over the
     drop, its spatial fields spread over up to `workers` threads. Phase 1
     then runs in this process, in one pass over UE blocks. Phase 2 computes
-    all sweep points of one UE at a time, spread over `workers` pool
-    processes (forked, else spawned).
+    all sweep points of one UE at a time, spread over up to `workers` pool
+    processes (forked, else spawned), never more than there are UEs.
+    Progress goes to the "chan3d" logger.
     Deterministic for a fixed (config, seed) at any worker count.
     Each file is written under a temporary name and renamed into place once
     complete, so an interrupted campaign leaves no half-written output.
@@ -339,11 +318,10 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     cell_site = np.repeat(np.arange(site_xy.shape[0]), n_bearings)
     cell_bearing = np.radians(np.tile(CELL_BEARINGS_DEG, site_xy.shape[0]))
 
-    drop_rng = substream(cfg.run.master_seed, STREAM_DROP)
-    dropper = drop_ues if cfg.run.drop_mode == "3d" else legacy_2d_drop
-    drop = dropper(
-        cfg.run.n_ue_per_cell, site_xy, drop_rng, cfg.layout.isd_m,
-        cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
+    drop = drop_ues(
+        cfg.run.n_ue_per_cell, site_xy, substream(cfg.run.master_seed, STREAM_DROP),
+        cfg.layout.isd_m, cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
+        three_d=cfg.run.drop_mode == "3d",
     )
 
     sampler = LspSampler(
@@ -359,17 +337,12 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         if cfg.layout.wrap_around
         else None
     )
-    all_lsps = cfg.run.phase == 2
-    n_fields = len(sampler.field_jobs(site_xy.shape[0], all_lsps))
-    threads = max(1, min(cfg.run.workers, n_fields))
     slow = sampler.slow_fading(
-        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m,
-        cfg.pathloss, cfg.run.carrier_hz, wrap=wrap, all_lsps=all_lsps, threads=threads,
+        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m, cfg.pathloss,
+        cfg.run.carrier_hz, wrap=wrap, all_lsps=cfg.run.phase == 2, workers=cfg.run.workers,
     )
-    if log:
-        n_links, n_los = slow.los.size, int(np.count_nonzero(slow.los))
-        log(f"slow fading: {n_links} (UE, site) links, {n_los} LOS ({n_los / n_links:.4f})")
-        log(f"slow fading: {n_fields} spatial fields over {threads} thread{'s' * (threads > 1)}")
+    n_links, n_los = slow.los.size, int(np.count_nonzero(slow.los))
+    log.info(f"slow fading: {n_links} (UE, site) links, {n_los} LOS ({n_los / n_links:.4f})")
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz
     digest = config_hash(cfg)
     ctx = _CampaignContext(
@@ -380,7 +353,7 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
         cell_bearing_rad=cell_bearing,
         drop=drop,
         slow=slow,
-        points=_sweep_points(cfg, wavelength),
+        sweep=[(d_v, tilt) for d_v in cfg.d_v_sweep() for tilt in cfg.downtilt_sweep()],
         wavelength=wavelength,
         times=np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s,
         wrap=wrap,
@@ -388,22 +361,20 @@ def run_campaign(cfg: RunConfig, log=None) -> list:
     ctx.tx_setups = _tx_setups(ctx)
     single_element_sweep = (
         cfg.run.phase == 1 and cfg.antenna.pattern == "element"
-        and cfg.antenna.k_per_port == 1 and len(ctx.points) > 1
+        and cfg.antenna.k_per_port == 1 and len(ctx.sweep) > 1
     )
-    if log and single_element_sweep:
-        log("warning: at k_per_port = 1 phase 1 measures port 0, a single element at the "
-            "array origin, so every sweep point writes the same report")
+    if single_element_sweep:
+        log.warning("warning: at k_per_port = 1 phase 1 measures port 0, a single element at "
+                    "the array origin, so every sweep point writes the same report")
     if cfg.run.phase == 1:
         reports = _phase1_reports(ctx)
     else:
-        per_ue = _map_records(ctx, len(drop), cfg.run.workers, log)
+        per_ue = _map_records(ctx, len(drop), cfg.run.workers)
         reports = [dict(zip(calib.REPORT_COLUMNS, zip(*rows))) for rows in zip(*per_ue)]
 
     written = []
-    for k, point in enumerate(ctx.points):
-        d_v, tilt = point.d_v, point.tilt
-        if log:
-            log(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
+    for k, (d_v, tilt) in enumerate(ctx.sweep):
+        log.info(f"sweep point d_v={d_v:g} tilt={tilt:g} deg: {len(drop)} UEs")
         suffix = f"dv{d_v:g}_tilt{tilt:g}"
         for name in calib.REPORT_COLUMNS[3:] if cfg.run.phase == 2 else ("cl_db", "gf_db"):
             written.append(_write_cdf(

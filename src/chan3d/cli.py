@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .campaign import run_campaign
@@ -34,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated vertical spacings in wavelengths (overrides the config)",
     )
     run_p.add_argument("--drop-mode", choices=("3d", "legacy2d"), default=None)
-    run_p.add_argument("-q", "--quiet", action="store_true", help="suppress progress output")
+    run_p.add_argument("-q", "--quiet", action="store_true", help="log warnings only, no progress")
 
     def_p = sub.add_parser(
         "default-config",
@@ -69,11 +70,17 @@ def main(argv=None) -> int:
         cfg = parse_config(
             args.config, {k: str(v) for k, v in overrides.items() if v is not None}
         )
-        log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-        written = run_campaign(cfg, log=log)
-        if not args.quiet:
-            for path in written:
-                print(path, file=sys.stderr)
+        # Progress and the written paths go to stderr as bare messages.
+        log, handler = logging.getLogger("chan3d"), logging.StreamHandler()
+        handler.setLevel(logging.WARNING if args.quiet else logging.INFO)
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
+        try:
+            for path in run_campaign(cfg):
+                log.info(path)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(logging.NOTSET)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -133,15 +133,20 @@ def sample_cell_positions(
     return out + site_xy
 
 
-def _drop(
+def drop_ues(
     n_per_cell: int,
     layout: np.ndarray,
     rng: np.random.Generator,
     isd: float,
-    min_dist_2d: float,
-    speed_kmh: float,
-    three_d: bool,
+    min_dist_2d: float = 35.0,
+    speed_kmh: float = 3.0,
+    three_d: bool = True,
 ) -> Drop:
+    """3D drop over the hex_layout site positions: 80% of UEs indoors on a
+    uniform floor of a 4-8 story building (height 3(floor-1)+1.5 m), the rest
+    outdoors at 1.5 m. Equal count per cell. Without three_d, the legacy
+    drop: the same positions under the same rng, every UE outdoors at 1.5 m.
+    """
     # The attribute stream is consumed identically in both drop modes so that
     # matched seeds give matched x/y positions.
     if n_per_cell < 1:
@@ -163,30 +168,3 @@ def _drop(
         [speed * np.cos(heading), speed * np.sin(heading), np.zeros_like(heading)]
     )
     return Drop(np.column_stack([xy, z]), indoor, floor, velocity)
-
-
-def drop_ues(
-    n_per_cell: int,
-    layout: np.ndarray,
-    rng: np.random.Generator,
-    isd: float,
-    min_dist_2d: float = 35.0,
-    speed_kmh: float = 3.0,
-) -> Drop:
-    """3D drop over the hex_layout site positions: 80% of UEs indoors on a
-    uniform floor of a 4-8 story building (height 3(floor-1)+1.5 m), the rest
-    outdoors at 1.5 m. Equal count per cell."""
-    return _drop(n_per_cell, layout, rng, isd, min_dist_2d, speed_kmh, three_d=True)
-
-
-def legacy_2d_drop(
-    n_per_cell: int,
-    layout: np.ndarray,
-    rng: np.random.Generator,
-    isd: float,
-    min_dist_2d: float = 35.0,
-    speed_kmh: float = 3.0,
-) -> Drop:
-    """Legacy drop: identical positions to drop_ues under the same seed, but
-    every UE outdoors at 1.5 m."""
-    return _drop(n_per_cell, layout, rng, isd, min_dist_2d, speed_kmh, three_d=False)

@@ -2,6 +2,7 @@
 parameter generation per UE-site link."""
 from __future__ import annotations
 
+import logging
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -11,6 +12,8 @@ import numpy as np
 from .deploy import fold_to_nearest_image
 from .geom import GeometryError
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_uniforms, substream
+
+log = logging.getLogger("chan3d")
 
 # Canonical ordering of the seven large-scale parameters.
 LSP_NAMES = ("sf", "k", "ds", "asd", "asa", "esd", "esa")
@@ -184,31 +187,19 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
     return np.where(indoor, pl + model.indoor_penetration_db, pl)
 
 
-class SpatialGaussianField:
-    """Sum-of-sinusoids Gaussian field with exponential autocorrelation.
+def field_waves(decorrelation_m: float, key, n_terms: int) -> tuple:
+    """(kx, ky, phase), each (n_terms,), of a sum-of-sinusoids Gaussian field
+    with exponential autocorrelation, drawn from substream(*key).
 
-    Samples evaluate in closed form at any (x, y), so correlated values can
-    be produced by independent workers without coordination. The radial
-    wavenumber law is the 2D spectral density of exp(-d/decorrelation).
+    The field at (x, y) is sqrt(2/n_terms) * sum(cos(kx x + ky y + phase)), in
+    closed form at any point, so workers need no coordination. The radial
+    wavenumber law is the 2D spectral density of exp(-d/decorrelation_m).
     """
-
-    def __init__(self, decorrelation_m: float, seed_seq_key, n_terms: int = 128):
-        if decorrelation_m <= 0:
-            raise ValueError("decorrelation distance must be positive")
-        rng = substream(*seed_seq_key)
-        u = rng.random(n_terms)
-        k_mag = np.sqrt(1.0 / (1.0 - u) ** 2 - 1.0) / decorrelation_m
-        direction = rng.uniform(0.0, 2.0 * math.pi, n_terms)
-        self._kx = k_mag * np.cos(direction)
-        self._ky = k_mag * np.sin(direction)
-        self._phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
-        self._scale = math.sqrt(2.0 / n_terms)
-
-    def sample(self, x, y):
-        """Field value at (x, y); x and y may be arrays of one shape."""
-        x = np.asarray(x, dtype=float)[..., None]
-        y = np.asarray(y, dtype=float)[..., None]
-        return self._scale * np.cos(self._kx * x + self._ky * y + self._phase).sum(axis=-1)
+    rng = substream(*key)
+    k_mag = np.sqrt(1.0 / (1.0 - rng.random(n_terms)) ** 2 - 1.0) / decorrelation_m
+    direction = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+    phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+    return k_mag * np.cos(direction), k_mag * np.sin(direction), phase
 
 
 @dataclass
@@ -257,17 +248,6 @@ class LspSampler:
         self.master_seed = master_seed
         self.spatial = spatial
         self.n_field_terms = n_field_terms
-        self._fields: dict = {}
-
-    def _field(self, site_id: int, lsp: int) -> SpatialGaussianField:
-        key = (site_id, lsp)
-        if key not in self._fields:
-            self._fields[key] = SpatialGaussianField(
-                getattr(self.decorrelation, LSP_NAMES[lsp]),
-                (self.master_seed, STREAM_FIELD, site_id, lsp),
-                self.n_field_terms,
-            )
-        return self._fields[key]
 
     def field_jobs(self, n_site: int, all_lsps: bool) -> list:
         """The (site, LSP) pairs whose spatial fields slow_fading evaluates.
@@ -294,7 +274,7 @@ class LspSampler:
         carrier_hz: float,
         wrap: np.ndarray | None = None,
         all_lsps: bool = False,
-        threads: int = 1,
+        workers: int = 1,
     ) -> SlowFading:
         """LOS state, pathloss and SF of UEs toward every site.
 
@@ -304,24 +284,33 @@ class LspSampler:
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
         returned too. One LSP draw per (UE, site) is shared by all cells of
         the site. Each field of field_jobs is evaluated over all UEs in
-        chunks of FIELD_CHUNK UEs; with threads > 1, on that many threads
-        (the cosine sums release the GIL) while this thread computes the
-        geometry, LOS states and pathloss. The per-link stages run in chunks
-        of about LINK_CHUNK links. Each value is computed per element or per
-        link, so the result is the same at any chunking and thread count.
+        chunks of FIELD_CHUNK UEs; with workers > 1, on min(workers, fields)
+        threads (the cosine sums release the GIL) while this thread computes
+        the geometry, LOS states and pathloss. The per-link stages run in
+        chunks of about LINK_CHUNK links. Each value is computed per element
+        or per link, so the result is the same at any chunking and thread count.
         """
         ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
         n_ue, n_site = len(ue_ids), site_xy.shape[0]
         h_ue, dz, indoor = ue_xyz[:, 2:], ue_xyz[:, 2:] - h_bs, np.asarray(indoor)[:, None]
         jobs = self.field_jobs(n_site, all_lsps)
-        # Built before any thread starts: the _fields cache is not thread-safe.
-        samplers = [self._field(site, i).sample for site, i in jobs]
+        threads = max(1, min(workers, len(jobs)))
+        plural = "s" * (threads > 1)
+        log.info(f"slow fading: {len(jobs)} spatial fields over {threads} thread{plural}")
+        waves = [
+            field_waves(getattr(self.decorrelation, LSP_NAMES[i]),
+                        (self.master_seed, STREAM_FIELD, site, i), self.n_field_terms)
+            for site, i in jobs
+        ]
+        scale = math.sqrt(2.0 / self.n_field_terms)
         at_ue = np.empty((len(jobs), n_ue))
 
         def evaluate(k):
+            kx, ky, phase = waves[k]
             for start in range(0, n_ue, FIELD_CHUNK):
                 rows = slice(start, start + FIELD_CHUNK)
-                at_ue[k, rows] = samplers[k](ue_xyz[rows, 0], ue_xyz[rows, 1])
+                x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
+                at_ue[k, rows] = scale * np.cos(kx * x + ky * y + phase).sum(axis=-1)
 
         d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
         los = np.empty((n_ue, n_site), dtype=bool)

@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def _gf_by_tilt(paths, d_v):
     for tilt in TILTS:
         path = [p for p in paths if p.endswith(f"gf_cdf_dv{d_v:g}_tilt{tilt:g}.txt")][0]
         out[tilt] = np.array(
-            [float(line.split()[0]) for line in open(path) if not line.startswith("#")]
+            [float(line.split()[0]) for line in Path(path).read_text().splitlines()
+             if not line.startswith("#")]
         )
     return out
 
@@ -90,7 +92,8 @@ def test_criterion_3_3d_dominates_2d(run_dv05):
     gf_2d = np.array(
         [
             float(line.split()[0])
-            for line in open([p for p in paths_2d if "gf_cdf" in os.path.basename(p)][0])
+            for line in Path([p for p in paths_2d if "gf_cdf" in os.path.basename(p)][0])
+            .read_text().splitlines()
             if not line.startswith("#")
         ]
     )
@@ -242,7 +245,7 @@ def test_criterion_8_worker_count_determinism():
         cfg.run.workers = workers
         cfg.run.output_dir = tempfile.mkdtemp(prefix=f"chan3d_det_{sub}_")
         paths = run_campaign(cfg)
-        return {os.path.basename(p): open(p, "rb").read() for p in paths}
+        return {os.path.basename(p): Path(p).read_bytes() for p in paths}
 
     serial = run(1, "w1")
     parallel = run(8, "w8")

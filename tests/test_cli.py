@@ -1,5 +1,7 @@
+import logging
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,14 +116,15 @@ def test_campaign_deterministic_bytes(tmp_path):
     paths_a = run_campaign(cfg_a)
     paths_b = run_campaign(cfg_b)
     for pa, pb in zip(paths_a, paths_b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_campaign_cdf_files_are_valid(tmp_path):
     cfg = _tiny_cfg(tmp_path)
     paths = run_campaign(cfg)
     gf_path = [p for p in paths if os.path.basename(p).startswith("gf_cdf")][0]
-    rows = [line.split() for line in open(gf_path) if not line.startswith("#")]
+    rows = [line.split() for line in Path(gf_path).read_text().splitlines()
+            if not line.startswith("#")]
     values = np.array([float(r[0]) for r in rows])
     probs = np.array([float(r[1]) for r in rows])
     assert np.all(np.diff(values) >= 0.0)
@@ -136,7 +139,7 @@ def test_campaign_phase2_report_populated(tmp_path):
     cfg.ssp.n_clusters = 5
     paths = run_campaign(cfg)
     report = [p for p in paths if os.path.basename(p).startswith("report")][0]
-    lines = open(report).read().splitlines()
+    lines = Path(report).read_text().splitlines()
     assert len(lines) == 1 + 6
     for line in lines[1:]:
         fields = line.split()
@@ -161,9 +164,19 @@ def _tiny_phase2(tmp_path, sub, workers):
 
 
 def _run_logged(cfg):
+    """The campaign's files by name and the messages it logged at INFO and above."""
     lines = []
-    paths = run_campaign(cfg, log=lines.append)
-    return {os.path.basename(p): open(p, "rb").read() for p in paths}, lines
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("chan3d")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        paths = run_campaign(cfg)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    return {os.path.basename(p): Path(p).read_bytes() for p in paths}, lines
 
 
 def test_campaign_phase2_pool_matches_serial(tmp_path):
@@ -174,6 +187,14 @@ def test_campaign_phase2_pool_matches_serial(tmp_path):
     assert lines.count("slow fading: 7 spatial fields over 2 threads") == 1
     assert len(pooled) == 4 * 10  # 9 CDFs and a report per sweep point
     assert serial == pooled
+
+
+def test_campaign_phase2_pool_no_larger_than_ue_count(tmp_path):
+    # 6 UEs at 8 workers: the pool forks one process per UE, not eight.
+    serial, _ = _run_logged(_tiny_phase2(tmp_path, "w1", 1))
+    pooled, lines = _run_logged(_tiny_phase2(tmp_path, "w8", 8))
+    assert sum("6 UEs over 6 forked worker processes" in line for line in lines) == 1
+    assert pooled == serial
 
 
 def test_campaign_phase2_without_fork_says_so(tmp_path, monkeypatch):
@@ -238,6 +259,23 @@ def test_campaign_warns_single_element_port_sweep(tmp_path):
     assert not [line for line in lines if line.startswith("warning:")]
 
 
+def test_cli_logs_progress_to_stderr_and_warnings_under_quiet(tmp_path, capsys):
+    # A two-point sweep at k_per_port = 1 logs one warning.
+    text = (
+        "[run]\nmaster_seed = 3\nn_ue_per_cell = 2\n\n[layout]\nn_rings = 0\n\n"
+        "[antenna]\nk_per_port = 1\nd_v_sweep = 0.5, 0.8\n"
+    )
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "loud")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "sweep point d_v=0.8 tilt=12 deg: 6 UEs" in err
+    assert str(tmp_path / "loud" / "report_dv0.8_tilt12.txt") in err
+    assert sum(line.startswith("warning: at k_per_port = 1") for line in err) == 1
+    assert main(["run", "--config", path, "--output", str(tmp_path / "quiet"), "-q"]) == 0
+    [warning] = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: at k_per_port = 1")
+
+
 def test_campaign_logs_los_links_once(tmp_path):
     # 4 UEs per cell, 3 cells, one site: 12 (UE, site) links.
     _, lines = _run_logged(_tiny_cfg(tmp_path))
@@ -283,8 +321,8 @@ def test_campaign_2d_vs_3d_same_xy(tmp_path):
     run_campaign(cfg2)
     # Matched seeds keep the serving-site geometry comparable; the reports
     # may differ (heights change the metrics) but must have equal row counts.
-    rows3 = open(os.path.join(cfg3.run.output_dir, "report_dv0.5_tilt12.txt")).read().splitlines()
-    rows2 = open(os.path.join(cfg2.run.output_dir, "report_dv0.5_tilt12.txt")).read().splitlines()
+    rows3 = (Path(cfg3.run.output_dir) / "report_dv0.5_tilt12.txt").read_text().splitlines()
+    rows2 = (Path(cfg2.run.output_dir) / "report_dv0.5_tilt12.txt").read_text().splitlines()
     assert len(rows3) == len(rows2)
 
 
@@ -406,7 +444,8 @@ def test_campaign_itu_port_pattern(tmp_path):
     cfg.run.drop_mode = "legacy2d"
     paths = run_campaign(cfg)
     gf_path = [p for p in paths if os.path.basename(p).startswith("gf_cdf")][0]
-    values = [float(l.split()[0]) for l in open(gf_path) if not l.startswith("#")]
+    values = [float(l.split()[0]) for l in Path(gf_path).read_text().splitlines()
+              if not l.startswith("#")]
     assert len(values) == 12
     assert all(np.isfinite(values))
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from chan3d.deploy import (
     CELL_BEARINGS_DEG,
     drop_ues,
     hex_layout,
-    legacy_2d_drop,
     sample_cell_positions,
 )
 from chan3d.rng import substream
@@ -108,7 +108,7 @@ def test_drop_positions_inside_cell_wedge():
 def test_legacy_drop_heights_and_matched_positions():
     sites = hex_layout(0, 500.0)
     drop_3d = drop_ues(200, sites, substream(7, 1), 500.0)
-    drop_2d = legacy_2d_drop(200, sites, substream(7, 1), 500.0)
+    drop_2d = drop_ues(200, sites, substream(7, 1), 500.0, three_d=False)
     assert np.all(drop_2d.xyz[:, 2] == 1.5)
     assert not np.any(drop_2d.indoor)
     assert np.all(drop_2d.floor == 0)
@@ -165,8 +165,7 @@ def test_wrap_folding_tiles_the_layout():
             assert np.all(d_p <= np.linalg.norm(p - xy, axis=1) + 1e-9)
 
 
-def test_wrap_around_campaign_reduces_edge_geometry_factor():
-    import tempfile
+def test_wrap_around_campaign_reduces_edge_geometry_factor(tmp_path):
     from chan3d.campaign import run_campaign
     from chan3d.config import default_config
 
@@ -175,10 +174,11 @@ def test_wrap_around_campaign_reduces_edge_geometry_factor():
         cfg = default_config("UMa", master_seed=21)
         cfg.run.n_ue_per_cell = 6
         cfg.layout.wrap_around = wrap
-        cfg.run.output_dir = tempfile.mkdtemp()
+        cfg.run.output_dir = str(tmp_path / f"wrap{int(wrap)}")
         paths = run_campaign(cfg)
         gf = [p for p in paths if p.split("/")[-1].startswith("gf_cdf")][0]
-        values = [float(l.split()[0]) for l in open(gf) if not l.startswith("#")]
+        lines = Path(gf).read_text().splitlines()
+        values = [float(l.split()[0]) for l in lines if not l.startswith("#")]
         gf_medians[wrap] = float(np.median(values))
     # Wrapping adds interference images for edge UEs, so the median GF drops.
     assert gf_medians[True] < gf_medians[False]

@@ -7,6 +7,7 @@ x86-64; another floating-point library may round differently.
 """
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -129,7 +130,7 @@ def golden_config(name, output_dir):
 
 def output_hashes(paths):
     return {
-        os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths
+        os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths
     }
 
 

@@ -12,7 +12,7 @@ from chan3d.lsp import (
     LspSampler,
     LspSection,
     Pathloss,
-    SpatialGaussianField,
+    field_waves,
     lsps_from_normals,
     mixing_factor,
     pathloss_db,
@@ -275,19 +275,25 @@ def test_los_state_deterministic_and_distance_dependent():
 
 # ------------------------------------------------------------ spatial field
 
+def _field_at(waves, x, y):
+    """A field's value at one point from its (kx, ky, phase) wave arrays."""
+    kx, ky, phase = waves
+    return math.sqrt(2.0 / len(kx)) * np.cos(kx * x + ky * y + phase).sum()
+
+
 def test_spatial_field_variance_and_correlation():
     decorr = 50.0
     rng = np.random.default_rng(0)
     prods_at_decorr = []
     variances = []
     for trial in range(400):
-        fld = SpatialGaussianField(decorr, (trial, 99), n_terms=128)
+        waves = field_waves(decorr, (trial, 99), 128)
         xs = rng.uniform(-500, 500, 40)
         ys = rng.uniform(-500, 500, 40)
-        vals = np.array([fld.sample(x, y) for x, y in zip(xs, ys)])
+        vals = np.array([_field_at(waves, x, y) for x, y in zip(xs, ys)])
         variances.append(vals.var())
-        v0 = fld.sample(0.0, 0.0)
-        v1 = fld.sample(decorr, 0.0)
+        v0 = _field_at(waves, 0.0, 0.0)
+        v1 = _field_at(waves, decorr, 0.0)
         prods_at_decorr.append(v0 * v1)
     assert abs(np.mean(variances) - 1.0) < 0.1
     assert abs(np.mean(prods_at_decorr) - math.exp(-1.0)) < 0.1

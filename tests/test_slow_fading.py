@@ -4,7 +4,7 @@
 UE, one LOS draw, one pathloss and one LSP draw per site, with the pathloss
 and LSP marginals written out in scalar form. The kernel must reproduce it
 bit for bit: over the whole drop or a sub-range of it, at any chunk size and
-thread count, and with only SF requested.
+worker count, and with only SF requested.
 """
 import math
 import sys
@@ -15,8 +15,8 @@ import pytest
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
 import chan3d.lsp
-from chan3d.lsp import LSP_NAMES, LspSampler
-from chan3d.rng import STREAM_DROP, STREAM_LOS_STATE, STREAM_LSP, substream
+from chan3d.lsp import LSP_NAMES, LspSampler, field_waves
+from chan3d.rng import STREAM_DROP, STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, substream
 
 H_BS = 25.0
 CARRIER_HZ = 2e9
@@ -42,11 +42,20 @@ def _table(rows, slope, d_2d, h_ue):
     return np.interp(d_2d, d, mu) + slope * (h_ue - 1.5), np.interp(d_2d, d, sigma)
 
 
+def _field_at(sampler, site, lsp, x, y):
+    """The (site, LSP) spatial field at one point: the scaled cosine sum of its waves."""
+    kx, ky, phase = field_waves(
+        getattr(sampler.decorrelation, LSP_NAMES[lsp]),
+        (sampler.master_seed, STREAM_FIELD, site, lsp), sampler.n_field_terms,
+    )
+    return math.sqrt(2.0 / sampler.n_field_terms) * np.cos(kx * x + ky * y + phase).sum()
+
+
 def _lsps(sampler, ue_index, site, d_2d, h_ue, los, ue_xy):
     s, factor = sampler.states[0 if los else 1]
     if sampler.spatial:
         x, y = float(ue_xy[0]), float(ue_xy[1])
-        normals = np.array([sampler._field(site, i).sample(x, y) for i in range(len(LSP_NAMES))])
+        normals = np.array([_field_at(sampler, site, i, x, y) for i in range(len(LSP_NAMES))])
     else:
         normals = substream(sampler.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
     z = factor @ normals
@@ -110,10 +119,10 @@ def _setup(spatial, wrap_around, correlation):
     return sampler, cfg.pathloss, site_xy, wrap, drop
 
 
-def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps, threads=1):
+def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps, workers=1):
     return sampler.slow_fading(
         range(start, stop), drop.xyz[start:stop], drop.indoor[start:stop],
-        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps, threads=threads,
+        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps, workers=workers,
     )
 
 
@@ -194,10 +203,8 @@ def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the field chunks too
     try:
-        for threads in (2, 3):
-            # A fresh sampler each time: no field is cached before the threaded call.
-            fresh = _setup(spatial, True, None)[0]
-            got = _kernel(fresh, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, threads)
+        for workers in (2, 3):
+            got = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
             _assert_rows_equal(got, one, slice(None))
     finally:
         sys.setswitchinterval(interval)

@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 import re
 
@@ -348,7 +349,7 @@ def _ssp_options(cfg):
 
 
 @pytest.mark.parametrize("options", ["default", "split_strongest", "ssp_options"])
-def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch):
+def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch, caplog):
     # Every link of every UE of a one-ring campaign (21 UEs x 21 cells, LOS
     # and NLOS links): each batch row equals the one-link draw, bit for bit.
     calls = []
@@ -370,9 +371,11 @@ def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch):
     cfg.ssp.split_strongest = options == "split_strongest"
     if options == "ssp_options":
         _ssp_options(cfg)
-    lines = []
-    campaign.run_campaign(cfg, log=lines.append)
-    n_links, n_los = map(int, re.search(r"(\d+) \(UE, site\) links, (\d+) LOS", lines[0]).groups())
+    with caplog.at_level(logging.INFO, logger="chan3d"):
+        campaign.run_campaign(cfg)
+    [found] = filter(None, (re.search(r"(\d+) \(UE, site\) links, (\d+) LOS", line)
+                            for line in caplog.messages))
+    n_links, n_los = map(int, found.groups())
     assert 0 < n_los < n_links
     assert len(calls) == 21 and all(len(call[0]) == 21 for call in calls)
     for call in calls:
