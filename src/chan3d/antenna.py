@@ -32,11 +32,6 @@ class PatternSpec:
             raise ValueError("front-back ratio and sidelobe floor must be positive")
 
 
-def element_pattern_3gpp(theta_peak_deg: float = 90.0) -> PatternSpec:
-    """Single-element pattern: 8 dBi peak, 65 deg cuts, 30 dB floors."""
-    return PatternSpec(8.0, 30.0, 30.0, 65.0, 65.0, theta_peak_deg)
-
-
 def itu_port_pattern(downtilt_deg: float = 0.0) -> PatternSpec:
     """Narrow-elevation port approximation: 17 dBi, 70/15 deg cuts, 20 dB clip."""
     return PatternSpec(17.0, 20.0, 20.0, 70.0, 15.0, 90.0 + downtilt_deg)

@@ -5,7 +5,7 @@ import logging
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
-from .synth import LinkContext, LinkEnd, synthesize, to_ports
+from .synth import LinkContext, LinkEnd, link_half, synthesize, to_ports
 
 
 log = logging.getLogger("chan3d")
@@ -65,6 +65,7 @@ class _CampaignContext:
     times: np.ndarray
     wrap: np.ndarray | None = None
     tx_setups: list | None = None
+    ue_end: LinkEnd = field(default_factory=lambda: LinkEnd(np.zeros((1, 3)), np.zeros(1)))
 
 
 def _tx_setups(ctx: _CampaignContext) -> list:
@@ -155,7 +156,7 @@ def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, k_db)
             "lower the [lsp_los] k_mu_db or k_sigma_db"
         ) from None
     return dict(
-        rx=LinkEnd(np.zeros((1, 3)), np.zeros(1)),
+        rx=ctx.ue_end,
         slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
         carrier_hz=ctx.cfg.run.carrier_hz,
         velocity_mps=ctx.drop.velocity[ue_index],
@@ -173,9 +174,9 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
 
     The clusters of all the UE's links are drawn in one batch, each from its
     own (UE, site, cell) stream. Each link's element taps are then
-    synthesized once per TX setup, and each sweep point of the setup applies
-    its port weights. Synthesis stays per link, which keeps peak memory to
-    one link's ray terms.
+    synthesized once per TX setup from the link's one link_half, and each
+    sweep point of the setup applies its port weights. Synthesis stays per
+    link, which keeps peak memory to one link's ray terms.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
@@ -193,10 +194,11 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     arrivals = np.array([f["los_arrival"] for f in links])
     batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
     for cell, fields in enumerate(links):
-        clusters = batch.link(cell)
+        link = LinkContext(tx=ctx.tx_setups[0].ends[cell], clusters=batch.link(cell), **fields)
+        half = link_half(link)
         for setup in ctx.tx_setups:
-            link = LinkContext(tx=setup.ends[cell], clusters=clusters, **fields)
-            elements = synthesize(link, ctx.times)
+            link.tx = setup.ends[cell]  # the half holds no TX term
+            elements = synthesize(link, ctx.times, half)
             for k, array in zip(setup.points, setup.arrays):
                 taps = elements if array is None else to_ports(elements, array.weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain

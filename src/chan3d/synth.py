@@ -21,7 +21,11 @@ from .ssp import ClusterSet, polarization_matrix
 @dataclass
 class LinkEnd:
     """One side of a link: element positions (frame-aligned offsets in meters),
-    slants, the element pattern (None = isotropic 0 dBi) and its bearing."""
+    slants, the element pattern (None = isotropic 0 dBi) and its bearing.
+
+    The elements of one slant share one field pattern: slants holds the
+    distinct slants and slant_index each element's index into them.
+    """
 
     positions_m: np.ndarray
     slant_rad: np.ndarray
@@ -33,6 +37,7 @@ class LinkEnd:
         self.slant_rad = np.asarray(self.slant_rad, dtype=float).reshape(-1)
         if self.slant_rad.size != self.positions_m.shape[0]:
             raise ValueError("one slant per element required")
+        self.slants, self.slant_index = np.unique(self.slant_rad, return_inverse=True)
 
     @property
     def n_elements(self) -> int:
@@ -67,29 +72,27 @@ class LinkContext:
 
 
 def _end_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
-    """Per-element (V, H) field amplitudes toward each direction.
-
-    Returns shape (..., 2, n_elements). The slant model splits the pattern
+    """Per-slant (V, H) field amplitudes toward each direction, shape
+    (..., 2, n_slants) over end.slants. The slant model splits the pattern
     amplitude angle-independently; the rotated model transforms a vertically
     polarized element field through the element orientation.
     """
     az = np.atleast_1d(np.asarray(azimuth, dtype=float))
     zen = np.atleast_1d(np.asarray(zenith, dtype=float))
-    out = np.empty(az.shape + (2, end.n_elements), dtype=complex)
+    out = np.empty(az.shape + (2, end.slants.size), dtype=complex)
     if model == "slant":
-        local_az = wrap_azimuth(az - end.bearing_rad)
         if end.pattern is None:
             amp = np.ones_like(az)
         else:
+            local_az = wrap_azimuth(az - end.bearing_rad)
             amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, zen) / 10.0))
-        out[..., 0, :] = amp[..., None] * np.cos(end.slant_rad)
-        out[..., 1, :] = amp[..., None] * np.sin(end.slant_rad)
+        out[..., 0, :] = amp[..., None] * np.cos(end.slants)
+        out[..., 1, :] = amp[..., None] * np.sin(end.slants)
         return out
 
     dirs = unit_vectors(az, zen)
     et_g, ep_g = spherical_basis(az, zen)
-    for slant in np.unique(end.slant_rad):
-        members = end.slant_rad == slant
+    for i, slant in enumerate(end.slants):
         rot = rotation_z(end.bearing_rad) @ rotation_x(float(slant))
         local = dirs @ rot  # row-vector form of R^T @ v
         local_az = np.arctan2(local[..., 1], local[..., 0])
@@ -100,81 +103,102 @@ def _end_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
             amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, local_zen) / 10.0))
         et_local, _ = spherical_basis(local_az, local_zen)
         field_global = (amp[..., None] * et_local) @ rot.T
-        out[..., 0, members] = np.sum(field_global * et_g, axis=-1)[..., None]
-        out[..., 1, members] = np.sum(field_global * ep_g, axis=-1)[..., None]
+        out[..., 0, i] = np.sum(field_global * et_g, axis=-1)
+        out[..., 1, i] = np.sum(field_global * ep_g, axis=-1)
     return out
 
 
-def _ray_terms(ctx: LinkContext):
-    """Static tap contributions and Doppler rates of every (cluster, ray).
+@dataclass
+class LinkHalf:
+    """A link's ray terms that its TX end does not enter, so one half serves
+    every TX end: RX fields per RX slant, polarization matrices, departure wave
+    vectors, RX phases and Doppler rates; los holds the Rice LOS ray's, if any."""
 
-    Returns (terms, omega): terms is (n_clusters, n_rays, n_tx, n_rx) holding
-    sqrt(P) * (gR^T a gT) * aT * aR, omega the per-ray k_arr . v in rad/s.
-    """
-    cs = ctx.clusters
+    g_r: np.ndarray
+    alpha: np.ndarray
+    k_dep: np.ndarray
+    a_r: np.ndarray
+    omega: np.ndarray | float
+    los: LinkHalf | None = None
+
+
+def link_half(ctx: LinkContext) -> LinkHalf:
+    """The TX-independent half of ctx's ray terms, for synthesize."""
+    cs, model, rx = ctx.clusters, ctx.polarization_model, ctx.rx
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
-    g_t = _end_fields(ctx.tx, cs.aod, cs.zod, ctx.polarization_model)  # (N, M, 2, S)
-    g_r = _end_fields(ctx.rx, cs.aoa, cs.zoa, ctx.polarization_model)  # (N, M, 2, U)
-    alpha = polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse)
-    bilinear = np.einsum("nmpu,nmpq,nmqs->nmsu", g_r, alpha, g_t)
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
-    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(cs.aod, cs.zod))  # (N, M, S)
-    a_r = response_phases(ctx.rx.positions_m, k_arr)  # (N, M, U)
-    terms = (
-        np.sqrt(cs.ray_powers)[..., None, None]
-        * bilinear
-        * a_t[..., :, None]
-        * a_r[..., None, :]
+    half = LinkHalf(
+        _end_fields(rx, cs.aoa, cs.zoa, model),  # (N, M, 2, RX slants)
+        polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse),
+        k0 * unit_vectors(cs.aod, cs.zod),
+        response_phases(rx.positions_m, k_arr),  # (N, M, U)
+        k_arr @ ctx.velocity_mps,
     )
-    return terms, k_arr @ ctx.velocity_mps
+    if ctx.rice_k_linear > 0:
+        dep, arr = ctx.los_departure, ctx.los_arrival
+        if dep is None or arr is None:
+            raise ValueError("LOS angles required when the Rice factor is positive")
+        k_los = k0 * unit_vectors(*arr)
+        half.los = LinkHalf(
+            _end_fields(rx, *arr, model)[0],
+            np.diag([np.exp(1j * cs.los_phase_vv), np.exp(1j * cs.los_phase_hh)]),
+            k0 * unit_vectors(*dep),
+            response_phases(rx.positions_m, k_los),
+            float(k_los @ ctx.velocity_mps),
+        )
+    return half
 
 
-def _los_term(ctx: LinkContext):
-    """Deterministic LOS tap contribution and its Doppler rate."""
-    if ctx.los_departure is None or ctx.los_arrival is None:
-        raise ValueError("LOS angles required when the Rice factor is positive")
-    k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
-    dep, arr = ctx.los_departure, ctx.los_arrival
-    g_t = _end_fields(ctx.tx, *dep, ctx.polarization_model)[0]
-    g_r = _end_fields(ctx.rx, *arr, ctx.polarization_model)[0]
-    alpha = np.diag(
-        [np.exp(1j * ctx.clusters.los_phase_vv), np.exp(1j * ctx.clusters.los_phase_hh)]
-    )
-    bilinear = np.einsum("pu,pq,qs->su", g_r, alpha, g_t)
-    k_dep = k0 * unit_vectors(*dep)
-    k_arr = k0 * unit_vectors(*arr)
-    a_t = response_phases(ctx.tx.positions_m, k_dep)
-    a_r = response_phases(ctx.rx.positions_m, k_arr)
-    term = bilinear * a_t[:, None] * a_r[None, :]
-    return term, float(k_arr @ ctx.velocity_mps)
+def _ray_terms(ctx: LinkContext, half: LinkHalf) -> np.ndarray:
+    """Static tap contributions of every (cluster, ray): (n_clusters, n_rays,
+    n_tx, n_rx) holding sqrt(P) * (gR^T a gT) * aT * aR. The bilinear form
+    runs per (TX slant, RX slant) and is then gathered to the elements."""
+    cs = ctx.clusters
+    g_t = _end_fields(ctx.tx, cs.aod, cs.zod, ctx.polarization_model)  # (N, M, 2, TX slants)
+    bilinear = np.einsum("nmpu,nmpq,nmqs->nmsu", half.g_r, half.alpha, g_t)
+    weighted = np.sqrt(cs.ray_powers)[..., None, None] * bilinear
+    a_t = response_phases(ctx.tx.positions_m, half.k_dep)  # (N, M, S)
+    gathered = weighted[..., ctx.tx.slant_index[:, None], ctx.rx.slant_index]
+    return gathered * a_t[..., :, None] * half.a_r[..., None, :]
 
 
-def synthesize(ctx: LinkContext, times) -> np.ndarray:
+def _los_term(ctx: LinkContext, los: LinkHalf) -> np.ndarray:
+    """Deterministic LOS tap contribution, formed as _ray_terms forms a ray's."""
+    g_t = _end_fields(ctx.tx, *ctx.los_departure, ctx.polarization_model)[0]
+    bilinear = np.einsum("pu,pq,qs->su", los.g_r, los.alpha, g_t)
+    a_t = response_phases(ctx.tx.positions_m, los.k_dep)
+    gathered = bilinear[ctx.tx.slant_index[:, None], ctx.rx.slant_index]
+    return gathered * a_t[:, None] * los.a_r[None, :]
+
+
+def synthesize(ctx: LinkContext, times, half: LinkHalf | None = None) -> np.ndarray:
     """Evaluate every cluster tap at the requested times, per TX element.
 
     Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
     ctx.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when
     rice_k_linear > 0: the diffuse rays of every cluster are scaled by
-    1/(K+1) in power and the LOS ray by K/(K+1). to_ports maps the element
-    taps to the TX ports.
+    1/(K+1) in power and the LOS ray by K/(K+1). half is link_half(ctx),
+    made here when not given; links that differ only in their TX end share
+    it. to_ports maps the element taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
+    half = half or link_half(ctx)
 
     # Python-scalar power per link: the array form rounds some links' taps differently.
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
-    terms, omega = _ray_terms(ctx)
+    terms = _ray_terms(ctx, half)
     n_clusters, _, n_tx, n_rx = terms.shape
     taps = np.empty((times.size, n_clusters, n_tx, n_rx), dtype=complex)
     for ti, t in enumerate(times):
-        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, np.exp(1j * omega * t))
+        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, np.exp(1j * half.omega * t))
     if ctx.rice_k_linear > 0:
-        los_term, los_omega = _los_term(ctx)
+        los_term = _los_term(ctx, half.los)
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
-            taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
+            taps[ti, 0] += los_scale * los_term * np.exp(1j * half.los.omega * t)
     if not np.all(np.isfinite(taps.view(float))):
         raise ValueError("tap matrices must be finite")
     return taps

@@ -3,13 +3,21 @@
 ``port_fields`` and ``composite_port_gain_db`` evaluate one virtualized port
 in a single call: the element terms and the port weights together, as the
 campaign splits them into ``antenna.element_terms`` and
-``antenna.weight_fields``. ``isotropic_end`` is a link end of isotropic,
-vertically polarized elements at the origin.
+``antenna.weight_fields``. ``element_pattern_3gpp`` is the single-element
+pattern at its documented constants. ``isotropic_end`` is a link end of
+isotropic, vertically polarized elements at the origin. ``element_fields``
+evaluates a link end's fields element by element, where
+``synth._end_fields`` evaluates them once per slant.
 """
 import numpy as np
 
 from chan3d.antenna import ArrayGeometry, PatternSpec, element_terms, fields_gain_db, weight_fields
-from chan3d.synth import LinkEnd
+from chan3d.synth import LinkEnd, _end_fields
+
+
+def element_pattern_3gpp(theta_peak_deg: float = 90.0) -> PatternSpec:
+    """Single-element pattern: 8 dBi peak, 65 deg cuts, 30 dB floors."""
+    return PatternSpec(8.0, 30.0, 30.0, 65.0, 65.0, theta_peak_deg)
 
 
 def port_fields(
@@ -38,3 +46,15 @@ def composite_port_gain_db(
 
 def isotropic_end(n_elements: int = 1) -> LinkEnd:
     return LinkEnd(np.zeros((n_elements, 3)), np.zeros(n_elements))
+
+
+def element_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
+    """(V, H) fields of every element of end, shape (..., 2, n_elements):
+    one single-element end per element, so no two elements share a field."""
+    return np.concatenate([
+        _end_fields(
+            LinkEnd(end.positions_m[e], end.slant_rad[e:e + 1], end.pattern, end.bearing_rad),
+            azimuth, zenith, model,
+        )
+        for e in range(end.n_elements)
+    ], axis=-1)

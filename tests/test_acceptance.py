@@ -5,14 +5,13 @@ per cell with the shipped defaults and a pinned seed.
 """
 import math
 import os
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chan3d.antenna import element_pattern_3gpp, element_gain_db, itu_port_pattern
+from chan3d.antenna import element_gain_db, itu_port_pattern
 from chan3d.calib import angular_spread_deg, attach, delay_spread_s, top_eigenvalues
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
@@ -21,6 +20,7 @@ from chan3d.rng import substream
 from chan3d.ssp import cluster_delays, cluster_powers, polarization_matrix
 from chan3d.synth import synthesize
 
+from antenna_oracle import element_pattern_3gpp
 from test_synth import _ctx, _random_clusters, _without_los_angles  # noqa: E402
 
 D2R = math.pi / 180.0
@@ -44,26 +44,26 @@ def _gf_by_tilt(paths, d_v):
     return out
 
 
-def _phase1_run(d_v, drop_mode="3d", tilts=TILTS):
+def _phase1_run(output_dir, d_v, drop_mode="3d", tilts=TILTS):
     cfg = default_config("UMa", master_seed=SEED)
     cfg.run.n_ue_per_cell = 30
     cfg.run.drop_mode = drop_mode
     cfg.antenna.d_v = d_v
     cfg.antenna.downtilt_sweep_deg = tilts
-    cfg.run.output_dir = tempfile.mkdtemp(prefix="chan3d_accept_")
+    cfg.run.output_dir = str(output_dir)
     started = time.time()
     paths = run_campaign(cfg)
     return paths, time.time() - started
 
 
 @pytest.fixture(scope="module")
-def run_dv05():
-    return _phase1_run(0.5)
+def run_dv05(tmp_path_factory):
+    return _phase1_run(tmp_path_factory.mktemp("accept_dv05"), 0.5)
 
 
 @pytest.fixture(scope="module")
-def run_dv08():
-    return _phase1_run(0.8)
+def run_dv08(tmp_path_factory):
+    return _phase1_run(tmp_path_factory.mktemp("accept_dv08"), 0.8)
 
 
 def test_criterion_1_downtilt_ordering_dv05(run_dv05):
@@ -85,9 +85,9 @@ def test_criterion_2_downtilt_ordering_dv08(run_dv08):
     _report(2, ordered, f"d_v=0.8: median GF {medians}")
 
 
-def test_criterion_3_3d_dominates_2d(run_dv05):
+def test_criterion_3_3d_dominates_2d(run_dv05, tmp_path):
     paths_3d, _ = run_dv05
-    paths_2d, _ = _phase1_run(0.5, drop_mode="legacy2d", tilts=(12.0,))
+    paths_2d, _ = _phase1_run(tmp_path, 0.5, drop_mode="legacy2d", tilts=(12.0,))
     gf_3d = _gf_by_tilt(paths_3d, 0.5)[12.0]
     gf_2d = np.array(
         [
@@ -237,13 +237,13 @@ def test_criterion_7_oracle_equivalences():
     )
 
 
-def test_criterion_8_worker_count_determinism():
+def test_criterion_8_worker_count_determinism(tmp_path):
     def run(workers, sub):
         cfg = default_config("UMa", master_seed=8)
         cfg.run.n_ue_per_cell = 3
         cfg.layout.n_rings = 1
         cfg.run.workers = workers
-        cfg.run.output_dir = tempfile.mkdtemp(prefix=f"chan3d_det_{sub}_")
+        cfg.run.output_dir = str(tmp_path / sub)
         paths = run_campaign(cfg)
         return {os.path.basename(p): Path(p).read_bytes() for p in paths}
 

@@ -9,7 +9,6 @@ from chan3d.antenna import (
     PatternSpec,
     downtilt_weights,
     element_gain_db,
-    element_pattern_3gpp,
     element_terms,
     fields_gain_db,
     itu_port_pattern,
@@ -19,9 +18,11 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, _end_fields, synthesize, to_ports
+from chan3d.synth import LinkContext, LinkEnd, synthesize, to_ports
 
-from antenna_oracle import composite_port_gain_db, isotropic_end
+from antenna_oracle import (
+    composite_port_gain_db, element_fields, element_pattern_3gpp, isotropic_end,
+)
 
 D2R = math.pi / 180.0
 
@@ -100,7 +101,7 @@ def test_pattern_spec_validation():
 def _slant_fields(slants, azimuth=0.0, zenith=math.pi / 2, pattern=None):
     slants = np.atleast_1d(np.asarray(slants, dtype=float))
     end = LinkEnd(np.zeros((slants.size, 3)), slants, pattern)
-    fields = _end_fields(end, azimuth, zenith, "slant")
+    fields = element_fields(end, azimuth, zenith, "slant")
     return fields[..., 0, :], fields[..., 1, :]
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from chan3d.antenna import downtilt_weights, element_pattern_3gpp, uniform_planar_array
+from chan3d.antenna import downtilt_weights, uniform_planar_array
 from chan3d.calib import rsrp_db, rsrp_fast_fading_db, top_eigenvalues
 from chan3d.geom import SPEED_OF_LIGHT
 from chan3d.ssp import ClusterSet
 from chan3d.synth import LinkContext, LinkEnd, synthesize, to_ports
 
-from antenna_oracle import composite_port_gain_db, isotropic_end
+from antenna_oracle import composite_port_gain_db, element_pattern_3gpp, isotropic_end
 
 
 def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chan3d.campaign as campaign
-from chan3d.antenna import element_gain_db, element_pattern_3gpp
+from chan3d.antenna import element_gain_db
 from chan3d.config import default_config
 from chan3d.geom import (
     GeometryError,
@@ -18,7 +18,7 @@ from chan3d.lsp import LspSampler
 from chan3d.ssp import ClusterSet
 from chan3d.synth import LinkContext, LinkEnd, _end_fields, synthesize
 
-from antenna_oracle import isotropic_end
+from antenna_oracle import element_pattern_3gpp, isotropic_end
 
 
 def test_unit_vector_horizon_along_x():

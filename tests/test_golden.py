@@ -73,7 +73,8 @@ def _p2_dv_tilt_sweep(cfg):
 
 
 def _p2_itu_port(cfg):
-    # The port pattern itself moves with the tilt, so each tilt resynthesizes.
+    # The port pattern itself moves with the tilt, so each tilt is a TX setup
+    # of its own; the setups share each link's half.
     cfg.run.phase = 2
     cfg.run.n_ue_per_cell = 1
     cfg.antenna.pattern = "itu_port"
@@ -521,6 +522,29 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     paths = run_campaign(golden_config("p2_doppler_wrap", tmp_path))
     assert calls == [(7, 2)] * 21
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
+
+
+def test_phase2_link_half_once_per_link(tmp_path, monkeypatch):
+    # The two tilts of the itu_port pattern are two TX setups. Each of the
+    # 441 (UE, cell) links builds its half once and both setups reuse it.
+    halves, used = [], []
+
+    def counting_half(link):
+        halves.append(half(link))
+        return halves[-1]
+
+    def counting_synthesize(link, times, shared):
+        used.append(shared)
+        return synthesize(link, times, shared)
+
+    half, synthesize = campaign.link_half, campaign.synthesize
+    monkeypatch.setattr(campaign, "link_half", counting_half)
+    monkeypatch.setattr(campaign, "synthesize", counting_synthesize)
+    paths = run_campaign(golden_config("p2_itu_port", tmp_path))
+    assert len(halves) == 441
+    assert len(used) == 882
+    assert all(a is b for a, b in zip(used, (h for h in halves for _ in range(2))))
+    assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 
 def test_phase1_element_terms_once_per_block_and_spacing(tmp_path, monkeypatch):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from chan3d.antenna import element_pattern_3gpp
 from chan3d.synth import LinkEnd, _end_fields
+
+from antenna_oracle import element_pattern_3gpp
 
 
 def _end(slants_deg, bearing_deg=0.0, pattern=None):

@@ -8,15 +8,14 @@ from numpy.testing import assert_allclose
 
 from chan3d.antenna import (
     downtilt_weights,
-    element_pattern_3gpp,
     response_phases,
     uniform_planar_array,
 )
 from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import LinkContext, LinkEnd, _end_fields, _los_term, synthesize, to_ports
+from chan3d.synth import LinkContext, LinkEnd, synthesize, to_ports
 
-from antenna_oracle import isotropic_end
+from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -265,13 +264,14 @@ def test_doppler_trajectory_single_ray():
 
 def _per_cluster_ray_terms(ctx, cluster):
     """Static per-ray tap contributions and Doppler rates of one cluster: the
-    per-cluster form that synthesize batches over every (cluster, ray)."""
+    per-cluster, per-element form that synthesize batches over every
+    (cluster, ray) and evaluates per slant."""
     cs = ctx.clusters
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     aod, zod = cs.aod[cluster], cs.zod[cluster]
     aoa, zoa = cs.aoa[cluster], cs.zoa[cluster]
-    g_t = _end_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, S)
-    g_r = _end_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
+    g_t = element_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, S)
+    g_r = element_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
     alpha = polarization_matrix(cs.xpr[cluster], cs.phases[cluster], ctx.xpr_offdiag_inverse)
     bilinear = np.einsum("mpu,mpq,mqs->msu", g_r, alpha, g_t)
     a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(aod, zod))  # (M, S)
@@ -286,10 +286,26 @@ def _per_cluster_ray_terms(ctx, cluster):
     return terms, omega
 
 
+def _per_element_los_term(ctx):
+    """The LOS ray's static tap contribution and Doppler rate, per element."""
+    k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
+    dep, arr = ctx.los_departure, ctx.los_arrival
+    g_t = element_fields(ctx.tx, *dep, ctx.polarization_model)[0]
+    g_r = element_fields(ctx.rx, *arr, ctx.polarization_model)[0]
+    alpha = np.diag(
+        [np.exp(1j * ctx.clusters.los_phase_vv), np.exp(1j * ctx.clusters.los_phase_hh)]
+    )
+    bilinear = np.einsum("pu,pq,qs->su", g_r, alpha, g_t)
+    k_arr = k0 * unit_vectors(*arr)
+    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(*dep))
+    a_r = response_phases(ctx.rx.positions_m, k_arr)
+    return bilinear * a_t[:, None] * a_r[None, :], float(k_arr @ ctx.velocity_mps)
+
+
 def _per_cluster_taps(ctx, times, port_weights=None):
     """Taps summed cluster by cluster and time by time, as a loop over
-    _per_cluster_ray_terms, with the LOS ray of synthesize and, given port
-    weights, the port step of to_ports."""
+    _per_cluster_ray_terms, with the LOS ray of _per_element_los_term and,
+    given port weights, the port step of to_ports."""
     cs = ctx.clusters
     times = np.asarray(times, dtype=float)
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
@@ -301,7 +317,7 @@ def _per_cluster_taps(ctx, times, port_weights=None):
         for n, (terms, omega) in enumerate(per_cluster):
             taps[ti, n] = diffuse_scale * np.einsum("msu,m->su", terms, np.exp(1j * omega * t))
     if ctx.rice_k_linear > 0:
-        los_term, los_omega = _los_term(ctx)
+        los_term, los_omega = _per_element_los_term(ctx)
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
@@ -364,3 +380,23 @@ def test_batched_rays_equal_per_cluster_loop(model, los, n_times, output, split)
     if weights is not None:
         taps = to_ports(taps, weights)
     assert np.array_equal(taps, _per_cluster_taps(ctx, times, weights))
+
+
+@pytest.mark.parametrize("model", ("slant", "rotated"))
+@pytest.mark.parametrize("layout", ("interleaved", "out_of_order"))
+def test_per_slant_fields_equal_per_element_oracle(model, layout):
+    # Fields are evaluated once per slant and gathered to the elements. The
+    # taps, LOS ray included, must equal the per-element oracle bit for bit:
+    # for the interleaved +/-45 deg pairs of a cross-polarized array, and for
+    # ends whose slants are out of order and repeat at random places.
+    ctx, _ = _campaign_like_link(model, los=True, split=False)
+    if layout == "interleaved":
+        assert np.array_equal(ctx.tx.slant_rad, np.radians([-45.0, 45.0] * 4))
+    else:
+        slants = np.radians([90.0, -45.0, 45.0, 0.0, -45.0, 90.0, 30.0, 45.0])
+        ctx.tx = LinkEnd(ctx.tx.positions_m, slants, ctx.tx.pattern, ctx.tx.bearing_rad)
+        ctx.rx = LinkEnd(ctx.rx.positions_m[::-1], ctx.rx.slant_rad[::-1])
+        assert not np.all(np.diff(ctx.rx.slant_rad) > 0)
+    assert ctx.tx.slants.size < ctx.tx.n_elements
+    times = [0.0, 2e-3]
+    assert np.array_equal(synthesize(ctx, times), _per_cluster_taps(ctx, times))
