@@ -24,7 +24,7 @@ from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
-from .synth import LinkContext, LinkEnd, link_half, synthesize, to_ports
+from .synth import LinkContext, LinkEnd, end_fields, link_half, synthesize, to_ports
 
 
 log = logging.getLogger("chan3d")
@@ -173,10 +173,9 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     point, in sweep order.
 
     The clusters of all the UE's links are drawn in one batch, each from its
-    own (UE, site, cell) stream. Each link's element taps are then
-    synthesized once per TX setup from the link's one link_half, and each
-    sweep point of the setup applies its port weights. Synthesis stays per
-    link, which keeps peak memory to one link's ray terms.
+    own (UE, site, cell) stream; link_half and each TX setup's end_fields are
+    array passes over it. Each link sums its views of both, so no (link, ray,
+    element) array is held; each sweep point applies its setup's port weights.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
@@ -188,17 +187,19 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
         deltas = fold_to_nearest_image(deltas, ctx.wrap)
     seed = ctx.cfg.run.master_seed
     lsps = ctx.slow.lsps[ue_index, ctx.cell_site]
-    links = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c, 1]) for c, s in enumerate(sites)]
+    fields = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c, 1]) for c, s in enumerate(sites)]
     rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
-    departures = np.array([f["los_departure"] for f in links])
-    arrivals = np.array([f["los_arrival"] for f in links])
+    departures = np.array([f["los_departure"] for f in fields])
+    arrivals = np.array([f["los_arrival"] for f in fields])
     batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
-    for cell, fields in enumerate(links):
-        link = LinkContext(tx=ctx.tx_setups[0].ends[cell], clusters=batch.link(cell), **fields)
-        half = link_half(link)
-        for setup in ctx.tx_setups:
-            link.tx = setup.ends[cell]  # the half holds no TX term
-            elements = synthesize(link, ctx.times, half)
+    ends = ctx.tx_setups[0].ends
+    links = [LinkContext(ends[c], clusters=batch.link(c), **f) for c, f in enumerate(fields)]
+    half, model = link_half(links, batch), ctx.cfg.antenna.polarization_model
+    for setup in ctx.tx_setups:
+        for link, end in zip(links, setup.ends):
+            link.tx = end  # the half holds no TX term
+        for cell, g_t in enumerate(end_fields(setup.ends, batch.aod, batch.zod, model)):
+            elements = synthesize(links[cell], ctx.times, half.link(cell), g_t)
             for k, array in zip(setup.points, setup.arrays):
                 taps = elements if array is None else to_ports(elements, array.weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain
@@ -207,13 +208,10 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     serving, cl, gf = _serving_columns(rsrp, p_tx)
     records = []
     for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist())):
-        cs = batch.link(cell)
+        cs = links[cell].clusters
         records.append((
             ue_index, sites[cell], cell, cl_db, gf_db,
-            calib.angular_spread_deg(cs.aod, cs.ray_powers),
-            calib.angular_spread_deg(cs.aoa, cs.ray_powers),
-            calib.angular_spread_deg(cs.zod, cs.ray_powers),
-            calib.angular_spread_deg(cs.zoa, cs.ray_powers),
+            *(calib.angular_spread_deg(a, cs.ray_powers) for a in (cs.aod, cs.aoa, cs.zod, cs.zoa)),
             calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
             *calib.top_eigenvalues(port_taps[k][cell]),
         ))

@@ -33,9 +33,9 @@ def unit_vectors(azimuth, zenith) -> np.ndarray:
     az = np.asarray(azimuth, dtype=float)
     zen = np.asarray(zenith, dtype=float)
     st = np.sin(zen)
-    return np.stack(
-        np.broadcast_arrays(st * np.cos(az), st * np.sin(az), np.cos(zen)), axis=-1
-    )
+    out = np.empty(np.broadcast_shapes(az.shape, zen.shape) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = st * np.cos(az), st * np.sin(az), np.cos(zen)
+    return out
 
 
 def spherical_basis(azimuth, zenith) -> tuple[np.ndarray, np.ndarray]:
@@ -48,8 +48,9 @@ def spherical_basis(azimuth, zenith) -> tuple[np.ndarray, np.ndarray]:
     zen = np.asarray(zenith, dtype=float)
     ct, st = np.cos(zen), np.sin(zen)
     cp, sp = np.cos(az), np.sin(az)
-    e_theta = np.stack(np.broadcast_arrays(ct * cp, ct * sp, -st), axis=-1)
-    e_phi = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(sp)), axis=-1)
+    e_theta, e_phi = np.empty((2,) + np.broadcast_shapes(az.shape, zen.shape) + (3,))
+    e_theta[..., 0], e_theta[..., 1], e_theta[..., 2] = ct * cp, ct * sp, -st
+    e_phi[..., 0], e_phi[..., 1], e_phi[..., 2] = -sp, cp, 0.0
     return e_theta, e_phi
 
 

@@ -1,9 +1,8 @@
 """Small-scale parameters: cluster delays, powers, angles, ray offsets, phases, XPR."""
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,24 +80,27 @@ def _rescale_to_spread(angles, powers, target_rad, passes: int = 6) -> np.ndarra
     return out
 
 
-def cluster_angles(powers, spread_rad, signs, perturb, mean_rad, zenith: bool = False):
-    """Per-cluster azimuths (or zeniths) of each link around its mean direction.
+def cluster_angles(powers, spread_rad, signs, perturb, mean_rad, zenith):
+    """Per-cluster angles of each (kind, link) around its mean direction.
 
     Stronger clusters land closer to the mean (deviations shaped by the
     cluster powers), each with a random sign (+-1) and a perturbation; the
-    deviations are then rescaled so each link's power-weighted circular RMS
-    spread matches spread_rad. Azimuths are wrapped, zeniths reflected into
-    [0, pi]. powers, signs and perturb are (link, cluster); spread_rad and
-    mean_rad are per link.
+    deviations are then rescaled so each row's power-weighted circular RMS
+    spread matches spread_rad. powers are (link, cluster), shared by every
+    kind; signs and perturb are (kind, link, cluster), spread_rad and
+    mean_rad (kind, link). zenith flags each kind: zeniths deviate by the
+    power depth itself and are reflected into [0, pi], azimuths by its
+    square root and are wrapped.
     """
     spread_rad = np.asarray(spread_rad, dtype=float)
     if np.any(spread_rad <= 0):
         raise ValueError("angular spreads must be positive")
+    zenith = np.asarray(zenith, dtype=bool)[:, None, None]
     depth = -np.log(np.clip(powers / powers.max(axis=-1, keepdims=True), 1e-30, 1.0))
-    shape = (depth if zenith else np.sqrt(depth)) * spread_rad[..., None]
+    shape = np.where(zenith, depth, np.sqrt(depth)) * spread_rad[..., None]
     angles = np.asarray(mean_rad, dtype=float)[..., None] + signs * shape + perturb
     angles = _rescale_to_spread(angles, powers, spread_rad)
-    return reflect_zenith(angles) if zenith else wrap_azimuth(angles)
+    return np.where(zenith, reflect_zenith(angles), wrap_azimuth(angles))
 
 
 def reflect_zenith(zenith):
@@ -173,11 +175,10 @@ class ClusterSet:
         if np.any(self.phases < 0) or np.any(self.phases >= 2.0 * math.pi):
             raise ValueError("phases must lie in [0, 2pi)")
 
-    def link(self, i: int) -> "ClusterSet":
-        """Link i of a batch, as views; the checks the batch passed are not rerun."""
-        one = copy.copy(self)
-        for f in fields(self):
-            setattr(one, f.name, getattr(self, f.name)[i])
+    def link(self, i: int | None) -> "ClusterSet":
+        """Link i of a batch as views, not rechecked; None: one link as a batch of one."""
+        one = object.__new__(ClusterSet)
+        one.__dict__.update((name, np.asarray(value)[i]) for name, value in vars(self).items())
         return one
 
     @property
@@ -256,11 +257,11 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
     arr = np.array(los_arrival, dtype=float)
     dep[:, 1] += math.radians(cfg.elevation_offset_dep_deg)
     arr[:, 1] += math.radians(cfg.elevation_offset_arr_deg)
-    means = (dep[:, 0], dep[:, 1], arr[:, 0], arr[:, 1])
-    angles = [
-        cluster_angles(powers, spreads[:, k], *signed[2 * k:2 * k + 2], means[k], k % 2 == 1)
-        for k in range(4)
-    ]
+    means = np.hstack([dep, arr]).T  # the (azimuth, zenith) means of each kind
+    angles = cluster_angles(
+        powers, spreads.T, np.stack(signed[0::2]), np.stack(signed[1::2]), means,
+        [False, True, False, True],
+    )
     aod, zod, aoa, zoa = expand_subpaths(angles, cfg)
     clusters = ClusterSet(
         delays_s=delays,

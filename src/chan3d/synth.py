@@ -67,24 +67,30 @@ class LinkContext:
             raise ValueError("carrier frequency must be positive")
         if self.rice_k_linear < 0:
             raise ValueError("Rice factor must be non-negative")
+        if self.rice_k_linear > 0 and (self.los_departure is None or self.los_arrival is None):
+            raise ValueError("LOS angles required when the Rice factor is positive")
         if self.polarization_model not in ("slant", "rotated"):
             raise ValueError("polarization model must be 'slant' or 'rotated'")
 
 
-def _end_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
-    """Per-slant (V, H) field amplitudes toward each direction, shape
-    (..., 2, n_slants) over end.slants. The slant model splits the pattern
-    amplitude angle-independently; the rotated model transforms a vertically
-    polarized element field through the element orientation.
+def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
+    """Per-slant (V, H) field amplitudes of each link's end toward its
+    directions, shape (link, ..., 2, n_slants) for (link, ...) angles. ends
+    holds one LinkEnd per link, or one for all, differing only in bearing.
+    The slant model splits the pattern amplitude angle-independently; the
+    rotated model transforms a vertically polarized element field through
+    each link's element orientation, link by link.
     """
+    end = ends[0]
     az = np.atleast_1d(np.asarray(azimuth, dtype=float))
     zen = np.atleast_1d(np.asarray(zenith, dtype=float))
+    bearing = np.broadcast_to([e.bearing_rad for e in ends], az.shape[:1])
     out = np.empty(az.shape + (2, end.slants.size), dtype=complex)
     if model == "slant":
         if end.pattern is None:
             amp = np.ones_like(az)
         else:
-            local_az = wrap_azimuth(az - end.bearing_rad)
+            local_az = wrap_azimuth(az - bearing.reshape(az.shape[:1] + (1,) * (az.ndim - 1)))
             amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, zen) / 10.0))
         out[..., 0, :] = amp[..., None] * np.cos(end.slants)
         out[..., 1, :] = amp[..., None] * np.sin(end.slants)
@@ -92,27 +98,30 @@ def _end_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
 
     dirs = unit_vectors(az, zen)
     et_g, ep_g = spherical_basis(az, zen)
-    for i, slant in enumerate(end.slants):
-        rot = rotation_z(end.bearing_rad) @ rotation_x(float(slant))
-        local = dirs @ rot  # row-vector form of R^T @ v
-        local_az = np.arctan2(local[..., 1], local[..., 0])
-        local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
-        if end.pattern is None:
-            amp = np.ones_like(local_az)
-        else:
-            amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, local_zen) / 10.0))
-        et_local, _ = spherical_basis(local_az, local_zen)
-        field_global = (amp[..., None] * et_local) @ rot.T
-        out[..., 0, i] = np.sum(field_global * et_g, axis=-1)
-        out[..., 1, i] = np.sum(field_global * ep_g, axis=-1)
+    for link, b in enumerate(bearing.tolist()):
+        row = slice(link, link + 1)  # (1, ...): each link's products round as one link's do
+        for i, slant in enumerate(end.slants):
+            rot = rotation_z(b) @ rotation_x(float(slant))
+            local = dirs[row] @ rot  # row-vector form of R^T @ v
+            local_az = np.arctan2(local[..., 1], local[..., 0])
+            local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
+            if end.pattern is None:
+                amp = np.ones_like(local_az)
+            else:
+                amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, local_zen) / 10.0))
+            et_local, _ = spherical_basis(local_az, local_zen)
+            field_global = (amp[..., None] * et_local) @ rot.T
+            out[row, ..., 0, i] = np.sum(field_global * et_g[row], axis=-1)
+            out[row, ..., 1, i] = np.sum(field_global * ep_g[row], axis=-1)
     return out
 
 
 @dataclass
 class LinkHalf:
-    """A link's ray terms that its TX end does not enter, so one half serves
-    every TX end: RX fields per RX slant, polarization matrices, departure wave
-    vectors, RX phases and Doppler rates; los holds the Rice LOS ray's, if any."""
+    """The ray terms of a batch of links that their TX ends do not enter,
+    behind a leading link axis, so one half serves every TX setup: RX fields
+    per RX slant, polarization matrices, departure wave vectors, RX phases,
+    Doppler rates; los holds the LOS ray's (NaN where K = 0). link(i): a view."""
 
     g_r: np.ndarray
     alpha: np.ndarray
@@ -121,81 +130,87 @@ class LinkHalf:
     omega: np.ndarray | float
     los: LinkHalf | None = None
 
+    def link(self, i: int) -> LinkHalf:
+        los = None if self.los is None else self.los.link(i)
+        return LinkHalf(self.g_r[i], self.alpha[i], self.k_dep[i], self.a_r[i], self.omega[i], los)
 
-def link_half(ctx: LinkContext) -> LinkHalf:
-    """The TX-independent half of ctx's ray terms, for synthesize."""
-    cs, model, rx = ctx.clusters, ctx.polarization_model, ctx.rx
+
+def link_half(links, clusters: ClusterSet) -> LinkHalf:
+    """The TX-independent half of the ray terms of a UE's links, in one array
+    pass: links are their LinkContexts (one RX end, carrier, velocity,
+    polarization model and XPR convention) and clusters their batch."""
+    ctx, cs = links[0], clusters
+    model, rx = ctx.polarization_model, ctx.rx
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
-    half = LinkHalf(
-        _end_fields(rx, cs.aoa, cs.zoa, model),  # (N, M, 2, RX slants)
+    los = np.array([  # (departure, arrival); NaN where K = 0, as no LOS term is read there
+        (*ln.los_departure, *ln.los_arrival) if ln.rice_k_linear > 0 else (math.nan,) * 4
+        for ln in links
+    ])
+    # A (link, 1, 3) LOS wave vector: each link's products round as one link's do.
+    k_los = k0 * unit_vectors(los[:, 2:3], los[:, 3:])
+    alpha_los = np.zeros((len(links), 2, 2), dtype=complex)
+    alpha_los[:, 0, 0] = np.exp(1j * cs.los_phase_vv)
+    alpha_los[:, 1, 1] = np.exp(1j * cs.los_phase_hh)
+    return LinkHalf(
+        end_fields([rx], cs.aoa, cs.zoa, model),  # (L, N, M, 2, RX slants)
         polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse),
         k0 * unit_vectors(cs.aod, cs.zod),
-        response_phases(rx.positions_m, k_arr),  # (N, M, U)
+        response_phases(rx.positions_m, k_arr),  # (L, N, M, U)
         k_arr @ ctx.velocity_mps,
+        LinkHalf(
+            end_fields([rx], los[:, 2], los[:, 3], model),
+            alpha_los,
+            k0 * unit_vectors(los[:, 0], los[:, 1]),
+            response_phases(rx.positions_m, k_los)[:, 0],
+            (k_los @ ctx.velocity_mps)[:, 0],
+        ),
     )
-    if ctx.rice_k_linear > 0:
-        dep, arr = ctx.los_departure, ctx.los_arrival
-        if dep is None or arr is None:
-            raise ValueError("LOS angles required when the Rice factor is positive")
-        k_los = k0 * unit_vectors(*arr)
-        half.los = LinkHalf(
-            _end_fields(rx, *arr, model)[0],
-            np.diag([np.exp(1j * cs.los_phase_vv), np.exp(1j * cs.los_phase_hh)]),
-            k0 * unit_vectors(*dep),
-            response_phases(rx.positions_m, k_los),
-            float(k_los @ ctx.velocity_mps),
-        )
-    return half
 
 
-def _ray_terms(ctx: LinkContext, half: LinkHalf) -> np.ndarray:
-    """Static tap contributions of every (cluster, ray): (n_clusters, n_rays,
-    n_tx, n_rx) holding sqrt(P) * (gR^T a gT) * aT * aR. The bilinear form
-    runs per (TX slant, RX slant) and is then gathered to the elements."""
-    cs = ctx.clusters
-    g_t = _end_fields(ctx.tx, cs.aod, cs.zod, ctx.polarization_model)  # (N, M, 2, TX slants)
-    bilinear = np.einsum("nmpu,nmpq,nmqs->nmsu", half.g_r, half.alpha, g_t)
-    weighted = np.sqrt(cs.ray_powers)[..., None, None] * bilinear
-    a_t = response_phases(ctx.tx.positions_m, half.k_dep)  # (N, M, S)
-    gathered = weighted[..., ctx.tx.slant_index[:, None], ctx.rx.slant_index]
+def _ray_terms(ctx: LinkContext, half: LinkHalf, g_t: np.ndarray, amplitude=None) -> np.ndarray:
+    """Static tap contributions of the rays of a link's half, (..., n_tx,
+    n_rx) holding amplitude * (gR^T a gT) * aT * aR: its diffuse rays over
+    (cluster, ray) with their sqrt(P), or its LOS ray. The bilinear form runs
+    per (TX slant, RX slant) and is then gathered to the elements."""
+    bilinear = np.einsum("...pu,...pq,...qs->...su", half.g_r, half.alpha, g_t)
+    if amplitude is not None:
+        bilinear = amplitude[..., None, None] * bilinear
+    a_t = response_phases(ctx.tx.positions_m, half.k_dep)  # (..., S)
+    gathered = bilinear[..., ctx.tx.slant_index[:, None], ctx.rx.slant_index]
     return gathered * a_t[..., :, None] * half.a_r[..., None, :]
 
 
-def _los_term(ctx: LinkContext, los: LinkHalf) -> np.ndarray:
-    """Deterministic LOS tap contribution, formed as _ray_terms forms a ray's."""
-    g_t = _end_fields(ctx.tx, *ctx.los_departure, ctx.polarization_model)[0]
-    bilinear = np.einsum("pu,pq,qs->su", los.g_r, los.alpha, g_t)
-    a_t = response_phases(ctx.tx.positions_m, los.k_dep)
-    gathered = bilinear[ctx.tx.slant_index[:, None], ctx.rx.slant_index]
-    return gathered * a_t[:, None] * los.a_r[None, :]
-
-
-def synthesize(ctx: LinkContext, times, half: LinkHalf | None = None) -> np.ndarray:
+def synthesize(ctx: LinkContext, times, half: LinkHalf | None = None, g_t=None) -> np.ndarray:
     """Evaluate every cluster tap at the requested times, per TX element.
 
     Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
     ctx.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when
     rice_k_linear > 0: the diffuse rays of every cluster are scaled by
-    1/(K+1) in power and the LOS ray by K/(K+1). half is link_half(ctx),
-    made here when not given; links that differ only in their TX end share
-    it. to_ports maps the element taps to the TX ports.
+    1/(K+1) in power and the LOS ray by K/(K+1). half is the link's view of
+    its batch's link_half, which links that differ only in their TX end
+    share, and g_t its TX fields from end_fields; both are made here, for
+    the link as a batch of one, when not given. to_ports maps the element
+    taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
-    half = half or link_half(ctx)
+    if half is None or g_t is None:
+        batch = ctx.clusters.link(None)
+        half = link_half([ctx], batch).link(0)
+        g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
 
     # Python-scalar power per link: the array form rounds some links' taps differently.
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
-    terms = _ray_terms(ctx, half)
-    n_clusters, _, n_tx, n_rx = terms.shape
-    taps = np.empty((times.size, n_clusters, n_tx, n_rx), dtype=complex)
+    terms = _ray_terms(ctx, half, g_t, np.sqrt(ctx.clusters.ray_powers))
+    taps = np.empty((times.size,) + terms.shape[:1] + terms.shape[2:], dtype=complex)
     for ti, t in enumerate(times):
         taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, np.exp(1j * half.omega * t))
     if ctx.rice_k_linear > 0:
-        los_term = _los_term(ctx, half.los)
+        g_los = end_fields([ctx.tx], *ctx.los_departure, ctx.polarization_model)[0]
+        los_term = _ray_terms(ctx, half.los, g_los)
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * half.los.omega * t)

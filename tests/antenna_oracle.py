@@ -7,12 +7,13 @@ campaign splits them into ``antenna.element_terms`` and
 pattern at its documented constants. ``isotropic_end`` is a link end of
 isotropic, vertically polarized elements at the origin. ``element_fields``
 evaluates a link end's fields element by element, where
-``synth._end_fields`` evaluates them once per slant.
+``synth_oracle.end_fields_one_link`` evaluates them once per slant.
 """
 import numpy as np
 
 from chan3d.antenna import ArrayGeometry, PatternSpec, element_terms, fields_gain_db, weight_fields
-from chan3d.synth import LinkEnd, _end_fields
+from chan3d.synth import LinkEnd
+from synth_oracle import end_fields_one_link
 
 
 def element_pattern_3gpp(theta_peak_deg: float = 90.0) -> PatternSpec:
@@ -52,7 +53,7 @@ def element_fields(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
     """(V, H) fields of every element of end, shape (..., 2, n_elements):
     one single-element end per element, so no two elements share a field."""
     return np.concatenate([
-        _end_fields(
+        end_fields_one_link(
             LinkEnd(end.positions_m[e], end.slant_rad[e:e + 1], end.pattern, end.bearing_rad),
             azimuth, zenith, model,
         )

@@ -4,13 +4,22 @@ This is the one-link pipeline the batched kernel replaced, kept verbatim as a
 test oracle: one generator per link, the same draws in the same order, and
 scalar math per link. ``tests/test_ssp.py`` checks with ``np.array_equal``
 that the batched kernel gives the same bytes for every link of a batch.
+``cluster_angles_per_kind`` is the batch-of-links, one-kind-at-a-time form
+of ``ssp.cluster_angles``, which runs every angle kind in one pass.
 """
 import math
 
 import numpy as np
 
 from chan3d.geom import wrap_azimuth
-from chan3d.ssp import SUBCLUSTER_DELAYS_S, SUBCLUSTER_RAYS, ClusterSet, SspConfig, reflect_zenith
+from chan3d.ssp import (
+    SUBCLUSTER_DELAYS_S,
+    SUBCLUSTER_RAYS,
+    ClusterSet,
+    SspConfig,
+    _rescale_to_spread,
+    reflect_zenith,
+)
 
 
 def generate_delays(ds: float, n_clusters: int, r_tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -83,6 +92,20 @@ def generate_cluster_angles(
     zenith = mean_zen + sign * zen_shape + perturb
     zenith = reflect_zenith(rescale_to_spread(zenith, p, zen_spread))
     return azimuth, zenith
+
+
+def cluster_angles_per_kind(powers, spread_rad, signs, perturb, mean_rad, zenith: bool = False):
+    """One angle kind's per-cluster azimuths (or zeniths) of each link around
+    its mean direction: powers, signs and perturb are (link, cluster);
+    spread_rad and mean_rad are per link."""
+    spread_rad = np.asarray(spread_rad, dtype=float)
+    if np.any(spread_rad <= 0):
+        raise ValueError("angular spreads must be positive")
+    depth = -np.log(np.clip(powers / powers.max(axis=-1, keepdims=True), 1e-30, 1.0))
+    shape = (depth if zenith else np.sqrt(depth)) * spread_rad[..., None]
+    angles = np.asarray(mean_rad, dtype=float)[..., None] + signs * shape + perturb
+    angles = _rescale_to_spread(angles, powers, spread_rad)
+    return reflect_zenith(angles) if zenith else wrap_azimuth(angles)
 
 
 def expand_subpaths(aod, zod, aoa, zoa, cfg: SspConfig):

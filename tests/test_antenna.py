@@ -96,7 +96,7 @@ def test_pattern_spec_validation():
 
 
 # The slant split of a field pattern is the "slant" polarization model of
-# synth._end_fields: (sqrt(A) cos a, sqrt(A) sin a) for element gain A.
+# synth.end_fields: (sqrt(A) cos a, sqrt(A) sin a) for element gain A.
 
 def _slant_fields(slants, azimuth=0.0, zenith=math.pi / 2, pattern=None):
     slants = np.atleast_1d(np.asarray(slants, dtype=float))

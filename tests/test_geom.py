@@ -16,7 +16,7 @@ from chan3d.geom import (
 )
 from chan3d.lsp import LspSampler
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, _end_fields, synthesize
+from chan3d.synth import LinkContext, LinkEnd, end_fields, synthesize
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end
 
@@ -211,12 +211,12 @@ def test_los_angles_coincident_raises():
 
 
 # Local-to-global field rotation is the "rotated" polarization model of
-# synth._end_fields: an element field rotated by the bearing (about z) and
+# synth.end_fields: an element field rotated by the bearing (about z) and
 # the slant (a roll about the boresight x axis).
 
 def _rotated_fields(slant, bearing, azimuth, zenith, pattern=None):
     end = LinkEnd(np.zeros((1, 3)), np.array([slant]), pattern, bearing)
-    return _end_fields(end, azimuth, zenith, "rotated")[..., 0]
+    return end_fields([end], azimuth, zenith, "rotated")[..., 0]
 
 
 def test_field_transform_identity():

@@ -9,6 +9,7 @@ import hashlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chan3d.campaign as campaign
@@ -499,10 +500,12 @@ def test_golden_output_hashes(name, tmp_path):
 
 @pytest.mark.parametrize("name, workers", [
     ("p1_3d_element", 2), ("p1_legacy2d_wrap_itu", 3), ("p2_doppler_wrap", 3),
+    ("p2_dv_tilt_sweep", 2), ("p2_xpol_rotated", 2),
 ])
 def test_golden_output_hashes_at_more_workers(name, workers, tmp_path):
     # The spatial fields spread over `workers` threads (and phase 2 over as
-    # many processes) leave every byte as it is at one worker.
+    # many processes, each UE's links in one batch) leave every byte as it
+    # is at one worker: with two TX setups and with the rotated model too.
     cfg = golden_config(name, tmp_path)
     cfg.run.workers = workers
     assert output_hashes(run_campaign(cfg)) == GOLDEN[name]
@@ -524,26 +527,28 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
 
 
-def test_phase2_link_half_once_per_link(tmp_path, monkeypatch):
-    # The two tilts of the itu_port pattern are two TX setups. Each of the
-    # 441 (UE, cell) links builds its half once and both setups reuse it.
+def test_phase2_link_half_once_per_ue(tmp_path, monkeypatch):
+    # The two tilts of the itu_port pattern are two TX setups. Each of the 21
+    # UEs builds one half for its 21 (UE, cell) links, 441 links in all, and
+    # every synthesis of both setups reads its link's view of that half.
     halves, used = [], []
 
-    def counting_half(link):
-        halves.append(half(link))
-        return halves[-1]
+    def counting_half(links, batch):
+        halves.append((len(links), half(links, batch)))
+        return halves[-1][1]
 
-    def counting_synthesize(link, times, shared):
-        used.append(shared)
-        return synthesize(link, times, shared)
+    def counting_synthesize(link, times, shared, g_t):
+        used.append((len(halves) - 1, shared))
+        return synthesize(link, times, shared, g_t)
 
     half, synthesize = campaign.link_half, campaign.synthesize
     monkeypatch.setattr(campaign, "link_half", counting_half)
     monkeypatch.setattr(campaign, "synthesize", counting_synthesize)
     paths = run_campaign(golden_config("p2_itu_port", tmp_path))
-    assert len(halves) == 441
+    assert [n for n, _ in halves] == [21] * 21
     assert len(used) == 882
-    assert all(a is b for a, b in zip(used, (h for h in halves for _ in range(2))))
+    assert [ue for ue, _ in used] == [ue for ue in range(21) for _ in range(42)]
+    assert all(np.shares_memory(view.alpha, halves[ue][1].alpha) for ue, view in used)
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 

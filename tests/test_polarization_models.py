@@ -3,7 +3,7 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from chan3d.synth import LinkEnd, _end_fields
+from chan3d.synth import LinkEnd, end_fields
 
 from antenna_oracle import element_pattern_3gpp
 
@@ -18,16 +18,16 @@ def test_models_agree_at_boresight():
     for slant in (0.0, 45.0, -45.0, 90.0):
         end = _end([slant], pattern=element_pattern_3gpp())
         bore_az, bore_zen = 0.0, math.pi / 2
-        g_slant = _end_fields(end, bore_az, bore_zen, "slant")[0, :, 0]
-        g_rot = _end_fields(end, bore_az, bore_zen, "rotated")[0, :, 0]
+        g_slant = end_fields([end], bore_az, bore_zen, "slant")[0, :, 0]
+        g_rot = end_fields([end], bore_az, bore_zen, "rotated")[0, :, 0]
         assert_allclose(g_rot, g_slant, atol=1e-12)
 
 
 def test_models_agree_with_bearing_at_boresight():
     end = _end([45.0], bearing_deg=120.0, pattern=element_pattern_3gpp())
     az, zen = math.radians(120.0), math.pi / 2
-    g_slant = _end_fields(end, az, zen, "slant")[0, :, 0]
-    g_rot = _end_fields(end, az, zen, "rotated")[0, :, 0]
+    g_slant = end_fields([end], az, zen, "slant")[0, :, 0]
+    g_rot = end_fields([end], az, zen, "rotated")[0, :, 0]
     assert_allclose(g_rot, g_slant, atol=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_rotated_model_preserves_radiated_power():
         end = LinkEnd(np.zeros((1, 3)), np.array([slant]), pattern, bearing)
         az = rng.uniform(-math.pi, math.pi)
         zen = rng.uniform(0.05, math.pi - 0.05)
-        g = _end_fields(end, az, zen, "rotated")[0, :, 0]
+        g = end_fields([end], az, zen, "rotated")[0, :, 0]
         rot = rotation_z(bearing) @ rotation_x(slant)
         direction = np.array(
             [math.sin(zen) * math.cos(az), math.sin(zen) * math.sin(az), math.cos(zen)]
@@ -62,8 +62,8 @@ def test_models_differ_away_from_boresight():
     # that gap is the point of carrying both models.
     end = _end([45.0], pattern=element_pattern_3gpp())
     az, zen = math.radians(50.0), math.radians(60.0)
-    g_slant = _end_fields(end, az, zen, "slant")[0, :, 0]
-    g_rot = _end_fields(end, az, zen, "rotated")[0, :, 0]
+    g_slant = end_fields([end], az, zen, "slant")[0, :, 0]
+    g_rot = end_fields([end], az, zen, "rotated")[0, :, 0]
     assert not np.allclose(g_rot, g_slant, atol=1e-3)
 
 
@@ -73,5 +73,5 @@ def test_isotropic_rotated_fields_unit_power():
     for _ in range(50):
         az = rng.uniform(-math.pi, math.pi)
         zen = rng.uniform(0.05, math.pi - 0.05)
-        g = _end_fields(end, az, zen, "rotated")[0, :, 0]
+        g = end_fields([end], az, zen, "rotated")[0, :, 0]
         assert_allclose(float(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2), 1.0, rtol=1e-12)

@@ -118,7 +118,8 @@ def _angles(rng, powers, spread_deg, mean, zenith=False):
     spread = np.full(powers.shape[0], math.radians(spread_deg))
     signs = rng.integers(0, 2, powers.shape) * 2 - 1
     perturb = rng.normal(0.0, 1.0, powers.shape) * spread[:, None] / 7.0
-    return cluster_angles(powers, spread, signs, perturb, np.full(powers.shape[0], mean), zenith)
+    means = np.full((1, powers.shape[0]), mean)
+    return cluster_angles(powers, spread[None], signs[None], perturb[None], means, [zenith])[0]
 
 
 def test_tiny_spread_collapses_to_mean():
@@ -174,7 +175,9 @@ def test_stronger_clusters_sit_closer_to_the_mean():
 def test_nonpositive_angular_spread_rejected():
     powers = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="angular spreads must be positive"):
-        cluster_angles(powers, [0.1, 0.0], np.ones((2, 3)), np.zeros((2, 3)), [0.0, 0.0])
+        cluster_angles(
+            powers, [[0.1, 0.0]], np.ones((1, 2, 3)), np.zeros((1, 2, 3)), [[0.0, 0.0]], [False]
+        )
     zero_esd = _lsps(ds=1e-7, asd=10.0, esd=0.0, asa=10.0, esa=5.0)
     with pytest.raises(ValueError, match="angular spreads must be positive"):
         generate_cluster_set([zero_esd], [[0.0, 1.5]], [[1.0, 1.5]],
@@ -410,3 +413,33 @@ def test_rescale_mixes_degenerate_and_normal_rows():
         expected = oracle.rescale_to_spread(angles[row], powers[row], float(target[row]))
         assert np.array_equal(out[row], expected), row
     assert np.array_equal(out[2], angles[2]) and np.all(out[3] == out[3, 0])
+
+
+def test_angle_kinds_in_one_pass_equal_per_kind_oracle():
+    # All four kinds (AoD, ZoD, AoA, ZoA) over (kind, link, cluster) in one
+    # pass equal four per-kind passes bit for bit. Rows: ordinary links; a
+    # one-cluster link padded with zero-power clusters (zero current spread,
+    # returned unchanged); the same with a target below 1e-15 (collapsed onto
+    # the mean); and a tiny but ordinary target.
+    rng = np.random.default_rng(19)
+    n_links, n_clusters = 6, 20
+    powers = rng.dirichlet(np.ones(n_clusters), n_links)
+    powers[2:4] = np.eye(n_clusters)[7]
+    spreads = np.radians(rng.uniform(2.0, 70.0, (4, n_links)))
+    spreads[:, 3] = 1e-16
+    spreads[1, 5] = 1e-9
+    signs = rng.integers(0, 2, (4, n_links, n_clusters)) * 2 - 1
+    perturb = rng.normal(0.0, 1.0, (4, n_links, n_clusters)) * spreads[..., None] / 7.0
+    means = np.stack([
+        rng.uniform(-math.pi, math.pi, n_links), rng.uniform(1.2, 1.9, n_links),
+        rng.uniform(-math.pi, math.pi, n_links), rng.uniform(1.2, 1.9, n_links),
+    ])
+    zenith = [False, True, False, True]
+    got = cluster_angles(powers, spreads, signs, perturb, means, zenith)
+    for k in range(4):
+        expected = oracle.cluster_angles_per_kind(
+            powers, spreads[k], signs[k], perturb[k], means[k], zenith[k]
+        )
+        assert np.array_equal(got[k], expected), k
+    # Row 3 took the collapse branch, row 2 the unchanged one.
+    assert np.all(got[:, 3] == got[:, 3, :1]) and not np.all(got[:, 2] == got[:, 2, :1])

@@ -1,15 +1,20 @@
-"""Campaign-level statistics of the slow fading against the configured model.
+"""Campaign-level statistics against the configured model.
 
-One UMa seed-1 drop (one ring of sites, 30 UEs per cell) without spatial
-correlation, so every (UE, site) link draws its LOS state and shadow fading
-independently. The tolerances are four standard errors, fixed before the
-first run: a failure is a finding about the model, not about the test.
+Slow fading: one UMa seed-1 drop (one ring of sites, 30 UEs per cell)
+without spatial correlation, so every (UE, site) link draws its LOS state
+and shadow fading independently; the tolerances are four standard errors.
+Phase 2: the reported azimuth spreads of a small campaign against the LSPs
+drawn for the serving links. Every tolerance was fixed before the first run:
+a failure is a finding about the model, not about the test.
 """
 import math
+import os
 
 import numpy as np
 import pytest
 
+from chan3d import lsp
+from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
 from chan3d.lsp import LspSampler
@@ -54,3 +59,45 @@ def test_shadow_fading_mean_and_spread_per_los_state(drop_slow_fading, los):
     assert n > 1
     assert abs(sf.mean() - section.sf_mu_db) <= 4.0 * sigma / math.sqrt(n)
     assert abs(sf.std(ddof=1) - sigma) <= 4.0 * sigma / math.sqrt(2.0 * n)
+
+
+# The circular-spread ceiling named by ssp._rescale_to_spread: below it the
+# rescale converges to float precision.
+SPREAD_CEILING_DEG = 75.0
+
+
+def test_phase2_azimuth_spreads_match_drawn_lsps(tmp_path, monkeypatch):
+    # With zero intra-cluster azimuth scalers every ray sits on its cluster's
+    # azimuth, so each report row's ASD and ASA are the spreads the cluster
+    # angles were rescaled to: the drawn LSPs of the serving (UE, site), to
+    # 1e-6 relative, for targets under the ceiling.
+    drawn = []
+    slow_fading = lsp.LspSampler.slow_fading
+
+    def recording(self, *args, **kwargs):
+        drawn.append(slow_fading(self, *args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(lsp.LspSampler, "slow_fading", recording)
+    cfg = default_config("UMa", master_seed=1)
+    cfg.layout.n_rings = 1
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 3
+    cfg.run.output_dir = str(tmp_path)
+    cfg.antenna.downtilt_sweep_deg = (12.0,)
+    cfg.ssp.c_aod_deg = cfg.ssp.c_aoa_deg = 0.0
+    [report] = [p for p in run_campaign(cfg) if os.path.basename(p).startswith("report_")]
+    [slow] = drawn
+    with open(report) as fh:
+        header = fh.readline().split()
+        rows = [dict(zip(header, line.split())) for line in fh]
+    assert len(rows) == slow.lsps.shape[0] == 63
+    checked = {"asd": 0, "asa": 0}
+    for row in rows:
+        ue, site = int(row["ue_id"]), int(row["site"])
+        for name in checked:
+            target = slow.lsps[ue, site, lsp.LSP_NAMES.index(name)]
+            if target < SPREAD_CEILING_DEG:
+                assert abs(float(row[name]) - target) <= 1e-6 * target, (ue, name)
+                checked[name] += 1
+    assert min(checked.values()) > 0

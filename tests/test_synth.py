@@ -11,11 +11,12 @@ from chan3d.antenna import (
     response_phases,
     uniform_planar_array,
 )
-from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors
+from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import LinkContext, LinkEnd, synthesize, to_ports
+from chan3d.synth import LinkContext, LinkEnd, end_fields, link_half, synthesize, to_ports
 
 from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
+from synth_oracle import end_fields_one_link, link_half_one_link
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -400,3 +401,84 @@ def test_per_slant_fields_equal_per_element_oracle(model, layout):
     assert ctx.tx.slants.size < ctx.tx.n_elements
     times = [0.0, 2e-3]
     assert np.array_equal(synthesize(ctx, times), _per_cluster_taps(ctx, times))
+
+
+def _ue_links(model, split, n_links=6):
+    """One UE's links to n_links cells (three bearings) of a cross-polarized
+    column, with clusters drawn as a campaign draws them: every other link
+    is LOS (K > 0), and the two-element RX end has a pattern and a bearing."""
+    wavelength = SPEED_OF_LIGHT / 2e9
+    geom = uniform_planar_array(
+        4, 1, 0.5, 0.5, wavelength, cross_polarized=True,
+        column_weights=downtilt_weights(4, 0.5, math.radians(102.0)),
+    )
+    rx = LinkEnd(
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.07, 0.0]]), np.array([0.0, math.pi / 2]),
+        element_pattern_3gpp(), 0.4,
+    )
+    rng = np.random.default_rng(43)
+    deps = np.column_stack([rng.uniform(-math.pi, math.pi, n_links), rng.uniform(1.4, 1.7, n_links)])
+    arrs = np.column_stack([wrap_azimuth(deps[:, 0] + math.pi), math.pi - deps[:, 1]])
+    lsps = [[0.0, 9.0, 3.6e-7, 11.0 + i, 45.0, 2.5, 9.0] for i in range(n_links)]
+    batch = generate_cluster_set(
+        lsps, deps, arrs, SspConfig(split_strongest=split),
+        [np.random.default_rng([41, i]) for i in range(n_links)],
+    )
+    links = []
+    for i in range(n_links):
+        bearing = math.radians(30.0 + 120.0 * (i % 3))
+        tx = LinkEnd(
+            geom.element_positions @ rotation_z(bearing).T, geom.slant_rad,
+            element_pattern_3gpp(), bearing,
+        )
+        links.append(LinkContext(
+            tx=tx, rx=rx, clusters=batch.link(i), slow_fading_db=110.0 + i, carrier_hz=2e9,
+            velocity_mps=np.array([0.6, -0.55, 0.0]),
+            rice_k_linear=10.0 ** (0.5 + 0.1 * i) if i % 2 else 0.0,
+            los_departure=tuple(deps[i].tolist()), los_arrival=tuple(arrs[i].tolist()),
+            polarization_model=model,
+        ))
+    return links, batch
+
+
+HALF_FIELDS = ("g_r", "alpha", "k_dep", "a_r", "omega")
+
+
+@pytest.mark.parametrize("model", ("slant", "rotated"))
+@pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
+def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
+    # One array pass over a UE's LOS and NLOS links gives each link the
+    # bytes of the per-link half; a TX setup's fields, each link with its own
+    # cell's bearing, equal each link's own evaluation.
+    links, batch = _ue_links(model, split)
+    half = link_half(links, batch)
+    ends = [link.tx for link in links]
+    rays = end_fields(ends, batch.aod, batch.zod, model)
+    dep = np.array([link.los_departure for link in links])
+    los = end_fields(ends, dep[:, 0], dep[:, 1], model)
+    assert {link.rice_k_linear > 0 for link in links} == {False, True}
+    for i, link in enumerate(links):
+        got, expected = half.link(i), link_half_one_link(link)
+        for name in HALF_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), (i, name)
+        assert (expected.los is None) == (link.rice_k_linear == 0)
+        for name in HALF_FIELDS if expected.los else ():
+            assert np.array_equal(getattr(got.los, name), getattr(expected.los, name)), (i, name)
+        cs = link.clusters
+        assert np.array_equal(rays[i], end_fields_one_link(link.tx, cs.aod, cs.zod, model))
+        assert np.array_equal(los[i], end_fields_one_link(link.tx, *link.los_departure, model)[0])
+
+
+@pytest.mark.parametrize("model", ("slant", "rotated"))
+@pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
+def test_ue_batch_taps_equal_per_cluster_loop(model, split):
+    # The campaign's path: each link sums its views of the UE's half and of
+    # the setup's TX fields, and its taps equal the per-cluster,
+    # per-element loop bit for bit.
+    links, batch = _ue_links(model, split)
+    half = link_half(links, batch)
+    g_t = end_fields([link.tx for link in links], batch.aod, batch.zod, model)
+    times = [0.0, 2e-3]
+    for i, link in enumerate(links):
+        taps = synthesize(link, times, half.link(i), g_t[i])
+        assert np.array_equal(taps, _per_cluster_taps(link, times)), i
