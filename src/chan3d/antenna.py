@@ -53,12 +53,20 @@ def element_gain_db(spec: PatternSpec, azimuth, zenith):
     return spec.g_max_dbi - np.minimum(-(a_h + a_v), spec.a_m_db)
 
 
+def element_amplitude(spec: PatternSpec | None, azimuth, zenith):
+    """Element field amplitude sqrt(gain) at the given angles; ones for an
+    isotropic (None) pattern."""
+    if spec is None:
+        return np.ones_like(azimuth, dtype=float)
+    return np.sqrt(10.0 ** (element_gain_db(spec, azimuth, zenith) / 10.0))
+
+
 @dataclass
 class ArrayGeometry:
     """Physical element layout plus the port virtualization map.
 
     element_positions are meters in the array frame (boresight +x, columns
-    along y, rows along z); d_v is the vertical spacing in wavelengths.
+    along y, rows along z).
     weights is the (n_ports, n_elements) complex matrix taking element
     signals to ports: each row has unit power, each element feeds exactly
     one port, and the elements of one port share one slant.
@@ -66,7 +74,6 @@ class ArrayGeometry:
 
     element_positions: np.ndarray
     slant_rad: np.ndarray
-    d_v: float
     weights: np.ndarray
 
     def __post_init__(self):
@@ -131,7 +138,7 @@ def uniform_planar_array(
     positions = np.stack([np.zeros(c.size), c * d_h * wavelength, r * d_v * wavelength], axis=-1)
     weights = np.zeros((n_cols * n_pol * (m_rows // k), c.size), dtype=complex)
     weights[(c * n_pol + p) * (m_rows // k) + r // k, np.arange(c.size)] = w[r % k]
-    return ArrayGeometry(positions, slants[p], d_v, weights)
+    return ArrayGeometry(positions, slants[p], weights)
 
 
 def response_phases(positions: np.ndarray, k_vectors: np.ndarray) -> np.ndarray:
@@ -154,11 +161,11 @@ def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:
 
 def element_terms(
     spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
-    azimuth, zenith, bearing_rad: float = 0.0,
+    azimuth, zenith,
 ):
     """The weight-independent half of a port's fields: element amplitudes
-    toward each direction (azimuth measured from `bearing_rad`) and the
-    response phases of the port's elements, shapes (...) and (..., n_idx).
+    toward each direction (azimuth in the array frame) and the response
+    phases of the port's elements, shapes (...) and (..., n_idx).
 
     Ports that differ only in weights (one array at several downtilts) share
     these terms.
@@ -166,9 +173,9 @@ def element_terms(
     if not 0 <= port < geometry.n_ports:
         raise ValueError(f"unknown port index {port}")
     idx = np.flatnonzero(geometry.weights[port])
-    local_az = wrap_azimuth(np.asarray(azimuth, dtype=float) - bearing_rad)
+    local_az = wrap_azimuth(azimuth)
     zen = np.asarray(zenith, dtype=float)
-    amp = np.sqrt(10.0 ** (element_gain_db(spec, local_az, zen) / 10.0))
+    amp = element_amplitude(spec, local_az, zen)
     k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
     return amp, response_phases(geometry.element_positions[idx], k_vecs)
 

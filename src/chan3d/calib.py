@@ -1,5 +1,5 @@
-"""Calibration metrics: RSRP, attachment, coupling gain, geometry factor,
-spread estimators, channel eigenvalues, and empirical CDFs."""
+"""Calibration metrics: RSRP, attachment, geometry factor, spread
+estimators, channel eigenvalues, and empirical CDFs."""
 from __future__ import annotations
 
 import math
@@ -39,29 +39,23 @@ def attach(rsrp_values):
     return np.argmax(values, axis=-1)
 
 
-def coupling_gain_db(serving_rsrp_db: float, p_tx_dbm: float) -> float:
-    """Serving-cell RSRP minus its transmit power (total link gain)."""
-    return serving_rsrp_db - p_tx_dbm
-
-
 def geometry_factor_db(rsrp_values, serving):
-    """Serving power over the linear sum of all other cells' powers, in dB.
+    """Serving power over the linear sum of all other cells' powers, in dB,
+    for each row of a (UE, cell) block with one serving index per row.
 
-    One UE's row and serving index give a float; a (UE, cell) block and one
-    index per row give an array. Interference is accumulated in the linear
-    power domain, each row summed contiguously as a one-row call sums it (a
-    strided sum rounds differently), and the logarithm is math.log10 (numpy's
-    rounds differently). With no interferer the UE is isolated and +inf is
-    returned (callers exclude it from CDFs).
+    Interference is accumulated in the linear power domain, each row summed
+    contiguously as a one-row sum runs (a strided sum rounds differently), and
+    the logarithm is math.log10 (numpy's rounds differently). With no interferer
+    the UE is isolated and +inf is returned (callers exclude it from CDFs).
     """
     linear = 10.0 ** (np.ascontiguousarray(rsrp_values, dtype=float) / 10.0)
     own = np.take_along_axis(linear, np.asarray(serving)[..., None], axis=-1)[..., 0]
     interference = linear.sum(axis=-1) - own
     gf = [
         10.0 * math.log10(s / i) if i > 0.0 else math.inf
-        for s, i in zip(np.ravel(own).tolist(), np.ravel(interference).tolist())
+        for s, i in zip(own.tolist(), interference.tolist())
     ]
-    return gf[0] if linear.ndim == 1 else np.array(gf)
+    return np.array(gf)
 
 
 def angular_spread_deg(angles_rad, powers) -> float:
@@ -91,17 +85,15 @@ def delay_spread_s(delays_s, powers) -> float:
     return math.sqrt(max(0.0, second - mean * mean))
 
 
-def top_eigenvalues(taps, count: int = 2):
-    """Largest eigenvalues of the time-averaged wideband covariance
+def top_eigenvalues(taps):
+    """The two largest eigenvalues of the time-averaged wideband covariance
     sum_n H_n H_n^H of (time, tap, TX, RX) taps, via singular values of the
     stacked tap matrices."""
     n_times, n_taps, n_tx, n_rx = taps.shape
     stacked = taps.transpose(2, 0, 1, 3).reshape(n_tx, n_times * n_taps * n_rx)
     singular = np.linalg.svd(stacked, compute_uv=False)
-    eigenvalues = np.zeros(count)
-    top = (singular**2 / n_times)[:count]
-    eigenvalues[: top.size] = top
-    return tuple(float(v) for v in eigenvalues)
+    top = (singular**2 / n_times).tolist() + [0.0, 0.0]  # 0 past the covariance's rank
+    return tuple(top[:2])
 
 
 def empirical_cdf(samples):

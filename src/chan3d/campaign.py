@@ -55,7 +55,6 @@ class _CampaignContext:
 
     cfg: RunConfig
     site_xy: np.ndarray
-    site_z: float
     cell_site: np.ndarray
     cell_bearing_rad: np.ndarray
     drop: Drop
@@ -105,7 +104,7 @@ def _serving_columns(rsrp, p_tx: float) -> tuple:
     """Serving cell, coupling gain and geometry factor of each row of (row, cell) RSRP."""
     serving = calib.attach(rsrp)
     own = np.take_along_axis(rsrp, serving[:, None], axis=1)[:, 0]
-    return serving, calib.coupling_gain_db(own, p_tx), calib.geometry_factor_db(rsrp, serving)
+    return serving, own - p_tx, calib.geometry_factor_db(rsrp, serving)
 
 
 def _phase1_reports(ctx: _CampaignContext) -> list:
@@ -143,7 +142,7 @@ def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, k_db)
     (azimuth, zenith) pairs, the arrival the reversed departure."""
     slow = ctx.slow
     site = int(ctx.cell_site[cell])
-    offset = np.array([delta2d[0], delta2d[1], ctx.drop.xyz[ue_index, 2] - ctx.site_z])
+    offset = np.append(delta2d, ctx.drop.xyz[ue_index, 2] - ctx.cfg.layout.bs_height_m)
     # Per-link Python scalars (math.atan2/acos/pow): their array forms round
     # some links differently in the last bit.
     az = float(wrap_azimuth(math.atan2(offset[1], offset[0])))
@@ -348,7 +347,6 @@ def run_campaign(cfg: RunConfig) -> list:
     ctx = _CampaignContext(
         cfg=cfg,
         site_xy=site_xy,
-        site_z=cfg.layout.bs_height_m,
         cell_site=cell_site,
         cell_bearing_rad=cell_bearing,
         drop=drop,

@@ -175,8 +175,6 @@ def default_config(scenario: str = "UMa", master_seed: int = 1) -> RunConfig:
         cfg.lsp_los.asa_log10_sigma = 0.20
         cfg.lsp_los.esa_table = ((0.0, 0.95, 0.16),)
         cfg.lsp_los.esd_table = ((0.0, 0.75, 0.4), (600.0, -0.5, 0.4), (10000.0, -0.5, 0.4))
-    else:
-        raise ConfigError(f"run.scenario: unknown scenario {scenario!r}")
     validate(cfg)
     return cfg
 
@@ -188,36 +186,33 @@ def _number(text: str) -> float:
     return value
 
 
-def _table_row(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
+def _table(text: str) -> tuple:
+    rows = tuple(tuple(_number(p) for p in row.split(":")) for row in text.split(","))
+    if any(len(row) != 3 for row in rows):
         raise ValueError(text)
-    return tuple(_number(p) for p in parts)
+    return rows
 
 
-# Values parse by their field's declared type (the annotation text).
-_PARSE = {
-    "bool": lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
-    "int": int,
-    "float": _number,
-    "str": str,
-    "tuple": lambda raw: tuple(_number(p) for p in raw.split(",")) if raw else (),
-    "Table": lambda raw: tuple(_table_row(row) for row in raw.split(",")),
-}
-_EXPECTED = {
-    "bool": "a boolean",
-    "int": "an integer",
-    "float": "a finite number",
-    "tuple": "comma-separated finite numbers",
-    "Table": "comma-separated 'distance:mu:sigma' rows of finite numbers",
+# Per declared field type (the annotation text): its parser, and what a parse error expected.
+_KINDS = {
+    "bool": (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
+    "int": (int, "an integer"),
+    "float": (_number, "a finite number"),
+    "str": (str, "text"),
+    "tuple": (
+        lambda raw: tuple(_number(p) for p in raw.split(",")) if raw else (),
+        "comma-separated finite numbers",
+    ),
+    "Table": (_table, "comma-separated 'distance:mu:sigma' rows of finite numbers"),
 }
 
 
 def _parse_value(kind: str, raw: str, where: str):
+    parse, expected = _KINDS[kind]
     try:
-        return _PARSE[kind](raw.strip())
+        return parse(raw.strip())
     except (ValueError, KeyError):
-        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
 
 
 def _canonical_pair(key: str, where: str) -> str:
@@ -232,9 +227,9 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Load and validate a run configuration.
 
     Unknown sections or keys are rejected; every error message names the
-    offending section.key. run.master_seed is the only required key.
-    overrides maps "section.key" to text that replaces the file's value,
-    parsed as the file's values are.
+    offending section.key. run.master_seed is the only required key; an
+    override may supply it. overrides maps "section.key" to text that
+    replaces the file's value, parsed as the file's values are.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -244,11 +239,11 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
-    if not parser.has_option("run", "master_seed"):
-        raise ConfigError("run.master_seed: required key is missing")
     for where, raw in (overrides or {}).items():
         name, key = where.split(".")
         parser.read_dict({name: {key: raw}})
+    if not parser.has_option("run", "master_seed"):
+        raise ConfigError("run.master_seed: required key is missing")
 
     cfg = default_config(parser.get("run", "scenario", fallback="UMa").strip())
     sections = cfg.sections()
@@ -429,14 +424,8 @@ def _format(value, kind: str) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_config(cfg: RunConfig, normalize_execution: bool = False) -> str:
-    """Canonical text form with every key explicit; parse(emit(cfg)) == cfg.
-
-    normalize_execution pins workers/output_dir so the emitted text (and the
-    hash derived from it) is invariant to execution-only settings.
-    """
-    if normalize_execution:
-        cfg = replace(cfg, run=replace(cfg.run, workers=1, output_dir="out"))
+def emit_config(cfg: RunConfig) -> str:
+    """Canonical text form with every key explicit; parse(emit(cfg)) == cfg."""
     blocks = []
     for name, section in cfg.sections().items():
         if isinstance(section, dict):
@@ -449,6 +438,6 @@ def emit_config(cfg: RunConfig, normalize_execution: bool = False) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short digest of the canonical config, invariant to worker count."""
-    text = emit_config(cfg, normalize_execution=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    """Short digest of the canonical config, invariant to workers and output_dir."""
+    pinned = replace(cfg, run=replace(cfg.run, workers=1, output_dir="out"))
+    return hashlib.sha256(emit_config(pinned).encode()).hexdigest()[:12]

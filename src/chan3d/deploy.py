@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CELL_BEARINGS_DEG = (0.0, 120.0, 240.0)
+LATTICE_U, LATTICE_V = np.array([1.0, 0.0]), np.array([0.5, math.sqrt(3.0) / 2.0])
 
 
 @dataclass
@@ -37,8 +38,7 @@ def hex_layout(n_rings: int, isd: float) -> np.ndarray:
         raise ValueError("inter-site distance must be positive")
     if n_rings < 0:
         raise ValueError("ring count must be non-negative")
-    u = np.array([1.0, 0.0])
-    v = np.array([0.5, math.sqrt(3.0) / 2.0])
+    u, v = LATTICE_U, LATTICE_V
     coords = [(0, 0)]
     for ring in range(1, n_rings + 1):
         ring_coords = []
@@ -59,9 +59,7 @@ def wrap_basis(n_rings: int, isd: float) -> np.ndarray:
     60 degrees. Wrap-around geometry folds UE-site offsets onto the nearest
     lattice image.
     """
-    u = np.array([1.0, 0.0])
-    v = np.array([0.5, math.sqrt(3.0) / 2.0])
-    t1 = isd * ((n_rings + 1) * u + n_rings * v)
+    t1 = isd * ((n_rings + 1) * LATTICE_U + n_rings * LATTICE_V)
     c, s = math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)
     t2 = np.array([c * t1[0] - s * t1[1], s * t1[0] + c * t1[1]])
     return np.array([t1, t2])
@@ -71,24 +69,16 @@ def fold_to_nearest_image(delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Fold 2D offsets onto their minimum-norm lattice image.
 
     Exact for this (reduced) basis: the nearest lattice point always lies in
-    the 3x3 integer neighborhood of the rounded fractional coordinates.
+    the 3x3 integer neighborhood of the rounded fractional coordinates. Ties
+    go to the first image in (di, dj) order.
     """
     delta = np.asarray(delta, dtype=float).reshape(-1, 2)
     frac = delta @ np.linalg.inv(basis)
     base = np.round(frac)
-    best = None
-    best_norm = None
-    for di in (-1.0, 0.0, 1.0):
-        for dj in (-1.0, 0.0, 1.0):
-            image = delta - (base + np.array([di, dj])) @ basis
-            norm = np.einsum("ik,ik->i", image, image)
-            if best is None:
-                best, best_norm = image, norm
-            else:
-                take = norm < best_norm
-                best = np.where(take[:, None], image, best)
-                best_norm = np.where(take, norm, best_norm)
-    return best
+    steps = [(di, dj) for di in (-1.0, 0.0, 1.0) for dj in (-1.0, 0.0, 1.0)]
+    images = np.stack([delta - (base + np.array(step)) @ basis for step in steps])
+    norms = np.stack([np.einsum("ik,ik->i", image, image) for image in images])
+    return images[np.argmin(norms, axis=0), np.arange(delta.shape[0])]
 
 
 def _hexagon_mask(xy: np.ndarray, half_isd: float) -> np.ndarray:

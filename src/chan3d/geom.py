@@ -16,10 +16,6 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
-class GeometryError(ValueError):
-    """Degenerate geometric configuration (e.g. coincident endpoints)."""
-
-
 def wrap_azimuth(angle):
     """Wrap an azimuth angle (radians, scalar or array) into [-pi, pi)."""
     return (np.asarray(angle) + np.pi) % (2.0 * np.pi) - np.pi

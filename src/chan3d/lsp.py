@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import fold_to_nearest_image
-from .geom import GeometryError
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_uniforms, substream
 
 log = logging.getLogger("chan3d")
@@ -172,7 +171,7 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
     """
     d_3d = np.asarray(d_3d, dtype=float)
     if np.any(d_3d <= 0):
-        raise GeometryError("pathloss undefined at zero distance")
+        raise ValueError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
     # Per-element math.log10: numpy's array log10 rounds differently in a few

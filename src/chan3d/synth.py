@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import PatternSpec, element_gain_db, response_phases
+from .antenna import PatternSpec, element_amplitude, response_phases
 from .geom import (
     SPEED_OF_LIGHT,
     rotation_x,
@@ -87,11 +87,8 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
     bearing = np.broadcast_to([e.bearing_rad for e in ends], az.shape[:1])
     out = np.empty(az.shape + (2, end.slants.size), dtype=complex)
     if model == "slant":
-        if end.pattern is None:
-            amp = np.ones_like(az)
-        else:
-            local_az = wrap_azimuth(az - bearing.reshape(az.shape[:1] + (1,) * (az.ndim - 1)))
-            amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, zen) / 10.0))
+        local_az = wrap_azimuth(az - bearing.reshape(az.shape[:1] + (1,) * (az.ndim - 1)))
+        amp = element_amplitude(end.pattern, local_az, zen)
         out[..., 0, :] = amp[..., None] * np.cos(end.slants)
         out[..., 1, :] = amp[..., None] * np.sin(end.slants)
         return out
@@ -105,10 +102,7 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
             local = dirs[row] @ rot  # row-vector form of R^T @ v
             local_az = np.arctan2(local[..., 1], local[..., 0])
             local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
-            if end.pattern is None:
-                amp = np.ones_like(local_az)
-            else:
-                amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, local_zen) / 10.0))
+            amp = element_amplitude(end.pattern, local_az, local_zen)
             et_local, _ = spherical_basis(local_az, local_zen)
             field_global = (amp[..., None] * et_local) @ rot.T
             out[row, ..., 0, i] = np.sum(field_global * et_g[row], axis=-1)
@@ -181,7 +175,7 @@ def _ray_terms(ctx: LinkContext, half: LinkHalf, g_t: np.ndarray, amplitude=None
     return gathered * a_t[..., :, None] * half.a_r[..., None, :]
 
 
-def synthesize(ctx: LinkContext, times, half: LinkHalf | None = None, g_t=None) -> np.ndarray:
+def synthesize(ctx: LinkContext, times, half: LinkHalf, g_t: np.ndarray) -> np.ndarray:
     """Evaluate every cluster tap at the requested times, per TX element.
 
     Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
@@ -189,17 +183,12 @@ def synthesize(ctx: LinkContext, times, half: LinkHalf | None = None, g_t=None) 
     rice_k_linear > 0: the diffuse rays of every cluster are scaled by
     1/(K+1) in power and the LOS ray by K/(K+1). half is the link's view of
     its batch's link_half, which links that differ only in their TX end
-    share, and g_t its TX fields from end_fields; both are made here, for
-    the link as a batch of one, when not given. to_ports maps the element
+    share, and g_t its TX fields from end_fields. to_ports maps the element
     taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
-    if half is None or g_t is None:
-        batch = ctx.clusters.link(None)
-        half = link_half([ctx], batch).link(0)
-        g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
 
     # Python-scalar power per link: the array form rounds some links' taps differently.
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)

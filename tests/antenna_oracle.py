@@ -12,6 +12,7 @@ evaluates a link end's fields element by element, where
 import numpy as np
 
 from chan3d.antenna import ArrayGeometry, PatternSpec, element_terms, fields_gain_db, weight_fields
+from chan3d.geom import wrap_azimuth
 from chan3d.synth import LinkEnd
 from synth_oracle import end_fields_one_link
 
@@ -32,7 +33,8 @@ def port_fields(
     at the given wavelength, and sums with the port weights. azimuth/zenith
     broadcast together; outputs are complex with a matching shape.
     """
-    amp, phases = element_terms(spec, geometry, port, wavelength, azimuth, zenith, bearing_rad)
+    local_az = wrap_azimuth(np.asarray(azimuth, dtype=float) - bearing_rad)
+    amp, phases = element_terms(spec, geometry, port, wavelength, local_az, zenith)
     return weight_fields(amp, phases, geometry, port)
 
 

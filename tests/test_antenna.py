@@ -18,11 +18,12 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, synthesize, to_ports
+from chan3d.synth import LinkContext, LinkEnd, to_ports
 
 from antenna_oracle import (
     composite_port_gain_db, element_fields, element_pattern_3gpp, isotropic_end,
 )
+from synth_oracle import synthesize_link
 
 D2R = math.pi / 180.0
 
@@ -181,7 +182,7 @@ def _port_taps(port_weights, n_elements, rng, positions=None):
     if positions is None:
         positions = rng.uniform(-0.2, 0.2, (n_elements, 3))
     tx = LinkEnd(positions, np.zeros(n_elements))
-    elements = synthesize(LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9), [0.0])
+    elements = synthesize_link(LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9), [0.0])
     return elements[0], to_ports(elements, port_weights)[0]
 
 
@@ -296,7 +297,7 @@ def test_uniform_planar_array_counts():
 
 def test_array_geometry_validates_port_power():
     with pytest.raises(ValueError, match="unit total power"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[1.0, 1.0]])
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[1.0, 1.0]])
     with pytest.raises(ValueError, match="does not match port size"):
         uniform_planar_array(4, 1, 0.5, 0.5, 0.15, column_weights=[0.5, 0.5, 0.5])
 
@@ -304,13 +305,13 @@ def test_array_geometry_validates_port_power():
 def test_array_geometry_requires_partition():
     # Every element feeds exactly one port, and a port's elements share one slant.
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[1.0, 0.0]])
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[1.0, 0.0]])
     half = math.sqrt(0.5)
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), 0.5, [[half, half], [0.0, 1.0]])
+        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[half, half], [0.0, 1.0]])
     with pytest.raises(ValueError, match="share one slant"):
-        ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], 0.5, [[half, half]])
-    ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], 0.5, np.eye(2))
+        ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], [[half, half]])
+    ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], np.eye(2))
 
 
 def test_composite_port_gain_peaks_near_tilt():

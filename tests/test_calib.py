@@ -9,7 +9,6 @@ from chan3d.calib import (
     REPORT_COLUMNS,
     angular_spread_deg,
     attach,
-    coupling_gain_db,
     delay_spread_s,
     empirical_cdf,
     geometry_factor_db,
@@ -64,20 +63,21 @@ def test_attach_shift_invariant():
     assert attach(values) == attach(values + 13.5)
 
 
-def test_coupling_gain():
-    assert_allclose(coupling_gain_db(-37.0, 46.0), -83.0)
-    assert_allclose(coupling_gain_db(0.0, 0.0), 0.0)
-
-
 def test_geometry_factor_examples():
-    assert_allclose(geometry_factor_db([-80.0, -80.0], 0), 0.0, atol=1e-12)
-    assert_allclose(geometry_factor_db([-80.0, -80.0, -80.0], 0), -10.0 * math.log10(2.0), atol=1e-12)
-    assert_allclose(geometry_factor_db([-80.0, -90.0], 0), 10.0, atol=1e-12)
+    # (1, cell) blocks: each value is the one-row oracle's, bit for bit.
+    for row, expected in (
+        ([-80.0, -80.0], 0.0),
+        ([-80.0, -80.0, -80.0], -10.0 * math.log10(2.0)),
+        ([-80.0, -90.0], 10.0),
+    ):
+        [gf] = geometry_factor_db([row], [0]).tolist()
+        assert_allclose(gf, expected, atol=1e-12)
+        assert gf == geometry_factor_row_db(row, 0)
 
 
 def test_geometry_factor_common_offset_invariant():
     rng = np.random.default_rng(2)
-    values = rng.normal(-90.0, 6.0, 57)
+    values = rng.normal(-90.0, 6.0, (1, 57))
     serving = attach(values)
     assert_allclose(
         geometry_factor_db(values, serving),
@@ -87,7 +87,7 @@ def test_geometry_factor_common_offset_invariant():
 
 
 def test_geometry_factor_isolated_ue():
-    assert geometry_factor_db([-80.0], 0) == math.inf
+    assert geometry_factor_db([[-80.0]], [0]).tolist() == [math.inf]
 
 
 def test_block_attach_and_geometry_factor_match_row_oracle():
@@ -105,9 +105,9 @@ def test_block_attach_and_geometry_factor_match_row_oracle():
         assert np.array_equal(gf, [geometry_factor_row_db(r, s) for r, s in zip(rsrp, serving)])
     isolated = np.array([[-80.0], [-90.0]])
     assert geometry_factor_db(isolated, attach(isolated)).tolist() == [math.inf, math.inf]
-    assert geometry_factor_db(block[0], attach(block[0])) == geometry_factor_row_db(
-        block[0], attach(block[0])
-    )
+    assert geometry_factor_db(block[:1], attach(block[:1])).tolist() == [
+        geometry_factor_row_db(block[0], attach(block[0]))
+    ]
 
 
 def test_angular_spread_degenerate():

@@ -370,6 +370,22 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert (tmp_path / "cli_out" / "gf_cdf_dv0.5_tilt9.txt").exists()
 
 
+def test_cli_seed_flag_supplies_the_required_seed(tmp_path):
+    # --seed is parsed and checked as the file's master_seed would be: the
+    # same bytes as the file with that seed, and without it exit code 2.
+    body = "n_ue_per_cell = 2\n\n[layout]\nn_rings = 0\n"
+    unseeded = _write(tmp_path, "[run]\n" + body, name="unseeded.ini")
+    seeded = _write(tmp_path, "[run]\nmaster_seed = 5\n" + body, name="seeded.ini")
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    assert main(["run", "--config", unseeded, "--seed", "5", "--output", str(flag), "-q"]) == 0
+    assert main(["run", "--config", seeded, "--output", str(key), "-q"]) == 0
+    names = sorted(os.listdir(key))
+    assert names and sorted(os.listdir(flag)) == names
+    assert all((flag / n).read_bytes() == (key / n).read_bytes() for n in names)
+    assert main(["run", "--config", unseeded, "--output", str(tmp_path / "none"), "-q"]) == 2
+    assert not (tmp_path / "none").exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nmaster_seed = 1\n\n[layout]\nisd_m = -3\n")

@@ -7,13 +7,15 @@ sets each kind of value the text can hold: both sweeps, both distance
 tables, custom ray offsets, a correlation override, a changed
 decorrelation distance and the spatial switch. "python_ints" holds ints
 where floats are declared, as a config built in Python may: the text
-writes each value as it is held.
+writes each value as it is held. The normalized text is the one config_hash
+digests: workers and output_dir pinned to 1 and "out".
 """
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from chan3d.config import default_config, emit_config, parse_config
+from chan3d.config import config_hash, default_config, emit_config, parse_config
 
 EVERY_SHAPE_INI = """\
 [run]
@@ -82,8 +84,13 @@ def _config(case, tmp_path):
 
 @pytest.mark.parametrize("case, normalize", sorted(GOLDEN))
 def test_emitted_text_hash(case, normalize, tmp_path):
-    text = emit_config(_config(case, tmp_path), normalize_execution=normalize)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case, normalize]
+    cfg = _config(case, tmp_path)
+    if normalize:
+        cfg = replace(cfg, run=replace(cfg.run, workers=1, output_dir="out"))
+    digest = hashlib.sha256(emit_config(cfg).encode()).hexdigest()
+    assert digest == GOLDEN[case, normalize]
+    if normalize:
+        assert config_hash(_config(case, tmp_path)) == digest[:12]
 
 
 def test_text_ends_after_spatial_without_blank_line():

@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 from chan3d.deploy import (
     CELL_BEARINGS_DEG,
     drop_ues,
+    fold_to_nearest_image,
     hex_layout,
     sample_cell_positions,
+    wrap_basis,
 )
 from chan3d.rng import substream
 
@@ -144,8 +146,6 @@ def test_sample_cell_positions_respects_min_distance():
 def test_wrap_folding_tiles_the_layout():
     # Folded site-distance multisets are invariant when a point is shifted
     # by any lattice tiling vector, for every supported ring count.
-    from chan3d.deploy import fold_to_nearest_image, wrap_basis
-
     isd = 500.0
     for n_rings in (0, 1, 2):
         xy = hex_layout(n_rings, isd)
@@ -163,6 +163,41 @@ def test_wrap_folding_tiles_the_layout():
             assert_allclose(np.sort(d_p), np.sort(d_q), atol=1e-6)
             # Folding never increases distance.
             assert np.all(d_p <= np.linalg.norm(p - xy, axis=1) + 1e-9)
+
+
+def _fold_running_best(delta, basis):
+    """Reference fold: a running best over the 3x3 images, replaced only by a
+    strictly shorter image, so ties keep the first image in (di, dj) order."""
+    delta = np.asarray(delta, dtype=float).reshape(-1, 2)
+    base = np.round(delta @ np.linalg.inv(basis))
+    best = best_norm = None
+    for di in (-1.0, 0.0, 1.0):
+        for dj in (-1.0, 0.0, 1.0):
+            image = delta - (base + np.array([di, dj])) @ basis
+            norm = np.einsum("ik,ik->i", image, image)
+            if best is None:
+                best, best_norm = image, norm
+            else:
+                take = norm < best_norm
+                best = np.where(take[:, None], image, best)
+                best_norm = np.where(take, norm, best_norm)
+    return best
+
+
+def test_fold_matches_running_best_oracle():
+    # Random offsets, then the tie points: half of each lattice vector and of
+    # their difference (two images at exactly equal norm), half of their sum
+    # and the origin.
+    isd = 500.0
+    for n_rings in (0, 1, 2):
+        basis = wrap_basis(n_rings, isd)
+        rng = np.random.default_rng(100 + n_rings)
+        offsets = rng.uniform(-3.0, 3.0, (500, 2)) @ basis
+        t1, t2 = basis
+        ties = np.array([t1 / 2, t2 / 2, (t1 - t2) / 2, (t1 + t2) / 2, [0.0, 0.0]])
+        for delta in (offsets, ties, -ties):
+            folded = fold_to_nearest_image(delta, basis)
+            assert np.array_equal(folded, _fold_running_best(delta, basis))
 
 
 def test_wrap_around_campaign_reduces_edge_geometry_factor(tmp_path):

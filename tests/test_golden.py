@@ -555,14 +555,15 @@ def test_phase2_link_half_once_per_ue(tmp_path, monkeypatch):
 def test_phase1_element_terms_once_per_block_and_spacing(tmp_path, monkeypatch):
     # 63 UEs are two blocks of at most 32; each block computes the element
     # terms once per d_v, and both tilts of that d_v apply their weights.
+    # The spacing in wavelengths is element 1's height: it sits one row up.
     calls = []
 
-    def counting_terms(spec, geometry, *args):
-        calls.append(geometry.d_v)
-        return terms(spec, geometry, *args)
+    def counting_terms(spec, geometry, port, wavelength, *args):
+        calls.append(geometry.element_positions[1, 2] / wavelength)
+        return terms(spec, geometry, port, wavelength, *args)
 
     terms = campaign.element_terms
     monkeypatch.setattr(campaign, "element_terms", counting_terms)
     paths = run_campaign(golden_config("p1_dv_tilt_sweep", tmp_path))
-    assert calls == [0.5, 0.8] * 2
+    assert calls == pytest.approx([0.5, 0.8] * 2, rel=1e-12)
     assert output_hashes(paths) == GOLDEN["p1_dv_tilt_sweep"]

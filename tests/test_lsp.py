@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.config import default_config
-from chan3d.geom import GeometryError
 from chan3d.lsp import (
     LSP_NAMES,
     DecorrelationSection,
@@ -107,7 +106,7 @@ def test_pathloss_monotone_and_continuous():
 
 
 def test_pathloss_zero_distance_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match="zero distance"):
         pathloss_db(_uma_pathloss(), 0.0, 1.5, False, False, 2e9)
 
 

@@ -16,7 +16,7 @@ from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization
 from chan3d.synth import LinkContext, LinkEnd, end_fields, link_half, synthesize, to_ports
 
 from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
-from synth_oracle import end_fields_one_link, link_half_one_link
+from synth_oracle import end_fields_one_link, link_half_one_link, synthesize_link
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -108,14 +108,14 @@ def _bruteforce_cluster(ctx, n, t):
 def test_single_ray_isotropic_collapses_to_phase():
     phase = 0.7
     ctx = _ctx(_single_ray_clusters(phase))
-    h = synthesize(ctx, [0.0])[0, 0]
+    h = synthesize_link(ctx, [0.0])[0, 0]
     assert h.shape == (1, 1)
     assert_allclose(h[0, 0], np.exp(1j * phase), atol=1e-12)
 
 
 def test_static_ue_time_invariant():
     rng = np.random.default_rng(1)
-    taps = synthesize(_ctx(_random_clusters(rng)), [0.0, 3.7])
+    taps = synthesize_link(_ctx(_random_clusters(rng)), [0.0, 3.7])
     assert_allclose(taps[0], taps[1], atol=1e-15)
 
 
@@ -128,7 +128,7 @@ def test_cluster_matrix_matches_bruteforce_oracle():
     velocity = np.array([0.5, -0.3, 0.0])
     ctx = _ctx(clusters, tx=tx, rx=rx, slow_db=7.0, velocity=velocity)
     t = 0.37
-    assert_allclose(synthesize(ctx, [t])[0, 1], _bruteforce_cluster(ctx, 1, t), atol=1e-10)
+    assert_allclose(synthesize_link(ctx, [t])[0, 1], _bruteforce_cluster(ctx, 1, t), atol=1e-10)
 
 
 def _without_los_angles(ctx):
@@ -141,7 +141,7 @@ def test_rice_zero_equals_nlos():
     rng = np.random.default_rng(3)
     ctx = _ctx(_random_clusters(rng))
     assert_allclose(
-        synthesize(ctx, [0.5]), synthesize(_without_los_angles(ctx), [0.5]), atol=1e-15
+        synthesize_link(ctx, [0.5]), synthesize_link(_without_los_angles(ctx), [0.5]), atol=1e-15
     )
 
 
@@ -149,8 +149,8 @@ def test_los_gate_only_first_cluster():
     rng = np.random.default_rng(4)
     clusters = _random_clusters(rng)
     k = 5.0
-    with_los = synthesize(_ctx(clusters, k_rice=k), [0.0])
-    nlos = synthesize(_ctx(clusters), [0.0])
+    with_los = synthesize_link(_ctx(clusters, k_rice=k), [0.0])
+    nlos = synthesize_link(_ctx(clusters), [0.0])
     assert_allclose(with_los[:, 1:], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 1:], atol=1e-14)
     assert not np.allclose(with_los[:, 0], math.sqrt(1.0 / (k + 1.0)) * nlos[:, 0], atol=1e-3)
 
@@ -158,7 +158,7 @@ def test_los_gate_only_first_cluster():
 def test_large_rice_factor_limit():
     slow_db = 9.0
     ctx = _ctx(_single_ray_clusters(), slow_db=slow_db, k_rice=1e9)
-    h = synthesize(ctx, [0.0])[0, 0]
+    h = synthesize_link(ctx, [0.0])[0, 0]
     assert_allclose(abs(h[0, 0]), 10.0 ** (-slow_db / 20.0), rtol=1e-4)
 
 
@@ -177,7 +177,7 @@ def test_synthesize_orders_taps_and_matches_cluster_ops():
     clusters = _random_clusters(rng, n_clusters=4, n_rays=3)
     ctx = _ctx(clusters, velocity=(0.8, 0.0, 0.0))
     times = [0.0, 1e-3]
-    taps = synthesize(ctx, times)
+    taps = synthesize_link(ctx, times)
     assert np.all(np.diff(clusters.delays_s) >= 0.0)
     assert taps.shape == (2, 4, 1, 1)
     for ti, t in enumerate(times):
@@ -188,7 +188,7 @@ def test_synthesize_orders_taps_and_matches_cluster_ops():
 def test_synthesize_rejects_empty_times():
     ctx = _ctx(_single_ray_clusters())
     with pytest.raises(ValueError):
-        synthesize(ctx, [])
+        synthesize_link(ctx, [])
 
 
 @pytest.mark.parametrize("slow_db", [math.nan, -math.inf])
@@ -196,7 +196,7 @@ def test_synthesize_rejects_non_finite_taps(slow_db):
     # A NaN or infinite power scale reaches every tap; synthesize refuses it.
     ctx = _ctx(_random_clusters(np.random.default_rng(10)), slow_db=slow_db)
     with pytest.raises(ValueError, match="tap matrices must be finite"):
-        synthesize(ctx, [0.0])
+        synthesize_link(ctx, [0.0])
 
 
 def test_port_output_equals_manual_weight_sum():
@@ -206,7 +206,7 @@ def test_port_output_equals_manual_weight_sum():
     tx = LinkEnd(
         geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0,
     )
-    elements = synthesize(_ctx(clusters, tx=tx), [0.0])
+    elements = synthesize_link(_ctx(clusters, tx=tx), [0.0])
     ports = to_ports(elements, geom.weights)
     assert ports.shape == (1, 2, 1, 1)
     w = np.full(4, 0.5)
@@ -230,7 +230,7 @@ def test_total_mean_tap_power_is_one():
             xpr=np.full_like(base.xpr, 1e-12),
             los_phase_vv=0.0, los_phase_hh=0.0,
         )
-        taps = synthesize(_ctx(clusters), [0.0])
+        taps = synthesize_link(_ctx(clusters), [0.0])
         total += float(np.sum(np.abs(taps) ** 2))
     assert abs(total / n_draws - 1.0) < 0.02
 
@@ -240,10 +240,10 @@ def test_amplitude_scaling_linearity():
     # sum-to-one constructor check by assigning the field after validation.
     rng = np.random.default_rng(8)
     base = _random_clusters(rng, n_clusters=2, n_rays=3)
-    h_base = synthesize(_ctx(base), [0.0])[0, 0]
+    h_base = synthesize_link(_ctx(base), [0.0])[0, 0]
     scaled = _random_clusters(np.random.default_rng(8), n_clusters=2, n_rays=3)
     scaled.ray_powers = base.ray_powers * 4.0
-    h_scaled = synthesize(_ctx(scaled), [0.0])[0, 0]
+    h_scaled = synthesize_link(_ctx(scaled), [0.0])[0, 0]
     assert_allclose(h_scaled, 2.0 * h_base, rtol=1e-12)
 
 
@@ -258,7 +258,7 @@ def test_doppler_trajectory_single_ray():
     ])
     omega = float(k_arr @ velocity)
     times = (0.0, 1e-3, 5e-3, 0.02)
-    h = synthesize(ctx, times)[:, 0, 0, 0]
+    h = synthesize_link(ctx, times)[:, 0, 0, 0]
     for ti, t in enumerate(times):
         assert_allclose(h[ti] / h[0], np.exp(1j * omega * t), atol=1e-12)
 
@@ -377,7 +377,7 @@ def test_batched_rays_equal_per_cluster_loop(model, los, n_times, output, split)
     if output == "elements":
         weights = None
     times = np.arange(n_times) * 1e-3
-    taps = synthesize(ctx, times)
+    taps = synthesize_link(ctx, times)
     if weights is not None:
         taps = to_ports(taps, weights)
     assert np.array_equal(taps, _per_cluster_taps(ctx, times, weights))
@@ -400,7 +400,7 @@ def test_per_slant_fields_equal_per_element_oracle(model, layout):
         assert not np.all(np.diff(ctx.rx.slant_rad) > 0)
     assert ctx.tx.slants.size < ctx.tx.n_elements
     times = [0.0, 2e-3]
-    assert np.array_equal(synthesize(ctx, times), _per_cluster_taps(ctx, times))
+    assert np.array_equal(synthesize_link(ctx, times), _per_cluster_taps(ctx, times))
 
 
 def _ue_links(model, split, n_links=6):
