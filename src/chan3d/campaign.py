@@ -24,7 +24,7 @@ from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
 from .lsp import LspSampler, SlowFading
 from .rng import STREAM_DROP, STREAM_SSP, substream
 from .ssp import generate_cluster_set
-from .synth import LinkContext, LinkEnd, end_fields, link_half, synthesize, to_ports
+from .synth import LinkEnd, UeLinks, end_fields, synthesize, to_ports, ue_links
 
 
 log = logging.getLogger("chan3d")
@@ -136,34 +136,41 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     return reports
 
 
-def _link_fields(ctx: _CampaignContext, ue_index: int, cell: int, delta2d, k_db) -> dict:
-    """LinkContext fields of one (UE, cell) link, all but its TX end and
-    clusters; k_db is the link's Rice factor in dB. The LOS directions are
-    (azimuth, zenith) pairs, the arrival the reversed departure."""
-    slow = ctx.slow
-    site = int(ctx.cell_site[cell])
-    offset = np.append(delta2d, ctx.drop.xyz[ue_index, 2] - ctx.cfg.layout.bs_height_m)
-    # Per-link Python scalars (math.atan2/acos/pow): their array forms round
-    # some links differently in the last bit.
-    az = float(wrap_azimuth(math.atan2(offset[1], offset[0])))
-    zen = math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset)))))
-    try:
-        rice_k = math.pow(10.0, k_db / 10.0) if slow.los[ue_index, site] else 0.0
-    except OverflowError:
-        raise ValueError(
-            "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds the float range; "
-            "lower the [lsp_los] k_mu_db or k_sigma_db"
-        ) from None
-    return dict(
-        rx=ctx.ue_end,
-        slow_fading_db=float(slow.pl[ue_index, site] + slow.sf[ue_index, site]),
-        carrier_hz=ctx.cfg.run.carrier_hz,
-        velocity_mps=ctx.drop.velocity[ue_index],
-        rice_k_linear=rice_k,
-        los_departure=(az, zen),
-        los_arrival=(float(wrap_azimuth(az + math.pi)), math.pi - zen),
-        xpr_offdiag_inverse=ctx.cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
-        polarization_model=ctx.cfg.antenna.polarization_model,
+def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
+    """The UE's links to every cell as one UeLinks record. The LOS directions,
+    (azimuth, zenith) pairs with the arrival the reversed departure, and the
+    Rice factors are those of the cell's site; each cell's clusters are drawn
+    from its own (UE, site, cell) stream, all in one batch."""
+    cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
+    deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
+    if ctx.wrap is not None:
+        deltas = fold_to_nearest_image(deltas, ctx.wrap)
+    dz = ctx.drop.xyz[ue_index, 2] - cfg.layout.bs_height_m
+    az, zen, rice_k = [], [], []
+    per_site = zip(deltas, slow.los[ue_index].tolist(), slow.lsps[ue_index, :, 1].tolist())
+    for delta2d, is_los, k_db in per_site:
+        offset = np.append(delta2d, dz)
+        # Python scalars per site (math.atan2/acos/pow): their array forms
+        # round some links differently in the last bit.
+        az.append(math.atan2(offset[1], offset[0]))
+        zen.append(math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))))
+        try:
+            rice_k.append(math.pow(10.0, k_db / 10.0) if is_los else 0.0)
+        except OverflowError:
+            raise ValueError(
+                "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds the float range; "
+                "lower the [lsp_los] k_mu_db or k_sigma_db"
+            ) from None
+    dep_az, zen = wrap_azimuth(np.array(az)), np.array(zen)
+    los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
+    rngs = [substream(cfg.run.master_seed, STREAM_SSP, ue_index, s, c - 3 * s)
+            for c, s in enumerate(sites.tolist())]
+    batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
+    return ue_links(
+        ctx.ue_end, batch, los, [rice_k[s] for s in sites.tolist()],
+        (slow.pl[ue_index] + slow.sf[ue_index])[sites].tolist(), cfg.run.carrier_hz,
+        ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
+        cfg.antenna.polarization_model,
     )
 
 
@@ -171,34 +178,22 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     """One UE's report rows (tuples in REPORT_COLUMNS order) at every sweep
     point, in sweep order.
 
-    The clusters of all the UE's links are drawn in one batch, each from its
-    own (UE, site, cell) stream; link_half and each TX setup's end_fields are
-    array passes over it. Each link sums its views of both, so no (link, ray,
-    element) array is held; each sweep point applies its setup's port weights.
+    The UE's record holds the ray terms that no TX end enters, and each TX
+    setup's end_fields is one array pass over its clusters. Each link sums
+    its views of both, so no (link, ray, element) array is held; each sweep
+    point applies its setup's port weights.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
     sites = ctx.cell_site.tolist()
     rsrp = np.empty((len(ctx.sweep), len(sites)))
     port_taps = [[None] * len(sites) for _ in ctx.sweep]
-    deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
-    if ctx.wrap is not None:
-        deltas = fold_to_nearest_image(deltas, ctx.wrap)
-    seed = ctx.cfg.run.master_seed
-    lsps = ctx.slow.lsps[ue_index, ctx.cell_site]
-    fields = [_link_fields(ctx, ue_index, c, deltas[s], lsps[c, 1]) for c, s in enumerate(sites)]
-    rngs = [substream(seed, STREAM_SSP, ue_index, s, c - 3 * s) for c, s in enumerate(sites)]
-    departures = np.array([f["los_departure"] for f in fields])
-    arrivals = np.array([f["los_arrival"] for f in fields])
-    batch = generate_cluster_set(lsps, departures, arrivals, ctx.cfg.ssp, rngs)
-    ends = ctx.tx_setups[0].ends
-    links = [LinkContext(ends[c], clusters=batch.link(c), **f) for c, f in enumerate(fields)]
-    half, model = link_half(links, batch), ctx.cfg.antenna.polarization_model
+    ue = _ue_record(ctx, ue_index)
+    batch = ue.clusters
     for setup in ctx.tx_setups:
-        for link, end in zip(links, setup.ends):
-            link.tx = end  # the half holds no TX term
-        for cell, g_t in enumerate(end_fields(setup.ends, batch.aod, batch.zod, model)):
-            elements = synthesize(links[cell], ctx.times, half.link(cell), g_t)
+        g_t = end_fields(setup.ends, batch.aod, batch.zod, ue.polarization_model)
+        for cell, end in enumerate(setup.ends):
+            elements = synthesize(ue.link(cell, end), ctx.times, g_t[cell])
             for k, array in zip(setup.points, setup.arrays):
                 taps = elements if array is None else to_ports(elements, array.weights)
                 rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain
@@ -207,7 +202,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     serving, cl, gf = _serving_columns(rsrp, p_tx)
     records = []
     for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist())):
-        cs = links[cell].clusters
+        cs = batch.link(cell)
         records.append((
             ue_index, sites[cell], cell, cl_db, gf_db,
             *(calib.angular_spread_deg(a, cs.ray_powers) for a in (cs.aod, cs.aoa, cs.zod, cs.zoa)),

@@ -89,16 +89,19 @@ def mixing_factor(pairs: dict) -> np.ndarray:
         return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _pow10(x):
-    """10**x per element through the scalar libm pow.
+def _per_element(f, x) -> np.ndarray:
+    """The scalar libm function f (math.pow, exp, log10) over each element of
+    x: numpy's array forms round differently in a few percent of elements,
+    and the per-element form keeps the bytes of the scalar per-link form."""
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
-    numpy's array power rounds differently from the scalar power in a few
-    percent of elements; the per-element form keeps the LSPs bit-identical
-    to the scalar per-link form, 10.0 ** x on floats. Raises ValueError
-    when a value overflows.
-    """
+
+def _pow10(x):
+    """10**x per element through the scalar libm pow, as 10.0 ** x on floats.
+    Raises ValueError when a value overflows."""
     try:
-        return np.array([math.pow(10.0, v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return _per_element(lambda v: math.pow(10.0, v), x)
     except OverflowError:
         raise ValueError(
             "the LSP draw overflowed: a spread of 10**x exceeds the float range; "
@@ -159,8 +162,7 @@ class Pathloss:
         libm exp per element: numpy's array exp differs in the last bit on
         some distances."""
         x = -(np.asarray(d_2d, dtype=float) - self.los_prob_d0_m) / self.los_prob_decay_m
-        p = np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-        return np.minimum(1.0, p)
+        return np.minimum(1.0, _per_element(math.exp, x))
 
 
 def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
@@ -174,9 +176,7 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
         raise ValueError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    # Per-element math.log10: numpy's array log10 rounds differently in a few
-    # percent of elements.
-    log_d = np.array([math.log10(v) for v in d_3d.ravel().tolist()]).reshape(d_3d.shape)
+    log_d = _per_element(math.log10, d_3d)
     pl = (
         np.where(los, model.los_intercept_db, model.nlos_intercept_db)
         + 10.0 * np.where(los, model.los_exponent, model.nlos_exponent) * log_d
@@ -248,20 +248,6 @@ class LspSampler:
         self.spatial = spatial
         self.n_field_terms = n_field_terms
 
-    def field_jobs(self, n_site: int, all_lsps: bool) -> list:
-        """The (site, LSP) pairs whose spatial fields slow_fading evaluates.
-
-        Empty without spatial correlation. Without all_lsps, only the fields
-        that the SF rows of the mixing factors read: the others would enter
-        SF multiplied by exact zeros.
-        """
-        if not self.spatial:
-            return []
-        used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(
-            np.any([factor[0] != 0.0 for _, factor in self.states], axis=0)
-        )
-        return [(site, int(i)) for site in range(n_site) for i in used]
-
     def slow_fading(
         self,
         ue_ids,
@@ -282,9 +268,12 @@ class LspSampler:
         substreams; ue_xyz is (n, 3) and indoor (n,). wrap is the
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
         returned too. One LSP draw per (UE, site) is shared by all cells of
-        the site. Each field of field_jobs is evaluated over all UEs in
-        chunks of FIELD_CHUNK UEs; with workers > 1, on min(workers, fields)
-        threads (the cosine sums release the GIL) while this thread computes
+        the site. With spatial correlation, each (site, LSP) field is
+        evaluated over all UEs in chunks of FIELD_CHUNK UEs; without
+        all_lsps, only the fields that the SF rows of the mixing factors
+        read, as the others would enter SF multiplied by exact zeros. With
+        workers > 1 the fields run on min(workers, fields) threads (the
+        cosine sums release the GIL) while this thread computes
         the geometry, LOS states and pathloss. The per-link stages run in
         chunks of about LINK_CHUNK links. Each value is computed per element
         or per link, so the result is the same at any chunking and thread count.
@@ -292,7 +281,9 @@ class LspSampler:
         ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
         n_ue, n_site = len(ue_ids), site_xy.shape[0]
         h_ue, dz, indoor = ue_xyz[:, 2:], ue_xyz[:, 2:] - h_bs, np.asarray(indoor)[:, None]
-        jobs = self.field_jobs(n_site, all_lsps)
+        sf_rows = np.any([factor[0] != 0.0 for _, factor in self.states], axis=0)
+        used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(sf_rows)
+        jobs = [(site, int(i)) for site in range(n_site) for i in used if self.spatial]
         threads = max(1, min(workers, len(jobs)))
         plural = "s" * (threads > 1)
         log.info(f"slow fading: {len(jobs)} spatial fields over {threads} thread{plural}")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,35 +44,6 @@ class LinkEnd:
         return self.positions_m.shape[0]
 
 
-@dataclass
-class LinkContext:
-    """Everything needed to evaluate the cluster channel of one link. The LOS
-    departure and arrival directions are (azimuth, zenith) pairs in radians."""
-
-    tx: LinkEnd
-    rx: LinkEnd
-    clusters: ClusterSet
-    slow_fading_db: float
-    carrier_hz: float
-    velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rice_k_linear: float = 0.0
-    los_departure: tuple | None = None
-    los_arrival: tuple | None = None
-    xpr_offdiag_inverse: bool = False
-    polarization_model: str = "slant"  # slant | rotated
-
-    def __post_init__(self):
-        self.velocity_mps = np.asarray(self.velocity_mps, dtype=float).reshape(3)
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.rice_k_linear < 0:
-            raise ValueError("Rice factor must be non-negative")
-        if self.rice_k_linear > 0 and (self.los_departure is None or self.los_arrival is None):
-            raise ValueError("LOS angles required when the Rice factor is positive")
-        if self.polarization_model not in ("slant", "rotated"):
-            raise ValueError("polarization model must be 'slant' or 'rotated'")
-
-
 def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
     """Per-slant (V, H) field amplitudes of each link's end toward its
     directions, shape (link, ..., 2, n_slants) for (link, ...) angles. ends
@@ -111,98 +82,136 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
 
 
 @dataclass
-class LinkHalf:
-    """The ray terms of a batch of links that their TX ends do not enter,
-    behind a leading link axis, so one half serves every TX setup: RX fields
-    per RX slant, polarization matrices, departure wave vectors, RX phases,
-    Doppler rates; los holds the LOS ray's (NaN where K = 0). link(i): a view."""
+class RayTerms:
+    """The ray terms that no TX end enters, behind a leading link axis: RX
+    fields per RX slant, polarization matrices, departure wave vectors, RX
+    phases and Doppler rates."""
 
     g_r: np.ndarray
     alpha: np.ndarray
     k_dep: np.ndarray
     a_r: np.ndarray
-    omega: np.ndarray | float
-    los: LinkHalf | None = None
-
-    def link(self, i: int) -> LinkHalf:
-        los = None if self.los is None else self.los.link(i)
-        return LinkHalf(self.g_r[i], self.alpha[i], self.k_dep[i], self.a_r[i], self.omega[i], los)
+    omega: np.ndarray
 
 
-def link_half(links, clusters: ClusterSet) -> LinkHalf:
-    """The TX-independent half of the ray terms of a UE's links, in one array
-    pass: links are their LinkContexts (one RX end, carrier, velocity,
-    polarization model and XPR convention) and clusters their batch."""
-    ctx, cs = links[0], clusters
-    model, rx = ctx.polarization_model, ctx.rx
-    k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
+@dataclass
+class UeLinks:
+    """A UE's links as one record of arrays with a leading link axis: the UE
+    end, the cluster batch, the LOS (departure, arrival) (azimuth, zenith)
+    pairs (link, 4), each link's Rice K and slow fading in dB as Python
+    floats, the polarization model, and the terms of the diffuse rays and of
+    the LOS ray that every TX setup shares. link(i, tx): link i toward tx."""
+
+    rx: LinkEnd
+    clusters: ClusterSet
+    los: np.ndarray
+    rice_k: list
+    slow_fading_db: list
+    polarization_model: str
+    rays: RayTerms
+    los_rays: RayTerms
+
+    def link(self, i: int, tx: LinkEnd) -> Link:
+        return Link(self, i, tx, self.rx, self.clusters.link(i))
+
+
+@dataclass
+class Link:
+    """Link i of a UeLinks record toward a TX end, holding that link's
+    clusters only: what synthesize reads."""
+
+    ue: UeLinks
+    i: int
+    tx: LinkEnd
+    rx: LinkEnd
+    clusters: ClusterSet
+
+
+def ue_links(
+    rx: LinkEnd, clusters: ClusterSet, los, rice_k, slow_fading_db, carrier_hz: float,
+    velocity_mps, xpr_offdiag_inverse: bool = False, polarization_model: str = "slant",
+) -> UeLinks:
+    """A UE's links toward its end rx as a UeLinks record, their ray terms in
+    one array pass over their cluster batch. los is (link, 4), read only
+    where K > 0; rice_k and slow_fading_db hold one Python float per link."""
+    los = np.asarray(los, dtype=float).reshape(-1, 4)
+    if carrier_hz <= 0:
+        raise ValueError("carrier frequency must be positive")
+    if min(rice_k) < 0:
+        raise ValueError("Rice factor must be non-negative")
+    if np.isnan(los[np.array(rice_k) > 0]).any():
+        raise ValueError("LOS angles required when the Rice factor is positive")
+    if polarization_model not in ("slant", "rotated"):
+        raise ValueError("polarization model must be 'slant' or 'rotated'")
+    cs, model = clusters, polarization_model
+    k0 = 2.0 * math.pi * carrier_hz / SPEED_OF_LIGHT
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
-    los = np.array([  # (departure, arrival); NaN where K = 0, as no LOS term is read there
-        (*ln.los_departure, *ln.los_arrival) if ln.rice_k_linear > 0 else (math.nan,) * 4
-        for ln in links
-    ])
     # A (link, 1, 3) LOS wave vector: each link's products round as one link's do.
     k_los = k0 * unit_vectors(los[:, 2:3], los[:, 3:])
-    alpha_los = np.zeros((len(links), 2, 2), dtype=complex)
+    alpha_los = np.zeros((los.shape[0], 2, 2), dtype=complex)
     alpha_los[:, 0, 0] = np.exp(1j * cs.los_phase_vv)
     alpha_los[:, 1, 1] = np.exp(1j * cs.los_phase_hh)
-    return LinkHalf(
+    rays = RayTerms(
         end_fields([rx], cs.aoa, cs.zoa, model),  # (L, N, M, 2, RX slants)
-        polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse),
+        polarization_matrix(cs.xpr, cs.phases, xpr_offdiag_inverse),
         k0 * unit_vectors(cs.aod, cs.zod),
         response_phases(rx.positions_m, k_arr),  # (L, N, M, U)
-        k_arr @ ctx.velocity_mps,
-        LinkHalf(
-            end_fields([rx], los[:, 2], los[:, 3], model),
-            alpha_los,
-            k0 * unit_vectors(los[:, 0], los[:, 1]),
-            response_phases(rx.positions_m, k_los)[:, 0],
-            (k_los @ ctx.velocity_mps)[:, 0],
-        ),
+        k_arr @ velocity_mps,
     )
+    los_rays = RayTerms(
+        end_fields([rx], los[:, 2], los[:, 3], model),
+        alpha_los,
+        k0 * unit_vectors(los[:, 0], los[:, 1]),
+        response_phases(rx.positions_m, k_los)[:, 0],
+        (k_los @ velocity_mps)[:, 0],
+    )
+    return UeLinks(rx, cs, los, list(rice_k), list(slow_fading_db), model, rays, los_rays)
 
 
-def _ray_terms(ctx: LinkContext, half: LinkHalf, g_t: np.ndarray, amplitude=None) -> np.ndarray:
-    """Static tap contributions of the rays of a link's half, (..., n_tx,
-    n_rx) holding amplitude * (gR^T a gT) * aT * aR: its diffuse rays over
-    (cluster, ray) with their sqrt(P), or its LOS ray. The bilinear form runs
-    per (TX slant, RX slant) and is then gathered to the elements."""
-    bilinear = np.einsum("...pu,...pq,...qs->...su", half.g_r, half.alpha, g_t)
+def _ray_terms(link: Link, rays: RayTerms, g_t: np.ndarray, amplitude=None) -> np.ndarray:
+    """Static tap contributions of the link's rays, (..., n_tx, n_rx) holding
+    amplitude * (gR^T a gT) * aT * aR: its diffuse rays over (cluster, ray)
+    with their sqrt(P), or its LOS ray. The bilinear form runs per (TX slant,
+    RX slant) and is then gathered to the elements."""
+    i = link.i
+    bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[i], rays.alpha[i], g_t)
     if amplitude is not None:
         bilinear = amplitude[..., None, None] * bilinear
-    a_t = response_phases(ctx.tx.positions_m, half.k_dep)  # (..., S)
-    gathered = bilinear[..., ctx.tx.slant_index[:, None], ctx.rx.slant_index]
-    return gathered * a_t[..., :, None] * half.a_r[..., None, :]
+    a_t = response_phases(link.tx.positions_m, rays.k_dep[i])  # (..., S)
+    gathered = bilinear[..., link.tx.slant_index[:, None], link.rx.slant_index]
+    return gathered * a_t[..., :, None] * rays.a_r[i][..., None, :]
 
 
-def synthesize(ctx: LinkContext, times, half: LinkHalf, g_t: np.ndarray) -> np.ndarray:
-    """Evaluate every cluster tap at the requested times, per TX element.
+def synthesize(link: Link, times, g_t: np.ndarray) -> np.ndarray:
+    """Evaluate every cluster tap of a link at the requested times, per TX element.
 
     Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
-    ctx.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when
-    rice_k_linear > 0: the diffuse rays of every cluster are scaled by
-    1/(K+1) in power and the LOS ray by K/(K+1). half is the link's view of
-    its batch's link_half, which links that differ only in their TX end
-    share, and g_t its TX fields from end_fields. to_ports maps the element
-    taps to the TX ports.
+    link.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when the
+    link's K > 0: the diffuse rays of every cluster are scaled by 1/(K+1) in
+    power and the LOS ray by K/(K+1). link is a UeLinks view, whose ray
+    terms every TX setup shares, and g_t its TX fields from end_fields.
+    to_ports maps the element taps to the TX ports.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
 
+    ue, i = link.ue, link.i
+    rice_k = ue.rice_k[i]
     # Python-scalar power per link: the array form rounds some links' taps differently.
-    scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
-    diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
-    terms = _ray_terms(ctx, half, g_t, np.sqrt(ctx.clusters.ray_powers))
+    scale = 10.0 ** (-ue.slow_fading_db[i] / 20.0)
+    diffuse_scale = scale * math.sqrt(1.0 / (rice_k + 1.0))
+    terms = _ray_terms(link, ue.rays, g_t, np.sqrt(link.clusters.ray_powers))
     taps = np.empty((times.size,) + terms.shape[:1] + terms.shape[2:], dtype=complex)
     for ti, t in enumerate(times):
-        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, np.exp(1j * half.omega * t))
-    if ctx.rice_k_linear > 0:
-        g_los = end_fields([ctx.tx], *ctx.los_departure, ctx.polarization_model)[0]
-        los_term = _ray_terms(ctx, half.los, g_los)
-        los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
+        doppler = np.exp(1j * ue.rays.omega[i] * t)
+        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, doppler)
+    if rice_k > 0:
+        g_los = end_fields([link.tx], *ue.los[i, :2], ue.polarization_model)[0]
+        los_term = _ray_terms(link, ue.los_rays, g_los)
+        los_scale = scale * math.sqrt(rice_k / (rice_k + 1.0))
         for ti, t in enumerate(times):
-            taps[ti, 0] += los_scale * los_term * np.exp(1j * half.los.omega * t)
+            taps[ti, 0] += los_scale * los_term * np.exp(1j * ue.los_rays.omega[i] * t)
     if not np.all(np.isfinite(taps.view(float))):
         raise ValueError("tap matrices must be finite")
     return taps

@@ -1,14 +1,18 @@
-"""Per-link reference forms of the phase-2 ray terms.
+"""A one-link description of the phase-2 ray terms, and their per-link
+reference forms.
 
-``end_fields_one_link`` evaluates one link end's fields and
-``link_half_one_link`` one link's TX-independent ray terms, link by link, as
-``synth`` did before ``synth.end_fields`` and ``synth.link_half`` took all of
-a UE's links in one array pass. ``tests/test_synth.py`` checks with ``np.array_equal`` that
-the batch kernels give the same bytes for every link of a batch.
+``LinkContext`` describes one link as tests write it; ``ue_record`` turns
+links of one UE into the ``synth.UeLinks`` record the campaign builds, and
 ``synthesize_link`` synthesizes one link's taps through the batch kernels,
-with the link as a batch of one.
+with the link as a batch of one. ``end_fields_one_link`` evaluates one link
+end's fields and ``link_half_one_link`` one link's TX-independent ray
+terms, link by link, as ``synth`` did before ``synth.end_fields`` and
+``synth.ue_links`` took all of a UE's links in one array pass.
+``tests/test_synth.py`` checks with ``np.array_equal`` that the batch
+kernels give the same bytes for every link of a batch.
 """
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +25,40 @@ from chan3d.geom import (
     unit_vectors,
     wrap_azimuth,
 )
-from chan3d.ssp import polarization_matrix
-from chan3d.synth import LinkContext, LinkEnd, LinkHalf, end_fields, link_half, synthesize
+from chan3d.ssp import ClusterSet, polarization_matrix
+from chan3d.synth import LinkEnd, RayTerms, UeLinks, end_fields, synthesize, ue_links
+
+
+@dataclass
+class LinkContext:
+    """Everything needed to evaluate the cluster channel of one link. The LOS
+    departure and arrival directions are (azimuth, zenith) pairs in radians,
+    or None; synth.ue_links checks the description."""
+
+    tx: LinkEnd
+    rx: LinkEnd
+    clusters: ClusterSet
+    slow_fading_db: float
+    carrier_hz: float
+    velocity_mps: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    rice_k_linear: float = 0.0
+    los_departure: tuple | None = None
+    los_arrival: tuple | None = None
+    xpr_offdiag_inverse: bool = False
+    polarization_model: str = "slant"  # slant | rotated
+
+
+def ue_record(links: list, batch: ClusterSet) -> UeLinks:
+    """synth.ue_links over one UE's links, described one by one over their
+    cluster batch; they share the first link's RX end, carrier, velocity,
+    XPR convention and polarization model. A missing LOS pair reads NaN."""
+    ctx, nan = links[0], (math.nan, math.nan)
+    return ue_links(
+        ctx.rx, batch,
+        [(*(ln.los_departure or nan), *(ln.los_arrival or nan)) for ln in links],
+        [ln.rice_k_linear for ln in links], [ln.slow_fading_db for ln in links],
+        ctx.carrier_hz, ctx.velocity_mps, ctx.xpr_offdiag_inverse, ctx.polarization_model,
+    )
 
 
 def end_fields_one_link(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray:
@@ -59,37 +95,35 @@ def end_fields_one_link(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray
     return out
 
 
-def link_half_one_link(ctx: LinkContext) -> LinkHalf:
-    """One link's TX-independent ray terms; its los holds the Rice LOS ray's
-    half when the link has K > 0, else None."""
+def link_half_one_link(ctx: LinkContext) -> tuple:
+    """One link's TX-independent ray terms: those of its diffuse rays, and
+    those of its Rice LOS ray when the link has K > 0, else None."""
     cs, model, rx = ctx.clusters, ctx.polarization_model, ctx.rx
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
-    half = LinkHalf(
+    rays = RayTerms(
         end_fields_one_link(rx, cs.aoa, cs.zoa, model),
         polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse),
         k0 * unit_vectors(cs.aod, cs.zod),
         response_phases(rx.positions_m, k_arr),
         k_arr @ ctx.velocity_mps,
     )
-    if ctx.rice_k_linear > 0:
-        dep, arr = ctx.los_departure, ctx.los_arrival
-        k_los = k0 * unit_vectors(*arr)
-        half.los = LinkHalf(
-            end_fields_one_link(rx, *arr, model)[0],
-            np.diag([np.exp(1j * cs.los_phase_vv), np.exp(1j * cs.los_phase_hh)]),
-            k0 * unit_vectors(*dep),
-            response_phases(rx.positions_m, k_los),
-            float(k_los @ ctx.velocity_mps),
-        )
-    return half
-
+    if ctx.rice_k_linear == 0:
+        return rays, None
+    dep, arr = ctx.los_departure, ctx.los_arrival
+    k_los = k0 * unit_vectors(*arr)
+    return rays, RayTerms(
+        end_fields_one_link(rx, *arr, model)[0],
+        np.diag([np.exp(1j * cs.los_phase_vv), np.exp(1j * cs.los_phase_hh)]),
+        k0 * unit_vectors(*dep),
+        response_phases(rx.positions_m, k_los),
+        float(k_los @ ctx.velocity_mps),
+    )
 
 
 def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
-    """synth.synthesize for one link: its half from link_half and its TX
+    """synth.synthesize for one link: its record from ue_links and its TX
     fields from end_fields, each over the link as a batch of one."""
     batch = ctx.clusters.link(None)
-    half = link_half([ctx], batch).link(0)
     g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
-    return synthesize(ctx, times, half, g_t)
+    return synthesize(ue_record([ctx], batch).link(0, ctx.tx), times, g_t)

@@ -18,12 +18,12 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, to_ports
+from chan3d.synth import LinkEnd, to_ports
 
 from antenna_oracle import (
     composite_port_gain_db, element_fields, element_pattern_3gpp, isotropic_end,
 )
-from synth_oracle import synthesize_link
+from synth_oracle import LinkContext, synthesize_link
 
 D2R = math.pi / 180.0
 

@@ -7,10 +7,10 @@ from chan3d.antenna import downtilt_weights, uniform_planar_array
 from chan3d.calib import rsrp_db, rsrp_fast_fading_db, top_eigenvalues
 from chan3d.geom import SPEED_OF_LIGHT
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, to_ports
+from chan3d.synth import LinkEnd, to_ports
 
 from antenna_oracle import composite_port_gain_db, element_pattern_3gpp, isotropic_end
-from synth_oracle import synthesize_link
+from synth_oracle import LinkContext, synthesize_link
 
 
 def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):

@@ -15,10 +15,10 @@ from chan3d.geom import (
 )
 from chan3d.lsp import LspSampler
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkContext, LinkEnd, end_fields
+from chan3d.synth import LinkEnd, end_fields
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end
-from synth_oracle import synthesize_link
+from synth_oracle import LinkContext, synthesize_link
 
 
 def test_unit_vector_horizon_along_x():
@@ -100,8 +100,9 @@ def test_wave_vector_rejects_nonpositive_frequency():
         np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1, 4)), np.ones((1, 1)),
     )
     for carrier_hz in (0.0, -1e9):
-        with pytest.raises(ValueError):
-            LinkContext(isotropic_end(), isotropic_end(), clusters, 0.0, carrier_hz)
+        ctx = LinkContext(isotropic_end(), isotropic_end(), clusters, 0.0, carrier_hz)
+        with pytest.raises(ValueError, match="carrier frequency must be positive"):
+            synthesize_link(ctx, [0.0])
 
 
 def test_doppler_phase_static_ue():

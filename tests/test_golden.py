@@ -529,26 +529,27 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
 
 def test_phase2_link_half_once_per_ue(tmp_path, monkeypatch):
     # The two tilts of the itu_port pattern are two TX setups. Each of the 21
-    # UEs builds one half for its 21 (UE, cell) links, 441 links in all, and
-    # every synthesis of both setups reads its link's view of that half.
-    halves, used = [], []
+    # UEs builds one record of its 21 (UE, cell) links, 441 links in all, and
+    # every synthesis of both setups reads its link's view of that record.
+    records, used = [], []
 
-    def counting_half(links, batch):
-        halves.append((len(links), half(links, batch)))
-        return halves[-1][1]
+    def counting_links(*args):
+        records.append(ue_links(*args))
+        return records[-1]
 
-    def counting_synthesize(link, times, shared, g_t):
-        used.append((len(halves) - 1, shared))
-        return synthesize(link, times, shared, g_t)
+    def counting_synthesize(link, times, g_t):
+        used.append((len(records) - 1, link))
+        return synthesize(link, times, g_t)
 
-    half, synthesize = campaign.link_half, campaign.synthesize
-    monkeypatch.setattr(campaign, "link_half", counting_half)
+    ue_links, synthesize = campaign.ue_links, campaign.synthesize
+    monkeypatch.setattr(campaign, "ue_links", counting_links)
     monkeypatch.setattr(campaign, "synthesize", counting_synthesize)
     paths = run_campaign(golden_config("p2_itu_port", tmp_path))
-    assert [n for n, _ in halves] == [21] * 21
+    assert [len(record.rice_k) for record in records] == [21] * 21
     assert len(used) == 882
     assert [ue for ue, _ in used] == [ue for ue in range(21) for _ in range(42)]
-    assert all(np.shares_memory(view.alpha, halves[ue][1].alpha) for ue, view in used)
+    assert all(link.ue is records[ue] for ue, link in used)
+    assert [link.i for _, link in used] == list(range(21)) * 42
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 

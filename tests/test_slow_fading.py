@@ -196,10 +196,17 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
 def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch):
     _small_chunks(monkeypatch)
     sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
-    jobs = sampler.field_jobs(site_xy.shape[0], all_lsps)
-    n_lsps = len(LSP_NAMES) if all_lsps else 1  # UMa's SF row of the Cholesky factor is (1, 0, ...)
-    assert jobs == ([(s, i) for s in range(site_xy.shape[0]) for i in range(n_lsps)] if spatial else [])
+    fields = []
+
+    def recording_waves(decorrelation_m, key, n_terms):
+        fields.append(key[2:])  # (site, LSP) of the key (seed, STREAM_FIELD, site, LSP)
+        return waves(decorrelation_m, key, n_terms)
+
+    waves = chan3d.lsp.field_waves
+    monkeypatch.setattr(chan3d.lsp, "field_waves", recording_waves)
     one = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    n_lsps = len(LSP_NAMES) if all_lsps else 1  # UMa's SF row of the Cholesky factor is (1, 0, ...)
+    assert fields == ([(s, i) for s in range(site_xy.shape[0]) for i in range(n_lsps)] if spatial else [])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the field chunks too
     try:

@@ -13,10 +13,12 @@ from chan3d.antenna import (
 )
 from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import LinkContext, LinkEnd, end_fields, link_half, synthesize, to_ports
+from chan3d.synth import LinkEnd, end_fields, synthesize, to_ports, ue_links
 
 from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
-from synth_oracle import end_fields_one_link, link_half_one_link, synthesize_link
+from synth_oracle import (
+    LinkContext, end_fields_one_link, link_half_one_link, synthesize_link, ue_record,
+)
 
 
 def _single_ray_clusters(phase_vv=0.7, xpr=1e-12):
@@ -163,8 +165,29 @@ def test_large_rice_factor_limit():
 
 
 def test_negative_rice_factor_rejected():
-    with pytest.raises(ValueError):
-        _ctx(_single_ray_clusters(), k_rice=-0.5)
+    # The checks run once per UE batch: one negative K among its links fails it.
+    links, batch = _ue_links("slant", False, n_links=3)
+    links[2].rice_k_linear = -0.5
+    with pytest.raises(ValueError, match="Rice factor must be non-negative"):
+        ue_record(links, batch)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(carrier_hz=0.0), "carrier frequency must be positive"),
+    (dict(polarization_model="circular"), "polarization model must be"),
+    (dict(los_departure=None), "LOS angles required"),
+])
+def test_ue_batch_checks(change, message):
+    # Carrier and polarization model are the UE's, read from link 0. The LOS
+    # angles are required only of the links whose K is positive: of link 1,
+    # not of link 0.
+    links, batch = _ue_links("slant", False, n_links=3)
+    links[0] = dataclasses.replace(links[0], los_departure=None)
+    ue_record(links, batch)
+    i = 1 if "los_departure" in change else 0
+    links[i] = dataclasses.replace(links[i], **change)
+    with pytest.raises(ValueError, match=message):
+        ue_record(links, batch)
 
 
 def test_link_end_dimension_mismatch_rejected():
@@ -216,22 +239,25 @@ def test_port_output_equals_manual_weight_sum():
 
 def test_total_mean_tap_power_is_one():
     # Monte Carlo over polarization draws only; geometry and powers fixed.
+    # The draws are one batch of NLOS links: one record, one synthesis each.
     rng = np.random.default_rng(7)
     base = _random_clusters(rng, n_clusters=3, n_rays=3)
-    total = 0.0
     n_draws = 10_000
-    for _ in range(n_draws):
-        clusters = ClusterSet(
-            delays_s=base.delays_s,
-            cluster_powers=base.cluster_powers,
-            ray_powers=base.ray_powers,
-            aod=base.aod, zod=base.zod, aoa=base.aoa, zoa=base.zoa,
-            phases=rng.uniform(0.0, 2.0 * math.pi, base.phases.shape),
-            xpr=np.full_like(base.xpr, 1e-12),
-            los_phase_vv=0.0, los_phase_hh=0.0,
-        )
-        taps = synthesize_link(_ctx(clusters), [0.0])
-        total += float(np.sum(np.abs(taps) ** 2))
+    fixed = ("delays_s", "cluster_powers", "ray_powers", "aod", "zod", "aoa", "zoa")
+    batch = ClusterSet(
+        **{name: np.broadcast_to(getattr(base, name), (n_draws,) + getattr(base, name).shape)
+           for name in fixed},
+        phases=rng.uniform(0.0, 2.0 * math.pi, (n_draws,) + base.phases.shape),
+        xpr=np.full((n_draws,) + base.xpr.shape, 1e-12),
+        los_phase_vv=np.zeros(n_draws), los_phase_hh=np.zeros(n_draws),
+    )
+    end, nlos = isotropic_end(), [0.0] * n_draws
+    ue = ue_links(end, batch, np.full((n_draws, 4), math.nan), nlos, nlos, 2e9, np.zeros(3))
+    g_t = end_fields([end], batch.aod, batch.zod, "slant")
+    total = sum(
+        float(np.sum(np.abs(synthesize(ue.link(i, end), [0.0], g_t[i])) ** 2))
+        for i in range(n_draws)
+    )
     assert abs(total / n_draws - 1.0) < 0.02
 
 
@@ -441,29 +467,34 @@ def _ue_links(model, split, n_links=6):
     return links, batch
 
 
-HALF_FIELDS = ("g_r", "alpha", "k_dep", "a_r", "omega")
+RAY_FIELDS = ("g_r", "alpha", "k_dep", "a_r", "omega")
 
 
 @pytest.mark.parametrize("model", ("slant", "rotated"))
 @pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
 def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
     # One array pass over a UE's LOS and NLOS links gives each link the
-    # bytes of the per-link half; a TX setup's fields, each link with its own
-    # cell's bearing, equal each link's own evaluation.
+    # bytes of its per-link ray terms and its own LOS pair, Rice K and slow
+    # fading; a TX setup's fields, each link with its own cell's bearing,
+    # equal each link's own evaluation.
     links, batch = _ue_links(model, split)
-    half = link_half(links, batch)
+    ue = ue_record(links, batch)
     ends = [link.tx for link in links]
     rays = end_fields(ends, batch.aod, batch.zod, model)
     dep = np.array([link.los_departure for link in links])
     los = end_fields(ends, dep[:, 0], dep[:, 1], model)
     assert {link.rice_k_linear > 0 for link in links} == {False, True}
+    assert ue.rice_k == [link.rice_k_linear for link in links]
+    assert ue.slow_fading_db == [link.slow_fading_db for link in links]
     for i, link in enumerate(links):
-        got, expected = half.link(i), link_half_one_link(link)
-        for name in HALF_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(expected, name)), (i, name)
-        assert (expected.los is None) == (link.rice_k_linear == 0)
-        for name in HALF_FIELDS if expected.los else ():
-            assert np.array_equal(getattr(got.los, name), getattr(expected.los, name)), (i, name)
+        assert tuple(ue.los[i].tolist()) == (*link.los_departure, *link.los_arrival)
+        expected, expected_los = link_half_one_link(link)
+        for name in RAY_FIELDS:
+            assert np.array_equal(getattr(ue.rays, name)[i], getattr(expected, name)), (i, name)
+        assert (expected_los is None) == (link.rice_k_linear == 0)
+        for name in RAY_FIELDS if expected_los else ():
+            got = getattr(ue.los_rays, name)[i]
+            assert np.array_equal(got, getattr(expected_los, name)), (i, name)
         cs = link.clusters
         assert np.array_equal(rays[i], end_fields_one_link(link.tx, cs.aod, cs.zod, model))
         assert np.array_equal(los[i], end_fields_one_link(link.tx, *link.los_departure, model)[0])
@@ -472,13 +503,13 @@ def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
 @pytest.mark.parametrize("model", ("slant", "rotated"))
 @pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
 def test_ue_batch_taps_equal_per_cluster_loop(model, split):
-    # The campaign's path: each link sums its views of the UE's half and of
+    # The campaign's path: each link sums its views of the UE's record and of
     # the setup's TX fields, and its taps equal the per-cluster,
     # per-element loop bit for bit.
     links, batch = _ue_links(model, split)
-    half = link_half(links, batch)
+    ue = ue_record(links, batch)
     g_t = end_fields([link.tx for link in links], batch.aod, batch.zod, model)
     times = [0.0, 2e-3]
     for i, link in enumerate(links):
-        taps = synthesize(link, times, half.link(i), g_t[i])
+        taps = synthesize(ue.link(i, link.tx), times, g_t[i])
         assert np.array_equal(taps, _per_cluster_taps(link, times)), i
