@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import unit_vectors, wrap_azimuth
+from .geom import wrap_azimuth
 
 
 @dataclass
@@ -159,34 +159,27 @@ def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:
     return np.exp(-2j * math.pi * d_v * idx * math.cos(theta_tilt)) / math.sqrt(m)
 
 
-def element_terms(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
-    azimuth, zenith,
-):
-    """The weight-independent half of a port's fields: element amplitudes
-    toward each direction (azimuth in the array frame) and the response
-    phases of the port's elements, shapes (...) and (..., n_idx).
-
-    Ports that differ only in weights (one array at several downtilts) share
-    these terms.
-    """
-    if not 0 <= port < geometry.n_ports:
-        raise ValueError(f"unknown port index {port}")
-    idx = np.flatnonzero(geometry.weights[port])
-    local_az = wrap_azimuth(azimuth)
-    zen = np.asarray(zenith, dtype=float)
-    amp = element_amplitude(spec, local_az, zen)
-    k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
-    return amp, response_phases(geometry.element_positions[idx], k_vecs)
+def column_heights(geometry: ArrayGeometry, port: int) -> np.ndarray:
+    """Heights (n_idx, 1) of the port's elements, which must sit on the column
+    axis x = y = 0: there exp(j k . x) = exp(j k_z z), whatever the azimuth."""
+    xyz = geometry.element_positions[np.flatnonzero(geometry.weights[port])]
+    if np.any(xyz[:, :2] != 0.0):
+        raise ValueError(f"port {port} has elements off the column axis x = y = 0")
+    return xyz[:, 2:]
 
 
-def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
-    """The weights half of a port's fields: (vertical, horizontal) fields of
-    the port from its element_terms, its weights and its elements' slants."""
-    idx = np.flatnonzero(geometry.weights[port])
-    w = geometry.weights[port, idx]
-    slant = geometry.slant_rad[idx]
-    return amp * (phases @ (w * np.cos(slant))), amp * (phases @ (w * np.sin(slant)))
+def column_sums(heights: np.ndarray, wavelength: float, zenith, geometries, port: int) -> list:
+    """Per geometry, the port's (vertical, horizontal) fields over its element
+    amplitude: phases @ (w cos(slant)), phases @ (w sin(slant)), where phases
+    are exp(j k_z z) of the elements at column_heights toward each zenith."""
+    k_z = (2.0 * math.pi / wavelength) * np.cos(np.asarray(zenith, dtype=float))
+    phases = response_phases(heights, k_z[..., None])
+    sums = []
+    for geometry in geometries:
+        idx = np.flatnonzero(geometry.weights[port])
+        w, slant = geometry.weights[port, idx], geometry.slant_rad[idx]
+        sums.append((phases @ (w * np.cos(slant)), phases @ (w * np.sin(slant))))
+    return sums
 
 
 def fields_gain_db(g_v, g_h):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calib
-from .antenna import element_gain_db, element_terms, fields_gain_db, weight_fields
+from .antenna import column_heights, column_sums, element_amplitude, element_gain_db, fields_gain_db
 from .config import RunConfig, build_array, build_tx_pattern, config_hash
 from .deploy import (
     CELL_BEARINGS_DEG,
@@ -29,8 +29,8 @@ from .synth import LinkEnd, UeLinks, end_fields, synthesize, to_ports, ue_links
 
 log = logging.getLogger("chan3d")
 
-# UEs per block of the phase-1 report pass: bounds its (UE, cell, element) temporaries.
-UE_BLOCK = 32
+# UEs per block of the phase-1 report pass: bounds its (UE, site, element) temporaries.
+UE_BLOCK = 96
 
 
 @dataclass
@@ -39,13 +39,14 @@ class _TxSetup:
 
     points lists their sweep indices and arrays the array of each, with the
     point's port weights; an array is None for an itu_port pattern, whose
-    single element is the port. ends holds the per-cell TX link ends that
-    phase 2 synthesizes element taps for.
+    single element is the port. heights are port 0's column_heights, and
+    ends the per-cell TX link ends that phase 2 synthesizes element taps for.
     """
 
     pattern: object
     points: list
     arrays: list
+    heights: np.ndarray | None = None
     ends: list | None = None
 
 
@@ -80,6 +81,8 @@ def _tx_setups(ctx: _CampaignContext) -> list:
         s = setups.setdefault(k if itu else d_v, _TxSetup(build_tx_pattern(antenna, tilt), [], []))
         s.points.append(k)
         s.arrays.append(None if itu else build_array(antenna, d_v, ctx.wavelength, tilt))
+    for s in setups.values():
+        s.heights = None if itu else column_heights(s.arrays[0], 0)
     if ctx.cfg.run.phase == 2:
         bearings = [float(b) for b in ctx.cell_bearing_rad]
         for s in setups.values():
@@ -93,11 +96,16 @@ def _tx_setups(ctx: _CampaignContext) -> list:
 
 def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
     """TX gain over (UE, cell) toward each cell's LOS direction, for each point
-    of the setup: its element terms once, then each point's port weights."""
-    if setup.arrays[0] is None:
-        return [np.asarray(element_gain_db(setup.pattern, local_az, zen))]
-    amp, phases = element_terms(setup.pattern, setup.arrays[0], 0, ctx.wavelength, local_az, zen)
-    return [fields_gain_db(*weight_fields(amp, phases, array, 0)) for array in setup.arrays]
+    of the setup, from the cells' azimuths and the sites' zeniths (UE, site).
+    Port 0's response phases and weighted sums depend on the zenith alone, so
+    they run per (UE, site); the element amplitude is the only per-cell term.
+    """
+    cells = ctx.cell_site
+    if setup.heights is None:
+        return [np.asarray(element_gain_db(setup.pattern, local_az, zen[:, cells]))]
+    amp = element_amplitude(setup.pattern, local_az, zen[:, cells])
+    sums = column_sums(setup.heights, ctx.wavelength, zen, setup.arrays, 0)
+    return [fields_gain_db(amp * v[:, cells], amp * h[:, cells]) for v, h in sums]
 
 
 def _serving_columns(rsrp, p_tx: float) -> tuple:
@@ -110,8 +118,9 @@ def _serving_columns(rsrp, p_tx: float) -> tuple:
 def _phase1_reports(ctx: _CampaignContext) -> list:
     """Every sweep point's report columns, in one pass over UE blocks.
 
-    Per block, the angles toward every cell are computed once and the element
-    terms once per TX setup; each sweep point applies only its port weights.
+    Per block, the angles toward every cell are computed once and each TX
+    setup's response phases once per (UE, site); each sweep point applies
+    only its port weights.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     slow, cells = ctx.slow, ctx.cell_site
@@ -123,8 +132,8 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     ]
     for start in range(0, n, UE_BLOCK):
         rows = slice(start, start + UE_BLOCK)
-        local_az = wrap_azimuth(slow.az_dep[rows][:, cells] - ctx.cell_bearing_rad)
-        zen = slow.zen_dep[rows][:, cells]
+        local_az = slow.az_dep[rows][:, cells] - ctx.cell_bearing_rad  # the pattern wraps it
+        zen = slow.zen_dep[rows]
         pl, sf = slow.pl[rows][:, cells], slow.sf[rows][:, cells]
         for setup in ctx.tx_setups:
             for k, gain in zip(setup.points, _tx_gains_db(ctx, setup, local_az, zen)):
@@ -181,7 +190,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     The UE's record holds the ray terms that no TX end enters, and each TX
     setup's end_fields is one array pass over its clusters. Each link sums
     its views of both, so no (link, ray, element) array is held; each sweep
-    point applies its setup's port weights.
+    point applies its setup's port weights. The report's spreads are those
+    of the serving link, computed once per distinct serving cell.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     ue_gain = ctx.cfg.antenna.ue_gain_dbi
@@ -200,16 +210,17 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
                 port_taps[k][cell] = taps
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)
-    records = []
-    for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist())):
+    spreads = {}
+    for cell in set(serving.tolist()):
         cs = batch.link(cell)
-        records.append((
-            ue_index, sites[cell], cell, cl_db, gf_db,
-            *(calib.angular_spread_deg(a, cs.ray_powers) for a in (cs.aod, cs.aoa, cs.zod, cs.zoa)),
-            calib.delay_spread_s(cs.delays_s, cs.cluster_powers),
-            *calib.top_eigenvalues(port_taps[k][cell]),
-        ))
-    return records
+        angles = (cs.aod, cs.aoa, cs.zod, cs.zoa)
+        spreads[cell] = (*(calib.angular_spread_deg(a, cs.ray_powers) for a in angles),
+                         calib.delay_spread_s(cs.delays_s, cs.cluster_powers))
+    return [
+        (ue_index, sites[cell], cell, cl_db, gf_db, *spreads[cell],
+         *calib.top_eigenvalues(port_taps[k][cell]))
+        for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist()))
+    ]
 
 
 # The campaign context of a pool worker process, set once by _init_worker.

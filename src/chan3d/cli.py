@@ -23,8 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default=None, help="override run.output_dir")
     run_p.add_argument(
         "--workers", type=int, default=None,
-        help="override run.workers (slow-fading field threads in both phases, and phase-2 "
-        "worker processes; the outputs are the same at any count)",
+        help="override run.workers (slow-fading field threads, the calling thread among them, "
+        "and phase-2 worker processes; the outputs are the same at any count)",
     )
     run_p.add_argument(
         "--downtilts", default=None,

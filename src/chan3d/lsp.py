@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,12 +271,14 @@ class LspSampler:
         the site. With spatial correlation, each (site, LSP) field is
         evaluated over all UEs in chunks of FIELD_CHUNK UEs; without
         all_lsps, only the fields that the SF rows of the mixing factors
-        read, as the others would enter SF multiplied by exact zeros. With
-        workers > 1 the fields run on min(workers, fields) threads (the
-        cosine sums release the GIL) while this thread computes
-        the geometry, LOS states and pathloss. The per-link stages run in
-        chunks of about LINK_CHUNK links. Each value is computed per element
-        or per link, so the result is the same at any chunking and thread count.
+        read, as the others would enter SF multiplied by exact zeros. The
+        fields run on min(workers, fields) threads, this one among them: it
+        starts the others (the cosine sums release the GIL), computes the
+        geometry, LOS states and pathloss, then evaluates fields beside them.
+        Without spatial correlation there are no fields and no threads. The
+        per-link stages run in chunks of about LINK_CHUNK links. Each value is
+        computed per element or per link, so the result is the same at any
+        chunking and thread count.
         """
         ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
         n_ue, n_site = len(ue_ids), site_xy.shape[0]
@@ -294,22 +296,35 @@ class LspSampler:
         ]
         scale = math.sqrt(2.0 / self.n_field_terms)
         at_ue = np.empty((len(jobs), n_ue))
+        # Field indices, the first on top, over one None per thread: each thread
+        # pops indices (list.pop is atomic) until it pops a None.
+        pending, failed = [None] * threads + list(range(len(jobs)))[::-1], []
 
-        def evaluate(k):
-            kx, ky, phase = waves[k]
-            for start in range(0, n_ue, FIELD_CHUNK):
-                rows = slice(start, start + FIELD_CHUNK)
-                x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
-                at_ue[k, rows] = scale * np.cos(kx * x + ky * y + phase).sum(axis=-1)
+        def drain():
+            # Each chunk is cos((kx*x + ky*y) + phase) in two buffers this thread reuses.
+            u_buf, v_buf = np.empty((2, FIELD_CHUNK, self.n_field_terms))
+            try:
+                for k in iter(pending.pop, None):
+                    kx, ky, phase = waves[k]
+                    for start in range(0, n_ue, FIELD_CHUNK):
+                        rows = slice(start, start + FIELD_CHUNK)
+                        x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
+                        u, v = u_buf[:len(x)], v_buf[:len(x)]
+                        np.multiply(kx, x, out=u)
+                        u += np.multiply(ky, y, out=v)
+                        u += phase
+                        at_ue[k, rows] = scale * np.cos(u, out=u).sum(axis=-1)
+            except BaseException as exc:
+                failed.append(exc)
 
         d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
         los = np.empty((n_ue, n_site), dtype=bool)
         step = max(1, LINK_CHUNK // n_site)
         chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-            evaluated = (pool.map if pool else map)(evaluate, range(len(jobs)))
+        helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
             for rows in chunks:
                 delta = ue_xyz[rows, None, :2] - site_xy
                 if wrap is not None:
@@ -324,7 +339,12 @@ class LspSampler:
                 )
                 los[rows] = u < pathloss.los_probability(d2d[rows])
                 pl[rows] = pathloss_db(pathloss, d3d, h_ue[rows], indoor[rows], los[rows], carrier_hz)
-            list(evaluated)
+            drain()
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failed:
+            raise failed[0]
 
         count = len(LSP_NAMES) if all_lsps else 1
         values = np.empty((n_ue, n_site, count))

@@ -1,18 +1,26 @@
 """Reference antenna forms for the tests.
 
-``port_fields`` and ``composite_port_gain_db`` evaluate one virtualized port
-in a single call: the element terms and the port weights together, as the
-campaign splits them into ``antenna.element_terms`` and
-``antenna.weight_fields``. ``element_pattern_3gpp`` is the single-element
+``element_terms`` and ``weight_fields`` are the per-cell form of a port's
+fields: element amplitudes and the response phases of the port's elements
+from full wave vectors toward each (UE, cell) direction, then the weighted
+sums. ``tx_gains_db_per_cell`` is the phase-1 TX gain in that form, which
+the campaign computes per (UE, site) (``campaign._tx_gains_db``).
+``port_fields`` and ``composite_port_gain_db`` evaluate one virtualized
+port in a single call. ``element_pattern_3gpp`` is the single-element
 pattern at its documented constants. ``isotropic_end`` is a link end of
 isotropic, vertically polarized elements at the origin. ``element_fields``
 evaluates a link end's fields element by element, where
 ``synth_oracle.end_fields_one_link`` evaluates them once per slant.
 """
+import math
+
 import numpy as np
 
-from chan3d.antenna import ArrayGeometry, PatternSpec, element_terms, fields_gain_db, weight_fields
-from chan3d.geom import wrap_azimuth
+from chan3d.antenna import (
+    ArrayGeometry, PatternSpec, element_amplitude, element_gain_db, fields_gain_db,
+    response_phases,
+)
+from chan3d.geom import unit_vectors, wrap_azimuth
 from chan3d.synth import LinkEnd
 from synth_oracle import end_fields_one_link
 
@@ -20,6 +28,41 @@ from synth_oracle import end_fields_one_link
 def element_pattern_3gpp(theta_peak_deg: float = 90.0) -> PatternSpec:
     """Single-element pattern: 8 dBi peak, 65 deg cuts, 30 dB floors."""
     return PatternSpec(8.0, 30.0, 30.0, 65.0, 65.0, theta_peak_deg)
+
+
+def element_terms(
+    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    azimuth, zenith,
+):
+    """The weight-independent half of a port's fields: element amplitudes
+    toward each direction (azimuth in the array frame) and the response
+    phases of the port's elements from full wave vectors, shapes (...) and
+    (..., n_idx)."""
+    idx = np.flatnonzero(geometry.weights[port])
+    local_az = wrap_azimuth(azimuth)
+    zen = np.asarray(zenith, dtype=float)
+    amp = element_amplitude(spec, local_az, zen)
+    k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
+    return amp, response_phases(geometry.element_positions[idx], k_vecs)
+
+
+def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
+    """The weights half of a port's fields: (vertical, horizontal) fields of
+    the port from its element_terms, its weights and its elements' slants."""
+    idx = np.flatnonzero(geometry.weights[port])
+    w = geometry.weights[port, idx]
+    slant = geometry.slant_rad[idx]
+    return amp * (phases @ (w * np.cos(slant))), amp * (phases @ (w * np.sin(slant)))
+
+
+def tx_gains_db_per_cell(pattern, arrays, wavelength: float, local_az, zen) -> list:
+    """Phase-1 TX gain of port 0 over (UE, cell) angle arrays, one array per
+    sweep point (None: an itu_port pattern, whose single element is the
+    port): the element terms per cell, then each point's port weights."""
+    if arrays[0] is None:
+        return [np.asarray(element_gain_db(pattern, local_az, zen))]
+    amp, phases = element_terms(pattern, arrays[0], 0, wavelength, local_az, zen)
+    return [fields_gain_db(*weight_fields(amp, phases, array, 0)) for array in arrays]
 
 
 def port_fields(

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,21 +8,23 @@ from numpy.testing import assert_allclose
 from chan3d.antenna import (
     ArrayGeometry,
     PatternSpec,
+    column_heights,
     downtilt_weights,
     element_gain_db,
-    element_terms,
-    fields_gain_db,
     itu_port_pattern,
     response_phases,
     uniform_planar_array,
-    weight_fields,
 )
-from chan3d.geom import SPEED_OF_LIGHT, unit_vectors
+import chan3d.campaign as campaign
+from chan3d.config import default_config
+from chan3d.deploy import CELL_BEARINGS_DEG, hex_layout
+from chan3d.geom import SPEED_OF_LIGHT, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet
 from chan3d.synth import LinkEnd, to_ports
 
 from antenna_oracle import (
     composite_port_gain_db, element_fields, element_pattern_3gpp, isotropic_end,
+    tx_gains_db_per_cell,
 )
 from synth_oracle import LinkContext, synthesize_link
 
@@ -332,29 +335,58 @@ def test_composite_port_gain_peaks_near_tilt():
 @pytest.mark.parametrize("k_per_port", [1, 10])
 @pytest.mark.parametrize("cross_polarized", [False, True])
 def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
-    # Element terms once per spacing, then each tilt's weights: the two halves
-    # give composite_port_gain_db's bits over (UE, cell) angle arrays.
+    # The campaign's TX gains, response phases and weighted sums per
+    # (UE, site) gathered to the cells, equal the per-cell form bit for bit,
+    # toward UEs all around the 19 sites, above and below the antennas.
+    cfg = default_config("UMa")
+    cfg.antenna.k_per_port = k_per_port
+    cfg.antenna.cross_polarized = cross_polarized
+    cfg.antenna.d_v_sweep = (0.5, 0.8)
+    cfg.antenna.downtilt_sweep_deg = (6.0, 9.0, 12.0)
+    site_xy = hex_layout(2, cfg.layout.isd_m)
+    ctx = SimpleNamespace(
+        cfg=cfg, sweep=[(d_v, t) for d_v in cfg.d_v_sweep() for t in cfg.downtilt_sweep()],
+        wavelength=SPEED_OF_LIGHT / cfg.run.carrier_hz,
+        cell_site=np.repeat(np.arange(19), 3),
+        cell_bearing_rad=np.radians(np.tile(CELL_BEARINGS_DEG, 19)),
+    )
     rng = np.random.default_rng(11)
-    azimuth = rng.uniform(-math.pi, math.pi, (32, 57))
-    zenith = rng.uniform(0.0, math.pi, (32, 57))
-    spec = element_pattern_3gpp()
-    wavelength = SPEED_OF_LIGHT / 2.0e9
-    for d_v in (0.5, 0.8):
-        geometries = []
-        for tilt in (6.0, 9.0, 12.0):
-            weights = None
-            if k_per_port == 10:
-                weights = downtilt_weights(10, d_v, math.radians(90.0 + tilt))
-            geometries.append(uniform_planar_array(
-                10, 1, d_v, 0.5, wavelength, k_per_port=k_per_port,
-                cross_polarized=cross_polarized, column_weights=weights,
-            ))
-        amp, phases = element_terms(spec, geometries[0], 0, wavelength, azimuth, zenith)
-        for geom in geometries:
-            split = fields_gain_db(*weight_fields(amp, phases, geom, 0))
-            whole = composite_port_gain_db(spec, geom, 0, wavelength, azimuth, zenith)
-            assert np.array_equal(split, whole)
-        if k_per_port == 10:
-            assert not np.array_equal(
-                fields_gain_db(*weight_fields(amp, phases, geometries[0], 0)), split
-            )
+    radius = 1.5 * cfg.layout.isd_m * np.sqrt(rng.random(200))
+    angle = rng.uniform(-math.pi, math.pi, 200)
+    delta = np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1)[:, None] - site_xy
+    dz = rng.uniform(1.5, 50.0, (200, 1)) - cfg.layout.bs_height_m
+    zen = np.arccos(dz / np.hypot(np.hypot(delta[..., 0], delta[..., 1]), dz))
+    az = np.arctan2(delta[..., 1], delta[..., 0])
+    # The campaign passes the azimuths from the bearings unwrapped; the
+    # per-cell form wrapped them first.
+    local_az = az[:, ctx.cell_site] - ctx.cell_bearing_rad
+    wrapped, cell_zen = wrap_azimuth(local_az), zen[:, ctx.cell_site]
+    assert zen.min() < math.pi / 2 < zen.max() and np.abs(local_az).max() > math.pi
+    setups = campaign._tx_setups(ctx)
+    assert [s.points for s in setups] == [[0, 1, 2], [3, 4, 5]]
+    for setup in setups:
+        got = campaign._tx_gains_db(ctx, setup, local_az, zen)
+        want = tx_gains_db_per_cell(setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.shape == (200, 57) and np.array_equal(g, w)
+        # K = M tilts move the gain; at K = 1 port 0 is one element.
+        assert np.array_equal(got[0], got[2]) == (k_per_port == 1)
+    cfg.antenna.pattern = "itu_port"  # the tilted port pattern, one setup per point
+    for setup in campaign._tx_setups(ctx):
+        got = campaign._tx_gains_db(ctx, setup, local_az, zen)
+        assert np.array_equal(
+            got, tx_gains_db_per_cell(setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+        )
+
+
+def test_port_off_the_column_axis_is_refused():
+    # Port 0 holds an element one column over (y) or in front of the
+    # column (x): its response phases would depend on the azimuth.
+    half = math.sqrt(0.5)
+    for offset in ([0.0, 0.075, 0.0], [0.01, 0.0, 0.0]):
+        geom = ArrayGeometry([[0.0, 0.0, 0.0], offset], np.zeros(2), [[half, half]])
+        with pytest.raises(ValueError, match="off the column axis"):
+            column_heights(geom, 0)
+    on_axis = uniform_planar_array(4, 2, 0.8, 0.5, 0.15)
+    assert_allclose(column_heights(on_axis, 0)[:, 0], 0.8 * 0.15 * np.arange(4))

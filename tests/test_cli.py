@@ -232,16 +232,16 @@ def test_campaign_phase1_workers_logged_in_process(tmp_path):
 
 
 def test_campaign_threads_only_above_one_worker(tmp_path, monkeypatch):
-    import concurrent.futures
+    import threading
 
     def no_threads(*args, **kwargs):
-        raise RuntimeError("thread pool started")
+        raise RuntimeError("thread started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(threading, "Thread", no_threads)
     cfg = _tiny_cfg(tmp_path, layout__n_rings=1)
     single, _ = _run_logged(cfg)
     cfg.run.workers = 2
-    with pytest.raises(RuntimeError, match="thread pool started"):
+    with pytest.raises(RuntimeError, match="thread started"):
         run_campaign(cfg)
     monkeypatch.undo()
     assert _run_logged(cfg)[0] == single

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chan3d.antenna
 import chan3d.campaign as campaign
+from chan3d import calib
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 
@@ -553,18 +555,76 @@ def test_phase2_link_half_once_per_ue(tmp_path, monkeypatch):
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 
+def test_phase2_spreads_once_per_distinct_serving_cell(tmp_path, monkeypatch):
+    # Four sweep points; a UE's report rows share the spreads of the cells
+    # that serve it, each computed once: one delay spread and four angular
+    # spreads per distinct (UE, serving cell).
+    delay_calls, angle_calls = [], []
+
+    def counting_delay(*args):
+        delay_calls.append(args)
+        return delay_spread_s(*args)
+
+    def counting_angle(*args):
+        angle_calls.append(args)
+        return angular_spread_deg(*args)
+
+    delay_spread_s, angular_spread_deg = calib.delay_spread_s, calib.angular_spread_deg
+    monkeypatch.setattr(calib, "delay_spread_s", counting_delay)
+    monkeypatch.setattr(calib, "angular_spread_deg", counting_angle)
+    paths = run_campaign(golden_config("p2_dv_tilt_sweep", tmp_path))
+    served = set()
+    for path in paths:
+        if os.path.basename(path).startswith("report_"):
+            rows = np.loadtxt(path, skiprows=1, usecols=(0, 2), dtype=int)
+            served.update(map(tuple, rows.tolist()))
+    assert 84 > len(served) > 21  # fewer than one per row, more than one per UE
+    assert len(delay_calls) == len(served) and len(angle_calls) == 4 * len(served)
+    assert output_hashes(paths) == GOLDEN["p2_dv_tilt_sweep"]
+
+
 def test_phase1_element_terms_once_per_block_and_spacing(tmp_path, monkeypatch):
-    # 63 UEs are two blocks of at most 32; each block computes the element
-    # terms once per d_v, and both tilts of that d_v apply their weights.
-    # The spacing in wavelengths is element 1's height: it sits one row up.
+    # Each block of the 63 UEs computes port 0's response phases and both
+    # tilts' weighted sums once per d_v, over (UE, site); at any block size
+    # the bytes are the golden ones. The spacing in wavelengths is element
+    # 1's height: it sits one row up.
     calls = []
 
-    def counting_terms(spec, geometry, port, wavelength, *args):
-        calls.append(geometry.element_positions[1, 2] / wavelength)
-        return terms(spec, geometry, port, wavelength, *args)
+    def counting_sums(heights, wavelength, zenith, geometries, *args):
+        sums = column_sums(heights, wavelength, zenith, geometries, *args)
+        shapes = {part.shape for pair in sums for part in pair}
+        calls.append((heights[1, 0] / wavelength, zenith.shape, len(sums), shapes))
+        return sums
 
-    terms = campaign.element_terms
-    monkeypatch.setattr(campaign, "element_terms", counting_terms)
-    paths = run_campaign(golden_config("p1_dv_tilt_sweep", tmp_path))
-    assert calls == pytest.approx([0.5, 0.8] * 2, rel=1e-12)
-    assert output_hashes(paths) == GOLDEN["p1_dv_tilt_sweep"]
+    column_sums = campaign.column_sums
+    monkeypatch.setattr(campaign, "column_sums", counting_sums)
+    for block in (campaign.UE_BLOCK, 20):
+        monkeypatch.setattr(campaign, "UE_BLOCK", block)
+        calls.clear()
+        paths = run_campaign(golden_config("p1_dv_tilt_sweep", tmp_path / str(block)))
+        rows = [min(block, 63 - start) for start in range(0, 63, block)]
+        assert [d_v for d_v, *_ in calls] == pytest.approx([0.5, 0.8] * len(rows), rel=1e-12)
+        assert [c[1:] for c in calls] == [((n, 7), 2, {(n, 7)}) for n in rows for _ in range(2)]
+        assert output_hashes(paths) == GOLDEN["p1_dv_tilt_sweep"]
+
+
+def test_phase1_response_phases_once_per_ue_and_site(tmp_path, monkeypatch):
+    # The acceptance phase-1 settings at 6 UEs per cell (342 UEs, 19 sites,
+    # 10 elements per port, tilts 6/9/12): one response phase per (UE, site,
+    # element) in the campaign, 64,980, where a phase per (UE, cell, element)
+    # made 194,940.
+    elements = []
+
+    def counting(positions, k_vectors):
+        phases = response_phases(positions, k_vectors)
+        elements.append(phases.size)
+        return phases
+
+    response_phases = chan3d.antenna.response_phases
+    monkeypatch.setattr(chan3d.antenna, "response_phases", counting)
+    cfg = default_config("UMa", master_seed=7)
+    cfg.run.n_ue_per_cell = 6
+    cfg.run.output_dir = str(tmp_path)
+    cfg.antenna.downtilt_sweep_deg = (6.0, 9.0, 12.0)
+    run_campaign(cfg)
+    assert sum(elements) == 342 * 19 * 10 == 64_980

@@ -6,8 +6,10 @@ and LSP marginals written out in scalar form. The kernel must reproduce it
 bit for bit: over the whole drop or a sub-range of it, at any chunk size and
 worker count, and with only SF requested.
 """
+import logging
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -193,25 +195,57 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
 
 @pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])
 @pytest.mark.parametrize("all_lsps", [True, False], ids=["all-lsps", "sf-only"])
-def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch):
+def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch, caplog):
+    # The calling thread is one of the workers: at workers 1, 2 and 3 the
+    # kernel starts workers - 1 threads over its fields (none without
+    # fields), logs the true thread count, and returns the same bytes.
     _small_chunks(monkeypatch)
     sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
-    fields = []
+    fields, started = [], []
 
     def recording_waves(decorrelation_m, key, n_terms):
         fields.append(key[2:])  # (site, LSP) of the key (seed, STREAM_FIELD, site, LSP)
         return waves(decorrelation_m, key, n_terms)
 
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
     waves = chan3d.lsp.field_waves
     monkeypatch.setattr(chan3d.lsp, "field_waves", recording_waves)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    caplog.set_level(logging.INFO, logger="chan3d")
     one = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
     n_lsps = len(LSP_NAMES) if all_lsps else 1  # UMa's SF row of the Cholesky factor is (1, 0, ...)
     assert fields == ([(s, i) for s in range(site_xy.shape[0]) for i in range(n_lsps)] if spatial else [])
+    n_fields = len(fields)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the field chunks too
     try:
-        for workers in (2, 3):
+        for workers in (1, 2, 3):
+            started.clear(), caplog.clear()
             got = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
             _assert_rows_equal(got, one, slice(None))
+            threads = workers if spatial else 1
+            assert len(started) == threads - 1
+            assert not any(thread.is_alive() for thread in started)
+            assert f"slow fading: {n_fields} spatial fields over {threads} thread" in caplog.text
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_kernel_raises_a_field_thread_error(monkeypatch):
+    # A field that fails on a started thread fails the kernel call: its rows
+    # would otherwise be left unwritten.
+    sampler, pathloss, site_xy, wrap, drop = _setup(True, True, None)
+
+    def failing_waves(decorrelation_m, key, n_terms):
+        kx, ky, phase = waves(decorrelation_m, key, n_terms)
+        return kx, ky, phase[:2] if key[2] == 3 else phase
+
+    waves = chan3d.lsp.field_waves
+    monkeypatch.setattr(chan3d.lsp, "field_waves", failing_waves)
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match="broadcast"):
+            _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True, workers)

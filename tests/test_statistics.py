@@ -3,9 +3,11 @@
 Slow fading: one UMa seed-1 drop (one ring of sites, 30 UEs per cell)
 without spatial correlation, so every (UE, site) link draws its LOS state
 and shadow fading independently; the tolerances are four standard errors.
-Phase 2: the reported azimuth spreads of a small campaign against the LSPs
-drawn for the serving links. Every tolerance was fixed before the first run:
-a failure is a finding about the model, not about the test.
+Spatial fields: the correlation of a slow-fading field at its decorrelation
+distance, over many fields and point pairs; the tolerance is four standard
+errors. Phase 2: the reported azimuth spreads of a small campaign against
+the LSPs drawn for the serving links. Every tolerance was fixed before the
+first run: a failure is a finding about the model, not about the test.
 """
 import math
 import os
@@ -17,7 +19,7 @@ from chan3d import lsp
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
-from chan3d.lsp import LspSampler
+from chan3d.lsp import LspSampler, LspSection
 from chan3d.rng import STREAM_DROP, substream
 
 
@@ -59,6 +61,35 @@ def test_shadow_fading_mean_and_spread_per_los_state(drop_slow_fading, los):
     assert n > 1
     assert abs(sf.mean() - section.sf_mu_db) <= 4.0 * sigma / math.sqrt(n)
     assert abs(sf.std(ddof=1) - sigma) <= 4.0 * sigma / math.sqrt(2.0 * n)
+
+
+def test_spatial_field_correlation_at_decorrelation_distance_is_exp_minus_one():
+    # Each of 200 sites keys its own SF field; with unit SF marginals and no
+    # LSP cross-correlation the kernel's SF is the field itself. 1000 point
+    # pairs per field, spread over a 20 km square, sit one decorrelation
+    # distance apart in random directions. Over the fields the correlation
+    # of exp(-d / decorrelation) is exp(-1); each field's sample correlation
+    # scatters about it, and their mean must lie within four standard errors.
+    cfg = default_config("UMa", master_seed=5)
+    n_fields, n_pairs = 200, 1000
+    section = LspSection(sf_mu_db=0.0, sf_sigma_db=1.0)
+    sampler = LspSampler((section, {}), (section, {}), cfg.decorrelation, 5, spatial=True)
+    distance = cfg.decorrelation.sf
+    rng = np.random.default_rng(2026)
+    first = rng.uniform(-10e3, 10e3, (n_pairs, 2))
+    angle = rng.uniform(-math.pi, math.pi, n_pairs)
+    second = first + distance * np.column_stack([np.cos(angle), np.sin(angle)])
+    xyz = np.column_stack([np.vstack([first, second]), np.full(2 * n_pairs, 1.5)])
+    site_xy = np.column_stack([np.arange(n_fields) * 10.0, np.full(n_fields, 50e3)])
+    slow = sampler.slow_fading(
+        range(2 * n_pairs), xyz, np.zeros(2 * n_pairs, dtype=bool), site_xy,
+        cfg.layout.bs_height_m, cfg.pathloss, cfg.run.carrier_hz,
+    )
+    a, b = slow.sf[:n_pairs].T, slow.sf[n_pairs:].T  # (field, pair)
+    r = np.array([np.corrcoef(x, y)[0, 1] for x, y in zip(a, b)])
+    error = r.std(ddof=1) / math.sqrt(n_fields)
+    assert error < 0.01
+    assert abs(r.mean() - math.exp(-1.0)) <= 4.0 * error
 
 
 # The circular-spread ceiling named by ssp._rescale_to_spread: below it the
