@@ -89,16 +89,13 @@ class ArrayGeometry:
         feeds = self.weights != 0
         if np.any(feeds.sum(axis=0) != 1):
             raise ValueError("each element must feed exactly one port")
-        if any(np.unique(self.slant_rad[row]).size > 1 for row in feeds):
+        # np.ptp, not np.unique: np.unique imports numpy.ma (1 MB) on its first call.
+        if any(np.ptp(self.slant_rad[row]) > 0 for row in feeds):
             raise ValueError("the elements of a port must share one slant")
 
     @property
     def n_elements(self) -> int:
         return self.element_positions.shape[0]
-
-    @property
-    def n_ports(self) -> int:
-        return self.weights.shape[0]
 
 
 def uniform_planar_array(

@@ -21,13 +21,15 @@ def rsrp_db(p_tx_dbm, g_tx_db, g_rx_db, pathloss_db, sf_db):
     )
 
 
-def rsrp_fast_fading_db(p_tx_dbm: float, taps) -> float:
-    """RSRP including fast fading: transmit power plus the time-averaged total
-    energy of the (time, tap, TX, RX) taps, normalized per TX-RX pair. Slow
-    fading is already embedded in the taps."""
-    n_pairs = taps.shape[2] * taps.shape[3]
-    energy = float(np.mean(np.sum(np.abs(taps) ** 2, axis=(1, 2, 3)))) / n_pairs
-    return p_tx_dbm + 10.0 * math.log10(energy)
+def rsrp_fast_fading_db(p_tx_dbm: float, taps) -> np.ndarray:
+    """RSRP including fast fading per leading (cell) index of (..., time, tap,
+    TX, RX) taps: transmit power plus their time-averaged total energy per
+    TX-RX pair (slow fading is in the taps). Each time's energy is one
+    contiguous sum, and the logarithm math.log10 (numpy's rounds differently)."""
+    power = (np.abs(taps) ** 2).reshape(taps.shape[:-3] + (-1,))
+    energy = power.sum(axis=-1).mean(axis=-1) / (taps.shape[-2] * taps.shape[-1])
+    db = [p_tx_dbm + 10.0 * math.log10(e) for e in np.ravel(energy).tolist()]
+    return np.reshape(db, np.shape(energy))
 
 
 def attach(rsrp_values):

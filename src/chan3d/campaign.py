@@ -38,9 +38,9 @@ class _TxSetup:
     """Sweep points whose TX gains come from one pattern and element array.
 
     points lists their sweep indices and arrays the array of each, with the
-    point's port weights; an array is None for an itu_port pattern, whose
-    single element is the port. heights are port 0's column_heights, and
-    ends the per-cell TX link ends that phase 2 synthesizes element taps for.
+    point's port weights (for itu_port, one element at the origin). heights
+    are port 0's column_heights, None for itu_port, whose phase-1 gain is its
+    pattern's; ends the per-cell TX link ends that phase 2 synthesizes for.
     """
 
     pattern: object
@@ -80,17 +80,13 @@ def _tx_setups(ctx: _CampaignContext) -> list:
     for k, (d_v, tilt) in enumerate(ctx.sweep):
         s = setups.setdefault(k if itu else d_v, _TxSetup(build_tx_pattern(antenna, tilt), [], []))
         s.points.append(k)
-        s.arrays.append(None if itu else build_array(antenna, d_v, ctx.wavelength, tilt))
+        s.arrays.append(build_array(antenna, d_v, ctx.wavelength, tilt))
     for s in setups.values():
         s.heights = None if itu else column_heights(s.arrays[0], 0)
-    if ctx.cfg.run.phase == 2:
-        bearings = [float(b) for b in ctx.cell_bearing_rad]
-        for s in setups.values():
-            if itu:
-                s.ends = [LinkEnd(np.zeros((1, 3)), np.zeros(1), s.pattern, b) for b in bearings]
-            else:
-                xyz, slants = s.arrays[0].element_positions, s.arrays[0].slant_rad
-                s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b) for b in bearings]
+        if ctx.cfg.run.phase == 2:
+            xyz, slants = s.arrays[0].element_positions, s.arrays[0].slant_rad
+            s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b)
+                      for b in ctx.cell_bearing_rad.tolist()]
     return list(setups.values())
 
 
@@ -172,7 +168,7 @@ def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
             ) from None
     dep_az, zen = wrap_azimuth(np.array(az)), np.array(zen)
     los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
-    rngs = [substream(cfg.run.master_seed, STREAM_SSP, ue_index, s, c - 3 * s)
+    rngs = [substream(cfg.run.master_seed, STREAM_SSP, ue_index, s, c % len(CELL_BEARINGS_DEG))
             for c, s in enumerate(sites.tolist())]
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
     return ue_links(
@@ -187,27 +183,26 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     """One UE's report rows (tuples in REPORT_COLUMNS order) at every sweep
     point, in sweep order.
 
-    The UE's record holds the ray terms that no TX end enters, and each TX
-    setup's end_fields is one array pass over its clusters. Each link sums
-    its views of both, so no (link, ray, element) array is held; each sweep
-    point applies its setup's port weights. The report's spreads are those
-    of the serving link, computed once per distinct serving cell.
+    The UE's record holds the ray terms that no TX end enters; each TX setup
+    evaluates its fields toward all links' rays and LOS departures, and each
+    link sums its views of both. The setup stacks the links' element taps by
+    cell; each of its sweep points maps them to ports and takes every cell's
+    RSRP in one call each. The report's spreads are the serving link's.
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
-    ue_gain = ctx.cfg.antenna.ue_gain_dbi
     sites = ctx.cell_site.tolist()
     rsrp = np.empty((len(ctx.sweep), len(sites)))
-    port_taps = [[None] * len(sites) for _ in ctx.sweep]
+    taps = [None] * len(ctx.sweep)
     ue = _ue_record(ctx, ue_index)
-    batch = ue.clusters
+    batch, model = ue.clusters, ue.polarization_model
     for setup in ctx.tx_setups:
-        g_t = end_fields(setup.ends, batch.aod, batch.zod, ue.polarization_model)
-        for cell, end in enumerate(setup.ends):
-            elements = synthesize(ue.link(cell, end), ctx.times, g_t[cell])
-            for k, array in zip(setup.points, setup.arrays):
-                taps = elements if array is None else to_ports(elements, array.weights)
-                rsrp[k, cell] = calib.rsrp_fast_fading_db(p_tx, taps) + ue_gain
-                port_taps[k][cell] = taps
+        g_t = end_fields(setup.ends, batch.aod, batch.zod, model)
+        g_los = end_fields(setup.ends, ue.los[:, 0], ue.los[:, 1], model)
+        elements = np.stack([synthesize(ue.link(c, end), ctx.times, g_t[c], g_los[c])
+                             for c, end in enumerate(setup.ends)])
+        for k, array in zip(setup.points, setup.arrays):
+            taps[k] = to_ports(elements, array.weights)
+            rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + ctx.cfg.antenna.ue_gain_dbi
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)
     spreads = {}
@@ -218,7 +213,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
                          calib.delay_spread_s(cs.delays_s, cs.cluster_powers))
     return [
         (ue_index, sites[cell], cell, cl_db, gf_db, *spreads[cell],
-         *calib.top_eigenvalues(port_taps[k][cell]))
+         *calib.top_eigenvalues(taps[k][cell]))
         for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist()))
     ]
 

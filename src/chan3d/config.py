@@ -255,7 +255,11 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
             target.clear()
             for key, raw in parser.items(name):
                 where = f"{name}.{key}"
-                target[_canonical_pair(key, where)] = _parse_value("float", raw, where)
+                pair = _canonical_pair(key, where)
+                if pair in target:  # given in the other order (configparser refuses repeats)
+                    other = "_".join(reversed(key.split("_")))
+                    raise ConfigError(f"{where}: the same pair as {name}.{other}; give it once")
+                target[pair] = _parse_value("float", raw, where)
             continue
         kinds = {f.name: f.type for f in fields(target)}
         for key, raw in parser.items(name):
@@ -384,7 +388,9 @@ def validate(cfg: RunConfig):
 def build_array(
     section: AntennaSection, d_v: float, wavelength: float, tilt: float
 ) -> ArrayGeometry:
-    """The array at spacing d_v; K = M column ports are steered to the tilt."""
+    """The array at spacing d_v, K = M column ports steered to the tilt; itu_port: one element."""
+    if section.pattern == "itu_port":
+        return uniform_planar_array(1, 1, d_v, section.d_h, wavelength)
     weights = None
     if section.k_per_port == section.m_rows:
         weights = downtilt_weights(section.m_rows, d_v, math.radians(90.0 + tilt))

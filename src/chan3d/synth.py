@@ -182,15 +182,16 @@ def _ray_terms(link: Link, rays: RayTerms, g_t: np.ndarray, amplitude=None) -> n
     return gathered * a_t[..., :, None] * rays.a_r[i][..., None, :]
 
 
-def synthesize(link: Link, times, g_t: np.ndarray) -> np.ndarray:
+def synthesize(link: Link, times, g_t: np.ndarray, g_los: np.ndarray) -> np.ndarray:
     """Evaluate every cluster tap of a link at the requested times, per TX element.
 
     Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
     link.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when the
     link's K > 0: the diffuse rays of every cluster are scaled by 1/(K+1) in
     power and the LOS ray by K/(K+1). link is a UeLinks view, whose ray
-    terms every TX setup shares, and g_t its TX fields from end_fields.
-    to_ports maps the element taps to the TX ports.
+    terms every TX setup shares; g_t and g_los are its TX fields toward its
+    rays and its LOS departure, from end_fields over all links of a TX setup.
+    to_ports maps the element taps of every link to the TX ports at once.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
@@ -207,7 +208,6 @@ def synthesize(link: Link, times, g_t: np.ndarray) -> np.ndarray:
         doppler = np.exp(1j * ue.rays.omega[i] * t)
         taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, doppler)
     if rice_k > 0:
-        g_los = end_fields([link.tx], *ue.los[i, :2], ue.polarization_model)[0]
         los_term = _ray_terms(link, ue.los_rays, g_los)
         los_scale = scale * math.sqrt(rice_k / (rice_k + 1.0))
         for ti, t in enumerate(times):
@@ -218,8 +218,8 @@ def synthesize(link: Link, times, g_t: np.ndarray) -> np.ndarray:
 
 
 def to_ports(taps: np.ndarray, port_weights: np.ndarray) -> np.ndarray:
-    """Element taps seen through the TX (n_ports, n_elements) port weight
-    matrix. Element taps are linear in the weights, so one synthesis serves
-    every weight matrix of the same array."""
-    return np.einsum("pk,tnku->tnpu", port_weights, taps)
+    """(..., time, tap, TX element, RX) taps seen through the TX (n_ports,
+    n_elements) port weight matrix. Element taps are linear in the weights,
+    so one synthesis serves every weight matrix of the same array."""
+    return np.einsum("pk,...ku->...pu", port_weights, taps)
 

@@ -57,9 +57,10 @@ def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
 
 def tx_gains_db_per_cell(pattern, arrays, wavelength: float, local_az, zen) -> list:
     """Phase-1 TX gain of port 0 over (UE, cell) angle arrays, one array per
-    sweep point (None: an itu_port pattern, whose single element is the
-    port): the element terms per cell, then each point's port weights."""
-    if arrays[0] is None:
+    sweep point (arrays None: an itu_port pattern, whose gain is the
+    pattern's own): the element terms per cell, then each point's port
+    weights."""
+    if arrays is None:
         return [np.asarray(element_gain_db(pattern, local_az, zen))]
     amp, phases = element_terms(pattern, arrays[0], 0, wavelength, local_az, zen)
     return [fields_gain_db(*weight_fields(amp, phases, array, 0)) for array in arrays]

@@ -125,5 +125,7 @@ def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
     """synth.synthesize for one link: its record from ue_links and its TX
     fields from end_fields, each over the link as a batch of one."""
     batch = ctx.clusters.link(None)
+    ue = ue_record([ctx], batch)
     g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
-    return synthesize(ue_record([ctx], batch).link(0, ctx.tx), times, g_t)
+    g_los = end_fields([ctx.tx], ue.los[:, 0], ue.los[:, 1], ctx.polarization_model)[0]
+    return synthesize(ue.link(0, ctx.tx), times, g_t, g_los)

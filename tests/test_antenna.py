@@ -245,7 +245,7 @@ def test_weight_matrix_places_port_weights():
     # (c, r, p) sits at (0, c d_h, r d_v) wavelengths with slant -45/+45 deg.
     w = downtilt_weights(3, 0.7, math.radians(100.0))
     geom = uniform_planar_array(3, 2, 0.7, 0.6, 0.15, cross_polarized=True, column_weights=w)
-    assert geom.weights.shape == (geom.n_ports, geom.n_elements) == (4, 12)
+    assert geom.weights.shape == (4, geom.n_elements) == (4, 12)
     for c in range(2):
         for p in range(2):
             column = [(c * 3 + r) * 2 + p for r in range(3)]
@@ -289,12 +289,12 @@ def test_downtilt_weights_validation():
 def test_uniform_planar_array_counts():
     geom = uniform_planar_array(4, 3, 0.5, 0.6, 0.15)
     assert geom.n_elements == 12
-    assert geom.n_ports == 3
+    assert geom.weights.shape[0] == 3
     geom_k1 = uniform_planar_array(4, 3, 0.5, 0.6, 0.15, k_per_port=1)
-    assert geom_k1.n_ports == 12
+    assert geom_k1.weights.shape[0] == 12
     cross = uniform_planar_array(4, 2, 0.5, 0.5, 0.15, cross_polarized=True)
     assert cross.n_elements == 16
-    assert cross.n_ports == 4
+    assert cross.weights.shape[0] == 4
     assert set(np.round(np.degrees(np.unique(cross.slant_rad)), 6)) == {-45.0, 45.0}
 
 
@@ -374,9 +374,12 @@ def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
         assert np.array_equal(got[0], got[2]) == (k_per_port == 1)
     cfg.antenna.pattern = "itu_port"  # the tilted port pattern, one setup per point
     for setup in campaign._tx_setups(ctx):
+        # Its array is one element at the origin; phase 1 reads the pattern's own gain.
+        [array] = setup.arrays
+        assert not array.element_positions.any() and array.weights.tolist() == [[1.0]]
         got = campaign._tx_gains_db(ctx, setup, local_az, zen)
         assert np.array_equal(
-            got, tx_gains_db_per_cell(setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+            got, tx_gains_db_per_cell(setup.pattern, None, ctx.wavelength, wrapped, cell_zen)
         )
 
 

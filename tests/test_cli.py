@@ -60,6 +60,17 @@ def test_bad_correlation_pair_rejected(tmp_path):
         parse_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("section", ["lsp_correlation_los", "lsp_correlation_nlos"])
+def test_correlation_pair_in_both_orders_rejected(tmp_path, section):
+    # sf_ds and ds_sf name one pair; neither value may silently win.
+    text = f"[run]\nmaster_seed = 1\n\n[{section}]\nsf_ds = -0.4\nds_sf = 0.3\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{section}.ds_sf: .*{section}.sf_ds"):
+        parse_config(path)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_psd_correlation_rejected(tmp_path):
     text = (
         "[run]\nmaster_seed = 1\n\n[lsp_correlation_nlos]\n"

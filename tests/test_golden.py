@@ -14,7 +14,7 @@ import pytest
 
 import chan3d.antenna
 import chan3d.campaign as campaign
-from chan3d import calib
+from chan3d import calib, synth
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 
@@ -77,7 +77,7 @@ def _p2_dv_tilt_sweep(cfg):
 
 def _p2_itu_port(cfg):
     # The port pattern itself moves with the tilt, so each tilt is a TX setup
-    # of its own; the setups share each link's half.
+    # of its own; the setups share each UE's record of its links.
     cfg.run.phase = 2
     cfg.run.n_ue_per_cell = 1
     cfg.antenna.pattern = "itu_port"
@@ -529,29 +529,56 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
 
 
-def test_phase2_link_half_once_per_ue(tmp_path, monkeypatch):
+def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkeypatch):
     # The two tilts of the itu_port pattern are two TX setups. Each of the 21
     # UEs builds one record of its 21 (UE, cell) links, 441 links in all, and
     # every synthesis of both setups reads its link's view of that record.
-    records, used = [], []
+    # The record evaluates its RX fields twice (rays, LOS ray) and each setup
+    # its TX fields twice over all 21 links, never inside synthesize. Each
+    # sweep point maps the setup's stacked element taps to ports and takes
+    # every cell's RSRP in one call each: 21 UEs x 2 points = 42 calls.
+    records, used, synthesizing, fields, ported, rsrp = [], [], [], [], [], []
 
     def counting_links(*args):
         records.append(ue_links(*args))
         return records[-1]
 
-    def counting_synthesize(link, times, g_t):
+    def counting_synthesize(link, times, g_t, g_los):
         used.append((len(records) - 1, link))
-        return synthesize(link, times, g_t)
+        synthesizing.append(link)
+        taps = synthesize(link, times, g_t, g_los)
+        synthesizing.pop()
+        return taps
 
-    ue_links, synthesize = campaign.ue_links, campaign.synthesize
+    def counting_fields(where, ends, azimuth, *args):
+        fields.append((where, len(ends), np.shape(azimuth)[:1], len(synthesizing)))
+        return end_fields(ends, azimuth, *args)
+
+    def counting_ports(taps, weights):
+        ported.append(taps.shape[0])
+        return to_ports(taps, weights)
+
+    def counting_rsrp(p_tx, taps):
+        rsrp.append(rsrp_fast_fading_db(p_tx, taps))
+        return rsrp[-1]
+
+    ue_links, synthesize, end_fields = campaign.ue_links, campaign.synthesize, synth.end_fields
+    to_ports, rsrp_fast_fading_db = campaign.to_ports, calib.rsrp_fast_fading_db
     monkeypatch.setattr(campaign, "ue_links", counting_links)
     monkeypatch.setattr(campaign, "synthesize", counting_synthesize)
+    monkeypatch.setattr(synth, "end_fields", lambda *a: counting_fields("record", *a))
+    monkeypatch.setattr(campaign, "end_fields", lambda *a: counting_fields("setup", *a))
+    monkeypatch.setattr(campaign, "to_ports", counting_ports)
+    monkeypatch.setattr(calib, "rsrp_fast_fading_db", counting_rsrp)
     paths = run_campaign(golden_config("p2_itu_port", tmp_path))
     assert [len(record.rice_k) for record in records] == [21] * 21
     assert len(used) == 882
     assert [ue for ue, _ in used] == [ue for ue in range(21) for _ in range(42)]
     assert all(link.ue is records[ue] for ue, link in used)
     assert [link.i for _, link in used] == list(range(21)) * 42
+    per_ue = [("record", 1, (21,), 0)] * 2 + [("setup", 21, (21,), 0)] * 4
+    assert fields == per_ue * 21
+    assert ported == [21] * 42 and [r.shape for r in rsrp] == [(21,)] * 42
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 

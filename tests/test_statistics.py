@@ -5,8 +5,10 @@ without spatial correlation, so every (UE, site) link draws its LOS state
 and shadow fading independently; the tolerances are four standard errors.
 Spatial fields: the correlation of a slow-fading field at its decorrelation
 distance, over many fields and point pairs; the tolerance is four standard
-errors. Phase 2: the reported azimuth spreads of a small campaign against
-the LSPs drawn for the serving links. Every tolerance was fixed before the
+errors. Phase 2: the five drawn spreads of a drop without spatial
+correlation, standardized by their configured log10 marginals, have mean 0
+within four standard errors; and the reported azimuth spreads of a small
+campaign against the LSPs drawn for the serving links. Every tolerance was fixed before the
 first run: a failure is a finding about the model, not about the test.
 """
 import math
@@ -61,6 +63,54 @@ def test_shadow_fading_mean_and_spread_per_los_state(drop_slow_fading, los):
     assert n > 1
     assert abs(sf.mean() - section.sf_mu_db) <= 4.0 * sigma / math.sqrt(n)
     assert abs(sf.std(ddof=1) - sigma) <= 4.0 * sigma / math.sqrt(2.0 * n)
+
+
+@pytest.fixture(scope="module", params=["UMa", "UMi"])
+def phase2_lsps(request):
+    # One ring, 30 UEs per cell: 630 UEs, 4410 independent (UE, site) draws,
+    # about 90 of them LOS in UMa and 400 in UMi.
+    cfg = default_config(request.param, master_seed=3)
+    cfg.layout.n_rings = 1
+    cfg.run.n_ue_per_cell = 30
+    cfg.spatial.enabled = False
+    site_xy = hex_layout(cfg.layout.n_rings, cfg.layout.isd_m)
+    drop = drop_ues(
+        cfg.run.n_ue_per_cell, site_xy, substream(cfg.run.master_seed, STREAM_DROP),
+        cfg.layout.isd_m, cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
+    )
+    sampler = LspSampler(
+        (cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos), cfg.decorrelation,
+        cfg.run.master_seed, spatial=cfg.spatial.enabled,
+    )
+    slow = sampler.slow_fading(
+        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m,
+        cfg.pathloss, cfg.run.carrier_hz, all_lsps=True,
+    )
+    return cfg, drop.xyz[:, 2], slow
+
+
+@pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+def test_phase2_spread_draws_standardize_to_mean_zero(phase2_lsps, los):
+    # (log10 x - mu) / sigma of each drawn DS, ASD, ASA, ESD and ESA is a
+    # standard normal under the configured marginals: DS, ASD and ASA take
+    # the section's constants, ESD and ESA their distance tables at the
+    # link's 2D distance, the mean moved by the height slope. Its mean over
+    # the n links of one LOS state lies within four standard errors, 4/sqrt(n).
+    cfg, h_ue, slow = phase2_lsps
+    section = cfg.lsp_los if los else cfg.lsp_nlos
+    rows = slow.los == los
+    d2d, h = slow.d2d[rows], np.broadcast_to(h_ue[:, None], slow.los.shape)[rows]
+    n = d2d.size
+    assert n >= 50
+    for name in ("ds", "asd", "asa", "esd", "esa"):
+        if name in ("esd", "esa"):
+            d, mu, sigma = zip(*getattr(section, f"{name}_table"))
+            slope = getattr(section, f"{name}_height_slope_per_m")
+            mu, sigma = np.interp(d2d, d, mu) + slope * (h - 1.5), np.interp(d2d, d, sigma)
+        else:
+            mu, sigma = getattr(section, f"{name}_log10_mu"), getattr(section, f"{name}_log10_sigma")
+        z = (np.log10(slow.lsps[..., lsp.LSP_NAMES.index(name)][rows]) - mu) / sigma
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n), (name, n, z.mean())
 
 
 def test_spatial_field_correlation_at_decorrelation_distance_is_exp_minus_one():

@@ -254,8 +254,9 @@ def test_total_mean_tap_power_is_one():
     end, nlos = isotropic_end(), [0.0] * n_draws
     ue = ue_links(end, batch, np.full((n_draws, 4), math.nan), nlos, nlos, 2e9, np.zeros(3))
     g_t = end_fields([end], batch.aod, batch.zod, "slant")
+    g_los = end_fields([end], ue.los[:, 0], ue.los[:, 1], "slant")
     total = sum(
-        float(np.sum(np.abs(synthesize(ue.link(i, end), [0.0], g_t[i])) ** 2))
+        float(np.sum(np.abs(synthesize(ue.link(i, end), [0.0], g_t[i], g_los[i])) ** 2))
         for i in range(n_draws)
     )
     assert abs(total / n_draws - 1.0) < 0.02
@@ -504,12 +505,14 @@ def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
 @pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
 def test_ue_batch_taps_equal_per_cluster_loop(model, split):
     # The campaign's path: each link sums its views of the UE's record and of
-    # the setup's TX fields, and its taps equal the per-cluster,
-    # per-element loop bit for bit.
+    # the setup's TX fields toward its rays and its LOS departure, and its
+    # taps equal the per-cluster, per-element loop bit for bit.
     links, batch = _ue_links(model, split)
     ue = ue_record(links, batch)
-    g_t = end_fields([link.tx for link in links], batch.aod, batch.zod, model)
+    ends = [link.tx for link in links]
+    g_t = end_fields(ends, batch.aod, batch.zod, model)
+    g_los = end_fields(ends, ue.los[:, 0], ue.los[:, 1], model)
     times = [0.0, 2e-3]
     for i, link in enumerate(links):
-        taps = synthesize(ue.link(i, link.tx), times, g_t[i])
+        taps = synthesize(ue.link(i, link.tx), times, g_t[i], g_los[i])
         assert np.array_equal(taps, _per_cluster_taps(link, times)), i
