@@ -73,11 +73,10 @@ def fold_to_nearest_image(delta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     go to the first image in (di, dj) order.
     """
     delta = np.asarray(delta, dtype=float).reshape(-1, 2)
-    frac = delta @ np.linalg.inv(basis)
-    base = np.round(frac)
-    steps = [(di, dj) for di in (-1.0, 0.0, 1.0) for dj in (-1.0, 0.0, 1.0)]
-    images = np.stack([delta - (base + np.array(step)) @ basis for step in steps])
-    norms = np.stack([np.einsum("ik,ik->i", image, image) for image in images])
+    base = np.round(delta @ np.linalg.inv(basis))
+    steps = np.array([(di, dj) for di in (-1.0, 0.0, 1.0) for dj in (-1.0, 0.0, 1.0)])
+    images = delta - (base + steps[:, None]) @ basis
+    norms = np.einsum("sik,sik->si", images, images)
     return images[np.argmin(norms, axis=0), np.arange(delta.shape[0])]
 
 

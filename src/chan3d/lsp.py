@@ -17,10 +17,11 @@ log = logging.getLogger("chan3d")
 # Canonical ordering of the seven large-scale parameters.
 LSP_NAMES = ("sf", "k", "ds", "asd", "asa", "esd", "esa")
 
-# (UE, site) links per chunk of slow_fading's per-link stages, and UEs per
-# chunk of a spatial field: they bound the kernel's temporaries.
+# (UE, site) links per chunk of slow_fading's per-link stages (larger chunks
+# ran little faster and cost peak RSS), and cosines per chunk of a spatial
+# field: about 1 ms of cosines between the GIL handoffs that end each chunk.
 LINK_CHUNK = 2048
-FIELD_CHUNK = 64
+FIELD_CHUNK = 32768
 
 
 # A distance table: rows (d_2d, mu, sigma), written "d:mu:sigma, ...".
@@ -94,7 +95,7 @@ def _per_element(f, x) -> np.ndarray:
     x: numpy's array forms round differently in a few percent of elements,
     and the per-element form keeps the bytes of the scalar per-link form."""
     x = np.asarray(x, dtype=float)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _pow10(x):
@@ -269,12 +270,15 @@ class LspSampler:
         wrap-around lattice basis, or None. With all_lsps the seven LSPs are
         returned too. One LSP draw per (UE, site) is shared by all cells of
         the site. With spatial correlation, each (site, LSP) field is
-        evaluated over all UEs in chunks of FIELD_CHUNK UEs; without
-        all_lsps, only the fields that the SF rows of the mixing factors
-        read, as the others would enter SF multiplied by exact zeros. The
-        fields run on min(workers, fields) threads, this one among them: it
-        starts the others (the cosine sums release the GIL), computes the
-        geometry, LOS states and pathloss, then evaluates fields beside them.
+        evaluated over all UEs in chunks of FIELD_CHUNK cosines (at least one
+        UE row): each chunk ends in GIL handoffs, which smaller chunks would
+        repeat many times per millisecond of cosines. Without all_lsps, only
+        the fields that the SF rows of the mixing factors read are evaluated,
+        as the others would enter SF multiplied by exact zeros. The fields
+        run on min(workers, fields) threads, this one among them: it starts
+        the others (the cosine sums release the GIL), computes the geometry,
+        LOS states and pathloss, then evaluates fields beside them. A failure
+        on any thread drops the fields not yet started and is raised.
         Without spatial correlation there are no fields and no threads. The
         per-link stages run in chunks of about LINK_CHUNK links. Each value is
         computed per element or per link, so the result is the same at any
@@ -297,17 +301,19 @@ class LspSampler:
         scale = math.sqrt(2.0 / self.n_field_terms)
         at_ue = np.empty((len(jobs), n_ue))
         # Field indices, the first on top, over one None per thread: each thread
-        # pops indices (list.pop is atomic) until it pops a None.
+        # pops indices (list.pop is atomic) until it pops a None. On a failure
+        # del pending[threads:] drops the indices, so each thread stops after its field.
         pending, failed = [None] * threads + list(range(len(jobs)))[::-1], []
+        field_rows = max(1, FIELD_CHUNK // self.n_field_terms)
 
         def drain():
             # Each chunk is cos((kx*x + ky*y) + phase) in two buffers this thread reuses.
-            u_buf, v_buf = np.empty((2, FIELD_CHUNK, self.n_field_terms))
+            u_buf, v_buf = np.empty((2, min(n_ue, field_rows), self.n_field_terms))
             try:
                 for k in iter(pending.pop, None):
                     kx, ky, phase = waves[k]
-                    for start in range(0, n_ue, FIELD_CHUNK):
-                        rows = slice(start, start + FIELD_CHUNK)
+                    for start in range(0, n_ue, field_rows):
+                        rows = slice(start, start + field_rows)
                         x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
                         u, v = u_buf[:len(x)], v_buf[:len(x)]
                         np.multiply(kx, x, out=u)
@@ -315,6 +321,7 @@ class LspSampler:
                         u += phase
                         at_ue[k, rows] = scale * np.cos(u, out=u).sum(axis=-1)
             except BaseException as exc:
+                del pending[threads:]
                 failed.append(exc)
 
         d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
@@ -341,6 +348,7 @@ class LspSampler:
                 pl[rows] = pathloss_db(pathloss, d3d, h_ue[rows], indoor[rows], los[rows], carrier_hz)
             drain()
         finally:
+            del pending[threads:]  # indices remain only after a failed per-link stage
             for helper in helpers:
                 helper.join()
         if failed:

@@ -90,29 +90,30 @@ def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
     The key components broadcast against each other; element i of the result
     is the first uniform of the generator keyed by the i-th components, bit
     for bit. Instead of one SeedSequence and PCG64 per key it runs their
-    arithmetic over the whole array: the entropy pool mix and the state
-    generation in 32-bit words, then PCG64's seeding, one step and its
-    XSL-RR output in 128-bit halves. Each component must lie in
-    [0, 2**32), so that it is one entropy word, as the seed's words are
-    for every element.
+    arithmetic over arrays: the entropy pool mix and the state generation
+    in 32-bit words, then PCG64's seeding, one step and its XSL-RR output in
+    128-bit halves. Each component keeps its own shape until it meets the
+    others in the pool mix, so words of a UE axis or a site axis alone are
+    hashed once per UE or site. Each component must lie in [0, 2**32), so
+    that it is one entropy word, as the seed's words are for every element.
     """
     if master_seed < 0:
         raise ValueError("master seed must be non-negative")
-    comps = np.broadcast_arrays(*(np.asarray(k) for k in key))
-    shape = comps[0].shape if comps else ()
-    entropy = []
+    comps = [np.asarray(k) for k in key]
+    shape = np.broadcast_shapes(*(comp.shape for comp in comps))
+    # Size-1 axes, never 0-d: numpy scalars would warn where the words wrap.
+    ones = (1,) * max(1, len(shape))
+    entropy = [np.full(ones, w, np.uint64) for w in _seed_words(int(master_seed))]
     for comp in comps:
         if comp.dtype.kind not in "iu":
             raise ValueError("key components must be integers")
         if comp.size and (comp.min() < 0 or comp.max() > _MASK32):
             raise ValueError("key components must lie in [0, 2**32)")
-        entropy.append(comp.ravel().astype(np.uint64))
-    n = int(np.prod(shape))
-    entropy = [np.full(n, w, np.uint64) for w in _seed_words(int(master_seed))] + entropy
+        entropy.append(comp.reshape(ones[comp.ndim:] + comp.shape).astype(np.uint64))
 
     # SeedSequence's mix_entropy into a pool of four words.
     hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(n, np.uint64)
+    zero = np.zeros(ones, np.uint64)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):

@@ -43,6 +43,15 @@ def test_broadcast_keys_equal_substream():
     got = keyed_uniforms(2**32 + 5, 4, rows, cols)
     assert got.shape == (3, 4)
     assert np.array_equal(got, _oracle(2**32 + 5, 4, rows, cols))
+    # Each component keeps its own shape until it meets the others in the
+    # pool mix: three axes that meet late with scalars between them, and
+    # scalars alone (a 0-d result, whose words must not wrap as numpy scalars).
+    ue, cell, slot = np.arange(3)[:, None, None], np.arange(4)[:, None], np.arange(2, dtype=np.uint32)
+    got = keyed_uniforms(2**64 + 3, ue, 7, cell, 2**32 - 1, slot)
+    assert got.shape == (3, 4, 2)
+    assert np.array_equal(got, _oracle(2**64 + 3, ue, 7, cell, 2**32 - 1, slot))
+    one = keyed_uniforms(2**64 + 3, STREAM_LOS_STATE, 9)
+    assert one.shape == () and one == substream(2**64 + 3, STREAM_LOS_STATE, 9).random()
 
 
 def test_empty_keys():

@@ -6,6 +6,7 @@ and LSP marginals written out in scalar form. The kernel must reproduce it
 bit for bit: over the whole drop or a sub-range of it, at any chunk size and
 worker count, and with only SF requested.
 """
+import itertools
 import logging
 import math
 import sys
@@ -141,11 +142,30 @@ def _assert_rows_equal(got, whole, rows):
 
 
 def _small_chunks(monkeypatch):
-    # 3 UEs per link chunk at 7 sites and 5 UEs per field chunk: the 63-UE
-    # drop and its sub-ranges span several chunks of each kind, and chunk
-    # edges fall inside them.
+    # 3 UEs per link chunk at 7 sites and 5 UEs per field chunk (FIELD_CHUNK
+    # counts cosines: 5 rows of 128 terms): the 63-UE drop and its
+    # sub-ranges span several chunks of each kind, and chunk edges fall
+    # inside them.
     monkeypatch.setattr(chan3d.lsp, "LINK_CHUNK", 3 * 7)
-    monkeypatch.setattr(chan3d.lsp, "FIELD_CHUNK", 5)
+    monkeypatch.setattr(chan3d.lsp, "FIELD_CHUNK", 5 * 128)
+
+
+class _CosineCalls:
+    """A stand-in for chan3d.lsp's numpy that records the rows of each field
+    chunk's cosine call (the 2D ones; field_waves' direction cosines are 1D)
+    and calls on_chunk first."""
+
+    def __init__(self, on_chunk=lambda: None):
+        self.rows, self.on_chunk = [], on_chunk
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            self.on_chunk()
+            self.rows.append(x.shape[0])
+        return np.cos(x, *args, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -249,3 +269,72 @@ def test_kernel_raises_a_field_thread_error(monkeypatch):
     for workers in (1, 2, 3):
         with pytest.raises(ValueError, match="broadcast"):
             _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True, workers)
+
+
+@pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])
+@pytest.mark.parametrize("all_lsps", [True, False], ids=["all-lsps", "sf-only"])
+def test_kernel_bytes_equal_at_any_chunk_size(spatial, all_lsps, monkeypatch):
+    # Field chunks of one UE row, the default, and more cosines than the
+    # whole drop; link chunks of one UE row, the default, and all links.
+    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
+    whole = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    n_terms, n_site = sampler.n_field_terms, site_xy.shape[0]
+    field_chunks = (n_terms, chan3d.lsp.FIELD_CHUNK, len(drop) * n_terms + 1)
+    link_chunks = (n_site, chan3d.lsp.LINK_CHUNK, len(drop) * n_site)
+    for field_chunk, link_chunk in itertools.product(field_chunks, link_chunks):
+        monkeypatch.setattr(chan3d.lsp, "FIELD_CHUNK", field_chunk)
+        monkeypatch.setattr(chan3d.lsp, "LINK_CHUNK", link_chunk)
+        for workers in (1, 2):
+            got = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
+            _assert_rows_equal(got, whole, slice(None))
+
+
+def test_kernel_stops_its_fields_when_the_link_stage_fails(monkeypatch):
+    # The started thread is held in its first field chunk until pathloss
+    # fails on the calling thread; it then finishes that field and starts
+    # no other, where it used to evaluate all 21 before the error arrived.
+    _small_chunks(monkeypatch)
+    sampler, pathloss, site_xy, wrap, drop = _setup(True, True, None)
+    in_field, failing = threading.Event(), threading.Event()
+
+    def first_chunk():
+        if not in_field.is_set():
+            in_field.set()
+            assert failing.wait(10.0)
+
+    def failing_pathloss(*args, **kwargs):
+        assert in_field.wait(10.0)
+        failing.set()
+        raise RuntimeError("pathloss failed")
+
+    calls = _CosineCalls(first_chunk)
+    monkeypatch.setattr(chan3d.lsp, "np", calls)
+    monkeypatch.setattr(chan3d.lsp, "pathloss_db", failing_pathloss)
+    with pytest.raises(RuntimeError, match="pathloss failed"):
+        _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True, workers=2)
+    assert calls.rows == [5] * 12 + [3]  # one field of the 63 UEs, 5 rows a chunk
+
+
+@pytest.mark.parametrize("n_terms", [128, 8])
+def test_field_chunks_hold_at_least_32k_cosines(n_terms, monkeypatch):
+    # The two-worker phase-1 benchmark settings: 1710 UEs, 19 SF fields. A
+    # field chunk releases the GIL for its cosines only; each chunk of at
+    # least 32k cosines (256 rows at 128 terms, all 1710 UEs at 8) keeps
+    # the threads from trading the GIL back and forth.
+    cfg = default_config("UMa", master_seed=1)
+    site_xy = hex_layout(cfg.layout.n_rings, cfg.layout.isd_m)
+    drop = drop_ues(30, site_xy, substream(1, STREAM_DROP), cfg.layout.isd_m, three_d=False)
+    sampler = LspSampler((cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos),
+                         cfg.decorrelation, 1, spatial=True, n_field_terms=n_terms)
+    calls = _CosineCalls()
+    monkeypatch.setattr(chan3d.lsp, "np", calls)
+    sampler.slow_fading(
+        range(len(drop)), drop.xyz, drop.indoor, site_xy, H_BS, cfg.pathloss, CARRIER_HZ,
+        wrap=wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m), workers=2,
+    )
+    n_ue, n_fields = len(drop), site_xy.shape[0]
+    rows = max(1, chan3d.lsp.FIELD_CHUNK // n_terms)
+    assert (n_ue, n_fields) == (1710, 19) and rows * n_terms >= 32768
+    assert len(calls.rows) == n_fields * math.ceil(n_ue / rows)
+    assert max(calls.rows) == min(rows, n_ue)
+    assert len(calls.rows) == n_fields * (7 if n_terms == 128 else 1)

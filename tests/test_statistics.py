@@ -7,9 +7,10 @@ Spatial fields: the correlation of a slow-fading field at its decorrelation
 distance, over many fields and point pairs; the tolerance is four standard
 errors. Phase 2: the five drawn spreads of a drop without spatial
 correlation, standardized by their configured log10 marginals, have mean 0
-within four standard errors; and the reported azimuth spreads of a small
-campaign against the LSPs drawn for the serving links. Every tolerance was fixed before the
-first run: a failure is a finding about the model, not about the test.
+within four standard errors; and the reported azimuth and zenith spreads of
+a small campaign against the LSPs drawn for the serving links. Every
+tolerance was fixed before the first run: a failure is a finding about the
+model, not about the test.
 """
 import math
 import os
@@ -17,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from chan3d import lsp
+from chan3d import lsp, ssp
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
@@ -148,36 +149,48 @@ SPREAD_CEILING_DEG = 75.0
 
 
 def test_phase2_azimuth_spreads_match_drawn_lsps(tmp_path, monkeypatch):
-    # With zero intra-cluster azimuth scalers every ray sits on its cluster's
-    # azimuth, so each report row's ASD and ASA are the spreads the cluster
-    # angles were rescaled to: the drawn LSPs of the serving (UE, site), to
-    # 1e-6 relative, for targets under the ceiling.
-    drawn = []
-    slow_fading = lsp.LspSampler.slow_fading
+    # With all four intra-cluster scalers zero every ray sits on its
+    # cluster's angles, so each report row's ASD, ASA, ESD and ESA are the
+    # spreads the cluster angles were rescaled to: the drawn LSPs of the
+    # serving (UE, site), to 1e-6 relative, for targets under the ceiling.
+    # A zenith spread counts only where none of the link's rescaled cluster
+    # zeniths of that kind left [0, pi]: reflecting one at a pole moves it.
+    drawn, rescaled = [], []
+    slow_fading, rescale = lsp.LspSampler.slow_fading, ssp._rescale_to_spread
 
     def recording(self, *args, **kwargs):
         drawn.append(slow_fading(self, *args, **kwargs))
         return drawn[-1]
 
+    def recording_rescale(angles, powers, target_rad):
+        rescaled.append(rescale(angles, powers, target_rad))  # (kind, link, cluster), one call per UE
+        return rescaled[-1]
+
     monkeypatch.setattr(lsp.LspSampler, "slow_fading", recording)
+    monkeypatch.setattr(ssp, "_rescale_to_spread", recording_rescale)
     cfg = default_config("UMa", master_seed=1)
     cfg.layout.n_rings = 1
     cfg.run.phase = 2
     cfg.run.n_ue_per_cell = 3
     cfg.run.output_dir = str(tmp_path)
     cfg.antenna.downtilt_sweep_deg = (12.0,)
-    cfg.ssp.c_aod_deg = cfg.ssp.c_aoa_deg = 0.0
+    cfg.ssp.c_aod_deg = cfg.ssp.c_aoa_deg = cfg.ssp.c_zod_deg = cfg.ssp.c_zoa_deg = 0.0
     [report] = [p for p in run_campaign(cfg) if os.path.basename(p).startswith("report_")]
     [slow] = drawn
     with open(report) as fh:
         header = fh.readline().split()
         rows = [dict(zip(header, line.split())) for line in fh]
-    assert len(rows) == slow.lsps.shape[0] == 63
-    checked = {"asd": 0, "asa": 0}
+    assert len(rows) == slow.lsps.shape[0] == len(rescaled) == 63
+    checked = {"asd": 0, "asa": 0, "esd": 0, "esa": 0}
+    zenith_kind = {"esd": 1, "esa": 3}  # the ZOD and ZOA rows of the (AOD, ZOD, AOA, ZOA) kinds
     for row in rows:
-        ue, site = int(row["ue_id"]), int(row["site"])
+        ue, site, cell = int(row["ue_id"]), int(row["site"]), int(row["cell"])
         for name in checked:
             target = slow.lsps[ue, site, lsp.LSP_NAMES.index(name)]
+            if name in zenith_kind:
+                zenith = rescaled[ue][zenith_kind[name], cell]
+                if np.any((zenith < 0.0) | (zenith > math.pi)):
+                    continue
             if target < SPREAD_CEILING_DEG:
                 assert abs(float(row[name]) - target) <= 1e-6 * target, (ue, name)
                 checked[name] += 1
