@@ -21,8 +21,8 @@ from .deploy import (
     wrap_basis,
 )
 from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
-from .lsp import LspSampler, SlowFading
-from .rng import STREAM_DROP, STREAM_SSP, substream
+from .lsp import SlowFading, slow_fading
+from .rng import STREAM_DROP, STREAM_SSP, keyed_generators, substream
 from .ssp import generate_cluster_set
 from .synth import LinkEnd, UeLinks, end_fields, synthesize, to_ports, ue_links
 
@@ -168,8 +168,8 @@ def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
             ) from None
     dep_az, zen = wrap_azimuth(np.array(az)), np.array(zen)
     los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
-    rngs = [substream(cfg.run.master_seed, STREAM_SSP, ue_index, s, c % len(CELL_BEARINGS_DEG))
-            for c, s in enumerate(sites.tolist())]
+    cells = np.arange(len(sites)) % len(CELL_BEARINGS_DEG)
+    rngs = keyed_generators(cfg.run.master_seed, STREAM_SSP, ue_index, sites, cells)
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
     return ue_links(
         ctx.ue_end, batch, los, [rice_k[s] for s in sites.tolist()],
@@ -324,23 +324,8 @@ def run_campaign(cfg: RunConfig) -> list:
         three_d=cfg.run.drop_mode == "3d",
     )
 
-    sampler = LspSampler(
-        (cfg.lsp_los, cfg.corr_los),
-        (cfg.lsp_nlos, cfg.corr_nlos),
-        cfg.decorrelation,
-        cfg.run.master_seed,
-        spatial=cfg.spatial.enabled,
-        n_field_terms=cfg.spatial.n_terms,
-    )
-    wrap = (
-        wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m)
-        if cfg.layout.wrap_around
-        else None
-    )
-    slow = sampler.slow_fading(
-        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m, cfg.pathloss,
-        cfg.run.carrier_hz, wrap=wrap, all_lsps=cfg.run.phase == 2, workers=cfg.run.workers,
-    )
+    wrap = wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m) if cfg.layout.wrap_around else None
+    slow = slow_fading(cfg, range(len(drop)), drop.xyz, drop.indoor, site_xy, wrap)
     n_links, n_los = slow.los.size, int(np.count_nonzero(slow.los))
     log.info(f"slow fading: {n_links} (UE, site) links, {n_los} LOS ({n_los / n_links:.4f})")
     wavelength = SPEED_OF_LIGHT / cfg.run.carrier_hz

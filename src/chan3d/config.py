@@ -23,7 +23,7 @@ from .antenna import (
     ArrayGeometry, PatternSpec, downtilt_weights, itu_port_pattern, uniform_planar_array,
 )
 from .lsp import LSP_NAMES, DecorrelationSection, LspSection, Pathloss, mixing_factor
-from .ssp import RAY_OFFSETS_20, SspConfig
+from .ssp import N_SPLIT, RAY_OFFSETS_20, SspConfig
 
 
 class ConfigError(Exception):
@@ -351,7 +351,10 @@ _CHECKS = {
         "must be an even count up to 20 (or give ray_offsets)",
     ),
     "ssp.ray_offsets": (_ray_offsets, "length must equal n_rays"),
-    "ssp.split_strongest": (lambda v, s: not v or s.n_rays == 20, "requires the 20-ray layout"),
+    "ssp.split_strongest": (
+        lambda v, s: not v or (s.n_rays == 20 and s.n_clusters >= N_SPLIT),
+        f"requires the 20-ray layout and n_clusters >= {N_SPLIT}",
+    ),
     "ssp.xpr_offdiag": _one_of("sqrt_kappa", "sqrt_inv_kappa"),
     "ssp.r_tau": (lambda v, s: v > 1.0, "must exceed 1"),
     "ssp.cluster_shadow_db": _SIGMA,

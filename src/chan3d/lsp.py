@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import fold_to_nearest_image
-from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_uniforms, substream
+from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_generators, keyed_uniforms
 
 log = logging.getLogger("chan3d")
 
@@ -187,19 +187,28 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
     return np.where(indoor, pl + model.indoor_penetration_db, pl)
 
 
-def field_waves(decorrelation_m: float, key, n_terms: int) -> tuple:
-    """(kx, ky, phase), each (n_terms,), of a sum-of-sinusoids Gaussian field
-    with exponential autocorrelation, drawn from substream(*key).
+def field_waves(cfg, jobs) -> list:
+    """(kx, ky, phase), each (n_terms,), of the sum-of-sinusoids Gaussian
+    field of each (site, LSP) job, with exponential autocorrelation at the
+    LSP's decorrelation distance.
 
     The field at (x, y) is sqrt(2/n_terms) * sum(cos(kx x + ky y + phase)), in
     closed form at any point, so workers need no coordination. The radial
-    wavenumber law is the 2D spectral density of exp(-d/decorrelation_m).
+    wavenumber law is the 2D spectral density of exp(-d/decorrelation). Each
+    field draws from the stream keyed (seed, STREAM_FIELD, site, LSP), all
+    fields in one keyed pass.
     """
-    rng = substream(*key)
-    k_mag = np.sqrt(1.0 / (1.0 - rng.random(n_terms)) ** 2 - 1.0) / decorrelation_m
-    direction = rng.uniform(0.0, 2.0 * math.pi, n_terms)
-    phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
-    return k_mag * np.cos(direction), k_mag * np.sin(direction), phase
+    n_terms = cfg.spatial.n_terms
+    site, lsp = np.array(jobs, dtype=int).reshape(-1, 2).T
+    streams = keyed_generators(cfg.run.master_seed, STREAM_FIELD, site, lsp)
+    waves = []
+    for i, rng in zip(lsp.tolist(), streams):
+        decorrelation_m = getattr(cfg.decorrelation, LSP_NAMES[i])
+        k_mag = np.sqrt(1.0 / (1.0 - rng.random(n_terms)) ** 2 - 1.0) / decorrelation_m
+        direction = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+        phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+        waves.append((k_mag * np.cos(direction), k_mag * np.sin(direction), phase))
+    return waves
 
 
 @dataclass
@@ -221,155 +230,117 @@ class SlowFading:
     lsps: np.ndarray | None = None
 
 
-class LspSampler:
-    """Per-link LSP source with site-shared draws.
+def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
+    """LOS state, pathloss and SF of UEs toward every site, and in phase 2
+    the seven LSPs.
 
-    los and nlos are each a ([lsp_*] section, correlation pairs) tuple;
-    decorrelation sets the spatial fields' decorrelation distances. All
-    three cells of a site see the same draw for a given UE. With spatial
-    correlation enabled the underlying normals come from per-(site, LSP)
-    Gaussian fields evaluated at the UE position, so nearby UEs receive
-    correlated parameters; otherwise each (UE, site) pair owns a keyed
-    substream. Both modes are deterministic under any worker schedule.
+    The run config cfg gives the [lsp_los]/[lsp_nlos] marginals, their
+    correlations and decorrelation distances, the seed, [spatial],
+    [pathloss] (the LOS probability too), the carrier, the BS height, the
+    phase and workers. Rows follow ue_ids, which key the LOS (and
+    non-spatial LSP) streams; ue_xyz is (n, 3), indoor (n,) and site_xy
+    (sites, 2). wrap is the wrap-around lattice basis, or None. One LSP draw
+    per (UE, site) is shared by all cells of the site. With spatial
+    correlation the normals come from per-(site, LSP) Gaussian fields at the
+    UE position, so nearby UEs receive correlated parameters; each field is
+    evaluated over all UEs in chunks of FIELD_CHUNK cosines (at least one UE
+    row): each chunk ends in GIL handoffs, which smaller chunks would repeat
+    many times per millisecond of cosines. In phase 1 only the fields that
+    the SF rows of the mixing factors read are evaluated, as the others
+    would enter SF multiplied by exact zeros. The fields run on
+    min(workers, fields) threads, this one among them: it starts the others
+    (the cosine sums release the GIL), computes the geometry, LOS states and
+    pathloss, then evaluates fields beside them. A failure on any thread
+    drops the fields not yet started and is raised. Without spatial
+    correlation each (UE, site) pair owns a keyed stream, and there are no
+    fields and no threads. The per-link stages run in chunks of about
+    LINK_CHUNK links. Each value is computed per element or per link, so the
+    result is the same at any chunking and thread count.
     """
+    states = [(cfg.lsp_los, mixing_factor(cfg.corr_los)),
+              (cfg.lsp_nlos, mixing_factor(cfg.corr_nlos))]
+    seed, n_terms, all_lsps = cfg.run.master_seed, cfg.spatial.n_terms, cfg.run.phase == 2
+    ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
+    n_ue, n_site = len(ue_ids), site_xy.shape[0]
+    h_ue, indoor = ue_xyz[:, 2:], np.asarray(indoor)[:, None]
+    dz = h_ue - cfg.layout.bs_height_m
+    sf_rows = np.any([factor[0] != 0.0 for _, factor in states], axis=0)
+    used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(sf_rows)
+    jobs = [(site, int(i)) for site in range(n_site) for i in used if cfg.spatial.enabled]
+    threads = max(1, min(cfg.run.workers, len(jobs)))
+    plural = "s" * (threads > 1)
+    log.info(f"slow fading: {len(jobs)} spatial fields over {threads} thread{plural}")
+    waves = field_waves(cfg, jobs)
+    scale = math.sqrt(2.0 / n_terms)
+    at_ue = np.empty((len(jobs), n_ue))
+    # Field indices, the first on top, over one None per thread: each thread
+    # pops indices (list.pop is atomic) until it pops a None. On a failure
+    # del pending[threads:] drops the indices, so each thread stops after its field.
+    pending, failed = [None] * threads + list(range(len(jobs)))[::-1], []
+    field_rows = max(1, FIELD_CHUNK // n_terms)
 
-    def __init__(
-        self,
-        los: tuple,
-        nlos: tuple,
-        decorrelation: DecorrelationSection,
-        master_seed: int,
-        spatial: bool = False,
-        n_field_terms: int = 128,
-    ):
-        # (section, mixing factor) per LOS state, LOS first.
-        self.states = [(section, mixing_factor(pairs)) for section, pairs in (los, nlos)]
-        self.decorrelation = decorrelation
-        self.master_seed = master_seed
-        self.spatial = spatial
-        self.n_field_terms = n_field_terms
-
-    def slow_fading(
-        self,
-        ue_ids,
-        ue_xyz: np.ndarray,
-        indoor: np.ndarray,
-        site_xy: np.ndarray,
-        h_bs: float,
-        pathloss: Pathloss,
-        carrier_hz: float,
-        wrap: np.ndarray | None = None,
-        all_lsps: bool = False,
-        workers: int = 1,
-    ) -> SlowFading:
-        """LOS state, pathloss and SF of UEs toward every site.
-
-        pathloss, the [pathloss] section, gives the LOS probability too.
-        Rows follow ue_ids, which key the LOS (and non-spatial LSP)
-        substreams; ue_xyz is (n, 3) and indoor (n,). wrap is the
-        wrap-around lattice basis, or None. With all_lsps the seven LSPs are
-        returned too. One LSP draw per (UE, site) is shared by all cells of
-        the site. With spatial correlation, each (site, LSP) field is
-        evaluated over all UEs in chunks of FIELD_CHUNK cosines (at least one
-        UE row): each chunk ends in GIL handoffs, which smaller chunks would
-        repeat many times per millisecond of cosines. Without all_lsps, only
-        the fields that the SF rows of the mixing factors read are evaluated,
-        as the others would enter SF multiplied by exact zeros. The fields
-        run on min(workers, fields) threads, this one among them: it starts
-        the others (the cosine sums release the GIL), computes the geometry,
-        LOS states and pathloss, then evaluates fields beside them. A failure
-        on any thread drops the fields not yet started and is raised.
-        Without spatial correlation there are no fields and no threads. The
-        per-link stages run in chunks of about LINK_CHUNK links. Each value is
-        computed per element or per link, so the result is the same at any
-        chunking and thread count.
-        """
-        ue_ids, ue_xyz = np.asarray(ue_ids), np.asarray(ue_xyz, dtype=float)
-        n_ue, n_site = len(ue_ids), site_xy.shape[0]
-        h_ue, dz, indoor = ue_xyz[:, 2:], ue_xyz[:, 2:] - h_bs, np.asarray(indoor)[:, None]
-        sf_rows = np.any([factor[0] != 0.0 for _, factor in self.states], axis=0)
-        used = range(len(LSP_NAMES)) if all_lsps else np.flatnonzero(sf_rows)
-        jobs = [(site, int(i)) for site in range(n_site) for i in used if self.spatial]
-        threads = max(1, min(workers, len(jobs)))
-        plural = "s" * (threads > 1)
-        log.info(f"slow fading: {len(jobs)} spatial fields over {threads} thread{plural}")
-        waves = [
-            field_waves(getattr(self.decorrelation, LSP_NAMES[i]),
-                        (self.master_seed, STREAM_FIELD, site, i), self.n_field_terms)
-            for site, i in jobs
-        ]
-        scale = math.sqrt(2.0 / self.n_field_terms)
-        at_ue = np.empty((len(jobs), n_ue))
-        # Field indices, the first on top, over one None per thread: each thread
-        # pops indices (list.pop is atomic) until it pops a None. On a failure
-        # del pending[threads:] drops the indices, so each thread stops after its field.
-        pending, failed = [None] * threads + list(range(len(jobs)))[::-1], []
-        field_rows = max(1, FIELD_CHUNK // self.n_field_terms)
-
-        def drain():
-            # Each chunk is cos((kx*x + ky*y) + phase) in two buffers this thread reuses.
-            u_buf, v_buf = np.empty((2, min(n_ue, field_rows), self.n_field_terms))
-            try:
-                for k in iter(pending.pop, None):
-                    kx, ky, phase = waves[k]
-                    for start in range(0, n_ue, field_rows):
-                        rows = slice(start, start + field_rows)
-                        x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
-                        u, v = u_buf[:len(x)], v_buf[:len(x)]
-                        np.multiply(kx, x, out=u)
-                        u += np.multiply(ky, y, out=v)
-                        u += phase
-                        at_ue[k, rows] = scale * np.cos(u, out=u).sum(axis=-1)
-            except BaseException as exc:
-                del pending[threads:]
-                failed.append(exc)
-
-        d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
-        los = np.empty((n_ue, n_site), dtype=bool)
-        step = max(1, LINK_CHUNK // n_site)
-        chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
-        helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
-        for helper in helpers:
-            helper.start()
+    def drain():
+        # Each chunk is cos((kx*x + ky*y) + phase) in two buffers this thread reuses.
+        u_buf, v_buf = np.empty((2, min(n_ue, field_rows), n_terms))
         try:
-            for rows in chunks:
-                delta = ue_xyz[rows, None, :2] - site_xy
-                if wrap is not None:
-                    delta = fold_to_nearest_image(delta, wrap).reshape(delta.shape)
-                d2d[rows] = np.hypot(delta[..., 0], delta[..., 1])
-                d3d = np.hypot(d2d[rows], dz[rows])
-                az_dep[rows] = np.arctan2(delta[..., 1], delta[..., 0])
-                zen_dep[rows] = np.arccos(np.clip(dz[rows] / d3d, -1.0, 1.0))
-                # The first uniform of substream(seed, STREAM_LOS_STATE, ue, site) per link.
-                u = keyed_uniforms(
-                    self.master_seed, STREAM_LOS_STATE, ue_ids[rows, None], np.arange(n_site)
-                )
-                los[rows] = u < pathloss.los_probability(d2d[rows])
-                pl[rows] = pathloss_db(pathloss, d3d, h_ue[rows], indoor[rows], los[rows], carrier_hz)
-            drain()
-        finally:
-            del pending[threads:]  # indices remain only after a failed per-link stage
-            for helper in helpers:
-                helper.join()
-        if failed:
-            raise failed[0]
+            for k in iter(pending.pop, None):
+                kx, ky, phase = waves[k]
+                for start in range(0, n_ue, field_rows):
+                    rows = slice(start, start + field_rows)
+                    x, y = ue_xyz[rows, 0, None], ue_xyz[rows, 1, None]
+                    u, v = u_buf[:len(x)], v_buf[:len(x)]
+                    np.multiply(kx, x, out=u)
+                    u += np.multiply(ky, y, out=v)
+                    u += phase
+                    at_ue[k, rows] = scale * np.cos(u, out=u).sum(axis=-1)
+        except BaseException as exc:
+            del pending[threads:]
+            failed.append(exc)
 
-        count = len(LSP_NAMES) if all_lsps else 1
-        values = np.empty((n_ue, n_site, count))
-        job_site, job_lsp = np.array(jobs, dtype=int).reshape(-1, 2).T
+    d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
+    los = np.empty((n_ue, n_site), dtype=bool)
+    step = max(1, LINK_CHUNK // n_site)
+    chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
+    helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
         for rows in chunks:
-            if self.spatial:
-                normals = np.zeros(d2d[rows].shape + (len(LSP_NAMES),))
-                normals[:, job_site, job_lsp] = at_ue[:, rows].T
-            else:
-                normals = np.array([[
-                    substream(self.master_seed, STREAM_LSP, int(ue), site).standard_normal(7)
-                    for site in range(n_site)] for ue in ue_ids[rows]])
-            lsp_los, lsp_nlos = (
-                lsps_from_normals(section, factor, normals, d2d[rows], h_ue[rows], count)
-                for section, factor in self.states
+            delta = ue_xyz[rows, None, :2] - site_xy
+            if wrap is not None:
+                delta = fold_to_nearest_image(delta, wrap).reshape(delta.shape)
+            d2d[rows] = np.hypot(delta[..., 0], delta[..., 1])
+            d3d = np.hypot(d2d[rows], dz[rows])
+            az_dep[rows] = np.arctan2(delta[..., 1], delta[..., 0])
+            zen_dep[rows] = np.arccos(np.clip(dz[rows] / d3d, -1.0, 1.0))
+            # The first uniform of the stream (seed, STREAM_LOS_STATE, ue, site) per link.
+            u = keyed_uniforms(seed, STREAM_LOS_STATE, ue_ids[rows, None], np.arange(n_site))
+            los[rows] = u < cfg.pathloss.los_probability(d2d[rows])
+            pl[rows] = pathloss_db(
+                cfg.pathloss, d3d, h_ue[rows], indoor[rows], los[rows], cfg.run.carrier_hz
             )
-            values[rows] = np.where(los[rows, :, None], lsp_los, lsp_nlos)
-        return SlowFading(
-            d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None
+        drain()
+    finally:
+        del pending[threads:]  # indices remain only after a failed per-link stage
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
+
+    count = len(LSP_NAMES) if all_lsps else 1
+    values = np.empty((n_ue, n_site, count))
+    job_site, job_lsp = np.array(jobs, dtype=int).reshape(-1, 2).T
+    for rows in chunks:
+        shape = d2d[rows].shape + (len(LSP_NAMES),)
+        if cfg.spatial.enabled:
+            normals = np.zeros(shape)
+            normals[:, job_site, job_lsp] = at_ue[:, rows].T
+        else:
+            keys = keyed_generators(seed, STREAM_LSP, ue_ids[rows, None], np.arange(n_site))
+            normals = np.array([rng.standard_normal(7) for rng in keys]).reshape(shape)
+        lsp_los, lsp_nlos = (
+            lsps_from_normals(section, factor, normals, d2d[rows], h_ue[rows], count)
+            for section, factor in states
         )
+        values[rows] = np.where(los[rows, :, None], lsp_los, lsp_nlos)
+    return SlowFading(d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None)

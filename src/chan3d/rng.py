@@ -1,4 +1,4 @@
-"""Deterministic random-stream derivation for parallel-safe reproducibility."""
+"""Keyed random streams for parallel-safe reproducibility, all seeded by keyed_states."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,7 +10,7 @@ STREAM_LOS_STATE = 3
 STREAM_SSP = 4
 STREAM_FIELD = 5
 
-# numpy's SeedSequence hash constants (pool of four 32-bit words).
+# The seed-sequence hash constants (pool of four 32-bit words).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -20,22 +20,8 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Derive an independent generator from the master seed and an integer key path.
-
-    The same (seed, key) pair always yields the same stream, regardless of
-    process or thread scheduling, so per-entity draws are reproducible under
-    any worker count.
-    """
-    if master_seed < 0:
-        raise ValueError("master seed must be non-negative")
-    return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed)] + [int(k) for k in key])
-    )
-
-
 def _seed_words(master_seed: int) -> list:
-    """The seed's 32-bit words, least significant first, as SeedSequence splits it."""
+    """The seed's 32-bit words, least significant first, as numpy's seed sequence splits it."""
     words = [master_seed & _MASK32]
     master_seed >>= 32
     while master_seed:
@@ -45,7 +31,7 @@ def _seed_words(master_seed: int) -> list:
 
 
 def _hasher(init: int, mult: int):
-    """SeedSequence's 32-bit word hash; its multiplier advances at every call,
+    """The seed sequence's 32-bit word hash; its multiplier advances at every call,
     the same for every element."""
     const = init
 
@@ -84,18 +70,18 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return _add128(_mulhi(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
 
 
-def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
-    """substream(master_seed, *k).random() for every key k of broadcast integer arrays.
+def keyed_states(master_seed: int, *key) -> tuple:
+    """The seeded PCG64 state and increment of every key k of broadcast
+    integer arrays, as uint64 halves (state high, state low, increment high,
+    increment low): those of numpy's seed sequence of [master_seed, *k].
 
-    The key components broadcast against each other; element i of the result
-    is the first uniform of the generator keyed by the i-th components, bit
-    for bit. Instead of one SeedSequence and PCG64 per key it runs their
-    arithmetic over arrays: the entropy pool mix and the state generation
-    in 32-bit words, then PCG64's seeding, one step and its XSL-RR output in
-    128-bit halves. Each component keeps its own shape until it meets the
-    others in the pool mix, so words of a UE axis or a site axis alone are
-    hashed once per UE or site. Each component must lie in [0, 2**32), so
-    that it is one entropy word, as the seed's words are for every element.
+    Element i of each half belongs to the key of the i-th components. The
+    entropy pool mix and the state generation run over arrays in 32-bit
+    words, PCG64's seeding in 128-bit halves. Each component keeps its own
+    shape until it meets the others in the pool mix, so words of a UE axis
+    or a site axis alone are hashed once per UE or site. Each component must
+    lie in [0, 2**32), one entropy word, as the seed's words are for every
+    element. The halves have the broadcast shape, or (1,) for scalar keys.
     """
     if master_seed < 0:
         raise ValueError("master seed must be non-negative")
@@ -111,7 +97,7 @@ def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
             raise ValueError("key components must lie in [0, 2**32)")
         entropy.append(comp.reshape(ones[comp.ndim:] + comp.shape).astype(np.uint64))
 
-    # SeedSequence's mix_entropy into a pool of four words.
+    # The seed sequence's mix_entropy into a pool of four words.
     hashmix = _hasher(_INIT_A, _MULT_A)
     zero = np.zeros(ones, np.uint64)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
@@ -130,13 +116,53 @@ def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
     seed_hi, seed_lo, seq_hi, seq_lo = (lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2]))
 
     # PCG64 seeding: state 0, increment 2*seq + 1, step (which leaves the
-    # increment), add the seed, step; random() steps once more and outputs
-    # the new state.
+    # increment), add the seed, step.
     inc_hi = (seq_hi << 1) | (seq_lo >> 63)
     inc_lo = (seq_lo << 1) | np.uint64(1)
     hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    return (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
+    """The first uniform of every keyed stream of keyed_states, in the keys'
+    broadcast shape: one PCG64 step and its XSL-RR output, as random() takes."""
+    hi, lo, inc_hi, inc_lo = keyed_states(master_seed, *key)
     hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
     xored, rot = hi ^ lo, hi >> 58
     out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    shape = np.broadcast_shapes(*(np.shape(k) for k in key))
     return ((out >> 11).astype(float) * 2.0**-53).reshape(shape)
+
+
+def keyed_generators(master_seed: int, *key):
+    """Yield the Generator of every keyed stream of keyed_states, in the C
+    order of the broadcast keys.
+
+    One PCG64 and its Generator are reused: each step sets the next key's
+    state on them, so each yielded stream must be drawn in full before the
+    next is taken (a generator kept past that point draws another key's
+    stream). Setting a state and drawing a few numbers costs about 4 us,
+    against about 26 us with a fresh generator (2-vCPU Xeon, numpy 2.4); the
+    keyed states themselves are one array pass.
+    """
+    halves = (half.ravel().tolist() for half in keyed_states(master_seed, *key))
+    bits = np.random.PCG64(0)  # its own seeding is replaced by each key's state
+    gen = np.random.Generator(bits)
+    for hi, lo, inc_hi, inc_lo in zip(*halves):
+        bits.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+        }
+        yield gen
+
+
+def substream(master_seed: int, *key: int) -> np.random.Generator:
+    """The Generator of one key: keyed_generators' stream as a generator of its own.
+
+    The same (seed, key) pair always yields the same stream, regardless of
+    process or thread scheduling, so per-entity draws are reproducible under
+    any worker count. A call costs about 0.4 ms (2-vCPU Xeon, numpy 2.4),
+    the keyed_states pass of one key: never call it per link or per field;
+    take keyed_generators over all keys at once.
+    """
+    return next(keyed_generators(master_seed, *key))

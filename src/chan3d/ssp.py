@@ -239,11 +239,12 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
     pipeline: delays, powers, cluster angles, ray expansion, polarization.
 
     lsps is (link, 7) in LSP_NAMES order; los_departure and los_arrival are
-    (link, 2) arrays of (azimuth, zenith) in radians; rngs holds one
-    Generator per link. Returns a ClusterSet whose arrays have a leading
-    link axis. A short loop first makes each link's draws from its own
-    generator, in the one-link order; one array pass over (link,
-    cluster[, ray]) then does the math, rounding as the one-link pass does.
+    (link, 2) arrays of (azimuth, zenith) in radians; rngs yields one
+    Generator per link, each drawn in full before the next is taken.
+    Returns a ClusterSet whose arrays have a leading link axis. A short loop
+    first makes each link's draws from its own generator, in the one-link
+    order; one array pass over (link, cluster[, ray]) then does the math,
+    rounding as the one-link pass does.
     """
     lsps = np.asarray(lsps, dtype=float)
     ds = lsps[:, 2]

@@ -13,7 +13,6 @@ from .geom import (
     rotation_z,
     spherical_basis,
     unit_vectors,
-    wrap_azimuth,
 )
 from .ssp import ClusterSet, polarization_matrix
 
@@ -58,7 +57,7 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
     bearing = np.broadcast_to([e.bearing_rad for e in ends], az.shape[:1])
     out = np.empty(az.shape + (2, end.slants.size), dtype=complex)
     if model == "slant":
-        local_az = wrap_azimuth(az - bearing.reshape(az.shape[:1] + (1,) * (az.ndim - 1)))
+        local_az = az - bearing.reshape(az.shape[:1] + (1,) * (az.ndim - 1))  # the pattern wraps it
         amp = element_amplitude(end.pattern, local_az, zen)
         out[..., 0, :] = amp[..., None] * np.cos(end.slants)
         out[..., 1, :] = amp[..., None] * np.sin(end.slants)

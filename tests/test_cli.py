@@ -324,6 +324,19 @@ def test_nonpositive_los_decay_rejected(tmp_path, decay):
     assert not (tmp_path / "out").exists()
 
 
+def test_split_strongest_needs_n_split_clusters(tmp_path, capsys):
+    # Splitting a link's two strongest clusters needs two: one cluster used to
+    # pass validation, then fail the phase-2 campaign with exit 1.
+    text = (
+        "[run]\nmaster_seed = 1\nphase = 2\n\n[layout]\nn_rings = 0\n\n"
+        "[ssp]\nn_clusters = 1\nsplit_strongest = true\n"
+    )
+    path = _write(tmp_path, text)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ssp.split_strongest: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_campaign_2d_vs_3d_same_xy(tmp_path):
     cfg3 = _tiny_cfg(tmp_path, sub="d3")
     cfg2 = _tiny_cfg(tmp_path, sub="d2")

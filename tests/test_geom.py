@@ -13,7 +13,7 @@ from chan3d.geom import (
     unit_vectors,
     wrap_azimuth,
 )
-from chan3d.lsp import LspSampler
+from chan3d.lsp import slow_fading
 from chan3d.ssp import ClusterSet
 from chan3d.synth import LinkEnd, end_fields
 
@@ -138,13 +138,12 @@ def test_doppler_phase_linear_in_time_and_velocity():
 # the arrival angles as the reversed departure, (az + pi, pi - zen).
 
 def _departure(site_xyz, ue_xyz):
-    """Departure (azimuth, zenith) at a site toward one UE, from LspSampler.slow_fading."""
+    """Departure (azimuth, zenith) at a site toward one UE, from lsp.slow_fading."""
     cfg = default_config("UMa", master_seed=1)
-    nlos = (cfg.lsp_nlos, cfg.corr_nlos)
-    slow = LspSampler(nlos, nlos, cfg.decorrelation, 1).slow_fading(
-        [0], np.array([ue_xyz], dtype=float), np.array([False]),
-        np.array([site_xyz[:2]], dtype=float), float(site_xyz[2]),
-        cfg.pathloss, 2e9,
+    cfg.layout.bs_height_m, cfg.spatial.enabled = float(site_xyz[2]), False
+    slow = slow_fading(
+        cfg, [0], np.array([ue_xyz], dtype=float), np.array([False]),
+        np.array([site_xyz[:2]], dtype=float),
     )
     return float(slow.az_dep[0, 0]), float(slow.zen_dep[0, 0])
 

@@ -8,13 +8,13 @@ from chan3d.config import default_config
 from chan3d.lsp import (
     LSP_NAMES,
     DecorrelationSection,
-    LspSampler,
     LspSection,
     Pathloss,
     field_waves,
     lsps_from_normals,
     mixing_factor,
     pathloss_db,
+    slow_fading,
 )
 
 
@@ -32,11 +32,14 @@ def _simple_section(sigma=1.0):
     )
 
 
-def _simple_sampler(master_seed, spatial=False):
-    """Uncorrelated LSPs of one section for both LOS states, 50 m decorrelation."""
-    state = (_simple_section(), {})
-    decorrelation = DecorrelationSection(*[50.0] * len(LSP_NAMES))
-    return LspSampler(state, state, decorrelation, master_seed, spatial=spatial)
+def _simple_config(master_seed, spatial=False):
+    """UMa with uncorrelated LSPs of one section for both LOS states, 50 m decorrelation."""
+    cfg = default_config("UMa", master_seed=master_seed)
+    cfg.lsp_los = cfg.lsp_nlos = _simple_section()
+    cfg.corr_los, cfg.corr_nlos = {}, {}
+    cfg.decorrelation = DecorrelationSection(*[50.0] * len(LSP_NAMES))
+    cfg.spatial.enabled = spatial
+    return cfg
 
 
 def _correlation(pairs):
@@ -204,12 +207,14 @@ def test_distance_table_interpolation():
 
 # ------------------------------------------------------------- site sharing
 
-def _slow_fading(sampler, ue_ids, ue_xy, site_xy, all_lsps=True):
-    """The slow-fading kernel for outdoor UEs at 1.5 m and 25 m sites."""
+def _slow_fading(cfg, ue_ids, ue_xy, site_xy, all_lsps=True):
+    """The slow-fading kernel for outdoor UEs at 1.5 m and UMa's 25 m sites,
+    in phase 2 (all LSPs) or phase 1 (SF only)."""
+    cfg.run.phase = 2 if all_lsps else 1
     ue_xy = np.asarray(ue_xy, dtype=float)
-    return sampler.slow_fading(
-        ue_ids, np.column_stack([ue_xy, np.full(len(ue_xy), 1.5)]), np.zeros(len(ue_xy), bool),
-        np.asarray(site_xy, dtype=float), 25.0, _uma_pathloss(), 2e9, all_lsps=all_lsps,
+    return slow_fading(
+        cfg, ue_ids, np.column_stack([ue_xy, np.full(len(ue_xy), 1.5)]),
+        np.zeros(len(ue_xy), bool), np.asarray(site_xy, dtype=float),
     )
 
 
@@ -219,26 +224,26 @@ SITES = [(0.0, 0.0), (500.0, 0.0), (250.0, 433.0), (-250.0, 433.0)]
 def test_shared_site_lsps_identical_across_cells():
     # One draw per (UE, site), whatever the block it is computed in; all
     # cells of the site read it.
-    sampler = _simple_sampler(5)
+    cfg = _simple_config(5)
     xy = [(40.0, 30.0), (-90.0, 120.0), (200.0, -60.0)]
-    alone = _slow_fading(sampler, [3], xy[2:], SITES)
-    block = _slow_fading(sampler, [1, 2, 3], xy, SITES)
-    again = _slow_fading(sampler, [3], xy[2:], SITES[:3])
+    alone = _slow_fading(cfg, [3], xy[2:], SITES)
+    block = _slow_fading(cfg, [1, 2, 3], xy, SITES)
+    again = _slow_fading(cfg, [3], xy[2:], SITES[:3])
     assert np.array_equal(alone.lsps[0, 2], block.lsps[2, 2])
     assert np.array_equal(alone.lsps[0, 2], again.lsps[0, 2])
 
 
 def test_shared_site_lsps_independent_across_sites():
-    sampler = _simple_sampler(5)
+    cfg = _simple_config(5)
     n = 10_000
-    slow = _slow_fading(sampler, range(n), np.full((n, 2), 150.0), SITES[:2], all_lsps=False)
+    slow = _slow_fading(cfg, range(n), np.full((n, 2), 150.0), SITES[:2], all_lsps=False)
     rho = np.corrcoef(slow.sf[:, 0], slow.sf[:, 1])[0, 1]
     assert abs(rho) < 0.05
 
 
 def test_shared_site_lsps_deterministic():
-    one = _slow_fading(_simple_sampler(11), [2], [(70.0, 80.0)], SITES)
-    two = _slow_fading(_simple_sampler(11), [2], [(70.0, 80.0)], SITES)
+    one = _slow_fading(_simple_config(11), [2], [(70.0, 80.0)], SITES)
+    two = _slow_fading(_simple_config(11), [2], [(70.0, 80.0)], SITES)
     assert np.array_equal(one.lsps, two.lsps)
     assert np.array_equal(one.los, two.los)
 
@@ -261,8 +266,8 @@ def test_los_state_deterministic_and_distance_dependent():
     ue_xy = [(10.0, 0.0)] + [(150.0, 0.0)] * 2000
 
     def los():
-        sampler = _simple_sampler(9)
-        return _slow_fading(sampler, range(len(ue_xy)), ue_xy, [(0.0, 0.0)], all_lsps=False).los
+        cfg = _simple_config(9)
+        return _slow_fading(cfg, range(len(ue_xy)), ue_xy, [(0.0, 0.0)], all_lsps=False).los
 
     states = los()
     assert states[0, 0]
@@ -281,12 +286,13 @@ def _field_at(waves, x, y):
 
 
 def test_spatial_field_variance_and_correlation():
+    # 400 independent fields: the SF fields of 400 sites.
     decorr = 50.0
+    cfg = _simple_config(0, spatial=True)
     rng = np.random.default_rng(0)
     prods_at_decorr = []
     variances = []
-    for trial in range(400):
-        waves = field_waves(decorr, (trial, 99), 128)
+    for waves in field_waves(cfg, [(site, 0) for site in range(400)]):
         xs = rng.uniform(-500, 500, 40)
         ys = rng.uniform(-500, 500, 40)
         vals = np.array([_field_at(waves, x, y) for x, y in zip(xs, ys)])
@@ -299,14 +305,14 @@ def test_spatial_field_variance_and_correlation():
 
 
 def test_spatial_sampler_position_keyed_and_correlated():
-    sampler = _simple_sampler(13, spatial=True)
+    cfg = _simple_config(13, spatial=True)
     # Position drives the draw: the UE id is irrelevant in spatial mode.
-    slow = _slow_fading(sampler, [0, 99], [(12.0, -7.0), (12.0, -7.0)], SITES)
+    slow = _slow_fading(cfg, [0, 99], [(12.0, -7.0), (12.0, -7.0)], SITES)
     assert np.array_equal(slow.lsps[0], slow.lsps[1])
     # Ensemble correlation of SF at 1 m separation across many sites is high.
     xs = (-200.0, 0.0, 200.0)
     xy = [(x + dx, 0.0) for x in xs for dx in (0.0, 1.0)]
     sites = np.column_stack([np.arange(100) * 37.0, np.full(100, 900.0)])
-    sf = _slow_fading(sampler, range(len(xy)), xy, sites, all_lsps=False).sf
+    sf = _slow_fading(cfg, range(len(xy)), xy, sites, all_lsps=False).sf
     rho = np.corrcoef(sf[0::2].ravel(), sf[1::2].ravel())[0, 1]
     assert rho > 0.9

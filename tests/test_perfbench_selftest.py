@@ -5,9 +5,10 @@ the layer modules, or its observers of ``generate_cluster_set`` and
 ``synthesize``. The ``synthesize`` observer reads four things of a call:
 ``args[0].clusters.aod``, ``args[0].tx.n_elements``,
 ``args[0].rx.n_elements`` and ``args[1]``, the times; the link view of
-``synth.UeLinks.link`` carries all three attributes. The harness's ``LspSampler.los_state`` observer has nothing
-left to observe: ``LspSampler.slow_fading`` draws every LOS state of a
-block in one array pass, so the benchmark's ``lsp.los_*`` counters read 0.
+``synth.UeLinks.link`` carries all three attributes. The harness's
+``LspSampler.los_state`` observer has nothing left to observe: that class is
+gone, and ``lsp.slow_fading`` draws every LOS state of a block in one array
+pass, so the benchmark's ``lsp.los_*`` counters read 0.
 """
 import subprocess
 import sys

@@ -1,22 +1,36 @@
-"""The array form of the keyed LOS uniform against numpy's own generators.
+"""The array derivation of keyed streams against numpy's own generators.
 
 keyed_uniforms must return, element for element, the first uniform of
-substream(seed, *key): the same SeedSequence entropy mix and PCG64 stream,
-only computed over arrays of keys.
+numpy's SeedSequence([seed, *key]) stream through PCG64, and keyed_generators
+must yield those streams themselves: the same entropy mix and PCG64 seeding,
+only computed over arrays of keys. chan3d.rng.substream shares the derivation
+under test, so the oracles build numpy's SeedSequence directly.
 """
+import math
+
 import numpy as np
 import pytest
 
-from chan3d.rng import STREAM_LOS_STATE, keyed_uniforms, substream
+from chan3d.rng import STREAM_LOS_STATE, STREAM_SSP, keyed_generators, keyed_uniforms, substream
 
 SEEDS = [0, 1, 7, 123456789, 2**32 + 5, 2**64 + 3]
 
 
-def _oracle(seed, *key):
-    """substream(seed, *k).random() per element of the broadcast key arrays."""
+def _stream(seed, *key):
+    """The generator of a key, straight from numpy's SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
+def _keys(*key):
+    """The keys of broadcast key components, in C order, as tuples of ints."""
     comps = np.broadcast_arrays(*(np.asarray(k) for k in key))
-    out = [substream(seed, *(int(c) for c in k)).random() for k in zip(*(c.ravel() for c in comps))]
-    return np.array(out).reshape(comps[0].shape)
+    return list(zip(*(c.ravel().tolist() for c in comps))), comps[0].shape
+
+
+def _oracle(seed, *key):
+    """The first uniform of each key's stream, in the broadcast shape of the keys."""
+    keys, shape = _keys(*key)
+    return np.array([_stream(seed, *k).random() for k in keys]).reshape(shape)
 
 
 def test_ue_site_grid_equals_substream():
@@ -51,13 +65,39 @@ def test_broadcast_keys_equal_substream():
     assert got.shape == (3, 4, 2)
     assert np.array_equal(got, _oracle(2**64 + 3, ue, 7, cell, 2**32 - 1, slot))
     one = keyed_uniforms(2**64 + 3, STREAM_LOS_STATE, 9)
-    assert one.shape == () and one == substream(2**64 + 3, STREAM_LOS_STATE, 9).random()
+    assert one.shape == () and one == _stream(2**64 + 3, STREAM_LOS_STATE, 9).random()
+
+
+def _draws(rng, n=5, m=3):
+    """A stream's draws of every kind the campaign makes, in one order."""
+    return [rng.random(), rng.standard_normal(7), rng.integers(0, 2, n),
+            rng.normal(0.0, 3.0, n), rng.uniform(0.0, 2.0 * math.pi, (n, m, 4))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_keyed_generators_equal_seed_sequence_streams(seed):
+    # Each stream, drawn in full before the next is taken, is numpy's own
+    # stream of its key, and the streams come in the C order of the broadcast
+    # keys: a grid whose components meet late, with keys of 0 and 2**32 - 1,
+    # and a key of scalars alone. substream is the one-key form.
+    ue = np.array([0, 9, 2**32 - 1])[:, None, None]
+    cell, slot = np.arange(4)[:, None], np.array([0, 2**32 - 1], dtype=np.uint64)
+    for key in [(ue, 7, cell, slot), (STREAM_SSP, 0, 2**32 - 1)]:
+        keys, _ = _keys(*key)
+        got = [_draws(rng) for rng in keyed_generators(seed, *key)]
+        assert len(got) == len(keys)
+        for draws, k in zip(got, keys):
+            for a, b in zip(draws, _draws(_stream(seed, *k))):
+                assert np.array_equal(a, b), (seed, k)
+    for a, b in zip(_draws(substream(seed, STREAM_SSP, 4)), _draws(_stream(seed, STREAM_SSP, 4))):
+        assert np.array_equal(a, b)
 
 
 def test_empty_keys():
     assert keyed_uniforms(3, STREAM_LOS_STATE, np.arange(0)).shape == (0,)
     empty = keyed_uniforms(3, STREAM_LOS_STATE, np.arange(0)[:, None], np.arange(19))
     assert empty.shape == (0, 19) and empty.dtype == float
+    assert list(keyed_generators(3, STREAM_LOS_STATE, np.arange(0)[:, None], np.arange(19))) == []
 
 
 @pytest.mark.parametrize(
@@ -73,3 +113,5 @@ def test_empty_keys():
 def test_rejects_out_of_range_seeds_and_keys(seed, key):
     with pytest.raises(ValueError):
         keyed_uniforms(seed, *key)
+    with pytest.raises(ValueError):
+        next(keyed_generators(seed, *key))

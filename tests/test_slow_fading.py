@@ -4,7 +4,8 @@
 UE, one LOS draw, one pathloss and one LSP draw per site, with the pathloss
 and LSP marginals written out in scalar form. The kernel must reproduce it
 bit for bit: over the whole drop or a sub-range of it, at any chunk size and
-worker count, and with only SF requested.
+worker count, and with only SF requested. Its keyed streams come from numpy's
+own SeedSequence, not from the array derivation in chan3d.rng.
 """
 import itertools
 import logging
@@ -18,11 +19,13 @@ import pytest
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
 import chan3d.lsp
-from chan3d.lsp import LSP_NAMES, LspSampler, field_waves
+from chan3d.lsp import LSP_NAMES, mixing_factor, slow_fading
 from chan3d.rng import STREAM_DROP, STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, substream
 
-H_BS = 25.0
-CARRIER_HZ = 2e9
+
+def _stream(seed, *key):
+    """The generator of a key, straight from numpy's SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def _pathloss(model, d_3d, h_ue, indoor, los, frequency_hz):
@@ -45,22 +48,26 @@ def _table(rows, slope, d_2d, h_ue):
     return np.interp(d_2d, d, mu) + slope * (h_ue - 1.5), np.interp(d_2d, d, sigma)
 
 
-def _field_at(sampler, site, lsp, x, y):
-    """The (site, LSP) spatial field at one point: the scaled cosine sum of its waves."""
-    kx, ky, phase = field_waves(
-        getattr(sampler.decorrelation, LSP_NAMES[lsp]),
-        (sampler.master_seed, STREAM_FIELD, site, lsp), sampler.n_field_terms,
-    )
-    return math.sqrt(2.0 / sampler.n_field_terms) * np.cos(kx * x + ky * y + phase).sum()
+def _field_at(cfg, site, lsp, x, y):
+    """The (site, LSP) spatial field at one point: the scaled cosine sum of its
+    waves, drawn from the stream (seed, STREAM_FIELD, site, LSP)."""
+    n, rng = cfg.spatial.n_terms, _stream(cfg.run.master_seed, STREAM_FIELD, site, lsp)
+    decorrelation_m = getattr(cfg.decorrelation, LSP_NAMES[lsp])
+    k_mag = np.sqrt(1.0 / (1.0 - rng.random(n)) ** 2 - 1.0) / decorrelation_m
+    direction = rng.uniform(0.0, 2.0 * math.pi, n)
+    phase = rng.uniform(0.0, 2.0 * math.pi, n)
+    kx, ky = k_mag * np.cos(direction), k_mag * np.sin(direction)
+    return math.sqrt(2.0 / n) * np.cos(kx * x + ky * y + phase).sum()
 
 
-def _lsps(sampler, ue_index, site, d_2d, h_ue, los, ue_xy):
-    s, factor = sampler.states[0 if los else 1]
-    if sampler.spatial:
+def _lsps(cfg, ue_index, site, d_2d, h_ue, los, ue_xy):
+    s = cfg.lsp_los if los else cfg.lsp_nlos
+    factor = mixing_factor(cfg.corr_los if los else cfg.corr_nlos)
+    if cfg.spatial.enabled:
         x, y = float(ue_xy[0]), float(ue_xy[1])
-        normals = np.array([_field_at(sampler, site, i, x, y) for i in range(len(LSP_NAMES))])
+        normals = np.array([_field_at(cfg, site, i, x, y) for i in range(len(LSP_NAMES))])
     else:
-        normals = substream(sampler.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
+        normals = _stream(cfg.run.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
     z = factor @ normals
     esd_mu, esd_sigma = _table(s.esd_table, s.esd_height_slope_per_m, d_2d, h_ue)
     esa_mu, esa_sigma = _table(s.esa_table, s.esa_height_slope_per_m, d_2d, h_ue)
@@ -75,7 +82,7 @@ def _lsps(sampler, ue_index, site, d_2d, h_ue, los, ue_xy):
     )
 
 
-def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
+def _per_link(cfg, site_xy, wrap, ue_index, drop):
     """Per-site 2D distance, departure angles, LOS state, pathloss and LSPs of one UE."""
     ue_xy = np.array([float(v) for v in drop.xyz[ue_index, :2]])
     h_ue, indoor = float(drop.xyz[ue_index, 2]), bool(drop.indoor[ue_index])
@@ -83,7 +90,7 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
     if wrap is not None:
         delta = fold_to_nearest_image(delta, wrap)
     d2d = np.hypot(delta[:, 0], delta[:, 1])
-    dz = h_ue - H_BS
+    dz = h_ue - cfg.layout.bs_height_m
     d3d = np.hypot(d2d, dz)
     az_dep = np.arctan2(delta[:, 1], delta[:, 0])
     zen_dep = np.arccos(np.clip(dz / d3d, -1.0, 1.0))
@@ -91,11 +98,13 @@ def _per_link(sampler, pathloss, site_xy, wrap, ue_index, drop):
     pl = np.empty(site_xy.shape[0])
     lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
     for s in range(site_xy.shape[0]):
-        d0, decay = pathloss.los_prob_d0_m, pathloss.los_prob_decay_m
+        d0, decay = cfg.pathloss.los_prob_d0_m, cfg.pathloss.los_prob_decay_m
         p_los = min(1.0, math.exp(-(float(d2d[s]) - d0) / decay))
-        los[s] = substream(sampler.master_seed, STREAM_LOS_STATE, ue_index, s).random() < p_los
-        pl[s] = _pathloss(pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), CARRIER_HZ)
-        lsps[s] = _lsps(sampler, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
+        los[s] = _stream(cfg.run.master_seed, STREAM_LOS_STATE, ue_index, s).random() < p_los
+        pl[s] = _pathloss(
+            cfg.pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), cfg.run.carrier_hz
+        )
+        lsps[s] = _lsps(cfg, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
     return d2d, az_dep, zen_dep, los, pl, lsps
 
 
@@ -114,18 +123,18 @@ def _setup(spatial, wrap_around, correlation):
     cfg = default_config("UMa", master_seed=17)
     site_xy = hex_layout(1, cfg.layout.isd_m)
     drop = drop_ues(3, site_xy, substream(17, STREAM_DROP), cfg.layout.isd_m)
-    los, nlos = (cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos)
     if correlation is not None:
-        los, nlos = (cfg.lsp_los, correlation), (cfg.lsp_nlos, correlation)
-    sampler = LspSampler(los, nlos, cfg.decorrelation, 17, spatial=spatial)
+        cfg.corr_los = cfg.corr_nlos = correlation
+    cfg.spatial.enabled = spatial
     wrap = wrap_basis(1, cfg.layout.isd_m) if wrap_around else None
-    return sampler, cfg.pathloss, site_xy, wrap, drop
+    return cfg, site_xy, wrap, drop
 
 
-def _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps, workers=1):
-    return sampler.slow_fading(
-        range(start, stop), drop.xyz[start:stop], drop.indoor[start:stop],
-        site_xy, H_BS, pathloss, CARRIER_HZ, wrap=wrap, all_lsps=all_lsps, workers=workers,
+def _kernel(cfg, site_xy, wrap, drop, start, stop, all_lsps, workers=1):
+    """slow_fading over UEs start..stop, in phase 2 (all LSPs) or phase 1 (SF only)."""
+    cfg.run.phase, cfg.run.workers = (2 if all_lsps else 1), workers
+    return slow_fading(
+        cfg, range(start, stop), drop.xyz[start:stop], drop.indoor[start:stop], site_xy, wrap
     )
 
 
@@ -179,21 +188,21 @@ class _CosineCalls:
     ids=["spatial-wrap", "keyed-wrap", "spatial-nowrap", "spatial-wrap-semidefinite"],
 )
 def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypatch):
-    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, wrap_around, correlation)
+    cfg, site_xy, wrap, drop = _setup(spatial, wrap_around, correlation)
     if correlation is not None:
-        factor = sampler.states[1][1]
+        factor = mixing_factor(cfg.corr_nlos)
         assert np.any(np.triu(factor, 1) != 0.0)
         assert np.count_nonzero(factor[0]) > 1
 
-    rows = [_per_link(sampler, pathloss, site_xy, wrap, i, drop) for i in range(len(drop))]
+    rows = [_per_link(cfg, site_xy, wrap, i, drop) for i in range(len(drop))]
     expected = [np.array(column) for column in zip(*rows)]
     d2d, az_dep, zen_dep, los, pl, lsps = expected
     assert 0 < np.count_nonzero(los) < los.size
 
-    full = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True)
-    sf_only = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), False)
+    full = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True)
+    sf_only = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), False)
     _small_chunks(monkeypatch)
-    chunked = [_kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    chunked = [_kernel(cfg, site_xy, wrap, drop, 0, len(drop), all_lsps)
                for all_lsps in (True, False)]
     for got in (full, sf_only, *chunked):
         assert np.array_equal(got.d2d, d2d)
@@ -209,7 +218,7 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
     for whole in (full, sf_only):
         all_lsps = whole.lsps is not None
         for start, stop in ((0, split), (split, len(drop))):
-            part = _kernel(sampler, pathloss, site_xy, wrap, drop, start, stop, all_lsps)
+            part = _kernel(cfg, site_xy, wrap, drop, start, stop, all_lsps)
             _assert_rows_equal(part, whole, slice(start, stop))
 
 
@@ -220,12 +229,12 @@ def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch, 
     # kernel starts workers - 1 threads over its fields (none without
     # fields), logs the true thread count, and returns the same bytes.
     _small_chunks(monkeypatch)
-    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
+    cfg, site_xy, wrap, drop = _setup(spatial, True, None)
     fields, started = [], []
 
-    def recording_waves(decorrelation_m, key, n_terms):
-        fields.append(key[2:])  # (site, LSP) of the key (seed, STREAM_FIELD, site, LSP)
-        return waves(decorrelation_m, key, n_terms)
+    def recording_waves(cfg, jobs):
+        fields.extend(jobs)  # the (site, LSP) of each field
+        return waves(cfg, jobs)
 
     class CountingThread(threading.Thread):
         def start(self):
@@ -236,7 +245,7 @@ def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch, 
     monkeypatch.setattr(chan3d.lsp, "field_waves", recording_waves)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     caplog.set_level(logging.INFO, logger="chan3d")
-    one = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    one = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), all_lsps)
     n_lsps = len(LSP_NAMES) if all_lsps else 1  # UMa's SF row of the Cholesky factor is (1, 0, ...)
     assert fields == ([(s, i) for s in range(site_xy.shape[0]) for i in range(n_lsps)] if spatial else [])
     n_fields = len(fields)
@@ -245,7 +254,7 @@ def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch, 
     try:
         for workers in (1, 2, 3):
             started.clear(), caplog.clear()
-            got = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
+            got = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
             _assert_rows_equal(got, one, slice(None))
             threads = workers if spatial else 1
             assert len(started) == threads - 1
@@ -258,17 +267,17 @@ def test_kernel_bytes_equal_at_any_thread_count(spatial, all_lsps, monkeypatch, 
 def test_kernel_raises_a_field_thread_error(monkeypatch):
     # A field that fails on a started thread fails the kernel call: its rows
     # would otherwise be left unwritten.
-    sampler, pathloss, site_xy, wrap, drop = _setup(True, True, None)
+    cfg, site_xy, wrap, drop = _setup(True, True, None)
 
-    def failing_waves(decorrelation_m, key, n_terms):
-        kx, ky, phase = waves(decorrelation_m, key, n_terms)
-        return kx, ky, phase[:2] if key[2] == 3 else phase
+    def failing_waves(cfg, jobs):
+        return [(kx, ky, phase[:2] if site == 3 else phase)
+                for (site, _), (kx, ky, phase) in zip(jobs, waves(cfg, jobs))]
 
     waves = chan3d.lsp.field_waves
     monkeypatch.setattr(chan3d.lsp, "field_waves", failing_waves)
     for workers in (1, 2, 3):
         with pytest.raises(ValueError, match="broadcast"):
-            _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True, workers)
+            _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True, workers)
 
 
 @pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])
@@ -276,16 +285,16 @@ def test_kernel_raises_a_field_thread_error(monkeypatch):
 def test_kernel_bytes_equal_at_any_chunk_size(spatial, all_lsps, monkeypatch):
     # Field chunks of one UE row, the default, and more cosines than the
     # whole drop; link chunks of one UE row, the default, and all links.
-    sampler, pathloss, site_xy, wrap, drop = _setup(spatial, True, None)
-    whole = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps)
-    n_terms, n_site = sampler.n_field_terms, site_xy.shape[0]
+    cfg, site_xy, wrap, drop = _setup(spatial, True, None)
+    whole = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), all_lsps)
+    n_terms, n_site = cfg.spatial.n_terms, site_xy.shape[0]
     field_chunks = (n_terms, chan3d.lsp.FIELD_CHUNK, len(drop) * n_terms + 1)
     link_chunks = (n_site, chan3d.lsp.LINK_CHUNK, len(drop) * n_site)
     for field_chunk, link_chunk in itertools.product(field_chunks, link_chunks):
         monkeypatch.setattr(chan3d.lsp, "FIELD_CHUNK", field_chunk)
         monkeypatch.setattr(chan3d.lsp, "LINK_CHUNK", link_chunk)
         for workers in (1, 2):
-            got = _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
+            got = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), all_lsps, workers)
             _assert_rows_equal(got, whole, slice(None))
 
 
@@ -294,7 +303,7 @@ def test_kernel_stops_its_fields_when_the_link_stage_fails(monkeypatch):
     # fails on the calling thread; it then finishes that field and starts
     # no other, where it used to evaluate all 21 before the error arrived.
     _small_chunks(monkeypatch)
-    sampler, pathloss, site_xy, wrap, drop = _setup(True, True, None)
+    cfg, site_xy, wrap, drop = _setup(True, True, None)
     in_field, failing = threading.Event(), threading.Event()
 
     def first_chunk():
@@ -311,7 +320,7 @@ def test_kernel_stops_its_fields_when_the_link_stage_fails(monkeypatch):
     monkeypatch.setattr(chan3d.lsp, "np", calls)
     monkeypatch.setattr(chan3d.lsp, "pathloss_db", failing_pathloss)
     with pytest.raises(RuntimeError, match="pathloss failed"):
-        _kernel(sampler, pathloss, site_xy, wrap, drop, 0, len(drop), True, workers=2)
+        _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True, workers=2)
     assert calls.rows == [5] * 12 + [3]  # one field of the 63 UEs, 5 rows a chunk
 
 
@@ -324,14 +333,11 @@ def test_field_chunks_hold_at_least_32k_cosines(n_terms, monkeypatch):
     cfg = default_config("UMa", master_seed=1)
     site_xy = hex_layout(cfg.layout.n_rings, cfg.layout.isd_m)
     drop = drop_ues(30, site_xy, substream(1, STREAM_DROP), cfg.layout.isd_m, three_d=False)
-    sampler = LspSampler((cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos),
-                         cfg.decorrelation, 1, spatial=True, n_field_terms=n_terms)
+    cfg.spatial.n_terms, cfg.run.workers = n_terms, 2
     calls = _CosineCalls()
     monkeypatch.setattr(chan3d.lsp, "np", calls)
-    sampler.slow_fading(
-        range(len(drop)), drop.xyz, drop.indoor, site_xy, H_BS, cfg.pathloss, CARRIER_HZ,
-        wrap=wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m), workers=2,
-    )
+    wrap = wrap_basis(cfg.layout.n_rings, cfg.layout.isd_m)
+    slow_fading(cfg, range(len(drop)), drop.xyz, drop.indoor, site_xy, wrap)
     n_ue, n_fields = len(drop), site_xy.shape[0]
     rows = max(1, chan3d.lsp.FIELD_CHUNK // n_terms)
     assert (n_ue, n_fields) == (1710, 19) and rows * n_terms >= 32768

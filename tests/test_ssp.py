@@ -11,6 +11,7 @@ import chan3d.campaign as campaign
 import ssp_oracle as oracle
 from chan3d.calib import angular_spread_deg
 from chan3d.config import ConfigError, default_config, validate
+from chan3d.rng import STREAM_SSP
 from chan3d.ssp import (
     RAY_OFFSETS_20,
     ClusterSet,
@@ -354,13 +355,18 @@ def _ssp_options(cfg):
 @pytest.mark.parametrize("options", ["default", "split_strongest", "ssp_options"])
 def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch, caplog):
     # Every link of every UE of a one-ring campaign (21 UEs x 21 cells, LOS
-    # and NLOS links): each batch row equals the one-link draw, bit for bit.
+    # and NLOS links): each batch row equals the one-link draw, bit for bit,
+    # from a fresh stream of the link's (UE, site, cell) key built by numpy's
+    # SeedSequence. At one worker the UEs come in order; cell c is slot c % 3
+    # of site c // 3.
     calls = []
     batched = campaign.generate_cluster_set
 
     def recording(lsps, deps, arrs, cfg, rngs):
-        fresh = copy.deepcopy(rngs)
         batch = batched(lsps, deps, arrs, cfg, rngs)
+        ue = len(calls)
+        fresh = [np.random.default_rng(np.random.SeedSequence([31, STREAM_SSP, ue, c // 3, c % 3]))
+                 for c in range(len(lsps))]
         calls.append((lsps, deps, arrs, cfg, fresh, batch))
         return batch
 

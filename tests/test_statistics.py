@@ -18,11 +18,11 @@ import os
 import numpy as np
 import pytest
 
-from chan3d import lsp, ssp
+from chan3d import campaign, lsp, ssp
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, hex_layout
-from chan3d.lsp import LspSampler, LspSection
+from chan3d.lsp import LspSection, slow_fading
 from chan3d.rng import STREAM_DROP, substream
 
 
@@ -37,14 +37,7 @@ def drop_slow_fading():
         cfg.run.n_ue_per_cell, site_xy, substream(cfg.run.master_seed, STREAM_DROP),
         cfg.layout.isd_m, cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
     )
-    sampler = LspSampler(
-        (cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos), cfg.decorrelation,
-        cfg.run.master_seed, spatial=cfg.spatial.enabled,
-    )
-    slow = sampler.slow_fading(
-        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m,
-        cfg.pathloss, cfg.run.carrier_hz,
-    )
+    slow = slow_fading(cfg, range(len(drop)), drop.xyz, drop.indoor, site_xy)
     return cfg, slow
 
 
@@ -79,14 +72,8 @@ def phase2_lsps(request):
         cfg.run.n_ue_per_cell, site_xy, substream(cfg.run.master_seed, STREAM_DROP),
         cfg.layout.isd_m, cfg.layout.min_dist_2d_m, cfg.layout.ue_speed_kmh,
     )
-    sampler = LspSampler(
-        (cfg.lsp_los, cfg.corr_los), (cfg.lsp_nlos, cfg.corr_nlos), cfg.decorrelation,
-        cfg.run.master_seed, spatial=cfg.spatial.enabled,
-    )
-    slow = sampler.slow_fading(
-        range(len(drop)), drop.xyz, drop.indoor, site_xy, cfg.layout.bs_height_m,
-        cfg.pathloss, cfg.run.carrier_hz, all_lsps=True,
-    )
+    cfg.run.phase = 2  # all seven LSPs
+    slow = slow_fading(cfg, range(len(drop)), drop.xyz, drop.indoor, site_xy)
     return cfg, drop.xyz[:, 2], slow
 
 
@@ -123,8 +110,8 @@ def test_spatial_field_correlation_at_decorrelation_distance_is_exp_minus_one():
     # scatters about it, and their mean must lie within four standard errors.
     cfg = default_config("UMa", master_seed=5)
     n_fields, n_pairs = 200, 1000
-    section = LspSection(sf_mu_db=0.0, sf_sigma_db=1.0)
-    sampler = LspSampler((section, {}), (section, {}), cfg.decorrelation, 5, spatial=True)
+    cfg.lsp_los = cfg.lsp_nlos = LspSection(sf_mu_db=0.0, sf_sigma_db=1.0)
+    cfg.corr_los, cfg.corr_nlos = {}, {}
     distance = cfg.decorrelation.sf
     rng = np.random.default_rng(2026)
     first = rng.uniform(-10e3, 10e3, (n_pairs, 2))
@@ -132,10 +119,7 @@ def test_spatial_field_correlation_at_decorrelation_distance_is_exp_minus_one():
     second = first + distance * np.column_stack([np.cos(angle), np.sin(angle)])
     xyz = np.column_stack([np.vstack([first, second]), np.full(2 * n_pairs, 1.5)])
     site_xy = np.column_stack([np.arange(n_fields) * 10.0, np.full(n_fields, 50e3)])
-    slow = sampler.slow_fading(
-        range(2 * n_pairs), xyz, np.zeros(2 * n_pairs, dtype=bool), site_xy,
-        cfg.layout.bs_height_m, cfg.pathloss, cfg.run.carrier_hz,
-    )
+    slow = slow_fading(cfg, range(2 * n_pairs), xyz, np.zeros(2 * n_pairs, dtype=bool), site_xy)
     a, b = slow.sf[:n_pairs].T, slow.sf[n_pairs:].T  # (field, pair)
     r = np.array([np.corrcoef(x, y)[0, 1] for x, y in zip(a, b)])
     error = r.std(ddof=1) / math.sqrt(n_fields)
@@ -156,17 +140,17 @@ def test_phase2_azimuth_spreads_match_drawn_lsps(tmp_path, monkeypatch):
     # A zenith spread counts only where none of the link's rescaled cluster
     # zeniths of that kind left [0, pi]: reflecting one at a pole moves it.
     drawn, rescaled = [], []
-    slow_fading, rescale = lsp.LspSampler.slow_fading, ssp._rescale_to_spread
+    rescale = ssp._rescale_to_spread
 
-    def recording(self, *args, **kwargs):
-        drawn.append(slow_fading(self, *args, **kwargs))
+    def recording(*args, **kwargs):
+        drawn.append(slow_fading(*args, **kwargs))
         return drawn[-1]
 
     def recording_rescale(angles, powers, target_rad):
         rescaled.append(rescale(angles, powers, target_rad))  # (kind, link, cluster), one call per UE
         return rescaled[-1]
 
-    monkeypatch.setattr(lsp.LspSampler, "slow_fading", recording)
+    monkeypatch.setattr(campaign, "slow_fading", recording)
     monkeypatch.setattr(ssp, "_rescale_to_spread", recording_rescale)
     cfg = default_config("UMa", master_seed=1)
     cfg.layout.n_rings = 1
