@@ -11,7 +11,7 @@ import numpy as np
 
 from . import calib
 from .antenna import column_heights, column_sums, element_amplitude, element_gain_db, fields_gain_db
-from .config import RunConfig, build_array, build_tx_pattern, config_hash
+from .config import RunConfig, build_array, build_tx_pattern, config_hash, validate
 from .deploy import (
     CELL_BEARINGS_DEG,
     Drop,
@@ -290,6 +290,8 @@ def _write_cdf(path, values, metric: str, cfg: RunConfig, d_v: float, tilt: floa
 def run_campaign(cfg: RunConfig) -> list:
     """Execute the configured campaign and return the written file paths.
 
+    Validates the config first and raises ConfigError before it touches the
+    output directory.
     Drops UEs and computes their slow fading once (both are shared across
     sweep points for paired comparisons). Each (d_v, downtilt) sweep point
     then gets one CDF file per metric plus a per-UE report, both written from
@@ -303,6 +305,7 @@ def run_campaign(cfg: RunConfig) -> list:
     Each file is written under a temporary name and renamed into place once
     complete, so an interrupted campaign leaves no half-written output.
     """
+    validate(cfg)
     out_dir = cfg.run.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -343,13 +346,6 @@ def run_campaign(cfg: RunConfig) -> list:
         wrap=wrap,
     )
     ctx.tx_setups = _tx_setups(ctx)
-    single_element_sweep = (
-        cfg.run.phase == 1 and cfg.antenna.pattern == "element"
-        and cfg.antenna.k_per_port == 1 and len(ctx.sweep) > 1
-    )
-    if single_element_sweep:
-        log.warning("warning: at k_per_port = 1 phase 1 measures port 0, a single element at "
-                    "the array origin, so every sweep point writes the same report")
     if cfg.run.phase == 1:
         reports = _phase1_reports(ctx)
     else:

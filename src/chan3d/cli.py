@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated vertical spacings in wavelengths (overrides the config)",
     )
     run_p.add_argument("--drop-mode", choices=("3d", "legacy2d"), default=None)
-    run_p.add_argument("-q", "--quiet", action="store_true", help="log warnings only, no progress")
+    run_p.add_argument("-q", "--quiet", action="store_true", help="print warnings only, no progress")
 
     def_p = sub.add_parser(
         "default-config",

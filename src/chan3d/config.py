@@ -270,17 +270,6 @@ def parse_config(path: str, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _distinct_suffixes(sweep) -> bool:
-    """Whether each sweep point has its own output file suffix f"{v:g}";
-    raises ValueError naming the first repeated one."""
-    seen = set()
-    for v in sweep:
-        if f"{v:g}" in seen:
-            raise ValueError(f"points share the output file suffix {v:g}; give distinct values")
-        seen.add(f"{v:g}")
-    return True
-
-
 def _one_of(*allowed):
     return (lambda v, s: v in allowed), "must be " + " or ".join(map(repr, allowed))
 
@@ -335,10 +324,7 @@ _CHECKS = {
     "antenna.k_per_port": (lambda v, s: v in (1, s.m_rows), "must be 1 or m_rows"),
     "antenna.d_v": _POSITIVE,
     "antenna.d_h": _POSITIVE,
-    "antenna.d_v_sweep": (
-        lambda v, s: _distinct_suffixes(v) and all(d > 0 for d in v), "spacings must be positive"
-    ),
-    "antenna.downtilt_sweep_deg": (lambda v, s: _distinct_suffixes(v), "points must differ"),
+    "antenna.d_v_sweep": (lambda v, s: all(d > 0 for d in v), "spacings must be positive"),
     "antenna.a_m_db": _PATTERN,
     "antenna.sla_v_db": _PATTERN,
     "antenna.phi_3db_deg": _PATTERN,
@@ -367,8 +353,12 @@ _CHECKS = {
 
 
 def validate(cfg: RunConfig):
-    """Check every key against its rule, then the correlation matrices;
-    raises ConfigError naming the field."""
+    """Check every key against its rule, then the sweeps, then the correlation
+    matrices; raises ConfigError naming the field. Each sweep point needs its
+    own output file suffix, and a sweep of two or more points needs a TX that
+    it can change: the tilt moves only the itu_port pattern or K = M > 1 port
+    weights, and d_v only the rows of the element pattern's array, at port 0 in
+    phase 1 (one element at the origin when K = 1)."""
     sections = cfg.sections()
     for where, (test, message) in _CHECKS.items():
         name, key = where.split(".")
@@ -378,6 +368,20 @@ def validate(cfg: RunConfig):
             ok, message = False, str(exc)
         if not ok:
             raise ConfigError(f"{where}: {message}")
+    a, phase_2 = cfg.antenna, cfg.run.phase == 2
+    for key, moves, needs in (
+        ("downtilt_sweep_deg", a.pattern == "itu_port" or a.k_per_port == a.m_rows > 1,
+         "pattern = itu_port or k_per_port = m_rows > 1"),
+        ("d_v_sweep", a.pattern == "element" and a.m_rows > 1 and (phase_2 or a.k_per_port > 1),
+         "pattern = element, m_rows > 1, and phase 2 or k_per_port = m_rows"),
+    ):
+        suffixes = [f"{v:g}" for v in getattr(a, key)]  # a point names its output files
+        for i, suffix in enumerate(suffixes):
+            if suffix in suffixes[:i]:
+                raise ConfigError(f"antenna.{key}: points share the output file suffix {suffix}; "
+                                  "give distinct values")
+        if len(suffixes) > 1 and not moves:
+            raise ConfigError(f"antenna.{key}: no sweep point can change an output without {needs}")
     for name in ("lsp_correlation_los", "lsp_correlation_nlos"):
         for key, value in sections[name].items():
             if not -1.0 <= value <= 1.0:

@@ -258,33 +258,75 @@ def test_campaign_threads_only_above_one_worker(tmp_path, monkeypatch):
     assert _run_logged(cfg)[0] == single
 
 
-def test_campaign_warns_single_element_port_sweep(tmp_path):
-    # At k_per_port = 1 port 0 is one element at the array origin: the
-    # sweep points write the same report, and the campaign says so once.
-    cfg = _tiny_cfg(tmp_path, antenna__k_per_port=1, antenna__d_v_sweep=(0.5, 0.8))
-    files, lines = _run_logged(cfg)
-    warnings = [line for line in lines if line.startswith("warning:")]
-    assert len(warnings) == 1 and "k_per_port = 1" in warnings[0]
-    assert files["report_dv0.5_tilt12.txt"] == files["report_dv0.8_tilt12.txt"]
-    _, lines = _run_logged(_tiny_cfg(tmp_path, sub="one", antenna__k_per_port=1))
-    assert not [line for line in lines if line.startswith("warning:")]
+_TILTS, _SPACINGS = {"downtilt_sweep_deg": (6.0, 12.0)}, {"d_v_sweep": (0.5, 0.8)}
+_K1, _ITU = {"k_per_port": 1}, {"pattern": "itu_port"}
 
 
-def test_cli_logs_progress_to_stderr_and_warnings_under_quiet(tmp_path, capsys):
-    # A two-point sweep at k_per_port = 1 logs one warning.
+def _sweep_cfg(tmp_path, sub, phase, antenna):
+    overrides = {f"antenna__{key}": value for key, value in antenna.items()}
+    return _tiny_cfg(tmp_path, sub, run__phase=phase, **overrides)
+
+
+# Sweeps of which no point can change an output: the tilt moves only the
+# itu_port pattern or K = M > 1 port weights; d_v moves only the element
+# pattern's rows, and in phase 1 only port 0's, one element at the origin
+# when K = 1. Each case lists (phase, [antenna] keys) variants.
+@pytest.mark.parametrize("variants", [
+    [(1, {**_K1, **_TILTS})],
+    [(2, {**_K1, **_TILTS})],
+    [(1, {**_ITU, **_SPACINGS}), (2, {**_ITU, **_SPACINGS})],
+    [(1, {**_K1, **_SPACINGS})],
+    [(2, {"m_rows": 1, **_K1, **_TILTS}), (2, {"m_rows": 1, **_K1, **_SPACINGS})],
+], ids=["p1_k1_tilts", "p2_k1_tilts", "itu_port_dv", "p1_k1_dv", "m_rows_1"])
+def test_sweep_that_cannot_change_an_output_is_refused(tmp_path, capsys, variants):
+    # run_campaign validates an edited default_config itself, and `chan3d run`
+    # exits 2; neither creates the output directory.
+    for i, (phase, antenna) in enumerate(variants):
+        [key] = [k for k in antenna if "sweep" in k]
+        cfg = _sweep_cfg(tmp_path, f"api{i}", phase, antenna)
+        refused = f"^antenna.{key}: no sweep point can change an output"
+        with pytest.raises(ConfigError, match=refused):
+            run_campaign(cfg)
+        assert not os.path.exists(cfg.run.output_dir)
+        path, out = _write(tmp_path, emit_config(cfg), name=f"run{i}.ini"), tmp_path / f"cli{i}"
+        assert main(["run", "--config", path, "--output", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: antenna.{key}: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("phase, antenna", [
+    (1, _TILTS), (1, {**_ITU, **_TILTS}), (2, {**_K1, **_SPACINGS}),
+], ids=["k_m_tilts", "itu_port_tilts", "p2_k1_dv"])
+def test_sweep_that_changes_the_tx_runs(tmp_path, phase, antenna):
+    # The neighbours of the refused sweeps run, and their two points differ.
+    files, _ = _run_logged(_sweep_cfg(tmp_path, "out", phase, antenna))
+    reports = [data for name, data in sorted(files.items()) if name.startswith("report_")]
+    assert len(reports) == 2 and reports[0] != reports[1]
+
+
+def test_cli_logs_progress_to_stderr_and_warnings_under_quiet(tmp_path, capsys, monkeypatch):
+    # Progress and the written paths go to stderr; --quiet keeps warnings only,
+    # and a successful campaign logs none.
     text = (
         "[run]\nmaster_seed = 3\nn_ue_per_cell = 2\n\n[layout]\nn_rings = 0\n\n"
-        "[antenna]\nk_per_port = 1\nd_v_sweep = 0.5, 0.8\n"
+        "[antenna]\nd_v_sweep = 0.5, 0.8\n"
     )
     path = _write(tmp_path, text)
     assert main(["run", "--config", path, "--output", str(tmp_path / "loud")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert "sweep point d_v=0.8 tilt=12 deg: 6 UEs" in err
     assert str(tmp_path / "loud" / "report_dv0.8_tilt12.txt") in err
-    assert sum(line.startswith("warning: at k_per_port = 1") for line in err) == 1
     assert main(["run", "--config", path, "--output", str(tmp_path / "quiet"), "-q"]) == 0
-    [warning] = capsys.readouterr().err.splitlines()
-    assert warning.startswith("warning: at k_per_port = 1")
+    assert capsys.readouterr().err == ""
+
+    def warning_campaign(cfg):
+        logging.getLogger("chan3d").info("progress")
+        logging.getLogger("chan3d").warning("warning: logged during the run")
+        return []
+
+    monkeypatch.setattr("chan3d.cli.run_campaign", warning_campaign)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "warned"), "-q"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["warning: logged during the run"]
 
 
 def test_campaign_logs_los_links_once(tmp_path):

@@ -42,9 +42,9 @@ def _p1_dv_tilt_sweep(cfg):
     cfg.antenna.downtilt_sweep_deg = (6.0, 12.0)
 
 
-def _p1_dv_xpol_per_element(cfg):
-    # One element per port, cross-polarized: port 0 is a single -45 deg element.
-    _p1_dv_tilt_sweep(cfg)
+def _p1_xpol_per_element(cfg):
+    # One element per port, cross-polarized: port 0 is a single -45 deg element,
+    # so one sweep point (no tilt or spacing can move its gain).
     cfg.antenna.k_per_port = 1
     cfg.antenna.cross_polarized = True
 
@@ -73,6 +73,17 @@ def _p2_dv_tilt_sweep(cfg):
     cfg.antenna.d_v_sweep = (0.5, 0.8)
     cfg.antenna.downtilt_sweep_deg = (9.0, 12.0)
     cfg.ssp.split_strongest = True
+
+
+def _p2_dv_per_element(cfg):
+    # One cross-polarized element per port, 20 ports: every element enters the
+    # taps, so the spacing moves them. The 20 elements sit at 10 positions.
+    cfg.run.phase = 2
+    cfg.run.n_ue_per_cell = 1
+    cfg.antenna.k_per_port = 1
+    cfg.antenna.cross_polarized = True
+    cfg.antenna.d_v_sweep = (0.5, 0.8)
+    cfg.antenna.downtilt_sweep_deg = (12.0,)
 
 
 def _p2_itu_port(cfg):
@@ -111,10 +122,11 @@ CASES = {
     "p1_legacy2d_wrap_itu": (22, _p1_legacy2d_wrap_itu),
     "p1_no_spatial": (23, _p1_no_spatial),
     "p1_dv_tilt_sweep": (30, _p1_dv_tilt_sweep),
-    "p1_dv_xpol_per_element": (31, _p1_dv_xpol_per_element),
+    "p1_xpol_per_element": (31, _p1_xpol_per_element),
     "p2_reduced": (24, _p2_reduced),
     "p2_doppler_wrap": (25, _p2_doppler_wrap),
     "p2_dv_tilt_sweep": (26, _p2_dv_tilt_sweep),
+    "p2_dv_per_element": (32, _p2_dv_per_element),
     "p2_itu_port": (27, _p2_itu_port),
     "p2_xpol_rotated": (28, _p2_xpol_rotated),
     "p2_ssp_options": (29, _p2_ssp_options),
@@ -213,30 +225,12 @@ GOLDEN = {
         "report_dv0.8_tilt6.txt":
             "0b9a0615fae155c3ad9a61793cc0bf3f7487cde9c93e59242c9be9cad0074887",
     },
-    "p1_dv_xpol_per_element": {
+    "p1_xpol_per_element": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "4387a5fc839a5b418dc57f8cf3053beb05bbe1f17b1f86dc3ca01085b37a17b4",
-        "cl_cdf_dv0.5_tilt6.txt":
-            "e744681c8f152e3bdfe647eec610128ecc6afa2d6df9e677111fc446d8ed7f42",
-        "cl_cdf_dv0.8_tilt12.txt":
-            "13ec498c22ea1b13c8ca02c38292dbc66c093c83581d84b32fc63457838e0049",
-        "cl_cdf_dv0.8_tilt6.txt":
-            "82db7093c0f59d238084cc819bf2d859f84fd3dcc01b5973fc31c26aa7edff8e",
+            "5698dba4008d983f38a5561c1b4cb14603236e73729ff212a3ae5f540a08bce5",
         "gf_cdf_dv0.5_tilt12.txt":
-            "95c8b11f5f2acd160577ab6bfd64de6a196414cd215738ce8976b3c388240551",
-        "gf_cdf_dv0.5_tilt6.txt":
-            "f5705fdc2729f14a09aad2e4013f4bf9f652b3f5dcf5ac408849bd03d1a9a8f8",
-        "gf_cdf_dv0.8_tilt12.txt":
-            "938ff66d89fa4e9750cf352c7321a4534165761f1f56b6fe3e0d5f4b3955381d",
-        "gf_cdf_dv0.8_tilt6.txt":
-            "02e04164a8a957009ffdd4453d3546148fe130c7ab8f0b59dafdd7d930f7819f",
+            "674943c6608f5f90251c4d3367247e552f9515de92966ae8826dc2758374e1c9",
         "report_dv0.5_tilt12.txt":
-            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
-        "report_dv0.5_tilt6.txt":
-            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
-        "report_dv0.8_tilt12.txt":
-            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
-        "report_dv0.8_tilt6.txt":
             "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
     },
     "p2_reduced": {
@@ -384,6 +378,48 @@ GOLDEN = {
             "21a3fd15b279ebc615dc86bb8e47cdf0e990559ce12da639c95d5e959dbc66e1",
         "report_dv0.8_tilt9.txt":
             "de95eabd0a6036a543d1d08ef44914f970af76df86fa87ff800a97dfb99e9a0d",
+    },
+    "p2_dv_per_element": {
+        "asa_cdf_dv0.5_tilt12.txt":
+            "fbe2dc9b7c8aec3f8f945e8db6879e005f208b867c0ec557ad1d6a3da8f30ef9",
+        "asa_cdf_dv0.8_tilt12.txt":
+            "4e7275d0e5a182e595e861644067c364ef2a7e0ca1473e5c7e09a09e0cfa7397",
+        "asd_cdf_dv0.5_tilt12.txt":
+            "826ea189a730094bd4077b4bbd5e89618f536b8e97506a03173708081e94133f",
+        "asd_cdf_dv0.8_tilt12.txt":
+            "a9f26d1278a937c3e96274cc88b08b3a89446e9d2fd4964469f758a2addcc447",
+        "cl_cdf_dv0.5_tilt12.txt":
+            "7dca74c1f27c656a71ef54fb5172cd7eaf09a956bec558ae57d0668f0fde76c6",
+        "cl_cdf_dv0.8_tilt12.txt":
+            "7f3800d09c1f51172594a2ad4c77acfcd7a3c048303107d39a132f626ccc133f",
+        "ds_cdf_dv0.5_tilt12.txt":
+            "8be80369a8d883f2ec0b15baad48d9e3d0e56e911a480aea67f52220add0b1c5",
+        "ds_cdf_dv0.8_tilt12.txt":
+            "e262f72ac905a2ae048980f6a74ec409d2867690d3cc79ce37e8800e4ef709bc",
+        "esa_cdf_dv0.5_tilt12.txt":
+            "c8c1e633a47c4f717a7a52cf1c9a1b8c8022378c8b821a83392d77f7574e5037",
+        "esa_cdf_dv0.8_tilt12.txt":
+            "3488d1d3f31c46ae982a2e376e8950fed76b718711f31e5a30455f2b8c1abd24",
+        "esd_cdf_dv0.5_tilt12.txt":
+            "b149b9f43c8bba4fc892288b4b86cac8512e50603d2f7c7d5a6304a9767bbaed",
+        "esd_cdf_dv0.8_tilt12.txt":
+            "4503334e47799dbfdf8eeed21256326ecb0c222bc1682eb500d0fd62c18842c6",
+        "gf_cdf_dv0.5_tilt12.txt":
+            "49af6bae7f299183a5d9d1a724514d4e2c5a7341a0f0dff6764a24780e96e50c",
+        "gf_cdf_dv0.8_tilt12.txt":
+            "d4c1c0807827c38635a50ac2d0fada2696550a65e47de6663810ee82a01970d2",
+        "l1_cdf_dv0.5_tilt12.txt":
+            "512931774e5edd4e737b5d837202f565a69da53737bf4d63663c79b1e297de9c",
+        "l1_cdf_dv0.8_tilt12.txt":
+            "861866ba2e04f285608641d93fc7b6113f3aacd86660392fd5504a4d168bd72d",
+        "l2_cdf_dv0.5_tilt12.txt":
+            "b9f05167f54479b05f64fcb5fc4d329deeaafb7e987739e292b054ed0dca923c",
+        "l2_cdf_dv0.8_tilt12.txt":
+            "d26c18c6f184f0e35c8af8f9f3b708ea4d4cead9e4e2a576dd9916675816b89e",
+        "report_dv0.5_tilt12.txt":
+            "23092d02d4be018093bfe7d8fec419f56a9739fbcdb89f0c71cde10c4a9ee50b",
+        "report_dv0.8_tilt12.txt":
+            "f431b02507a69b2673a489551a1f4408b41c391e1829099904b53a0b555aea6c",
     },
     "p2_itu_port": {
         "asa_cdf_dv0.5_tilt12.txt":

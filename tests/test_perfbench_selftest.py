@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from chan3d.config import parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,3 +25,16 @@ def test_perfbench_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_perfbench_configs_pass_validation(tmp_path):
+    # Every benchmark workload and self-test INI, filled in as perfbench/run.py
+    # fills it, passes parse_config: a config rule that refused one would make
+    # the benchmark exit 2.
+    groups = (ROOT / "perfbench" / "workloads", ROOT / "perfbench" / "selftest")
+    templates = sorted(path for group in groups for path in group.glob("*.ini"))
+    assert templates
+    for template in templates:
+        ini = tmp_path / f"{template.parent.name}_{template.name}"
+        ini.write_text(template.read_text().format(seed=1, output_dir=tmp_path / "out"))
+        parse_config(str(ini))
