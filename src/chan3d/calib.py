@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .geom import wrap_azimuth
+from .geom import per_element, wrap_azimuth
 from .ssp import circular_mean
 
 
@@ -25,11 +25,11 @@ def rsrp_fast_fading_db(p_tx_dbm: float, taps) -> np.ndarray:
     """RSRP including fast fading per leading (cell) index of (..., time, tap,
     TX, RX) taps: transmit power plus their time-averaged total energy per
     TX-RX pair (slow fading is in the taps). Each time's energy is one
-    contiguous sum, and the logarithm math.log10 (numpy's rounds differently)."""
+    contiguous sum; the logarithm is per_element's math.log10 (numpy's rounds
+    differently)."""
     power = (np.abs(taps) ** 2).reshape(taps.shape[:-3] + (-1,))
     energy = power.sum(axis=-1).mean(axis=-1) / (taps.shape[-2] * taps.shape[-1])
-    db = [p_tx_dbm + 10.0 * math.log10(e) for e in np.ravel(energy).tolist()]
-    return np.reshape(db, np.shape(energy))
+    return p_tx_dbm + 10.0 * per_element(math.log10, energy)
 
 
 def attach(rsrp_values):
@@ -47,17 +47,15 @@ def geometry_factor_db(rsrp_values, serving):
 
     Interference is accumulated in the linear power domain, each row summed
     contiguously as a one-row sum runs (a strided sum rounds differently), and
-    the logarithm is math.log10 (numpy's rounds differently). With no interferer
-    the UE is isolated and +inf is returned (callers exclude it from CDFs).
+    the logarithm is per_element's math.log10 (numpy's rounds differently).
+    With no interferer the UE is isolated and +inf is returned (callers
+    exclude it from CDFs).
     """
     linear = 10.0 ** (np.ascontiguousarray(rsrp_values, dtype=float) / 10.0)
     own = np.take_along_axis(linear, np.asarray(serving)[..., None], axis=-1)[..., 0]
     interference = linear.sum(axis=-1) - own
-    gf = [
-        10.0 * math.log10(s / i) if i > 0.0 else math.inf
-        for s, i in zip(own.tolist(), interference.tolist())
-    ]
-    return np.array(gf)
+    ratio = np.divide(own, interference, out=np.full_like(own, np.inf), where=interference > 0)
+    return 10.0 * per_element(math.log10, ratio)
 
 
 def angular_spread_deg(angles_rad, powers) -> float:

@@ -20,7 +20,7 @@ from .deploy import (
     hex_layout,
     wrap_basis,
 )
-from .geom import SPEED_OF_LIGHT, rotation_z, wrap_azimuth
+from .geom import SPEED_OF_LIGHT, per_element, pow10, rotation_z, wrap_azimuth
 from .lsp import SlowFading, slow_fading
 from .rng import STREAM_DROP, STREAM_SSP, keyed_generators, substream
 from .ssp import generate_cluster_set
@@ -144,35 +144,26 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
 def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
     """The UE's links to every cell as one UeLinks record. The LOS directions,
     (azimuth, zenith) pairs with the arrival the reversed departure, and the
-    Rice factors are those of the cell's site; each cell's clusters are drawn
-    from its own (UE, site, cell) stream, all in one batch."""
+    Rice factors (0 where NLOS) are those of the cell's site, by scalar libm
+    per site over one norm per offset (array forms round differently); each
+    cell's clusters are drawn from its own (UE, site, cell) stream, in one batch."""
     cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
     deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
     if ctx.wrap is not None:
         deltas = fold_to_nearest_image(deltas, ctx.wrap)
     dz = ctx.drop.xyz[ue_index, 2] - cfg.layout.bs_height_m
-    az, zen, rice_k = [], [], []
-    per_site = zip(deltas, slow.los[ue_index].tolist(), slow.lsps[ue_index, :, 1].tolist())
-    for delta2d, is_los, k_db in per_site:
-        offset = np.append(delta2d, dz)
-        # Python scalars per site (math.atan2/acos/pow): their array forms
-        # round some links differently in the last bit.
-        az.append(math.atan2(offset[1], offset[0]))
-        zen.append(math.acos(max(-1.0, min(1.0, offset[2] / float(np.linalg.norm(offset))))))
-        try:
-            rice_k.append(math.pow(10.0, k_db / 10.0) if is_los else 0.0)
-        except OverflowError:
-            raise ValueError(
-                "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds the float range; "
-                "lower the [lsp_los] k_mu_db or k_sigma_db"
-            ) from None
-    dep_az, zen = wrap_azimuth(np.array(az)), np.array(zen)
+    norms = np.array([np.linalg.norm(np.append(delta2d, dz)) for delta2d in deltas])
+    dep_az = wrap_azimuth(per_element(math.atan2, deltas[:, 1], deltas[:, 0]))
+    zen = per_element(math.acos, np.clip(dz / norms, -1.0, 1.0))
+    k_over_10 = np.where(slow.los[ue_index], slow.lsps[ue_index, :, 1] / 10.0, -np.inf)
+    rice_k = pow10(k_over_10, "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds "
+                   "the float range; lower the [lsp_los] k_mu_db or k_sigma_db")
     los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
     cells = np.arange(len(sites)) % len(CELL_BEARINGS_DEG)
     rngs = keyed_generators(cfg.run.master_seed, STREAM_SSP, ue_index, sites, cells)
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
     return ue_links(
-        ctx.ue_end, batch, los, [rice_k[s] for s in sites.tolist()],
+        ctx.ue_end, batch, los, rice_k[sites].tolist(),
         (slow.pl[ue_index] + slow.sf[ue_index])[sites].tolist(), cfg.run.carrier_hz,
         ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
         cfg.antenna.polarization_model,
@@ -236,14 +227,14 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int) -> list:
     pool of min(workers, n_ues) processes when that is more than one.
 
     The pool's initializer hands each worker the context. Workers are forked
-    where the platform allows it, else spawned, which pickles the context
-    once per worker.
+    where possible, else spawned (pickling the context once per worker); one
+    that ends abruptly, killed say for memory, raises ChildProcessError.
     """
     workers = min(workers, n_ues)
     if workers <= 1:
         return [_phase2_records(ctx, i) for i in range(n_ues)]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     try:
         mp_ctx, started = multiprocessing.get_context("fork"), "forked"
@@ -255,7 +246,10 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int) -> list:
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=mp_ctx, initializer=_init_worker, initargs=(ctx,)
     ) as pool:
-        return list(pool.map(_worker_records, range(n_ues), chunksize=chunk))
+        try:
+            return list(pool.map(_worker_records, range(n_ues), chunksize=chunk))
+        except BrokenProcessPool:
+            raise ChildProcessError("a worker process ended abruptly; try fewer --workers")
 
 
 @contextmanager

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import fold_to_nearest_image
+from .geom import per_element, pow10
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_generators, keyed_uniforms
 
 log = logging.getLogger("chan3d")
@@ -90,26 +91,6 @@ def mixing_factor(pairs: dict) -> np.ndarray:
         return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def _per_element(f, x) -> np.ndarray:
-    """The scalar libm function f (math.pow, exp, log10) over each element of
-    x: numpy's array forms round differently in a few percent of elements,
-    and the per-element form keeps the bytes of the scalar per-link form."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _pow10(x):
-    """10**x per element through the scalar libm pow, as 10.0 ** x on floats.
-    Raises ValueError when a value overflows."""
-    try:
-        return _per_element(lambda v: math.pow(10.0, v), x)
-    except OverflowError:
-        raise ValueError(
-            "the LSP draw overflowed: a spread of 10**x exceeds the float range; "
-            "lower the [lsp_los]/[lsp_nlos] log10 mu or sigma"
-        ) from None
-
-
 def lsps_from_normals(
     section: LspSection, factor, normals, d_2d, h_ue, count: int = len(LSP_NAMES)
 ) -> np.ndarray:
@@ -134,11 +115,11 @@ def lsps_from_normals(
             d, mu, sigma = zip(*table)
             mu_at = np.interp(d_2d, d, mu) + slope * (h_ue - 1.5)
             marginals.append((mu_at, np.interp(d_2d, d, sigma)))
-    values = []
-    for i, (mu, sigma) in enumerate(marginals[:count]):
-        value = mu + sigma * z[..., i]
-        values.append(value if i < 2 else _pow10(value))
-    return np.stack(values, axis=-1)
+    overflow = ("the LSP draw overflowed: a spread of 10**x exceeds the float range; "
+                "lower the [lsp_los]/[lsp_nlos] log10 mu or sigma")
+    values = np.stack([mu + sd * z[..., i] for i, (mu, sd) in enumerate(marginals[:count])], -1)
+    values[..., 2:] = pow10(values[..., 2:], overflow)  # the spreads, from their log10
+    return values
 
 
 @dataclass
@@ -163,7 +144,7 @@ class Pathloss:
         libm exp per element: numpy's array exp differs in the last bit on
         some distances."""
         x = -(np.asarray(d_2d, dtype=float) - self.los_prob_d0_m) / self.los_prob_decay_m
-        return np.minimum(1.0, _per_element(math.exp, x))
+        return np.minimum(1.0, per_element(math.exp, x))
 
 
 def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
@@ -177,7 +158,7 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
         raise ValueError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    log_d = _per_element(math.log10, d_3d)
+    log_d = per_element(math.log10, d_3d)
     pl = (
         np.where(los, model.los_intercept_db, model.nlos_intercept_db)
         + 10.0 * np.where(los, model.los_exponent, model.nlos_exponent) * log_d

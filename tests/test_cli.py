@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chan3d.campaign as campaign
 from chan3d.campaign import run_campaign
 from chan3d.cli import main
 from chan3d.config import (
@@ -487,6 +488,42 @@ def test_cli_rice_factor_overflow_is_one_error_line(tmp_path, capsys, recwarn):
     assert len(err) == 1 and err[0].startswith("error: the LOS Rice-factor draw overflowed")
     assert "[lsp_los] k_mu_db or k_sigma_db" in err[0]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_nlos_rice_draws_that_would_overflow_are_never_raised(tmp_path, capsys):
+    # NLOS links have K = 0 whatever their K draw: with a 5000 dB NLOS K
+    # sigma most NLOS draws exceed 10**(k/10)'s float range, and the run,
+    # whose drop has LOS and NLOS links, still succeeds.
+    path = _write(tmp_path, (
+        "[run]\nmaster_seed = 3\nphase = 2\nn_ue_per_cell = 10\n\n[layout]\nn_rings = 0\n\n"
+        "[ssp]\nn_clusters = 5\n\n[lsp_nlos]\nk_sigma_db = 5000\n"
+    ))
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    counts = re.search(r"slow fading: (\d+) \(UE, site\) links, (\d+) LOS", err).groups()
+    n_links, n_los = map(int, counts)
+    assert 0 < n_los < n_links
+    assert "error" not in err
+
+
+def test_cli_dead_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A phase-2 pool worker that dies (here it exits at once; in practice,
+    # say, killed for memory) ends the run with one error line and exit 1.
+    parent = os.getpid()
+
+    def die(ctx, ue_index):
+        assert os.getpid() != parent, "the records must run in the pool"
+        os._exit(3)
+
+    monkeypatch.setattr(campaign, "_phase2_records", die)
+    path = _write(tmp_path, (
+        "[run]\nmaster_seed = 3\nphase = 2\nn_ue_per_cell = 2\n\n[layout]\nn_rings = 0\n"
+    ))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--output", str(out), "--workers", "2", "-q"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a worker process ended abruptly; try fewer --workers"]
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -8,6 +8,8 @@ import chan3d.campaign as campaign
 from chan3d.antenna import element_gain_db
 from chan3d.config import default_config
 from chan3d.geom import (
+    per_element,
+    pow10,
     rotation_x,
     rotation_z,
     unit_vectors,
@@ -276,3 +278,29 @@ def test_wrap_azimuth_range():
     assert np.all(wrapped < math.pi)
     assert_allclose(np.cos(wrapped), np.cos(values), atol=1e-9)
     assert_allclose(np.sin(wrapped), np.sin(values), atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5, 7)])
+@pytest.mark.parametrize("f", [math.log10, math.exp, math.acos, math.atan2])
+def test_per_element_equals_a_python_loop_bit_for_bit(f, shape):
+    # atan2 takes two arguments; at (5, 7) they broadcast from (5, 1) and (1, 7).
+    rng = np.random.default_rng(17)
+    low = 1e-3 if f is math.log10 else -1.0  # inside every domain
+    if f is math.atan2:
+        shapes = [(5, 1), (1, 7)] if shape == (5, 7) else [shape, shape]
+    else:
+        shapes = [shape]
+    args = [rng.uniform(low, 1.0, s) for s in shapes]
+    loop = np.array([f(*map(float, values)) for values in np.broadcast(*args)])
+    out = per_element(f, *args)
+    assert out.shape == shape and out.dtype == float
+    assert out.tobytes() == loop.tobytes()
+
+
+def test_pow10_is_python_float_power_zero_at_minus_inf_and_raises_callers_message():
+    x = np.random.default_rng(4).normal(0.0, 50.0, 200)
+    assert pow10(x, "unused").tobytes() == np.array([10.0 ** v for v in x.tolist()]).tobytes()
+    assert pow10(np.array([-np.inf, 0.0, 2.0]), "unused").tolist() == [0.0, 1.0, 100.0]
+    with pytest.raises(ValueError, match=r"^the draw overflowed: lower sigma$") as info:
+        pow10(np.array([[1.0, 400.0]]), "the draw overflowed: lower sigma")
+    assert info.value.__cause__ is None and info.value.__suppress_context__

@@ -1,8 +1,11 @@
 """chan3d depends on numpy alone: every import in the package is relative,
 from the standard library, or numpy, at module level or inside a function.
 And it derives its random streams one way: no module names numpy's own seed
-derivation, which chan3d.rng.keyed_states reproduces over arrays."""
+derivation, which chan3d.rng.keyed_states reproduces over arrays. Its setup
+stays light: importing it and checking a config load no process pool."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +76,26 @@ def test_package_derives_no_seed_sequence():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
     assert not {(path.name, name) for path in modules for name in _seed_derivations(path)}
+
+
+def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):
+    # Import, parse_config and validate, as perfbench's setup_s times them on
+    # each workload, load neither the process pool nor numpy.random: a
+    # campaign imports them when it needs them (multiprocessing alone costs
+    # several ms of a fresh interpreter's start).
+    inis = []
+    for template in sorted((SRC.parents[1] / "perfbench" / "workloads").glob("*.ini")):
+        inis.append(tmp_path / template.name)
+        inis[-1].write_text(template.read_text().format(seed=1, output_dir=tmp_path / "out"))
+    assert len(inis) == 3
+    code = (
+        "import sys\nimport chan3d\nfrom chan3d.config import parse_config, validate\n"
+        "for ini in sys.argv[1:]:\n    validate(parse_config(ini))\n"
+        "heavy = ('multiprocessing', 'concurrent.futures', 'numpy.random')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, *map(str, inis)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
