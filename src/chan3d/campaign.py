@@ -1,6 +1,7 @@
 """Batch campaign driver: drops, sweeps, metric computation, and file emission."""
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import os
@@ -213,9 +214,19 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
 _WORKER_CTX: _CampaignContext | None = None
 
 
+def _keep_heap():
+    """Pin glibc's mmap and trim thresholds: a phase-2 UE reuses the heap pages freed before it."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's ceiling for its dynamic one
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that: the ratio of the dynamic rule
+
+
 def _init_worker(ctx: _CampaignContext):
     global _WORKER_CTX
     _WORKER_CTX = ctx
+    _keep_heap()
 
 
 def _worker_records(ue_index: int) -> list:
@@ -230,6 +241,7 @@ def _map_records(ctx: _CampaignContext, n_ues: int, workers: int) -> list:
     where possible, else spawned (pickling the context once per worker); one
     that ends abruptly, killed say for memory, raises ChildProcessError.
     """
+    _keep_heap()
     workers = min(workers, n_ues)
     if workers <= 1:
         return [_phase2_records(ctx, i) for i in range(n_ues)]

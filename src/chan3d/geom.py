@@ -16,9 +16,15 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
+def mod_2pi(x: np.ndarray) -> np.ndarray:
+    """x % (2 pi) in place, run only outside (0, 2 pi), where it is not the identity."""
+    return np.mod(x, 2.0 * np.pi, out=x, where=~((x > 0.0) & (x < 2.0 * np.pi)))
+
+
 def wrap_azimuth(angle):
     """Wrap an azimuth angle (radians, scalar or array) into [-pi, pi)."""
-    return (np.asarray(angle) + np.pi) % (2.0 * np.pi) - np.pi
+    x = np.asarray(angle) + np.pi
+    return (mod_2pi(x) if x.ndim else x % (2.0 * np.pi)) - np.pi
 
 
 def unit_vectors(azimuth, zenith) -> np.ndarray:

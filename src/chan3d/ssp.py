@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import wrap_azimuth
+from .geom import mod_2pi, wrap_azimuth
 
 # Symmetric 20-ray offset basis of the SCM/WINNER family (dimensionless,
 # scaled by the per-kind intra-cluster spread factors).
@@ -105,7 +105,7 @@ def cluster_angles(powers, spread_rad, signs, perturb, mean_rad, zenith):
 
 def reflect_zenith(zenith):
     """Mirror zenith angles at the poles back into [0, pi]."""
-    z = np.mod(np.asarray(zenith, dtype=float), 2.0 * math.pi)
+    z = mod_2pi(np.array(zenith, dtype=float))
     return np.where(z > math.pi, 2.0 * math.pi - z, z)
 
 
@@ -133,12 +133,9 @@ def polarization_matrix(kappa, phases, offdiag_inverse: bool = False) -> np.ndar
     kappa = np.asarray(kappa, dtype=float)
     phases = np.asarray(phases, dtype=float)
     cross = np.sqrt(1.0 / kappa) if offdiag_inverse else np.sqrt(kappa)
-    e = np.exp(1j * phases)
-    mat = np.empty(kappa.shape + (2, 2), dtype=complex)
-    mat[..., 0, 0] = e[..., 0]
-    mat[..., 0, 1] = cross * e[..., 1]
-    mat[..., 1, 0] = cross * e[..., 2]
-    mat[..., 1, 1] = e[..., 3]
+    mat = (1j * phases).reshape(phases.shape[:-1] + (2, 2))
+    np.exp(mat, out=mat)
+    mat[..., [0, 1], [1, 0]] *= cross[..., None]  # the VH and HV entries
     return mat
 
 

@@ -16,7 +16,7 @@ from chan3d.geom import (
     wrap_azimuth,
 )
 from chan3d.lsp import slow_fading
-from chan3d.ssp import ClusterSet
+from chan3d.ssp import ClusterSet, reflect_zenith
 from chan3d.synth import LinkEnd, end_fields
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end
@@ -278,6 +278,42 @@ def test_wrap_azimuth_range():
     assert np.all(wrapped < math.pi)
     assert_allclose(np.cos(wrapped), np.cos(values), atol=1e-9)
     assert_allclose(np.sin(wrapped), np.sin(values), atol=1e-9)
+
+
+# The azimuth wrap and the zenith reflection run the float modulo only where
+# it is not the identity. References: the whole-array % forms they replaced,
+# copied here, since the oracles in tests/ call the src functions.
+
+def _wrap_by_mod(angle):
+    return (np.asarray(angle) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _reflect_by_mod(zenith):
+    z = np.mod(np.asarray(zenith, dtype=float), 2.0 * math.pi)
+    return np.where(z > math.pi, 2.0 * math.pi - z, z)
+
+
+# +-0.0 among them: np.mod(-0.0, 2 pi) is +0.0, so a mask of z < 0 would keep -0.0.
+MOD_EDGES = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+             math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), 1e300, -1e-310, math.nan]
+
+
+@pytest.mark.parametrize("f, reference", [(wrap_azimuth, _wrap_by_mod),
+                                          (reflect_zenith, _reflect_by_mod)])
+def test_masked_modulo_equals_the_whole_array_modulo_bit_for_bit(f, reference):
+    rng = np.random.default_rng(29)
+    arrays = [rng.uniform(-20.0, 20.0, (40, 25)), rng.uniform(-3.2, 3.6, 1000), np.array(MOD_EDGES)]
+    for values in arrays:
+        kept = values.copy()
+        out, ref = f(values), reference(values)
+        assert type(out) is np.ndarray and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+        assert values.tobytes() == kept.tobytes()  # the input is not wrapped in place
+    for value in MOD_EDGES:  # 0-d: the type the % form returns, too
+        for zero_d in (value, np.float64(value), np.array(value)):
+            out, ref = f(zero_d), reference(zero_d)
+            assert type(out) is type(ref)
+            assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5, 7)])

@@ -263,6 +263,28 @@ def test_polarization_inverse_convention():
     assert_allclose(np.abs(mat[0, 1]), 0.5)
 
 
+def _polarization_by_assignment(kappa, phases, offdiag_inverse):
+    """The four-assignment form polarization_matrix replaced, as the reference."""
+    cross = np.sqrt(1.0 / kappa) if offdiag_inverse else np.sqrt(kappa)
+    e = np.exp(1j * phases)
+    mat = np.empty(kappa.shape + (2, 2), dtype=complex)
+    mat[..., 0, 0] = e[..., 0]
+    mat[..., 0, 1] = cross * e[..., 1]
+    mat[..., 1, 0] = cross * e[..., 2]
+    mat[..., 1, 1] = e[..., 3]
+    return mat
+
+
+@pytest.mark.parametrize("offdiag_inverse", [False, True])
+def test_polarization_matrix_equals_the_four_assignment_form_bit_for_bit(offdiag_inverse):
+    batch = _batch(10, 31)  # 10 links x 20 clusters x 20 rays
+    phases = batch.phases.copy()
+    phases[0, 0, 0] = 0.0
+    mat = polarization_matrix(batch.xpr, phases, offdiag_inverse)
+    assert mat.shape == batch.xpr.shape + (2, 2)
+    assert mat.tobytes() == _polarization_by_assignment(batch.xpr, phases, offdiag_inverse).tobytes()
+
+
 def test_xpr_mean_db():
     # 250 links of 20 x 20 rays: 100,000 XPR draws.
     batch = _batch(250, 12)
