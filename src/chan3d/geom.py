@@ -23,8 +23,7 @@ def mod_2pi(x: np.ndarray) -> np.ndarray:
 
 def wrap_azimuth(angle):
     """Wrap an azimuth angle (radians, scalar or array) into [-pi, pi)."""
-    x = np.asarray(angle) + np.pi
-    return (mod_2pi(x) if x.ndim else x % (2.0 * np.pi)) - np.pi
+    return mod_2pi(np.asarray(np.asarray(angle) + np.pi)) - np.pi
 
 
 def unit_vectors(azimuth, zenith) -> np.ndarray:
