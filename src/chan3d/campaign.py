@@ -23,7 +23,7 @@ from .deploy import (
 )
 from .geom import SPEED_OF_LIGHT, per_element, pow10, rotation_z, wrap_azimuth
 from .lsp import SlowFading, slow_fading
-from .rng import STREAM_DROP, STREAM_SSP, keyed_generators, substream
+from .rng import STREAM_DROP, STREAM_SSP, keyed_states, state_generators, substream
 from .ssp import generate_cluster_set
 from .synth import LinkEnd, UeLinks, end_fields, synthesize, to_ports, ue_links
 
@@ -66,6 +66,7 @@ class _CampaignContext:
     times: np.ndarray
     wrap: np.ndarray | None = None
     tx_setups: list | None = None
+    ssp_states: tuple | None = None
     ue_end: LinkEnd = field(default_factory=lambda: LinkEnd(np.zeros((1, 3)), np.zeros(1)))
 
 
@@ -147,7 +148,7 @@ def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
     (azimuth, zenith) pairs with the arrival the reversed departure, and the
     Rice factors (0 where NLOS) are those of the cell's site, by scalar libm
     per site over one norm per offset (array forms round differently); each
-    cell's clusters are drawn from its own (UE, site, cell) stream, in one batch."""
+    cell's clusters from its row of the campaign's SSP stream states, in one batch."""
     cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
     deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
     if ctx.wrap is not None:
@@ -160,8 +161,7 @@ def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
     rice_k = pow10(k_over_10, "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds "
                    "the float range; lower the [lsp_los] k_mu_db or k_sigma_db")
     los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
-    cells = np.arange(len(sites)) % len(CELL_BEARINGS_DEG)
-    rngs = keyed_generators(cfg.run.master_seed, STREAM_SSP, ue_index, sites, cells)
+    rngs = state_generators(half[ue_index] for half in ctx.ssp_states)
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
     return ue_links(
         ctx.ue_end, batch, los, rice_k[sites].tolist(),
@@ -176,22 +176,23 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     point, in sweep order.
 
     The UE's record holds the ray terms that no TX end enters; each TX setup
-    evaluates its fields toward all links' rays and LOS departures, and each
-    link sums its views of both. The setup stacks the links' element taps by
-    cell; each of its sweep points maps them to ports and takes every cell's
-    RSRP in one call each. The report's spreads are the serving link's.
-    """
+    evaluates its fields toward all links' rays and LOS departures, and
+    synthesizes one chunk per site: its cells' links. Each sweep point maps
+    the element taps to ports and takes every cell's RSRP in one call each.
+    The report's spreads are the serving link's."""
     p_tx = ctx.cfg.layout.p_tx_dbm
     sites = ctx.cell_site.tolist()
     rsrp = np.empty((len(ctx.sweep), len(sites)))
     taps = [None] * len(ctx.sweep)
+    n_site = len(CELL_BEARINGS_DEG)
+    chunks = [slice(c, c + n_site) for c in range(0, len(sites), n_site)]  # each site's cells
     ue = _ue_record(ctx, ue_index)
     batch, model = ue.clusters, ue.polarization_model
     for setup in ctx.tx_setups:
         g_t = end_fields(setup.ends, batch.aod, batch.zod, model)
         g_los = end_fields(setup.ends, ue.los[:, 0], ue.los[:, 1], model)
-        elements = np.stack([synthesize(ue.link(c, end), ctx.times, g_t[c], g_los[c])
-                             for c, end in enumerate(setup.ends)])
+        elements = np.concatenate([synthesize(ue.chunk(c, setup.ends), ctx.times, g_t, g_los)
+                                   for c in chunks])
         for k, array in zip(setup.points, setup.arrays):
             taps[k] = to_ports(elements, array.weights)
             rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + ctx.cfg.antenna.ue_gain_dbi
@@ -297,27 +298,25 @@ def run_campaign(cfg: RunConfig) -> list:
     """Execute the configured campaign and return the written file paths.
 
     Validates the config first and raises ConfigError before it touches the
-    output directory.
-    Drops UEs and computes their slow fading once (both are shared across
-    sweep points for paired comparisons). Each (d_v, downtilt) sweep point
-    then gets one CDF file per metric plus a per-UE report, both written from
-    the point's report columns. The slow fading is one kernel call over the
-    drop, its spatial fields spread over up to `workers` threads. Phase 1
-    then runs in this process, in one pass over UE blocks. Phase 2 computes
-    all sweep points of one UE at a time, spread over up to `workers` pool
-    processes (forked, else spawned), never more than there are UEs.
-    Progress goes to the "chan3d" logger.
-    Deterministic for a fixed (config, seed) at any worker count.
-    Each file is written under a temporary name and renamed into place once
-    complete, so an interrupted campaign leaves no half-written output.
+    output directory. Drops UEs and computes their slow fading once (both
+    are shared across sweep points for paired comparisons). Each (d_v,
+    downtilt) sweep point then gets one CDF file per metric plus a per-UE
+    report, both written from the point's report columns. The slow fading
+    is one kernel call over the drop, its spatial fields spread over up to
+    `workers` threads. Phase 1 then runs in this process, in one pass over
+    UE blocks. Phase 2 computes all sweep points of one UE at a time, spread
+    over up to `workers` pool processes (forked, else spawned), never more
+    than there are UEs. Progress goes to the "chan3d" logger. Deterministic
+    for a fixed (config, seed) at any worker count. Each file is written
+    under a temporary name and renamed into place once complete, so an
+    interrupted campaign leaves no half-written output.
     """
     validate(cfg)
     out_dir = cfg.run.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
+        open(probe, "w").close()
         os.remove(probe)
     except OSError as exc:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
@@ -355,6 +354,8 @@ def run_campaign(cfg: RunConfig) -> list:
     if cfg.run.phase == 1:
         reports = _phase1_reports(ctx)
     else:
+        ue_ids, cells = np.arange(len(drop))[:, None], np.arange(len(cell_site)) % n_bearings
+        ctx.ssp_states = keyed_states(cfg.run.master_seed, STREAM_SSP, ue_ids, cell_site, cells)
         per_ue = _map_records(ctx, len(drop), cfg.run.workers)
         reports = [dict(zip(calib.REPORT_COLUMNS, zip(*rows))) for rows in zip(*per_ue)]
 

@@ -135,17 +135,17 @@ def keyed_uniforms(master_seed: int, *key) -> np.ndarray:
 
 
 def keyed_generators(master_seed: int, *key):
-    """Yield the Generator of every keyed stream of keyed_states, in the C
-    order of the broadcast keys.
+    """state_generators over one keyed_states pass: each key's Generator in C order."""
+    return state_generators(keyed_states(master_seed, *key))
 
-    One PCG64 and its Generator are reused: each step sets the next key's
-    state on them, so each yielded stream must be drawn in full before the
-    next is taken (a generator kept past that point draws another key's
-    stream). Setting a state and drawing a few numbers costs about 4 us,
-    against about 26 us with a fresh generator (2-vCPU Xeon, numpy 2.4); the
-    keyed states themselves are one array pass.
-    """
-    halves = (half.ravel().tolist() for half in keyed_states(master_seed, *key))
+
+def state_generators(states):
+    """Yield one reused Generator set to each state of keyed_states' halves
+    in turn, in C order: draw each stream in full before taking the next. A
+    state set and a few draws cost about 4 us, against about 26 us with a
+    fresh generator (2-vCPU Xeon, numpy 2.4); a table of states made once,
+    say per campaign, serves each of its rows."""
+    halves = (np.ravel(half).tolist() for half in states)
     bits = np.random.PCG64(0)  # its own seeding is replaced by each key's state
     gen = np.random.Generator(bits)
     for hi, lo, inc_hi, inc_lo in zip(*halves):
@@ -162,7 +162,7 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     The same (seed, key) pair always yields the same stream, regardless of
     process or thread scheduling, so per-entity draws are reproducible under
     any worker count. A call costs about 0.4 ms (2-vCPU Xeon, numpy 2.4),
-    the keyed_states pass of one key: never call it per link or per field;
-    take keyed_generators over all keys at once.
+    the keyed_states pass of one key: never call it per link, field or UE;
+    take keyed_generators, or rows of one keyed_states table, over all keys.
     """
     return next(keyed_generators(master_seed, *key))

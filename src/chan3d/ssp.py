@@ -216,19 +216,26 @@ class SspConfig:
         return RAY_OFFSETS_20[: self.n_rays]
 
 
-def _link_draws(rngs, spreads, cfg: SspConfig) -> list:
+def _link_draws(rngs, spreads, cfg: SspConfig) -> tuple:
     """Each link's draws from its own generator, in the one-link order,
-    stacked over links: delay uniforms, cluster shadowing, a (sign,
-    perturbation) pair per angle kind, XPR in dB, ray phases, LOS phases."""
+    stacked over links: delay uniforms, cluster shadowing, the (kind, link,
+    cluster) signs and perturbations, XPR in dB, ray and LOS phases. A sign is
+    bit 31 of a 32-bit half, as integers(0, 2) takes it (Lemire's rejection
+    never fires at range 2); halves come low first from raw 64-bit words, and
+    an odd spare half carries to the next kind, ceil(j n / 2) words by kind j."""
     n, m, two_pi = cfg.n_clusters, cfg.n_rays, 2.0 * math.pi
+    counts = np.diff([(j * n + 1) // 2 for j in range(spreads.shape[1] + 1)]).tolist()
     draws = []
     for g, link_spreads in zip(rngs, spreads.tolist()):
         link = [g.random(n), g.normal(0.0, cfg.cluster_shadow_db, n)]
-        for s in link_spreads:
-            link += [g.integers(0, 2, n) * 2 - 1, g.normal(0.0, s / 7.0, n)]
+        for count, s in zip(counts, link_spreads):
+            link += [g.bit_generator.random_raw(count), g.normal(0.0, s / 7.0, n)]
         link += [g.normal(cfg.xpr_mu_db, cfg.xpr_sigma_db, (n, m))]
         draws.append(link + [g.uniform(0.0, two_pi, (n, m, 4)), g.uniform(0.0, two_pi, 2)])
-    return [np.array(column) for column in zip(*draws)]
+    u, shadow, *signed, xpr_db, phases, los_phases = [np.array(column) for column in zip(*draws)]
+    halves = np.hstack(signed[0::2]).astype("<u8").view("<u4")  # low half first on any host
+    signs = (halves >> 31).reshape(-1, 4, n).transpose(1, 0, 2).astype(np.int64) * 2 - 1
+    return u, shadow, signs, np.stack(signed[1::2]), xpr_db, phases, los_phases
 
 
 def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs) -> ClusterSet:
@@ -247,7 +254,7 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
     ds = lsps[:, 2]
     # ASD, ESD, ASA, ESA: departure azimuth/zenith, then arrival, the order of the angle draws.
     spreads = np.radians(lsps[:, [3, 5, 4, 6]])
-    u, shadow, *signed, xpr_db, phases, los_phases = _link_draws(rngs, spreads, cfg)
+    u, shadow, signs, perturb, xpr_db, phases, los_phases = _link_draws(rngs, spreads, cfg)
 
     delays = cluster_delays(u, ds, cfg.r_tau)
     powers = cluster_powers(delays, shadow, ds, cfg.r_tau)
@@ -256,10 +263,7 @@ def generate_cluster_set(lsps, los_departure, los_arrival, cfg: SspConfig, rngs)
     dep[:, 1] += math.radians(cfg.elevation_offset_dep_deg)
     arr[:, 1] += math.radians(cfg.elevation_offset_arr_deg)
     means = np.hstack([dep, arr]).T  # the (azimuth, zenith) means of each kind
-    angles = cluster_angles(
-        powers, spreads.T, np.stack(signed[0::2]), np.stack(signed[1::2]), means,
-        [False, True, False, True],
-    )
+    angles = cluster_angles(powers, spreads.T, signs, perturb, means, [False, True, False, True])
     aod, zod, aoa, zoa = expand_subpaths(angles, cfg)
     clusters = ClusterSet(
         delays_s=delays,

@@ -99,7 +99,7 @@ class UeLinks:
     end, the cluster batch, the LOS (departure, arrival) (azimuth, zenith)
     pairs (link, 4), each link's Rice K and slow fading in dB as Python
     floats, the polarization model, and the terms of the diffuse rays and of
-    the LOS ray that every TX setup shares. link(i, tx): link i toward tx."""
+    the LOS ray that every TX setup shares. chunk(rows, ends) views rows."""
 
     rx: LinkEnd
     clusters: ClusterSet
@@ -110,17 +110,18 @@ class UeLinks:
     rays: RayTerms
     los_rays: RayTerms
 
-    def link(self, i: int, tx: LinkEnd) -> Link:
-        return Link(self, i, tx, self.rx, self.clusters.link(i))
+    def chunk(self, rows: slice, ends: list) -> LinkChunk:
+        return LinkChunk(self, rows, ends[rows], ends[rows][0], self.rx, self.clusters.link(rows))
 
 
 @dataclass
-class Link:
-    """Link i of a UeLinks record toward a TX end, holding that link's
-    clusters only: what synthesize reads."""
+class LinkChunk:
+    """The links rows (a slice) of a UeLinks record toward their TX ends, of
+    one element layout, with their clusters only: what synthesize reads."""
 
     ue: UeLinks
-    i: int
+    rows: slice
+    ends: list
     tx: LinkEnd
     rx: LinkEnd
     clusters: ClusterSet
@@ -167,50 +168,44 @@ def ue_links(
     return UeLinks(rx, cs, los, list(rice_k), list(slow_fading_db), model, rays, los_rays)
 
 
-def _ray_terms(link: Link, rays: RayTerms, g_t: np.ndarray, amplitude=None) -> np.ndarray:
-    """Static tap contributions of the link's rays, (..., n_tx, n_rx) holding
-    amplitude * (gR^T a gT) * aT * aR: its diffuse rays over (cluster, ray)
-    with their sqrt(P), or its LOS ray. The bilinear form runs per (TX slant,
-    RX slant) and is then gathered to the elements."""
-    i = link.i
-    bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[i], rays.alpha[i], g_t)
-    if amplitude is not None:
-        bilinear = amplitude[..., None, None] * bilinear
-    a_t = response_phases(link.tx.positions_m, rays.k_dep[i])  # (..., S)
-    gathered = bilinear[..., link.tx.slant_index[:, None], link.rx.slant_index]
-    return gathered * a_t[..., :, None] * rays.a_r[i][..., None, :]
+def synthesize(chunk: LinkChunk, times, g_t: np.ndarray, g_los: np.ndarray) -> np.ndarray:
+    """Evaluate every cluster tap of a chunk's links at the requested times, per TX element.
 
-
-def synthesize(link: Link, times, g_t: np.ndarray, g_los: np.ndarray) -> np.ndarray:
-    """Evaluate every cluster tap of a link at the requested times, per TX element.
-
-    Returns the (n_times, n_clusters, n_tx, n_rx) taps; tap n has the delay
-    link.clusters.delays_s[n]. Tap 0 carries the Rice LOS ray when the
-    link's K > 0: the diffuse rays of every cluster are scaled by 1/(K+1) in
-    power and the LOS ray by K/(K+1). link is a UeLinks view, whose ray
-    terms every TX setup shares; g_t and g_los are its TX fields toward its
-    rays and its LOS departure, from end_fields over all links of a TX setup.
-    to_ports maps the element taps of every link to the TX ports at once.
-    """
+    Returns the (link, n_times, n_clusters, n_tx, n_rx) taps; tap n of link
+    l has the delay chunk.clusters.delays_s[l, n]. Tap 0 carries the Rice
+    LOS ray when the link's K > 0: the diffuse rays of every cluster are
+    scaled by 1/(K+1) in power and the LOS ray by K/(K+1). g_t and g_los
+    are the record's TX fields toward its rays and LOS departures. One pass
+    over (link, cluster, ray, element), in a lone link's order of products,
+    forms the diffuse rays; the LOS ray runs per LOS link."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
-
-    ue, i = link.ue, link.i
-    rice_k = ue.rice_k[i]
+    ue, rows, tx, rx = chunk.ue, chunk.rows, chunk.tx, chunk.rx
+    rays, los, gather = ue.rays, ue.los_rays, (tx.slant_index[:, None], rx.slant_index)
+    rice_k = ue.rice_k[rows]
     # Python-scalar power per link: the array form rounds some links' taps differently.
-    scale = 10.0 ** (-ue.slow_fading_db[i] / 20.0)
-    diffuse_scale = scale * math.sqrt(1.0 / (rice_k + 1.0))
-    terms = _ray_terms(link, ue.rays, g_t, np.sqrt(link.clusters.ray_powers))
-    taps = np.empty((times.size,) + terms.shape[:1] + terms.shape[2:], dtype=complex)
+    scale = [10.0 ** (-sf / 20.0) for sf in ue.slow_fading_db[rows]]
+    diffuse = np.array([s * math.sqrt(1.0 / (k + 1.0)) for s, k in zip(scale, rice_k)])
+    bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[rows], rays.alpha[rows], g_t[rows])
+    np.multiply(np.sqrt(chunk.clusters.ray_powers)[..., None, None], bilinear, out=bilinear)
+    positions = np.stack([end.positions_m for end in chunk.ends]).transpose(0, 2, 1)
+    a_t = 1j * (rays.k_dep[rows] @ positions[:, None])  # (link, N, M, S): each link's own end
+    terms = bilinear[(Ellipsis, *gather)]
+    terms *= np.exp(a_t, out=a_t)[..., None]
+    terms *= rays.a_r[rows][..., None, :]
+    taps = np.empty((len(scale), times.size) + terms.shape[1:2] + terms.shape[3:], dtype=complex)
     for ti, t in enumerate(times):
-        doppler = np.exp(1j * ue.rays.omega[i] * t)
-        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, doppler)
-    if rice_k > 0:
-        los_term = _ray_terms(link, ue.los_rays, g_los)
-        los_scale = scale * math.sqrt(rice_k / (rice_k + 1.0))
-        for ti, t in enumerate(times):
-            taps[ti, 0] += los_scale * los_term * np.exp(1j * ue.los_rays.omega[i] * t)
+        doppler = np.exp(1j * rays.omega[rows] * t)
+        taps[:, ti] = diffuse[:, None, None, None] * np.einsum("lnmsu,lnm->lnsu", terms, doppler)
+    for j, (k, end) in enumerate(zip(rice_k, chunk.ends)):
+        if k > 0:
+            g_r, alpha, k_dep, a_r, omega = (field[rows][j] for field in vars(los).values())
+            bilinear = np.einsum("...pu,...pq,...qs->...su", g_r, alpha, g_los[rows][j])
+            los_term = bilinear[gather] * response_phases(end.positions_m, k_dep)[:, None] * a_r
+            los_scale = scale[j] * math.sqrt(k / (k + 1.0))
+            for ti, t in enumerate(times):
+                taps[j, ti, 0] += los_scale * los_term * np.exp(1j * omega * t)
     if not np.all(np.isfinite(taps.view(float))):
         raise ValueError("tap matrices must be finite")
     return taps

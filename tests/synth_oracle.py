@@ -4,12 +4,13 @@ reference forms.
 ``LinkContext`` describes one link as tests write it; ``ue_record`` turns
 links of one UE into the ``synth.UeLinks`` record the campaign builds, and
 ``synthesize_link`` synthesizes one link's taps through the batch kernels,
-with the link as a batch of one. ``end_fields_one_link`` evaluates one link
-end's fields and ``link_half_one_link`` one link's TX-independent ray
-terms, link by link, as ``synth`` did before ``synth.end_fields`` and
-``synth.ue_links`` took all of a UE's links in one array pass.
-``tests/test_synth.py`` checks with ``np.array_equal`` that the batch
-kernels give the same bytes for every link of a batch.
+with the link as a batch and a chunk of one. ``end_fields_one_link``
+evaluates one link end's fields, ``link_half_one_link`` one link's
+TX-independent ray terms and ``synthesize_one_link`` one link's taps, link
+by link, as ``synth`` did before ``synth.end_fields``, ``synth.ue_links``
+and ``synth.synthesize`` took a UE's links, or a chunk of them, in one
+array pass. ``tests/test_synth.py`` checks with ``np.array_equal`` that
+the batch kernels give the same bytes for every link of a batch.
 """
 import math
 from dataclasses import dataclass, field
@@ -123,9 +124,45 @@ def link_half_one_link(ctx: LinkContext) -> tuple:
 
 def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
     """synth.synthesize for one link: its record from ue_links and its TX
-    fields from end_fields, each over the link as a batch of one."""
+    fields from end_fields, each over the link as a batch of one, and its
+    taps from the link as a chunk of one."""
     batch = ctx.clusters.link(None)
     ue = ue_record([ctx], batch)
-    g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)[0]
-    g_los = end_fields([ctx.tx], ue.los[:, 0], ue.los[:, 1], ctx.polarization_model)[0]
-    return synthesize(ue.link(0, ctx.tx), times, g_t, g_los)
+    g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)
+    g_los = end_fields([ctx.tx], ue.los[:, 0], ue.los[:, 1], ctx.polarization_model)
+    return synthesize(ue.chunk(slice(0, 1), [ctx.tx]), times, g_t, g_los)[0]
+
+
+def _ray_terms_one_link(ue, i, tx, rays, g_t, amplitude=None) -> np.ndarray:
+    """Static tap contributions of link i's rays toward tx, (..., n_tx, n_rx)
+    holding amplitude * (gR^T a gT) * aT * aR: its diffuse rays over
+    (cluster, ray) with their sqrt(P), or its LOS ray."""
+    bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[i], rays.alpha[i], g_t)
+    if amplitude is not None:
+        bilinear = amplitude[..., None, None] * bilinear
+    a_t = response_phases(tx.positions_m, rays.k_dep[i])  # (..., S)
+    gathered = bilinear[..., tx.slant_index[:, None], ue.rx.slant_index]
+    return gathered * a_t[..., :, None] * rays.a_r[i][..., None, :]
+
+
+def synthesize_one_link(ue: UeLinks, i: int, tx: LinkEnd, times, g_t, g_los) -> np.ndarray:
+    """Link i of a UeLinks record toward its TX end tx, synthesized alone:
+    its (n_times, n_clusters, n_tx, n_rx) taps, from its TX fields toward its
+    rays and its LOS departure, as synth.synthesize did one link per call
+    before it took a chunk of a UE's links in one array pass."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rice_k = ue.rice_k[i]
+    scale = 10.0 ** (-ue.slow_fading_db[i] / 20.0)
+    diffuse_scale = scale * math.sqrt(1.0 / (rice_k + 1.0))
+    amplitude = np.sqrt(ue.clusters.ray_powers[i])
+    terms = _ray_terms_one_link(ue, i, tx, ue.rays, g_t, amplitude)
+    taps = np.empty((times.size,) + terms.shape[:1] + terms.shape[2:], dtype=complex)
+    for ti, t in enumerate(times):
+        doppler = np.exp(1j * ue.rays.omega[i] * t)
+        taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, doppler)
+    if rice_k > 0:
+        los_term = _ray_terms_one_link(ue, i, tx, ue.los_rays, g_los)
+        los_scale = scale * math.sqrt(rice_k / (rice_k + 1.0))
+        for ti, t in enumerate(times):
+            taps[ti, 0] += los_scale * los_term * np.exp(1j * ue.los_rays.omega[i] * t)
+    return taps

@@ -14,7 +14,7 @@ import pytest
 
 import chan3d.antenna
 import chan3d.campaign as campaign
-from chan3d import calib, synth
+from chan3d import calib, deploy, synth
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 
@@ -567,8 +567,10 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
 
 def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkeypatch):
     # The two tilts of the itu_port pattern are two TX setups. Each of the 21
-    # UEs builds one record of its 21 (UE, cell) links, 441 links in all, and
-    # every synthesis of both setups reads its link's view of that record.
+    # UEs builds one record of its 21 (UE, cell) links, 441 links in all.
+    # Each setup synthesizes a UE's links one site at a time: a chunk of the
+    # site's three cells, in order, that reads its UE's record, so the 882
+    # link syntheses of both setups take 294 calls (21 UEs x 7 sites x 2).
     # The record evaluates its RX fields twice (rays, LOS ray) and each setup
     # its TX fields twice over all 21 links, never inside synthesize. Each
     # sweep point maps the setup's stacked element taps to ports and takes
@@ -579,11 +581,11 @@ def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkey
         records.append(ue_links(*args))
         return records[-1]
 
-    def counting_synthesize(link, times, g_t, g_los):
-        used.append((len(records) - 1, link))
-        synthesizing.append(link)
-        taps = synthesize(link, times, g_t, g_los)
+    def counting_synthesize(chunk, times, g_t, g_los):
+        synthesizing.append(chunk)
+        taps = synthesize(chunk, times, g_t, g_los)
         synthesizing.pop()
+        used.append((len(records) - 1, chunk, taps.shape[0]))
         return taps
 
     def counting_fields(where, ends, azimuth, *args):
@@ -608,10 +610,12 @@ def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkey
     monkeypatch.setattr(calib, "rsrp_fast_fading_db", counting_rsrp)
     paths = run_campaign(golden_config("p2_itu_port", tmp_path))
     assert [len(record.rice_k) for record in records] == [21] * 21
-    assert len(used) == 882
-    assert [ue for ue, _ in used] == [ue for ue in range(21) for _ in range(42)]
-    assert all(link.ue is records[ue] for ue, link in used)
-    assert [link.i for _, link in used] == list(range(21)) * 42
+    assert len(used) == 294 and sum(n for _, _, n in used) == 882
+    assert [ue for ue, _, _ in used] == [ue for ue in range(21) for _ in range(14)]
+    assert all(chunk.ue is records[ue] for ue, chunk, _ in used)
+    assert [chunk.rows for _, chunk, _ in used] == [slice(c, c + 3) for c in range(0, 21, 3)] * 42
+    bearings = np.radians(deploy.CELL_BEARINGS_DEG).tolist()
+    assert all([end.bearing_rad for end in chunk.ends] == bearings for _, chunk, _ in used)
     per_ue = [("record", 1, (21,), 0)] * 2 + [("setup", 21, (21,), 0)] * 4
     assert fields == per_ue * 21
     assert ported == [21] * 42 and [r.shape for r in rsrp] == [(21,)] * 42

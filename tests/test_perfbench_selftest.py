@@ -4,8 +4,9 @@ It fails when a change to chan3d breaks the harness: the tracer's walk of
 the layer modules, or its observers of ``generate_cluster_set`` and
 ``synthesize``. The ``synthesize`` observer reads four things of a call:
 ``args[0].clusters.aod``, ``args[0].tx.n_elements``,
-``args[0].rx.n_elements`` and ``args[1]``, the times; the link view of
-``synth.UeLinks.link`` carries all three attributes. The harness's
+``args[0].rx.n_elements`` and ``args[1]``, the times; the chunk view of
+``synth.UeLinks.chunk`` carries all three attributes, its clusters those of
+the chunk's links, so the ray taps still count every link. The harness's
 ``LspSampler.los_state`` observer has nothing left to observe: that class is
 gone, and ``lsp.slow_fading`` draws every LOS state of a block in one array
 pass, so the benchmark's ``lsp.los_*`` counters read 0.

@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from chan3d.rng import STREAM_LOS_STATE, STREAM_SSP, keyed_generators, keyed_uniforms, substream
+import chan3d.campaign as campaign
+from chan3d.config import default_config
+from chan3d.rng import (
+    STREAM_LOS_STATE, STREAM_SSP, keyed_generators, keyed_uniforms, state_generators, substream,
+)
 
 SEEDS = [0, 1, 7, 123456789, 2**32 + 5, 2**64 + 3]
 
@@ -91,6 +95,38 @@ def test_keyed_generators_equal_seed_sequence_streams(seed):
                 assert np.array_equal(a, b), (seed, k)
     for a, b in zip(_draws(substream(seed, STREAM_SSP, 4)), _draws(_stream(seed, STREAM_SSP, 4))):
         assert np.array_equal(a, b)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_campaign_ssp_state_rows_drive_each_ues_streams(tmp_path, monkeypatch):
+    # Phase 2 derives every UE's (site, cell) SSP stream states in one pass
+    # per campaign; on a 2-ring layout (57 cells) row u of that table drives
+    # the streams that keyed_generators derives for UE u alone, for the first
+    # and the last UE.
+    contexts = []
+
+    def capture(ctx, n_ues, workers):
+        contexts.append(ctx)
+        raise _Captured
+
+    monkeypatch.setattr(campaign, "_map_records", capture)
+    cfg = default_config("UMa", master_seed=2**32 + 5)
+    cfg.layout.n_rings, cfg.run.phase, cfg.run.n_ue_per_cell = 2, 2, 1
+    cfg.run.output_dir = str(tmp_path)
+    with pytest.raises(_Captured):
+        campaign.run_campaign(cfg)
+    [ctx] = contexts
+    sites, cells = ctx.cell_site, np.arange(57) % 3
+    assert sites.shape == (57,) and all(half.shape == (57, 57) for half in ctx.ssp_states)
+    for ue in (0, 56):
+        row = [_draws(rng) for rng in state_generators(half[ue] for half in ctx.ssp_states)]
+        alone = [_draws(rng) for rng in keyed_generators(cfg.run.master_seed, STREAM_SSP, ue, sites, cells)]
+        assert len(row) == len(alone) == 57
+        for got, want in zip(row, alone):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), ue
 
 
 def test_empty_keys():

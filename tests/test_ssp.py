@@ -16,6 +16,7 @@ from chan3d.ssp import (
     RAY_OFFSETS_20,
     ClusterSet,
     SspConfig,
+    _link_draws,
     _rescale_to_spread,
     circular_mean,
     cluster_angles,
@@ -374,13 +375,14 @@ def _ssp_options(cfg):
     cfg.ssp.ray_offsets = (0.3, -0.3, 0.9, -0.9, 1.7, -1.7)
 
 
-@pytest.mark.parametrize("options", ["default", "split_strongest", "ssp_options"])
+@pytest.mark.parametrize("options", ["default", "split_strongest", "ssp_options", "odd_clusters"])
 def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch, caplog):
     # Every link of every UE of a one-ring campaign (21 UEs x 21 cells, LOS
     # and NLOS links): each batch row equals the one-link draw, bit for bit,
     # from a fresh stream of the link's (UE, site, cell) key built by numpy's
     # SeedSequence. At one worker the UEs come in order; cell c is slot c % 3
-    # of site c // 3.
+    # of site c // 3. An odd cluster count carries a half word of sign
+    # draws from one angle kind to the next.
     calls = []
     batched = campaign.generate_cluster_set
 
@@ -402,6 +404,8 @@ def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch, 
     cfg.ssp.split_strongest = options == "split_strongest"
     if options == "ssp_options":
         _ssp_options(cfg)
+    if options == "odd_clusters":
+        cfg.ssp.n_clusters = 7
     with caplog.at_level(logging.INFO, logger="chan3d"):
         campaign.run_campaign(cfg)
     [found] = filter(None, (re.search(r"(\d+) \(UE, site\) links, (\d+) LOS", line)
@@ -411,6 +415,38 @@ def test_campaign_batches_match_per_link_oracle(options, tmp_path, monkeypatch, 
     assert len(calls) == 21 and all(len(call[0]) == 21 for call in calls)
     for call in calls:
         _assert_links_match_oracle(*call)
+
+
+def _one_link_order(rng, spreads, cfg):
+    """One link's draws in the one-link order, its signs from integers."""
+    n, m = cfg.n_clusters, cfg.n_rays
+    draws, signs = [rng.random(n), rng.normal(0.0, cfg.cluster_shadow_db, n)], []
+    for s in spreads:
+        signs.append(rng.integers(0, 2, n) * 2 - 1)
+        draws.append(rng.normal(0.0, s / 7.0, n))
+    draws.append(rng.normal(cfg.xpr_mu_db, cfg.xpr_sigma_db, (n, m)))
+    draws += [rng.uniform(0.0, 2.0 * math.pi, (n, m, 4)), rng.uniform(0.0, 2.0 * math.pi, 2)]
+    return signs, draws
+
+
+@pytest.mark.parametrize("n_clusters", [1, 2, 7, 20])
+def test_sign_draws_equal_integers_in_one_link_order(n_clusters):
+    # The signs come from raw PCG64 words: each equals integers(0, 2, n) * 2
+    # - 1 drawn at its place in the one-link order, over 240 streams in
+    # batches of 60 links. At an odd n every other kind starts on the half
+    # word its predecessor left; the other draws of each stream stay put.
+    cfg = _cfg(n_clusters=n_clusters, n_rays=3)
+    spreads = np.radians(np.random.default_rng(5).uniform(5.0, 60.0, (60, 4)))
+    for batch in range(4):
+        rngs = [np.random.default_rng([23, batch, i]) for i in range(60)]
+        u, shadow, signs, perturb, *rest = _link_draws(copy.deepcopy(rngs), spreads, cfg)
+        columns = [u, shadow, *perturb, *rest]
+        assert signs.shape == (4, 60, n_clusters) and signs.dtype == np.int64
+        for i, rng in enumerate(rngs):
+            expected_signs, expected = _one_link_order(rng, spreads[i], cfg)
+            assert np.array_equal(signs[:, i], np.array(expected_signs)), (batch, i)
+            for got, want in zip(columns, expected, strict=True):
+                assert np.array_equal(got[i], want), (batch, i)
 
 
 def test_single_cluster_links_match_per_link_oracle():

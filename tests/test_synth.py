@@ -17,7 +17,8 @@ from chan3d.synth import LinkEnd, end_fields, synthesize, to_ports, ue_links
 
 from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
 from synth_oracle import (
-    LinkContext, end_fields_one_link, link_half_one_link, synthesize_link, ue_record,
+    LinkContext, end_fields_one_link, link_half_one_link, synthesize_link, synthesize_one_link,
+    ue_record,
 )
 
 
@@ -239,7 +240,7 @@ def test_port_output_equals_manual_weight_sum():
 
 def test_total_mean_tap_power_is_one():
     # Monte Carlo over polarization draws only; geometry and powers fixed.
-    # The draws are one batch of NLOS links: one record, one synthesis each.
+    # The draws are one batch of NLOS links: one record, one chunk of them all.
     rng = np.random.default_rng(7)
     base = _random_clusters(rng, n_clusters=3, n_rays=3)
     n_draws = 10_000
@@ -255,10 +256,8 @@ def test_total_mean_tap_power_is_one():
     ue = ue_links(end, batch, np.full((n_draws, 4), math.nan), nlos, nlos, 2e9, np.zeros(3))
     g_t = end_fields([end], batch.aod, batch.zod, "slant")
     g_los = end_fields([end], ue.los[:, 0], ue.los[:, 1], "slant")
-    total = sum(
-        float(np.sum(np.abs(synthesize(ue.link(i, end), [0.0], g_t[i], g_los[i])) ** 2))
-        for i in range(n_draws)
-    )
+    taps = synthesize(ue.chunk(slice(None), [end] * n_draws), [0.0], g_t, g_los)
+    total = float(np.sum(np.abs(taps) ** 2))
     assert abs(total / n_draws - 1.0) < 0.02
 
 
@@ -502,17 +501,31 @@ def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
 
 
 @pytest.mark.parametrize("model", ("slant", "rotated"))
-@pytest.mark.parametrize("split", (False, True), ids=("clusters", "split_strongest"))
-def test_ue_batch_taps_equal_per_cluster_loop(model, split):
-    # The campaign's path: each link sums its views of the UE's record and of
-    # the setup's TX fields toward its rays and its LOS departure, and its
-    # taps equal the per-cluster, per-element loop bit for bit.
-    links, batch = _ue_links(model, split)
+@pytest.mark.parametrize(
+    "split, n_links, size",
+    [(False, 6, 3), (True, 6, 3), (False, 57, 3), (True, 57, 3), (False, 5, 1), (True, 5, 1)],
+    ids=("clusters", "split_strongest", "two_rings", "two_rings_split", "lone_links",
+         "lone_links_split"),
+)
+def test_ue_batch_taps_equal_per_cluster_loop(model, split, n_links, size):
+    # The campaign's path: each chunk of a UE's links (the campaign's: the
+    # three cells of one site, mixing LOS and NLOS links) sums its views of
+    # the UE's record and of the setup's TX fields toward its rays and its
+    # LOS departures in one pass. Each link's taps equal the per-link
+    # synthesis bit for bit, for a 57-link UE too and for chunks of one, and
+    # the per-cluster, per-element loop on the smaller UEs.
+    links, batch = _ue_links(model, split, n_links)
     ue = ue_record(links, batch)
     ends = [link.tx for link in links]
     g_t = end_fields(ends, batch.aod, batch.zod, model)
     g_los = end_fields(ends, ue.los[:, 0], ue.los[:, 1], model)
-    times = [0.0, 2e-3]
-    for i, link in enumerate(links):
-        taps = synthesize(ue.link(i, link.tx), times, g_t[i], g_los[i])
-        assert np.array_equal(taps, _per_cluster_taps(link, times)), i
+    times = [0.0, 2e-3, 5e-3]
+    for start in range(0, n_links, size):
+        rows = slice(start, start + size)
+        taps = synthesize(ue.chunk(rows, ends), times, g_t, g_los)
+        assert taps.shape[0] == len(ends[rows])
+        for j, i in enumerate(range(n_links)[rows]):
+            per_link = synthesize_one_link(ue, i, ends[i], times, g_t[i], g_los[i])
+            assert np.array_equal(taps[j], per_link), i
+            if n_links < 57:
+                assert np.array_equal(taps[j], _per_cluster_taps(links[i], times)), i
