@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import ctypes
 import logging
-import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -13,19 +12,12 @@ import numpy as np
 from . import calib
 from .antenna import column_heights, column_sums, element_amplitude, element_gain_db, fields_gain_db
 from .config import RunConfig, build_array, build_tx_pattern, config_hash, validate
-from .deploy import (
-    CELL_BEARINGS_DEG,
-    Drop,
-    drop_ues,
-    fold_to_nearest_image,
-    hex_layout,
-    wrap_basis,
-)
-from .geom import SPEED_OF_LIGHT, per_element, pow10, rotation_z, wrap_azimuth
+from .deploy import CELL_BEARINGS_DEG, Drop, drop_ues, hex_layout, wrap_basis
+from .geom import SPEED_OF_LIGHT, rotation_z
 from .lsp import SlowFading, slow_fading
 from .rng import STREAM_DROP, STREAM_SSP, keyed_states, state_generators, substream
 from .ssp import generate_cluster_set
-from .synth import LinkEnd, UeLinks, end_fields, synthesize, to_ports, ue_links
+from .synth import LinkEnd, end_fields, synthesize, to_ports, ue_links
 
 
 log = logging.getLogger("chan3d")
@@ -56,7 +48,6 @@ class _CampaignContext:
     """Sweep-independent campaign state shared by the per-UE workers."""
 
     cfg: RunConfig
-    site_xy: np.ndarray
     cell_site: np.ndarray
     cell_bearing_rad: np.ndarray
     drop: Drop
@@ -64,7 +55,6 @@ class _CampaignContext:
     sweep: list
     wavelength: float
     times: np.ndarray
-    wrap: np.ndarray | None = None
     tx_setups: list | None = None
     ssp_states: tuple | None = None
     ue_end: LinkEnd = field(default_factory=lambda: LinkEnd(np.zeros((1, 3)), np.zeros(1)))
@@ -143,51 +133,33 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     return reports
 
 
-def _ue_record(ctx: _CampaignContext, ue_index: int) -> UeLinks:
-    """The UE's links to every cell as one UeLinks record. The LOS directions,
-    (azimuth, zenith) pairs with the arrival the reversed departure, and the
-    Rice factors (0 where NLOS) are those of the cell's site, by scalar libm
-    per site over one norm per offset (array forms round differently); each
-    cell's clusters from its row of the campaign's SSP stream states, in one batch."""
-    cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
-    deltas = ctx.drop.xyz[ue_index, :2] - ctx.site_xy
-    if ctx.wrap is not None:
-        deltas = fold_to_nearest_image(deltas, ctx.wrap)
-    dz = ctx.drop.xyz[ue_index, 2] - cfg.layout.bs_height_m
-    norms = np.array([np.linalg.norm(np.append(delta2d, dz)) for delta2d in deltas])
-    dep_az = wrap_azimuth(per_element(math.atan2, deltas[:, 1], deltas[:, 0]))
-    zen = per_element(math.acos, np.clip(dz / norms, -1.0, 1.0))
-    k_over_10 = np.where(slow.los[ue_index], slow.lsps[ue_index, :, 1] / 10.0, -np.inf)
-    rice_k = pow10(k_over_10, "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds "
-                   "the float range; lower the [lsp_los] k_mu_db or k_sigma_db")
-    los = np.column_stack([dep_az, zen, wrap_azimuth(dep_az + math.pi), math.pi - zen])[sites]
-    rngs = state_generators(half[ue_index] for half in ctx.ssp_states)
-    batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
-    return ue_links(
-        ctx.ue_end, batch, los, rice_k[sites].tolist(),
-        (slow.pl[ue_index] + slow.sf[ue_index])[sites].tolist(), cfg.run.carrier_hz,
-        ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
-        cfg.antenna.polarization_model,
-    )
-
-
 def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     """One UE's report rows (tuples in REPORT_COLUMNS order) at every sweep
     point, in sweep order.
 
-    The UE's record holds the ray terms that no TX end enters; each TX setup
-    evaluates its fields toward all links' rays and LOS departures, and
-    synthesizes one chunk per site: its cells' links. Each sweep point maps
-    the element taps to ports and takes every cell's RSRP in one call each.
-    The report's spreads are the serving link's."""
-    p_tx = ctx.cfg.layout.p_tx_dbm
-    sites = ctx.cell_site.tolist()
+    The UE's record holds the ray terms that no TX end enters: each cell's
+    clusters, drawn in one batch from its row of the campaign's SSP stream
+    states, and its site's LOS directions, Rice factor and slow fading. Each
+    TX setup evaluates its fields toward all links' rays and LOS departures,
+    and synthesizes one chunk per site: its cells' links. Each sweep point
+    maps the element taps to ports and takes every cell's RSRP in one call
+    each. The report's spreads are the serving link's."""
+    cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
+    p_tx = cfg.layout.p_tx_dbm
     rsrp = np.empty((len(ctx.sweep), len(sites)))
     taps = [None] * len(ctx.sweep)
     n_site = len(CELL_BEARINGS_DEG)
     chunks = [slice(c, c + n_site) for c in range(0, len(sites), n_site)]  # each site's cells
-    ue = _ue_record(ctx, ue_index)
-    batch, model = ue.clusters, ue.polarization_model
+    los = slow.los_dirs[ue_index, sites]
+    rngs = state_generators(half[ue_index] for half in ctx.ssp_states)
+    batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
+    ue = ue_links(
+        ctx.ue_end, batch, los, slow.rice_k[ue_index, sites].tolist(),
+        (slow.pl[ue_index] + slow.sf[ue_index])[sites].tolist(), cfg.run.carrier_hz,
+        ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
+        cfg.antenna.polarization_model,
+    )
+    model = ue.polarization_model
     for setup in ctx.tx_setups:
         g_t = end_fields(setup.ends, batch.aod, batch.zod, model)
         g_los = end_fields(setup.ends, ue.los[:, 0], ue.los[:, 1], model)
@@ -195,7 +167,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
                                    for c in chunks])
         for k, array in zip(setup.points, setup.arrays):
             taps[k] = to_ports(elements, array.weights)
-            rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + ctx.cfg.antenna.ue_gain_dbi
+            rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + cfg.antenna.ue_gain_dbi
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)
     spreads = {}
@@ -205,7 +177,7 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
         spreads[cell] = (*(calib.angular_spread_deg(a, cs.ray_powers) for a in angles),
                          calib.delay_spread_s(cs.delays_s, cs.cluster_powers))
     return [
-        (ue_index, sites[cell], cell, cl_db, gf_db, *spreads[cell],
+        (ue_index, int(sites[cell]), cell, cl_db, gf_db, *spreads[cell],
          *calib.top_eigenvalues(taps[k][cell]))
         for k, (cell, cl_db, gf_db) in enumerate(zip(serving.tolist(), cl.tolist(), gf.tolist()))
     ]
@@ -340,7 +312,6 @@ def run_campaign(cfg: RunConfig) -> list:
     digest = config_hash(cfg)
     ctx = _CampaignContext(
         cfg=cfg,
-        site_xy=site_xy,
         cell_site=cell_site,
         cell_bearing_rad=cell_bearing,
         drop=drop,
@@ -348,7 +319,6 @@ def run_campaign(cfg: RunConfig) -> list:
         sweep=[(d_v, tilt) for d_v in cfg.d_v_sweep() for tilt in cfg.downtilt_sweep()],
         wavelength=wavelength,
         times=np.arange(cfg.run.n_time_samples) * cfg.run.time_step_s,
-        wrap=wrap,
     )
     ctx.tx_setups = _tx_setups(ctx)
     if cfg.run.phase == 1:

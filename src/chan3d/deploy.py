@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import wrap_azimuth
+
 CELL_BEARINGS_DEG = (0.0, 120.0, 240.0)
 LATTICE_U, LATTICE_V = np.array([1.0, 0.0]), np.array([0.5, math.sqrt(3.0) / 2.0])
 
@@ -112,7 +114,7 @@ def sample_cell_positions(
         cand = rng.uniform(-radius, radius, size=(4 * (n - filled), 2))
         keep = _hexagon_mask(cand, half)
         az = np.arctan2(cand[:, 1], cand[:, 0])
-        rel = (az - bearing + math.pi) % (2.0 * math.pi) - math.pi
+        rel = wrap_azimuth(az - bearing)
         keep &= np.abs(rel) <= math.pi / 3.0
         keep &= np.hypot(cand[:, 0], cand[:, 1]) >= min_dist_2d
         cand = cand[keep]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import fold_to_nearest_image
-from .geom import per_element, pow10
+from .geom import per_element, pow10, wrap_azimuth
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_generators, keyed_uniforms
 
 log = logging.getLogger("chan3d")
@@ -198,8 +198,13 @@ class SlowFading:
 
     Arrays are indexed (UE, site): 2D distance, departure azimuth and zenith
     at the site, LOS state, pathloss and shadow fading in dB. lsps holds all
-    seven LSPs on a trailing axis in LSP_NAMES order, or None when only SF
-    was computed.
+    seven LSPs on a trailing axis in LSP_NAMES order, los_dirs the LOS
+    (departure, arrival) (azimuth, zenith) on a trailing axis of 4, and
+    rice_k the Rice factors (0 where NLOS); all three are None when only SF
+    was computed. az_dep/zen_dep (numpy's array forms, for the phase-1 TX
+    gains) and los_dirs' departure (scalar libm over one norm per offset,
+    for the phase-2 cluster means) are the same angles in two roundings,
+    each kept for the bytes of its phase.
     """
 
     d2d: np.ndarray
@@ -209,11 +214,13 @@ class SlowFading:
     pl: np.ndarray
     sf: np.ndarray
     lsps: np.ndarray | None = None
+    los_dirs: np.ndarray | None = None
+    rice_k: np.ndarray | None = None
 
 
 def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
     """LOS state, pathloss and SF of UEs toward every site, and in phase 2
-    the seven LSPs.
+    the seven LSPs, the LOS directions and the Rice factors.
 
     The run config cfg gives the [lsp_los]/[lsp_nlos] marginals, their
     correlations and decorrelation distances, the seed, [spatial],
@@ -280,6 +287,7 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
 
     d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
     los = np.empty((n_ue, n_site), dtype=bool)
+    los_dirs = np.empty((n_ue, n_site, 4)) if all_lsps else None
     step = max(1, LINK_CHUNK // n_site)
     chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
     helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
@@ -294,6 +302,13 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
             d3d = np.hypot(d2d[rows], dz[rows])
             az_dep[rows] = np.arctan2(delta[..., 1], delta[..., 0])
             zen_dep[rows] = np.arccos(np.clip(dz[rows] / d3d, -1.0, 1.0))
+            if all_lsps:
+                # The stacked matmul of each (dx, dy, dz) row with itself is np.linalg.norm's dot.
+                xyz = np.dstack([delta, np.broadcast_to(dz[rows], delta.shape[:2])])
+                norm = np.sqrt(np.matmul(xyz[..., None, :], xyz[..., None])[..., 0, 0])
+                az = wrap_azimuth(per_element(math.atan2, delta[..., 1], delta[..., 0]))
+                zen = per_element(math.acos, np.clip(dz[rows] / norm, -1.0, 1.0))
+                los_dirs[rows] = np.stack([az, zen, wrap_azimuth(az + math.pi), math.pi - zen], -1)
             # The first uniform of the stream (seed, STREAM_LOS_STATE, ue, site) per link.
             u = keyed_uniforms(seed, STREAM_LOS_STATE, ue_ids[rows, None], np.arange(n_site))
             los[rows] = u < cfg.pathloss.los_probability(d2d[rows])
@@ -324,4 +339,9 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
             for section, factor in states
         )
         values[rows] = np.where(los[rows, :, None], lsp_los, lsp_nlos)
-    return SlowFading(d2d, az_dep, zen_dep, los, pl, values[..., 0], values if all_lsps else None)
+    if not all_lsps:
+        return SlowFading(d2d, az_dep, zen_dep, los, pl, values[..., 0])
+    rice_k = pow10(np.where(los, values[..., 1] / 10.0, -np.inf),
+                   "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds "
+                   "the float range; lower the [lsp_los] k_mu_db or k_sigma_db")
+    return SlowFading(d2d, az_dep, zen_dep, los, pl, values[..., 0], values, los_dirs, rice_k)

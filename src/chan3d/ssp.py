@@ -179,10 +179,6 @@ class ClusterSet:
         return one
 
     @property
-    def n_clusters(self) -> int:
-        return self.delays_s.shape[-1]
-
-    @property
     def n_rays(self) -> int:
         return self.ray_powers.shape[-1]
 

@@ -131,7 +131,7 @@ def split_strongest_clusters(clusters: ClusterSet, n_split: int = 2) -> ClusterS
     if clusters.n_rays != 20:
         raise ValueError("sub-cluster splitting is defined for 20-ray clusters")
     strongest = np.argsort(clusters.cluster_powers)[-n_split:]
-    keep = [i for i in range(clusters.n_clusters) if i not in strongest]
+    keep = [i for i in range(len(clusters.delays_s)) if i not in strongest]
 
     rows = {
         "delays": [clusters.delays_s[keep]],

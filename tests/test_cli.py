@@ -474,16 +474,23 @@ def test_cli_lsp_overflow_is_one_error_line(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_cli_rice_factor_overflow_is_one_error_line(tmp_path, capsys, recwarn):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_rice_factor_overflow_is_one_error_line(tmp_path, capsys, recwarn, monkeypatch, workers):
     # A valid config whose 5000 dB K sigma overflows the LOS Rice factor
     # 10**(k/10): the run names that draw and its keys, warns nothing and
-    # writes nothing.
+    # writes nothing. Slow fading raises it, before any UE's links are
+    # computed or a worker process starts.
+    def unreached(*args):
+        raise AssertionError("the phase-2 records were reached")
+
+    monkeypatch.setattr(campaign, "_map_records", unreached)
     path = _write(tmp_path, (
         "[run]\nmaster_seed = 3\nphase = 2\nn_ue_per_cell = 10\n\n[layout]\nn_rings = 0\n\n"
         "[lsp_los]\nk_sigma_db = 5000\n"
     ))
     out = tmp_path / "out"
-    assert main(["run", "--config", path, "--output", str(out), "--quiet"]) == 1
+    args = ["run", "--config", path, "--output", str(out), "--workers", workers, "--quiet"]
+    assert main(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: the LOS Rice-factor draw overflowed")
     assert "[lsp_los] k_mu_db or k_sigma_db" in err[0]

@@ -14,6 +14,7 @@ import pytest
 
 import chan3d.antenna
 import chan3d.campaign as campaign
+import chan3d.lsp
 from chan3d import calib, deploy, synth
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
@@ -550,18 +551,19 @@ def test_golden_output_hashes_at_more_workers(name, workers, tmp_path):
 
 
 def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
-    # The wrap-around fold of a UE's offsets to every site serves all of its
-    # links: 21 UEs, one fold each, not one per (UE, cell) link.
+    # The wrap-around fold of the UEs' offsets to every site serves all of
+    # their links, in phase 2 too: slow fading folds the 21 UEs x 7 sites in
+    # one call, and no UE's links fold them again.
     calls = []
 
     def counting_fold(delta, basis):
         calls.append(delta.shape)
         return fold(delta, basis)
 
-    fold = campaign.fold_to_nearest_image
-    monkeypatch.setattr(campaign, "fold_to_nearest_image", counting_fold)
+    fold = chan3d.lsp.fold_to_nearest_image
+    monkeypatch.setattr(chan3d.lsp, "fold_to_nearest_image", counting_fold)
     paths = run_campaign(golden_config("p2_doppler_wrap", tmp_path))
-    assert calls == [(7, 2)] * 21
+    assert calls == [(21, 7, 2)]
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
 
 

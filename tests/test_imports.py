@@ -1,8 +1,10 @@
 """chan3d depends on numpy alone: every import in the package is relative,
 from the standard library, or numpy, at module level or inside a function.
 And it derives its random streams one way: no module names numpy's own seed
-derivation, which chan3d.rng.keyed_states reproduces over arrays. Its setup
-stays light: importing it and checking a config load no process pool."""
+derivation, which chan3d.rng.keyed_states reproduces over arrays. One
+module owns the (UE, site) link geometry: the campaign names none of the
+fold, per-element libm and Rice-factor kernels that lsp.slow_fading runs.
+Its setup stays light: importing it and checking a config load no process pool."""
 import ast
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chan3d"
 SEED_NAMES = {"SeedSequence", "default_rng"}
+LINK_GEOMETRY_NAMES = {"fold_to_nearest_image", "per_element", "pow10"}
 
 
 def _absolute_imports(path: Path) -> list:
@@ -24,9 +27,9 @@ def _absolute_imports(path: Path) -> list:
     return names
 
 
-def _seed_derivations(path: Path) -> list:
+def _named(path: Path, wanted=SEED_NAMES) -> list:
     """Each name, attribute, imported name or string constant of a module
-    that is one of SEED_NAMES, sorted."""
+    that is one of wanted, sorted."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
@@ -37,7 +40,7 @@ def _seed_derivations(path: Path) -> list:
             names.append(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.append(node.value)
-    return sorted(name for name in names if name in SEED_NAMES)
+    return sorted(name for name in names if name in wanted)
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -69,13 +72,20 @@ def test_import_check_sees_every_form(tmp_path):
         "def f(seed):\n    return np.random.default_rng(np.random.SeedSequence(seed))\n"
         "class C:\n    g = getattr(np.random, 'default_rng')\n    h = default_rng\n"
     )
-    assert _seed_derivations(seeds) == ["SeedSequence"] * 2 + ["default_rng"] * 3
+    assert _named(seeds) == ["SeedSequence"] * 2 + ["default_rng"] * 3
 
 
 def test_package_derives_no_seed_sequence():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
-    assert not {(path.name, name) for path in modules for name in _seed_derivations(path)}
+    assert not {(path.name, name) for path in modules for name in _named(path)}
+
+
+def test_campaign_names_no_link_geometry_kernel():
+    # The campaign reads each link's LOS directions and Rice factor from
+    # slow fading, the one module that names all three kernels.
+    assert set(_named(SRC / "lsp.py", LINK_GEOMETRY_NAMES)) == LINK_GEOMETRY_NAMES
+    assert _named(SRC / "campaign.py", LINK_GEOMETRY_NAMES) == []
 
 
 def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 from chan3d.config import default_config
 from chan3d.deploy import drop_ues, fold_to_nearest_image, hex_layout, wrap_basis
+from chan3d.geom import wrap_azimuth
 import chan3d.lsp
 from chan3d.lsp import LSP_NAMES, mixing_factor, slow_fading
 from chan3d.rng import STREAM_DROP, STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, substream
@@ -138,7 +139,7 @@ def _kernel(cfg, site_xy, wrap, drop, start, stop, all_lsps, workers=1):
     )
 
 
-FIELDS = ("d2d", "az_dep", "zen_dep", "los", "pl", "sf", "lsps")
+FIELDS = ("d2d", "az_dep", "zen_dep", "los", "pl", "sf", "lsps", "los_dirs", "rice_k")
 
 
 def _assert_rows_equal(got, whole, rows):
@@ -211,7 +212,8 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
         assert np.array_equal(got.los, los)
         assert np.array_equal(got.pl, pl)
         assert np.array_equal(got.sf, lsps[..., 0])
-    assert sf_only.lsps is None and chunked[1].lsps is None
+    for got in (sf_only, chunked[1]):
+        assert got.lsps is None and got.los_dirs is None and got.rice_k is None
     assert np.array_equal(full.lsps, lsps) and np.array_equal(chunked[0].lsps, lsps)
 
     split = 40  # two sub-ranges of unequal size
@@ -220,6 +222,42 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
         for start, stop in ((0, split), (split, len(drop))):
             part = _kernel(cfg, site_xy, wrap, drop, start, stop, all_lsps)
             _assert_rows_equal(part, whole, slice(start, stop))
+
+
+def _los_dirs_and_rice_k(cfg, site_xy, wrap, drop, slow, ue_index):
+    """One UE's LOS (departure, arrival) (azimuth, zenith) and Rice factor
+    toward each site, as the campaign computed them per UE before slow
+    fading did: one np.linalg.norm per offset and scalar libm per site."""
+    delta = drop.xyz[ue_index, :2] - site_xy
+    if wrap is not None:
+        delta = fold_to_nearest_image(delta, wrap)
+    dz = drop.xyz[ue_index, 2] - cfg.layout.bs_height_m
+    dirs, rice_k = [], []
+    for s, (dx, dy) in enumerate(delta.tolist()):
+        norm = np.linalg.norm(np.append(delta[s], dz))
+        az = float(wrap_azimuth(math.atan2(dy, dx)))
+        zen = math.acos(min(1.0, max(-1.0, float(dz / norm))))
+        dirs.append((az, zen, float(wrap_azimuth(az + math.pi)), math.pi - zen))
+        k_db = float(slow.lsps[ue_index, s, 1])
+        rice_k.append(math.pow(10.0, k_db / 10.0) if slow.los[ue_index, s] else 0.0)
+    return dirs, rice_k
+
+
+@pytest.mark.parametrize("wrap_around", [True, False], ids=["wrap", "nowrap"])
+def test_los_dirs_and_rice_k_equal_per_site_form(wrap_around):
+    # A 2-ring phase-2 drop: 114 UEs toward 19 sites, LOS and NLOS links.
+    cfg = default_config("UMa", master_seed=23)
+    site_xy = hex_layout(2, cfg.layout.isd_m)
+    drop = drop_ues(2, site_xy, substream(23, STREAM_DROP), cfg.layout.isd_m)
+    wrap = wrap_basis(2, cfg.layout.isd_m) if wrap_around else None
+    slow = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True)
+    assert 0 < np.count_nonzero(slow.los) < slow.los.size
+    rows = [_los_dirs_and_rice_k(cfg, site_xy, wrap, drop, slow, i) for i in range(len(drop))]
+    assert np.array_equal(slow.los_dirs, np.array([dirs for dirs, _ in rows]))
+    assert np.array_equal(slow.rice_k, np.array([rice_k for _, rice_k in rows]))
+    assert slow.los_dirs.shape == (len(drop), 19, 4) and slow.rice_k.shape == (len(drop), 19)
+    sf_only = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), False)
+    assert sf_only.los_dirs is None and sf_only.rice_k is None
 
 
 @pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])

@@ -332,7 +332,7 @@ def test_cluster_set_regeneration_is_bitwise_identical():
 def test_subcluster_split_adds_four_taps():
     cfg = _cfg(split_strongest=True)
     cs = _one_link(cfg, np.random.default_rng(14)).link(0)
-    assert cs.n_clusters == cfg.n_clusters + 4
+    assert len(cs.delays_s) == cfg.n_clusters + 4
     assert abs(cs.ray_powers.sum() - 1.0) < 1e-9
     assert cs.delays_s[0] == 0.0
     assert np.all(np.diff(cs.delays_s) >= 0.0)

@@ -337,9 +337,9 @@ def _per_cluster_taps(ctx, times, port_weights=None):
     times = np.asarray(times, dtype=float)
     scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
-    per_cluster = [_per_cluster_ray_terms(ctx, n) for n in range(cs.n_clusters)]
+    per_cluster = [_per_cluster_ray_terms(ctx, n) for n in range(len(cs.delays_s))]
     n_tx, n_rx = ctx.tx.n_elements, ctx.rx.n_elements
-    taps = np.zeros((times.size, cs.n_clusters, n_tx, n_rx), dtype=complex)
+    taps = np.zeros((times.size, len(per_cluster), n_tx, n_rx), dtype=complex)
     for ti, t in enumerate(times):
         for n, (terms, omega) in enumerate(per_cluster):
             taps[ti, n] = diffuse_scale * np.einsum("msu,m->su", terms, np.exp(1j * omega * t))
