@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .geom import per_element, wrap_azimuth
+from .geom import wrap_azimuth
 from .ssp import circular_mean
 
 
@@ -24,12 +24,10 @@ def rsrp_db(p_tx_dbm, g_tx_db, g_rx_db, pathloss_db, sf_db):
 def rsrp_fast_fading_db(p_tx_dbm: float, taps) -> np.ndarray:
     """RSRP including fast fading per leading (cell) index of (..., time, tap,
     TX, RX) taps: transmit power plus their time-averaged total energy per
-    TX-RX pair (slow fading is in the taps). Each time's energy is one
-    contiguous sum; the logarithm is per_element's math.log10 (numpy's rounds
-    differently)."""
+    TX-RX pair (slow fading is in the taps)."""
     power = (np.abs(taps) ** 2).reshape(taps.shape[:-3] + (-1,))
     energy = power.sum(axis=-1).mean(axis=-1) / (taps.shape[-2] * taps.shape[-1])
-    return p_tx_dbm + 10.0 * per_element(math.log10, energy)
+    return p_tx_dbm + 10.0 * np.log10(energy)
 
 
 def attach(rsrp_values):
@@ -45,17 +43,15 @@ def geometry_factor_db(rsrp_values, serving):
     """Serving power over the linear sum of all other cells' powers, in dB,
     for each row of a (UE, cell) block with one serving index per row.
 
-    Interference is accumulated in the linear power domain, each row summed
-    contiguously as a one-row sum runs (a strided sum rounds differently), and
-    the logarithm is per_element's math.log10 (numpy's rounds differently).
-    With no interferer the UE is isolated and +inf is returned (callers
-    exclude it from CDFs).
+    Interference is accumulated in the linear power domain. With no
+    interferer the UE is isolated and +inf is returned (callers exclude it
+    from CDFs).
     """
-    linear = 10.0 ** (np.ascontiguousarray(rsrp_values, dtype=float) / 10.0)
+    linear = 10.0 ** (np.asarray(rsrp_values, dtype=float) / 10.0)
     own = np.take_along_axis(linear, np.asarray(serving)[..., None], axis=-1)[..., 0]
     interference = linear.sum(axis=-1) - own
     ratio = np.divide(own, interference, out=np.full_like(own, np.inf), where=interference > 0)
-    return 10.0 * per_element(math.log10, ratio)
+    return 10.0 * np.log10(ratio)
 
 
 def angular_spread_deg(angles_rad, powers) -> float:

@@ -154,8 +154,8 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     rngs = state_generators(half[ue_index] for half in ctx.ssp_states)
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
     ue = ue_links(
-        ctx.ue_end, batch, los, slow.rice_k[ue_index, sites].tolist(),
-        (slow.pl[ue_index] + slow.sf[ue_index])[sites].tolist(), cfg.run.carrier_hz,
+        ctx.ue_end, batch, los, slow.rice_k[ue_index, sites],
+        (slow.pl[ue_index] + slow.sf[ue_index])[sites], cfg.run.carrier_hz,
         ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
         cfg.antenna.polarization_model,
     )

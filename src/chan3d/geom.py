@@ -55,21 +55,13 @@ def spherical_basis(azimuth, zenith) -> tuple[np.ndarray, np.ndarray]:
     return e_theta, e_phi
 
 
-def per_element(f, *arrays) -> np.ndarray:
-    """The scalar libm function f (math.log10, exp, acos, atan2, ...) over each
-    element of the broadcast arrays: numpy's array forms round differently in
-    a few percent of elements, and this keeps the bytes of the per-link form."""
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
-    values = map(f, *(a.ravel().tolist() for a in args))
-    return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
-
-
 def pow10(x, overflow_message: str) -> np.ndarray:
-    """10**x by per_element's math.pow (0.0 at -inf); ValueError(overflow_message) on overflow."""
-    try:
-        return per_element(lambda v: math.pow(10.0, v), x)
-    except OverflowError:
-        raise ValueError(overflow_message) from None
+    """10**x by np.power (0.0 at -inf); ValueError(overflow_message) on overflow."""
+    with np.errstate(over="raise"):
+        try:
+            return np.power(10.0, x)
+        except FloatingPointError:
+            raise ValueError(overflow_message) from None
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -77,6 +69,10 @@ def rotation_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def rotation_z(angle) -> np.ndarray:
+    """The rotation about z by angle: (3, 3), or (..., 3, 3) over an array of angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.zeros(np.shape(angle) + (3, 3))
+    out[..., 0, 0], out[..., 0, 1], out[..., 2, 2] = c, -s, 1.0
+    out[..., 1, 0], out[..., 1, 1] = s, c
+    return out

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deploy import fold_to_nearest_image
-from .geom import per_element, pow10, wrap_azimuth
+from .geom import pow10, wrap_azimuth
 from .rng import STREAM_FIELD, STREAM_LOS_STATE, STREAM_LSP, keyed_generators, keyed_uniforms
 
 log = logging.getLogger("chan3d")
@@ -102,8 +102,8 @@ def lsps_from_normals(
     they set the ESD/ESA marginals. Returns shape (..., count).
     """
     s = section
-    # Batched matmul equals the per-link F @ n bit for bit (einsum does not).
-    z = np.matmul(factor, np.asarray(normals, dtype=float)[..., None])[..., 0]
+    # The rows read only: batched matmul equals the per-link F[:count] @ n bit for bit.
+    z = np.matmul(factor[:count], np.asarray(normals, dtype=float)[..., None])[..., 0]
     marginals = [
         (s.sf_mu_db, s.sf_sigma_db), (s.k_mu_db, s.k_sigma_db),
         (s.ds_log10_mu, s.ds_log10_sigma), (s.asd_log10_mu, s.asd_log10_sigma),
@@ -140,11 +140,9 @@ class Pathloss:
     los_prob_decay_m: float = 63.0
 
     def los_probability(self, d_2d):
-        """P(LOS) at 2D distances (a scalar or an array), through the scalar
-        libm exp per element: numpy's array exp differs in the last bit on
-        some distances."""
+        """P(LOS) at 2D distances (a scalar or an array)."""
         x = -(np.asarray(d_2d, dtype=float) - self.los_prob_d0_m) / self.los_prob_decay_m
-        return np.minimum(1.0, per_element(math.exp, x))
+        return np.minimum(1.0, np.exp(x))
 
 
 def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -> np.ndarray:
@@ -158,7 +156,7 @@ def pathloss_db(model: Pathloss, d_3d, h_ue, indoor, los, frequency_hz: float) -
         raise ValueError("pathloss undefined at zero distance")
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    log_d = per_element(math.log10, d_3d)
+    log_d = np.log10(d_3d)
     pl = (
         np.where(los, model.los_intercept_db, model.nlos_intercept_db)
         + 10.0 * np.where(los, model.los_exponent, model.nlos_exponent) * log_d
@@ -201,10 +199,8 @@ class SlowFading:
     seven LSPs on a trailing axis in LSP_NAMES order, los_dirs the LOS
     (departure, arrival) (azimuth, zenith) on a trailing axis of 4, and
     rice_k the Rice factors (0 where NLOS); all three are None when only SF
-    was computed. az_dep/zen_dep (numpy's array forms, for the phase-1 TX
-    gains) and los_dirs' departure (scalar libm over one norm per offset,
-    for the phase-2 cluster means) are the same angles in two roundings,
-    each kept for the bytes of its phase.
+    was computed. los_dirs' departure is az_dep (wrapped) and zen_dep, its
+    arrival their reverse.
     """
 
     d2d: np.ndarray
@@ -287,7 +283,6 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
 
     d2d, az_dep, zen_dep, pl = (np.empty((n_ue, n_site)) for _ in range(4))
     los = np.empty((n_ue, n_site), dtype=bool)
-    los_dirs = np.empty((n_ue, n_site, 4)) if all_lsps else None
     step = max(1, LINK_CHUNK // n_site)
     chunks = [slice(start, start + step) for start in range(0, n_ue, step)]
     helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
@@ -302,13 +297,6 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
             d3d = np.hypot(d2d[rows], dz[rows])
             az_dep[rows] = np.arctan2(delta[..., 1], delta[..., 0])
             zen_dep[rows] = np.arccos(np.clip(dz[rows] / d3d, -1.0, 1.0))
-            if all_lsps:
-                # The stacked matmul of each (dx, dy, dz) row with itself is np.linalg.norm's dot.
-                xyz = np.dstack([delta, np.broadcast_to(dz[rows], delta.shape[:2])])
-                norm = np.sqrt(np.matmul(xyz[..., None, :], xyz[..., None])[..., 0, 0])
-                az = wrap_azimuth(per_element(math.atan2, delta[..., 1], delta[..., 0]))
-                zen = per_element(math.acos, np.clip(dz[rows] / norm, -1.0, 1.0))
-                los_dirs[rows] = np.stack([az, zen, wrap_azimuth(az + math.pi), math.pi - zen], -1)
             # The first uniform of the stream (seed, STREAM_LOS_STATE, ue, site) per link.
             u = keyed_uniforms(seed, STREAM_LOS_STATE, ue_ids[rows, None], np.arange(n_site))
             los[rows] = u < cfg.pathloss.los_probability(d2d[rows])
@@ -344,4 +332,6 @@ def slow_fading(cfg, ue_ids, ue_xyz, indoor, site_xy, wrap=None) -> SlowFading:
     rice_k = pow10(np.where(los, values[..., 1] / 10.0, -np.inf),
                    "the LOS Rice-factor draw overflowed: K = 10**(k/10) exceeds "
                    "the float range; lower the [lsp_los] k_mu_db or k_sigma_db")
+    az = wrap_azimuth(az_dep)
+    los_dirs = np.stack([az, zen_dep, wrap_azimuth(az + math.pi), math.pi - zen_dep], -1)
     return SlowFading(d2d, az_dep, zen_dep, los, pl, values[..., 0], values, los_dirs, rice_k)

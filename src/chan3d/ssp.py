@@ -294,14 +294,9 @@ def split_strongest_clusters(clusters: ClusterSet) -> ClusterSet:
     masks = np.ones((source.shape[1], clusters.n_rays))
     for k, rays in enumerate(SUBCLUSTER_RAYS):
         masks[n_keep + k::len(SUBCLUSTER_RAYS)] = np.isin(np.arange(clusters.n_rays), rays)
-    strong_rays = clusters.ray_powers[links, strongest]
-    # Each sum runs over a contiguous copy of its rays, as the one-link sum does.
-    split_powers = np.stack(
-        [np.ascontiguousarray(strong_rays[..., rays]).sum(axis=-1) for rays in SUBCLUSTER_RAYS], -1
-    )
-    cluster_powers = np.concatenate(
-        [clusters.cluster_powers[links, keep], split_powers.reshape(len(links), -1)], axis=-1
-    )
+    ray_powers = clusters.ray_powers[links, source] * masks
+    cluster_powers = clusters.cluster_powers[links, source]
+    cluster_powers[:, n_keep:] = ray_powers[:, n_keep:].sum(axis=-1)  # each sub-cluster's rays
     delays = clusters.delays_s[links, source] + extra
     order = links, np.argsort(delays, axis=-1, kind="stable")
     ray_fields = {
@@ -311,7 +306,7 @@ def split_strongest_clusters(clusters: ClusterSet) -> ClusterSet:
     return ClusterSet(
         delays_s=delays[order],
         cluster_powers=cluster_powers[order],
-        ray_powers=(clusters.ray_powers[links, source] * masks)[order],
+        ray_powers=ray_powers[order],
         los_phase_vv=clusters.los_phase_vv,
         los_phase_hh=clusters.los_phase_hh,
         **ray_fields,

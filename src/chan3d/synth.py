@@ -49,7 +49,7 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
     holds one LinkEnd per link, or one for all, differing only in bearing.
     The slant model splits the pattern amplitude angle-independently; the
     rotated model transforms a vertically polarized element field through
-    each link's element orientation, link by link.
+    each link's element orientation, one (direction, 3) block per link.
     """
     end = ends[0]
     az = np.atleast_1d(np.asarray(azimuth, dtype=float))
@@ -63,20 +63,19 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
         out[..., 1, :] = amp[..., None] * np.sin(end.slants)
         return out
 
-    dirs = unit_vectors(az, zen)
-    et_g, ep_g = spherical_basis(az, zen)
-    for link, b in enumerate(bearing.tolist()):
-        row = slice(link, link + 1)  # (1, ...): each link's products round as one link's do
-        for i, slant in enumerate(end.slants):
-            rot = rotation_z(b) @ rotation_x(float(slant))
-            local = dirs[row] @ rot  # row-vector form of R^T @ v
-            local_az = np.arctan2(local[..., 1], local[..., 0])
-            local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
-            amp = element_amplitude(end.pattern, local_az, local_zen)
-            et_local, _ = spherical_basis(local_az, local_zen)
-            field_global = (amp[..., None] * et_local) @ rot.T
-            out[row, ..., 0, i] = np.sum(field_global * et_g[row], axis=-1)
-            out[row, ..., 1, i] = np.sum(field_global * ep_g[row], axis=-1)
+    blocks = (len(az), -1, 3)  # (link, direction, 3)
+    dirs = unit_vectors(az, zen).reshape(blocks)
+    et_g, ep_g = (e.reshape(blocks) for e in spherical_basis(az, zen))
+    for i, slant in enumerate(end.slants):
+        rot = rotation_z(bearing) @ rotation_x(float(slant))  # (link, 3, 3)
+        local = dirs @ rot  # row-vector form of R^T @ v
+        local_az = np.arctan2(local[..., 1], local[..., 0])
+        local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
+        amp = element_amplitude(end.pattern, local_az, local_zen)
+        et_local, _ = spherical_basis(local_az, local_zen)
+        field_global = (amp[..., None] * et_local) @ rot.transpose(0, 2, 1)
+        out[..., 0, i] = np.sum(field_global * et_g, axis=-1).reshape(az.shape)
+        out[..., 1, i] = np.sum(field_global * ep_g, axis=-1).reshape(az.shape)
     return out
 
 
@@ -97,15 +96,15 @@ class RayTerms:
 class UeLinks:
     """A UE's links as one record of arrays with a leading link axis: the UE
     end, the cluster batch, the LOS (departure, arrival) (azimuth, zenith)
-    pairs (link, 4), each link's Rice K and slow fading in dB as Python
-    floats, the polarization model, and the terms of the diffuse rays and of
-    the LOS ray that every TX setup shares. chunk(rows, ends) views rows."""
+    pairs (link, 4), each link's Rice K and slow fading in dB, the
+    polarization model, and the terms of the diffuse rays and of the LOS ray
+    that every TX setup shares. chunk(rows, ends) views rows."""
 
     rx: LinkEnd
     clusters: ClusterSet
     los: np.ndarray
-    rice_k: list
-    slow_fading_db: list
+    rice_k: np.ndarray
+    slow_fading_db: np.ndarray
     polarization_model: str
     rays: RayTerms
     los_rays: RayTerms
@@ -133,13 +132,14 @@ def ue_links(
 ) -> UeLinks:
     """A UE's links toward its end rx as a UeLinks record, their ray terms in
     one array pass over their cluster batch. los is (link, 4), read only
-    where K > 0; rice_k and slow_fading_db hold one Python float per link."""
+    where K > 0; rice_k and slow_fading_db hold one value per link."""
     los = np.asarray(los, dtype=float).reshape(-1, 4)
+    rice_k = np.asarray(rice_k, dtype=float)
     if carrier_hz <= 0:
         raise ValueError("carrier frequency must be positive")
-    if min(rice_k) < 0:
+    if np.any(rice_k < 0):
         raise ValueError("Rice factor must be non-negative")
-    if np.isnan(los[np.array(rice_k) > 0]).any():
+    if np.isnan(los[rice_k > 0]).any():
         raise ValueError("LOS angles required when the Rice factor is positive")
     if polarization_model not in ("slant", "rotated"):
         raise ValueError("polarization model must be 'slant' or 'rotated'")
@@ -165,7 +165,7 @@ def ue_links(
         response_phases(rx.positions_m, k_los)[:, 0],
         (k_los @ velocity_mps)[:, 0],
     )
-    return UeLinks(rx, cs, los, list(rice_k), list(slow_fading_db), model, rays, los_rays)
+    return UeLinks(rx, cs, los, rice_k, np.asarray(slow_fading_db, float), model, rays, los_rays)
 
 
 def synthesize(chunk: LinkChunk, times, g_t: np.ndarray, g_los: np.ndarray) -> np.ndarray:
@@ -184,9 +184,8 @@ def synthesize(chunk: LinkChunk, times, g_t: np.ndarray, g_los: np.ndarray) -> n
     ue, rows, tx, rx = chunk.ue, chunk.rows, chunk.tx, chunk.rx
     rays, los, gather = ue.rays, ue.los_rays, (tx.slant_index[:, None], rx.slant_index)
     rice_k = ue.rice_k[rows]
-    # Python-scalar power per link: the array form rounds some links' taps differently.
-    scale = [10.0 ** (-sf / 20.0) for sf in ue.slow_fading_db[rows]]
-    diffuse = np.array([s * math.sqrt(1.0 / (k + 1.0)) for s, k in zip(scale, rice_k)])
+    scale = 10.0 ** (-ue.slow_fading_db[rows] / 20.0)
+    diffuse = scale * np.sqrt(1.0 / (rice_k + 1.0))
     bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[rows], rays.alpha[rows], g_t[rows])
     np.multiply(np.sqrt(chunk.clusters.ray_powers)[..., None, None], bilinear, out=bilinear)
     positions = np.stack([end.positions_m for end in chunk.ends]).transpose(0, 2, 1)

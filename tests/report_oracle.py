@@ -3,10 +3,15 @@
 ``DropReport`` is one UE's record; its ``row()`` is the reference text of
 one report line, which ``calib.write_report`` must produce from columns.
 ``geometry_factor_row_db`` is the one-row geometry factor the block form in
-``chan3d.calib`` must match bit for bit. ``tests/test_calib.py``
+``chan3d.calib`` must match bit for bit: a row of a C-ordered block sums
+pairwise as a lone row does, while numpy sums the rows of a Fortran-ordered
+block (the campaign's phase-1 blocks, from fancy indexing over cells) left
+to right, one column at a time. ``tests/test_calib.py``
 checks ``calib.write_report`` and ``calib.geometry_factor_db`` against them.
 """
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +44,13 @@ class DropReport:
         return " ".join(fields)
 
 
-def geometry_factor_row_db(rsrp_values, serving: int) -> float:
-    """Serving power over the linear sum of all other cells' powers, in dB, for one UE row."""
+def geometry_factor_row_db(rsrp_values, serving: int, left_to_right: bool = False) -> float:
+    """Serving power over the linear sum of all other cells' powers, in dB,
+    for one UE row, summed pairwise or left to right."""
     values = np.asarray(rsrp_values, dtype=float)
     linear = 10.0 ** (values / 10.0)
-    interference = float(linear.sum() - linear[serving])
+    total = functools.reduce(operator.add, linear) if left_to_right else linear.sum()
+    interference = float(total - linear[serving])
     if interference <= 0.0:
         return math.inf
-    return 10.0 * math.log10(float(linear[serving]) / interference)
+    return 10.0 * float(np.log10(float(linear[serving]) / interference))

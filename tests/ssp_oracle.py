@@ -148,7 +148,7 @@ def split_strongest_clusters(clusters: ClusterSet, n_split: int = 2) -> ClusterS
             mask[rays] = 1.0
             rows["delays"].append(np.array([clusters.delays_s[i] + extra]))
             rows["rpow"].append((clusters.ray_powers[i] * mask)[None, :])
-            rows["cpow"].append(np.array([clusters.ray_powers[i][rays].sum()]))
+            rows["cpow"].append(rows["rpow"][-1].sum(axis=-1))  # over all 20 rays, masked
             for name in ray_fields:
                 ray_fields[name].append(getattr(clusters, name)[i][None, :])
             phase_rows.append(clusters.phases[i][None, :])

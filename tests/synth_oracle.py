@@ -78,10 +78,11 @@ def end_fields_one_link(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray
         out[..., 1, :] = amp[..., None] * np.sin(end.slants)
         return out
 
-    dirs = unit_vectors(az, zen)
-    et_g, ep_g = spherical_basis(az, zen)
+    # The one link as a (1, direction, 3) block under a (1, 3, 3) rotation stack.
+    dirs = unit_vectors(az, zen).reshape(1, -1, 3)
+    et_g, ep_g = (e.reshape(1, -1, 3) for e in spherical_basis(az, zen))
     for i, slant in enumerate(end.slants):
-        rot = rotation_z(end.bearing_rad) @ rotation_x(float(slant))
+        rot = rotation_z(np.array([end.bearing_rad])) @ rotation_x(float(slant))
         local = dirs @ rot  # row-vector form of R^T @ v
         local_az = np.arctan2(local[..., 1], local[..., 0])
         local_zen = np.arccos(np.clip(local[..., 2], -1.0, 1.0))
@@ -90,9 +91,9 @@ def end_fields_one_link(end: LinkEnd, azimuth, zenith, model: str) -> np.ndarray
         else:
             amp = np.sqrt(10.0 ** (element_gain_db(end.pattern, local_az, local_zen) / 10.0))
         et_local, _ = spherical_basis(local_az, local_zen)
-        field_global = (amp[..., None] * et_local) @ rot.T
-        out[..., 0, i] = np.sum(field_global * et_g, axis=-1)
-        out[..., 1, i] = np.sum(field_global * ep_g, axis=-1)
+        field_global = (amp[..., None] * et_local) @ rot.transpose(0, 2, 1)
+        out[..., 0, i] = np.sum(field_global * et_g, axis=-1).reshape(az.shape)
+        out[..., 1, i] = np.sum(field_global * ep_g, axis=-1).reshape(az.shape)
     return out
 
 
@@ -152,7 +153,7 @@ def synthesize_one_link(ue: UeLinks, i: int, tx: LinkEnd, times, g_t, g_los) -> 
     before it took a chunk of a UE's links in one array pass."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rice_k = ue.rice_k[i]
-    scale = 10.0 ** (-ue.slow_fading_db[i] / 20.0)
+    scale = np.power(10.0, -ue.slow_fading_db[i] / 20.0)  # numpy's power, on one value
     diffuse_scale = scale * math.sqrt(1.0 / (rice_k + 1.0))
     amplitude = np.sqrt(ue.clusters.ray_powers[i])
     terms = _ray_terms_one_link(ue, i, tx, ue.rays, g_t, amplitude)

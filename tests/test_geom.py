@@ -8,7 +8,6 @@ import chan3d.campaign as campaign
 from chan3d.antenna import element_gain_db
 from chan3d.config import default_config
 from chan3d.geom import (
-    per_element,
     pow10,
     rotation_x,
     rotation_z,
@@ -20,6 +19,7 @@ from chan3d.ssp import ClusterSet, reflect_zenith
 from chan3d.synth import LinkEnd, end_fields
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end
+from libm_oracle import per_element, ulp_distance
 from synth_oracle import LinkContext, synthesize_link
 
 
@@ -319,6 +319,7 @@ def test_masked_modulo_equals_the_whole_array_modulo_bit_for_bit(f, reference):
 @pytest.mark.parametrize("shape", [(), (0,), (5, 7)])
 @pytest.mark.parametrize("f", [math.log10, math.exp, math.acos, math.atan2])
 def test_per_element_equals_a_python_loop_bit_for_bit(f, shape):
+    # The scalar-libm oracle of tests/libm_oracle.py: f over each element.
     # atan2 takes two arguments; at (5, 7) they broadcast from (5, 1) and (1, 7).
     rng = np.random.default_rng(17)
     low = 1e-3 if f is math.log10 else -1.0  # inside every domain
@@ -333,10 +334,53 @@ def test_per_element_equals_a_python_loop_bit_for_bit(f, shape):
     assert out.tobytes() == loop.tobytes()
 
 
-def test_pow10_is_python_float_power_zero_at_minus_inf_and_raises_callers_message():
+def _log_uniform(rng, low, high, n):
+    return 10.0 ** rng.uniform(math.log10(low), math.log10(high), n)
+
+
+# Each numpy array form in src/ beside the libm function it replaced, over
+# the inputs its kernels see, and the most units in the last place they
+# differ by: log10 of 3D distances (pathloss) and of energies and power
+# ratios near and far from 1 (RSRP, geometry factor); exp of the LOS
+# probability's exponent; 10**x of the LSP spreads' log10, the Rice K in
+# dB / 10, RSRP / 10 and -(PL + SF) / 20; atan2 of site offsets and of
+# rotated unit vectors; acos of the direction cosines. The two log10s
+# differ by up to 2 ulps on arguments near 1, where the result is small.
+ARRAY_FORMS = {
+    "log10": (np.log10, math.log10, 2, lambda rng, n: [np.concatenate([
+        _log_uniform(rng, 1.0, 2e4, n), _log_uniform(rng, 1e-25, 1e8, n), rng.uniform(0.5, 3.0, n)
+    ])]),
+    "exp": (np.exp, math.exp, 1, lambda rng, n: [rng.uniform(-80.0, 0.3, 3 * n)]),
+    "power": (lambda x: np.power(10.0, x), lambda x: math.pow(10.0, x), 1,
+              lambda rng, n: [rng.uniform(-20.0, 4.0, 3 * n)]),
+    "arctan2": (np.arctan2, math.atan2, 1, lambda rng, n: [
+        np.concatenate([rng.uniform(-3e3, 3e3, n), rng.uniform(-1.0, 1.0, 2 * n)]),
+        np.concatenate([rng.uniform(-3e3, 3e3, n), rng.uniform(-1.0, 1.0, 2 * n)])]),
+    "arccos": (np.arccos, math.acos, 1, lambda rng, n: [rng.uniform(-1.0, 1.0, 3 * n)]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_FORMS)
+def test_array_forms_within_an_ulp_or_two_of_scalar_libm(name):
+    # numpy's array forms round differently from libm, and the goldens moved
+    # once for it; the difference stays within the stated units in the last
+    # place. Each array element also equals the same function on that value
+    # alone, which the per-link oracles in tests/ rely on.
+    array_form, scalar_form, bound, draw = ARRAY_FORMS[name]
+    args = draw(np.random.default_rng(11), 100_000)
+    got = array_form(*args)
+    distance = ulp_distance(got, per_element(scalar_form, *args))
+    assert distance.max() <= bound
+    alone = [array_form(*(float(a[i]) for a in args)) for i in range(0, got.size, 997)]
+    assert np.array_equal(got[::997], alone)
+
+
+def test_pow10_is_numpy_power_zero_at_minus_inf_and_raises_callers_message():
     x = np.random.default_rng(4).normal(0.0, 50.0, 200)
-    assert pow10(x, "unused").tobytes() == np.array([10.0 ** v for v in x.tolist()]).tobytes()
+    assert pow10(x, "unused").tobytes() == np.array([np.power(10.0, v) for v in x.tolist()]).tobytes()
     assert pow10(np.array([-np.inf, 0.0, 2.0]), "unused").tolist() == [0.0, 1.0, 100.0]
     with pytest.raises(ValueError, match=r"^the draw overflowed: lower sigma$") as info:
         pow10(np.array([[1.0, 400.0]]), "the draw overflowed: lower sigma")
     assert info.value.__cause__ is None and info.value.__suppress_context__
+    with pytest.raises(ValueError, match="^overflow$"):
+        pow10(400.0, "overflow")

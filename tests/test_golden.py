@@ -156,35 +156,35 @@ GOLDEN = {
         "cl_cdf_dv0.5_tilt12.txt":
             "49241724f72a362f3b4aad99d3a9c7c01b934d4d708a0cebc93997edb40415eb",
         "cl_cdf_dv0.5_tilt6.txt":
-            "9266ba3d483f36cb1f8e258949c6eae372f32232ad112fc76e187c7f5f9d1cd8",
+            "12090ba15d496684276b089c7041b186312e87240bfeb36affc69f38c01114f5",
         "cl_cdf_dv0.5_tilt9.txt":
             "4c30f2a1e4f704c07274e8fc53c580ef619a9e8e1d275fe4b625e6c7de55c02b",
         "gf_cdf_dv0.5_tilt12.txt":
-            "2be4ca6d8d168bf869589148300e5c34fd86bbde4c712d84c26222cf2b3c82a3",
+            "7cb69edec084be5ab49c3f59bd4007687950eb9e6e99558506f87f447f502430",
         "gf_cdf_dv0.5_tilt6.txt":
-            "678d5f79db8062beef77b6596de91a95fcc2d507cd6b4084ac4af1e451532dbb",
+            "5af775d4ec9588d3f7040748866361d2f3b6efed1d1ab36d09a26c3599ad702c",
         "gf_cdf_dv0.5_tilt9.txt":
-            "0428d2d89266caeeda592b5fad6a0e209160cfea80bc827fc5855f7e1a69c728",
+            "82e277155c8a5b8a53bed5701876d4856a1b6f8bf926aa1a44dedfb8158a9947",
         "report_dv0.5_tilt12.txt":
-            "41ddc9b9e736d7e0874d288afb0a6a62547b12b9d8ec28efe2f87fa1a1f76c2c",
+            "3a4b569be17313c48a490651ef343078e4c897ae1037d83e0fdc6277b7f562bc",
         "report_dv0.5_tilt6.txt":
-            "42e4ac65b5cdea22f5aac73a333d28b96006770319094cc334b6e2708b569151",
+            "38f149ba0ee9594604fcda122ed425718461880d9972416f217636f2768379a2",
         "report_dv0.5_tilt9.txt":
-            "0463dbc9888c4bee8e45d1cf36029c8a95815ae5c75a4fe887f7340d526e48cc",
+            "24a233517ca612e243291fa51190aadcd79a16f9eb43568432f70f82f4fa6f6a",
     },
     "p1_legacy2d_wrap_itu": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "891d92750a719a79a5fa705d1d64a8b0141a1ae6f10d693ef22c094e1f579e10",
+            "fe8a549bd2bdc7ad9f280daee6736055bb4a59a94cc00abf10191829f342a0df",
         "cl_cdf_dv0.5_tilt6.txt":
-            "dd5b123be44c3002a789f52a572435d185c62654977c8af646c4390919e3eec1",
+            "ace18c6e3004e04dc429fb4f6375a78c6efb8d0d5a425f8c9739494c1fb0d4bc",
         "gf_cdf_dv0.5_tilt12.txt":
-            "c194e62f54c3270b15d9091bb7e68cdbb16702053a0ddbeacc5ce3557a53870b",
+            "d7bf22b0bf7d721b89695e3f72b5e9e45a451d07e2989c6512d305ea000cc235",
         "gf_cdf_dv0.5_tilt6.txt":
-            "44403242860fe170a396c1e4967874e70a450d4f1334a294c8b5d972b75c69ba",
+            "d814f4e8b1f285d3c96e1472032c9528e8f7edb9502cfe653e27e9835154dbd0",
         "report_dv0.5_tilt12.txt":
-            "5a7504e0b71915f67c44f2f934b7dfba6bbee15bc58ef5cce5a74499d24281c5",
+            "f4b977d01583733b89d89fbf23caa7445c03f23a99e78c0fea35624705c9ad88",
         "report_dv0.5_tilt6.txt":
-            "c68ee2ab45b3cc75b56b3e7d11942006a64d1e5fab9da887a3e89546acafce80",
+            "58d18a6b3b21a78eb5bff121931f0eb3486dc5f7ef92fa63d6fdfd4988f15097",
     },
     "p1_no_spatial": {
         "cl_cdf_dv0.5_tilt12.txt":
@@ -192,13 +192,13 @@ GOLDEN = {
         "cl_cdf_dv0.5_tilt9.txt":
             "de32d774d92928f061a42ad6c531855f391ba86f5e60798320e09016b5f5b4d9",
         "gf_cdf_dv0.5_tilt12.txt":
-            "7657e961f67257d01b8575a39854cc83a027ed2d4d4897674a88c59f26aa028a",
+            "a2d3dcc46c7d74ca1f1ba974b80522f3589c8c67910eb033846c2b588c85acd8",
         "gf_cdf_dv0.5_tilt9.txt":
-            "21d38dc3464d838dab0103c88f677cd0fffb59448a4a2bc3b9e70b9df7346324",
+            "9d2036fb057aa399a2ac77e102042a7f04a67ef6aa034d9ef41d03c658fb55d0",
         "report_dv0.5_tilt12.txt":
-            "0a6defdc997e9b46fc195403029a6125c2ee34392cb76e941edbbf500e2aaa80",
+            "830d429cace350017d9a8c2652387e8efe83d9ae1c71acc788467ada9fdcd097",
         "report_dv0.5_tilt9.txt":
-            "dacc34ad642d0d4ccc1c0d13ca598f018ec14a91fd61d32aab6a330f4e14e156",
+            "4574c458e096f320d7d3272b3e9c467a1da0fcdb52d3b7acdbbeddfbe0f07246",
     },
     "p1_dv_tilt_sweep": {
         "cl_cdf_dv0.5_tilt12.txt":
@@ -210,29 +210,29 @@ GOLDEN = {
         "cl_cdf_dv0.8_tilt6.txt":
             "026c8120a0ba5016d06111b42ce954c019409ed7f3101b79ebfd60ca4e0802c0",
         "gf_cdf_dv0.5_tilt12.txt":
-            "5be8fe4e04e4814ecb3fa92e8c89924cd0aba9eb03f4f2e24f386b9e3fb94b41",
+            "8cbe9e5ada450c3803d4daa57e907fc6933fc8e0c99b3a4b045cddc7f5fca227",
         "gf_cdf_dv0.5_tilt6.txt":
-            "b779d9702b8da425e6c8919823b2575aafb9a601dad7ec7ddcc416c9cfb5fc40",
+            "a5601e4858b441077a5bb4cb0e8d4fa40937cf9449d1714871148a025149329f",
         "gf_cdf_dv0.8_tilt12.txt":
-            "b85b3d85df33849cfa2bf34787f5813c76c48dea06e43de34318fb780e1a6c1f",
+            "f73ca43a7ce440bacfd46ecbacc7af4dedec79060571be2a3a27b20586b2490f",
         "gf_cdf_dv0.8_tilt6.txt":
-            "0cba15cec8830087239462a966f8710a5e89fd4e3794a2cc3dac5dee935b1ffd",
+            "0476798528d6cef446963ab9735ce26513e6060482bf2efe7f7b834d86b13f09",
         "report_dv0.5_tilt12.txt":
-            "d5edc24aa5ba5f4d130fedfff687e89a1d312116057dd8f2825abeee7445b36b",
+            "af113969fcc62cbe769e407eb6c74d7c2436cd88530e830dca6b63dfecb3c8a5",
         "report_dv0.5_tilt6.txt":
-            "dfbfd0c938b88a8cde496ec9d7b03053178228014e8969aaf3b0135d99a497a4",
+            "d11bd509211e785709652627ecc62ad685d9220ab256dbbb29572e9b375542d7",
         "report_dv0.8_tilt12.txt":
-            "502b2447a3ec0379cfa64aafe09600f29f90a5c913f31bcf4bccbc900b545050",
+            "4279c6d920795106ab16860cc5012d157c0eff99558358e1439e811f6f9b945c",
         "report_dv0.8_tilt6.txt":
-            "0b9a0615fae155c3ad9a61793cc0bf3f7487cde9c93e59242c9be9cad0074887",
+            "925d2ca1313ff9819f36017edca6fff90bd52f4ee1c565b08fb4dbbe25314c0e",
     },
     "p1_xpol_per_element": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "5698dba4008d983f38a5561c1b4cb14603236e73729ff212a3ae5f540a08bce5",
+            "9afb84e8a2086580e3b67df77e7c9871c0a603614d0a439644fbb0b740daf99d",
         "gf_cdf_dv0.5_tilt12.txt":
-            "674943c6608f5f90251c4d3367247e552f9515de92966ae8826dc2758374e1c9",
+            "3e08b1c9755ea480e267019e23e187b849274c9339c6c402ebeab9ecc450637f",
         "report_dv0.5_tilt12.txt":
-            "8ae10b6f17b36fa37d8119918da7a63ec1f8f3a2ac284035db3f55edf5e9967d",
+            "bee9c23c49612840ece9a82eb4250b36f82458ea0ff381f83e4b9bbf69a60cb3",
     },
     "p2_reduced": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -246,123 +246,123 @@ GOLDEN = {
         "cl_cdf_dv0.5_tilt12.txt":
             "4af34b463c0b576339670437f3af295c09f28979a6350288b2caabb5d4e08d0c",
         "cl_cdf_dv0.5_tilt9.txt":
-            "173222d65628f9dedd465665256d442aa17a77070a3932841375f0ee7a07fbf9",
+            "374200c57faee91c0df5bab5463ac6fe15ddb4f7117736b814b95dc197ccb332",
         "ds_cdf_dv0.5_tilt12.txt":
-            "0cbac7ac426fd2f705ffdc5f089aa1577445a9f79db31109536537141edfb067",
+            "9ab902fd72748c061ef9a73ba1dc5133e8cc59a2f14bf634f1279b12abad07d4",
         "ds_cdf_dv0.5_tilt9.txt":
-            "8fad4d14bec8d8c11b53e857b59c2b20e9b5deace84030c12235acae590dabf4",
+            "2e24789b5cc6354480d26115b2c9c234f763788dcbc3bec6906d8d0be543e33a",
         "esa_cdf_dv0.5_tilt12.txt":
-            "f4c56518a46a88ce52b08ccc988a5b571d4f582f77aa84adcd3d3f72bb5c762e",
+            "61acb0959f5f4fe802c39523a339b2c7df958238aa3c70cd8a6e24a4a3c9b976",
         "esa_cdf_dv0.5_tilt9.txt":
-            "39729aba1c4eb9ba546ab359a09af591052f9c8bf401177637a5c9aae2bec223",
+            "59a85fd975c5298462134a8809350a2890d36f8f4ee4cff36de444f6953bcf5f",
         "esd_cdf_dv0.5_tilt12.txt":
-            "7ebdf6dd7311c8b4274483de80256b68eac8dd4435f38881bfb578e3c0c69b5c",
+            "7bda4fca91b582483980f935bcf63b9fd87e21fd4990edeed0804e3568399efa",
         "esd_cdf_dv0.5_tilt9.txt":
-            "603b1f60c0b15011af0b49df09b1f12a682bf73ff237303c70331c30cfb136c3",
+            "fbdd31b460676a47715461f3c17966e47ac81a1ff4aa422ce47f11b4d9d03fad",
         "gf_cdf_dv0.5_tilt12.txt":
-            "7b41f93ea58c28169f689a7ae81d1b7811490322c31f75897c2bf52ae6967a78",
+            "7ba5577120f142e41160868d958dde5c2a07015aeedb976248ab04ccd5a9ae7f",
         "gf_cdf_dv0.5_tilt9.txt":
-            "4b98f9b778d3b081a6c2016d7b41629bedcf68300875a89dbb627d661212b1e5",
+            "4a9a77d4cca55133b8ea9e45d62ea477229d26a766d18569081ce5256b94bb66",
         "l1_cdf_dv0.5_tilt12.txt":
-            "d5b28b1b63cd026ac3801278303de6f1b8afda1998908bb72d0d116211c1a840",
+            "f2c43272e65672a25de1aab1c4269fd142995a03c0020a360e6db0f05941f044",
         "l1_cdf_dv0.5_tilt9.txt":
-            "7257b9d85bbe49142b2f70efe5060a55444298f2df7ab0bb9684c0b92022a0d5",
+            "fb6eec5c37664e03f764292e4d4ed4aeb34f5cbd09b0d910ec4480c0c2ae2579",
         "l2_cdf_dv0.5_tilt12.txt":
             "2a00bd71ff30da8f7031328ade026a8e72f9f33249f6252be9c673004cadf05a",
         "l2_cdf_dv0.5_tilt9.txt":
             "4b280c60a08d0c9dfa3e189d08b68ca5d5139d005b34ae2ea2d9ef1b7825d9e8",
         "report_dv0.5_tilt12.txt":
-            "83ddc3609deef98eaff3d28e1e088ab112734d1151953c52b971d5362481af13",
+            "93210dd749af10296cfd6a16b838f514f05e7ba85aa0d643ef701b3abe9b490a",
         "report_dv0.5_tilt9.txt":
-            "33aa65b1c372dfe8ca8cd9cfa3eb2cf2ec042553758b2609d669138a15aa25ba",
+            "9bec0cb3bf77f461f59a82ca3999b56e0670b5df25146b144dfca4b4d36005d6",
     },
     "p2_doppler_wrap": {
         "asa_cdf_dv0.5_tilt12.txt":
-            "d7020c444e606c5935ceab6334bc8490180aee8a2f93edd96f8918a6ac77c422",
+            "0563da300afc458546c420821081646c46e389024c350bcc3f1fe51a4dd2055d",
         "asd_cdf_dv0.5_tilt12.txt":
-            "9983d9cdd533e87d9803ce5a717e61ffe1cb0af402191b0fc4a50ac9a7a26861",
+            "858e80434a7cfce649f5d90b611b1bcb46b21b7d3768499933fdd071914760b5",
         "cl_cdf_dv0.5_tilt12.txt":
-            "b8be8e34736c0f8605a934f751f99c8f7f3ab223bc8711c85c322709e341de0e",
+            "21e2b328bcc78b3453277a60a7c9cc5c798ebeb6547beafe43210c8a736a2ec2",
         "ds_cdf_dv0.5_tilt12.txt":
-            "fa8b1db2d10fa984d2ae1b6b19ae8af52f4d3a471ae0b6c71aac0ec31292f164",
+            "8268bfbc22b599033de17cfd93b21ca5435a9418a5ab09a856dc5c92d5aa07f9",
         "esa_cdf_dv0.5_tilt12.txt":
-            "59e4fc72d3539d862844973e1fda655bfdcf3f9f34428aa815368b60bf6416ad",
+            "90463683a043d9235c41ef3481af72ddc8f09633ba3c973879c3bce18915f7e6",
         "esd_cdf_dv0.5_tilt12.txt":
-            "dc95cd8e57db1a6b9d7314b1f9501c1a03ffbae9b98998bdf6cf7f2b0946ed79",
+            "0befeae1580d4529c47d375331919cba36abab834bc1fbab3047ca11de8e6ac9",
         "gf_cdf_dv0.5_tilt12.txt":
-            "eb0b77213d9667d85fbe9db020364ec4dfef214e857726c869fda045415ed922",
+            "00b4b67ca1b6e196398509e402db0b7008e64a4c9d51ffac62ada49c70769b7f",
         "l1_cdf_dv0.5_tilt12.txt":
-            "52ccb22e9a76afdce3b0db779b26f03f6a5045e2d9f2a57b16d7a9e7be3f1c22",
+            "7b5c219adf4f5e99465eaa6934ed9aac305caff59b0259f5aff0495f49ed8457",
         "l2_cdf_dv0.5_tilt12.txt":
             "ea6b2a83f7d99ee404d56664e37fa7fc32429ee6dbbfc47289e57bacc156ccd3",
         "report_dv0.5_tilt12.txt":
-            "6f587b92da17b529e5a9a81295afb011d862d1980d8532e00bb717d23d4476d6",
+            "53c3641eb2a4966b2222a79b46d65bd114d7128831e89316f3eda613d08dd919",
     },
     "p2_dv_tilt_sweep": {
         "asa_cdf_dv0.5_tilt12.txt":
-            "fa6ab60bf2b91f23c1b21d1f882b4b83a543a8cc321d5c6196d629e3c1c9532e",
+            "2d51d79fded17f232ed093dc34dccb0ffa4317c10d1406acee603b4988de513a",
         "asa_cdf_dv0.5_tilt9.txt":
-            "285951c0186054c7c1564643c3078580000faf9400cc1ead7bc6ae16b2430651",
+            "38ce84bd2de895520929497d89078289c0e18ede7caf8a19c9d9f7c1e163c4d9",
         "asa_cdf_dv0.8_tilt12.txt":
-            "0033785ede1b80ddaafe07af3b2657d131a396398b1bce1433664d78b2145da1",
+            "51f325614f37e15f7405b91bacc58dfb80e029c34cb14f2593440e471f3f0181",
         "asa_cdf_dv0.8_tilt9.txt":
-            "8abc949094c7adbdebda363a2bdb66213807cc92dab31be7770a5f27307d8514",
+            "f45bf0b2dca01aadbfdb7033b1e8c163d1ca43571965319ee81fa53c4d1757b8",
         "asd_cdf_dv0.5_tilt12.txt":
             "6810ce8bc6b3844424d1f05a07946aecde3434c214ec091c9fac49396967aa5d",
         "asd_cdf_dv0.5_tilt9.txt":
-            "aeaa2a349d1793ef7288a2e819a5e8b253051a346e6bd1da5c5bccd59865f898",
+            "32d9b2d1d8b8964946e28e9af5631a6c0a8d185238a28a52d9dc677fe22ca73f",
         "asd_cdf_dv0.8_tilt12.txt":
             "df02c90875866c3d0d39ff3e0dd75058d75a6e3468dd021330e3761243bb3aed",
         "asd_cdf_dv0.8_tilt9.txt":
             "bffc38c18acdda9cd743dbd6c42ff12f050890e9171ec725c358f9477f0bdc4d",
         "cl_cdf_dv0.5_tilt12.txt":
-            "29c014347c7cdeb7c2c3282fcbc93e52e9cffe84b488f017f15bd975e58449b0",
+            "38f44d6f607199c82ef87b57e5cf8f96e597a06783c0abe77c85e95cf4b1d08a",
         "cl_cdf_dv0.5_tilt9.txt":
-            "c2d310301fc1dba38d2a5da1080be3086eb8dd89033aeb4410f64c42dd19a6da",
+            "a7fe4c150625a341275db19d55c0ac3e79301c20b8596a5846db743bdf461722",
         "cl_cdf_dv0.8_tilt12.txt":
-            "16accd7a1a8f01fc09ceabcd630acde2b637cf8ca2cd4c13398e9c288b2d4180",
+            "ed08872e0dc74ca78fa49e8c3dfcfc4f4db707784bf26a8d856cfcd6020d43c5",
         "cl_cdf_dv0.8_tilt9.txt":
-            "f2caddd916e2e87b71938e8e67b298587480cdff7344e18afe07daab2321c8f5",
+            "d0c893464ae7f221468c2847afd7bc357ee6f1c0e8450edb5930e9cd2e57e24b",
         "ds_cdf_dv0.5_tilt12.txt":
-            "e45e1f7cfb7824981575c9ae5e3d52df1edf2390c33d4800553ed687bd33f355",
+            "6f91e094b005f3c0482b12c7a821553766c8d02d9cf614c6a39dbe340dcb0b76",
         "ds_cdf_dv0.5_tilt9.txt":
-            "aa634b980500024e376de0e2575945ac03ac3859e715139610cb18756215f332",
+            "eca983d167c40feb6228e97fc537de2e45cfcabe886cc65b1e6ddb61646da940",
         "ds_cdf_dv0.8_tilt12.txt":
-            "e3d4cce727eba36eb09908f335e725c3d73fc9668b3fc49c30a4127103444ac7",
+            "f040cf82ab79ef7136d3746d88d2df63854c8720743ab13e92659c8427586558",
         "ds_cdf_dv0.8_tilt9.txt":
-            "edcd718b93c730c62db8d7e308b181dd95d1bb483bd28fafcde78ab96e8a73ce",
+            "013bf154be015d41ee305dbcac503bf6c573a20846df312eb4b37820b2f511e2",
         "esa_cdf_dv0.5_tilt12.txt":
-            "3ad54714ce75f689c371511cb68fe6369491b2290711512bfc781a2f64bcb09c",
+            "79d2eacbb1c1f74e015115037b645bf4610055bed7447a643f0d7ea71a380d4a",
         "esa_cdf_dv0.5_tilt9.txt":
-            "0e7f05464c75edf3c3dda2d35279870b91a14cd01e0888b96a0eceb3432f5695",
+            "e9e9427bf34cb1ffa378e02ee695bcd5c0af0c3b06cb9f61bc0d597c83453896",
         "esa_cdf_dv0.8_tilt12.txt":
-            "c1c42025aaeb682d02023f2f5bdfb50eace8f77084c7884a5e252be9e8d60333",
+            "0d52dd3bfba25c5c6b3dc4f538247bab6fc9d9486e434f4638ae59a4dd9d4ff9",
         "esa_cdf_dv0.8_tilt9.txt":
-            "35561f43ff53d55cd8b7264c8135c2b4662860d57602ac76d0cd50f6ffd3a29a",
+            "436b672f80b3c5630e992821a548e79e7a4231201fc51e0d5e8414523dd404a9",
         "esd_cdf_dv0.5_tilt12.txt":
-            "43a5dc5f44abe2dc6ff803fb7c6c92fc0edee8ee942b06ec669b51d42ec80efc",
+            "a5feaaebf91b7b1a8a3a97520896f36ac3a1141dbe51cf262d1576c736cc1654",
         "esd_cdf_dv0.5_tilt9.txt":
-            "286dc472e09cc84ca8894e27ac9c3c267bfdb77f7f64bdafd78a6b9a50098275",
+            "43513ad02fbffdb5f9bfc4f29417c2067af68376f3fee1d5873281d0f6986545",
         "esd_cdf_dv0.8_tilt12.txt":
-            "72d0eb04b736f0e9356cfe7cc4266635bf236584781cdd04c3bd9a09b0d98546",
+            "5b696ee79184ad12270cd026ad4e9e360eba7182b20b120db13402d2eeba4819",
         "esd_cdf_dv0.8_tilt9.txt":
-            "78ced4172cdad7af81621590d1583073d26a05e23d27bb5da038a557f0f891dc",
+            "217ecd9c23a4c6e1e0aeec1f48dbe3ace96a60d7d8082b2a356ece4bd15adc18",
         "gf_cdf_dv0.5_tilt12.txt":
-            "e45dd8827f8b63fa3feb94ad2446b41dff29b572b4dda9fff190c6fb582001f4",
+            "54c9c66053c0b6187a76d353256d19863690da07df1251f399c8ef65ab3b5b6b",
         "gf_cdf_dv0.5_tilt9.txt":
-            "9532b409003e1e883d7465063b723c1737949c4c8238c70c3c3f1c340c05572e",
+            "601b1d27b35940c7c95ba27929f468f2c4b306c1d02e03efabf2fac41d7ae4fc",
         "gf_cdf_dv0.8_tilt12.txt":
-            "c14675d1f1fddd367bd954fb90d4308c7d0a54916fa79ea0a0d7eea359dccd12",
+            "0db982a44c42b7b7354ff1d5f6736120cca1525c4b97f63ea1fa7dca7f1d8a49",
         "gf_cdf_dv0.8_tilt9.txt":
-            "85dabb5649e8fbc306f691852734abb5a67c55cad0b5ed0e7a163f0b0509fe37",
+            "c95660278681cd28d648c27088ac098529096c84361910597faa9f99e8bd163b",
         "l1_cdf_dv0.5_tilt12.txt":
-            "1551ec48fbbb031cf7f0adec15f76a2db8fabb5b60105d158afbdfdcfe35dd76",
+            "5bae61410fd6812150eddeb936eab9e31002f65548a0187b146c36a64cae1463",
         "l1_cdf_dv0.5_tilt9.txt":
-            "cc85d3c0d7526e4afa8b5f4dc023ea96fb3c06f4cc7e6e4ec77fcbe0c65c0897",
+            "ae4f54e430cc48130042f4a2e9d391cbcf61c2d7463be7acec9f9db6e294787b",
         "l1_cdf_dv0.8_tilt12.txt":
-            "70136a20954af00b12010714365b4b6ba8da1b33b5c7ad777d6a3649dea924fa",
+            "c8338697faaab52673f8c9f8d44662a4c6415a976b0303e1aa7b6f20ad572fdd",
         "l1_cdf_dv0.8_tilt9.txt":
-            "ba4854b09c7af9ce1d3ecf3928598c25bb8ceb29872810038fcda99dce36040b",
+            "e196d112fef1054189f96fcafdddeaa4c2af9fd24c87a960b4e8ce00caa0e222",
         "l2_cdf_dv0.5_tilt12.txt":
             "d77453af085968b151958cc13cef23c681b4f385bdf77536003b86f3b9503148",
         "l2_cdf_dv0.5_tilt9.txt":
@@ -372,161 +372,161 @@ GOLDEN = {
         "l2_cdf_dv0.8_tilt9.txt":
             "f6332be47a7f4b471d14bd6b3750d624e78abb0080f1abf0ae04168b05392049",
         "report_dv0.5_tilt12.txt":
-            "3c0ecb489e8ec2fb577c84cc7547b922f3778114c346785ae05e389b171baa42",
+            "23eb66fe3804427756d540dcfd3807fdc9318f97c61fd37ed4638ef8cc5972f6",
         "report_dv0.5_tilt9.txt":
-            "ce49591937dacdc8782107e3bf5fa8de5f9f91743e2e3b4d21ee2cb9fb3f2a42",
+            "777671c4ac472bbe296ec0aee4f68c95a807b3d2af19468e4c07548f8bf8688b",
         "report_dv0.8_tilt12.txt":
-            "21a3fd15b279ebc615dc86bb8e47cdf0e990559ce12da639c95d5e959dbc66e1",
+            "5bed7b36024bc223f2dc95bc45badbc8a5cdd7661da0251aa56eb11f4c0053cf",
         "report_dv0.8_tilt9.txt":
-            "de95eabd0a6036a543d1d08ef44914f970af76df86fa87ff800a97dfb99e9a0d",
+            "6a0fca169879819a114de2d2d28347d464e8cc5d3ff3ebebb75891ef36399213",
     },
     "p2_dv_per_element": {
         "asa_cdf_dv0.5_tilt12.txt":
-            "fbe2dc9b7c8aec3f8f945e8db6879e005f208b867c0ec557ad1d6a3da8f30ef9",
+            "7a08cdf8adf161459bf5b46f1a510b22d9338d0d92c2015521bc16a41be8c89d",
         "asa_cdf_dv0.8_tilt12.txt":
-            "4e7275d0e5a182e595e861644067c364ef2a7e0ca1473e5c7e09a09e0cfa7397",
+            "aab69cf748d97578efed7e4caebbbbb76791f32fc8df9fdd4b4a7d1d04745e36",
         "asd_cdf_dv0.5_tilt12.txt":
-            "826ea189a730094bd4077b4bbd5e89618f536b8e97506a03173708081e94133f",
+            "1bdb7e8b12c3012687d48a570f9159c2507e132d1736ad707a1275acfc17dacc",
         "asd_cdf_dv0.8_tilt12.txt":
-            "a9f26d1278a937c3e96274cc88b08b3a89446e9d2fd4964469f758a2addcc447",
+            "13be1aec00d39c9337de7cfa4c008558a852547d97aff85311aece4e6ceef1bb",
         "cl_cdf_dv0.5_tilt12.txt":
-            "7dca74c1f27c656a71ef54fb5172cd7eaf09a956bec558ae57d0668f0fde76c6",
+            "5d1ecb17580c5e76dfc7a38471accb97243fb7eb49a7b2859dc57c88158376d6",
         "cl_cdf_dv0.8_tilt12.txt":
-            "7f3800d09c1f51172594a2ad4c77acfcd7a3c048303107d39a132f626ccc133f",
+            "b921d25412d7cc3b6f9f2e9af7934a1886387c06cb3b316708c31c44e99a7724",
         "ds_cdf_dv0.5_tilt12.txt":
             "8be80369a8d883f2ec0b15baad48d9e3d0e56e911a480aea67f52220add0b1c5",
         "ds_cdf_dv0.8_tilt12.txt":
             "e262f72ac905a2ae048980f6a74ec409d2867690d3cc79ce37e8800e4ef709bc",
         "esa_cdf_dv0.5_tilt12.txt":
-            "c8c1e633a47c4f717a7a52cf1c9a1b8c8022378c8b821a83392d77f7574e5037",
+            "684ccc19dd27283929707ece2230bcd361e2364d6efb196b256409de415de6ce",
         "esa_cdf_dv0.8_tilt12.txt":
-            "3488d1d3f31c46ae982a2e376e8950fed76b718711f31e5a30455f2b8c1abd24",
+            "2c90350a68f17cb6f573e1a63697a459d73d7d41f9b73db025d0f0946ab70920",
         "esd_cdf_dv0.5_tilt12.txt":
-            "b149b9f43c8bba4fc892288b4b86cac8512e50603d2f7c7d5a6304a9767bbaed",
+            "5e00b88dadedd3a701045628b91e122f66776fb0b0b9d958401397ef173c8ddc",
         "esd_cdf_dv0.8_tilt12.txt":
-            "4503334e47799dbfdf8eeed21256326ecb0c222bc1682eb500d0fd62c18842c6",
+            "0120105f02d046f8f5ab2cdaaae46b8c9b27f9fe1be1d0d7c123afc7c6d59864",
         "gf_cdf_dv0.5_tilt12.txt":
-            "49af6bae7f299183a5d9d1a724514d4e2c5a7341a0f0dff6764a24780e96e50c",
+            "8df37b4bbff86ebc1a0962a71a9dc91c0d1db1528ff66db2aab033a88d717184",
         "gf_cdf_dv0.8_tilt12.txt":
-            "d4c1c0807827c38635a50ac2d0fada2696550a65e47de6663810ee82a01970d2",
+            "413eb15c7c0883d62ef74d2b45e5ea4134414f64c73cbcd41a4120652a1c2620",
         "l1_cdf_dv0.5_tilt12.txt":
-            "512931774e5edd4e737b5d837202f565a69da53737bf4d63663c79b1e297de9c",
+            "015e4ad3741ba0ef7acdf1f8cb4dd9148a39e2e99a88611902321c5ec6284abe",
         "l1_cdf_dv0.8_tilt12.txt":
-            "861866ba2e04f285608641d93fc7b6113f3aacd86660392fd5504a4d168bd72d",
+            "69c49249aab713a64beba612bf815d10bf0c84dc312bce7b00b4da12cb492834",
         "l2_cdf_dv0.5_tilt12.txt":
-            "b9f05167f54479b05f64fcb5fc4d329deeaafb7e987739e292b054ed0dca923c",
+            "9438305caef341bad259ee9aff6a99e551e54f1eb9dbe1329266fe2cab8140b0",
         "l2_cdf_dv0.8_tilt12.txt":
-            "d26c18c6f184f0e35c8af8f9f3b708ea4d4cead9e4e2a576dd9916675816b89e",
+            "64e512a6efda54b975f4c46ed225b6a987a35e2982ac64a96ba358de0f430e46",
         "report_dv0.5_tilt12.txt":
-            "23092d02d4be018093bfe7d8fec419f56a9739fbcdb89f0c71cde10c4a9ee50b",
+            "47367e336b03a02ff00ed61558d4472710db30e824459316e768a0c141f0d7b1",
         "report_dv0.8_tilt12.txt":
-            "f431b02507a69b2673a489551a1f4408b41c391e1829099904b53a0b555aea6c",
+            "0c5b7bc100d20ce88a9887dad34577a01cb5fd0b3a4685caa18fe29818a3f651",
     },
     "p2_itu_port": {
         "asa_cdf_dv0.5_tilt12.txt":
-            "5fcffa4fa8e01e9ad6650dc27eee1e03210a3600818ae6245db0924a5c05b59b",
+            "0b6a5727785a798c4df89af162340dc5da2b9593aa12853696f7044020077d48",
         "asa_cdf_dv0.5_tilt6.txt":
-            "c10e7f7f2c9ad081e92c38e0e4574e5270cc3ee9b5f2ab2bc08df52de7a19d45",
+            "99d8df0c5c8928e0248d1596bc55c8be4d7e32157be122a16ed961f2340593e2",
         "asd_cdf_dv0.5_tilt12.txt":
-            "156c257e418a13d518514b9bedb6ae3f97f5911acfa9729bea6aa5f42ab9fbca",
+            "a9c392f0abff900d8f97a0991a0ed719974397a4b28df383e6c00f1911626bc1",
         "asd_cdf_dv0.5_tilt6.txt":
-            "b571907d9fd24e69c917fffd6328cc044fdce3346be6708d983fd169f4d8b981",
+            "637618a3049384ca31478c5450fa659e3e483caa424836ec87edce19f09abf62",
         "cl_cdf_dv0.5_tilt12.txt":
-            "940793814f13bdd635b02f11465e3d631f4cfe3a1bc43aefb09f0b2fbbc4d8af",
+            "8bda1a3d97c15d05d98afd2dfa831aeb40ac3c07ceb4da10f6b1723ef73f797b",
         "cl_cdf_dv0.5_tilt6.txt":
-            "f87c1734944c177082a40b54e29b49d5af990da3be8ba758584fb6ed38691028",
+            "5d04d9c9d45d9e888688d541ecf57b70bdcf37523749d9dbb07cacd461fc63fb",
         "ds_cdf_dv0.5_tilt12.txt":
-            "7cd551b762654628321965f2e17e7b2c2993c8c777b0168f61096ce56c9d6ec5",
+            "27b94f09cd1a617374435bfbb3f917292a7a8a51731ec3044430d97efdd28c11",
         "ds_cdf_dv0.5_tilt6.txt":
-            "75fa0aff99f049da72f4064d5ab9d03f4431bd12416cc57b8505ac5c3ed808cc",
+            "1a6a0e4f2ac080ae5381cc4a10901791bfb2c75eaa1d059bafe33c375f180d0e",
         "esa_cdf_dv0.5_tilt12.txt":
-            "2300a2462832b709f9be135d7810d1a2636ce6ed7471e2e86fd5754438112209",
+            "7de9e0553c62681d5dc595b905b90295088b86b6612e13f1e0665636e7433a23",
         "esa_cdf_dv0.5_tilt6.txt":
-            "775674324972e5a1e0dbe678620ef8c48ac58218df36480852976f5aeda33e69",
+            "8142e6f43821a3cef1554e1a4df159ef9ab795e86d6c4359272d37db2e893e28",
         "esd_cdf_dv0.5_tilt12.txt":
             "fab10415db17a9c4c3605b2c3e4e4a1650c202fd5e252653519419404c5112c1",
         "esd_cdf_dv0.5_tilt6.txt":
             "d60dd68df6116c3af69a7eadd06825d7a0548635586ae3c965062abd7df69a8e",
         "gf_cdf_dv0.5_tilt12.txt":
-            "064ac1e6ff9928a4f372a9d9cdedfb632c70fa28773ae50270872e20fb79b337",
+            "3a940423deb6a2efcb436ff1d4c670ee5f3fcf80b06ff4cb68c74afa43845cce",
         "gf_cdf_dv0.5_tilt6.txt":
-            "6e1bad16335967c67699789576ed4078f95b5e681bb6dbf7b89911fdacd34b39",
+            "71aa6cb04b1c07667b42765eb1099873482110bb7838051ed9ef040796ee6fd1",
         "l1_cdf_dv0.5_tilt12.txt":
-            "0458fbebd01f341d0250309616fcee2c46985a69a3369716c154aa93b51845ef",
+            "612e28a456f53dafb7fb347ce7468aba9fca570507179e9667764d4b1ac76132",
         "l1_cdf_dv0.5_tilt6.txt":
-            "c7cdc3859e0ca69eff86a5d5e83f97d0e0f17bba6aff979cab7c52d800fd7348",
+            "d72afccdaea9bf4d3d8cf85738ed534c6d67772fa61beec878d7003fd587e159",
         "l2_cdf_dv0.5_tilt12.txt":
             "c6a23f2882e34e1c192885f6c627360d668617baafd4925187d66398f94d4384",
         "l2_cdf_dv0.5_tilt6.txt":
             "a6151f325f2f487f00f00a90a189d0c1a8eee9c2d7e529c51fcd141a07994eb4",
         "report_dv0.5_tilt12.txt":
-            "23a3b1bd36ce8c43aadea8b9d710553d95970888bf074f8de193273101a90442",
+            "ce6610d6b1ad6466a640b341040456f66b1e6b452f665a2c1bf59009dc23abbc",
         "report_dv0.5_tilt6.txt":
-            "08b708e2613750e040b69d78ff1ae92e7fd16b5093c04f3068a059e8adb6b8c0",
+            "678140d4865c55347192afe35604f552f35739e9a8f0137916218348cd86d24d",
     },
     "p2_xpol_rotated": {
         "asa_cdf_dv0.5_tilt12.txt":
-            "f1110a7016b8eec99215b487e6c594537e9fd0ee1846591e91cfa68aa29e9f1f",
+            "38b12a558605c6c1935784cc1c55412aab403bd57b7f7a6092e3d9548107bbd8",
         "asa_cdf_dv0.5_tilt9.txt":
-            "52533fca441074c2d27b45140593349affa29c190e0b3dd5e5f69a0d692bff43",
+            "af21d5cd0dadb02071d15432e81a8a05a92f74ae941ec93ebd95abf03bbe3c21",
         "asd_cdf_dv0.5_tilt12.txt":
-            "c0c0f1d26583f339fe30e5c1307062677789028c713eced4fbff8b52a9e5f7a0",
+            "8bcc6598f3a9b9da9b869f0e47df28cfe2a4297cf0b5b77f8b0fa27fa13bd2db",
         "asd_cdf_dv0.5_tilt9.txt":
-            "8df8f9ffae682af2ebbe1da66c7bbe60aa10caa3820ad676b91fcfe93270383e",
+            "252eb8f239658031a706a77f114d5367a9b98d71a19f63d86778829b780245d9",
         "cl_cdf_dv0.5_tilt12.txt":
             "dff570b1224f7db383958caf1429f351ddacba10182a71514ed70ce03fef54e7",
         "cl_cdf_dv0.5_tilt9.txt":
-            "e716872e27b95ac17ed63f90cd426972f72a5a3fc313945e18b6e0ac74d6e464",
+            "f34cedc396ea5d534ce71418a057b2511b9692f04d17992e2a5a6dd5db096a98",
         "ds_cdf_dv0.5_tilt12.txt":
-            "2d37a17e6435538fcac178b4fae2fae6daea0e99ff06d9b21bd142a175280b8e",
+            "272acd0de996f008ee1ac5c85586f109a8e638dac36526891c3d7424d9f79c7d",
         "ds_cdf_dv0.5_tilt9.txt":
-            "c11d55ad9fd468429f590c30fd4522c19b01893661df531c9471522e7b8ffb3a",
+            "62045d20a67dda45a7b6822cfe820bb9dd3c73b6242cc8feee653cb8425fd449",
         "esa_cdf_dv0.5_tilt12.txt":
             "95408afaa1669bd776451088c1c94afade42bf0a2175be968e5e756a1dc69da1",
         "esa_cdf_dv0.5_tilt9.txt":
             "2e42ff5d6f2ff9a260b18c45b06af0ba689f10d3dedee18379a06f8926196376",
         "esd_cdf_dv0.5_tilt12.txt":
-            "6470e327b4e42a01aa6f0d1bc50176d9db454d370c719542779231d7c111d635",
+            "b53c3a21081db17ae964e9090f99ebc7ff8684803d8f53c3b45adf67e2279d2f",
         "esd_cdf_dv0.5_tilt9.txt":
-            "f20dc324aeb7cad0394d37b4f5c3f4eb388480d7df0c34ad46051f7ee7bdde42",
+            "b0d5bf699192604a95896c72ea76d22ac993406c6555cc60e51315548e890b0e",
         "gf_cdf_dv0.5_tilt12.txt":
-            "23d1a3bbdf8e23a9b98810560d1d71a27d70e99028766dec7fac46af8b55ee82",
+            "af1e9ee0ece665d3f3717766de31928f429751f2c8e52426c9ba3d79c357b7db",
         "gf_cdf_dv0.5_tilt9.txt":
-            "81fc0116a73ae30baef3075348915d67da7db4cb68382b8d2b89330676b01e16",
+            "e03fbc0b64183aa09e6f030c4ea4e3e5a25fe1fae6d71072ad4d30db5c89d2cb",
         "l1_cdf_dv0.5_tilt12.txt":
-            "5201af84e3f3125f538fa9f2221e0168dc6daed5f6f3fa66ceabfe8b488e8eab",
+            "2b137b82a7543c0756e5d6ce7e30cbd487d291303b92f8d5c10d988d43986b75",
         "l1_cdf_dv0.5_tilt9.txt":
-            "93f13d1de33f1e1a5d33121317faa461eb589eb83d67dd17064968d652f3aac1",
+            "cd72e1a45e5d0b28d301826c440fd69c7d7191c12422c2f6b5e9fe997a15a783",
         "l2_cdf_dv0.5_tilt12.txt":
-            "b7895e834951615513aa4e77ad27933a44242d08ad15c6523fe6e3c4a53bd022",
+            "7cb168d9eee07e387d4dd8af2447329ee150a8cb8bd4a2c9c566fd9f82838b8b",
         "l2_cdf_dv0.5_tilt9.txt":
-            "4221e0e3aed585236dc4d4e434f35f33b515b7264e23048990235e3bee186ba9",
+            "18b4d0aad9ae481262a80440a6beb630df38078e9058ac882661e04ba83f5ab6",
         "report_dv0.5_tilt12.txt":
-            "d9a44fec2720ca766f623ba1c10ce3667204e3c2f1a84555ff31ddf15baaa2ac",
+            "c7a7df0111bf87813cf65372b76199dfb1b4175099cac90a557e35ceee5cb6f5",
         "report_dv0.5_tilt9.txt":
-            "379a43cc69236dcf6daf167203eb0f25dacbfd7916e55ff3379f5d98649c2c4e",
+            "981fcc3c71a8eb001ede43c4552133945056355565755e547e4980d142cb810e",
     },
     "p2_ssp_options": {
         "asa_cdf_dv0.5_tilt9.txt":
-            "063892b1608590725e928573fc7153b67c364a4ef8f0365a66c07479cc7cca8f",
+            "3b51d901f3503edbd54e13785ec2a021b3ae89fdbb2619422e15f69769950377",
         "asd_cdf_dv0.5_tilt9.txt":
-            "c660b9e889e4330fbe20f1691a718962801666d3094f96e2c8322b9b2c18be0c",
+            "9dd6885f0c93da5c1c004694477de2c960c57deddd5c27aebea561037cbf6ecc",
         "cl_cdf_dv0.5_tilt9.txt":
             "8ad0178a573532035ecc582a74bc49871a42c9292b66f938545f697f5c5b0c85",
         "ds_cdf_dv0.5_tilt9.txt":
-            "3554244aa672d87d0d761b9193a0a8e3fc64746740fdd9b996a8960ae14bda2e",
+            "18ecd677a5da8e7cb4114f22a7751720ce3c6d4bce2d8d74ce55abbc1c1d2556",
         "esa_cdf_dv0.5_tilt9.txt":
-            "cc4ca2b8726f1690ffd00a10d561ee11bbacde1850ed58c70058e2e2c8c4ebff",
+            "7172efde43e9dc20e474d9790879fdbeabcf915b73f1d9edc1a3ebdf550ad495",
         "esd_cdf_dv0.5_tilt9.txt":
             "8e6f88eccc2cc41cb4da543c713dc457c15c9c64ee2ca8428d976ac7f6a6b172",
         "gf_cdf_dv0.5_tilt9.txt":
-            "bb94bedbc98475e13d8e3e05003d5f690c1dc0bc446900f5ec15174c31edbb84",
+            "b1ec72a9fbbd380c69dfca05c2549811def07448653865ad19435d3f74560225",
         "l1_cdf_dv0.5_tilt9.txt":
-            "83238ba205b46a6a6a744bb9e02abd699eea80c43e494960cafc2d0b0daba137",
+            "14565428678a4fe931678d8a338b1aa6a8dd470a982a82bed99382098d9d360f",
         "l2_cdf_dv0.5_tilt9.txt":
             "94ed771fa9ee90818f9b27c3c3969a6d9fea3d37a5988d31f08b32906c96bdab",
         "report_dv0.5_tilt9.txt":
-            "acbc30d53c8cdcc467a3827d60ef9b16fdf59a6d7bf8ba3a9dee3f00caecd93c",
+            "f6232d6095505c390840b33e1ec228e02db596b371eadbd1b986089341fdc967",
     },
 }
 

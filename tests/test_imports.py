@@ -2,8 +2,9 @@
 from the standard library, or numpy, at module level or inside a function.
 And it derives its random streams one way: no module names numpy's own seed
 derivation, which chan3d.rng.keyed_states reproduces over arrays. One
-module owns the (UE, site) link geometry: the campaign names none of the
-fold, per-element libm and Rice-factor kernels that lsp.slow_fading runs.
+module owns the (UE, site) link geometry: the campaign names neither the
+fold nor the Rice-factor kernel that lsp.slow_fading runs. No module runs a
+scalar function per array element: none names per_element or fromiter.
 Its setup stays light: importing it and checking a config load no process pool."""
 import ast
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chan3d"
 SEED_NAMES = {"SeedSequence", "default_rng"}
-LINK_GEOMETRY_NAMES = {"fold_to_nearest_image", "per_element", "pow10"}
+LINK_GEOMETRY_NAMES = {"fold_to_nearest_image", "pow10"}
+SCALAR_LOOP_NAMES = {"per_element", "fromiter"}
 
 
 def _absolute_imports(path: Path) -> list:
@@ -83,9 +85,18 @@ def test_package_derives_no_seed_sequence():
 
 def test_campaign_names_no_link_geometry_kernel():
     # The campaign reads each link's LOS directions and Rice factor from
-    # slow fading, the one module that names all three kernels.
+    # slow fading, the one module that names both kernels.
     assert set(_named(SRC / "lsp.py", LINK_GEOMETRY_NAMES)) == LINK_GEOMETRY_NAMES
     assert _named(SRC / "campaign.py", LINK_GEOMETRY_NAMES) == []
+
+
+def test_package_runs_no_scalar_loop_over_array_elements():
+    # numpy's array forms replaced the scalar-libm loop (np.fromiter over
+    # map(math.f, ...)); its oracle lives in tests/libm_oracle.py.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert not {(path.name, name) for path in modules
+                for name in _named(path, SCALAR_LOOP_NAMES)}
 
 
 def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):

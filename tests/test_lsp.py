@@ -256,8 +256,9 @@ def test_los_probability_shape():
 
 
 def test_los_probability_broadcasts_like_scalar_exp():
+    # Each distance alone, through numpy's exp of one value.
     d = np.random.default_rng(3).uniform(0.0, 1500.0, (40, 19))
-    expected = [[min(1.0, math.exp(-(v - 18.0) / 63.0)) for v in row] for row in d.tolist()]
+    expected = [[min(1.0, np.exp(-(v - 18.0) / 63.0)) for v in row] for row in d.tolist()]
     assert np.array_equal(Pathloss().los_probability(d), expected)
 
 

@@ -2,9 +2,10 @@
 
 `_per_link` is the scalar path the campaign took before the kernel: for one
 UE, one LOS draw, one pathloss and one LSP draw per site, with the pathloss
-and LSP marginals written out in scalar form. The kernel must reproduce it
-bit for bit: over the whole drop or a sub-range of it, at any chunk size and
-worker count, and with only SF requested. Its keyed streams come from numpy's
+and LSP marginals written out in scalar form and numpy's log10, exp and
+power on one value at a time. The kernel must reproduce it bit for bit: over
+the whole drop or a sub-range of it, at any chunk size and worker count, and
+with only SF requested, when it mixes the SF row of the factor alone. Its keyed streams come from numpy's
 own SeedSequence, not from the array derivation in chan3d.rng.
 """
 import itertools
@@ -33,7 +34,7 @@ def _pathloss(model, d_3d, h_ue, indoor, los, frequency_hz):
     state = "los" if los else "nlos"
     pl = (
         getattr(model, f"{state}_intercept_db")
-        + 10.0 * getattr(model, f"{state}_exponent") * math.log10(d_3d)
+        + 10.0 * getattr(model, f"{state}_exponent") * np.log10(d_3d)
         + getattr(model, f"{state}_freq_db") * math.log10(frequency_hz / 1e9)
     )
     if not los:
@@ -62,6 +63,7 @@ def _field_at(cfg, site, lsp, x, y):
 
 
 def _lsps(cfg, ue_index, site, d_2d, h_ue, los, ue_xy):
+    """One link's seven LSPs, and its SF from the factor's SF row alone."""
     s = cfg.lsp_los if los else cfg.lsp_nlos
     factor = mixing_factor(cfg.corr_los if los else cfg.corr_nlos)
     if cfg.spatial.enabled:
@@ -69,22 +71,23 @@ def _lsps(cfg, ue_index, site, d_2d, h_ue, los, ue_xy):
         normals = np.array([_field_at(cfg, site, i, x, y) for i in range(len(LSP_NAMES))])
     else:
         normals = _stream(cfg.run.master_seed, STREAM_LSP, ue_index, site).standard_normal(7)
-    z = factor @ normals
+    z, z_sf = factor @ normals, factor[:1] @ normals
     esd_mu, esd_sigma = _table(s.esd_table, s.esd_height_slope_per_m, d_2d, h_ue)
     esa_mu, esa_sigma = _table(s.esa_table, s.esa_height_slope_per_m, d_2d, h_ue)
     return (
         s.sf_mu_db + s.sf_sigma_db * z[0],
         s.k_mu_db + s.k_sigma_db * z[1],
-        10.0 ** (s.ds_log10_mu + s.ds_log10_sigma * z[2]),
-        10.0 ** (s.asd_log10_mu + s.asd_log10_sigma * z[3]),
-        10.0 ** (s.asa_log10_mu + s.asa_log10_sigma * z[4]),
-        10.0 ** (esd_mu + esd_sigma * z[5]),
-        10.0 ** (esa_mu + esa_sigma * z[6]),
-    )
+        np.power(10.0, s.ds_log10_mu + s.ds_log10_sigma * z[2]),
+        np.power(10.0, s.asd_log10_mu + s.asd_log10_sigma * z[3]),
+        np.power(10.0, s.asa_log10_mu + s.asa_log10_sigma * z[4]),
+        np.power(10.0, esd_mu + esd_sigma * z[5]),
+        np.power(10.0, esa_mu + esa_sigma * z[6]),
+    ), s.sf_mu_db + s.sf_sigma_db * z_sf[0]
 
 
 def _per_link(cfg, site_xy, wrap, ue_index, drop):
-    """Per-site 2D distance, departure angles, LOS state, pathloss and LSPs of one UE."""
+    """Per-site 2D distance, departure angles, LOS state, pathloss, LSPs and
+    SF alone (from the factor's SF row) of one UE."""
     ue_xy = np.array([float(v) for v in drop.xyz[ue_index, :2]])
     h_ue, indoor = float(drop.xyz[ue_index, 2]), bool(drop.indoor[ue_index])
     delta = ue_xy - site_xy
@@ -98,15 +101,16 @@ def _per_link(cfg, site_xy, wrap, ue_index, drop):
     los = np.empty(site_xy.shape[0], dtype=bool)
     pl = np.empty(site_xy.shape[0])
     lsps = np.empty((site_xy.shape[0], len(LSP_NAMES)))
+    sf_alone = np.empty(site_xy.shape[0])
     for s in range(site_xy.shape[0]):
         d0, decay = cfg.pathloss.los_prob_d0_m, cfg.pathloss.los_prob_decay_m
-        p_los = min(1.0, math.exp(-(float(d2d[s]) - d0) / decay))
+        p_los = min(1.0, np.exp(-(float(d2d[s]) - d0) / decay))
         los[s] = _stream(cfg.run.master_seed, STREAM_LOS_STATE, ue_index, s).random() < p_los
         pl[s] = _pathloss(
             cfg.pathloss, float(d3d[s]), h_ue, indoor, bool(los[s]), cfg.run.carrier_hz
         )
-        lsps[s] = _lsps(cfg, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
-    return d2d, az_dep, zen_dep, los, pl, lsps
+        lsps[s], sf_alone[s] = _lsps(cfg, ue_index, s, float(d2d[s]), h_ue, bool(los[s]), ue_xy)
+    return d2d, az_dep, zen_dep, los, pl, lsps, sf_alone
 
 
 # Three LSPs whose correlations are those of three unit vectors in a plane:
@@ -197,8 +201,12 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
 
     rows = [_per_link(cfg, site_xy, wrap, i, drop) for i in range(len(drop))]
     expected = [np.array(column) for column in zip(*rows)]
-    d2d, az_dep, zen_dep, los, pl, lsps = expected
+    d2d, az_dep, zen_dep, los, pl, lsps, sf_alone = expected
     assert 0 < np.count_nonzero(los) < los.size
+    # Phase 1 mixes the SF row alone. It rounds as row 0 of the full mix
+    # where that row is (f, 0, ..., 0), and may differ in the last bit where
+    # the factor mixes several normals into SF.
+    assert np.array_equal(sf_alone, lsps[..., 0]) or correlation is not None
 
     full = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True)
     sf_only = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), False)
@@ -211,7 +219,7 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
         assert np.array_equal(got.zen_dep, zen_dep)
         assert np.array_equal(got.los, los)
         assert np.array_equal(got.pl, pl)
-        assert np.array_equal(got.sf, lsps[..., 0])
+        assert np.array_equal(got.sf, lsps[..., 0] if got.lsps is not None else sf_alone)
     for got in (sf_only, chunked[1]):
         assert got.lsps is None and got.los_dirs is None and got.rice_k is None
     assert np.array_equal(full.lsps, lsps) and np.array_equal(chunked[0].lsps, lsps)
@@ -224,40 +232,28 @@ def test_kernel_equals_per_link_form(spatial, wrap_around, correlation, monkeypa
             _assert_rows_equal(part, whole, slice(start, stop))
 
 
-def _los_dirs_and_rice_k(cfg, site_xy, wrap, drop, slow, ue_index):
-    """One UE's LOS (departure, arrival) (azimuth, zenith) and Rice factor
-    toward each site, as the campaign computed them per UE before slow
-    fading did: one np.linalg.norm per offset and scalar libm per site."""
-    delta = drop.xyz[ue_index, :2] - site_xy
-    if wrap is not None:
-        delta = fold_to_nearest_image(delta, wrap)
-    dz = drop.xyz[ue_index, 2] - cfg.layout.bs_height_m
-    dirs, rice_k = [], []
-    for s, (dx, dy) in enumerate(delta.tolist()):
-        norm = np.linalg.norm(np.append(delta[s], dz))
-        az = float(wrap_azimuth(math.atan2(dy, dx)))
-        zen = math.acos(min(1.0, max(-1.0, float(dz / norm))))
-        dirs.append((az, zen, float(wrap_azimuth(az + math.pi)), math.pi - zen))
-        k_db = float(slow.lsps[ue_index, s, 1])
-        rice_k.append(math.pow(10.0, k_db / 10.0) if slow.los[ue_index, s] else 0.0)
-    return dirs, rice_k
-
-
 @pytest.mark.parametrize("wrap_around", [True, False], ids=["wrap", "nowrap"])
 def test_los_dirs_and_rice_k_equal_per_site_form(wrap_around):
     # A 2-ring phase-2 drop: 114 UEs toward 19 sites, LOS and NLOS links.
+    # The LOS departure is the phase-1 departure (az_dep, zen_dep), one
+    # rounding for both phases; the arrival is its reverse. Each Rice factor
+    # is 10**(K / 10) of the link's K in dB where LOS, else 0.
     cfg = default_config("UMa", master_seed=23)
     site_xy = hex_layout(2, cfg.layout.isd_m)
     drop = drop_ues(2, site_xy, substream(23, STREAM_DROP), cfg.layout.isd_m)
     wrap = wrap_basis(2, cfg.layout.isd_m) if wrap_around else None
     slow = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), True)
     assert 0 < np.count_nonzero(slow.los) < slow.los.size
-    rows = [_los_dirs_and_rice_k(cfg, site_xy, wrap, drop, slow, i) for i in range(len(drop))]
-    assert np.array_equal(slow.los_dirs, np.array([dirs for dirs, _ in rows]))
-    assert np.array_equal(slow.rice_k, np.array([rice_k for _, rice_k in rows]))
+    az = wrap_azimuth(slow.az_dep)
+    expected = np.stack([az, slow.zen_dep, wrap_azimuth(az + math.pi), math.pi - slow.zen_dep], -1)
+    assert np.array_equal(slow.los_dirs, expected)
+    rice_k = [[np.power(10.0, k_db / 10.0) if los else 0.0 for k_db, los in zip(*row)]
+              for row in zip(slow.lsps[..., 1].tolist(), slow.los.tolist())]
+    assert np.array_equal(slow.rice_k, rice_k)
     assert slow.los_dirs.shape == (len(drop), 19, 4) and slow.rice_k.shape == (len(drop), 19)
     sf_only = _kernel(cfg, site_xy, wrap, drop, 0, len(drop), False)
     assert sf_only.los_dirs is None and sf_only.rice_k is None
+    assert np.array_equal(sf_only.az_dep, slow.az_dep) and np.array_equal(sf_only.zen_dep, slow.zen_dep)
 
 
 @pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "keyed"])

@@ -335,7 +335,7 @@ def _per_cluster_taps(ctx, times, port_weights=None):
     given port weights, the port step of to_ports."""
     cs = ctx.clusters
     times = np.asarray(times, dtype=float)
-    scale = 10.0 ** (-ctx.slow_fading_db / 20.0)
+    scale = np.power(10.0, -ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
     per_cluster = [_per_cluster_ray_terms(ctx, n) for n in range(len(cs.delays_s))]
     n_tx, n_rx = ctx.tx.n_elements, ctx.rx.n_elements
@@ -484,8 +484,8 @@ def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
     dep = np.array([link.los_departure for link in links])
     los = end_fields(ends, dep[:, 0], dep[:, 1], model)
     assert {link.rice_k_linear > 0 for link in links} == {False, True}
-    assert ue.rice_k == [link.rice_k_linear for link in links]
-    assert ue.slow_fading_db == [link.slow_fading_db for link in links]
+    assert ue.rice_k.tolist() == [link.rice_k_linear for link in links]
+    assert ue.slow_fading_db.tolist() == [link.slow_fading_db for link in links]
     for i, link in enumerate(links):
         assert tuple(ue.los[i].tolist()) == (*link.los_departure, *link.los_arrival)
         expected, expected_los = link_half_one_link(link)
