@@ -63,39 +63,40 @@ def element_amplitude(spec: PatternSpec | None, azimuth, zenith):
 
 @dataclass
 class ArrayGeometry:
-    """Physical element layout plus the port virtualization map.
+    """Element lattice plus the port virtualization map.
 
-    element_positions are meters in the array frame (boresight +x, columns
-    along y, rows along z).
+    Element e sits at lattice[e] @ steps: lattice holds its integer (column,
+    row), steps the (horizontal, vertical) step vectors in meters, in the
+    array frame (boresight +x, columns along y, rows along z).
     weights is the (n_ports, n_elements) complex matrix taking element
     signals to ports: each row has unit power, each element feeds exactly
-    one port, and the elements of one port share one slant.
+    one port, and the elements of one port share one slant and one column.
     """
 
-    element_positions: np.ndarray
+    lattice: np.ndarray
+    steps: np.ndarray
     slant_rad: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        self.element_positions = np.asarray(self.element_positions, dtype=float).reshape(-1, 3)
+        self.lattice = np.asarray(self.lattice, dtype=int).reshape(-1, 2)
+        self.steps = np.asarray(self.steps, dtype=float).reshape(2, 3)
         self.slant_rad = np.asarray(self.slant_rad, dtype=float).reshape(-1)
         self.weights = np.asarray(self.weights, dtype=complex)
-        if len(self.slant_rad) != self.n_elements:
-            raise ValueError("one slant angle required per element")
-        if self.weights.shape[1] != self.n_elements:
-            raise ValueError("the weight matrix needs one column per element")
+        if len(self.slant_rad) != self.n_elements or self.weights.shape[1] != self.n_elements:
+            raise ValueError("one slant angle and one weight column required per element")
         if np.any(np.abs(np.sum(np.abs(self.weights) ** 2, axis=1) - 1.0) > 1e-9):
             raise ValueError("port weights must have unit total power")
         feeds = self.weights != 0
         if np.any(feeds.sum(axis=0) != 1):
             raise ValueError("each element must feed exactly one port")
         # np.ptp, not np.unique: np.unique imports numpy.ma (1 MB) on its first call.
-        if any(np.ptp(self.slant_rad[row]) > 0 for row in feeds):
-            raise ValueError("the elements of a port must share one slant")
+        if any(np.ptp(self.slant_rad[row]) + np.ptp(self.lattice[row, 0]) > 0 for row in feeds):
+            raise ValueError("the elements of a port must share one slant and one column")
 
     @property
     def n_elements(self) -> int:
-        return self.element_positions.shape[0]
+        return self.lattice.shape[0]
 
 
 def uniform_planar_array(
@@ -132,15 +133,42 @@ def uniform_planar_array(
     # feeds the port of its column and slant (K = M) or its own port (K = 1).
     grid = np.meshgrid(range(n_cols), range(m_rows), range(n_pol), indexing="ij")
     c, r, p = (g.ravel() for g in grid)
-    positions = np.stack([np.zeros(c.size), c * d_h * wavelength, r * d_v * wavelength], axis=-1)
+    steps = [[0.0, d_h * wavelength, 0.0], [0.0, 0.0, d_v * wavelength]]
     weights = np.zeros((n_cols * n_pol * (m_rows // k), c.size), dtype=complex)
     weights[(c * n_pol + p) * (m_rows // k) + r // k, np.arange(c.size)] = w[r % k]
-    return ArrayGeometry(positions, slants[p], weights)
+    return ArrayGeometry(np.stack([c, r], axis=-1), steps, slants[p], weights)
 
 
-def response_phases(positions: np.ndarray, k_vectors: np.ndarray) -> np.ndarray:
-    """exp(j k . x) for a batch of wave vectors; shape (..., n_elements)."""
-    return np.exp(1j * (np.asarray(k_vectors) @ np.asarray(positions).T))
+def port_factors(lattice, weights, k_vectors, steps) -> np.ndarray:
+    """Each port's array factor sum_s w_ps exp(j k . x_s) toward a batch of
+    wave vectors k (..., d), shape (..., n_ports). steps (..., d, 2) holds
+    the lattice's (horizontal, vertical) steps as columns: element s sits at
+    steps @ lattice[s], and the elements of a port share one column. One exp
+    per (direction, step some element takes) of k @ steps, then per port a
+    polynomial in the steps: Horner over its rows (rows-per-port multiply-adds
+    per direction) times the powers of its column and first row. An end all
+    at the origin gets its weight sums, shape (1, ..., n_ports): no exp.
+    """
+    feeds = weights != 0
+    base = np.where(feeds, lattice.T[:, None], lattice.max()).min(axis=-1)  # column, first row
+    shift = lattice[:, 1] - base[1, :, None]  # (port, element): rows above the port's first
+    coef = np.sum(weights[..., None] * (shift[..., None] == np.arange(shift[feeds].max() + 1)), 1)
+    batch = (1,) * (np.ndim(k_vectors) - 1)
+    coef = coef.T.reshape(coef.shape[::-1] + batch)  # (row, port, 1, ...)
+    used = lattice.any(axis=0)
+    if not used.any():  # every element at the origin
+        return coef[0].reshape(batch + (len(weights),))
+    phases = k_vectors @ steps
+    step = np.ones((2,) + phases.shape[:-1], dtype=complex)
+    step[used] = np.exp(1j * np.moveaxis(phases, -1, 0)[used])
+    factors = np.empty(coef.shape[1:2] + step.shape[1:], dtype=complex)  # port-major
+    factors[...] = coef[-1]
+    for c in coef[-2::-1]:
+        factors *= step[1]
+        factors += c
+    if base.any():
+        factors *= np.prod(step[:, None] ** base.reshape(base.shape + batch), axis=0)
+    return np.moveaxis(factors, 0, -1)
 
 
 def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:
@@ -154,29 +182,6 @@ def downtilt_weights(m: int, d_v: float, theta_tilt: float) -> np.ndarray:
         raise ValueError("vertical spacing must be positive")
     idx = np.arange(m)
     return np.exp(-2j * math.pi * d_v * idx * math.cos(theta_tilt)) / math.sqrt(m)
-
-
-def column_heights(geometry: ArrayGeometry, port: int) -> np.ndarray:
-    """Heights (n_idx, 1) of the port's elements, which must sit on the column
-    axis x = y = 0: there exp(j k . x) = exp(j k_z z), whatever the azimuth."""
-    xyz = geometry.element_positions[np.flatnonzero(geometry.weights[port])]
-    if np.any(xyz[:, :2] != 0.0):
-        raise ValueError(f"port {port} has elements off the column axis x = y = 0")
-    return xyz[:, 2:]
-
-
-def column_sums(heights: np.ndarray, wavelength: float, zenith, geometries, port: int) -> list:
-    """Per geometry, the port's (vertical, horizontal) fields over its element
-    amplitude: phases @ (w cos(slant)), phases @ (w sin(slant)), where phases
-    are exp(j k_z z) of the elements at column_heights toward each zenith."""
-    k_z = (2.0 * math.pi / wavelength) * np.cos(np.asarray(zenith, dtype=float))
-    phases = response_phases(heights, k_z[..., None])
-    sums = []
-    for geometry in geometries:
-        idx = np.flatnonzero(geometry.weights[port])
-        w, slant = geometry.weights[port, idx], geometry.slant_rad[idx]
-        sums.append((phases @ (w * np.cos(slant)), phases @ (w * np.sin(slant))))
-    return sums
 
 
 def fields_gain_db(g_v, g_h):

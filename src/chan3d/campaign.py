@@ -10,14 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calib
-from .antenna import column_heights, column_sums, element_amplitude, element_gain_db, fields_gain_db
+from .antenna import element_amplitude, element_gain_db, fields_gain_db, port_factors
 from .config import RunConfig, build_array, build_tx_pattern, config_hash, validate
 from .deploy import CELL_BEARINGS_DEG, Drop, drop_ues, hex_layout, wrap_basis
 from .geom import SPEED_OF_LIGHT, rotation_z
 from .lsp import SlowFading, slow_fading
 from .rng import STREAM_DROP, STREAM_SSP, keyed_states, state_generators, substream
 from .ssp import generate_cluster_set
-from .synth import LinkEnd, end_fields, synthesize, to_ports, ue_links
+from .synth import LinkEnd, end_fields, synthesize, ue_links
 
 
 log = logging.getLogger("chan3d")
@@ -31,15 +31,13 @@ class _TxSetup:
     """Sweep points whose TX gains come from one pattern and element array.
 
     points lists their sweep indices and arrays the array of each, with the
-    point's port weights (for itu_port, one element at the origin). heights
-    are port 0's column_heights, None for itu_port, whose phase-1 gain is its
-    pattern's; ends the per-cell TX link ends that phase 2 synthesizes for.
+    point's port weights (for itu_port, one element at the origin); ends the
+    per-cell TX link ends of phase 2, each with every point's ports stacked.
     """
 
     pattern: object
     points: list
     arrays: list
-    heights: np.ndarray | None = None
     ends: list | None = None
 
 
@@ -57,7 +55,7 @@ class _CampaignContext:
     times: np.ndarray
     tx_setups: list | None = None
     ssp_states: tuple | None = None
-    ue_end: LinkEnd = field(default_factory=lambda: LinkEnd(np.zeros((1, 3)), np.zeros(1)))
+    ue_end: LinkEnd = field(default_factory=lambda: LinkEnd(np.zeros(1)))
 
 
 def _tx_setups(ctx: _CampaignContext) -> list:
@@ -73,27 +71,29 @@ def _tx_setups(ctx: _CampaignContext) -> list:
         s = setups.setdefault(k if itu else d_v, _TxSetup(build_tx_pattern(antenna, tilt), [], []))
         s.points.append(k)
         s.arrays.append(build_array(antenna, d_v, ctx.wavelength, tilt))
-    for s in setups.values():
-        s.heights = None if itu else column_heights(s.arrays[0], 0)
-        if ctx.cfg.run.phase == 2:
-            xyz, slants = s.arrays[0].element_positions, s.arrays[0].slant_rad
-            s.ends = [LinkEnd(xyz @ rotation_z(b).T, slants, s.pattern, b)
-                      for b in ctx.cell_bearing_rad.tolist()]
+    for s in setups.values() if ctx.cfg.run.phase == 2 else ():
+        array, weights = s.arrays[0], np.concatenate([a.weights for a in s.arrays])
+        s.ends = [LinkEnd(array.slant_rad, s.pattern, b, array.lattice,
+                          array.steps @ rotation_z(b).T, weights)
+                  for b in ctx.cell_bearing_rad.tolist()]
     return list(setups.values())
 
 
 def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
     """TX gain over (UE, cell) toward each cell's LOS direction, for each point
     of the setup, from the cells' azimuths and the sites' zeniths (UE, site).
-    Port 0's response phases and weighted sums depend on the zenith alone, so
-    they run per (UE, site); the element amplitude is the only per-cell term.
+    Port 0 is one column on the z axis: its factors read only k_z and run per
+    (UE, site); the element amplitude is the only per-cell term, and the
+    slant splits the field in power alone. itu_port's gain is its pattern's.
     """
-    cells = ctx.cell_site
-    if setup.heights is None:
+    cells, array = ctx.cell_site, setup.arrays[0]
+    if ctx.cfg.antenna.pattern == "itu_port":
         return [np.asarray(element_gain_db(setup.pattern, local_az, zen[:, cells]))]
+    k_z = (2.0 * np.pi / ctx.wavelength) * np.cos(zen)
+    port0 = np.stack([a.weights[0] for a in setup.arrays])
+    factors = port_factors(array.lattice, port0, k_z[..., None], array.steps[:, 2:].T)
     amp = element_amplitude(setup.pattern, local_az, zen[:, cells])
-    sums = column_sums(setup.heights, ctx.wavelength, zen, setup.arrays, 0)
-    return [fields_gain_db(amp * v[:, cells], amp * h[:, cells]) for v, h in sums]
+    return [fields_gain_db(amp * f[:, cells], 0.0) for f in np.moveaxis(factors, -1, 0)]
 
 
 def _serving_columns(rsrp, p_tx: float) -> tuple:
@@ -107,8 +107,7 @@ def _phase1_reports(ctx: _CampaignContext) -> list:
     """Every sweep point's report columns, in one pass over UE blocks.
 
     Per block, the angles toward every cell are computed once and each TX
-    setup's response phases once per (UE, site); each sweep point applies
-    only its port weights.
+    setup's port-0 factors of all its points in one call over (UE, site).
     """
     p_tx = ctx.cfg.layout.p_tx_dbm
     slow, cells = ctx.slow, ctx.cell_site
@@ -141,15 +140,13 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     clusters, drawn in one batch from its row of the campaign's SSP stream
     states, and its site's LOS directions, Rice factor and slow fading. Each
     TX setup evaluates its fields toward all links' rays and LOS departures,
-    and synthesizes one chunk per site: its cells' links. Each sweep point
-    maps the element taps to ports and takes every cell's RSRP in one call
-    each. The report's spreads are the serving link's."""
+    and synthesizes the taps of all links at the ports of all its points in
+    one call. Each sweep point takes its slice of the ports and every cell's
+    RSRP in one call. The report's spreads are the serving link's."""
     cfg, slow, sites = ctx.cfg, ctx.slow, ctx.cell_site
     p_tx = cfg.layout.p_tx_dbm
     rsrp = np.empty((len(ctx.sweep), len(sites)))
     taps = [None] * len(ctx.sweep)
-    n_site = len(CELL_BEARINGS_DEG)
-    chunks = [slice(c, c + n_site) for c in range(0, len(sites), n_site)]  # each site's cells
     los = slow.los_dirs[ue_index, sites]
     rngs = state_generators(half[ue_index] for half in ctx.ssp_states)
     batch = generate_cluster_set(slow.lsps[ue_index, sites], los[:, :2], los[:, 2:], cfg.ssp, rngs)
@@ -159,14 +156,13 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
         ctx.drop.velocity[ue_index], cfg.ssp.xpr_offdiag == "sqrt_inv_kappa",
         cfg.antenna.polarization_model,
     )
-    model = ue.polarization_model
+    model = cfg.antenna.polarization_model
     for setup in ctx.tx_setups:
         g_t = end_fields(setup.ends, batch.aod, batch.zod, model)
         g_los = end_fields(setup.ends, ue.los[:, 0], ue.los[:, 1], model)
-        elements = np.concatenate([synthesize(ue.chunk(c, setup.ends), ctx.times, g_t, g_los)
-                                   for c in chunks])
-        for k, array in zip(setup.points, setup.arrays):
-            taps[k] = to_ports(elements, array.weights)
+        ports = synthesize(ue.chunk(slice(None), setup.ends), ctx.times, g_t, g_los)
+        for k, array in zip(setup.points, setup.arrays):  # each point's ports, in order
+            taps[k], ports = np.split(ports, [len(array.weights)], axis=-2)
             rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + cfg.antenna.ue_gain_dbi
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import PatternSpec, element_amplitude, response_phases
+from .antenna import PatternSpec, element_amplitude, port_factors
 from .geom import (
     SPEED_OF_LIGHT,
     rotation_x,
@@ -19,28 +19,34 @@ from .ssp import ClusterSet, polarization_matrix
 
 @dataclass
 class LinkEnd:
-    """One side of a link: element positions (frame-aligned offsets in meters),
-    slants, the element pattern (None = isotropic 0 dBi) and its bearing.
+    """One side of a link: its elements' slants, the element pattern (None =
+    isotropic 0 dBi), its bearing, its lattice (element e at lattice[e] @
+    steps, frame-aligned meters; default all at the origin) and its (port,
+    element) weights (default each element its own port; a TX setup stacks
+    its points' ports). A port's elements share one slant and field pattern:
+    slants holds the distinct port slants, slant_index each port's index."""
 
-    The elements of one slant share one field pattern: slants holds the
-    distinct slants and slant_index each element's index into them.
-    """
-
-    positions_m: np.ndarray
     slant_rad: np.ndarray
     pattern: PatternSpec | None = None
     bearing_rad: float = 0.0
+    lattice: np.ndarray | None = None
+    steps: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions_m = np.asarray(self.positions_m, dtype=float).reshape(-1, 3)
         self.slant_rad = np.asarray(self.slant_rad, dtype=float).reshape(-1)
-        if self.slant_rad.size != self.positions_m.shape[0]:
-            raise ValueError("one slant per element required")
-        self.slants, self.slant_index = np.unique(self.slant_rad, return_inverse=True)
+        n = self.slant_rad.size
+        self.lattice = np.zeros((n, 2), int) if self.lattice is None else np.asarray(self.lattice)
+        self.steps = np.zeros((2, 3)) if self.steps is None else np.asarray(self.steps, float)
+        self.weights = np.eye(n) if self.weights is None else np.asarray(self.weights)
+        if self.lattice.shape != (n, 2) or self.weights.shape[1:] != (n,):
+            raise ValueError("one slant, lattice point and weight column per element required")
+        port_slants = self.slant_rad[np.argmax(self.weights != 0, axis=1)]
+        self.slants, self.slant_index = np.unique(port_slants, return_inverse=True)
 
     @property
     def n_elements(self) -> int:
-        return self.positions_m.shape[0]
+        return self.slant_rad.size
 
 
 def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
@@ -81,14 +87,13 @@ def end_fields(ends, azimuth, zenith, model: str) -> np.ndarray:
 
 @dataclass
 class RayTerms:
-    """The ray terms that no TX end enters, behind a leading link axis: RX
-    fields per RX slant, polarization matrices, departure wave vectors, RX
-    phases and Doppler rates."""
+    """The ray terms that no TX end enters, behind a leading link axis: the
+    RX ports' fields times their array factors, polarization matrices,
+    departure wave vectors and Doppler rates."""
 
     g_r: np.ndarray
     alpha: np.ndarray
     k_dep: np.ndarray
-    a_r: np.ndarray
     omega: np.ndarray
 
 
@@ -96,16 +101,14 @@ class RayTerms:
 class UeLinks:
     """A UE's links as one record of arrays with a leading link axis: the UE
     end, the cluster batch, the LOS (departure, arrival) (azimuth, zenith)
-    pairs (link, 4), each link's Rice K and slow fading in dB, the
-    polarization model, and the terms of the diffuse rays and of the LOS ray
-    that every TX setup shares. chunk(rows, ends) views rows."""
+    pairs (link, 4), each link's Rice K and slow fading in dB, and the ray
+    terms of the diffuse and LOS rays. chunk(rows, ends) views rows."""
 
     rx: LinkEnd
     clusters: ClusterSet
     los: np.ndarray
     rice_k: np.ndarray
     slow_fading_db: np.ndarray
-    polarization_model: str
     rays: RayTerms
     los_rays: RayTerms
 
@@ -116,7 +119,7 @@ class UeLinks:
 @dataclass
 class LinkChunk:
     """The links rows (a slice) of a UeLinks record toward their TX ends, of
-    one element layout, with their clusters only: what synthesize reads."""
+    one lattice and port map, with their clusters only: what synthesize reads."""
 
     ue: UeLinks
     rows: slice
@@ -132,7 +135,9 @@ def ue_links(
 ) -> UeLinks:
     """A UE's links toward its end rx as a UeLinks record, their ray terms in
     one array pass over their cluster batch. los is (link, 4), read only
-    where K > 0; rice_k and slow_fading_db hold one value per link."""
+    where K > 0; rice_k and slow_fading_db hold one value per link. The RX
+    ports' factors come from antenna.port_factors: 1 for a UE whose one
+    element sits at the origin, with no exp."""
     los = np.asarray(los, dtype=float).reshape(-1, 4)
     rice_k = np.asarray(rice_k, dtype=float)
     if carrier_hz <= 0:
@@ -148,71 +153,65 @@ def ue_links(
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
     # A (link, 1, 3) LOS wave vector: each link's products round as one link's do.
     k_los = k0 * unit_vectors(los[:, 2:3], los[:, 3:])
+    a_r = port_factors(rx.lattice, rx.weights, k_arr, rx.steps.T)  # (L, N, M, U)
+    a_los = port_factors(rx.lattice, rx.weights, k_los, rx.steps.T)  # (L, 1, U)
     alpha_los = np.zeros((los.shape[0], 2, 2), dtype=complex)
     alpha_los[:, 0, 0] = np.exp(1j * cs.los_phase_vv)
     alpha_los[:, 1, 1] = np.exp(1j * cs.los_phase_hh)
     rays = RayTerms(
-        end_fields([rx], cs.aoa, cs.zoa, model),  # (L, N, M, 2, RX slants)
+        end_fields([rx], cs.aoa, cs.zoa, model)[..., rx.slant_index] * a_r[..., None, :],
         polarization_matrix(cs.xpr, cs.phases, xpr_offdiag_inverse),
         k0 * unit_vectors(cs.aod, cs.zod),
-        response_phases(rx.positions_m, k_arr),  # (L, N, M, U)
         k_arr @ velocity_mps,
     )
     los_rays = RayTerms(
-        end_fields([rx], los[:, 2], los[:, 3], model),
+        end_fields([rx], los[:, 2], los[:, 3], model)[..., rx.slant_index] * a_los,
         alpha_los,
         k0 * unit_vectors(los[:, 0], los[:, 1]),
-        response_phases(rx.positions_m, k_los)[:, 0],
         (k_los @ velocity_mps)[:, 0],
     )
-    return UeLinks(rx, cs, los, rice_k, np.asarray(slow_fading_db, float), model, rays, los_rays)
+    return UeLinks(rx, cs, los, rice_k, np.asarray(slow_fading_db, float), rays, los_rays)
 
 
 def synthesize(chunk: LinkChunk, times, g_t: np.ndarray, g_los: np.ndarray) -> np.ndarray:
-    """Evaluate every cluster tap of a chunk's links at the requested times, per TX element.
+    """Evaluate every cluster tap of a chunk's links at the requested times, per TX port.
 
-    Returns the (link, n_times, n_clusters, n_tx, n_rx) taps; tap n of link
+    Returns the (link, n_times, n_clusters, n_ports, n_rx) taps; tap n of link
     l has the delay chunk.clusters.delays_s[l, n]. Tap 0 carries the Rice
     LOS ray when the link's K > 0: the diffuse rays of every cluster are
     scaled by 1/(K+1) in power and the LOS ray by K/(K+1). g_t and g_los
-    are the record's TX fields toward its rays and LOS departures. One pass
-    over (link, cluster, ray, element), in a lone link's order of products,
-    forms the diffuse rays; the LOS ray runs per LOS link."""
+    are the record's TX fields toward its rays and LOS departures, per TX
+    slant; each port multiplies its slant's bilinear term by its array factor
+    (antenna.port_factors) on its link's TX steps. One pass over (link,
+    cluster, ray, port), in a lone link's order of products, forms the
+    diffuse rays; the LOS ray runs per LOS link. The tap work scales with
+    the setup's ports (all its points'), where element taps scaled with its
+    elements: more only if the ports outnumber the elements."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise ValueError("at least one time sample is required")
-    ue, rows, tx, rx = chunk.ue, chunk.rows, chunk.tx, chunk.rx
-    rays, los, gather = ue.rays, ue.los_rays, (tx.slant_index[:, None], rx.slant_index)
+    ue, rows, tx = chunk.ue, chunk.rows, chunk.tx
+    rays, los = ue.rays, ue.los_rays
     rice_k = ue.rice_k[rows]
     scale = 10.0 ** (-ue.slow_fading_db[rows] / 20.0)
     diffuse = scale * np.sqrt(1.0 / (rice_k + 1.0))
+    steps = np.stack([end.steps for end in chunk.ends]).transpose(0, 2, 1)  # (link, 3, 2)
     bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[rows], rays.alpha[rows], g_t[rows])
     np.multiply(np.sqrt(chunk.clusters.ray_powers)[..., None, None], bilinear, out=bilinear)
-    positions = np.stack([end.positions_m for end in chunk.ends]).transpose(0, 2, 1)
-    a_t = 1j * (rays.k_dep[rows] @ positions[:, None])  # (link, N, M, S): each link's own end
-    terms = bilinear[(Ellipsis, *gather)]
-    terms *= np.exp(a_t, out=a_t)[..., None]
-    terms *= rays.a_r[rows][..., None, :]
+    terms = bilinear[..., tx.slant_index, :]  # (link, N, M, port, U)
+    terms *= port_factors(tx.lattice, tx.weights, rays.k_dep[rows], steps[:, None])[..., None]
     taps = np.empty((len(scale), times.size) + terms.shape[1:2] + terms.shape[3:], dtype=complex)
     for ti, t in enumerate(times):
         doppler = np.exp(1j * rays.omega[rows] * t)
         taps[:, ti] = diffuse[:, None, None, None] * np.einsum("lnmsu,lnm->lnsu", terms, doppler)
-    for j, (k, end) in enumerate(zip(rice_k, chunk.ends)):
-        if k > 0:
-            g_r, alpha, k_dep, a_r, omega = (field[rows][j] for field in vars(los).values())
-            bilinear = np.einsum("...pu,...pq,...qs->...su", g_r, alpha, g_los[rows][j])
-            los_term = bilinear[gather] * response_phases(end.positions_m, k_dep)[:, None] * a_r
-            los_scale = scale[j] * math.sqrt(k / (k + 1.0))
-            for ti, t in enumerate(times):
-                taps[j, ti, 0] += los_scale * los_term * np.exp(1j * omega * t)
+    for j in np.flatnonzero(rice_k > 0):
+        g_r, alpha, k_dep, omega = (field[rows][j] for field in vars(los).values())
+        bilinear = np.einsum("...pu,...pq,...qs->...su", g_r, alpha, g_los[rows][j])
+        factors = port_factors(tx.lattice, tx.weights, k_dep, steps[j])
+        los_term = bilinear[tx.slant_index] * factors[:, None]
+        los_scale = scale[j] * math.sqrt(rice_k[j] / (rice_k[j] + 1.0))
+        for ti, t in enumerate(times):
+            taps[j, ti, 0] += los_scale * los_term * np.exp(1j * omega * t)
     if not np.all(np.isfinite(taps.view(float))):
         raise ValueError("tap matrices must be finite")
     return taps
-
-
-def to_ports(taps: np.ndarray, port_weights: np.ndarray) -> np.ndarray:
-    """(..., time, tap, TX element, RX) taps seen through the TX (n_ports,
-    n_elements) port weight matrix. Element taps are linear in the weights,
-    so one synthesis serves every weight matrix of the same array."""
-    return np.einsum("pk,...ku->...pu", port_weights, taps)
-

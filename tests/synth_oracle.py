@@ -6,18 +6,21 @@ links of one UE into the ``synth.UeLinks`` record the campaign builds, and
 ``synthesize_link`` synthesizes one link's taps through the batch kernels,
 with the link as a batch and a chunk of one. ``end_fields_one_link``
 evaluates one link end's fields, ``link_half_one_link`` one link's
-TX-independent ray terms and ``synthesize_one_link`` one link's taps, link
-by link, as ``synth`` did before ``synth.end_fields``, ``synth.ue_links``
-and ``synth.synthesize`` took a UE's links, or a chunk of them, in one
-array pass. ``tests/test_synth.py`` checks with ``np.array_equal`` that
-the batch kernels give the same bytes for every link of a batch.
+TX-independent ray terms and ``synthesize_one_link`` one link's port taps,
+link by link, as ``synth`` did before ``synth.end_fields``,
+``synth.ue_links`` and ``synth.synthesize`` took a UE's links, or a chunk of
+them, in one array pass. Both take each end's port factors from
+``antenna.port_factors``, per link. ``to_ports`` is the element-to-port map
+that synthesis applied to element taps before it synthesized ports.
+``tests/test_synth.py`` checks with ``np.array_equal`` that the batch
+kernels give the same bytes for every link of a batch.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from chan3d.antenna import element_gain_db, response_phases
+from chan3d.antenna import element_gain_db, port_factors
 from chan3d.geom import (
     SPEED_OF_LIGHT,
     rotation_x,
@@ -103,22 +106,22 @@ def link_half_one_link(ctx: LinkContext) -> tuple:
     cs, model, rx = ctx.clusters, ctx.polarization_model, ctx.rx
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     k_arr = k0 * unit_vectors(cs.aoa, cs.zoa)
+    a_r = port_factors(rx.lattice, rx.weights, k_arr, rx.steps.T)
     rays = RayTerms(
-        end_fields_one_link(rx, cs.aoa, cs.zoa, model),
+        end_fields_one_link(rx, cs.aoa, cs.zoa, model)[..., rx.slant_index] * a_r[..., None, :],
         polarization_matrix(cs.xpr, cs.phases, ctx.xpr_offdiag_inverse),
         k0 * unit_vectors(cs.aod, cs.zod),
-        response_phases(rx.positions_m, k_arr),
         k_arr @ ctx.velocity_mps,
     )
     if ctx.rice_k_linear == 0:
         return rays, None
     dep, arr = ctx.los_departure, ctx.los_arrival
     k_los = k0 * unit_vectors(*arr)
+    a_los = port_factors(rx.lattice, rx.weights, k_los, rx.steps.T)
     return rays, RayTerms(
-        end_fields_one_link(rx, *arr, model)[0],
+        end_fields_one_link(rx, *arr, model)[0][..., rx.slant_index] * a_los,
         np.diag([np.exp(1j * cs.los_phase_vv), np.exp(1j * cs.los_phase_hh)]),
         k0 * unit_vectors(*dep),
-        response_phases(rx.positions_m, k_los),
         float(k_los @ ctx.velocity_mps),
     )
 
@@ -134,36 +137,43 @@ def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
     return synthesize(ue.chunk(slice(0, 1), [ctx.tx]), times, g_t, g_los)[0]
 
 
-def _ray_terms_one_link(ue, i, tx, rays, g_t, amplitude=None) -> np.ndarray:
-    """Static tap contributions of link i's rays toward tx, (..., n_tx, n_rx)
-    holding amplitude * (gR^T a gT) * aT * aR: its diffuse rays over
-    (cluster, ray) with their sqrt(P), or its LOS ray."""
+def _ray_terms_one_link(i, tx, rays, g_t, amplitude=None) -> np.ndarray:
+    """Static tap contributions of link i's rays toward tx, (..., n_ports,
+    n_rx) holding amplitude * (gR^T a gT) * AF: its diffuse rays over
+    (cluster, ray) with their sqrt(P), or its LOS ray; the RX factors are
+    in gR, each TX port's factor AF comes from its departure on tx's
+    steps."""
     bilinear = np.einsum("...pu,...pq,...qs->...su", rays.g_r[i], rays.alpha[i], g_t)
     if amplitude is not None:
         bilinear = amplitude[..., None, None] * bilinear
-    a_t = response_phases(tx.positions_m, rays.k_dep[i])  # (..., S)
-    gathered = bilinear[..., tx.slant_index[:, None], ue.rx.slant_index]
-    return gathered * a_t[..., :, None] * rays.a_r[i][..., None, :]
+    factors = port_factors(tx.lattice, tx.weights, rays.k_dep[i], tx.steps.T)  # (..., P)
+    return bilinear[..., tx.slant_index, :] * factors[..., None]
 
 
 def synthesize_one_link(ue: UeLinks, i: int, tx: LinkEnd, times, g_t, g_los) -> np.ndarray:
     """Link i of a UeLinks record toward its TX end tx, synthesized alone:
-    its (n_times, n_clusters, n_tx, n_rx) taps, from its TX fields toward its
-    rays and its LOS departure, as synth.synthesize did one link per call
-    before it took a chunk of a UE's links in one array pass."""
+    its (n_times, n_clusters, n_ports, n_rx) taps, from its TX fields toward
+    its rays and its LOS departure, as synth.synthesize did one link per
+    call before it took a chunk of a UE's links in one array pass."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rice_k = ue.rice_k[i]
     scale = np.power(10.0, -ue.slow_fading_db[i] / 20.0)  # numpy's power, on one value
     diffuse_scale = scale * math.sqrt(1.0 / (rice_k + 1.0))
     amplitude = np.sqrt(ue.clusters.ray_powers[i])
-    terms = _ray_terms_one_link(ue, i, tx, ue.rays, g_t, amplitude)
+    terms = _ray_terms_one_link(i, tx, ue.rays, g_t, amplitude)
     taps = np.empty((times.size,) + terms.shape[:1] + terms.shape[2:], dtype=complex)
     for ti, t in enumerate(times):
         doppler = np.exp(1j * ue.rays.omega[i] * t)
         taps[ti] = diffuse_scale * np.einsum("nmsu,nm->nsu", terms, doppler)
     if rice_k > 0:
-        los_term = _ray_terms_one_link(ue, i, tx, ue.los_rays, g_los)
+        los_term = _ray_terms_one_link(i, tx, ue.los_rays, g_los)
         los_scale = scale * math.sqrt(rice_k / (rice_k + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * ue.los_rays.omega[i] * t)
     return taps
+
+
+def to_ports(taps: np.ndarray, port_weights: np.ndarray) -> np.ndarray:
+    """(..., time, tap, TX element, RX) taps seen through the TX (n_ports,
+    n_elements) port weight matrix: element taps are linear in the weights."""
+    return np.einsum("pk,...ku->...pu", port_weights, taps)

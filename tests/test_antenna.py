@@ -8,23 +8,22 @@ from numpy.testing import assert_allclose
 from chan3d.antenna import (
     ArrayGeometry,
     PatternSpec,
-    column_heights,
     downtilt_weights,
     element_gain_db,
     itu_port_pattern,
-    response_phases,
+    port_factors,
     uniform_planar_array,
 )
 import chan3d.campaign as campaign
 from chan3d.config import default_config
 from chan3d.deploy import CELL_BEARINGS_DEG, hex_layout
-from chan3d.geom import SPEED_OF_LIGHT, unit_vectors, wrap_azimuth
+from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkEnd, to_ports
+from chan3d.synth import LinkEnd
 
 from antenna_oracle import (
-    composite_port_gain_db, element_fields, element_pattern_3gpp, isotropic_end,
-    tx_gains_db_per_cell,
+    composite_port_gain_db, element_pattern_3gpp, element_positions, isotropic_end,
+    per_port_fields, response_phases, tx_gains_db_per_cell, tx_gains_db_per_element,
 )
 from synth_oracle import LinkContext, synthesize_link
 
@@ -103,9 +102,8 @@ def test_pattern_spec_validation():
 # synth.end_fields: (sqrt(A) cos a, sqrt(A) sin a) for element gain A.
 
 def _slant_fields(slants, azimuth=0.0, zenith=math.pi / 2, pattern=None):
-    slants = np.atleast_1d(np.asarray(slants, dtype=float))
-    end = LinkEnd(np.zeros((slants.size, 3)), slants, pattern)
-    fields = element_fields(end, azimuth, zenith, "slant")
+    end = LinkEnd(np.atleast_1d(np.asarray(slants, dtype=float)), pattern)
+    fields = per_port_fields(end, azimuth, zenith, "slant")
     return fields[..., 0, :], fields[..., 1, :]
 
 
@@ -135,22 +133,27 @@ def _k(wavelength, azimuth, zenith):
     return (2.0 * math.pi / wavelength) * unit_vectors(azimuth, zenith)
 
 
+def _response(geom, k):
+    """Each element's array response: port_factors with each element its own port."""
+    return port_factors(geom.lattice, np.eye(geom.n_elements), k, geom.steps.T)
+
+
 def test_array_response_single_element():
     geom = _column(1, 0.5)
-    assert_allclose(response_phases(geom.element_positions, _k(0.15, 0.3, 1.0)), [1.0 + 0j])
+    assert_allclose(_response(geom, _k(0.15, 0.3, 1.0)), [1.0 + 0j])
 
 
 def test_array_response_horizon_wave_orthogonal():
     wavelength = 0.15
     geom = _column(2, 0.5, wavelength)
-    resp = response_phases(geom.element_positions, _k(wavelength, 0.0, math.pi / 2))
+    resp = _response(geom, _k(wavelength, 0.0, math.pi / 2))
     assert_allclose(resp[0], resp[1], atol=1e-12)
 
 
 def test_array_response_zenith_wave_pi_shift():
     wavelength = 0.15
     geom = _column(2, 0.5, wavelength)
-    resp = response_phases(geom.element_positions, _k(wavelength, 0.0, 0.0))
+    resp = _response(geom, _k(wavelength, 0.0, 0.0))
     # k . dx = (2 pi / lambda)(lambda / 2) = pi between the two elements.
     assert_allclose(np.angle(resp[1] / resp[0]), math.pi, atol=1e-12)
 
@@ -159,16 +162,54 @@ def test_array_response_unit_modulus():
     geom = uniform_planar_array(4, 2, 0.7, 0.5, 0.15)
     rng = np.random.default_rng(4)
     k = _k(SPEED_OF_LIGHT / 2e9, rng.uniform(-3, 3, 50), rng.uniform(0, math.pi, 50))
-    resp = response_phases(geom.element_positions, k)
+    resp = _response(geom, k)
     assert resp.shape == (50, 8)
     assert_allclose(np.abs(resp), 1.0, atol=1e-12)
 
 
-# Port virtualization is to_ports: the TX weight matrix applied to the
-# element taps of synthesize.
+def _bound_arrays(wavelength):
+    """The arrays of the port-factor bound: the default tilted column, a
+    cross-polarized column, 4 cross-polarized columns at K = M and K = 1,
+    and itu_port's single element."""
+    w = downtilt_weights(10, 0.5, math.radians(102.0))
+    return {
+        "default": uniform_planar_array(10, 1, 0.5, 0.5, wavelength, column_weights=w),
+        "xpol": uniform_planar_array(10, 1, 0.8, 0.5, wavelength, cross_polarized=True),
+        "xpol4_k_m": uniform_planar_array(
+            10, 4, 0.5, 0.5, wavelength, cross_polarized=True, column_weights=w),
+        "xpol4_k1": uniform_planar_array(10, 4, 0.5, 0.5, wavelength, 1, cross_polarized=True),
+        "itu_port": uniform_planar_array(1, 1, 0.5, 0.5, wavelength),
+    }
 
-def _port_taps(port_weights, n_elements, rng, positions=None):
-    """Element and port taps at t=0 of a random 3-cluster link: (n, S, 1) and (n, P, 1)."""
+
+@pytest.mark.parametrize("name", ["default", "xpol", "xpol4_k_m", "xpol4_k1", "itu_port"])
+def test_port_factors_equal_per_element_sum(name):
+    # Each port's factor from one exp per lattice step equals the per-element
+    # form exp(1j * k @ x.T) @ W.T within 1e-12 of the port's weight sum
+    # sum |w|, toward random directions, with the lattice turned to every
+    # cell bearing as phase 2 turns it. The bound was fixed before the
+    # first run.
+    wavelength = SPEED_OF_LIGHT / 2e9
+    geom = _bound_arrays(wavelength)[name]
+    rng = np.random.default_rng(12)
+    k = _k(wavelength, rng.uniform(-math.pi, math.pi, 2000), rng.uniform(0.0, math.pi, 2000))
+    bound = 1e-12 * np.abs(geom.weights).sum(axis=1)
+    for bearing in np.radians(CELL_BEARINGS_DEG):
+        rot = rotation_z(bearing).T
+        steps, x = geom.steps @ rot, element_positions(geom) @ rot
+        got = port_factors(geom.lattice, geom.weights, k, steps.T)
+        want = np.exp(1j * k @ x.T) @ geom.weights.T
+        assert np.all(np.abs(got - want) <= bound), (name, bearing)
+
+
+# Port virtualization: synthesize's taps at the ports of the TX weight
+# matrix equal its taps with each element its own port, mapped by the
+# weights (synth_oracle.to_ports).
+
+def _port_taps(port_weights, n_elements, rng, steps=None):
+    """Element and port taps at t=0 of a random 3-cluster link over a column
+    of n_elements with the given (default random) steps: (n, S, 1) and
+    (n, P, 1)."""
     n_clusters, n_rays = 3, 4
     powers = rng.dirichlet(np.ones(n_clusters))
     clusters = ClusterSet(
@@ -182,11 +223,17 @@ def _port_taps(port_weights, n_elements, rng, positions=None):
         phases=rng.uniform(0.0, 2.0 * math.pi, (n_clusters, n_rays, 4)),
         xpr=np.full((n_clusters, n_rays), 0.1),
     )
-    if positions is None:
-        positions = rng.uniform(-0.2, 0.2, (n_elements, 3))
-    tx = LinkEnd(positions, np.zeros(n_elements))
-    elements = synthesize_link(LinkContext(tx, isotropic_end(), clusters, 0.0, 2e9), [0.0])
-    return elements[0], to_ports(elements, port_weights)[0]
+    if steps is None:
+        steps = rng.uniform(-0.2, 0.2, (2, 3))
+    lattice = np.stack([np.zeros(n_elements, dtype=int), np.arange(n_elements)], axis=-1)
+    taps = [
+        synthesize_link(LinkContext(
+            LinkEnd(np.zeros(n_elements), lattice=lattice, steps=steps, weights=weights),
+            isotropic_end(), clusters, 0.0, 2e9,
+        ), [0.0])[0]
+        for weights in (None, port_weights)
+    ]
+    return tuple(taps)
 
 
 def test_virtualize_single_element_port():
@@ -202,7 +249,7 @@ def test_virtualize_coherent_sum():
     m = 4
     geom = _column(m, 0.5)
     rng = np.random.default_rng(2)
-    elements, ports = _port_taps(geom.weights, m, rng, np.zeros((m, 3)))
+    elements, ports = _port_taps(geom.weights, m, rng, np.zeros((2, 3)))
     assert_allclose(ports[:, 0], math.sqrt(m) * elements[:, 0], rtol=1e-12)
 
 
@@ -225,9 +272,9 @@ def test_virtualize_is_linear():
     w1 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
     w2 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
     a, b = 1.7 - 0.3j, -0.6 + 2.2j
-    positions = rng.uniform(-0.2, 0.2, (m, 3))
+    steps = rng.uniform(-0.2, 0.2, (2, 3))
     ports = [
-        _port_taps(w, m, np.random.default_rng(5), positions)[1] for w in (a * w1 + b * w2, w1, w2)
+        _port_taps(w, m, np.random.default_rng(5), steps)[1] for w in (a * w1 + b * w2, w1, w2)
     ]
     assert_allclose(ports[0], a * ports[1] + b * ports[2], rtol=1e-12)
 
@@ -242,7 +289,8 @@ def test_virtualize_unknown_port():
 def test_weight_matrix_places_port_weights():
     # Column c, slant p is port 2c + p: the column weights on its elements
     # (c * M + r) * 2 + p, in row order, and zero elsewhere; element
-    # (c, r, p) sits at (0, c d_h, r d_v) wavelengths with slant -45/+45 deg.
+    # (c, r, p) sits at lattice point (c, r), (0, c d_h, r d_v) wavelengths,
+    # with slant -45/+45 deg.
     w = downtilt_weights(3, 0.7, math.radians(100.0))
     geom = uniform_planar_array(3, 2, 0.7, 0.6, 0.15, cross_polarized=True, column_weights=w)
     assert geom.weights.shape == (4, geom.n_elements) == (4, 12)
@@ -251,9 +299,11 @@ def test_weight_matrix_places_port_weights():
             column = [(c * 3 + r) * 2 + p for r in range(3)]
             assert np.array_equal(geom.weights[2 * c + p, column], w)
             assert np.count_nonzero(geom.weights[2 * c + p]) == 3
+            assert geom.lattice[column].tolist() == [[c, r] for r in range(3)]
             expected = [[0.0, c * 0.6 * 0.15, r * 0.7 * 0.15] for r in range(3)]
-            assert np.array_equal(geom.element_positions[column], expected)
+            assert np.array_equal(element_positions(geom)[column], expected)
             assert np.all(geom.slant_rad[column] == math.radians(90.0 * p - 45.0))
+    assert np.array_equal(geom.steps, [[0.0, 0.6 * 0.15, 0.0], [0.0, 0.0, 0.7 * 0.15]])
     per_element = uniform_planar_array(3, 2, 0.5, 0.5, 0.15, k_per_port=1)
     assert np.array_equal(per_element.weights, np.eye(6))
 
@@ -298,9 +348,14 @@ def test_uniform_planar_array_counts():
     assert set(np.round(np.degrees(np.unique(cross.slant_rad)), 6)) == {-45.0, 45.0}
 
 
+def _origin(n):
+    """Lattice and steps of n elements all at the origin."""
+    return np.zeros((n, 2), dtype=int), np.zeros((2, 3))
+
+
 def test_array_geometry_validates_port_power():
     with pytest.raises(ValueError, match="unit total power"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[1.0, 1.0]])
+        ArrayGeometry(*_origin(2), np.zeros(2), [[1.0, 1.0]])
     with pytest.raises(ValueError, match="does not match port size"):
         uniform_planar_array(4, 1, 0.5, 0.5, 0.15, column_weights=[0.5, 0.5, 0.5])
 
@@ -308,13 +363,13 @@ def test_array_geometry_validates_port_power():
 def test_array_geometry_requires_partition():
     # Every element feeds exactly one port, and a port's elements share one slant.
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[1.0, 0.0]])
+        ArrayGeometry(*_origin(2), np.zeros(2), [[1.0, 0.0]])
     half = math.sqrt(0.5)
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(np.zeros((2, 3)), np.zeros(2), [[half, half], [0.0, 1.0]])
+        ArrayGeometry(*_origin(2), np.zeros(2), [[half, half], [0.0, 1.0]])
     with pytest.raises(ValueError, match="share one slant"):
-        ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], [[half, half]])
-    ArrayGeometry(np.zeros((2, 3)), [0.0, math.pi / 2], np.eye(2))
+        ArrayGeometry(*_origin(2), [0.0, math.pi / 2], [[half, half]])
+    ArrayGeometry(*_origin(2), [0.0, math.pi / 2], np.eye(2))
 
 
 def test_composite_port_gain_peaks_near_tilt():
@@ -335,9 +390,10 @@ def test_composite_port_gain_peaks_near_tilt():
 @pytest.mark.parametrize("k_per_port", [1, 10])
 @pytest.mark.parametrize("cross_polarized", [False, True])
 def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
-    # The campaign's TX gains, response phases and weighted sums per
-    # (UE, site) gathered to the cells, equal the per-cell form bit for bit,
-    # toward UEs all around the 19 sites, above and below the antennas.
+    # The campaign's TX gains, port 0's factors per (UE, site) gathered to
+    # the cells, equal the per-cell port form bit for bit, and the per-cell,
+    # per-element form within 1e-10 dB, toward UEs all around the 19 sites,
+    # above and below the antennas.
     cfg = default_config("UMa")
     cfg.antenna.k_per_port = k_per_port
     cfg.antenna.cross_polarized = cross_polarized
@@ -368,28 +424,35 @@ def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
         got = campaign._tx_gains_db(ctx, setup, local_az, zen)
         want = tx_gains_db_per_cell(setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
         assert len(got) == len(want) == 3
-        for g, w in zip(got, want):
+        per_element = tx_gains_db_per_element(
+            setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+        for g, w, e in zip(got, want, per_element):
             assert g.shape == (200, 57) and np.array_equal(g, w)
+            assert_allclose(g, e, rtol=0, atol=1e-10)
         # K = M tilts move the gain; at K = 1 port 0 is one element.
         assert np.array_equal(got[0], got[2]) == (k_per_port == 1)
     cfg.antenna.pattern = "itu_port"  # the tilted port pattern, one setup per point
     for setup in campaign._tx_setups(ctx):
         # Its array is one element at the origin; phase 1 reads the pattern's own gain.
         [array] = setup.arrays
-        assert not array.element_positions.any() and array.weights.tolist() == [[1.0]]
+        assert not array.lattice.any() and array.weights.tolist() == [[1.0]]
         got = campaign._tx_gains_db(ctx, setup, local_az, zen)
         assert np.array_equal(
             got, tx_gains_db_per_cell(setup.pattern, None, ctx.wavelength, wrapped, cell_zen)
         )
 
 
-def test_port_off_the_column_axis_is_refused():
-    # Port 0 holds an element one column over (y) or in front of the
-    # column (x): its response phases would depend on the azimuth.
+def test_port_across_columns_is_refused():
+    # A port's elements share one column: one whose elements sit in two
+    # columns is refused. A port one column over (port 1 of a two-column
+    # array) gets its column's power of the horizontal step: its factor
+    # equals the per-element form toward every direction.
     half = math.sqrt(0.5)
-    for offset in ([0.0, 0.075, 0.0], [0.01, 0.0, 0.0]):
-        geom = ArrayGeometry([[0.0, 0.0, 0.0], offset], np.zeros(2), [[half, half]])
-        with pytest.raises(ValueError, match="off the column axis"):
-            column_heights(geom, 0)
-    on_axis = uniform_planar_array(4, 2, 0.8, 0.5, 0.15)
-    assert_allclose(column_heights(on_axis, 0)[:, 0], 0.8 * 0.15 * np.arange(4))
+    lattice, steps = [[0, 0], [1, 0]], [[0.0, 0.075, 0.0], [0.0, 0.0, 0.12]]
+    with pytest.raises(ValueError, match="share one slant and one column"):
+        ArrayGeometry(lattice, steps, np.zeros(2), [[half, half]])
+    geom = uniform_planar_array(4, 2, 0.8, 0.5, 0.15)
+    rng = np.random.default_rng(5)
+    k = _k(0.15, rng.uniform(-math.pi, math.pi, 100), rng.uniform(0.0, math.pi, 100))
+    want = response_phases(element_positions(geom), k) @ geom.weights.T
+    assert_allclose(port_factors(geom.lattice, geom.weights, k, geom.steps.T), want, atol=1e-13)

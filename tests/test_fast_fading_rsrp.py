@@ -7,9 +7,8 @@ from chan3d.antenna import downtilt_weights, uniform_planar_array
 from chan3d.calib import rsrp_db, rsrp_fast_fading_db, top_eigenvalues
 from chan3d.geom import SPEED_OF_LIGHT
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkEnd, to_ports
 
-from antenna_oracle import composite_port_gain_db, element_pattern_3gpp, isotropic_end
+from antenna_oracle import composite_port_gain_db, element_pattern_3gpp, isotropic_end, lattice_end
 from synth_oracle import LinkContext, synthesize_link
 
 
@@ -29,9 +28,8 @@ def _los_only_context(pl_sf_db, dep, arr, geometry, pattern, k_rice=1e9):
         los_phase_vv=0.7,
         los_phase_hh=2.1,
     )
-    tx = LinkEnd(geometry.element_positions, geometry.slant_rad, pattern, 0.0)
     return LinkContext(
-        tx=tx,
+        tx=lattice_end(geometry, pattern),
         rx=isotropic_end(),
         clusters=clusters,
         slow_fading_db=pl_sf_db,
@@ -58,7 +56,7 @@ def test_fast_fading_rsrp_collapses_to_slow_fading_plus_gain():
     pl_sf, p_tx = 101.3, 46.0
 
     ctx = _los_only_context(pl_sf, dep, arr, geometry, pattern)
-    taps = to_ports(synthesize_link(ctx, [0.0]), geometry.weights)
+    taps = synthesize_link(ctx, [0.0])  # at the port
     ff = rsrp_fast_fading_db(p_tx, taps)
 
     g_t = float(composite_port_gain_db(pattern, geometry, 0, wavelength, *dep))
@@ -72,7 +70,7 @@ def test_fast_fading_rsrp_tracks_taps_not_inputs():
     geometry = uniform_planar_array(4, 1, 0.5, 0.5, wavelength)
     ctx = _los_only_context(90.0, (0.0, 1.6), (-math.pi, math.pi - 1.6),
                             geometry, element_pattern_3gpp())
-    taps = to_ports(synthesize_link(ctx, [0.0]), geometry.weights)
+    taps = synthesize_link(ctx, [0.0])
     base = rsrp_fast_fading_db(0.0, taps)
     assert_allclose(rsrp_fast_fading_db(0.0, 2.0 * taps) - base, 20.0 * math.log10(2.0), rtol=1e-12)
 

@@ -217,7 +217,7 @@ def test_los_angles_coincident_raises():
 # the slant (a roll about the boresight x axis).
 
 def _rotated_fields(slant, bearing, azimuth, zenith, pattern=None):
-    end = LinkEnd(np.zeros((1, 3)), np.array([slant]), pattern, bearing)
+    end = LinkEnd(np.array([slant]), pattern, bearing)
     return end_fields([end], azimuth, zenith, "rotated")[..., 0]
 
 

@@ -6,6 +6,7 @@ so in CHANGES.md. The hashes were recorded with Python 3.11 and numpy 2.4 on
 x86-64; another floating-point library may round differently.
 """
 import hashlib
+import math
 import os
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import chan3d.antenna
 import chan3d.campaign as campaign
 import chan3d.lsp
 from chan3d import calib, deploy, synth
+from chan3d.antenna import downtilt_weights
 from chan3d.campaign import run_campaign
 from chan3d.config import default_config
 
@@ -154,23 +156,23 @@ def output_hashes(paths):
 GOLDEN = {
     "p1_3d_element": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "49241724f72a362f3b4aad99d3a9c7c01b934d4d708a0cebc93997edb40415eb",
+            "b25d5ca3f0236ac189902c97b01e710873007c284cde85a7b4273b0f617d352f",
         "cl_cdf_dv0.5_tilt6.txt":
-            "12090ba15d496684276b089c7041b186312e87240bfeb36affc69f38c01114f5",
+            "1eaf26701ae3571c384fb5d1bde756464c4d019a08c37517504e0369b656fcde",
         "cl_cdf_dv0.5_tilt9.txt":
-            "4c30f2a1e4f704c07274e8fc53c580ef619a9e8e1d275fe4b625e6c7de55c02b",
+            "a6009376113545fa1e4b236acdc00d993a582824c5c1971f289ff6aad9de4305",
         "gf_cdf_dv0.5_tilt12.txt":
-            "7cb69edec084be5ab49c3f59bd4007687950eb9e6e99558506f87f447f502430",
+            "2638f4aa4e5777412df86dcb363316a36c434cb606f5a60b65f631618892dc82",
         "gf_cdf_dv0.5_tilt6.txt":
-            "5af775d4ec9588d3f7040748866361d2f3b6efed1d1ab36d09a26c3599ad702c",
+            "2699f750ebb94cf7a593e4d471dd89267b1deef1a0692c58a2a53ee0f4211901",
         "gf_cdf_dv0.5_tilt9.txt":
-            "82e277155c8a5b8a53bed5701876d4856a1b6f8bf926aa1a44dedfb8158a9947",
+            "2d77b0dd068df732932a366adeeca49ef9a26815da2811d698e124f19fba730f",
         "report_dv0.5_tilt12.txt":
-            "3a4b569be17313c48a490651ef343078e4c897ae1037d83e0fdc6277b7f562bc",
+            "7d214a63c6e8e044d7eed2b2c65528d204a3e4a6b8d6508f70fa2791a8e9fb86",
         "report_dv0.5_tilt6.txt":
-            "38f149ba0ee9594604fcda122ed425718461880d9972416f217636f2768379a2",
+            "8137bc567e9dce817398245cfdc711470be1cca7ee1f85ce4dc872cd8224343f",
         "report_dv0.5_tilt9.txt":
-            "24a233517ca612e243291fa51190aadcd79a16f9eb43568432f70f82f4fa6f6a",
+            "d77765cd4f4bb93dc8c8643bf2722f6075651aa1d5d4326031eb5d1323d49a28",
     },
     "p1_legacy2d_wrap_itu": {
         "cl_cdf_dv0.5_tilt12.txt":
@@ -188,51 +190,51 @@ GOLDEN = {
     },
     "p1_no_spatial": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "d4d7a8fb4bac737687e80aca624f9cf01151459b3e1fbe1eec3691f193849aa4",
+            "5e85c47643f193ff513ad3a94ab0b177c6d1dfa60cb3a56d5cc836ec68d00068",
         "cl_cdf_dv0.5_tilt9.txt":
-            "de32d774d92928f061a42ad6c531855f391ba86f5e60798320e09016b5f5b4d9",
+            "50709a41cbc7530cdeded552a0de028f1904d614e90e19ea09ce95df268e9844",
         "gf_cdf_dv0.5_tilt12.txt":
-            "a2d3dcc46c7d74ca1f1ba974b80522f3589c8c67910eb033846c2b588c85acd8",
+            "1b5478e525df2c3fe65a8f6735ae00930877b8d883db611bff41a3a2aab1efc8",
         "gf_cdf_dv0.5_tilt9.txt":
-            "9d2036fb057aa399a2ac77e102042a7f04a67ef6aa034d9ef41d03c658fb55d0",
+            "9772362652fa60f525fbea52441a25aec5f2e1aca5f09bb1e918a0c65915149c",
         "report_dv0.5_tilt12.txt":
-            "830d429cace350017d9a8c2652387e8efe83d9ae1c71acc788467ada9fdcd097",
+            "d40b73e87bc40a2e0c538156bf1c7d2a4fb21b23123fbcbf2728d87f9f3368a6",
         "report_dv0.5_tilt9.txt":
-            "4574c458e096f320d7d3272b3e9c467a1da0fcdb52d3b7acdbbeddfbe0f07246",
+            "bdecb983b70a19ee4a8d0c8f1a118ef0c487328ad9d5782281ade2b0ba0e6c22",
     },
     "p1_dv_tilt_sweep": {
         "cl_cdf_dv0.5_tilt12.txt":
-            "369b72682b088158bac9740a7c8634172f3e5452cb3df20c20604af30fe9a1c2",
+            "9967e72e765a037535ee5ab8e70bb074efa5b2b385c920b4d02eecd6345fed55",
         "cl_cdf_dv0.5_tilt6.txt":
-            "d347c61ab7123bdd3bd53a8acf51fe324545571902862abbb27b2222c43fc77b",
+            "fd33674f497b3e6051e080630164e46ff1c2dc97a49a77838a37ae030a2d77ac",
         "cl_cdf_dv0.8_tilt12.txt":
-            "63c61e40d8be94dc7e3c1dc5c9476ea6f03be47cfbb78aaa42e0b771af365cdf",
+            "e56bac2923472a118375b4b9a5acc4d27b38a5f8cfc221339f793bb03819011a",
         "cl_cdf_dv0.8_tilt6.txt":
-            "026c8120a0ba5016d06111b42ce954c019409ed7f3101b79ebfd60ca4e0802c0",
+            "e1c200af7555c9848edd6f53c5d13974f3e5d58cdd8d82f660c8f1cf89c50a0a",
         "gf_cdf_dv0.5_tilt12.txt":
-            "8cbe9e5ada450c3803d4daa57e907fc6933fc8e0c99b3a4b045cddc7f5fca227",
+            "6a7d5f7ad09a856ef388f9263382e858f27defcdc0ee47c1289cfbfcc36263fc",
         "gf_cdf_dv0.5_tilt6.txt":
-            "a5601e4858b441077a5bb4cb0e8d4fa40937cf9449d1714871148a025149329f",
+            "c386ad233a5c80229203a978ec5e33a7f26de89ebd50e9627974cce38f9e62f1",
         "gf_cdf_dv0.8_tilt12.txt":
-            "f73ca43a7ce440bacfd46ecbacc7af4dedec79060571be2a3a27b20586b2490f",
+            "801533093e9992eef3e228f1ca7b182523192dcfc8fdce41dc9bff9a2d4fee5d",
         "gf_cdf_dv0.8_tilt6.txt":
-            "0476798528d6cef446963ab9735ce26513e6060482bf2efe7f7b834d86b13f09",
+            "87646cf0cba92138c7d7e023fd233dd49ebb939023bd259c587733ee68929ff8",
         "report_dv0.5_tilt12.txt":
-            "af113969fcc62cbe769e407eb6c74d7c2436cd88530e830dca6b63dfecb3c8a5",
+            "478e3cb856bb9dcf6a317774feeb269f891a05dd47ab67f55a6daabb0dcece59",
         "report_dv0.5_tilt6.txt":
-            "d11bd509211e785709652627ecc62ad685d9220ab256dbbb29572e9b375542d7",
+            "6a7d5080fd8ef5c1b897f4c451e3dfc83941c8c4af1a8edec5cc6799e94d2bd7",
         "report_dv0.8_tilt12.txt":
-            "4279c6d920795106ab16860cc5012d157c0eff99558358e1439e811f6f9b945c",
+            "1b3c68daaaef26a89fcfec37607abca4a7846a743294f45959dfe71b70374788",
         "report_dv0.8_tilt6.txt":
-            "925d2ca1313ff9819f36017edca6fff90bd52f4ee1c565b08fb4dbbe25314c0e",
+            "a96870223705c901be205dc04f9befc379950228560ac72d2b4dce06e73c2e1f",
     },
     "p1_xpol_per_element": {
         "cl_cdf_dv0.5_tilt12.txt":
             "9afb84e8a2086580e3b67df77e7c9871c0a603614d0a439644fbb0b740daf99d",
         "gf_cdf_dv0.5_tilt12.txt":
-            "3e08b1c9755ea480e267019e23e187b849274c9339c6c402ebeab9ecc450637f",
+            "a4f19450ce243b48092e884c76107425bb7aac9d33f2c63ea63dbc8cc8ca7130",
         "report_dv0.5_tilt12.txt":
-            "bee9c23c49612840ece9a82eb4250b36f82458ea0ff381f83e4b9bbf69a60cb3",
+            "689d792a301d20cd5ca42ad189e722c1219c8ca487cde1c1d94859083a9164e9",
     },
     "p2_reduced": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -260,21 +262,21 @@ GOLDEN = {
         "esd_cdf_dv0.5_tilt9.txt":
             "fbdd31b460676a47715461f3c17966e47ac81a1ff4aa422ce47f11b4d9d03fad",
         "gf_cdf_dv0.5_tilt12.txt":
-            "7ba5577120f142e41160868d958dde5c2a07015aeedb976248ab04ccd5a9ae7f",
+            "1e7a20e78085fa75c6e42f58396a98e33da8dcb169ee222d18a11d8932d333b8",
         "gf_cdf_dv0.5_tilt9.txt":
-            "4a9a77d4cca55133b8ea9e45d62ea477229d26a766d18569081ce5256b94bb66",
+            "72827d16dfa332b76494e98613a82929f2298f5b1a197226037e8aa82f940a16",
         "l1_cdf_dv0.5_tilt12.txt":
-            "f2c43272e65672a25de1aab1c4269fd142995a03c0020a360e6db0f05941f044",
+            "48aa87fda48983b2cdb5d408a352b55d6b23796a31748b026459f9d8079fdf7c",
         "l1_cdf_dv0.5_tilt9.txt":
-            "fb6eec5c37664e03f764292e4d4ed4aeb34f5cbd09b0d910ec4480c0c2ae2579",
+            "44ac1b968300dbc23579b4a054df54446093d9d95ed5c262a6b17e23dfafeb95",
         "l2_cdf_dv0.5_tilt12.txt":
             "2a00bd71ff30da8f7031328ade026a8e72f9f33249f6252be9c673004cadf05a",
         "l2_cdf_dv0.5_tilt9.txt":
             "4b280c60a08d0c9dfa3e189d08b68ca5d5139d005b34ae2ea2d9ef1b7825d9e8",
         "report_dv0.5_tilt12.txt":
-            "93210dd749af10296cfd6a16b838f514f05e7ba85aa0d643ef701b3abe9b490a",
+            "fedb5198b8d4838e1c1af6dccd608f2054c255019e0d27f085f3b5342310bc7e",
         "report_dv0.5_tilt9.txt":
-            "9bec0cb3bf77f461f59a82ca3999b56e0670b5df25146b144dfca4b4d36005d6",
+            "55017c7a20bad4b104a599c9c7df3b0bce5149f91d20c8b302bb7f896b0ce1c5",
     },
     "p2_doppler_wrap": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -282,7 +284,7 @@ GOLDEN = {
         "asd_cdf_dv0.5_tilt12.txt":
             "858e80434a7cfce649f5d90b611b1bcb46b21b7d3768499933fdd071914760b5",
         "cl_cdf_dv0.5_tilt12.txt":
-            "21e2b328bcc78b3453277a60a7c9cc5c798ebeb6547beafe43210c8a736a2ec2",
+            "5ff9be56c17baa385c781e9ddbdffba7b35bd3807e085d2a5543d970a67b3453",
         "ds_cdf_dv0.5_tilt12.txt":
             "8268bfbc22b599033de17cfd93b21ca5435a9418a5ab09a856dc5c92d5aa07f9",
         "esa_cdf_dv0.5_tilt12.txt":
@@ -290,13 +292,13 @@ GOLDEN = {
         "esd_cdf_dv0.5_tilt12.txt":
             "0befeae1580d4529c47d375331919cba36abab834bc1fbab3047ca11de8e6ac9",
         "gf_cdf_dv0.5_tilt12.txt":
-            "00b4b67ca1b6e196398509e402db0b7008e64a4c9d51ffac62ada49c70769b7f",
+            "b5b3bd24aae18814cec46c86c53fa90658869ebfffe09ebc33e1b5f781b5b409",
         "l1_cdf_dv0.5_tilt12.txt":
-            "7b5c219adf4f5e99465eaa6934ed9aac305caff59b0259f5aff0495f49ed8457",
+            "0b4f2886d2bae5e4707ede8b7cff03c12a3255f39c0fe88b65e2275e55d56c63",
         "l2_cdf_dv0.5_tilt12.txt":
             "ea6b2a83f7d99ee404d56664e37fa7fc32429ee6dbbfc47289e57bacc156ccd3",
         "report_dv0.5_tilt12.txt":
-            "53c3641eb2a4966b2222a79b46d65bd114d7128831e89316f3eda613d08dd919",
+            "6956cfe12b42448e073576664f8529ebbb93b828109c818db224e2aa1a366d4a",
     },
     "p2_dv_tilt_sweep": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -316,13 +318,13 @@ GOLDEN = {
         "asd_cdf_dv0.8_tilt9.txt":
             "bffc38c18acdda9cd743dbd6c42ff12f050890e9171ec725c358f9477f0bdc4d",
         "cl_cdf_dv0.5_tilt12.txt":
-            "38f44d6f607199c82ef87b57e5cf8f96e597a06783c0abe77c85e95cf4b1d08a",
+            "2ccefe5a5454a94cdac526aaabcf3ddb2c2e19182a0bde0c838acb7b705b0803",
         "cl_cdf_dv0.5_tilt9.txt":
             "a7fe4c150625a341275db19d55c0ac3e79301c20b8596a5846db743bdf461722",
         "cl_cdf_dv0.8_tilt12.txt":
-            "ed08872e0dc74ca78fa49e8c3dfcfc4f4db707784bf26a8d856cfcd6020d43c5",
+            "12df608f67abb54d2f9b23cc4f746f6d605d38de82eb2f3acd34765fc8ded8d8",
         "cl_cdf_dv0.8_tilt9.txt":
-            "d0c893464ae7f221468c2847afd7bc357ee6f1c0e8450edb5930e9cd2e57e24b",
+            "225080662f1151f05a1634d8c6df31b3685b1b9f078ccb32c5637f8d0e29e484",
         "ds_cdf_dv0.5_tilt12.txt":
             "6f91e094b005f3c0482b12c7a821553766c8d02d9cf614c6a39dbe340dcb0b76",
         "ds_cdf_dv0.5_tilt9.txt":
@@ -348,21 +350,21 @@ GOLDEN = {
         "esd_cdf_dv0.8_tilt9.txt":
             "217ecd9c23a4c6e1e0aeec1f48dbe3ace96a60d7d8082b2a356ece4bd15adc18",
         "gf_cdf_dv0.5_tilt12.txt":
-            "54c9c66053c0b6187a76d353256d19863690da07df1251f399c8ef65ab3b5b6b",
+            "b679e6f10a694f2b9b46a975089f25e1b78c4e70497b5f1328836648036e8c37",
         "gf_cdf_dv0.5_tilt9.txt":
-            "601b1d27b35940c7c95ba27929f468f2c4b306c1d02e03efabf2fac41d7ae4fc",
+            "67ec19885aa36f1382aa66fea1ed0315661ae5b1b39499d4a1610e4adc58577d",
         "gf_cdf_dv0.8_tilt12.txt":
-            "0db982a44c42b7b7354ff1d5f6736120cca1525c4b97f63ea1fa7dca7f1d8a49",
+            "14c6f86a9f154d5574f2ff95b74d228a40f79a4164e40bf8623ed3f37ab0b90f",
         "gf_cdf_dv0.8_tilt9.txt":
-            "c95660278681cd28d648c27088ac098529096c84361910597faa9f99e8bd163b",
+            "130ec9b85f2c88ced215a9ffe53de476ad5294f892510ff6216a92a4f5ba5d5e",
         "l1_cdf_dv0.5_tilt12.txt":
-            "5bae61410fd6812150eddeb936eab9e31002f65548a0187b146c36a64cae1463",
+            "d6a6e8665ab3f0c08e25b297fbc093b2cc29bb46257614bcd151795ee1ba4863",
         "l1_cdf_dv0.5_tilt9.txt":
-            "ae4f54e430cc48130042f4a2e9d391cbcf61c2d7463be7acec9f9db6e294787b",
+            "69c6dab8b6413d617509517988bef9a652dab15c71ac7f3d59726ed3ad7815f0",
         "l1_cdf_dv0.8_tilt12.txt":
-            "c8338697faaab52673f8c9f8d44662a4c6415a976b0303e1aa7b6f20ad572fdd",
+            "82b0594f906fe46cc562d0d6b403754471b35043809dd01dd7fcbf29538c49cc",
         "l1_cdf_dv0.8_tilt9.txt":
-            "e196d112fef1054189f96fcafdddeaa4c2af9fd24c87a960b4e8ce00caa0e222",
+            "46fcd6fb276a4f441f3188d6cd1f4f9b6081bb43723d5d7033773642a992b810",
         "l2_cdf_dv0.5_tilt12.txt":
             "d77453af085968b151958cc13cef23c681b4f385bdf77536003b86f3b9503148",
         "l2_cdf_dv0.5_tilt9.txt":
@@ -372,13 +374,13 @@ GOLDEN = {
         "l2_cdf_dv0.8_tilt9.txt":
             "f6332be47a7f4b471d14bd6b3750d624e78abb0080f1abf0ae04168b05392049",
         "report_dv0.5_tilt12.txt":
-            "23eb66fe3804427756d540dcfd3807fdc9318f97c61fd37ed4638ef8cc5972f6",
+            "35f2a7a833ce2437f6071a02b7a98925804f1e2699820036455790179298e1d8",
         "report_dv0.5_tilt9.txt":
-            "777671c4ac472bbe296ec0aee4f68c95a807b3d2af19468e4c07548f8bf8688b",
+            "04d3f6e2b2c0953f82fae58535c0a04dc208c8320833852c72386361b5913907",
         "report_dv0.8_tilt12.txt":
-            "5bed7b36024bc223f2dc95bc45badbc8a5cdd7661da0251aa56eb11f4c0053cf",
+            "79969246c90359217d2726c9d3bcf8f7f35f63761154fbd031f3a2a24f659529",
         "report_dv0.8_tilt9.txt":
-            "6a0fca169879819a114de2d2d28347d464e8cc5d3ff3ebebb75891ef36399213",
+            "d4b47f7abdf3f4887eed8eed734d7c4a451b930873dde0c6ca6e970505be02aa",
     },
     "p2_dv_per_element": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -392,7 +394,7 @@ GOLDEN = {
         "cl_cdf_dv0.5_tilt12.txt":
             "5d1ecb17580c5e76dfc7a38471accb97243fb7eb49a7b2859dc57c88158376d6",
         "cl_cdf_dv0.8_tilt12.txt":
-            "b921d25412d7cc3b6f9f2e9af7934a1886387c06cb3b316708c31c44e99a7724",
+            "a516f8696e68bd029a4d7fc3a49fe0b27654d0f445d7f41265ebd7b3cadbc583",
         "ds_cdf_dv0.5_tilt12.txt":
             "8be80369a8d883f2ec0b15baad48d9e3d0e56e911a480aea67f52220add0b1c5",
         "ds_cdf_dv0.8_tilt12.txt":
@@ -406,21 +408,21 @@ GOLDEN = {
         "esd_cdf_dv0.8_tilt12.txt":
             "0120105f02d046f8f5ab2cdaaae46b8c9b27f9fe1be1d0d7c123afc7c6d59864",
         "gf_cdf_dv0.5_tilt12.txt":
-            "8df37b4bbff86ebc1a0962a71a9dc91c0d1db1528ff66db2aab033a88d717184",
+            "ea707ffc78605853058ade59cf2b7a42a588ea974b6c6b9e764833dd8c073685",
         "gf_cdf_dv0.8_tilt12.txt":
-            "413eb15c7c0883d62ef74d2b45e5ea4134414f64c73cbcd41a4120652a1c2620",
+            "0f346a6bb2fcf86bae45c96bfd0d59f0037ad3ae70b1eae81746c53d92b9dc9b",
         "l1_cdf_dv0.5_tilt12.txt":
-            "015e4ad3741ba0ef7acdf1f8cb4dd9148a39e2e99a88611902321c5ec6284abe",
+            "c939dbf8d5b60b3025f7580241ab565666e072820c40e921b0a46771a5023d73",
         "l1_cdf_dv0.8_tilt12.txt":
-            "69c49249aab713a64beba612bf815d10bf0c84dc312bce7b00b4da12cb492834",
+            "6a45e02865406ece0b7734d09801f44a7d071947decb077981f65872951e4ed0",
         "l2_cdf_dv0.5_tilt12.txt":
-            "9438305caef341bad259ee9aff6a99e551e54f1eb9dbe1329266fe2cab8140b0",
+            "debb78a4edce008c54d32c83487682ccf8f88d8f367a35716161b38eabb8835f",
         "l2_cdf_dv0.8_tilt12.txt":
-            "64e512a6efda54b975f4c46ed225b6a987a35e2982ac64a96ba358de0f430e46",
+            "68b6f3523770d382fa7a55260da43f15ef9c5980542b12bef9017a1b3562f333",
         "report_dv0.5_tilt12.txt":
-            "47367e336b03a02ff00ed61558d4472710db30e824459316e768a0c141f0d7b1",
+            "c6960b773f820c2e745d85ddb8c49dd7c8fdf4a6e689718301d3bb0a85b96f3c",
         "report_dv0.8_tilt12.txt":
-            "0c5b7bc100d20ce88a9887dad34577a01cb5fd0b3a4685caa18fe29818a3f651",
+            "5887be25c552ee6f69084e0f4f1a0cb5367b1f49797b13b4449ef296fabd7024",
     },
     "p2_itu_port": {
         "asa_cdf_dv0.5_tilt12.txt":
@@ -474,9 +476,9 @@ GOLDEN = {
         "asd_cdf_dv0.5_tilt9.txt":
             "252eb8f239658031a706a77f114d5367a9b98d71a19f63d86778829b780245d9",
         "cl_cdf_dv0.5_tilt12.txt":
-            "dff570b1224f7db383958caf1429f351ddacba10182a71514ed70ce03fef54e7",
+            "8b6f65e775d04d416439c7d940238bed5af7f3c9fc78111b7569c4ff0a81cba0",
         "cl_cdf_dv0.5_tilt9.txt":
-            "f34cedc396ea5d534ce71418a057b2511b9692f04d17992e2a5a6dd5db096a98",
+            "605e9512feec079d91ad77bb0d136901c57a78c1ae141d7a0a5102c870a0a44f",
         "ds_cdf_dv0.5_tilt12.txt":
             "272acd0de996f008ee1ac5c85586f109a8e638dac36526891c3d7424d9f79c7d",
         "ds_cdf_dv0.5_tilt9.txt":
@@ -490,21 +492,21 @@ GOLDEN = {
         "esd_cdf_dv0.5_tilt9.txt":
             "b0d5bf699192604a95896c72ea76d22ac993406c6555cc60e51315548e890b0e",
         "gf_cdf_dv0.5_tilt12.txt":
-            "af1e9ee0ece665d3f3717766de31928f429751f2c8e52426c9ba3d79c357b7db",
+            "82992c1b3a10b74874eaf9e50a14e5553310e2dbb6eb1b2765da334d027a4a8e",
         "gf_cdf_dv0.5_tilt9.txt":
-            "e03fbc0b64183aa09e6f030c4ea4e3e5a25fe1fae6d71072ad4d30db5c89d2cb",
+            "27b6170ed9476b0664e2a23d1450a25bacf0495f664a2ab8fd9a0f1765b12664",
         "l1_cdf_dv0.5_tilt12.txt":
-            "2b137b82a7543c0756e5d6ce7e30cbd487d291303b92f8d5c10d988d43986b75",
+            "17205c572fa5c6ff4a80096ff0a1955a19badf16643e1e3a3e6dc5539a4b3cac",
         "l1_cdf_dv0.5_tilt9.txt":
-            "cd72e1a45e5d0b28d301826c440fd69c7d7191c12422c2f6b5e9fe997a15a783",
+            "fc5ad3ec4f9e70d88a132b26b9d185e65cfdd8228629cd96395ab5a105129af1",
         "l2_cdf_dv0.5_tilt12.txt":
-            "7cb168d9eee07e387d4dd8af2447329ee150a8cb8bd4a2c9c566fd9f82838b8b",
+            "509762b820e945612ca1ca8feab61fc5554fc94943c0768c9081fb6c8842c75a",
         "l2_cdf_dv0.5_tilt9.txt":
-            "18b4d0aad9ae481262a80440a6beb630df38078e9058ac882661e04ba83f5ab6",
+            "fe71c355b7faa3297bc9895a169e45d015c8997c5df37c977929ba97307d0239",
         "report_dv0.5_tilt12.txt":
-            "c7a7df0111bf87813cf65372b76199dfb1b4175099cac90a557e35ceee5cb6f5",
+            "883e8a58672ce4928333fee78867b2bb7357191dc34cc783aee71d59e595bf12",
         "report_dv0.5_tilt9.txt":
-            "981fcc3c71a8eb001ede43c4552133945056355565755e547e4980d142cb810e",
+            "f0f6ad0e79bd12dac10d36a3042c8fe0f5ed49cf7fc17ce5a470f879bfee105c",
     },
     "p2_ssp_options": {
         "asa_cdf_dv0.5_tilt9.txt":
@@ -512,7 +514,7 @@ GOLDEN = {
         "asd_cdf_dv0.5_tilt9.txt":
             "9dd6885f0c93da5c1c004694477de2c960c57deddd5c27aebea561037cbf6ecc",
         "cl_cdf_dv0.5_tilt9.txt":
-            "8ad0178a573532035ecc582a74bc49871a42c9292b66f938545f697f5c5b0c85",
+            "1ca8d732a2cb0ee2d20d664c4488031e8460afd7b880b3dad474c41c043561cc",
         "ds_cdf_dv0.5_tilt9.txt":
             "18ecd677a5da8e7cb4114f22a7751720ce3c6d4bce2d8d74ce55abbc1c1d2556",
         "esa_cdf_dv0.5_tilt9.txt":
@@ -520,13 +522,13 @@ GOLDEN = {
         "esd_cdf_dv0.5_tilt9.txt":
             "8e6f88eccc2cc41cb4da543c713dc457c15c9c64ee2ca8428d976ac7f6a6b172",
         "gf_cdf_dv0.5_tilt9.txt":
-            "b1ec72a9fbbd380c69dfca05c2549811def07448653865ad19435d3f74560225",
+            "6d04c183a69dc99dd12d7f300eac82efa2f398fc6593a679cf0e7fdd6c89031e",
         "l1_cdf_dv0.5_tilt9.txt":
-            "14565428678a4fe931678d8a338b1aa6a8dd470a982a82bed99382098d9d360f",
+            "14c8ddb3313e85b578b4243052bb2e997059ee5c1ab81c656ab6ea12791538eb",
         "l2_cdf_dv0.5_tilt9.txt":
             "94ed771fa9ee90818f9b27c3c3969a6d9fea3d37a5988d31f08b32906c96bdab",
         "report_dv0.5_tilt9.txt":
-            "f6232d6095505c390840b33e1ec228e02db596b371eadbd1b986089341fdc967",
+            "57648b7f87c2b0109c995e6f9616f728facd0a2fb24e915401fce0072d057254",
     },
 }
 
@@ -567,17 +569,17 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
     assert output_hashes(paths) == GOLDEN["p2_doppler_wrap"]
 
 
-def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkeypatch):
+def test_phase2_record_once_per_ue_and_synthesis_once_per_setup(tmp_path, monkeypatch):
     # The two tilts of the itu_port pattern are two TX setups. Each of the 21
     # UEs builds one record of its 21 (UE, cell) links, 441 links in all.
-    # Each setup synthesizes a UE's links one site at a time: a chunk of the
-    # site's three cells, in order, that reads its UE's record, so the 882
-    # link syntheses of both setups take 294 calls (21 UEs x 7 sites x 2).
-    # The record evaluates its RX fields twice (rays, LOS ray) and each setup
-    # its TX fields twice over all 21 links, never inside synthesize. Each
-    # sweep point maps the setup's stacked element taps to ports and takes
-    # every cell's RSRP in one call each: 21 UEs x 2 points = 42 calls.
-    records, used, synthesizing, fields, ported, rsrp = [], [], [], [], [], []
+    # Each setup synthesizes all of a UE's links at its ports in one call
+    # that reads the UE's record, so the 882 link syntheses of both setups
+    # take 42 calls (21 UEs x 2). The record evaluates its RX fields twice
+    # (rays, LOS ray) and each setup its TX fields twice over all 21 links,
+    # never inside synthesize. There is no per-point port step: each sweep
+    # point's taps are its slice of its setup's port taps, and it takes
+    # every cell's RSRP in one call: 21 UEs x 2 points = 42 calls.
+    records, used, synthesizing, fields, rsrp = [], [], [], [], []
 
     def counting_links(*args):
         records.append(ue_links(*args))
@@ -587,40 +589,34 @@ def test_phase2_record_once_per_ue_and_port_step_once_per_point(tmp_path, monkey
         synthesizing.append(chunk)
         taps = synthesize(chunk, times, g_t, g_los)
         synthesizing.pop()
-        used.append((len(records) - 1, chunk, taps.shape[0]))
+        used.append((len(records) - 1, chunk, taps))
         return taps
 
     def counting_fields(where, ends, azimuth, *args):
         fields.append((where, len(ends), np.shape(azimuth)[:1], len(synthesizing)))
         return end_fields(ends, azimuth, *args)
 
-    def counting_ports(taps, weights):
-        ported.append(taps.shape[0])
-        return to_ports(taps, weights)
-
     def counting_rsrp(p_tx, taps):
-        rsrp.append(rsrp_fast_fading_db(p_tx, taps))
-        return rsrp[-1]
+        rsrp.append((np.shares_memory(taps, used[-1][2]), taps.shape[-2]))
+        return rsrp_fast_fading_db(p_tx, taps)
 
     ue_links, synthesize, end_fields = campaign.ue_links, campaign.synthesize, synth.end_fields
-    to_ports, rsrp_fast_fading_db = campaign.to_ports, calib.rsrp_fast_fading_db
+    rsrp_fast_fading_db = calib.rsrp_fast_fading_db
     monkeypatch.setattr(campaign, "ue_links", counting_links)
     monkeypatch.setattr(campaign, "synthesize", counting_synthesize)
     monkeypatch.setattr(synth, "end_fields", lambda *a: counting_fields("record", *a))
     monkeypatch.setattr(campaign, "end_fields", lambda *a: counting_fields("setup", *a))
-    monkeypatch.setattr(campaign, "to_ports", counting_ports)
     monkeypatch.setattr(calib, "rsrp_fast_fading_db", counting_rsrp)
     paths = run_campaign(golden_config("p2_itu_port", tmp_path))
     assert [len(record.rice_k) for record in records] == [21] * 21
-    assert len(used) == 294 and sum(n for _, _, n in used) == 882
-    assert [ue for ue, _, _ in used] == [ue for ue in range(21) for _ in range(14)]
-    assert all(chunk.ue is records[ue] for ue, chunk, _ in used)
-    assert [chunk.rows for _, chunk, _ in used] == [slice(c, c + 3) for c in range(0, 21, 3)] * 42
-    bearings = np.radians(deploy.CELL_BEARINGS_DEG).tolist()
+    assert len(used) == 42 and sum(len(taps) for _, _, taps in used) == 882
+    assert [ue for ue, _, _ in used] == [ue for ue in range(21) for _ in range(2)]
+    assert all(chunk.ue is records[ue] and chunk.rows == slice(None) for ue, chunk, _ in used)
+    bearings = np.radians(deploy.CELL_BEARINGS_DEG).tolist() * 7
     assert all([end.bearing_rad for end in chunk.ends] == bearings for _, chunk, _ in used)
     per_ue = [("record", 1, (21,), 0)] * 2 + [("setup", 21, (21,), 0)] * 4
     assert fields == per_ue * 21
-    assert ported == [21] * 42 and [r.shape for r in rsrp] == [(21,)] * 42
+    assert rsrp == [(True, 1)] * 42 and not hasattr(campaign, "to_ports")
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]
 
 
@@ -653,47 +649,57 @@ def test_phase2_spreads_once_per_distinct_serving_cell(tmp_path, monkeypatch):
 
 
 def test_phase1_element_terms_once_per_block_and_spacing(tmp_path, monkeypatch):
-    # Each block of the 63 UEs computes port 0's response phases and both
-    # tilts' weighted sums once per d_v, over (UE, site); at any block size
-    # the bytes are the golden ones. The spacing in wavelengths is element
-    # 1's height: it sits one row up.
+    # Each block of the 63 UEs takes port 0's factors of both tilts in one
+    # port_factors call per d_v, over (UE, site); at any block size the
+    # bytes are the golden ones. The spacing shows in port 0's weights: each
+    # tilt's column weights at that spacing.
     calls = []
 
-    def counting_sums(heights, wavelength, zenith, geometries, *args):
-        sums = column_sums(heights, wavelength, zenith, geometries, *args)
-        shapes = {part.shape for pair in sums for part in pair}
-        calls.append((heights[1, 0] / wavelength, zenith.shape, len(sums), shapes))
-        return sums
+    def counting_factors(lattice, weights, k_vectors, steps):
+        factors = port_factors(lattice, weights, k_vectors, steps)
+        calls.append((weights, (k_vectors @ steps).shape, factors.shape))
+        return factors
 
-    column_sums = campaign.column_sums
-    monkeypatch.setattr(campaign, "column_sums", counting_sums)
+    def column_weights(d_v):
+        return np.stack([downtilt_weights(10, d_v, math.radians(90.0 + t)) for t in (6.0, 12.0)])
+
+    port_factors = campaign.port_factors
+    monkeypatch.setattr(campaign, "port_factors", counting_factors)
     for block in (campaign.UE_BLOCK, 20):
         monkeypatch.setattr(campaign, "UE_BLOCK", block)
         calls.clear()
         paths = run_campaign(golden_config("p1_dv_tilt_sweep", tmp_path / str(block)))
         rows = [min(block, 63 - start) for start in range(0, 63, block)]
-        assert [d_v for d_v, *_ in calls] == pytest.approx([0.5, 0.8] * len(rows), rel=1e-12)
-        assert [c[1:] for c in calls] == [((n, 7), 2, {(n, 7)}) for n in rows for _ in range(2)]
+        assert [np.array_equal(w, column_weights(d_v)) for (w, _, _), d_v
+                in zip(calls, [0.5, 0.8] * len(rows))] == [True] * 2 * len(rows)
+        assert [c[1:] for c in calls] == [((n, 7, 2), (n, 7, 2)) for n in rows for _ in range(2)]
         assert output_hashes(paths) == GOLDEN["p1_dv_tilt_sweep"]
 
 
 def test_phase1_response_phases_once_per_ue_and_site(tmp_path, monkeypatch):
     # The acceptance phase-1 settings at 6 UEs per cell (342 UEs, 19 sites,
-    # 10 elements per port, tilts 6/9/12): one response phase per (UE, site,
-    # element) in the campaign, 64,980, where a phase per (UE, cell, element)
-    # made 194,940.
-    elements = []
+    # 10 elements per port, tilts 6/9/12): port 0's factors of the three
+    # tilts toward each (UE, site), 6,498 directions in the campaign, each
+    # one exp of the vertical step: where a phase per (UE, site, element)
+    # made 64,980 and a phase per (UE, cell, element) 194,940.
+    directions, exps = [], []
 
-    def counting(positions, k_vectors):
-        phases = response_phases(positions, k_vectors)
-        elements.append(phases.size)
-        return phases
+    def counting(lattice, weights, k_vectors, steps):
+        directions.append((weights.shape, int(np.prod(np.shape(k_vectors)[:-1]))))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "exp", counting_exp)
+            return port_factors(lattice, weights, k_vectors, steps)
 
-    response_phases = chan3d.antenna.response_phases
-    monkeypatch.setattr(chan3d.antenna, "response_phases", counting)
+    def counting_exp(x, *args, **kwargs):
+        exps.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    port_factors, exp = campaign.port_factors, np.exp
+    monkeypatch.setattr(campaign, "port_factors", counting)
     cfg = default_config("UMa", master_seed=7)
     cfg.run.n_ue_per_cell = 6
     cfg.run.output_dir = str(tmp_path)
     cfg.antenna.downtilt_sweep_deg = (6.0, 9.0, 12.0)
     run_campaign(cfg)
-    assert sum(elements) == 342 * 19 * 10 == 64_980
+    assert {shape for shape, _ in directions} == {(3, 10)}
+    assert sum(n for _, n in directions) == 342 * 19 == 6_498 == sum(exps)

@@ -5,7 +5,8 @@ derivation, which chan3d.rng.keyed_states reproduces over arrays. One
 module owns the (UE, site) link geometry: the campaign names neither the
 fold nor the Rice-factor kernel that lsp.slow_fading runs. No module runs a
 scalar function per array element: none names per_element or fromiter.
-Its setup stays light: importing it and checking a config load no process pool."""
+No module evaluates array factors element by element: none names to_ports,
+response_phases or column_sums. Its setup stays light: importing it and checking a config load no process pool."""
 import ast
 import os
 import subprocess
@@ -16,6 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chan3d"
 SEED_NAMES = {"SeedSequence", "default_rng"}
 LINK_GEOMETRY_NAMES = {"fold_to_nearest_image", "pow10"}
 SCALAR_LOOP_NAMES = {"per_element", "fromiter"}
+ELEMENT_PHASE_NAMES = {"to_ports", "response_phases", "column_sums"}
 
 
 def _absolute_imports(path: Path) -> list:
@@ -30,12 +32,14 @@ def _absolute_imports(path: Path) -> list:
 
 
 def _named(path: Path, wanted=SEED_NAMES) -> list:
-    """Each name, attribute, imported name or string constant of a module
-    that is one of wanted, sorted."""
+    """Each name, attribute, imported or defined name or string constant of
+    a module that is one of wanted, sorted."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
             names.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
         elif isinstance(node, ast.Attribute):
             names.append(node.attr)
         elif isinstance(node, ast.alias):
@@ -97,6 +101,16 @@ def test_package_runs_no_scalar_loop_over_array_elements():
     assert len(modules) > 10
     assert not {(path.name, name) for path in modules
                 for name in _named(path, SCALAR_LOOP_NAMES)}
+
+
+def test_package_has_no_per_element_phase_path():
+    # Both phases take each port's array factor from antenna.port_factors,
+    # one exp per lattice step; the per-element forms live in
+    # tests/antenna_oracle.py and tests/synth_oracle.py.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert not {(path.name, name) for path in modules
+                for name in _named(path, ELEMENT_PHASE_NAMES)}
 
 
 def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):

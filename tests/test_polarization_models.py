@@ -10,7 +10,7 @@ from antenna_oracle import element_pattern_3gpp
 
 def _end(slants_deg, bearing_deg=0.0, pattern=None):
     slants = np.radians(np.asarray(slants_deg, dtype=float))
-    return LinkEnd(np.zeros((slants.size, 3)), slants, pattern, math.radians(bearing_deg))
+    return LinkEnd(slants, pattern, math.radians(bearing_deg))
 
 
 def test_models_agree_at_boresight():
@@ -42,7 +42,7 @@ def test_rotated_model_preserves_radiated_power():
     for _ in range(200):
         slant = rng.uniform(-math.pi / 2, math.pi / 2)
         bearing = rng.uniform(-math.pi, math.pi)
-        end = LinkEnd(np.zeros((1, 3)), np.array([slant]), pattern, bearing)
+        end = LinkEnd(np.array([slant]), pattern, bearing)
         az = rng.uniform(-math.pi, math.pi)
         zen = rng.uniform(0.05, math.pi - 0.05)
         g = end_fields([end], az, zen, "rotated")[0, :, 0]

@@ -8,14 +8,14 @@ from numpy.testing import assert_allclose
 
 from chan3d.antenna import (
     downtilt_weights,
-    response_phases,
+    port_factors,
     uniform_planar_array,
 )
-from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
+from chan3d.geom import SPEED_OF_LIGHT, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import LinkEnd, end_fields, synthesize, to_ports, ue_links
+from chan3d.synth import LinkEnd, end_fields, synthesize, ue_links
 
-from antenna_oracle import element_fields, element_pattern_3gpp, isotropic_end
+from antenna_oracle import element_pattern_3gpp, isotropic_end, lattice_end, per_port_fields
 from synth_oracle import (
     LinkContext, end_fields_one_link, link_half_one_link, synthesize_link, synthesize_one_link,
     ue_record,
@@ -73,9 +73,12 @@ def _ctx(clusters, tx=None, rx=None, slow_db=0.0, k_rice=0.0, velocity=(0.0, 0.0
 
 
 def _bruteforce_cluster(ctx, n, t):
-    """Diffuse (n_tx, n_rx) matrix of cluster n at time t, re-summed term by
-    term with explicit scalar loops; for isotropic slant-model ends and K = 0."""
+    """Diffuse (n_tx ports, n_rx) matrix of cluster n at time t, re-summed
+    term by term over the elements with explicit scalar loops, then weighted
+    to the TX ports; for isotropic slant-model ends with one port per RX
+    element, and K = 0."""
     clusters, tx, rx = ctx.clusters, ctx.tx, ctx.rx
+    tx_positions, rx_positions = tx.lattice @ tx.steps, rx.lattice @ rx.steps
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     h = np.zeros((tx.n_elements, rx.n_elements), dtype=complex)
     for m in range(clusters.n_rays):
@@ -93,10 +96,10 @@ def _bruteforce_cluster(ctx, n, t):
         )
         for s in range(tx.n_elements):
             g_t = np.array([math.cos(tx.slant_rad[s]), math.sin(tx.slant_rad[s])])
-            a_t = np.exp(1j * float(kd @ tx.positions_m[s]))
+            a_t = np.exp(1j * float(kd @ tx_positions[s]))
             for u in range(rx.n_elements):
                 g_r = np.array([math.cos(rx.slant_rad[u]), math.sin(rx.slant_rad[u])])
-                a_r = np.exp(1j * float(ka @ rx.positions_m[u]))
+                a_r = np.exp(1j * float(ka @ rx_positions[u]))
                 doppler = np.exp(1j * float(ka @ ctx.velocity_mps) * t)
                 h[s, u] += (
                     math.sqrt(clusters.ray_powers[n, m])
@@ -105,7 +108,7 @@ def _bruteforce_cluster(ctx, n, t):
                     * a_r
                     * doppler
                 )
-    return h * 10.0 ** (-ctx.slow_fading_db / 20.0)
+    return (tx.weights @ h) * 10.0 ** (-ctx.slow_fading_db / 20.0)
 
 
 def test_single_ray_isotropic_collapses_to_phase():
@@ -123,11 +126,16 @@ def test_static_ue_time_invariant():
 
 
 def test_cluster_matrix_matches_bruteforce_oracle():
-    # Independent term-by-term re-summation with explicit scalar loops.
+    # Independent term-by-term re-summation with explicit scalar loops, over
+    # lattice ends with random steps: the TX's two elements, one column, feed
+    # two ports, one of them both with random weights.
     rng = np.random.default_rng(2)
     clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
-    tx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([0.0, math.radians(45.0)]))
-    rx = LinkEnd(rng.uniform(-0.1, 0.1, (2, 3)), np.array([math.radians(90.0), math.radians(30.0)]))
+    weights = np.array([[0.6, 0.8j], [0.0, 1.0]]) * np.exp(1j * rng.uniform(0, 6, (2, 1)))
+    tx = LinkEnd(np.zeros(2), lattice=[[0, 0], [0, 1]], steps=rng.uniform(-0.1, 0.1, (2, 3)),
+                 weights=weights)
+    rx = LinkEnd(np.radians([90.0, 30.0]), lattice=[[0, 0], [1, 0]],
+                 steps=rng.uniform(-0.1, 0.1, (2, 3)))
     velocity = np.array([0.5, -0.3, 0.0])
     ctx = _ctx(clusters, tx=tx, rx=rx, slow_db=7.0, velocity=velocity)
     t = 0.37
@@ -193,7 +201,9 @@ def test_ue_batch_checks(change, message):
 
 def test_link_end_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        LinkEnd(np.zeros((3, 3)), np.zeros(2))
+        LinkEnd(np.zeros(2), lattice=np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError):
+        LinkEnd(np.zeros(2), weights=np.ones((1, 3)))
 
 
 def test_synthesize_orders_taps_and_matches_cluster_ops():
@@ -224,15 +234,15 @@ def test_synthesize_rejects_non_finite_taps(slow_db):
 
 
 def test_port_output_equals_manual_weight_sum():
+    # The port taps of a column equal its element taps (each element its own
+    # port) summed with the column's weights.
     rng = np.random.default_rng(6)
     clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
     geom = uniform_planar_array(4, 1, 0.5, 0.5, SPEED_OF_LIGHT / 2e9)
-    tx = LinkEnd(
-        geom.element_positions, geom.slant_rad, element_pattern_3gpp(), 0.0,
-    )
-    elements = synthesize_link(_ctx(clusters, tx=tx), [0.0])
-    ports = to_ports(elements, geom.weights)
-    assert ports.shape == (1, 2, 1, 1)
+    pattern = element_pattern_3gpp()
+    elements = synthesize_link(_ctx(clusters, tx=lattice_end(geom, pattern, ports=False)), [0.0])
+    ports = synthesize_link(_ctx(clusters, tx=lattice_end(geom, pattern)), [0.0])
+    assert elements.shape == (1, 2, 4, 1) and ports.shape == (1, 2, 1, 1)
     w = np.full(4, 0.5)
     manual = np.einsum("k,nku->nu", w, elements[0])
     assert_allclose(ports[0][:, 0, :], manual, atol=1e-12)
@@ -289,93 +299,90 @@ def test_doppler_trajectory_single_ray():
         assert_allclose(h[ti] / h[0], np.exp(1j * omega * t), atol=1e-12)
 
 
+def _factors(end, k_vectors):
+    """Each port's factor of end toward the wave vectors: (..., n_ports)."""
+    return port_factors(end.lattice, end.weights, k_vectors, end.steps.T)
+
+
 def _per_cluster_ray_terms(ctx, cluster):
     """Static per-ray tap contributions and Doppler rates of one cluster: the
-    per-cluster, per-element form that synthesize batches over every
+    per-cluster, per-port form that synthesize batches over every
     (cluster, ray) and evaluates per slant."""
     cs = ctx.clusters
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     aod, zod = cs.aod[cluster], cs.zod[cluster]
     aoa, zoa = cs.aoa[cluster], cs.zoa[cluster]
-    g_t = element_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, S)
-    g_r = element_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
+    g_t = per_port_fields(ctx.tx, aod, zod, ctx.polarization_model)  # (M, 2, P)
+    g_r = per_port_fields(ctx.rx, aoa, zoa, ctx.polarization_model)  # (M, 2, U)
+    g_r = g_r * _factors(ctx.rx, k0 * unit_vectors(aoa, zoa))[:, None, :]
     alpha = polarization_matrix(cs.xpr[cluster], cs.phases[cluster], ctx.xpr_offdiag_inverse)
     bilinear = np.einsum("mpu,mpq,mqs->msu", g_r, alpha, g_t)
-    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(aod, zod))  # (M, S)
-    a_r = response_phases(ctx.rx.positions_m, k0 * unit_vectors(aoa, zoa))  # (M, U)
-    terms = (
-        np.sqrt(cs.ray_powers[cluster])[:, None, None]
-        * bilinear
-        * a_t[:, :, None]
-        * a_r[:, None, :]
-    )
+    a_t = _factors(ctx.tx, k0 * unit_vectors(aod, zod))  # (M, P)
+    terms = np.sqrt(cs.ray_powers[cluster])[:, None, None] * bilinear * a_t[:, :, None]
     omega = (k0 * unit_vectors(aoa, zoa)) @ ctx.velocity_mps
     return terms, omega
 
 
-def _per_element_los_term(ctx):
-    """The LOS ray's static tap contribution and Doppler rate, per element."""
+def _per_port_los_term(ctx):
+    """The LOS ray's static tap contribution and Doppler rate, per port."""
     k0 = 2.0 * math.pi * ctx.carrier_hz / SPEED_OF_LIGHT
     dep, arr = ctx.los_departure, ctx.los_arrival
-    g_t = element_fields(ctx.tx, *dep, ctx.polarization_model)[0]
-    g_r = element_fields(ctx.rx, *arr, ctx.polarization_model)[0]
+    k_arr = k0 * unit_vectors(*arr)
+    g_t = per_port_fields(ctx.tx, *dep, ctx.polarization_model)[0]
+    g_r = per_port_fields(ctx.rx, *arr, ctx.polarization_model)[0] * _factors(ctx.rx, k_arr)
     alpha = np.diag(
         [np.exp(1j * ctx.clusters.los_phase_vv), np.exp(1j * ctx.clusters.los_phase_hh)]
     )
     bilinear = np.einsum("pu,pq,qs->su", g_r, alpha, g_t)
-    k_arr = k0 * unit_vectors(*arr)
-    a_t = response_phases(ctx.tx.positions_m, k0 * unit_vectors(*dep))
-    a_r = response_phases(ctx.rx.positions_m, k_arr)
-    return bilinear * a_t[:, None] * a_r[None, :], float(k_arr @ ctx.velocity_mps)
+    a_t = _factors(ctx.tx, k0 * unit_vectors(*dep))
+    return bilinear * a_t[:, None], float(k_arr @ ctx.velocity_mps)
 
 
-def _per_cluster_taps(ctx, times, port_weights=None):
-    """Taps summed cluster by cluster and time by time, as a loop over
-    _per_cluster_ray_terms, with the LOS ray of _per_element_los_term and,
-    given port weights, the port step of to_ports."""
+def _per_cluster_taps(ctx, times):
+    """Port taps summed cluster by cluster and time by time, as a loop over
+    _per_cluster_ray_terms, with the LOS ray of _per_port_los_term."""
     cs = ctx.clusters
     times = np.asarray(times, dtype=float)
     scale = np.power(10.0, -ctx.slow_fading_db / 20.0)
     diffuse_scale = scale * math.sqrt(1.0 / (ctx.rice_k_linear + 1.0))
     per_cluster = [_per_cluster_ray_terms(ctx, n) for n in range(len(cs.delays_s))]
-    n_tx, n_rx = ctx.tx.n_elements, ctx.rx.n_elements
+    n_tx, n_rx = len(ctx.tx.weights), len(ctx.rx.weights)
     taps = np.zeros((times.size, len(per_cluster), n_tx, n_rx), dtype=complex)
     for ti, t in enumerate(times):
         for n, (terms, omega) in enumerate(per_cluster):
             taps[ti, n] = diffuse_scale * np.einsum("msu,m->su", terms, np.exp(1j * omega * t))
     if ctx.rice_k_linear > 0:
-        los_term, los_omega = _per_element_los_term(ctx)
+        los_term, los_omega = _per_port_los_term(ctx)
         los_scale = scale * math.sqrt(ctx.rice_k_linear / (ctx.rice_k_linear + 1.0))
         for ti, t in enumerate(times):
             taps[ti, 0] += los_scale * los_term * np.exp(1j * los_omega * t)
-    if port_weights is not None:
-        taps = np.einsum("pk,tnku->tnpu", port_weights, taps)
     return taps
 
 
-def _campaign_like_link(model, los, split):
-    """A cross-polarized, tilted, rotated 4-row column toward a two-element
-    receiver, with clusters drawn as a campaign draws them."""
+def _two_element_rx(pattern=None, bearing=0.0):
+    """A receiver of two elements 0.07 m apart along y, slants 0 and 90 deg."""
+    return LinkEnd(np.array([0.0, math.pi / 2]), pattern, bearing, lattice=[[0, 0], [1, 0]],
+                   steps=[[0.0, 0.07, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _campaign_like_link(model, los, split, ports=True):
+    """A cross-polarized, tilted, rotated 4-row column, at its ports or
+    (ports=False) each element its own port, toward a two-element receiver,
+    with clusters drawn as a campaign draws them."""
     wavelength = SPEED_OF_LIGHT / 2e9
     geom = uniform_planar_array(
         4, 1, 0.5, 0.5, wavelength, cross_polarized=True,
         column_weights=downtilt_weights(4, 0.5, math.radians(102.0)),
     )
-    bearing = math.radians(150.0)
-    tx = LinkEnd(
-        geom.element_positions @ rotation_z(bearing).T, geom.slant_rad, element_pattern_3gpp(),
-        bearing,
-    )
-    rx = LinkEnd(
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.07, 0.0]]), np.array([0.0, math.pi / 2]),
-    )
+    tx = lattice_end(geom, element_pattern_3gpp(), math.radians(150.0), ports)
+    rx = _two_element_rx()
     dep = (2.3, 1.62)
     arr = (2.3 - math.pi, math.pi - 1.62)
     lsps = [0.0, 9.0, 3.6e-7, 11.0, 45.0, 2.5, 9.0]  # in LSP_NAMES order
     clusters = generate_cluster_set(
         [lsps], [dep], [arr], SspConfig(split_strongest=split), [np.random.default_rng(41)]
     ).link(0)
-    link = LinkContext(
+    return LinkContext(
         tx=tx,
         rx=rx,
         clusters=clusters,
@@ -387,7 +394,6 @@ def _campaign_like_link(model, los, split):
         los_arrival=arr,
         polarization_model=model,
     )
-    return link, geom.weights
 
 
 @pytest.mark.parametrize(
@@ -398,50 +404,47 @@ def _campaign_like_link(model, los, split):
 )
 def test_batched_rays_equal_per_cluster_loop(model, los, n_times, output, split):
     # One array pass over every (cluster, ray) must round exactly like the
-    # per-cluster loop, so that campaign output bytes do not move.
-    ctx, weights = _campaign_like_link(model, los, split)
-    if output == "elements":
-        weights = None
+    # per-cluster loop, so that campaign output bytes do not move: at the
+    # column's two ports, and with each of its eight elements its own port.
+    ctx = _campaign_like_link(model, los, split, ports=output == "ports")
     times = np.arange(n_times) * 1e-3
     taps = synthesize_link(ctx, times)
-    if weights is not None:
-        taps = to_ports(taps, weights)
-    assert np.array_equal(taps, _per_cluster_taps(ctx, times, weights))
+    assert taps.shape[2] == (2 if output == "ports" else 8)
+    assert np.array_equal(taps, _per_cluster_taps(ctx, times))
 
 
 @pytest.mark.parametrize("model", ("slant", "rotated"))
 @pytest.mark.parametrize("layout", ("interleaved", "out_of_order"))
 def test_per_slant_fields_equal_per_element_oracle(model, layout):
-    # Fields are evaluated once per slant and gathered to the elements. The
-    # taps, LOS ray included, must equal the per-element oracle bit for bit:
-    # for the interleaved +/-45 deg pairs of a cross-polarized array, and for
-    # ends whose slants are out of order and repeat at random places.
-    ctx, _ = _campaign_like_link(model, los=True, split=False)
+    # Fields are evaluated once per slant and gathered to the ports, here one
+    # per element. The taps, LOS ray included, must equal the per-port oracle
+    # bit for bit: for the interleaved +/-45 deg pairs of a cross-polarized
+    # array, and for ends whose slants are out of order and repeat at random
+    # places.
+    ctx = _campaign_like_link(model, los=True, split=False, ports=False)
     if layout == "interleaved":
         assert np.array_equal(ctx.tx.slant_rad, np.radians([-45.0, 45.0] * 4))
     else:
+        tx, rx = ctx.tx, ctx.rx
         slants = np.radians([90.0, -45.0, 45.0, 0.0, -45.0, 90.0, 30.0, 45.0])
-        ctx.tx = LinkEnd(ctx.tx.positions_m, slants, ctx.tx.pattern, ctx.tx.bearing_rad)
-        ctx.rx = LinkEnd(ctx.rx.positions_m[::-1], ctx.rx.slant_rad[::-1])
+        ctx.tx = LinkEnd(slants, tx.pattern, tx.bearing_rad, tx.lattice, tx.steps)
+        ctx.rx = LinkEnd(rx.slant_rad[::-1], lattice=rx.lattice[::-1], steps=rx.steps)
         assert not np.all(np.diff(ctx.rx.slant_rad) > 0)
-    assert ctx.tx.slants.size < ctx.tx.n_elements
+    assert ctx.tx.slants.size < len(ctx.tx.weights) == ctx.tx.n_elements
     times = [0.0, 2e-3]
     assert np.array_equal(synthesize_link(ctx, times), _per_cluster_taps(ctx, times))
 
 
 def _ue_links(model, split, n_links=6):
-    """One UE's links to n_links cells (three bearings) of a cross-polarized
-    column, with clusters drawn as a campaign draws them: every other link
+    """One UE's links to n_links cells (three bearings) at the two ports of a
+    cross-polarized column, with clusters drawn as a campaign draws them: every other link
     is LOS (K > 0), and the two-element RX end has a pattern and a bearing."""
     wavelength = SPEED_OF_LIGHT / 2e9
     geom = uniform_planar_array(
         4, 1, 0.5, 0.5, wavelength, cross_polarized=True,
         column_weights=downtilt_weights(4, 0.5, math.radians(102.0)),
     )
-    rx = LinkEnd(
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.07, 0.0]]), np.array([0.0, math.pi / 2]),
-        element_pattern_3gpp(), 0.4,
-    )
+    rx = _two_element_rx(element_pattern_3gpp(), 0.4)
     rng = np.random.default_rng(43)
     deps = np.column_stack([rng.uniform(-math.pi, math.pi, n_links), rng.uniform(1.4, 1.7, n_links)])
     arrs = np.column_stack([wrap_azimuth(deps[:, 0] + math.pi), math.pi - deps[:, 1]])
@@ -452,11 +455,7 @@ def _ue_links(model, split, n_links=6):
     )
     links = []
     for i in range(n_links):
-        bearing = math.radians(30.0 + 120.0 * (i % 3))
-        tx = LinkEnd(
-            geom.element_positions @ rotation_z(bearing).T, geom.slant_rad,
-            element_pattern_3gpp(), bearing,
-        )
+        tx = lattice_end(geom, element_pattern_3gpp(), math.radians(30.0 + 120.0 * (i % 3)))
         links.append(LinkContext(
             tx=tx, rx=rx, clusters=batch.link(i), slow_fading_db=110.0 + i, carrier_hz=2e9,
             velocity_mps=np.array([0.6, -0.55, 0.0]),
@@ -467,7 +466,7 @@ def _ue_links(model, split, n_links=6):
     return links, batch
 
 
-RAY_FIELDS = ("g_r", "alpha", "k_dep", "a_r", "omega")
+RAY_FIELDS = ("g_r", "alpha", "k_dep", "omega")
 
 
 @pytest.mark.parametrize("model", ("slant", "rotated"))
