@@ -1,4 +1,4 @@
-"""Element and port radiation patterns, slant polarization, and port virtualization."""
+"""Element and port patterns, slant polarization, link ends, and their port factors."""
 from __future__ import annotations
 
 import math
@@ -62,41 +62,52 @@ def element_amplitude(spec: PatternSpec | None, azimuth, zenith):
 
 
 @dataclass
-class ArrayGeometry:
-    """Element lattice plus the port virtualization map.
-
-    Element e sits at lattice[e] @ steps: lattice holds its integer (column,
-    row), steps the (horizontal, vertical) step vectors in meters, in the
-    array frame (boresight +x, columns along y, rows along z).
-    weights is the (n_ports, n_elements) complex matrix taking element
-    signals to ports: each row has unit power, each element feeds exactly
-    one port, and the elements of one port share one slant and one column.
+class LinkEnd:
+    """One side of a link: its elements' slants, the element pattern (None =
+    isotropic 0 dBi), its bearing (one, or one per link), its lattice and its
+    port weights. Element e sits at lattice[e] @ steps: lattice holds its
+    integer (column, row), steps the (horizontal, vertical) step vectors in
+    meters, (2, 3) in the array frame (boresight +x, columns along y, rows
+    along z) or (link, 2, 3) turned to each link's bearing. weights takes
+    element signals to ports, (port, element), or (point, port, element)
+    for a TX setup's stacked sweep points. Per point, each row has unit
+    power, each element feeds exactly one port, and the elements of one
+    port share one slant and one column. The default puts every element at
+    the origin as its own port. slants holds the distinct port slants of
+    every point's ports, in order, and slant_index each port's index.
     """
 
-    lattice: np.ndarray
-    steps: np.ndarray
     slant_rad: np.ndarray
-    weights: np.ndarray
+    pattern: PatternSpec | None = None
+    bearing_rad: float | np.ndarray = 0.0
+    lattice: np.ndarray | None = None
+    steps: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.lattice = np.asarray(self.lattice, dtype=int).reshape(-1, 2)
-        self.steps = np.asarray(self.steps, dtype=float).reshape(2, 3)
         self.slant_rad = np.asarray(self.slant_rad, dtype=float).reshape(-1)
-        self.weights = np.asarray(self.weights, dtype=complex)
-        if len(self.slant_rad) != self.n_elements or self.weights.shape[1] != self.n_elements:
-            raise ValueError("one slant angle and one weight column required per element")
-        if np.any(np.abs(np.sum(np.abs(self.weights) ** 2, axis=1) - 1.0) > 1e-9):
+        n = self.slant_rad.size
+        self.lattice = np.zeros((n, 2), int) if self.lattice is None else np.asarray(self.lattice)
+        self.steps = np.zeros((2, 3)) if self.steps is None else np.asarray(self.steps, float)
+        self.weights = np.eye(n) if self.weights is None else np.asarray(self.weights)
+        shapes = (self.lattice.shape, self.steps.shape[-2:], self.weights.shape[-1:])
+        if shapes != ((n, 2), (2, 3), (n,)):
+            raise ValueError("one slant, lattice point and weight column per element required")
+        if np.any(np.abs(np.sum(np.abs(self.weights) ** 2, axis=-1) - 1.0) > 1e-9):
             raise ValueError("port weights must have unit total power")
-        feeds = self.weights != 0
-        if np.any(feeds.sum(axis=0) != 1):
+        if np.any(np.count_nonzero(self.weights, axis=-2) != 1):
             raise ValueError("each element must feed exactly one port")
-        # np.ptp, not np.unique: np.unique imports numpy.ma (1 MB) on its first call.
+        feeds = self.weights.reshape(-1, n) != 0  # every point's ports, in order
+        # np.ptp per port, not np.unique: numpy 2.4's np.unique imports numpy.ma
+        # (1 MB) on its first call without return_inverse (with it, as below, not).
         if any(np.ptp(self.slant_rad[row]) + np.ptp(self.lattice[row, 0]) > 0 for row in feeds):
             raise ValueError("the elements of a port must share one slant and one column")
+        port_slants = self.slant_rad[feeds.argmax(axis=1)]
+        self.slants, self.slant_index = np.unique(port_slants, return_inverse=True)
 
     @property
     def n_elements(self) -> int:
-        return self.lattice.shape[0]
+        return self.slant_rad.size
 
 
 def uniform_planar_array(
@@ -109,13 +120,16 @@ def uniform_planar_array(
     slant_deg: float = 0.0,
     cross_polarized: bool = False,
     column_weights=None,
-) -> ArrayGeometry:
-    """Uniform M x N array with one port per column (K=M) or per element (K=1).
+    pattern: PatternSpec | None = None,
+) -> LinkEnd:
+    """Uniform M x N array of pattern elements with one port per column (K=M)
+    or per element (K=1), as a link end in the array frame.
 
     d_v/d_h are in wavelengths. With cross_polarized=True each position holds
     a +/-45 deg pair and every column maps to two ports, one per slant.
     column_weights are the K weights of every port (default uniform, unit
-    power), e.g. downtilt_weights for a column port.
+    power), e.g. downtilt_weights for a column port; (point, K) weights give
+    one point per row, each with its own ports.
     """
     if m_rows < 1 or n_cols < 1:
         raise ValueError("array must have at least one row and one column")
@@ -125,7 +139,7 @@ def uniform_planar_array(
     if column_weights is None:
         column_weights = np.full(k, 1.0 / math.sqrt(k), dtype=complex)
     w = np.asarray(column_weights, dtype=complex)
-    if w.shape != (k,):
+    if w.shape[-1:] != (k,):
         raise ValueError("weight vector length does not match port size")
     slants = np.radians([-45.0, 45.0] if cross_polarized else [slant_deg])
     n_pol = len(slants)
@@ -134,9 +148,9 @@ def uniform_planar_array(
     grid = np.meshgrid(range(n_cols), range(m_rows), range(n_pol), indexing="ij")
     c, r, p = (g.ravel() for g in grid)
     steps = [[0.0, d_h * wavelength, 0.0], [0.0, 0.0, d_v * wavelength]]
-    weights = np.zeros((n_cols * n_pol * (m_rows // k), c.size), dtype=complex)
-    weights[(c * n_pol + p) * (m_rows // k) + r // k, np.arange(c.size)] = w[r % k]
-    return ArrayGeometry(np.stack([c, r], axis=-1), steps, slants[p], weights)
+    weights = np.zeros(w.shape[:-1] + (n_cols * n_pol * (m_rows // k), c.size), dtype=complex)
+    weights[..., (c * n_pol + p) * (m_rows // k) + r // k, np.arange(c.size)] = w[..., r % k]
+    return LinkEnd(slants[p], pattern, 0.0, np.stack([c, r], axis=-1), steps, weights)
 
 
 def port_factors(lattice, weights, k_vectors, steps) -> np.ndarray:

@@ -5,19 +5,19 @@ import ctypes
 import logging
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import calib
-from .antenna import element_amplitude, element_gain_db, fields_gain_db, port_factors
-from .config import RunConfig, build_array, build_tx_pattern, config_hash, validate
+from .antenna import LinkEnd, element_amplitude, element_gain_db, fields_gain_db, port_factors
+from .config import RunConfig, build_array, config_hash, validate
 from .deploy import CELL_BEARINGS_DEG, Drop, drop_ues, hex_layout, wrap_basis
 from .geom import SPEED_OF_LIGHT, rotation_z
 from .lsp import SlowFading, slow_fading
 from .rng import STREAM_DROP, STREAM_SSP, keyed_states, state_generators, substream
 from .ssp import generate_cluster_set
-from .synth import LinkEnd, end_fields, synthesize, ue_links
+from .synth import end_fields, synthesize, ue_links
 
 
 log = logging.getLogger("chan3d")
@@ -28,17 +28,13 @@ UE_BLOCK = 96
 
 @dataclass
 class _TxSetup:
-    """Sweep points whose TX gains come from one pattern and element array.
-
-    points lists their sweep indices and arrays the array of each, with the
-    point's port weights (for itu_port, one element at the origin); ends the
-    per-cell TX link ends of phase 2, each with every point's ports stacked.
+    """Sweep points whose TX gains come from one pattern and element array:
+    their sweep indices, and one end with their ports stacked in that order
+    (for itu_port, one element at the origin), in phase 2 toward every cell.
     """
 
-    pattern: object
     points: list
-    arrays: list
-    ends: list | None = None
+    end: LinkEnd
 
 
 @dataclass
@@ -63,36 +59,39 @@ def _tx_setups(ctx: _CampaignContext) -> list:
 
     The element pattern does not move with the tilt, so the points of one d_v
     share one array and differ only in port weights. An itu_port pattern is
-    tilted itself: each of its points is its own setup.
+    tilted itself: each of its points is its own setup. Phase 2 turns the
+    end's steps once per distinct cell bearing and gathers them to the cells.
     """
-    antenna, itu = ctx.cfg.antenna, ctx.cfg.antenna.pattern == "itu_port"
-    setups = {}
+    itu, groups = ctx.cfg.antenna.pattern == "itu_port", {}
     for k, (d_v, tilt) in enumerate(ctx.sweep):
-        s = setups.setdefault(k if itu else d_v, _TxSetup(build_tx_pattern(antenna, tilt), [], []))
-        s.points.append(k)
-        s.arrays.append(build_array(antenna, d_v, ctx.wavelength, tilt))
-    for s in setups.values() if ctx.cfg.run.phase == 2 else ():
-        array, weights = s.arrays[0], np.concatenate([a.weights for a in s.arrays])
-        s.ends = [LinkEnd(array.slant_rad, s.pattern, b, array.lattice,
-                          array.steps @ rotation_z(b).T, weights)
-                  for b in ctx.cell_bearing_rad.tolist()]
-    return list(setups.values())
+        _, points, tilts = groups.setdefault(k if itu else d_v, (d_v, [], []))
+        points.append(k)
+        tilts.append(tilt)
+    setups = []
+    for d_v, points, tilts in groups.values():
+        end = build_array(ctx.cfg.antenna, d_v, ctx.wavelength, tilts)
+        if ctx.cfg.run.phase == 2:
+            bearings, cell = np.unique(ctx.cell_bearing_rad, return_inverse=True)
+            turned = np.stack([end.steps @ rotation_z(b).T for b in bearings.tolist()])
+            end = replace(end, bearing_rad=ctx.cell_bearing_rad, steps=turned[cell])
+        setups.append(_TxSetup(points, end))
+    return setups
 
 
 def _tx_gains_db(ctx: _CampaignContext, setup: _TxSetup, local_az, zen) -> list:
     """TX gain over (UE, cell) toward each cell's LOS direction, for each point
     of the setup, from the cells' azimuths and the sites' zeniths (UE, site).
-    Port 0 is one column on the z axis: its factors read only k_z and run per
-    (UE, site); the element amplitude is the only per-cell term, and the
-    slant splits the field in power alone. itu_port's gain is its pattern's.
+    Each point's port 0 is one column on the z axis: its factors read only
+    k_z and run per (UE, site); the element amplitude is the only per-cell
+    term, and the slant splits the field in power alone. itu_port's gain is
+    its pattern's.
     """
-    cells, array = ctx.cell_site, setup.arrays[0]
+    cells, end = ctx.cell_site, setup.end
     if ctx.cfg.antenna.pattern == "itu_port":
-        return [np.asarray(element_gain_db(setup.pattern, local_az, zen[:, cells]))]
+        return [np.asarray(element_gain_db(end.pattern, local_az, zen[:, cells]))]
     k_z = (2.0 * np.pi / ctx.wavelength) * np.cos(zen)
-    port0 = np.stack([a.weights[0] for a in setup.arrays])
-    factors = port_factors(array.lattice, port0, k_z[..., None], array.steps[:, 2:].T)
-    amp = element_amplitude(setup.pattern, local_az, zen[:, cells])
+    factors = port_factors(end.lattice, end.weights[:, 0], k_z[..., None], end.steps[:, 2:].T)
+    amp = element_amplitude(end.pattern, local_az, zen[:, cells])
     return [fields_gain_db(amp * f[:, cells], 0.0) for f in np.moveaxis(factors, -1, 0)]
 
 
@@ -158,11 +157,12 @@ def _phase2_records(ctx: _CampaignContext, ue_index: int) -> list:
     )
     model = cfg.antenna.polarization_model
     for setup in ctx.tx_setups:
-        g_t = end_fields(setup.ends, batch.aod, batch.zod, model)
-        g_los = end_fields(setup.ends, ue.los[:, 0], ue.los[:, 1], model)
-        ports = synthesize(ue.chunk(slice(None), setup.ends), ctx.times, g_t, g_los)
-        for k, array in zip(setup.points, setup.arrays):  # each point's ports, in order
-            taps[k], ports = np.split(ports, [len(array.weights)], axis=-2)
+        g_t = end_fields(setup.end, batch.aod, batch.zod, model)
+        g_los = end_fields(setup.end, ue.los[:, 0], ue.los[:, 1], model)
+        ports = synthesize(ue.toward(setup.end), ctx.times, g_t, g_los)
+        by_point = ports.reshape(ports.shape[:3] + (len(setup.points), -1) + ports.shape[4:])
+        for k, point_taps in zip(setup.points, np.moveaxis(by_point, 3, 0)):
+            taps[k] = point_taps
             rsrp[k] = calib.rsrp_fast_fading_db(p_tx, taps[k]) + cfg.antenna.ue_gain_dbi
 
     serving, cl, gf = _serving_columns(rsrp, p_tx)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .antenna import (
-    ArrayGeometry, PatternSpec, downtilt_weights, itu_port_pattern, uniform_planar_array,
+    LinkEnd, PatternSpec, downtilt_weights, itu_port_pattern, uniform_planar_array,
 )
 from .lsp import LSP_NAMES, DecorrelationSection, LspSection, Pathloss, mixing_factor
 from .ssp import N_SPLIT, RAY_OFFSETS_20, SspConfig
@@ -392,38 +392,30 @@ def validate(cfg: RunConfig):
             raise ConfigError(f"[{name}]: {exc}") from None
 
 
-def build_array(
-    section: AntennaSection, d_v: float, wavelength: float, tilt: float
-) -> ArrayGeometry:
-    """The array at spacing d_v, K = M column ports steered to the tilt; itu_port: one element."""
+def build_array(section: AntennaSection, d_v: float, wavelength: float, tilts) -> LinkEnd:
+    """A TX setup's end at spacing d_v: its pattern, and every tilt's ports
+    stacked, K = M column ports steered to each tilt; itu_port: one element
+    under the pattern tilted to its one tilt."""
     if section.pattern == "itu_port":
-        return uniform_planar_array(1, 1, d_v, section.d_h, wavelength)
-    weights = None
-    if section.k_per_port == section.m_rows:
-        weights = downtilt_weights(section.m_rows, d_v, math.radians(90.0 + tilt))
+        [tilt] = tilts
+        return uniform_planar_array(1, 1, d_v, section.d_h, wavelength, column_weights=[[1.0]],
+                                    pattern=itu_port_pattern(tilt))
+    k = section.k_per_port
+    weights = [downtilt_weights(k, d_v, math.radians(90.0 + t)) if k == section.m_rows else [1.0]
+               for t in tilts]  # K = 1: each element its own port
+    pattern = PatternSpec(section.g_max_dbi, section.a_m_db, section.sla_v_db,
+                          section.phi_3db_deg, section.theta_3db_deg, theta_tilt_deg=90.0)
     return uniform_planar_array(
         section.m_rows,
         section.n_cols,
         d_v,
         section.d_h,
         wavelength,
-        k_per_port=section.k_per_port,
+        k_per_port=k,
         slant_deg=section.slant_deg,
         cross_polarized=section.cross_polarized,
         column_weights=weights,
-    )
-
-
-def build_tx_pattern(section: AntennaSection, downtilt_deg: float) -> PatternSpec:
-    if section.pattern == "itu_port":
-        return itu_port_pattern(downtilt_deg)
-    return PatternSpec(
-        section.g_max_dbi,
-        section.a_m_db,
-        section.sla_v_db,
-        section.phi_3db_deg,
-        section.theta_3db_deg,
-        theta_tilt_deg=90.0,
+        pattern=pattern,
     )
 
 

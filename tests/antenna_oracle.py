@@ -6,26 +6,27 @@ per lattice step. ``element_terms`` and ``weight_fields`` are the per-cell,
 per-element form of a port's fields: element amplitudes and the response
 phases of the port's elements from full wave vectors toward each (UE, cell)
 direction, then the weighted sums. ``tx_gains_db_per_element`` is the
-phase-1 TX gain in that form; ``tx_gains_db_per_cell`` is it in port form,
-port 0's factors from full wave vectors per (UE, cell), which the campaign
-computes per (UE, site) (``campaign._tx_gains_db``). ``port_fields`` and
+phase-1 TX gain of a setup's end in that form, one point at a time;
+``tx_gains_db_per_cell`` is it in port form, port 0's factors of every point
+from full wave vectors per (UE, cell), which the campaign computes per (UE,
+site) (``campaign._tx_gains_db``). ``port_fields`` and
 ``composite_port_gain_db`` evaluate one virtualized port in a single call.
 ``element_pattern_3gpp`` is the single-element pattern at its documented
 constants. ``isotropic_end`` is a link end of isotropic, vertically
 polarized elements at the origin, and ``lattice_end`` the link end of an
-array's lattice turned to a bearing. ``per_port_fields`` evaluates a link
-end's fields port by port, where ``synth_oracle.end_fields_one_link``
-evaluates them once per slant.
+array's lattice turned to a bearing, or to one bearing per link.
+``per_port_fields`` evaluates a link end's fields port by port, where
+``synth_oracle.end_fields_one_link`` evaluates them once per slant.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from chan3d.antenna import (
-    ArrayGeometry, PatternSpec, element_amplitude, element_gain_db, fields_gain_db, port_factors,
+    LinkEnd, PatternSpec, element_amplitude, element_gain_db, fields_gain_db, port_factors,
 )
 from chan3d.geom import rotation_z, unit_vectors, wrap_azimuth
-from chan3d.synth import LinkEnd
 from synth_oracle import end_fields_one_link
 
 
@@ -39,13 +40,13 @@ def response_phases(positions: np.ndarray, k_vectors: np.ndarray) -> np.ndarray:
     return np.exp(1j * (np.asarray(k_vectors) @ np.asarray(positions).T))
 
 
-def element_positions(geometry: ArrayGeometry) -> np.ndarray:
+def element_positions(geometry: LinkEnd) -> np.ndarray:
     """Each element's position lattice @ steps, (n_elements, 3) meters."""
     return geometry.lattice @ geometry.steps
 
 
 def element_terms(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    spec: PatternSpec, geometry: LinkEnd, port: int, wavelength: float,
     azimuth, zenith,
 ):
     """The weight-independent half of a port's fields: element amplitudes
@@ -60,7 +61,7 @@ def element_terms(
     return amp, response_phases(element_positions(geometry)[idx], k_vecs)
 
 
-def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
+def weight_fields(amp, phases, geometry: LinkEnd, port: int):
     """The weights half of a port's fields: (vertical, horizontal) fields of
     the port from its element_terms, its weights and its elements' slants."""
     idx = np.flatnonzero(geometry.weights[port])
@@ -69,32 +70,32 @@ def weight_fields(amp, phases, geometry: ArrayGeometry, port: int):
     return amp * (phases @ (w * np.cos(slant))), amp * (phases @ (w * np.sin(slant)))
 
 
-def tx_gains_db_per_element(pattern, arrays, wavelength: float, local_az, zen) -> list:
+def tx_gains_db_per_element(end: LinkEnd, wavelength: float, local_az, zen) -> list:
     """Phase-1 TX gain of port 0 over (UE, cell) angle arrays, one array per
-    sweep point, per element: the element terms per cell, then each point's
-    port weights."""
-    amp, phases = element_terms(pattern, arrays[0], 0, wavelength, local_az, zen)
-    return [fields_gain_db(*weight_fields(amp, phases, array, 0)) for array in arrays]
+    sweep point of a setup's end, per element: the element terms per cell,
+    then each point's port weights."""
+    points = [replace(end, weights=weights) for weights in end.weights]
+    amp, phases = element_terms(end.pattern, points[0], 0, wavelength, local_az, zen)
+    return [fields_gain_db(*weight_fields(amp, phases, point, 0)) for point in points]
 
 
-def tx_gains_db_per_cell(pattern, arrays, wavelength: float, local_az, zen) -> list:
+def tx_gains_db_per_cell(end: LinkEnd, wavelength: float, local_az, zen, itu=False) -> list:
     """Phase-1 TX gain of port 0 over (UE, cell) angle arrays, one array per
-    sweep point (arrays None: an itu_port pattern, whose gain is the
+    sweep point of a setup's end (itu: an itu_port end, whose gain is its
     pattern's own), in port form per cell: port 0's factors of every point
     from full wave vectors toward each (UE, cell) direction, times the
     element amplitude, the slant splitting the field in power alone."""
-    if arrays is None:
-        return [np.asarray(element_gain_db(pattern, local_az, zen))]
-    array = arrays[0]
+    if itu:
+        return [np.asarray(element_gain_db(end.pattern, local_az, zen))]
     k_vecs = (2.0 * math.pi / wavelength) * unit_vectors(local_az, zen)
-    port0 = np.stack([a.weights[0] for a in arrays])
-    factors = port_factors(array.lattice, port0, k_vecs, array.steps.T)
-    amp = element_amplitude(pattern, local_az, zen)
-    return [fields_gain_db(amp * factors[..., k], 0.0) for k in range(len(arrays))]
+    port0 = np.stack([weights[0] for weights in end.weights])
+    factors = port_factors(end.lattice, port0, k_vecs, end.steps.T)
+    amp = element_amplitude(end.pattern, local_az, zen)
+    return [fields_gain_db(amp * factors[..., k], 0.0) for k in range(len(port0))]
 
 
 def port_fields(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    spec: PatternSpec, geometry: LinkEnd, port: int, wavelength: float,
     azimuth, zenith, bearing_rad: float = 0.0,
 ):
     """Composite (vertical, horizontal) field amplitudes of one virtualized port.
@@ -110,7 +111,7 @@ def port_fields(
 
 
 def composite_port_gain_db(
-    spec: PatternSpec, geometry: ArrayGeometry, port: int, wavelength: float,
+    spec: PatternSpec, geometry: LinkEnd, port: int, wavelength: float,
     azimuth, zenith, bearing_rad: float = 0.0,
 ):
     """Power gain in dB of the virtualized port (element pattern + weights)."""
@@ -122,12 +123,13 @@ def isotropic_end(n_elements: int = 1) -> LinkEnd:
     return LinkEnd(np.zeros(n_elements))
 
 
-def lattice_end(geometry: ArrayGeometry, pattern=None, bearing_rad: float = 0.0,
-                ports: bool = True) -> LinkEnd:
-    """The link end of geometry's lattice turned to bearing_rad, as a phase-2
-    campaign builds each cell's: its ports, or (ports=False) each element
+def lattice_end(geometry: LinkEnd, pattern=None, bearing_rad=0.0, ports: bool = True) -> LinkEnd:
+    """The link end of geometry's lattice turned to bearing_rad, or to each
+    of an array of bearings, one per link, as a phase-2 campaign turns a
+    setup's end to its cells: at its ports, or (ports=False) each element
     its own port."""
-    steps = geometry.steps @ rotation_z(bearing_rad).T
+    turned = [geometry.steps @ rotation_z(b).T for b in np.ravel(bearing_rad).tolist()]
+    steps = np.stack(turned) if np.ndim(bearing_rad) else turned[0]
     weights = geometry.weights if ports else None
     return LinkEnd(geometry.slant_rad, pattern, bearing_rad, geometry.lattice, steps, weights)
 

@@ -4,12 +4,11 @@ reference forms.
 ``LinkContext`` describes one link as tests write it; ``ue_record`` turns
 links of one UE into the ``synth.UeLinks`` record the campaign builds, and
 ``synthesize_link`` synthesizes one link's taps through the batch kernels,
-with the link as a batch and a chunk of one. ``end_fields_one_link``
-evaluates one link end's fields, ``link_half_one_link`` one link's
-TX-independent ray terms and ``synthesize_one_link`` one link's port taps,
-link by link, as ``synth`` did before ``synth.end_fields``,
-``synth.ue_links`` and ``synth.synthesize`` took a UE's links, or a chunk of
-them, in one array pass. Both take each end's port factors from
+with the link as a record of one. ``end_fields_one_link`` evaluates one link
+end's fields, ``link_half_one_link`` one link's TX-independent ray terms and
+``synthesize_one_link`` one link's port taps, link by link, as ``synth`` did
+before ``synth.end_fields``, ``synth.ue_links`` and ``synth.synthesize``
+took a UE's links in one array pass. Both take each end's port factors from
 ``antenna.port_factors``, per link. ``to_ports`` is the element-to-port map
 that synthesis applied to element taps before it synthesized ports.
 ``tests/test_synth.py`` checks with ``np.array_equal`` that the batch
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from chan3d.antenna import element_gain_db, port_factors
+from chan3d.antenna import LinkEnd, element_gain_db, port_factors
 from chan3d.geom import (
     SPEED_OF_LIGHT,
     rotation_x,
@@ -30,7 +29,7 @@ from chan3d.geom import (
     wrap_azimuth,
 )
 from chan3d.ssp import ClusterSet, polarization_matrix
-from chan3d.synth import LinkEnd, RayTerms, UeLinks, end_fields, synthesize, ue_links
+from chan3d.synth import RayTerms, UeLinks, end_fields, synthesize, ue_links
 
 
 @dataclass
@@ -128,13 +127,12 @@ def link_half_one_link(ctx: LinkContext) -> tuple:
 
 def synthesize_link(ctx: LinkContext, times) -> np.ndarray:
     """synth.synthesize for one link: its record from ue_links and its TX
-    fields from end_fields, each over the link as a batch of one, and its
-    taps from the link as a chunk of one."""
+    fields from end_fields and its taps, each over the link as a batch of one."""
     batch = ctx.clusters.link(None)
     ue = ue_record([ctx], batch)
-    g_t = end_fields([ctx.tx], batch.aod, batch.zod, ctx.polarization_model)
-    g_los = end_fields([ctx.tx], ue.los[:, 0], ue.los[:, 1], ctx.polarization_model)
-    return synthesize(ue.chunk(slice(0, 1), [ctx.tx]), times, g_t, g_los)[0]
+    g_t = end_fields(ctx.tx, batch.aod, batch.zod, ctx.polarization_model)
+    g_los = end_fields(ctx.tx, ue.los[:, 0], ue.los[:, 1], ctx.polarization_model)
+    return synthesize(ue.toward(ctx.tx), times, g_t, g_los)[0]
 
 
 def _ray_terms_one_link(i, tx, rays, g_t, amplitude=None) -> np.ndarray:
@@ -154,7 +152,7 @@ def synthesize_one_link(ue: UeLinks, i: int, tx: LinkEnd, times, g_t, g_los) -> 
     """Link i of a UeLinks record toward its TX end tx, synthesized alone:
     its (n_times, n_clusters, n_ports, n_rx) taps, from its TX fields toward
     its rays and its LOS departure, as synth.synthesize did one link per
-    call before it took a chunk of a UE's links in one array pass."""
+    call before it took a UE's links in one array pass."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rice_k = ue.rice_k[i]
     scale = np.power(10.0, -ue.slow_fading_db[i] / 20.0)  # numpy's power, on one value

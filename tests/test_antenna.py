@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.antenna import (
-    ArrayGeometry,
+    LinkEnd,
     PatternSpec,
     downtilt_weights,
     element_gain_db,
@@ -19,7 +19,6 @@ from chan3d.config import default_config
 from chan3d.deploy import CELL_BEARINGS_DEG, hex_layout
 from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet
-from chan3d.synth import LinkEnd
 
 from antenna_oracle import (
     composite_port_gain_db, element_pattern_3gpp, element_positions, isotropic_end,
@@ -267,11 +266,17 @@ def test_virtualize_matches_bruteforce():
 
 
 def test_virtualize_is_linear():
-    m = 3
+    # Port p takes elements 2p and 2p + 1. Rows of w1 and w2 are random unit
+    # pairs, each row of w2 orthogonal to w1's, and |a|^2 + |b|^2 = 1, so
+    # a * w1 + b * w2 has unit-power rows too: a valid end.
+    m = 4
     rng = np.random.default_rng(21)
-    w1 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
-    w2 = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
-    a, b = 1.7 - 0.3j, -0.6 + 2.2j
+    pairs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+    w1, w2 = np.zeros((2, 2, m), dtype=complex)
+    w1[[0, 0, 1, 1], range(m)] = pairs.ravel()
+    w2[[0, 0, 1, 1], range(m)] = np.stack([-pairs[:, 1], pairs[:, 0]], 1).conj().ravel()
+    a, b = np.array([1.7 - 0.3j, -0.6 + 2.2j]) / math.hypot(1.7, 0.3, 0.6, 2.2)
     steps = rng.uniform(-0.2, 0.2, (2, 3))
     ports = [
         _port_taps(w, m, np.random.default_rng(5), steps)[1] for w in (a * w1 + b * w2, w1, w2)
@@ -353,9 +358,14 @@ def _origin(n):
     return np.zeros((n, 2), dtype=int), np.zeros((2, 3))
 
 
+def _origin_end(slants, weights):
+    """An end of len(slants) elements, all at the origin, with the given port weights."""
+    return LinkEnd(slants, None, 0.0, *_origin(len(slants)), weights)
+
+
 def test_array_geometry_validates_port_power():
     with pytest.raises(ValueError, match="unit total power"):
-        ArrayGeometry(*_origin(2), np.zeros(2), [[1.0, 1.0]])
+        _origin_end(np.zeros(2), [[1.0, 1.0]])
     with pytest.raises(ValueError, match="does not match port size"):
         uniform_planar_array(4, 1, 0.5, 0.5, 0.15, column_weights=[0.5, 0.5, 0.5])
 
@@ -363,13 +373,13 @@ def test_array_geometry_validates_port_power():
 def test_array_geometry_requires_partition():
     # Every element feeds exactly one port, and a port's elements share one slant.
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(*_origin(2), np.zeros(2), [[1.0, 0.0]])
+        _origin_end(np.zeros(2), [[1.0, 0.0]])
     half = math.sqrt(0.5)
     with pytest.raises(ValueError, match="exactly one port"):
-        ArrayGeometry(*_origin(2), np.zeros(2), [[half, half], [0.0, 1.0]])
+        _origin_end(np.zeros(2), [[half, half], [0.0, 1.0]])
     with pytest.raises(ValueError, match="share one slant"):
-        ArrayGeometry(*_origin(2), [0.0, math.pi / 2], [[half, half]])
-    ArrayGeometry(*_origin(2), [0.0, math.pi / 2], np.eye(2))
+        _origin_end([0.0, math.pi / 2], [[half, half]])
+    _origin_end([0.0, math.pi / 2], np.eye(2))
 
 
 def test_composite_port_gain_peaks_near_tilt():
@@ -422,10 +432,9 @@ def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
     assert [s.points for s in setups] == [[0, 1, 2], [3, 4, 5]]
     for setup in setups:
         got = campaign._tx_gains_db(ctx, setup, local_az, zen)
-        want = tx_gains_db_per_cell(setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+        want = tx_gains_db_per_cell(setup.end, ctx.wavelength, wrapped, cell_zen)
         assert len(got) == len(want) == 3
-        per_element = tx_gains_db_per_element(
-            setup.pattern, setup.arrays, ctx.wavelength, wrapped, cell_zen)
+        per_element = tx_gains_db_per_element(setup.end, ctx.wavelength, wrapped, cell_zen)
         for g, w, e in zip(got, want, per_element):
             assert g.shape == (200, 57) and np.array_equal(g, w)
             assert_allclose(g, e, rtol=0, atol=1e-10)
@@ -433,12 +442,13 @@ def test_split_port_gain_matches_composite(k_per_port, cross_polarized):
         assert np.array_equal(got[0], got[2]) == (k_per_port == 1)
     cfg.antenna.pattern = "itu_port"  # the tilted port pattern, one setup per point
     for setup in campaign._tx_setups(ctx):
-        # Its array is one element at the origin; phase 1 reads the pattern's own gain.
-        [array] = setup.arrays
-        assert not array.lattice.any() and array.weights.tolist() == [[1.0]]
+        # Its end is one point of one element at the origin; phase 1 reads
+        # the pattern's own gain.
+        end = setup.end
+        assert not end.lattice.any() and end.weights.tolist() == [[[1.0]]]
         got = campaign._tx_gains_db(ctx, setup, local_az, zen)
         assert np.array_equal(
-            got, tx_gains_db_per_cell(setup.pattern, None, ctx.wavelength, wrapped, cell_zen)
+            got, tx_gains_db_per_cell(end, ctx.wavelength, wrapped, cell_zen, itu=True)
         )
 
 
@@ -450,7 +460,7 @@ def test_port_across_columns_is_refused():
     half = math.sqrt(0.5)
     lattice, steps = [[0, 0], [1, 0]], [[0.0, 0.075, 0.0], [0.0, 0.0, 0.12]]
     with pytest.raises(ValueError, match="share one slant and one column"):
-        ArrayGeometry(lattice, steps, np.zeros(2), [[half, half]])
+        LinkEnd(np.zeros(2), None, 0.0, lattice, steps, [[half, half]])
     geom = uniform_planar_array(4, 2, 0.8, 0.5, 0.15)
     rng = np.random.default_rng(5)
     k = _k(0.15, rng.uniform(-math.pi, math.pi, 100), rng.uniform(0.0, math.pi, 100))

@@ -552,9 +552,9 @@ def test_pattern_constant_overrides(tmp_path):
         "[run]\nmaster_seed = 1\n\n[antenna]\ng_max_dbi = 5.0\nphi_3db_deg = 80.0\n"
     )
     cfg = parse_config(_write(tmp_path, text))
-    from chan3d.config import build_tx_pattern
+    from chan3d.config import build_array
 
-    spec = build_tx_pattern(cfg.antenna, 0.0)
+    spec = build_array(cfg.antenna, cfg.antenna.d_v, 0.15, [0.0]).pattern
     assert spec.g_max_dbi == 5.0
     assert spec.phi_3db_deg == 80.0
     bad = "[run]\nmaster_seed = 1\n\n[antenna]\ntheta_3db_deg = 0.0\n"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chan3d.campaign as campaign
-from chan3d.antenna import element_gain_db
+from chan3d.antenna import LinkEnd, element_gain_db
 from chan3d.config import default_config
 from chan3d.geom import (
     pow10,
@@ -16,7 +16,7 @@ from chan3d.geom import (
 )
 from chan3d.lsp import slow_fading
 from chan3d.ssp import ClusterSet, reflect_zenith
-from chan3d.synth import LinkEnd, end_fields
+from chan3d.synth import end_fields
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end
 from libm_oracle import per_element, ulp_distance
@@ -218,7 +218,7 @@ def test_los_angles_coincident_raises():
 
 def _rotated_fields(slant, bearing, azimuth, zenith, pattern=None):
     end = LinkEnd(np.array([slant]), pattern, bearing)
-    return end_fields([end], azimuth, zenith, "rotated")[..., 0]
+    return end_fields(end, azimuth, zenith, "rotated")[..., 0]
 
 
 def test_field_transform_identity():

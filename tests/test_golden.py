@@ -572,13 +572,14 @@ def test_phase2_folds_each_ue_once(tmp_path, monkeypatch):
 def test_phase2_record_once_per_ue_and_synthesis_once_per_setup(tmp_path, monkeypatch):
     # The two tilts of the itu_port pattern are two TX setups. Each of the 21
     # UEs builds one record of its 21 (UE, cell) links, 441 links in all.
-    # Each setup synthesizes all of a UE's links at its ports in one call
-    # that reads the UE's record, so the 882 link syntheses of both setups
-    # take 42 calls (21 UEs x 2). The record evaluates its RX fields twice
-    # (rays, LOS ray) and each setup its TX fields twice over all 21 links,
-    # never inside synthesize. There is no per-point port step: each sweep
-    # point's taps are its slice of its setup's port taps, and it takes
-    # every cell's RSRP in one call: 21 UEs x 2 points = 42 calls.
+    # Each setup is one TX end, at each cell's bearing, and synthesizes all
+    # of a UE's links at its ports in one call that reads the UE's record,
+    # so the 882 link syntheses of both setups take 42 calls (21 UEs x 2).
+    # The record evaluates its RX fields twice (rays, LOS ray) and each
+    # setup its TX fields twice over all 21 links, never inside synthesize.
+    # There is no per-point port step: each sweep point's taps are a view of
+    # its setup's port taps, and it takes every cell's RSRP in one call:
+    # 21 UEs x 2 points = 42 calls.
     records, used, synthesizing, fields, rsrp = [], [], [], [], []
 
     def counting_links(*args):
@@ -592,9 +593,9 @@ def test_phase2_record_once_per_ue_and_synthesis_once_per_setup(tmp_path, monkey
         used.append((len(records) - 1, chunk, taps))
         return taps
 
-    def counting_fields(where, ends, azimuth, *args):
-        fields.append((where, len(ends), np.shape(azimuth)[:1], len(synthesizing)))
-        return end_fields(ends, azimuth, *args)
+    def counting_fields(where, end, azimuth, *args):
+        fields.append((where, np.shape(end.bearing_rad), np.shape(azimuth)[:1], len(synthesizing)))
+        return end_fields(end, azimuth, *args)
 
     def counting_rsrp(p_tx, taps):
         rsrp.append((np.shares_memory(taps, used[-1][2]), taps.shape[-2]))
@@ -611,10 +612,12 @@ def test_phase2_record_once_per_ue_and_synthesis_once_per_setup(tmp_path, monkey
     assert [len(record.rice_k) for record in records] == [21] * 21
     assert len(used) == 42 and sum(len(taps) for _, _, taps in used) == 882
     assert [ue for ue, _, _ in used] == [ue for ue in range(21) for _ in range(2)]
-    assert all(chunk.ue is records[ue] and chunk.rows == slice(None) for ue, chunk, _ in used)
+    assert all(chunk.ue is records[ue] for ue, chunk, _ in used)
+    ends = [id(chunk.tx) for _, chunk, _ in used]
+    assert len(set(ends)) == 2 and ends == ends[:2] * 21  # one end per setup
     bearings = np.radians(deploy.CELL_BEARINGS_DEG).tolist() * 7
-    assert all([end.bearing_rad for end in chunk.ends] == bearings for _, chunk, _ in used)
-    per_ue = [("record", 1, (21,), 0)] * 2 + [("setup", 21, (21,), 0)] * 4
+    assert all(chunk.tx.bearing_rad.tolist() == bearings for _, chunk, _ in used)
+    per_ue = [("record", (), (21,), 0)] * 2 + [("setup", (21,), (21,), 0)] * 4
     assert fields == per_ue * 21
     assert rsrp == [(True, 1)] * 42 and not hasattr(campaign, "to_ports")
     assert output_hashes(paths) == GOLDEN["p2_itu_port"]

@@ -6,7 +6,11 @@ module owns the (UE, site) link geometry: the campaign names neither the
 fold nor the Rice-factor kernel that lsp.slow_fading runs. No module runs a
 scalar function per array element: none names per_element or fromiter.
 No module evaluates array factors element by element: none names to_ports,
-response_phases or column_sums. Its setup stays light: importing it and checking a config load no process pool."""
+response_phases or column_sums. One type describes a link end: antenna's
+LinkEnd is the only class of that name, and no module names the array
+geometry and TX pattern it replaced. Its setup stays light: importing it and
+checking a config load no process pool, and a campaign does not load
+numpy.ma."""
 import ast
 import os
 import subprocess
@@ -18,6 +22,7 @@ SEED_NAMES = {"SeedSequence", "default_rng"}
 LINK_GEOMETRY_NAMES = {"fold_to_nearest_image", "pow10"}
 SCALAR_LOOP_NAMES = {"per_element", "fromiter"}
 ELEMENT_PHASE_NAMES = {"to_ports", "response_phases", "column_sums"}
+SECOND_END_NAMES = {"ArrayGeometry", "build_tx_pattern"}
 
 
 def _absolute_imports(path: Path) -> list:
@@ -113,24 +118,60 @@ def test_package_has_no_per_element_phase_path():
                 for name in _named(path, ELEMENT_PHASE_NAMES)}
 
 
-def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):
-    # Import, parse_config and validate, as perfbench's setup_s times them on
-    # each workload, load neither the process pool nor numpy.random: a
-    # campaign imports them when it needs them (multiprocessing alone costs
-    # several ms of a fresh interpreter's start).
+def test_package_has_one_link_end_type():
+    # antenna.LinkEnd holds an end's lattice, port weights, pattern and
+    # bearing, and checks them: the array geometry beside it, the end class
+    # in synth and the TX pattern built apart from the array are gone.
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    assert not {(path.name, name) for path in modules for name in _named(path, SECOND_END_NAMES)}
+    classes = [(path.name, node.name) for path in modules
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    assert [where for where, name in classes if name == "LinkEnd"] == ["antenna.py"]
+
+
+def _workload_inis(tmp_path) -> list:
+    """The benchmark workloads' INIs, filled in as perfbench/run.py fills them."""
     inis = []
     for template in sorted((SRC.parents[1] / "perfbench" / "workloads").glob("*.ini")):
         inis.append(tmp_path / template.name)
         inis[-1].write_text(template.read_text().format(seed=1, output_dir=tmp_path / "out"))
     assert len(inis) == 3
+    return inis
+
+
+def _run_python(code: str, *args) -> str:
+    """The stdout of code run in a fresh interpreter that imports chan3d from src."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_campaigns_load_no_numpy_ma(tmp_path):
+    # numpy.ma (about 1 MB) stays unloaded through a campaign of each
+    # benchmark workload: numpy 2.4's np.unique loads it on its first call
+    # without return_inverse, so the end derives its port slants with it and
+    # checks its ports with np.ptp.
+    code = (
+        "import sys\nfrom chan3d.campaign import run_campaign\n"
+        "from chan3d.config import parse_config\n"
+        "for ini in sys.argv[1:]:\n    run_campaign(parse_config(ini))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_python(code, *_workload_inis(tmp_path)) == "False\n"
+
+
+def test_setup_loads_no_process_pool_or_numpy_random(tmp_path):
+    # Import, parse_config and validate, as perfbench's setup_s times them on
+    # each workload, load neither the process pool nor numpy.random: a
+    # campaign imports them when it needs them (multiprocessing alone costs
+    # several ms of a fresh interpreter's start).
     code = (
         "import sys\nimport chan3d\nfrom chan3d.config import parse_config, validate\n"
         "for ini in sys.argv[1:]:\n    validate(parse_config(ini))\n"
         "heavy = ('multiprocessing', 'concurrent.futures', 'numpy.random')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", code, *map(str, inis)],
-                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert _run_python(code, *_workload_inis(tmp_path)) == "[]\n"

@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chan3d.antenna import (
+    LinkEnd,
     downtilt_weights,
     port_factors,
     uniform_planar_array,
 )
-from chan3d.geom import SPEED_OF_LIGHT, unit_vectors, wrap_azimuth
+from chan3d.geom import SPEED_OF_LIGHT, rotation_z, unit_vectors, wrap_azimuth
 from chan3d.ssp import ClusterSet, SspConfig, generate_cluster_set, polarization_matrix
-from chan3d.synth import LinkEnd, end_fields, synthesize, ue_links
+from chan3d.synth import end_fields, synthesize, ue_links
 
 from antenna_oracle import element_pattern_3gpp, isotropic_end, lattice_end, per_port_fields
 from synth_oracle import (
@@ -108,7 +109,7 @@ def _bruteforce_cluster(ctx, n, t):
                     * a_r
                     * doppler
                 )
-    return (tx.weights @ h) * 10.0 ** (-ctx.slow_fading_db / 20.0)
+    return (tx.weights.reshape(-1, tx.n_elements) @ h) * 10.0 ** (-ctx.slow_fading_db / 20.0)
 
 
 def test_single_ray_isotropic_collapses_to_phase():
@@ -127,13 +128,15 @@ def test_static_ue_time_invariant():
 
 def test_cluster_matrix_matches_bruteforce_oracle():
     # Independent term-by-term re-summation with explicit scalar loops, over
-    # lattice ends with random steps: the TX's two elements, one column, feed
-    # two ports, one of them both with random weights.
+    # lattice ends with random steps: the TX's three elements, one column,
+    # feed two ports at each of two stacked points, some ports two elements
+    # with random weights.
     rng = np.random.default_rng(2)
     clusters = _random_clusters(rng, n_clusters=2, n_rays=3)
-    weights = np.array([[0.6, 0.8j], [0.0, 1.0]]) * np.exp(1j * rng.uniform(0, 6, (2, 1)))
-    tx = LinkEnd(np.zeros(2), lattice=[[0, 0], [0, 1]], steps=rng.uniform(-0.1, 0.1, (2, 3)),
-                 weights=weights)
+    weights = np.array([[[0.6, 0.8j, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 0.8, 0.6j]]])
+    weights = weights * np.exp(1j * rng.uniform(0, 6, (2, 2, 1)))
+    tx = LinkEnd(np.zeros(3), lattice=[[0, 0], [0, 1], [0, 2]],
+                 steps=rng.uniform(-0.1, 0.1, (2, 3)), weights=weights)
     rx = LinkEnd(np.radians([90.0, 30.0]), lattice=[[0, 0], [1, 0]],
                  steps=rng.uniform(-0.1, 0.1, (2, 3)))
     velocity = np.array([0.5, -0.3, 0.0])
@@ -175,7 +178,7 @@ def test_large_rice_factor_limit():
 
 def test_negative_rice_factor_rejected():
     # The checks run once per UE batch: one negative K among its links fails it.
-    links, batch = _ue_links("slant", False, n_links=3)
+    links, batch, _ = _ue_links("slant", False, n_links=3)
     links[2].rice_k_linear = -0.5
     with pytest.raises(ValueError, match="Rice factor must be non-negative"):
         ue_record(links, batch)
@@ -190,7 +193,7 @@ def test_ue_batch_checks(change, message):
     # Carrier and polarization model are the UE's, read from link 0. The LOS
     # angles are required only of the links whose K is positive: of link 1,
     # not of link 0.
-    links, batch = _ue_links("slant", False, n_links=3)
+    links, batch, _ = _ue_links("slant", False, n_links=3)
     links[0] = dataclasses.replace(links[0], los_departure=None)
     ue_record(links, batch)
     i = 1 if "los_departure" in change else 0
@@ -204,6 +207,23 @@ def test_link_end_dimension_mismatch_rejected():
         LinkEnd(np.zeros(2), lattice=np.zeros((3, 2), dtype=int))
     with pytest.raises(ValueError):
         LinkEnd(np.zeros(2), weights=np.ones((1, 3)))
+
+
+def test_link_end_refuses_a_port_across_lattice_columns():
+    # port_factors takes a port's column as its elements' smallest: a port
+    # over lattice points (0, 0) and (1, 1), built as antenna_oracle's
+    # lattice_end builds a turned end, would read a wrong factor without an
+    # error. The end refuses it, and so it does at any one of stacked points.
+    half, bearing, pattern = math.sqrt(0.5), math.radians(150.0), element_pattern_3gpp()
+    steps = np.array([[0.0, 0.075, 0.0], [0.0, 0.0, 0.12]]) @ rotation_z(bearing).T
+    with pytest.raises(ValueError, match="share one slant and one column"):
+        LinkEnd(np.zeros(2), pattern, bearing, [[0, 0], [1, 1]], steps, [[half, half]])
+    lattice = [[0, 0], [0, 1], [1, 1]]
+    column = [[half, half, 0.0], [0.0, 0.0, 1.0]]  # elements 0 and 1 share column 0
+    across = [[half, 0.0, half], [0.0, 1.0, 0.0]]  # elements 0 and 2: columns 0 and 1
+    LinkEnd(np.zeros(3), pattern, bearing, lattice, steps, [column, column])
+    with pytest.raises(ValueError, match="share one slant and one column"):
+        LinkEnd(np.zeros(3), pattern, bearing, lattice, steps, [column, across])
 
 
 def test_synthesize_orders_taps_and_matches_cluster_ops():
@@ -250,7 +270,7 @@ def test_port_output_equals_manual_weight_sum():
 
 def test_total_mean_tap_power_is_one():
     # Monte Carlo over polarization draws only; geometry and powers fixed.
-    # The draws are one batch of NLOS links: one record, one chunk of them all.
+    # The draws are one batch of NLOS links: one record, synthesized at once.
     rng = np.random.default_rng(7)
     base = _random_clusters(rng, n_clusters=3, n_rays=3)
     n_draws = 10_000
@@ -264,9 +284,9 @@ def test_total_mean_tap_power_is_one():
     )
     end, nlos = isotropic_end(), [0.0] * n_draws
     ue = ue_links(end, batch, np.full((n_draws, 4), math.nan), nlos, nlos, 2e9, np.zeros(3))
-    g_t = end_fields([end], batch.aod, batch.zod, "slant")
-    g_los = end_fields([end], ue.los[:, 0], ue.los[:, 1], "slant")
-    taps = synthesize(ue.chunk(slice(None), [end] * n_draws), [0.0], g_t, g_los)
+    g_t = end_fields(end, batch.aod, batch.zod, "slant")
+    g_los = end_fields(end, ue.los[:, 0], ue.los[:, 1], "slant")
+    taps = synthesize(ue.toward(end), [0.0], g_t, g_los)
     total = float(np.sum(np.abs(taps) ** 2))
     assert abs(total / n_draws - 1.0) < 0.02
 
@@ -438,7 +458,8 @@ def test_per_slant_fields_equal_per_element_oracle(model, layout):
 def _ue_links(model, split, n_links=6):
     """One UE's links to n_links cells (three bearings) at the two ports of a
     cross-polarized column, with clusters drawn as a campaign draws them: every other link
-    is LOS (K > 0), and the two-element RX end has a pattern and a bearing."""
+    is LOS (K > 0), and the two-element RX end has a pattern and a bearing. Returns the
+    links, their cluster batch and the TX end toward all of them, as a campaign's setup."""
     wavelength = SPEED_OF_LIGHT / 2e9
     geom = uniform_planar_array(
         4, 1, 0.5, 0.5, wavelength, cross_polarized=True,
@@ -453,9 +474,10 @@ def _ue_links(model, split, n_links=6):
         lsps, deps, arrs, SspConfig(split_strongest=split),
         [np.random.default_rng([41, i]) for i in range(n_links)],
     )
+    bearings = np.radians(30.0 + 120.0 * (np.arange(n_links) % 3))
     links = []
     for i in range(n_links):
-        tx = lattice_end(geom, element_pattern_3gpp(), math.radians(30.0 + 120.0 * (i % 3)))
+        tx = lattice_end(geom, element_pattern_3gpp(), float(bearings[i]))
         links.append(LinkContext(
             tx=tx, rx=rx, clusters=batch.link(i), slow_fading_db=110.0 + i, carrier_hz=2e9,
             velocity_mps=np.array([0.6, -0.55, 0.0]),
@@ -463,7 +485,7 @@ def _ue_links(model, split, n_links=6):
             los_departure=tuple(deps[i].tolist()), los_arrival=tuple(arrs[i].tolist()),
             polarization_model=model,
         ))
-    return links, batch
+    return links, batch, lattice_end(geom, element_pattern_3gpp(), bearings)
 
 
 RAY_FIELDS = ("g_r", "alpha", "k_dep", "omega")
@@ -474,14 +496,13 @@ RAY_FIELDS = ("g_r", "alpha", "k_dep", "omega")
 def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
     # One array pass over a UE's LOS and NLOS links gives each link the
     # bytes of its per-link ray terms and its own LOS pair, Rice K and slow
-    # fading; a TX setup's fields, each link with its own cell's bearing,
-    # equal each link's own evaluation.
-    links, batch = _ue_links(model, split)
+    # fading; a TX setup's fields, from its one end at each link's cell
+    # bearing, equal each link's own evaluation.
+    links, batch, tx = _ue_links(model, split)
     ue = ue_record(links, batch)
-    ends = [link.tx for link in links]
-    rays = end_fields(ends, batch.aod, batch.zod, model)
+    rays = end_fields(tx, batch.aod, batch.zod, model)
     dep = np.array([link.los_departure for link in links])
-    los = end_fields(ends, dep[:, 0], dep[:, 1], model)
+    los = end_fields(tx, dep[:, 0], dep[:, 1], model)
     assert {link.rice_k_linear > 0 for link in links} == {False, True}
     assert ue.rice_k.tolist() == [link.rice_k_linear for link in links]
     assert ue.slow_fading_db.tolist() == [link.slow_fading_db for link in links]
@@ -501,30 +522,27 @@ def test_ue_half_and_setup_fields_equal_per_link_oracle(model, split):
 
 @pytest.mark.parametrize("model", ("slant", "rotated"))
 @pytest.mark.parametrize(
-    "split, n_links, size",
-    [(False, 6, 3), (True, 6, 3), (False, 57, 3), (True, 57, 3), (False, 5, 1), (True, 5, 1)],
+    "split, n_links",
+    [(False, 6), (True, 6), (False, 57), (True, 57), (False, 1), (True, 1)],
     ids=("clusters", "split_strongest", "two_rings", "two_rings_split", "lone_links",
          "lone_links_split"),
 )
-def test_ue_batch_taps_equal_per_cluster_loop(model, split, n_links, size):
-    # The campaign's path: each chunk of a UE's links (the campaign's: the
-    # three cells of one site, mixing LOS and NLOS links) sums its views of
-    # the UE's record and of the setup's TX fields toward its rays and its
-    # LOS departures in one pass. Each link's taps equal the per-link
-    # synthesis bit for bit, for a 57-link UE too and for chunks of one, and
-    # the per-cluster, per-element loop on the smaller UEs.
-    links, batch = _ue_links(model, split, n_links)
+def test_ue_batch_taps_equal_per_cluster_loop(model, split, n_links):
+    # The campaign's path: one call synthesizes all of a UE's links (three
+    # cell bearings, mixing LOS and NLOS links) from its record and the
+    # setup's TX fields toward its rays and its LOS departures, through the
+    # setup's one end. Each link's taps equal the per-link synthesis bit for
+    # bit, for a 57-link UE too and for a UE of one link, and the
+    # per-cluster, per-element loop on the smaller UEs.
+    links, batch, tx = _ue_links(model, split, n_links)
     ue = ue_record(links, batch)
-    ends = [link.tx for link in links]
-    g_t = end_fields(ends, batch.aod, batch.zod, model)
-    g_los = end_fields(ends, ue.los[:, 0], ue.los[:, 1], model)
+    g_t = end_fields(tx, batch.aod, batch.zod, model)
+    g_los = end_fields(tx, ue.los[:, 0], ue.los[:, 1], model)
     times = [0.0, 2e-3, 5e-3]
-    for start in range(0, n_links, size):
-        rows = slice(start, start + size)
-        taps = synthesize(ue.chunk(rows, ends), times, g_t, g_los)
-        assert taps.shape[0] == len(ends[rows])
-        for j, i in enumerate(range(n_links)[rows]):
-            per_link = synthesize_one_link(ue, i, ends[i], times, g_t[i], g_los[i])
-            assert np.array_equal(taps[j], per_link), i
-            if n_links < 57:
-                assert np.array_equal(taps[j], _per_cluster_taps(links[i], times)), i
+    taps = synthesize(ue.toward(tx), times, g_t, g_los)
+    assert taps.shape[0] == n_links
+    for i, link in enumerate(links):
+        per_link = synthesize_one_link(ue, i, link.tx, times, g_t[i], g_los[i])
+        assert np.array_equal(taps[i], per_link), i
+        if n_links < 57:
+            assert np.array_equal(taps[i], _per_cluster_taps(link, times)), i
